@@ -4,8 +4,9 @@ Running a diffusion on an inverse Gaussian clock turns it into a model
 with (mean-reverting) jumps, yet the pricing machinery barely changes:
 each eigenvalue lambda_n is replaced by the clock's Laplace exponent
 phi(lambda_n), the eigenfunctions stay put.  The short rate becomes a
-nonlinear function r_phi of the state, so quoted rates are mapped through
-its inverse before pricing.
+nonlinear function of the state, the eigenfunction series
+r_phi(x) = gamma x + sum_n p_n (phi(lambda_n) - gamma lambda_n) phi_n(x),
+so quoted rates are mapped through its inverse before pricing.
 
 Run: python demos/03_jump_models_by_time_change.py
 """

@@ -12,6 +12,12 @@ recursion, the overlap/strike tables, and the bisection machinery:
 
 * ``mc_zero_coupon``: Monte Carlo discounting along simulated paths, with
   the subordinated models sampled through their inverse Gaussian clock.
+
+* ``short_rate_quadrature``: the short rate r_phi(x) of a time-changed
+  model as the Levy integral of 1 - P(s, x) over the closed-form bond,
+  by adaptive quadrature.  It cross-checks the eigenfunction expansion
+  that ``subordinators.short_rate_map`` sums, and feeds the Monte Carlo
+  discounting, which thereby shares no series with the pricer.
 """
 
 from __future__ import annotations
@@ -19,17 +25,20 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import integrate
 
 from .errors import DensityTruncationError, ValidationError
 from .models import CIRModel, DiffusionModel, ThreeHalvesModel, VasicekModel
 from .pricer import BondSchedule
-from .subordinators import (
-    SubordinatorSpec,
-    laplace_exponent,
-    short_rate_map,
-)
+from .subordinators import SubordinatorSpec, laplace_exponent
 
-__all__ = ["QuadratureGrid", "build_grid", "quadrature_dp_price", "mc_zero_coupon"]
+__all__ = [
+    "QuadratureGrid",
+    "build_grid",
+    "quadrature_dp_price",
+    "mc_zero_coupon",
+    "short_rate_quadrature",
+]
 
 _TAIL_MASS = 1e-11
 _DENSITY_TAIL = 1e-12
@@ -176,6 +185,64 @@ def quadrature_dp_price(
 
 
 # ---------------------------------------------------------------------------
+# Short-rate map by Levy-integral quadrature
+# ---------------------------------------------------------------------------
+
+_TAIL_CUTOFF = 1e-18
+
+
+def levy_density(sub: SubordinatorSpec, s):
+    """Levy density nu(s) of the jump measure (zero for the trivial clock)."""
+    s = np.asarray(s, dtype=float)
+    if sub.family == "none":
+        return np.zeros_like(s)
+    if sub.family == "ig":
+        coef = sub.mu * math.sqrt(sub.mu / (2.0 * math.pi * sub.nu_var))
+        return coef * s**-1.5 * np.exp(-0.5 * sub.mu / sub.nu_var * s)
+    if sub.family == "gamma":
+        return sub.c * s**-1.0 * np.exp(-sub.eta * s)
+    return sub.c * s ** (-sub.p - 1.0) * np.exp(-sub.eta * s)
+
+
+def _jump_tail_limit(sub: SubordinatorSpec) -> float:
+    """Upper integration limit where the exponential tilt kills the density."""
+    if sub.family == "ig":
+        eta = 0.5 * sub.mu / sub.nu_var
+    else:
+        eta = sub.eta
+    if eta <= 0.0:
+        raise ValidationError("short-rate quadrature requires an exponentially tilted family")
+    return max(2.0, -math.log(_TAIL_CUTOFF) / eta)
+
+
+def short_rate_quadrature(model: DiffusionModel, sub: SubordinatorSpec, x: float) -> float:
+    """r_phi(x) = gamma x + int (1 - P(s, x)) nu(ds) with the closed-form bond.
+
+    The density is integrably singular at s = 0 (s^{-p-1} with p < 1, or
+    s^{-3/2} for inverse Gaussian); substituting s = u^2 on (0, 1] makes the
+    integrand bounded there since 1 - P(s, x) vanishes linearly in s.
+    Needs the affine closed-form bond (CIR, Vasicek) and an exponentially
+    tilted Levy density.
+    """
+    if not model.contains(x):
+        raise ValidationError(f"state {x} outside the {model.kind} state space")
+    if sub.is_trivial:
+        return float(x)
+
+    def near(u):
+        s = u * u
+        return 2.0 * u * (1.0 - model.closed_form_bond(s, x)) * levy_density(sub, s)
+
+    def far(s):
+        return (1.0 - model.closed_form_bond(s, x)) * levy_density(sub, s)
+
+    s_max = _jump_tail_limit(sub)
+    near_part, _ = integrate.quad(near, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=200)
+    far_part, _ = integrate.quad(far, 1.0, s_max, epsabs=1e-13, epsrel=1e-11, limit=200)
+    return sub.drift * float(x) + near_part + far_part
+
+
+# ---------------------------------------------------------------------------
 # Monte Carlo zero-coupon validator
 # ---------------------------------------------------------------------------
 
@@ -229,8 +296,8 @@ def _subordinated_discount(
     The inverse Gaussian clock is sampled on the calendar grid; the
     diffusion is advanced between clock readings by Euler substeps no
     longer than the calendar resolution.  The running discount uses the
-    left-point rule in the short-rate map, interpolated from a precomputed
-    monotone table.
+    left-point rule in the short-rate map, interpolated from a monotone
+    table of ``short_rate_quadrature`` values (CIR and Vasicek only).
     """
     if sub.family != "ig":
         raise ValidationError("subordinated Monte Carlo supports the ig family only")
@@ -240,11 +307,10 @@ def _subordinated_discount(
 
     # short-rate map table over a generous state range
     dist = model.stationary_distribution()
-    lo = model.state_lo if math.isfinite(model.state_lo) else float(dist.ppf(1e-12))
-    lo = max(lo, float(dist.ppf(1e-14))) if isinstance(model, ThreeHalvesModel) else lo
+    lo = model.state_lo if model.contains(model.state_lo) else float(dist.ppf(1e-12))
     hi = max(float(dist.ppf(1.0 - 1e-12)), x0 * 1.5 + 0.5)
     xs = np.linspace(lo, hi, 600)
-    rphi = np.array([short_rate_map(model, sub, float(v)) for v in xs])
+    rphi = np.array([short_rate_quadrature(model, sub, float(v)) for v in xs])
 
     def rate_of(state):
         return np.interp(np.clip(state, lo, hi), xs, rphi)

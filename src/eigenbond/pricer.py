@@ -348,9 +348,7 @@ def _search_interval(
     return 0.0, model.theta * _CIR_BRACKET_CAP
 
 
-def _bisect_root(
-    difference, lo: float, hi: float, f_lo: float, f_hi: float, tol_x: float
-) -> float:
+def _bisect_root(difference, lo: float, hi: float, tol_x: float) -> float:
     while hi - lo > tol_x:
         mid = 0.5 * (lo + hi)
         if difference(mid) <= 0.0:
@@ -425,7 +423,7 @@ class _RootFinder:
                 )
         else:
             raise ValidationError(f"unknown option kind {kind!r}")
-        return _bisect_root(diff, lo, hi, f_lo, f_hi, self.tol_x)
+        return _bisect_root(diff, lo, hi, self.tol_x)
 
     def scan_single_crossing(self, strike: float, has_root: bool) -> None:
         """64-point sign scan guarding the single-root assumption."""
@@ -748,11 +746,21 @@ class _Engine:
         return _series_eval_pool(self.basis, t, x, self.eps, self.rule)[0]
 
     def _map_break_even_rates(self) -> None:
+        """Map every call and put state of the run in one short-rate map call."""
+        states = [
+            state
+            for record in self.dates
+            for state in (record.call_state, record.put_state)
+            if state is not None
+        ]
+        if not states:
+            return
+        rates = iter(short_rate_map(self.model, self.sub, np.array(states)).tolist())
         for record in self.dates:
             if record.call_state is not None:
-                record.call_rate = short_rate_map(self.model, self.sub, record.call_state)
+                record.call_rate = next(rates)
             if record.put_state is not None:
-                record.put_rate = short_rate_map(self.model, self.sub, record.put_state)
+                record.put_rate = next(rates)
 
 
 def price_bond(

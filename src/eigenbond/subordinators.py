@@ -10,7 +10,15 @@ no longer the state itself but
 
     r_phi(x) = gamma * r(x) + integral (1 - P(s, x)) nu(ds),
 
-with P(s, x) the zero-coupon bond of the *diffusion* model.
+with P(s, x) the zero-coupon bond of the *diffusion* model.  Integrating
+the bond's eigenfunction expansion termwise against nu turns it into
+
+    r_phi(x) = gamma * x + sum_n p_n (phi(lambda_n) - gamma lambda_n) phi_n(x),
+
+a series in the eigenfunctions the pricer already evaluates.  This is the
+only route ``short_rate_map`` and ``invert_short_rate`` take, for every
+model.  The Levy-integral quadrature lives in ``oracle.py`` as an
+independent cross-check.
 
 Supported families (lowercase names used in configs):
 
@@ -27,10 +35,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
+from scipy.optimize import brentq
 
 from .errors import ValidationError
-from .models import CIRModel, DiffusionModel, VasicekModel
+from .models import DiffusionModel
 
 __all__ = [
     "SubordinatorSpec",
@@ -150,19 +158,6 @@ def subordinate_eigenvalues(model: DiffusionModel, sub: SubordinatorSpec, n_max:
     return laplace_exponent(sub, model.eigenvalues(n_max))
 
 
-def levy_density(sub: SubordinatorSpec, s):
-    """Levy density nu(s) of the jump measure (zero for the trivial clock)."""
-    s = np.asarray(s, dtype=float)
-    if sub.family == "none":
-        return np.zeros_like(s)
-    if sub.family == "ig":
-        coef = sub.mu * math.sqrt(sub.mu / (2.0 * math.pi * sub.nu_var))
-        return coef * s**-1.5 * np.exp(-0.5 * sub.mu / sub.nu_var * s)
-    if sub.family == "gamma":
-        return sub.c * s**-1.0 * np.exp(-sub.eta * s)
-    return sub.c * s ** (-sub.p - 1.0) * np.exp(-sub.eta * s)
-
-
 def levy_mean(sub: SubordinatorSpec) -> float:
     """First moment int s nu(ds) of the jump measure."""
     if sub.family == "none":
@@ -185,86 +180,95 @@ def mean_rate(sub: SubordinatorSpec) -> float:
     return sub.drift + levy_mean(sub)
 
 
+
+
 # ---------------------------------------------------------------------------
 # Short-rate map of the time-changed model
 # ---------------------------------------------------------------------------
 
-_TAIL_CUTOFF = 1e-18
+# The terms a truncated series drops sum to at most _TAIL_TOL at every
+# state it maps; the largest term it keeps, times the machine epsilon (the
+# rounding its partial sums carry), must stay below _ROUNDING_TOL.
+_TAIL_TOL = 1e-15
+_ROUNDING_TOL = 1e-12
+_FIRST_SUPPLY = 127
+_MAX_SUPPLY = 16383
+
+# Quote inversion: the bracket first reaches _BRACKET_WIDTH either side of
+# the quote and doubles its reach at most _BRACKET_STEPS times; a grid of
+# _BRACKET_GRID states spread evenly over it picks the cell holding the root.
+_BRACKET_WIDTH = 0.5
+_BRACKET_STEPS = 8
+_BRACKET_GRID = 17
 
 
-def _jump_tail_limit(sub: SubordinatorSpec) -> float:
-    """Upper integration limit where the exponential tilt kills the density."""
-    if sub.family == "ig":
-        eta = 0.5 * sub.mu / sub.nu_var
-    else:
-        eta = sub.eta
-    if eta <= 0.0:
-        raise ValidationError("short-rate map requires an exponentially tilted family")
-    return max(2.0, -math.log(_TAIL_CUTOFF) / eta)
+def _jump_rate_coefficients(model: DiffusionModel, sub: SubordinatorSpec, n_max: int):
+    """c_n = p_n (phi(lambda_n) - gamma lambda_n) for n = 0..n_max."""
+    lam = model.eigenvalues(n_max)
+    jump = laplace_exponent(sub, lam) - sub.drift * lam
+    return model.unit_payoff_coefficients(n_max) * jump
 
 
-def _jump_rate_integral_quadrature(model, sub, x: float) -> float:
-    """int (1 - P(s, x)) nu(ds) using the closed-form bond of the diffusion.
+def _resolved_series(model: DiffusionModel, sub: SubordinatorSpec, xs: np.ndarray):
+    """(c_0..c_{N-1}, r_phi(xs)) with N the shortest length resolving every state.
 
-    The density is integrably singular at s = 0 (s^{-p-1} with p < 1, or
-    s^{-3/2} for inverse Gaussian); substituting s = u^2 on (0, 1] makes the
-    integrand bounded there since 1 - P(s, x) vanishes linearly in s.
+    The supply doubles until its top quarter sums below ``_TAIL_TOL`` at
+    every state; the coefficients are then cut where the remaining terms,
+    each bounded by its largest magnitude over ``xs``, sum below it.
     """
+    n_max = _FIRST_SUPPLY
+    while True:
+        coefficients = _jump_rate_coefficients(model, sub, n_max)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = model.eigenfunction_matrix(n_max, xs) * coefficients
+        envelope = np.max(np.abs(terms), axis=0)
+        tail = np.cumsum(envelope[::-1])[::-1]  # tail[n] bounds the terms from n on
+        if tail[3 * (n_max + 1) // 4] <= _TAIL_TOL:
+            break
+        if n_max >= _MAX_SUPPLY or not np.all(np.isfinite(envelope)):
+            raise ValidationError(
+                f"short-rate expansion not resolved by n={n_max} over states "
+                f"[{xs.min():.6g}, {xs.max():.6g}]"
+            )
+        n_max = 2 * n_max + 1
+    if envelope.max() * np.finfo(float).eps > _ROUNDING_TOL:
+        raise ValidationError(
+            f"short-rate expansion cancels to rounding noise over states "
+            f"[{xs.min():.6g}, {xs.max():.6g}]"
+        )
+    n_used = max(int(np.argmax(tail <= _TAIL_TOL)), 1)
+    return coefficients[:n_used], sub.drift * xs + terms[:, :n_used].sum(axis=1)
 
-    def near(u):
-        s = u * u
-        return 2.0 * u * (1.0 - model.closed_form_bond(s, x)) * levy_density(sub, s)
 
-    def far(s):
-        return (1.0 - model.closed_form_bond(s, x)) * levy_density(sub, s)
+def short_rate_map(model: DiffusionModel, sub: SubordinatorSpec, x):
+    """Short rate r_phi(x) of the time-changed model at a state or an array of states.
 
-    s_max = _jump_tail_limit(sub)
-    near_part, _ = integrate.quad(near, 0.0, 1.0, epsabs=1e-13, epsrel=1e-11, limit=200)
-    far_part, _ = integrate.quad(far, 1.0, s_max, epsabs=1e-13, epsrel=1e-11, limit=200)
-    return near_part + far_part
-
-
-def _jump_rate_integral_expansion(model, sub, x: float, tol: float = 1e-11) -> float:
-    """Same integral through the eigenfunction expansion of 1 - P(s, x).
-
-    Termwise integration gives sum_n p_n (phi(lambda_n) - gamma lambda_n)
-    phi_n(x); used where no closed-form bond exists (3/2 family).
+    All states share one coefficient vector and one eigenfunction matrix.
+    A scalar state returns a float, an array of states an array.
     """
-    block = 64
-    total = 0.0
-    n_lo = 0
-    flat_runs = 0
-    while n_lo < 20000:
-        n_hi = n_lo + block - 1
-        lam = model.eigenvalue(np.arange(n_lo, n_hi + 1))
-        jump_part = laplace_exponent(sub, lam) - sub.drift * lam
-        p = model.unit_payoff_coefficients(n_hi)[n_lo:]
-        phi_x = model.eigenfunctions(n_hi, x)[n_lo:]
-        terms = p * jump_part * phi_x
-        total += float(np.sum(terms))
-        if np.max(np.abs(terms)) <= tol * max(abs(total), 1e-3):
-            flat_runs += 1
-            if flat_runs >= 2:
-                return total
-        else:
-            flat_runs = 0
-        n_lo = n_hi + 1
-    raise ValidationError(
-        "short-rate map expansion did not converge; state too close to the boundary"
-    )
-
-
-def short_rate_map(model: DiffusionModel, sub: SubordinatorSpec, x: float) -> float:
-    """Short rate r_phi(x) of the time-changed model at state x."""
-    if not model.contains(x):
-        raise ValidationError(f"state {x} outside the {model.kind} state space")
+    xs = np.asarray(x, dtype=float)
+    for state in xs.flat:
+        if not model.contains(state):
+            raise ValidationError(f"state {state} outside the {model.kind} state space")
     if sub.is_trivial:
-        return float(x)
-    if isinstance(model, (CIRModel, VasicekModel)):
-        jump = _jump_rate_integral_quadrature(model, sub, x)
+        rates = xs.copy()
     else:
-        jump = _jump_rate_integral_expansion(model, sub, x)
-    return sub.drift * float(x) + jump
+        _, rates = _resolved_series(model, sub, xs.ravel())
+        rates = rates.reshape(xs.shape)
+    return float(rates) if rates.ndim == 0 else rates
+
+
+def _step_down(model: DiffusionModel, x: float, width: float) -> float:
+    """x - width, stopped at a lower boundary that is a state.
+
+    An excluded boundary (the 3/2 origin) is approached halfway per step.
+    """
+    lower = x - width
+    if model.contains(lower):
+        return lower
+    if model.contains(model.state_lo):
+        return model.state_lo
+    return 0.5 * (x + model.state_lo)
 
 
 def invert_short_rate(
@@ -273,25 +277,37 @@ def invert_short_rate(
     rate: float,
     tol: float = 1e-12,
 ) -> float:
-    """State x with r_phi(x) = rate; r_phi is strictly increasing in x."""
+    """State x with r_phi(x) = rate; r_phi is strictly increasing in x.
+
+    The bracket widens until the series values at its grid enclose the
+    quote.  The coefficient vector resolved over that grid then serves
+    every step of a Brent search in the grid cell holding the quote.
+    """
     if sub.is_trivial:
         return float(rate)
-    lo, hi = rate - 0.5, rate + 0.5
-    lo = max(lo, model.state_lo + 1e-12) if math.isfinite(model.state_lo) else lo
-    while short_rate_map(model, sub, hi) < rate:
-        hi += 0.5
-        if hi > 50.0:
-            raise ValidationError(f"cannot bracket state for short rate {rate}")
-    while short_rate_map(model, sub, lo) > rate:
-        step = 0.5 if math.isfinite(model.state_lo) else 0.5
-        new_lo = lo / 2.0 if math.isfinite(model.state_lo) else lo - step
-        if math.isfinite(model.state_lo) and lo < 1e-10:
+    rate = float(rate)
+    if not math.isfinite(rate):
+        raise ValidationError(f"short rate must be finite, got {rate}")
+    width = _BRACKET_WIDTH
+    lo, hi = _step_down(model, rate, width), rate + width
+    for _ in range(_BRACKET_STEPS):
+        xs = np.linspace(lo, hi, _BRACKET_GRID)
+        coefficients, rates = _resolved_series(model, sub, xs)
+        if rates[-1] < rate:
+            hi += width
+        elif rates[0] > rate and (lower := _step_down(model, lo, width)) < lo:
+            lo = lower
+        else:
             break
-        lo = new_lo
-        if lo < -50.0:
-            raise ValidationError(f"cannot bracket state for short rate {rate}")
-    from scipy.optimize import brentq
+        width *= 2.0
+    else:
+        raise ValidationError(f"cannot bracket state for short rate {rate}")
 
-    return float(
-        brentq(lambda x: short_rate_map(model, sub, x) - rate, lo, hi, xtol=tol)
-    )
+    n_max = coefficients.size - 1
+    cell = int(np.clip(np.searchsorted(rates, rate), 1, _BRACKET_GRID - 1))
+
+    def gap(state: float) -> float:
+        series = float(model.eigenfunctions(n_max, state) @ coefficients)
+        return sub.drift * state + series - rate
+
+    return float(brentq(gap, xs[cell - 1], xs[cell], xtol=tol))

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from eigenbond import benchmark
-from eigenbond.errors import DensityTruncationError, ValidationError
+from eigenbond.errors import DensityTruncationError, UnsupportedModelError, ValidationError
+from eigenbond.models import ThreeHalvesModel
 from eigenbond.oracle import build_grid, mc_zero_coupon, quadrature_dp_price
 from eigenbond.pricer import BondSchedule, price_bond, zero_coupon_price
 from eigenbond.subordinators import SubordinatorSpec
@@ -96,3 +97,12 @@ def test_mc_subordinated_runs_and_is_sane():
     mean, se = mc_zero_coupon(CIR, jd, 0.1666, 0.05, n_paths=4000, steps_per_year=250, seed=5)
     ref = zero_coupon_price(CIR, jd, 0.1666, 0.05, eps=1e-10)
     assert abs(mean - ref) <= 4.0 * se + 5e-4
+
+
+def test_mc_subordinated_needs_the_closed_form_bond():
+    # the rate table comes from the Levy-integral quadrature of the
+    # closed-form bond, which the 3/2 model lacks
+    jd = SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0)
+    th = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
+    with pytest.raises(UnsupportedModelError):
+        mc_zero_coupon(th, jd, 0.1666, 0.05, n_paths=100, steps_per_year=250)

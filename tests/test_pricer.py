@@ -238,6 +238,36 @@ def test_subordinated_full_run_matches_reference_column():
     assert np.max(np.abs(res.values - ref)) <= 5e-6
 
 
+def test_break_even_states_are_mapped_in_one_call(monkeypatch):
+    from eigenbond import pricer
+    from eigenbond.subordinators import invert_short_rate, short_rate_map
+
+    calls = []
+
+    def counted(model, sub, x):
+        calls.append(np.size(x))
+        return short_rate_map(model, sub, x)
+
+    monkeypatch.setattr(pricer, "short_rate_map", counted)
+    states = [invert_short_rate(CIR, JD, r) for r in (0.03, 0.06)]
+    res = price_bond(CIR, JD, SWISS_PUT, states, eps=1e-7)
+    mapped = [
+        (x, r)
+        for xs, rates in zip(res.break_even_states, res.break_even_short_rates)
+        for x, r in zip(xs, rates)
+        if x is not None
+    ]
+    assert len(mapped) > 0 and calls == [len(mapped)]
+    for x, r in mapped:
+        assert r == pytest.approx(short_rate_map(CIR, JD, x), abs=1e-15)
+
+    straight = BondSchedule(coupon=0.05, coupon_times=(1.0, 2.0), protection_index=2,
+                            notice_delta=0.1)
+    calls.clear()
+    price_bond(CIR, JD, straight, states, eps=1e-7)
+    assert calls == []
+
+
 def test_put_everywhere_degenerate_raises():
     sched = BondSchedule(
         coupon=0.0,

@@ -5,6 +5,7 @@ import pytest
 
 from eigenbond.errors import ValidationError
 from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel
+from eigenbond.oracle import short_rate_quadrature
 from eigenbond.subordinators import (
     SubordinatorSpec,
     invert_short_rate,
@@ -14,7 +15,6 @@ from eigenbond.subordinators import (
     short_rate_map,
     subordinate_eigenvalues,
 )
-from eigenbond.subordinators import _jump_rate_integral_expansion
 
 CIR = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
 VAS = VasicekModel(kappa=0.44178462, theta=0.098397028, sigma=0.13264223)
@@ -150,12 +150,46 @@ def test_short_rate_integrand_bounds():
 @pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
 @pytest.mark.parametrize("sub", (JD, PJ), ids=("jd", "pj"))
 def test_short_rate_quadrature_matches_expansion_identity(model, sub):
-    # termwise Levy integration of the bond expansion is an independent
-    # route to the same function
-    for x in (0.02, 0.05, 0.11):
-        quad = short_rate_map(model, sub, x)
-        ident = sub.drift * x + _jump_rate_integral_expansion(model, sub, x, tol=1e-13)
+    # Levy-integral quadrature of the closed-form bond is an independent
+    # route to the function the eigenfunction expansion sums
+    for x in (0.0, 1e-10, 0.02, 0.05, 0.11, 2.0):
+        quad = short_rate_quadrature(model, sub, x)
+        ident = short_rate_map(model, sub, x)
         assert quad == pytest.approx(ident, abs=2e-11)
+
+
+@pytest.mark.parametrize("model", (CIR, VAS, TH), ids=lambda m: m.kind)
+def test_short_rate_map_vectorizes_over_states(model):
+    xs = np.array([0.03, 0.05, 0.08, 0.2])
+    rates = short_rate_map(model, JD, xs)
+    assert isinstance(rates, np.ndarray) and rates.shape == xs.shape
+    scalar = short_rate_map(model, JD, 0.05)
+    assert type(scalar) is float
+    assert rates[1] == pytest.approx(scalar, abs=1e-15)
+    assert np.all(np.diff(rates) > 0.0)
+    np.testing.assert_array_equal(short_rate_map(model, NONE, xs), xs)
+
+
+def test_short_rate_map_refuses_states_outside_the_space():
+    with pytest.raises(ValidationError):
+        short_rate_map(CIR, JD, np.array([0.05, -0.01]))
+    with pytest.raises(ValidationError):
+        short_rate_map(TH, JD, 0.0)
+
+
+def test_short_rate_map_refuses_where_the_expansion_cancels():
+    # near the 3/2 origin the Laguerre abscissa beta/x is huge and the
+    # series terms grow far beyond the sum they cancel to
+    with pytest.raises(ValidationError):
+        short_rate_map(TH, JD, 1e-3)
+
+
+def test_short_rate_map_stable_clock_needs_no_tilt():
+    stable = SubordinatorSpec.tempered_stable(drift=0.0, c=0.1, p=0.5, eta=0.0)
+    rates = short_rate_map(CIR, stable, np.array([0.0, 0.05, 0.2]))
+    assert np.all(rates > 0.0) and np.all(np.diff(rates) > 0.0)
+    x = invert_short_rate(CIR, stable, float(rates[1]))
+    assert x == pytest.approx(0.05, abs=1e-10)
 
 
 def test_short_rate_map_three_halves_runs():
@@ -170,3 +204,36 @@ def test_invert_short_rate_round_trip():
             x = invert_short_rate(CIR, sub, r)
             assert short_rate_map(CIR, sub, x) == pytest.approx(r, abs=1e-10)
     assert invert_short_rate(CIR, NONE, 0.07) == 0.07
+
+
+def test_invert_short_rate_three_halves_approaches_the_open_origin():
+    # the 3/2 origin is not a state: the bracket halves its way toward it
+    for sub in (JD, PJ):
+        for r in (0.02, 0.1, 0.3):
+            x = invert_short_rate(TH, sub, r)
+            assert short_rate_map(TH, sub, x) == pytest.approx(r, abs=1e-10)
+
+
+def test_invert_short_rate_refuses_an_unbracketable_quote():
+    with pytest.raises(ValidationError):
+        invert_short_rate(CIR, JD, 500.0)
+
+
+@pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
+@pytest.mark.parametrize("sub", (JD, PJ), ids=("jd", "pj"))
+def test_invert_short_rate_evaluates_the_series_at_most_twelve_times(
+    monkeypatch, model, sub
+):
+    calls = [0]
+    cls = type(model)
+    for name in ("eigenfunctions", "eigenfunction_matrix"):
+
+        def counted(*args, _original=getattr(cls, name), **kwargs):
+            calls[0] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(cls, name, counted)
+    for rate in (0.01, 0.035, 0.07, 0.12):
+        before = calls[0]
+        invert_short_rate(model, sub, rate)
+        assert 1 <= calls[0] - before <= 12
