@@ -27,7 +27,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from .errors import DensityTruncationError, ValidationError
+from .errors import DensityTruncationError, UnsupportedModelError, ValidationError
 from .models import CIRModel, DiffusionModel, ThreeHalvesModel, VasicekModel
 from .pricer import BondSchedule
 from .subordinators import SubordinatorSpec, laplace_exponent
@@ -301,13 +301,17 @@ def _subordinated_discount(
     """
     if sub.family != "ig":
         raise ValidationError("subordinated Monte Carlo supports the ig family only")
+    if not isinstance(model, (CIRModel, VasicekModel)):
+        raise UnsupportedModelError(
+            f"subordinated Monte Carlo needs the closed-form bond, which the {model.kind} model lacks"
+        )
     n_steps = max(1, int(round(t * steps_per_year)))
     du = t / n_steps
     dt_x = 1.0 / steps_per_year
 
     # short-rate map table over a generous state range
     dist = model.stationary_distribution()
-    lo = model.state_lo if model.contains(model.state_lo) else float(dist.ppf(1e-12))
+    lo = model.state_lo if math.isfinite(model.state_lo) else float(dist.ppf(1e-12))
     hi = max(float(dist.ppf(1.0 - 1e-12)), x0 * 1.5 + 0.5)
     xs = np.linspace(lo, hi, 600)
     rphi = np.array([short_rate_quadrature(model, sub, float(v)) for v in xs])
@@ -339,7 +343,7 @@ def _subordinated_discount(
                     + model.kappa * (model.theta - pos) * dt_vec
                     + model.sigma * np.sqrt(pos * dt_vec) * rng.standard_normal(dt_vec.size)
                 )
-            elif isinstance(model, VasicekModel):
+            else:
                 decay = np.exp(-model.kappa * dt_vec)
                 sd = model.sigma * np.sqrt(
                     (1.0 - np.exp(-2.0 * model.kappa * dt_vec)) / (2.0 * model.kappa)
@@ -348,13 +352,6 @@ def _subordinated_discount(
                     model.theta
                     + (x[active] - model.theta) * decay
                     + sd * rng.standard_normal(dt_vec.size)
-                )
-            else:
-                pos = np.maximum(x[active], 1e-12)
-                x[active] = (
-                    x[active]
-                    + model.kappa * (model.theta - pos) * pos * dt_vec
-                    + model.sigma * pos**1.5 * np.sqrt(dt_vec) * rng.standard_normal(dt_vec.size)
                 )
             remaining = remaining - step
     return np.exp(-integral)

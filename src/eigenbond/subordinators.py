@@ -180,8 +180,6 @@ def mean_rate(sub: SubordinatorSpec) -> float:
     return sub.drift + levy_mean(sub)
 
 
-
-
 # ---------------------------------------------------------------------------
 # Short-rate map of the time-changed model
 # ---------------------------------------------------------------------------

@@ -97,6 +97,9 @@ def test_mc_subordinated_runs_and_is_sane():
     mean, se = mc_zero_coupon(CIR, jd, 0.1666, 0.05, n_paths=4000, steps_per_year=250, seed=5)
     ref = zero_coupon_price(CIR, jd, 0.1666, 0.05, eps=1e-10)
     assert abs(mean - ref) <= 4.0 * se + 5e-4
+    mean, se = mc_zero_coupon(VAS, jd, 0.1666, 0.05, n_paths=4000, steps_per_year=250, seed=5)
+    ref = zero_coupon_price(VAS, jd, 0.1666, 0.05, eps=1e-10)
+    assert abs(mean - ref) <= 4.0 * se + 5e-4
 
 
 def test_mc_subordinated_needs_the_closed_form_bond():
