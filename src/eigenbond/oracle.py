@@ -1,7 +1,7 @@
 """Independent validators for the coefficient-recursion pricer.
 
-Two desk-scale cross-checks that deliberately avoid the coefficient
-recursion, the overlap/strike tables, and the bisection machinery:
+Desk-scale cross-checks that deliberately avoid the coefficient
+recursion, the overlap/strike tables, and the break-even search:
 
 * ``quadrature_dp_price``: dynamic programming on a state grid.  The
   pricing operator is applied by numerical integration of the transition
@@ -282,6 +282,28 @@ def _euler_diffusion_discount(
     return np.exp(-integral)
 
 
+def _short_rate_table(
+    model: DiffusionModel, sub: SubordinatorSpec, x0: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """States and ``short_rate_quadrature`` values over a generous range.
+
+    The subordinated paths interpolate their short rate in this monotone
+    table (CIR and Vasicek with the ig clock only).
+    """
+    if sub.family != "ig":
+        raise ValidationError("subordinated Monte Carlo supports the ig family only")
+    if not isinstance(model, (CIRModel, VasicekModel)):
+        raise UnsupportedModelError(
+            f"subordinated Monte Carlo needs the closed-form bond, which the {model.kind} model lacks"
+        )
+    dist = model.stationary_distribution()
+    lo = model.state_lo if math.isfinite(model.state_lo) else float(dist.ppf(1e-12))
+    hi = max(float(dist.ppf(1.0 - 1e-12)), x0 * 1.5 + 0.5)
+    xs = np.linspace(lo, hi, 600)
+    rphi = np.array([short_rate_quadrature(model, sub, float(v)) for v in xs])
+    return xs, rphi
+
+
 def _subordinated_discount(
     model: DiffusionModel,
     sub: SubordinatorSpec,
@@ -290,34 +312,23 @@ def _subordinated_discount(
     n_paths: int,
     steps_per_year: int,
     rng,
+    rate_table: tuple[np.ndarray, np.ndarray],
 ) -> np.ndarray:
     """exp(-int r_phi(Y_u) du) along time-changed paths.
 
     The inverse Gaussian clock is sampled on the calendar grid; the
     diffusion is advanced between clock readings by Euler substeps no
     longer than the calendar resolution.  The running discount uses the
-    left-point rule in the short-rate map, interpolated from a monotone
-    table of ``short_rate_quadrature`` values (CIR and Vasicek only).
+    left-point rule in the short-rate map, interpolated from
+    ``rate_table`` (see ``_short_rate_table``).
     """
-    if sub.family != "ig":
-        raise ValidationError("subordinated Monte Carlo supports the ig family only")
-    if not isinstance(model, (CIRModel, VasicekModel)):
-        raise UnsupportedModelError(
-            f"subordinated Monte Carlo needs the closed-form bond, which the {model.kind} model lacks"
-        )
     n_steps = max(1, int(round(t * steps_per_year)))
     du = t / n_steps
     dt_x = 1.0 / steps_per_year
-
-    # short-rate map table over a generous state range
-    dist = model.stationary_distribution()
-    lo = model.state_lo if math.isfinite(model.state_lo) else float(dist.ppf(1e-12))
-    hi = max(float(dist.ppf(1.0 - 1e-12)), x0 * 1.5 + 0.5)
-    xs = np.linspace(lo, hi, 600)
-    rphi = np.array([short_rate_quadrature(model, sub, float(v)) for v in xs])
+    xs, rphi = rate_table
 
     def rate_of(state):
-        return np.interp(np.clip(state, lo, hi), xs, rphi)
+        return np.interp(np.clip(state, xs[0], xs[-1]), xs, rphi)
 
     # IG increments over du: mean mu*du, shape mu^3 du^2 / nu
     ig_mean = sub.mu * du
@@ -381,6 +392,7 @@ def mc_zero_coupon(
     chunk = 20_000
     n_chunks = (n_paths + chunk - 1) // chunk
     streams = np.random.default_rng(seed).spawn(n_chunks)
+    rate_table = None if sub.is_trivial else _short_rate_table(model, sub, x0)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -389,7 +401,9 @@ def mc_zero_coupon(
         if sub.is_trivial:
             disc = _euler_diffusion_discount(model, t, x0, m, steps, rng)
         else:
-            disc = _subordinated_discount(model, sub, t, x0, m, steps_per_year, rng)
+            disc = _subordinated_discount(
+                model, sub, t, x0, m, steps_per_year, rng, rate_table
+            )
         total += float(np.sum(disc))
         total_sq += float(np.sum(disc * disc))
         done += m

@@ -9,9 +9,10 @@ The bond value at issue is built in three moves:
     issuer calls below the state x_c where the discounted call price drops
     under the hold value, the holder puts above the state x_p where the
     discounted put price rises above it; both break-even states are found
-    by bisection.  The new coefficient vector is assembled in closed form
-    from strike projections over the exercise regions, the overlap matrix
-    over the hold region, and the coupon term.
+    by bracketed Brent, warm-started from the previous date's states.  The
+    new coefficient vector is assembled in closed form from strike
+    projections over the exercise regions, the overlap matrix over the hold
+    region, and the coupon term.
 3.  At issue the value is the series at the first decision time plus the
     closed-form (or expansion) present value of the protected coupons.
 
@@ -29,6 +30,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy import optimize
 
 from . import coeffs as coeffs_mod
 from . import series
@@ -50,6 +52,11 @@ __all__ = [
 _POOL_CAP = 2000  # hard ceiling for uncapped series before declaring failure
 _DEFAULT_BRACKET_SIGMAS = 4.0
 _CIR_BRACKET_CAP = 50.0  # upper search bound as a multiple of theta
+# A date's break-even search starts from last date's state of the same kind
+# with this half-width; an end that fails to straddle moves out by steps
+# growing this factor at a time.
+_WARM_HALF_WIDTH = 1e-3
+_WARM_GROWTH = 4.0
 
 # The carried coefficient vector is cut where the next stage's term weights
 # |c_n| e^{-phi(lambda_n) h} drop below ASSEMBLY_TAIL_MARGIN * eps relative
@@ -348,18 +355,13 @@ def _search_interval(
     return 0.0, model.theta * _CIR_BRACKET_CAP
 
 
-def _bisect_root(difference, lo: float, hi: float, tol_x: float) -> float:
-    while hi - lo > tol_x:
-        mid = 0.5 * (lo + hi)
-        if difference(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
 class _RootFinder:
-    """Locates one date's break-even states against a continuation function."""
+    """Locates one date's break-even states against a continuation function.
+
+    ``cont(x)`` returns the continuation value and its series stop level.
+    The levels of every evaluation ``find`` makes are appended to
+    ``levels``; the sign scan records none.
+    """
 
     def __init__(
         self,
@@ -370,6 +372,7 @@ class _RootFinder:
         search_hi: float,
         tol_x: float,
         decision_index: int,
+        levels: list[int] | None = None,
     ):
         self.model = model
         self.cont = cont
@@ -378,33 +381,34 @@ class _RootFinder:
         self.search_hi = search_hi
         self.tol_x = tol_x
         self.decision_index = decision_index
+        self.levels = levels
 
-    def _difference(self, strike: float):
-        return lambda x: strike * self.discounted_strike(x) - self.cont(x)
+    def _difference(self, strike: float, levels: list[int] | None = None):
+        """x -> K P(delta, x) - C(x), evaluated once per distinct x."""
+        seen: dict[float, float] = {}
 
-    def _grown_upper(self, diff, start: float) -> tuple[float, float]:
-        """Grow the upper end geometrically until the difference turns positive."""
-        hi = start
-        f_hi = diff(hi)
-        while f_hi <= 0.0 and hi < self.search_hi:
-            hi = min(2.0 * hi, self.search_hi)
-            f_hi = diff(hi)
-        return hi, f_hi
+        def diff(x: float) -> float:
+            if x not in seen:
+                value, level = self.cont(x)
+                if levels is not None:
+                    levels.append(level)
+                seen[x] = strike * self.discounted_strike(x) - value
+            return seen[x]
 
-    def find(self, kind: str, strike: float) -> float | None:
-        """Break-even state, or None when the exercise region is empty.
+        return diff
 
-        The difference K P(delta, x) - C(x) is increasing with a single
-        crossing: exercise regions are the low-rate side for calls and the
-        high-rate side for puts.
-        """
-        diff = self._difference(strike)
+    def _cold_bracket(self, diff, kind: str) -> tuple[float, float] | None:
+        """Bracket over the whole search interval; None for an empty region."""
         lo = self.search_lo
         f_lo = diff(lo)
         if isinstance(self.model, VasicekModel):
-            hi, f_hi = self.search_hi, diff(self.search_hi)
+            hi = self.search_hi
         else:
-            hi, f_hi = self._grown_upper(diff, max(self.model.theta, lo + self.tol_x))
+            # grow the upper end geometrically until the difference turns positive
+            hi = max(self.model.theta, lo + self.tol_x)
+            while diff(hi) <= 0.0 and hi < self.search_hi:
+                hi = min(2.0 * hi, self.search_hi)
+        f_hi = diff(hi)
         if kind == "call":
             if f_lo > 0.0:
                 return None  # strike too dear even at the lowest rates
@@ -413,7 +417,7 @@ class _RootFinder:
                     "call region covers the whole search interval",
                     decision_index=self.decision_index,
                 )
-        elif kind == "put":
+        else:
             if f_hi <= 0.0:
                 return None  # hold value dominates everywhere reachable
             if f_lo > 0.0:
@@ -421,9 +425,52 @@ class _RootFinder:
                     "put region covers the whole search interval",
                     decision_index=self.decision_index,
                 )
-        else:
+        return lo, hi
+
+    def _warm_bracket(self, diff, hint: float) -> tuple[float, float] | None:
+        """Bracket marched out from ``hint``; None once it reaches an edge.
+
+        The first bracket is hint +- ``_WARM_HALF_WIDTH``; an end that
+        fails to straddle becomes the other end and the step grows
+        geometrically on that side.
+        """
+        step = _WARM_HALF_WIDTH
+        lo, hi = hint - step, hint + step
+        if not (self.search_lo < lo and hi < self.search_hi):
+            return None
+        while diff(lo) > 0.0:  # the root lies below lo
+            step *= _WARM_GROWTH
+            lo, hi = lo - step, lo
+            if lo <= self.search_lo:
+                return None
+        while diff(hi) <= 0.0:  # the root lies above hi
+            step *= _WARM_GROWTH
+            lo, hi = hi, hi + step
+            if hi >= self.search_hi:
+                return None
+        return lo, hi
+
+    def find(self, kind: str, strike: float, hint: float | None = None) -> float | None:
+        """Break-even state, or None when the exercise region is empty.
+
+        The difference K P(delta, x) - C(x) is increasing with a single
+        crossing: exercise regions are the low-rate side for calls and the
+        high-rate side for puts.  ``hint`` (last date's break-even state of
+        the same kind) seeds a narrow bracket; without one, or when that
+        bracket runs into the search interval's edge, the whole interval
+        is bracketed.  Brent's method then closes the bracket to within
+        ``tol_x / 2`` of the crossing.
+        """
+        if kind not in ("call", "put"):
             raise ValidationError(f"unknown option kind {kind!r}")
-        return _bisect_root(diff, lo, hi, self.tol_x)
+        diff = self._difference(strike, self.levels)
+        bracket = None if hint is None else self._warm_bracket(diff, hint)
+        if bracket is None:
+            bracket = self._cold_bracket(diff, kind)
+            if bracket is None:
+                return None
+        lo, hi = bracket
+        return optimize.brentq(diff, lo, hi, xtol=0.5 * self.tol_x)
 
     def scan_single_crossing(self, strike: float, has_root: bool) -> None:
         """64-point sign scan guarding the single-root assumption."""
@@ -465,7 +512,7 @@ def find_break_even(
     weights = coefficients * basis.decay(h, coefficients.size - 1)
 
     def cont(x):
-        return _series_eval_capped(basis, weights, x, eps, rule)[0]
+        return _series_eval_capped(basis, weights, x, eps, rule)
 
     pdelta = _make_discounted_bond(basis, delta, eps, rule)
     lo, hi = _search_interval(model, coefficients.size - 1, bracket_sigmas)
@@ -517,30 +564,8 @@ class _Engine:
         self.basis = SpectralBasis(model, sub)
         self.pdelta = _make_discounted_bond(self.basis, schedule.notice_delta, eps, rule)
         self.dates: list[DateRecord] = []
-
-    # -- continuation evaluators ------------------------------------------
-
-    def _capped_cont(self, weights: np.ndarray, record: DateRecord | None):
-        def cont(x: float) -> float:
-            value, level = _series_eval_capped(
-                self.basis, weights, x, self.eps, self.rule
-            )
-            if record is not None:
-                record.eval_levels.append(level)
-            return value
-
-        return cont
-
-    def _terminal_cont(self, h: float, scale: float, record: DateRecord | None):
-        def cont(x: float) -> float:
-            value, level = _series_eval_pool(
-                self.basis, h, x, self.eps, self.rule, scale=scale
-            )
-            if record is not None:
-                record.eval_levels.append(level)
-            return value
-
-        return cont
+        # break-even states of the date stepped last, the next date's hints
+        self._hints: dict[str, float | None] = {"call": None, "put": None}
 
     # -- one decision date ---------------------------------------------------
 
@@ -556,35 +581,35 @@ class _Engine:
         if prev is None:
             # terminal stage: c_n = (1 + coupon) p_n, unbounded supply
             scale = 1.0 + sched.coupon
-            cont = self._terminal_cont(h, scale, record)
-            cont_silent = self._terminal_cont(h, scale, None)
+            majorant = lambda m_hi: scale * self.basis.unit_weights(h, m_hi)
+            m_cols = series.weight_cutoff(majorant, self.eps, rule=self.rule)
+            prev_weights = scale * self.basis.unit_weights(h, m_cols)
+
+            def cont(x: float) -> tuple[float, int]:
+                return _series_eval_pool(self.basis, h, x, self.eps, self.rule, scale=scale)
+
         else:
-            weights = prev.coefficients * self.basis.decay(
+            prev_weights = prev.coefficients * self.basis.decay(
                 h, prev.coefficients.size - 1
             )
-            cont = self._capped_cont(weights, record)
-            cont_silent = self._capped_cont(weights, None)
+            m_cols = prev.coefficients.size - 1
 
-        supply = _POOL_CAP if prev is None else prev.coefficients.size - 1
-        lo, hi = _search_interval(self.model, supply, self.bracket_sigmas)
+            def cont(x: float) -> tuple[float, int]:
+                return _series_eval_capped(self.basis, prev_weights, x, self.eps, self.rule)
+
+        lo, hi = _search_interval(self.model, m_cols, self.bracket_sigmas)
         finder = _RootFinder(
-            self.model, cont, self.pdelta, lo, hi, self.tol_x, decision_index=i
-        )
-        scan_finder = _RootFinder(
-            self.model, cont_silent, self.pdelta, lo, hi, self.tol_x, decision_index=i
+            self.model, cont, self.pdelta, lo, hi, self.tol_x, i, record.eval_levels
         )
 
-        k_call = sched.call_price(i)
-        k_put = sched.put_price(i)
-        x_call = x_put = None
-        if k_call is not None:
-            x_call = finder.find("call", k_call)
-            if self.check_single_crossing:
-                scan_finder.scan_single_crossing(k_call, x_call is not None)
-        if k_put is not None:
-            x_put = finder.find("put", k_put)
-            if self.check_single_crossing:
-                scan_finder.scan_single_crossing(k_put, x_put is not None)
+        states: dict[str, float | None] = {"call": None, "put": None}
+        for kind, strike in (("call", sched.call_price(i)), ("put", sched.put_price(i))):
+            if strike is not None:
+                states[kind] = finder.find(kind, strike, hint=self._hints[kind])
+                if self.check_single_crossing:
+                    finder.scan_single_crossing(strike, states[kind] is not None)
+        self._hints = states
+        x_call, x_put = states["call"], states["put"]
         if x_call is not None and x_put is not None and not x_call < x_put:
             raise BracketError(
                 f"break-even ordering violated: x_call={x_call} >= x_put={x_put}",
@@ -595,7 +620,7 @@ class _Engine:
         # -- assembly -------------------------------------------------------
         # The carried coefficient vector is cut where the *next* stage's
         # term weights |c_n| e^{-phi(lambda_n) h_next} become negligible,
-        # independent of the levels the bisection happened to touch:
+        # independent of the levels the break-even search happened to touch:
         # exercise kinks give the assembled value function a slower
         # coefficient decay than the function it was built from, so the
         # next date may need deeper coefficients than this date's
@@ -606,18 +631,6 @@ class _Engine:
             h_next = sched.decision_time(i)
         x_c_eff = self.model.state_lo if x_call is None else x_call
         x_p_eff = self.model.state_hi if x_put is None else x_put
-
-        if prev is None:
-            majorant = lambda m_hi: (1.0 + sched.coupon) * self.basis.unit_weights(
-                h, m_hi
-            )
-            m_cols = series.weight_cutoff(majorant, self.eps, rule=self.rule)
-            prev_weights = (1.0 + sched.coupon) * self.basis.unit_weights(h, m_cols)
-        else:
-            prev_weights = prev.coefficients * self.basis.decay(
-                h, prev.coefficients.size - 1
-            )
-            m_cols = prev.coefficients.size - 1
 
         degree_cap = coeffs_mod.max_table_degree(self.model)
         n_rows = min(max(16, m_cols), degree_cap)

@@ -109,3 +109,30 @@ def test_mc_subordinated_needs_the_closed_form_bond():
     th = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
     with pytest.raises(UnsupportedModelError):
         mc_zero_coupon(th, jd, 0.1666, 0.05, n_paths=100, steps_per_year=250)
+
+
+def test_mc_rate_table_is_built_once_per_call(monkeypatch):
+    from eigenbond import oracle
+
+    calls = []
+
+    def counted(model, sub, x):
+        calls.append(x)
+        return x
+
+    monkeypatch.setattr(oracle, "short_rate_quadrature", counted)
+    jd = SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0)
+    # 20,001 paths run as two chunks; the 600-point table is shared
+    mc_zero_coupon(CIR, jd, 0.02, 0.05, n_paths=20_001, steps_per_year=250, seed=1)
+    assert len(calls) == 600
+
+
+def test_three_halves_callable_matches_grid_dp():
+    # the terminal search interval follows the terminal coefficient supply;
+    # sized for the 2000-term pool cap it reached down to x ~ 1.2e-4, where
+    # the bond series does not converge
+    th = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.5)
+    schedule = benchmark.swiss1987_schedule()
+    value = price_bond(th, NONE, schedule, [0.05], eps=1e-7).values[0]
+    ref = quadrature_dp_price(th, NONE, schedule, 0.05, n_density=250)
+    assert value == pytest.approx(ref, abs=1e-4)

@@ -167,6 +167,72 @@ def test_find_break_even_put_above_call():
     assert call < put
 
 
+def _five_year_monthly(call_prices):
+    """60 monthly coupons, callable from the first year on: 48 decision dates."""
+    return BondSchedule(
+        coupon=0.05 / 12,
+        coupon_times=tuple(i / 12 for i in range(1, 61)),
+        protection_index=12,
+        notice_delta=1 / 48,
+        call_prices=tuple(call_prices),
+    )
+
+
+def _cold_start(monkeypatch):
+    """Make every break-even search bracket the whole search interval."""
+    from eigenbond import pricer
+
+    warm_find = pricer._RootFinder.find
+    monkeypatch.setattr(
+        pricer._RootFinder,
+        "find",
+        lambda self, kind, strike, hint=None: warm_find(self, kind, strike),
+    )
+
+
+@pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
+def test_warm_started_search_is_cheap(model):
+    res = price_bond(model, NONE, _five_year_monthly([1.0] * 48), [0.05], eps=1e-7)
+    assert len(res.dates) == 48
+    assert np.mean([len(d.eval_levels) for d in res.dates]) <= 10.0
+
+
+def _warm_states_matching_cold(monkeypatch, model, ladder):
+    """Call break-even states of a warm-started run, checked against a cold one."""
+    schedule = _five_year_monthly(ladder)
+    warm = price_bond(model, NONE, schedule, [0.05], eps=1e-7)
+    _cold_start(monkeypatch)
+    cold = price_bond(model, NONE, schedule, [0.05], eps=1e-7)
+
+    warm_states = [d.call_state for d in warm.dates]
+    cold_states = [d.call_state for d in cold.dates]
+    assert [x is None for x in warm_states] == [x is None for x in cold_states]
+    for x_warm, x_cold in zip(warm_states, cold_states):
+        if x_warm is not None:
+            assert x_warm == pytest.approx(x_cold, abs=1e-7)  # tol_x
+    assert warm.values[0] == pytest.approx(cold.values[0], abs=1e-10)
+    return warm_states
+
+
+@pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
+def test_emptied_call_region_falls_back_to_cold_start(monkeypatch, model):
+    # the first date at 1.5 runs its warm bracket into the search edge; the
+    # later ones and the first date after the gap have no hint
+    ladder = [1.0] * 18 + [1.5] * 12 + [1.0] * 18
+    states = _warm_states_matching_cold(monkeypatch, model, ladder)
+    assert states[18:30] == [None] * 12
+    assert None not in states[:18] + states[30:]
+
+
+@pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
+def test_strike_jump_leaves_the_warm_bracket(monkeypatch, model):
+    from eigenbond import pricer
+
+    states = _warm_states_matching_cold(monkeypatch, model, [1.0] * 24 + [1.06] * 24)
+    # the last date at par is found from the first date at 1.06
+    assert abs(states[23] - states[24]) > 4.0 * pricer._WARM_HALF_WIDTH
+
+
 # ---------------------------------------------------------------------------
 # full pricing
 # ---------------------------------------------------------------------------
