@@ -7,8 +7,7 @@ reproduce   recompute a published benchmark table with abs-diff columns
 bench       wall-time statistics per full bond pricing at three tolerances
 
 Exit codes: 0 success, 2 invalid input/config, 3 numerical failure.
-``EIGENBOND_THREADS`` caps the worker fan-out across independent table
-columns; output order is deterministic regardless.
+Table columns are priced one after another in a single thread.
 """
 
 from __future__ import annotations
@@ -16,11 +15,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import statistics
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 
 from . import __version__, benchmark
 from .errors import EigenbondError, ValidationError
@@ -49,7 +46,7 @@ _SCHEDULE_KEYS = {
     "call_prices",
     "put_prices",
 }
-_RUN_KEYS = {"rates", "eps", "output", "format", "seed"}
+_RUN_KEYS = {"rates", "eps", "output", "format"}
 _TOP_KEYS = {"model", "subordinator", "schedule", "run"}
 
 
@@ -127,7 +124,6 @@ def parse_config(doc: dict) -> dict:
         "eps": eps,
         "output": run_block.get("output"),
         "format": fmt,
-        "seed": run_block.get("seed"),
     }
 
 
@@ -179,15 +175,6 @@ def preset_config(
         },
     }
     return doc
-
-
-def _worker_count() -> int:
-    raw = os.environ.get("EIGENBOND_THREADS", "")
-    try:
-        n = int(raw) if raw else 1
-    except ValueError:
-        raise ValidationError(f"EIGENBOND_THREADS must be an integer, got {raw!r}")
-    return max(1, n)
 
 
 # ---------------------------------------------------------------------------
@@ -273,8 +260,6 @@ def cmd_price(args) -> int:
         doc["run"]["format"] = args.format
     if args.output:
         doc["run"]["output"] = args.output
-    if args.seed is not None:
-        doc["run"]["seed"] = args.seed
     cfg = parse_config(doc)
     _emit(_price_lines(cfg), cfg["output"])
     return 0
@@ -315,14 +300,6 @@ def _run_config(config: str, include_put: bool, rates, eps: float) -> PricingRes
     return price_bond(model, sub, sched, states, eps=eps)
 
 
-def _map_columns(fn, configs):
-    workers = _worker_count()
-    if workers == 1:
-        return [fn(c) for c in configs]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, configs))
-
-
 def _value_table_lines(table_id: str) -> list[str]:
     include_put = table_id == "T10"
     ref_key = "callable_putable_values" if include_put else "callable_values"
@@ -334,9 +311,7 @@ def _value_table_lines(table_id: str) -> list[str]:
     }[table_id]
     eps = _EPS_VALUES if table_id in ("T5", "T6") else _EPS_VALUES_SUB
     rates = list(benchmark.RATES)
-    results = _map_columns(
-        lambda c: _run_config(c, include_put, rates, eps).values, configs
-    )
+    results = [_run_config(c, include_put, rates, eps).values for c in configs]
     lines = [_csv_header(f"reproduce {table_id}", eps)]
     header = ["rate"]
     for config in configs:
@@ -354,9 +329,7 @@ def _value_table_lines(table_id: str) -> list[str]:
 def _break_even_lines(table_id: str) -> list[str]:
     include_put = table_id == "T9"
     configs = benchmark.BENCHMARK_CONFIGS
-    results = _map_columns(
-        lambda c: _run_config(c, include_put, [0.05], _EPS_ROOTS), configs
-    )
+    results = [_run_config(c, include_put, [0.05], _EPS_ROOTS) for c in configs]
     lines = [_csv_header(f"reproduce {table_id}", _EPS_ROOTS)]
     blocks = ("call", "put") if include_put else ("call",)
     for block in blocks:
@@ -501,7 +474,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_price.add_argument("--eps", type=float, help="relative series tolerance")
     p_price.add_argument("--format", choices=("csv", "table"))
     p_price.add_argument("--output", help="write to file instead of stdout")
-    p_price.add_argument("--seed", type=int, help="seed for oracle-backed runs")
     p_price.set_defaults(func=cmd_price)
 
     p_rep = sub.add_parser("reproduce", help="recompute a published table as CSV")

@@ -22,6 +22,13 @@ while stepping up in degree, so each is built as a two-dimensional table
 seeded at elevated order (alpha + N descending to alpha).  The state-space
 endpoints are first-class interval values: they select the orthogonality /
 Gamma-integral limits instead of the finite-x recursions.
+
+Both families at one finite state run on the same polynomial table at the
+state's mapped coordinate (Laguerre polynomials of orders alpha..alpha+N+1,
+or Hermite polynomials).  An ``Endpoint`` holds that table, and the pair
+and exp integrals both slice it.  The pricer makes one ``Endpoint`` per
+finite break-even state per assembly pass, so each endpoint table is built
+once: the hold overlap and the strike leg that meet at the state share it.
 """
 
 from __future__ import annotations
@@ -47,6 +54,7 @@ __all__ = [
     "hermite_pair_integrals_at_infinity",
     "hermite_exp_integrals",
     "hermite_exp_integrals_at_infinity",
+    "Endpoint",
     "OverlapMatrix",
     "StrikeProjection",
     "overlap_matrix",
@@ -87,12 +95,13 @@ def _check_laguerre_degree(n_max: int, alpha: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def laguerre_pair_integrals(n_max: int, alpha: float, x: float) -> np.ndarray:
+def laguerre_pair_integrals(n_max: int, alpha: float, x: float, lag=None) -> np.ndarray:
     """Table [m, n] = int_0^x L_m^(alpha) L_n^(alpha) e^{-y} y^alpha dy.
 
     Off-diagonal entries from the closed form; diagonal entries from the
     descending-order chain seeded by lower incomplete gammas at orders
-    alpha + n_max .. alpha.
+    alpha + n_max .. alpha.  ``lag`` may pass in the polynomial table
+    (see ``Endpoint.table``).
     """
     if not alpha > -1.0:
         raise ValidationError(f"Laguerre order must satisfy alpha > -1, got {alpha}")
@@ -104,7 +113,8 @@ def laguerre_pair_integrals(n_max: int, alpha: float, x: float) -> np.ndarray:
         return np.zeros((size, size))
 
     js = np.arange(n_max + 2, dtype=float)
-    lag = laguerre_sequence_table(n_max + 1, alpha + js, x)  # [degree, order offset]
+    if lag is None:
+        lag = laguerre_sequence_table(n_max + 1, alpha + js, x)  # [degree, order offset]
     log_x = math.log(x)
 
     # Diagonal chain: diag[j, n] = a_{n,n}^(alpha+j)(x), needed for n <= n_max - j.
@@ -138,8 +148,8 @@ def laguerre_pair_integrals_at_infinity(n_max: int, alpha: float) -> np.ndarray:
     return np.diag(np.exp(sp.gammaln(alpha + n + 1.0) - sp.gammaln(n + 1.0)))
 
 
-def laguerre_exp_integrals(n_max: int, alpha: float, s: float, x: float) -> np.ndarray:
-    """Vector [n] = int_0^x y^alpha e^{-s y} L_n^(alpha)(y) dy, s > 0."""
+def laguerre_exp_integrals(n_max: int, alpha: float, s: float, x: float, lag=None) -> np.ndarray:
+    """Vector [n] = int_0^x y^alpha e^{-s y} L_n^(alpha)(y) dy, s > 0; ``lag`` as above."""
     if not alpha > -1.0:
         raise ValidationError(f"Laguerre order must satisfy alpha > -1, got {alpha}")
     _check_laguerre_degree(n_max, alpha)
@@ -151,7 +161,8 @@ def laguerre_exp_integrals(n_max: int, alpha: float, s: float, x: float) -> np.n
         return np.zeros(n_max + 1)
 
     js = np.arange(n_max + 2, dtype=float)
-    lag = laguerre_sequence_table(n_max + 1, alpha + js, x)
+    if lag is None:
+        lag = laguerre_sequence_table(n_max + 1, alpha + js, x)
     log_x = math.log(x)
     log_s = math.log(s)
 
@@ -202,11 +213,12 @@ def _check_hermite_degree(n_max: int) -> None:
         )
 
 
-def hermite_pair_integrals(n_max: int, x: float) -> np.ndarray:
-    """Table [m, n] = int_{-inf}^x H_m H_n e^{-y^2} dy."""
+def hermite_pair_integrals(n_max: int, x: float, herm=None) -> np.ndarray:
+    """Table [m, n] = int_{-inf}^x H_m H_n e^{-y^2} dy; ``herm`` as ``Endpoint.table``."""
     _check_hermite_degree(n_max)
     size = n_max + 1
-    herm = hermite_sequence(n_max + 1, x)
+    if herm is None:
+        herm = hermite_sequence(n_max + 1, x)
     damp = math.exp(-x * x)
 
     diag = np.empty(size)
@@ -232,10 +244,11 @@ def hermite_pair_integrals_at_infinity(n_max: int) -> np.ndarray:
     )
 
 
-def hermite_exp_integrals(n_max: int, s: float, x: float) -> np.ndarray:
-    """Vector [n] = int_{-inf}^x e^{s y - y^2} H_n(y) dy."""
+def hermite_exp_integrals(n_max: int, s: float, x: float, herm=None) -> np.ndarray:
+    """Vector [n] = int_{-inf}^x e^{s y - y^2} H_n(y) dy; ``herm`` as ``Endpoint.table``."""
     _check_hermite_degree(n_max)
-    herm = hermite_sequence(max(n_max, 1), x)
+    if herm is None:
+        herm = hermite_sequence(max(n_max, 1), x)
     boundary = math.exp(s * x - x * x)
     out = np.empty(n_max + 1)
     out[0] = (
@@ -280,6 +293,42 @@ class StrikeProjection:
     route: str
 
 
+class Endpoint:
+    """A finite state with the polynomial table its integrals share.
+
+    Smaller tables are leading slices of larger ones, entry for entry, so
+    sharing one changes no value.
+    """
+
+    def __init__(self, model: DiffusionModel, x: float):
+        self.model = model
+        self.x = x
+        self._table: np.ndarray | None = None
+
+    def table(self, n_max: int) -> np.ndarray | None:
+        """[degree, j] = L_degree^(alpha+j), or [degree] = H_degree, at the
+        mapped coordinate for degrees and j up to at least n_max + 1; built
+        on first use, rebuilt only for a higher degree.  ``None`` at Laguerre
+        coordinate 0, where the integrals vanish without one.
+        """
+        if self._table is None or self._table.shape[0] < n_max + 2:
+            z = self.model.poly_coordinate(self.x)
+            if isinstance(self.model, VasicekModel):
+                self._table = hermite_sequence(n_max + 1, z)
+            elif z == 0.0:
+                return None
+            else:
+                js = np.arange(n_max + 2, dtype=float)
+                self._table = laguerre_sequence_table(
+                    n_max + 1, self.model.laguerre_order + js, z
+                )
+        return self._table
+
+
+def _endpoint(model: DiffusionModel, x: float | Endpoint) -> Endpoint:
+    return x if isinstance(x, Endpoint) else Endpoint(model, x)
+
+
 def _check_interval(model: DiffusionModel, x_lo: float, x_hi: float) -> None:
     if not (model.state_lo <= x_lo <= model.state_hi):
         raise ValidationError(f"x_lo={x_lo} outside closure of the state space")
@@ -289,38 +338,37 @@ def _check_interval(model: DiffusionModel, x_lo: float, x_hi: float) -> None:
         raise ValidationError(f"interval endpoints out of order: {x_lo} > {x_hi}")
 
 
-def _laguerre_pair_at_state(model, n_max: int, x: float) -> np.ndarray:
+def _laguerre_pair_at_state(model, n_max: int, end: Endpoint) -> np.ndarray:
     """Pair-integral table at the mapped coordinate of a state-space point."""
-    alpha = model.laguerre_order
+    alpha, x = model.laguerre_order, end.x
     if isinstance(model, ThreeHalvesModel):
         # reciprocal coordinate: state 0+ maps to +inf, state +inf maps to 0
         if x == 0.0:
             return laguerre_pair_integrals_at_infinity(n_max, alpha)
         if math.isinf(x):
             return np.zeros((n_max + 1, n_max + 1))
-        return laguerre_pair_integrals(n_max, alpha, model.poly_coordinate(x))
-    if math.isinf(x):
+    elif math.isinf(x):
         return laguerre_pair_integrals_at_infinity(n_max, alpha)
-    return laguerre_pair_integrals(n_max, alpha, model.poly_coordinate(x))
+    return laguerre_pair_integrals(n_max, alpha, model.poly_coordinate(x), end.table(n_max))
 
 
-def _pair_difference(model: DiffusionModel, n_max: int, x_lo: float, x_hi: float) -> np.ndarray:
-    """Mapped pair-table difference over [x_lo, x_hi] in state space."""
+def _pair_difference(model: DiffusionModel, n_max: int, lo: Endpoint, hi: Endpoint) -> np.ndarray:
+    """Mapped pair-table difference over [lo.x, hi.x] in state space."""
     if isinstance(model, (CIRModel, ThreeHalvesModel)):
-        upper = _laguerre_pair_at_state(model, n_max, x_hi)
-        lower = _laguerre_pair_at_state(model, n_max, x_lo)
+        upper = _laguerre_pair_at_state(model, n_max, hi)
+        lower = _laguerre_pair_at_state(model, n_max, lo)
         if isinstance(model, ThreeHalvesModel):
             return lower - upper  # orientation flips under v = beta / x
         return upper - lower
     if isinstance(model, VasicekModel):
-        if math.isinf(x_hi):
+        if math.isinf(hi.x):
             upper = hermite_pair_integrals_at_infinity(n_max)
         else:
-            upper = hermite_pair_integrals(n_max, model.poly_coordinate(x_hi))
-        if math.isinf(x_lo):
+            upper = hermite_pair_integrals(n_max, model.poly_coordinate(hi.x), hi.table(n_max))
+        if math.isinf(lo.x):
             lower = np.zeros((n_max + 1, n_max + 1))
         else:
-            lower = hermite_pair_integrals(n_max, model.poly_coordinate(x_lo))
+            lower = hermite_pair_integrals(n_max, model.poly_coordinate(lo.x), lo.table(n_max))
         return upper - lower
     raise UnsupportedModelError(f"overlap matrices unavailable for {model.kind}")
 
@@ -356,24 +404,25 @@ def overlap_matrix(
         entries = np.zeros((n_max + 1, n_max + 1))
     else:
         entries = _overlap_prefactor(model, n_max, n_max) * _pair_difference(
-            model, n_max, x_lo, x_hi
+            model, n_max, Endpoint(model, x_lo), Endpoint(model, x_hi)
         )
     return OverlapMatrix(entries=entries, interval=(x_lo, x_hi), model_kind=model.kind)
 
 
 def _overlap_block(
-    model: DiffusionModel, n_rows: int, n_cols: int, x_lo: float, x_hi: float
+    model: DiffusionModel, n_rows: int, n_cols: int, x_lo: float | Endpoint, x_hi: float | Endpoint
 ) -> np.ndarray:
     """Rectangular overlap block (rows 0..n_rows, cols 0..n_cols)."""
-    if x_lo == x_hi:
+    lo, hi = _endpoint(model, x_lo), _endpoint(model, x_hi)
+    if lo.x == hi.x:
         return np.zeros((n_rows + 1, n_cols + 1))
     n_max = max(n_rows, n_cols)
-    diff = _pair_difference(model, n_max, x_lo, x_hi)[: n_rows + 1, : n_cols + 1]
+    diff = _pair_difference(model, n_max, lo, hi)[: n_rows + 1, : n_cols + 1]
     return _overlap_prefactor(model, n_rows, n_cols)[: n_rows + 1, : n_cols + 1] * diff
 
 
 def _closed_form_strike(
-    model: DiffusionModel, n_max: int, x_lo: float, x_hi: float, delta: float
+    model: DiffusionModel, n_max: int, lo: Endpoint, hi: Endpoint, delta: float
 ) -> np.ndarray:
     a_fac, b_fac = model.affine_bond_factors(delta)
     log_n = model.log_norm_constants(n_max)
@@ -382,25 +431,29 @@ def _closed_form_strike(
         tilt = b_fac * s2 / (2.0 * g) + (model.kappa + g) / (2.0 * g)
         alpha = model.laguerre_order
 
-        def vec(x):
-            if math.isinf(x):
+        def vec(end):
+            if math.isinf(end.x):
                 return laguerre_exp_integrals_at_infinity(n_max, alpha, tilt)
-            return laguerre_exp_integrals(n_max, alpha, tilt, model.poly_coordinate(x))
+            return laguerre_exp_integrals(
+                n_max, alpha, tilt, model.poly_coordinate(end.x), end.table(n_max)
+            )
 
         pref = a_fac * np.exp(
             log_n + (model.b - 1.0) * math.log(s2 / (2.0 * g)) - math.log(g)
         )
-        return pref * (vec(x_hi) - vec(x_lo))
+        return pref * (vec(hi) - vec(lo))
     if isinstance(model, VasicekModel):
         a = model.hermite_shift
         tilt = a - b_fac * model.sigma / math.sqrt(model.kappa)
 
-        def vec(x):
-            if math.isinf(x):
-                if x > 0:
+        def vec(end):
+            if math.isinf(end.x):
+                if end.x > 0:
                     return hermite_exp_integrals_at_infinity(n_max, tilt)
                 return np.zeros(n_max + 1)
-            return hermite_exp_integrals(n_max, tilt, model.poly_coordinate(x))
+            return hermite_exp_integrals(
+                n_max, tilt, model.poly_coordinate(end.x), end.table(n_max)
+            )
 
         pref = (
             2.0
@@ -412,7 +465,7 @@ def _closed_form_strike(
                 - b_fac * (model.theta - a * model.sigma / math.sqrt(model.kappa))
             )
         )
-        return pref * (vec(x_hi) - vec(x_lo))
+        return pref * (vec(hi) - vec(lo))
     raise UnsupportedModelError(
         f"closed-form strike projection unavailable for {model.kind}"
     )
@@ -422,8 +475,8 @@ def _expansion_strike(
     model: DiffusionModel,
     sub: SubordinatorSpec,
     n_max: int,
-    x_lo: float,
-    x_hi: float,
+    lo: Endpoint,
+    hi: Endpoint,
     delta: float,
     eps: float,
     rule: str,
@@ -434,7 +487,7 @@ def _expansion_strike(
 
     m_cut = series.weight_cutoff(weights, eps, rule=rule)
     w = weights(m_cut)
-    block = _overlap_block(model, n_max, m_cut, x_lo, x_hi)
+    block = _overlap_block(model, n_max, m_cut, lo, hi)
     return block @ w
 
 
@@ -442,8 +495,8 @@ def strike_projection(
     model: DiffusionModel,
     sub: SubordinatorSpec,
     n_max: int,
-    x_lo: float,
-    x_hi: float,
+    x_lo: float | Endpoint,
+    x_hi: float | Endpoint,
     delta: float,
     eps: float = 1e-10,
     route: str = "auto",
@@ -454,9 +507,11 @@ def strike_projection(
     ``route="closed_form"`` integrates the exponential-affine bond directly
     (plain CIR/Vasicek only); ``route="expansion"`` expands the bond in
     eigenfunctions with the inner sum cut by the same adaptive rule as the
-    pricer.  ``"auto"`` picks the closed form whenever it exists.
+    pricer.  ``"auto"`` picks the closed form whenever it exists.  Either
+    endpoint may be an ``Endpoint`` whose table other integrals share.
     """
-    _check_interval(model, x_lo, x_hi)
+    lo, hi = _endpoint(model, x_lo), _endpoint(model, x_hi)
+    _check_interval(model, lo.x, hi.x)
     if delta < 0.0:
         raise ValidationError(f"notice period must be >= 0, got {delta}")
     affine = isinstance(model, (CIRModel, VasicekModel))
@@ -469,17 +524,17 @@ def strike_projection(
             )
         entries = (
             np.zeros(n_max + 1)
-            if x_lo == x_hi
-            else _closed_form_strike(model, n_max, x_lo, x_hi, delta)
+            if lo.x == hi.x
+            else _closed_form_strike(model, n_max, lo, hi, delta)
         )
     elif route == "expansion":
         entries = (
             np.zeros(n_max + 1)
-            if x_lo == x_hi
-            else _expansion_strike(model, sub, n_max, x_lo, x_hi, delta, eps, rule)
+            if lo.x == hi.x
+            else _expansion_strike(model, sub, n_max, lo, hi, delta, eps, rule)
         )
     else:
         raise ValidationError(f"unknown strike projection route {route!r}")
     return StrikeProjection(
-        entries=entries, interval=(x_lo, x_hi), notice_delta=delta, route=route
+        entries=entries, interval=(lo.x, hi.x), notice_delta=delta, route=route
     )

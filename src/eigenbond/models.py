@@ -14,16 +14,24 @@ projection coefficients p_n = (1, phi_n), speed densities, stationary
 distributions, and the exponential-affine closed-form zero-coupon bonds
 where they exist (CIR and Vasicek).
 
-Eigenfunction values are produced by running the polynomial recursion in a
-normalized scaling (the norm constant folded into the recursion), which
-keeps every intermediate O(1) and remains finite at degrees where the raw
-polynomial and the norm constant would separately overflow or underflow.
+Every eigenfunction is a prefactor times a normalized polynomial in a mapped
+coordinate, so each model supplies three things: its coordinate map
+(``poly_coordinate``), its prefactor, and the coefficients of its normalized
+three-term recurrence (the norm constant folded into the recursion, which
+keeps every intermediate O(1) and finite at degrees where the raw polynomial
+and the norm constant would separately overflow or underflow).  One loop per
+polynomial family (``_laguerre_kernel`` for CIR and 3/2, ``_hermite_kernel``
+for Vasicek) runs over those coefficients: on plain floats for one abscissa,
+on numpy rows for ``eigenfunction_matrix``.  The coefficient lists are built
+on first use, cached on the model and grown on demand; the derived constants
+(``gamma``, ``b``, ``order_m``, ``hermite_shift``, ...) are cached too.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy import stats
@@ -41,6 +49,79 @@ __all__ = [
 ]
 
 MODEL_KINDS = ("cir", "vasicek", "three_halves")
+
+# Hard ceiling on the terms of an uncapped series before the pricer declares
+# failure; the recurrence coefficient lists double up to it.
+POOL_CAP = 2000
+
+
+class _Recurrence:
+    """Normalized three-term-recurrence coefficients of one model.
+
+    ``n0`` is the degree-0 value, ``seed`` holds the family's degree-1
+    constants and ``terms(n)`` returns the pair of coefficients of degree
+    ``n`` from degree ``start`` up.  The per-degree lists are filled on first
+    use and grown on demand, doubling up to ``POOL_CAP``.  A grown pair is
+    new lists, stored in one assignment and returned as built, so a caller
+    never sees lists shorter than it asked for even when threads share a
+    model.
+    """
+
+    def __init__(self, n0: float, seed: tuple, start: int, terms):
+        self.n0 = n0
+        self.seed = seed
+        self._terms = terms
+        self._lists: tuple[list, list] = ([0.0] * start, [0.0] * start)
+
+    def upto(self, n_max: int) -> tuple[list, list]:
+        lists = self._lists
+        first, second = lists
+        if len(first) <= n_max:
+            size = max(n_max + 1, min(2 * len(first), POOL_CAP + 1))
+            more = [self._terms(n) for n in range(len(first), size)]
+            lists = (first + [pair[0] for pair in more], second + [pair[1] for pair in more])
+            self._lists = lists
+        return lists
+
+
+def _degree_zero(rec: _Recurrence, z):
+    return np.full(z.shape, rec.n0) if isinstance(z, np.ndarray) else rec.n0
+
+
+def _laguerre_kernel(rec: _Recurrence, n_max: int, z) -> np.ndarray:
+    """N_n L_n(z) for n = 0..n_max, rows over z when z is an array.
+
+    ``rec.seed`` is (lead, bump, root1, shift): degree 1 is
+    (lead - z + bump) root1 N_0, and degree n >= 2 is
+    (2 + (shift - z)/n) r1_n N_{n-1} - q_n N_{n-2} with
+    q_n = (1 + shift/n) r2_n.
+    """
+    r1, q = rec.upto(n_max)
+    prev = _degree_zero(rec, z)
+    out = [prev]
+    if n_max >= 1:
+        lead, bump, root1, shift = rec.seed
+        cur = (lead - z + bump) * root1 * rec.n0
+        out.append(cur)
+        gap = shift - z
+        for n in range(2, n_max + 1):
+            prev, cur = cur, (2.0 + gap / n) * r1[n] * cur - q[n] * prev
+            out.append(cur)
+    return np.array(out)
+
+
+def _hermite_kernel(rec: _Recurrence, n_max: int, z) -> np.ndarray:
+    """N_n H_n(z) for n = 0..n_max: z sqrt(2/n) N_{n-1} - sqrt((n-1)/n) N_{n-2}."""
+    up, down = rec.upto(n_max)
+    prev = _degree_zero(rec, z)
+    out = [prev]
+    if n_max >= 1:
+        cur = z * up[1] * rec.n0
+        out.append(cur)
+        for n in range(2, n_max + 1):
+            prev, cur = cur, z * up[n] * cur - down[n] * prev
+            out.append(cur)
+    return np.array(out)
 
 
 @dataclass(frozen=True)
@@ -139,12 +220,12 @@ class CIRModel(DiffusionModel):
 
     kind = "cir"
 
-    @property
+    @cached_property
     def gamma(self) -> float:
         """sqrt(kappa^2 + 2 sigma^2); the eigenvalue gap."""
         return math.sqrt(self.kappa**2 + 2.0 * self.sigma**2)
 
-    @property
+    @cached_property
     def b(self) -> float:
         """2 kappa theta / sigma^2; Feller boundary parameter."""
         return 2.0 * self.kappa * self.theta / self.sigma**2
@@ -163,7 +244,7 @@ class CIRModel(DiffusionModel):
 
     def poly_coordinate(self, x) -> float | np.ndarray:
         """Map state to the Laguerre abscissa u = 2 gamma x / sigma^2."""
-        return 2.0 * self.gamma * np.asarray(x, dtype=float) / self.sigma**2
+        return 2.0 * self.gamma * x / self.sigma**2
 
     def eigenvalue(self, n):
         return self.gamma * np.asarray(n) + 0.5 * self.b * (self.gamma - self.kappa)
@@ -189,34 +270,32 @@ class CIRModel(DiffusionModel):
         # (kappa - gamma) < 0 always, so the sign alternates with n.
         return np.where(n % 2 == 0, 1.0, -1.0) * np.exp(log_p)
 
-    def _scaled_laguerre(self, n_max: int, u) -> np.ndarray:
-        """N_n L_n^(b-1)(u) via the recursion with the norm folded in."""
-        u = np.asarray(u, dtype=float)
+    @cached_property
+    def _recurrence(self) -> _Recurrence:
+        """N_n L_n^(b-1): r1_n = sqrt(n / (b+n-1)), r2_n = sqrt(n (n-1) / ((b+n-1)(b+n-2)))."""
         b = self.b
-        out = np.empty((n_max + 1,) + u.shape)
         n0 = math.sqrt(self.sigma**2 / (2.0 * math.gamma(b))) * (
             2.0 * self.gamma / self.sigma**2
         ) ** (0.5 * b)
-        out[0] = n0
-        if n_max >= 1:
-            out[1] = (-u + b) * math.sqrt(1.0 / b) * n0
-        for n in range(2, n_max + 1):
+
+        def terms(n: int) -> tuple[float, float]:
             r1 = math.sqrt(n / (b + n - 1.0))
             r2 = math.sqrt(n * (n - 1.0) / ((b + n - 1.0) * (b + n - 2.0)))
-            out[n] = (2.0 + (b - 2.0 - u) / n) * r1 * out[n - 1] - (
-                1.0 + (b - 2.0) / n
-            ) * r2 * out[n - 2]
-        return out
+            return r1, (1.0 + (b - 2.0) / n) * r2
+
+        return _Recurrence(n0, (b, 0.0, math.sqrt(1.0 / b), b - 2.0), 2, terms)
 
     def eigenfunctions(self, n_max: int, x: float) -> np.ndarray:
         self._require_state(x)
         prefactor = math.exp((self.kappa - self.gamma) * x / self.sigma**2)
-        return prefactor * self._scaled_laguerre(n_max, self.poly_coordinate(x))
+        u = float(self.poly_coordinate(x))
+        return prefactor * _laguerre_kernel(self._recurrence, n_max, u)
 
     def eigenfunction_matrix(self, n_max: int, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         pref = np.exp((self.kappa - self.gamma) * xs / self.sigma**2)
-        return (pref * self._scaled_laguerre(n_max, self.poly_coordinate(xs))).T
+        u = self.poly_coordinate(xs)
+        return (pref * _laguerre_kernel(self._recurrence, n_max, u)).T
 
     def speed_density(self, x):
         x = np.asarray(x, dtype=float)
@@ -256,7 +335,7 @@ class VasicekModel(DiffusionModel):
 
     kind = "vasicek"
 
-    @property
+    @cached_property
     def hermite_shift(self) -> float:
         """a = sigma / kappa^{3/2}; offset of the Hermite argument."""
         return self.sigma / self.kappa**1.5
@@ -270,7 +349,7 @@ class VasicekModel(DiffusionModel):
         return math.inf
 
     def xi(self, x) -> float | np.ndarray:
-        return math.sqrt(self.kappa) / self.sigma * (np.asarray(x, dtype=float) - self.theta)
+        return math.sqrt(self.kappa) / self.sigma * (x - self.theta)
 
     def poly_coordinate(self, x) -> float | np.ndarray:
         """Map state to the Hermite abscissa w = xi(x) + a."""
@@ -300,31 +379,27 @@ class VasicekModel(DiffusionModel):
         )
         return np.exp(log_p)
 
-    def _scaled_hermite(self, n_max: int, w) -> np.ndarray:
-        """N_n H_n(w) via the recursion with the norm folded in."""
-        w = np.asarray(w, dtype=float)
-        out = np.empty((n_max + 1,) + w.shape)
+    @cached_property
+    def _recurrence(self) -> _Recurrence:
+        """N_n H_n: the coefficients sqrt(2/n) and sqrt((n-1)/n)."""
         n0 = math.sqrt(math.sqrt(self.kappa / math.pi) * self.sigma / 2.0)
-        out[0] = np.full(w.shape, n0)
-        if n_max >= 1:
-            out[1] = w * math.sqrt(2.0) * n0
-        for n in range(2, n_max + 1):
-            out[n] = w * math.sqrt(2.0 / n) * out[n - 1] - math.sqrt(
-                (n - 1.0) / n
-            ) * out[n - 2]
-        return out
+
+        def terms(n: int) -> tuple[float, float]:
+            return math.sqrt(2.0 / n), math.sqrt((n - 1.0) / n)
+
+        return _Recurrence(n0, (), 1, terms)
 
     def eigenfunctions(self, n_max: int, x: float) -> np.ndarray:
         a = self.hermite_shift
         xi = self.xi(x)
         prefactor = math.exp(-a * xi - 0.5 * a * a)
-        return prefactor * self._scaled_hermite(n_max, xi + a)
+        return prefactor * _hermite_kernel(self._recurrence, n_max, float(xi + a))
 
     def eigenfunction_matrix(self, n_max: int, xs: np.ndarray) -> np.ndarray:
         a = self.hermite_shift
         xi = self.xi(np.asarray(xs, dtype=float))
         pref = np.exp(-a * xi - 0.5 * a * a)
-        return (pref * self._scaled_hermite(n_max, xi + a)).T
+        return (pref * _hermite_kernel(self._recurrence, n_max, xi + a)).T
 
     def speed_density(self, x):
         x = np.asarray(x, dtype=float)
@@ -362,17 +437,17 @@ class ThreeHalvesModel(DiffusionModel):
 
     kind = "three_halves"
 
-    @property
+    @cached_property
     def alpha(self) -> float:
         """kappa / sigma^2 + 1; exponent parameter of the speed density."""
         return self.kappa / self.sigma**2 + 1.0
 
-    @property
+    @cached_property
     def beta(self) -> float:
         """2 kappa theta / sigma^2; scale of the reciprocal coordinate."""
         return 2.0 * self.kappa * self.theta / self.sigma**2
 
-    @property
+    @cached_property
     def order_m(self) -> float:
         """sqrt((kappa/sigma^2 + 1/2)^2 + 2/sigma^2); half the Laguerre order."""
         return math.sqrt((self.kappa / self.sigma**2 + 0.5) ** 2 + 2.0 / self.sigma**2)
@@ -394,7 +469,7 @@ class ThreeHalvesModel(DiffusionModel):
 
     def poly_coordinate(self, x) -> float | np.ndarray:
         """Map state to the Laguerre abscissa v = beta / x (orientation reversed)."""
-        return self.beta / np.asarray(x, dtype=float)
+        return self.beta / x
 
     def eigenvalue(self, n):
         gap = self.kappa * self.theta
@@ -425,11 +500,10 @@ class ThreeHalvesModel(DiffusionModel):
         )
         return np.exp(log_p)
 
-    def _scaled_laguerre(self, n_max: int, v) -> np.ndarray:
-        """N_n L_n^(2m)(v) via the recursion with the norm folded in."""
-        v = np.asarray(v, dtype=float)
+    @cached_property
+    def _recurrence(self) -> _Recurrence:
+        """N_n L_n^(2m): r1_n = sqrt(n / (2m+n)), r2_n = sqrt(n (n-1) / ((2m+n)(2m+n-1)))."""
         two_m = 2.0 * self.order_m
-        out = np.empty((n_max + 1,) + v.shape)
         n0 = math.exp(
             0.5
             * (
@@ -439,26 +513,26 @@ class ThreeHalvesModel(DiffusionModel):
                 - math.lgamma(two_m + 1.0)
             )
         )
-        out[0] = np.full(v.shape, n0)
-        if n_max >= 1:
-            out[1] = (-v + two_m + 1.0) * math.sqrt(1.0 / (two_m + 1.0)) * n0
-        for n in range(2, n_max + 1):
+
+        def terms(n: int) -> tuple[float, float]:
             r1 = math.sqrt(n / (two_m + n))
             r2 = math.sqrt(n * (n - 1.0) / ((two_m + n) * (two_m + n - 1.0)))
-            out[n] = (2.0 + (two_m - 1.0 - v) / n) * r1 * out[n - 1] - (
-                1.0 + (two_m - 1.0) / n
-            ) * r2 * out[n - 2]
-        return out
+            return r1, (1.0 + (two_m - 1.0) / n) * r2
+
+        seed = (two_m, 1.0, math.sqrt(1.0 / (two_m + 1.0)), two_m - 1.0)
+        return _Recurrence(n0, seed, 2, terms)
 
     def eigenfunctions(self, n_max: int, x: float) -> np.ndarray:
         self._require_state(x)
         prefactor = x ** (self.alpha - self.order_m - 0.5)
-        return prefactor * self._scaled_laguerre(n_max, self.poly_coordinate(x))
+        v = float(self.poly_coordinate(x))
+        return prefactor * _laguerre_kernel(self._recurrence, n_max, v)
 
     def eigenfunction_matrix(self, n_max: int, xs: np.ndarray) -> np.ndarray:
         xs = np.asarray(xs, dtype=float)
         pref = xs ** (self.alpha - self.order_m - 0.5)
-        return (pref * self._scaled_laguerre(n_max, self.poly_coordinate(xs))).T
+        v = self.poly_coordinate(xs)
+        return (pref * _laguerre_kernel(self._recurrence, n_max, v)).T
 
     def speed_density(self, x):
         x = np.asarray(x, dtype=float)

@@ -318,7 +318,9 @@ def _subordinated_discount(
 
     The inverse Gaussian clock is sampled on the calendar grid; the
     diffusion is advanced between clock readings by Euler substeps no
-    longer than the calendar resolution.  The running discount uses the
+    longer than the calendar resolution.  Each substep pass works on the
+    paths whose clock increment is not yet used up, in path order, so the
+    passes shrink with the increments left.  The running discount uses the
     left-point rule in the short-rate map, interpolated from
     ``rate_table`` (see ``_short_rate_table``).
     """
@@ -340,13 +342,10 @@ def _subordinated_discount(
         integral += rate_of(x) * du
         jump = rng.wald(ig_mean, ig_shape, size=n_paths) + sub.drift * du
         # advance the diffusion by the clock increment in bounded substeps
-        remaining = jump.copy()
-        while True:
-            step = np.minimum(remaining, dt_x)
-            active = step > 0.0
-            if not np.any(active):
-                break
-            dt_vec = step[active]
+        active = np.flatnonzero(jump > 0.0)
+        remaining = jump[active]
+        while active.size:
+            dt_vec = np.minimum(remaining, dt_x)
             if isinstance(model, CIRModel):
                 pos = np.maximum(x[active], 0.0)
                 x[active] = (
@@ -364,7 +363,9 @@ def _subordinated_discount(
                     + (x[active] - model.theta) * decay
                     + sd * rng.standard_normal(dt_vec.size)
                 )
-            remaining = remaining - step
+            remaining = remaining - dt_vec
+            left = remaining > 0.0
+            active, remaining = active[left], remaining[left]
     return np.exp(-integral)
 
 

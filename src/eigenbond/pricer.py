@@ -35,7 +35,7 @@ from scipy import optimize
 from . import coeffs as coeffs_mod
 from . import series
 from .errors import BracketError, ConvergenceError, ValidationError
-from .models import CIRModel, DiffusionModel, ThreeHalvesModel, VasicekModel
+from .models import POOL_CAP, CIRModel, DiffusionModel, ThreeHalvesModel, VasicekModel
 from .subordinators import SubordinatorSpec, laplace_exponent, short_rate_map
 
 __all__ = [
@@ -49,7 +49,6 @@ __all__ = [
     "price_bond",
 ]
 
-_POOL_CAP = 2000  # hard ceiling for uncapped series before declaring failure
 _DEFAULT_BRACKET_SIGMAS = 4.0
 _CIR_BRACKET_CAP = 50.0  # upper search bound as a multiple of theta
 # A date's break-even search starts from last date's state of the same kind
@@ -280,11 +279,11 @@ def _series_eval_pool(
         value, level, converged = series.truncate_terms(weights * phi, eps, rule)
         if converged:
             return value, level
-        if n_hi >= _POOL_CAP:
+        if n_hi >= POOL_CAP:
             raise ConvergenceError(
-                f"eigenfunction series at t={t}, x={x} not converged by n={_POOL_CAP}"
+                f"eigenfunction series at t={t}, x={x} not converged by n={POOL_CAP}"
             )
-        n_hi = min(2 * n_hi, _POOL_CAP)
+        n_hi = min(2 * n_hi, POOL_CAP)
 
 
 # ---------------------------------------------------------------------------
@@ -629,15 +628,10 @@ class _Engine:
             h_next = sched.decision_time(i) - sched.decision_time(i - 1)
         else:
             h_next = sched.decision_time(i)
-        x_c_eff = self.model.state_lo if x_call is None else x_call
-        x_p_eff = self.model.state_hi if x_put is None else x_put
-
         degree_cap = coeffs_mod.max_table_degree(self.model)
         n_rows = min(max(16, m_cols), degree_cap)
         while True:
-            new = self._assemble(
-                i, n_rows, m_cols, x_call, x_put, x_c_eff, x_p_eff, prev_weights
-            )
+            new = self._assemble(i, n_rows, m_cols, x_call, x_put, prev_weights)
             decay_next = self.basis.decay(h_next, n_rows)
             level, converged = series.stop_level(
                 np.abs(new) * decay_next, self._eps_assembly, self.rule
@@ -657,10 +651,16 @@ class _Engine:
             coefficients=new, decision_index=i, truncation_used=new.size - 1
         )
 
-    def _assemble(
-        self, i, n_rows, m_cols, x_call, x_put, x_c_eff, x_p_eff, prev_weights
-    ) -> np.ndarray:
+    def _assemble(self, i, n_rows, m_cols, x_call, x_put, prev_weights) -> np.ndarray:
         sched = self.schedule
+        # The hold overlap and the strike leg meeting at a break-even state
+        # share one polynomial table there, built once per assembly pass.
+        x_c_eff = (
+            self.model.state_lo if x_call is None else coeffs_mod.Endpoint(self.model, x_call)
+        )
+        x_p_eff = (
+            self.model.state_hi if x_put is None else coeffs_mod.Endpoint(self.model, x_put)
+        )
         if x_call is None and x_put is None:
             hold = prev_weights[: n_rows + 1].copy()
             if hold.size < n_rows + 1:

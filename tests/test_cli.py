@@ -51,6 +51,16 @@ def test_unknown_keys_rejected():
         parse_config(doc)
 
 
+def test_seed_key_and_flag_are_gone(capsys):
+    doc = preset_config("swiss1987", "cir")
+    doc["run"]["seed"] = 7
+    with pytest.raises(ValidationError):
+        parse_config(doc)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "price", "--preset", "swiss1987", "--seed", "7")
+    assert exc.value.code == 2
+
+
 def test_empty_rates_rejected():
     doc = preset_config("swiss1987", "cir")
     doc["run"]["rates"] = []
@@ -149,21 +159,3 @@ def test_bench_runs(capsys):
     medians = [float(line.split()[1]) for line in lines[2:5]]
     # tighter tolerance never makes the pricing faster by more than noise
     assert medians[0] <= medians[2] * 1.5 + 5.0
-
-
-def test_threads_env_is_validated(monkeypatch, capsys):
-    monkeypatch.setenv("EIGENBOND_THREADS", "two")
-    code, _, err = run_cli(capsys, "reproduce", "--table", "T5")
-    assert code == 2
-
-
-def test_threads_env_fanout(monkeypatch, capsys):
-    monkeypatch.setenv("EIGENBOND_THREADS", "4")
-    code, out, _ = run_cli(capsys, "reproduce", "--table", "T5")
-    assert code == 0
-    diffs = [
-        float(line.split(",")[2])
-        for line in out.splitlines()
-        if not line.startswith("#") and not line.startswith("rate")
-    ]
-    assert max(diffs) <= 5e-6

@@ -67,7 +67,108 @@ def test_eigenfunction_matrix_agrees_pointwise(model):
     xs = np.array([0.02, 0.07, 0.31])
     mat = model.eigenfunction_matrix(14, xs)
     for j, x in enumerate(xs):
-        np.testing.assert_allclose(mat[j], model.eigenfunctions(14, float(x)), rtol=1e-13)
+        np.testing.assert_array_equal(mat[j], model.eigenfunctions(14, float(x)))
+
+
+# Reference copy of the numpy recursions the eigenfunction kernel replaced:
+# one array row per degree, every coefficient recomputed per degree.  The
+# kernel keeps their order of operations, so its values match bit for bit.
+
+
+def _reference_cir(model, n_max, x):
+    u = np.asarray(2.0 * model.gamma * np.asarray(x, dtype=float) / model.sigma**2)
+    b = model.b
+    out = np.empty((n_max + 1,) + u.shape)
+    n0 = math.sqrt(model.sigma**2 / (2.0 * math.gamma(b))) * (
+        2.0 * model.gamma / model.sigma**2
+    ) ** (0.5 * b)
+    out[0] = n0
+    if n_max >= 1:
+        out[1] = (-u + b) * math.sqrt(1.0 / b) * n0
+    for n in range(2, n_max + 1):
+        r1 = math.sqrt(n / (b + n - 1.0))
+        r2 = math.sqrt(n * (n - 1.0) / ((b + n - 1.0) * (b + n - 2.0)))
+        out[n] = (2.0 + (b - 2.0 - u) / n) * r1 * out[n - 1] - (
+            1.0 + (b - 2.0) / n
+        ) * r2 * out[n - 2]
+    if np.ndim(x) == 0:
+        return math.exp((model.kappa - model.gamma) * x / model.sigma**2) * out
+    return (np.exp((model.kappa - model.gamma) * x / model.sigma**2) * out).T
+
+
+def _reference_vasicek(model, n_max, x):
+    a = model.hermite_shift
+    xi = math.sqrt(model.kappa) / model.sigma * (np.asarray(x, dtype=float) - model.theta)
+    w = xi + a
+    out = np.empty((n_max + 1,) + w.shape)
+    n0 = math.sqrt(math.sqrt(model.kappa / math.pi) * model.sigma / 2.0)
+    out[0] = np.full(w.shape, n0)
+    if n_max >= 1:
+        out[1] = w * math.sqrt(2.0) * n0
+    for n in range(2, n_max + 1):
+        out[n] = w * math.sqrt(2.0 / n) * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
+    if np.ndim(x) == 0:
+        return math.exp(-a * xi - 0.5 * a * a) * out
+    return (np.exp(-a * xi - 0.5 * a * a) * out).T
+
+
+def _reference_three_halves(model, n_max, x):
+    v = model.beta / np.asarray(x, dtype=float)
+    two_m = 2.0 * model.order_m
+    out = np.empty((n_max + 1,) + v.shape)
+    n0 = math.exp(
+        0.5
+        * (
+            math.log(model.sigma**2)
+            + (two_m + 1.0) * math.log(model.beta)
+            - math.log(2.0)
+            - math.lgamma(two_m + 1.0)
+        )
+    )
+    out[0] = np.full(v.shape, n0)
+    if n_max >= 1:
+        out[1] = (-v + two_m + 1.0) * math.sqrt(1.0 / (two_m + 1.0)) * n0
+    for n in range(2, n_max + 1):
+        r1 = math.sqrt(n / (two_m + n))
+        r2 = math.sqrt(n * (n - 1.0) / ((two_m + n) * (two_m + n - 1.0)))
+        out[n] = (2.0 + (two_m - 1.0 - v) / n) * r1 * out[n - 1] - (
+            1.0 + (two_m - 1.0) / n
+        ) * r2 * out[n - 2]
+    return (x ** (model.alpha - model.order_m - 0.5) * out).T
+
+
+_GRID = tuple(np.linspace(0.0, 1.0, 41)[1:])
+_REFERENCE_CASES = (
+    (CIR, _reference_cir, (0.0, 1e-9, 0.02, 0.133976855, 0.7, 3.0) + _GRID),
+    (VAS, _reference_vasicek, (-0.4, -0.05, 0.0, 0.098397028, 0.31, 1.2) + _GRID),
+    (TH, _reference_three_halves, (0.0101, 0.02, 0.05, 0.3, 2.0) + _GRID),
+)
+
+
+@pytest.mark.parametrize("n_max", (0, 1, 2, 64, 300))
+@pytest.mark.parametrize(
+    "model,reference,xs", _REFERENCE_CASES, ids=[case[0].kind for case in _REFERENCE_CASES]
+)
+def test_kernel_matches_numpy_recursion_bit_for_bit(model, reference, xs, n_max):
+    for x in xs:
+        np.testing.assert_array_equal(model.eigenfunctions(n_max, x), reference(model, n_max, x))
+    grid = np.array(xs)
+    np.testing.assert_array_equal(
+        model.eigenfunction_matrix(n_max, grid), reference(model, n_max, grid)
+    )
+
+
+def test_recurrence_coefficients_are_built_on_use_and_grown():
+    model = CIRModel(kappa=0.3, theta=0.05, sigma=0.2)
+    assert "_recurrence" not in vars(model)  # nothing built at construction
+    short = model.eigenfunctions(10, 0.05)
+    first, _ = model._recurrence.upto(0)
+    assert len(first) == 11
+    long = model.eigenfunctions(40, 0.05)
+    first, _ = model._recurrence.upto(0)
+    assert len(first) == 41
+    np.testing.assert_array_equal(long[:11], short)
+    np.testing.assert_array_equal(long, _reference_cir(model, 40, 0.05))
 
 
 def test_cir_unit_coefficient_signs_alternate():

@@ -233,6 +233,38 @@ def test_strike_jump_leaves_the_warm_bracket(monkeypatch, model):
     assert abs(states[23] - states[24]) > 4.0 * pricer._WARM_HALF_WIDTH
 
 
+@pytest.mark.parametrize(
+    "model,schedule",
+    ((CIR, _five_year_monthly([1.0] * 48)), (VAS, SWISS_PUT)),
+    ids=("cir_callable", "vasicek_call_put"),
+)
+def test_one_polynomial_table_per_break_even_state_per_pass(monkeypatch, model, schedule):
+    from eigenbond import coeffs, pricer
+
+    builds = []
+    for name in ("laguerre_sequence_table", "hermite_sequence"):
+        build = getattr(coeffs, name)
+        monkeypatch.setattr(
+            coeffs, name, lambda *args, build=build: builds.append(args) or build(*args)
+        )
+    passes = []  # (tables built, finite break-even states) per assembly pass
+    assemble = pricer._Engine._assemble
+
+    def counted(self, i, n_rows, m_cols, x_call, x_put, prev_weights):
+        before = len(builds)
+        new = assemble(self, i, n_rows, m_cols, x_call, x_put, prev_weights)
+        passes.append((len(builds) - before, (x_call, x_put).count(None)))
+        return new
+
+    monkeypatch.setattr(pricer._Engine, "_assemble", counted)
+    price_bond(model, NONE, schedule, [0.05], eps=1e-7)
+    assert len(passes) >= len(schedule.exercise_indices)
+    # the callable has one state per pass at most; the put bond has passes with both
+    assert max(built for built, _ in passes) == (1 if schedule.put_prices is None else 2)
+    assert all(built == 2 - missing for built, missing in passes)
+    assert len(builds) == sum(built for built, _ in passes)  # none outside assembly
+
+
 # ---------------------------------------------------------------------------
 # full pricing
 # ---------------------------------------------------------------------------
