@@ -8,27 +8,30 @@ eigenfunction over the exercise regions:
     overlap_{m,n}(x, y) = int_x^y phi_m phi_n m(z) dz
     strike_n(x, y)      = int_x^y P(delta, z) phi_n(z) m(z) dz
 
-Both reduce, model by model, to two families of weighted polynomial
-integrals evaluated at the mapped interval endpoints:
+Both reduce to two families of weighted polynomial integrals, taken from
+the bottom of the model's polynomial coordinate to the mapped endpoint:
 
-    pair_{m,n}(x) = int_0^x  L_m L_n e^{-y} y^alpha dy      (Laguerre models)
-                    int_-inf^x H_m H_n e^{-y^2} dy          (Hermite model)
+    pair_{m,n}(x) = int_0^x  L_m L_n e^{-y} y^alpha dy      (Laguerre family)
+                    int_-inf^x H_m H_n e^{-y^2} dy          (Hermite family)
     exp_n(s, x)   = int_0^x  y^alpha e^{-s y} L_n dy
                     int_-inf^x e^{s y - y^2} H_n dy
 
 Off-diagonal pair integrals have closed forms; the diagonal ones and the
 exp integrals satisfy recursions that step *down* in the polynomial order
 while stepping up in degree, so each is built as a two-dimensional table
-seeded at elevated order (alpha + N descending to alpha).  The state-space
-endpoints are first-class interval values: they select the orthogonality /
-Gamma-integral limits instead of the finite-x recursions.
+seeded at elevated order (alpha + N descending to alpha).
 
-Both families at one finite state run on the same polynomial table at the
-state's mapped coordinate (Laguerre polynomials of orders alpha..alpha+N+1,
-or Hermite polynomials).  An ``Endpoint`` holds that table, and the pair
-and exp integrals both slice it.  The pricer makes one ``Endpoint`` per
-finite break-even state per assembly pass, so each endpoint table is built
-once: the hold overlap and the strike leg that meet at the state share it.
+An interval integral is the difference of the two endpoint integrals, taken
+in coordinate order, times the model's constant factors
+(``overlap_log_constant``, ``strike_factors``).  An ``Endpoint`` places one
+state in the coordinate of the model's ``polynomial_family``: a state-space
+boundary maps to an end of the coordinate range, where the integrals are
+zero or the orthogonality / Gamma-integral limits.  At a finite coordinate
+the Endpoint holds the polynomial table (Laguerre polynomials of orders
+alpha..alpha+N+1, or Hermite polynomials) that the pair and exp integrals
+both slice.  The pricer makes one ``Endpoint`` per finite break-even state
+per assembly pass, so each endpoint table is built once: the hold overlap
+and the strike leg that meet at the state share it.
 """
 
 from __future__ import annotations
@@ -41,7 +44,7 @@ from scipy import special as sp
 
 from . import series
 from .errors import UnsupportedModelError, ValidationError
-from .models import CIRModel, DiffusionModel, ThreeHalvesModel, VasicekModel
+from .models import HERMITE_DEGREE_CAP, DiffusionModel
 from .specfun import hermite_sequence, laguerre_sequence_table
 from .subordinators import SubordinatorSpec, laplace_exponent
 
@@ -62,19 +65,13 @@ __all__ = [
     "max_table_degree",
 ]
 
-_HERMITE_DEGREE_CAP = 140  # sqrt(pi) 2^n n! overflows doubles shortly beyond
-
 
 def max_table_degree(model: DiffusionModel) -> int:
-    """Largest degree whose integral tables stay inside double range.
-
-    Hermite orthogonality constants sqrt(pi) 2^n n! and the Gamma(alpha+n+1)
-    seeds of the Laguerre chains overflow past these degrees; callers that
-    grow coefficient vectors adaptively must stop here.
+    """Largest degree whose integral tables stay inside double range (the
+    model's ``table_degree_cap``); callers that grow coefficient vectors
+    adaptively must stop here.
     """
-    if isinstance(model, VasicekModel):
-        return _HERMITE_DEGREE_CAP
-    return int(168.0 - model.laguerre_order)
+    return model.table_degree_cap
 
 
 def _lower_gamma_vec(a: np.ndarray, x: float) -> np.ndarray:
@@ -206,9 +203,9 @@ def laguerre_exp_integrals_at_infinity(n_max: int, alpha: float, s: float) -> np
 
 
 def _check_hermite_degree(n_max: int) -> None:
-    if n_max > _HERMITE_DEGREE_CAP:
+    if n_max > HERMITE_DEGREE_CAP:
         raise ValidationError(
-            f"Hermite integral tables limited to degree {_HERMITE_DEGREE_CAP} "
+            f"Hermite integral tables limited to degree {HERMITE_DEGREE_CAP} "
             "(the orthogonality constants overflow double precision beyond)"
         )
 
@@ -294,7 +291,8 @@ class StrikeProjection:
 
 
 class Endpoint:
-    """A finite state with the polynomial table its integrals share.
+    """A state placed in the model's polynomial coordinate, with the
+    polynomial table its integrals share at a finite coordinate.
 
     Smaller tables are leading slices of larger ones, entry for entry, so
     sharing one changes no value.
@@ -303,26 +301,55 @@ class Endpoint:
     def __init__(self, model: DiffusionModel, x: float):
         self.model = model
         self.x = x
+        self._hermite = model.polynomial_family == "hermite"
+        self._bottom = -math.inf if self._hermite else 0.0
+        if model.state_lo < x < model.state_hi:
+            self.z = model.poly_coordinate(x)
+        else:  # a state-space boundary maps to an end of the coordinate range
+            at_top = (x == model.state_hi) != model.coordinate_reversed
+            self.z = math.inf if at_top else self._bottom
         self._table: np.ndarray | None = None
 
-    def table(self, n_max: int) -> np.ndarray | None:
+    def table(self, n_max: int) -> np.ndarray:
         """[degree, j] = L_degree^(alpha+j), or [degree] = H_degree, at the
-        mapped coordinate for degrees and j up to at least n_max + 1; built
-        on first use, rebuilt only for a higher degree.  ``None`` at Laguerre
-        coordinate 0, where the integrals vanish without one.
+        finite coordinate for degrees and j up to at least n_max + 1; built
+        on first use, rebuilt only for a higher degree.
         """
         if self._table is None or self._table.shape[0] < n_max + 2:
-            z = self.model.poly_coordinate(self.x)
-            if isinstance(self.model, VasicekModel):
-                self._table = hermite_sequence(n_max + 1, z)
-            elif z == 0.0:
-                return None
+            if self._hermite:
+                self._table = hermite_sequence(n_max + 1, self.z)
             else:
                 js = np.arange(n_max + 2, dtype=float)
                 self._table = laguerre_sequence_table(
-                    n_max + 1, self.model.laguerre_order + js, z
+                    n_max + 1, self.model.laguerre_order + js, self.z
                 )
         return self._table
+
+    def pair(self, n_max: int) -> np.ndarray:
+        """Pair-integral table from the bottom of the coordinate to z."""
+        if self.z == self._bottom:
+            return np.zeros((n_max + 1, n_max + 1))
+        if self._hermite:
+            if self.z == math.inf:
+                return hermite_pair_integrals_at_infinity(n_max)
+            return hermite_pair_integrals(n_max, self.z, self.table(n_max))
+        alpha = self.model.laguerre_order
+        if self.z == math.inf:
+            return laguerre_pair_integrals_at_infinity(n_max, alpha)
+        return laguerre_pair_integrals(n_max, alpha, self.z, self.table(n_max))
+
+    def exp(self, n_max: int, s: float) -> np.ndarray:
+        """Exp integrals at tilt s from the bottom of the coordinate to z."""
+        if self.z == self._bottom:
+            return np.zeros(n_max + 1)
+        if self._hermite:
+            if self.z == math.inf:
+                return hermite_exp_integrals_at_infinity(n_max, s)
+            return hermite_exp_integrals(n_max, s, self.z, self.table(n_max))
+        alpha = self.model.laguerre_order
+        if self.z == math.inf:
+            return laguerre_exp_integrals_at_infinity(n_max, alpha, s)
+        return laguerre_exp_integrals(n_max, alpha, s, self.z, self.table(n_max))
 
 
 def _endpoint(model: DiffusionModel, x: float | Endpoint) -> Endpoint:
@@ -338,56 +365,9 @@ def _check_interval(model: DiffusionModel, x_lo: float, x_hi: float) -> None:
         raise ValidationError(f"interval endpoints out of order: {x_lo} > {x_hi}")
 
 
-def _laguerre_pair_at_state(model, n_max: int, end: Endpoint) -> np.ndarray:
-    """Pair-integral table at the mapped coordinate of a state-space point."""
-    alpha, x = model.laguerre_order, end.x
-    if isinstance(model, ThreeHalvesModel):
-        # reciprocal coordinate: state 0+ maps to +inf, state +inf maps to 0
-        if x == 0.0:
-            return laguerre_pair_integrals_at_infinity(n_max, alpha)
-        if math.isinf(x):
-            return np.zeros((n_max + 1, n_max + 1))
-    elif math.isinf(x):
-        return laguerre_pair_integrals_at_infinity(n_max, alpha)
-    return laguerre_pair_integrals(n_max, alpha, model.poly_coordinate(x), end.table(n_max))
-
-
-def _pair_difference(model: DiffusionModel, n_max: int, lo: Endpoint, hi: Endpoint) -> np.ndarray:
-    """Mapped pair-table difference over [lo.x, hi.x] in state space."""
-    if isinstance(model, (CIRModel, ThreeHalvesModel)):
-        upper = _laguerre_pair_at_state(model, n_max, hi)
-        lower = _laguerre_pair_at_state(model, n_max, lo)
-        if isinstance(model, ThreeHalvesModel):
-            return lower - upper  # orientation flips under v = beta / x
-        return upper - lower
-    if isinstance(model, VasicekModel):
-        if math.isinf(hi.x):
-            upper = hermite_pair_integrals_at_infinity(n_max)
-        else:
-            upper = hermite_pair_integrals(n_max, model.poly_coordinate(hi.x), hi.table(n_max))
-        if math.isinf(lo.x):
-            lower = np.zeros((n_max + 1, n_max + 1))
-        else:
-            lower = hermite_pair_integrals(n_max, model.poly_coordinate(lo.x), lo.table(n_max))
-        return upper - lower
-    raise UnsupportedModelError(f"overlap matrices unavailable for {model.kind}")
-
-
-def _overlap_prefactor(model: DiffusionModel, n_rows: int, n_cols: int) -> np.ndarray:
-    log_n = model.log_norm_constants(max(n_rows, n_cols))
-    if isinstance(model, CIRModel):
-        const = (model.b - 1.0) * math.log(model.sigma**2 / (2.0 * model.gamma)) - math.log(
-            model.gamma
-        )
-    elif isinstance(model, VasicekModel):
-        const = math.log(2.0) - math.log(model.sigma) - 0.5 * math.log(model.kappa)
-    elif isinstance(model, ThreeHalvesModel):
-        const = math.log(2.0 / model.sigma**2) - (
-            2.0 * model.order_m + 1.0
-        ) * math.log(model.beta)
-    else:
-        raise UnsupportedModelError(f"overlap matrices unavailable for {model.kind}")
-    return np.exp(log_n[: n_rows + 1, None] + log_n[None, : n_cols + 1] + const)
+def _coordinate_order(model: DiffusionModel, lo: Endpoint, hi: Endpoint):
+    """The interval's endpoints, lower coordinate first."""
+    return (hi, lo) if model.coordinate_reversed else (lo, hi)
 
 
 def overlap_matrix(
@@ -400,12 +380,7 @@ def overlap_matrix(
     matrix.
     """
     _check_interval(model, x_lo, x_hi)
-    if x_lo == x_hi:
-        entries = np.zeros((n_max + 1, n_max + 1))
-    else:
-        entries = _overlap_prefactor(model, n_max, n_max) * _pair_difference(
-            model, n_max, Endpoint(model, x_lo), Endpoint(model, x_hi)
-        )
+    entries = _overlap_block(model, n_max, n_max, x_lo, x_hi)
     return OverlapMatrix(entries=entries, interval=(x_lo, x_hi), model_kind=model.kind)
 
 
@@ -417,58 +392,18 @@ def _overlap_block(
     if lo.x == hi.x:
         return np.zeros((n_rows + 1, n_cols + 1))
     n_max = max(n_rows, n_cols)
-    diff = _pair_difference(model, n_max, lo, hi)[: n_rows + 1, : n_cols + 1]
-    return _overlap_prefactor(model, n_rows, n_cols)[: n_rows + 1, : n_cols + 1] * diff
+    log_n = model.log_norm_constants(n_max)
+    pref = np.exp(log_n[: n_rows + 1, None] + log_n[None, : n_cols + 1] + model.overlap_log_constant)
+    lo, hi = _coordinate_order(model, lo, hi)
+    return pref * (hi.pair(n_max) - lo.pair(n_max))[: n_rows + 1, : n_cols + 1]
 
 
 def _closed_form_strike(
     model: DiffusionModel, n_max: int, lo: Endpoint, hi: Endpoint, delta: float
 ) -> np.ndarray:
-    a_fac, b_fac = model.affine_bond_factors(delta)
-    log_n = model.log_norm_constants(n_max)
-    if isinstance(model, CIRModel):
-        g, s2 = model.gamma, model.sigma**2
-        tilt = b_fac * s2 / (2.0 * g) + (model.kappa + g) / (2.0 * g)
-        alpha = model.laguerre_order
-
-        def vec(end):
-            if math.isinf(end.x):
-                return laguerre_exp_integrals_at_infinity(n_max, alpha, tilt)
-            return laguerre_exp_integrals(
-                n_max, alpha, tilt, model.poly_coordinate(end.x), end.table(n_max)
-            )
-
-        pref = a_fac * np.exp(
-            log_n + (model.b - 1.0) * math.log(s2 / (2.0 * g)) - math.log(g)
-        )
-        return pref * (vec(hi) - vec(lo))
-    if isinstance(model, VasicekModel):
-        a = model.hermite_shift
-        tilt = a - b_fac * model.sigma / math.sqrt(model.kappa)
-
-        def vec(end):
-            if math.isinf(end.x):
-                if end.x > 0:
-                    return hermite_exp_integrals_at_infinity(n_max, tilt)
-                return np.zeros(n_max + 1)
-            return hermite_exp_integrals(
-                n_max, tilt, model.poly_coordinate(end.x), end.table(n_max)
-            )
-
-        pref = (
-            2.0
-            * a_fac
-            * np.exp(log_n)
-            / (model.sigma * math.sqrt(model.kappa))
-            * math.exp(
-                -0.5 * a * a
-                - b_fac * (model.theta - a * model.sigma / math.sqrt(model.kappa))
-            )
-        )
-        return pref * (vec(hi) - vec(lo))
-    raise UnsupportedModelError(
-        f"closed-form strike projection unavailable for {model.kind}"
-    )
+    tilt, pref = model.strike_factors(delta, n_max)
+    lo, hi = _coordinate_order(model, lo, hi)
+    return pref * (hi.exp(n_max, tilt) - lo.exp(n_max, tilt))
 
 
 def _expansion_strike(
@@ -505,7 +440,7 @@ def strike_projection(
     """Projections strike_n(x_lo, x_hi) of the delta-discounted unit payoff.
 
     ``route="closed_form"`` integrates the exponential-affine bond directly
-    (plain CIR/Vasicek only); ``route="expansion"`` expands the bond in
+    (affine models on the plain clock); ``route="expansion"`` expands the bond in
     eigenfunctions with the inner sum cut by the same adaptive rule as the
     pricer.  ``"auto"`` picks the closed form whenever it exists.  Either
     endpoint may be an ``Endpoint`` whose table other integrals share.
@@ -514,27 +449,21 @@ def strike_projection(
     _check_interval(model, lo.x, hi.x)
     if delta < 0.0:
         raise ValidationError(f"notice period must be >= 0, got {delta}")
-    affine = isinstance(model, (CIRModel, VasicekModel))
+    closed_form = sub.is_trivial and model.affine
     if route == "auto":
-        route = "closed_form" if (sub.is_trivial and affine) else "expansion"
-    if route == "closed_form":
-        if not sub.is_trivial or not affine:
-            raise UnsupportedModelError(
-                "closed-form strike projections require a plain CIR or Vasicek model"
-            )
-        entries = (
-            np.zeros(n_max + 1)
-            if lo.x == hi.x
-            else _closed_form_strike(model, n_max, lo, hi, delta)
-        )
-    elif route == "expansion":
-        entries = (
-            np.zeros(n_max + 1)
-            if lo.x == hi.x
-            else _expansion_strike(model, sub, n_max, lo, hi, delta, eps, rule)
-        )
-    else:
+        route = "closed_form" if closed_form else "expansion"
+    if route not in ("closed_form", "expansion"):
         raise ValidationError(f"unknown strike projection route {route!r}")
+    if route == "closed_form" and not closed_form:
+        raise UnsupportedModelError(
+            "closed-form strike projections need an affine model on the plain clock"
+        )
+    if lo.x == hi.x:
+        entries = np.zeros(n_max + 1)
+    elif route == "closed_form":
+        entries = _closed_form_strike(model, n_max, lo, hi, delta)
+    else:
+        entries = _expansion_strike(model, sub, n_max, lo, hi, delta, eps, rule)
     return StrikeProjection(
         entries=entries, interval=(lo.x, hi.x), notice_delta=delta, route=route
     )

@@ -25,6 +25,22 @@ for Vasicek) runs over those coefficients: on plain floats for one abscissa,
 on numpy rows for ``eigenfunction_matrix``.  The coefficient lists are built
 on first use, cached on the model and grown on demand; the derived constants
 (``gamma``, ``b``, ``order_m``, ``hermite_shift``, ...) are cached too.
+
+The pricer and the integral tables (``coeffs``) run the same code for every
+model; what differs between the diffusions is read from these facts:
+
+* ``affine``: whether ``affine_bond_factors`` (and so ``closed_form_bond``
+  and ``strike_factors``, the tilt and prefactor of the closed-form strike
+  projection) exist;
+* ``search_interval(n_supply)``: the states a break-even search may probe
+  and the first upper end of its cold bracket;
+* ``table_degree_cap``: the largest degree whose integral tables stay in
+  double range; a model whose cap is negative is refused at construction;
+* ``polynomial_family`` ("laguerre" or "hermite") and
+  ``coordinate_reversed`` (whether ``poly_coordinate`` decreases in the
+  state), which place the integral tables in the polynomial coordinate;
+* ``overlap_log_constant``: the log of the constant factor of the overlap
+  integrals in that coordinate.
 """
 
 from __future__ import annotations
@@ -48,11 +64,11 @@ __all__ = [
     "MODEL_KINDS",
 ]
 
-MODEL_KINDS = ("cir", "vasicek", "three_halves")
-
 # Hard ceiling on the terms of an uncapped series before the pricer declares
 # failure; the recurrence coefficient lists double up to it.
 POOL_CAP = 2000
+HERMITE_DEGREE_CAP = 140  # sqrt(pi) 2^n n! overflows doubles shortly beyond
+_BRACKET_CAP = 50.0  # upper search bound of the positive models, as a multiple of theta
 
 
 class _Recurrence:
@@ -133,12 +149,20 @@ class DiffusionModel:
     sigma: float
 
     kind = "base"
+    affine = False
+    coordinate_reversed = False
 
     def __post_init__(self):
         for name in ("kappa", "theta", "sigma"):
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be finite and > 0, got {value}")
+        if self.table_degree_cap < 0:
+            raise ValidationError(
+                f"{self.kind} model with kappa={self.kappa}, theta={self.theta}, "
+                f"sigma={self.sigma} is unsupported: its integral tables overflow double "
+                f"precision at every degree (degree cap {self.table_degree_cap})"
+            )
 
     # --- state space -----------------------------------------------------
 
@@ -159,6 +183,11 @@ class DiffusionModel:
                 f"state {x} outside the {self.kind} state space "
                 f"[{self.state_lo}, {self.state_hi}]"
             )
+
+    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
+        """(lo, start, hi): the break-even search probes [lo, hi], where series
+        of ``n_supply`` terms resolve; its cold bracket first ends at start."""
+        raise NotImplementedError
 
     # --- spectral data ----------------------------------------------------
 
@@ -185,6 +214,22 @@ class DiffusionModel:
         """Matrix [j, n] = phi_n(xs[j]); vectorized over the abscissas."""
         raise NotImplementedError
 
+    # --- integral-table data ------------------------------------------------
+
+    @property
+    def table_degree_cap(self) -> int:
+        """Largest degree whose integral tables stay inside double range."""
+        raise NotImplementedError
+
+    @property
+    def overlap_log_constant(self) -> float:
+        """log of the factor, besides N_m N_n, from pair to overlap integrals."""
+        raise NotImplementedError
+
+    def strike_factors(self, delta: float, n_max: int) -> tuple[float, np.ndarray]:
+        """Tilt s and factors [n] from exp integrals to P(delta, .) projections."""
+        raise NotImplementedError
+
     # --- densities and bonds ----------------------------------------------
 
     def speed_density(self, x: float):
@@ -199,16 +244,17 @@ class DiffusionModel:
         """Normalized stationary law as a frozen scipy.stats distribution."""
         raise NotImplementedError
 
-    def closed_form_bond(self, t: float, x) -> float | np.ndarray:
-        """Exponential-affine zero-coupon bond A(t) e^{-B(t) x} where available."""
-        raise UnsupportedModelError(
-            f"no affine closed-form zero-coupon bond for the {self.kind} model"
-        )
-
     def affine_bond_factors(self, t: float) -> tuple[float, float]:
         raise UnsupportedModelError(
             f"no affine closed-form zero-coupon bond for the {self.kind} model"
         )
+
+    def closed_form_bond(self, t: float, x) -> float | np.ndarray:
+        """Exponential-affine zero-coupon bond A(t) e^{-B(t) x} (affine models)."""
+        if t < 0.0:
+            raise ValidationError("maturity must be >= 0")
+        a_fac, b_fac = self.affine_bond_factors(t)
+        return a_fac * np.exp(-b_fac * np.asarray(x, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -219,6 +265,9 @@ class CIRModel(DiffusionModel):
     """Square-root diffusion; eigenfunctions are weighted Laguerre polynomials."""
 
     kind = "cir"
+    state_lo, state_hi = 0.0, math.inf
+    affine = True
+    polynomial_family = "laguerre"
 
     @cached_property
     def gamma(self) -> float:
@@ -230,17 +279,24 @@ class CIRModel(DiffusionModel):
         """2 kappa theta / sigma^2; Feller boundary parameter."""
         return 2.0 * self.kappa * self.theta / self.sigma**2
 
-    @property
-    def state_lo(self) -> float:
-        return 0.0
-
-    @property
-    def state_hi(self) -> float:
-        return math.inf
+    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
+        # the origin is an admissible boundary and poses no resolution problem
+        return 0.0, self.theta, self.theta * _BRACKET_CAP
 
     @property
     def laguerre_order(self) -> float:
         return self.b - 1.0
+
+    @property
+    def table_degree_cap(self) -> int:
+        # Gamma(alpha + n + 1) seeds the Laguerre chains
+        return int(168.0 - self.laguerre_order)
+
+    @cached_property
+    def overlap_log_constant(self) -> float:
+        return (self.b - 1.0) * math.log(self.sigma**2 / (2.0 * self.gamma)) - math.log(
+            self.gamma
+        )
 
     def poly_coordinate(self, x) -> float | np.ndarray:
         """Map state to the Laguerre abscissa u = 2 gamma x / sigma^2."""
@@ -319,11 +375,13 @@ class CIRModel(DiffusionModel):
         b_fac = 2.0 * egt / denom
         return a_fac, b_fac
 
-    def closed_form_bond(self, t: float, x):
-        if t < 0.0:
-            raise ValidationError("maturity must be >= 0")
-        a_fac, b_fac = self.affine_bond_factors(t)
-        return a_fac * np.exp(-b_fac * np.asarray(x, dtype=float))
+    def strike_factors(self, delta: float, n_max: int) -> tuple[float, np.ndarray]:
+        a_fac, b_fac = self.affine_bond_factors(delta)
+        log_n = self.log_norm_constants(n_max)
+        g, s2 = self.gamma, self.sigma**2
+        tilt = b_fac * s2 / (2.0 * g) + (self.kappa + g) / (2.0 * g)
+        pref = a_fac * np.exp(log_n + (self.b - 1.0) * math.log(s2 / (2.0 * g)) - math.log(g))
+        return tilt, pref
 
 
 # ---------------------------------------------------------------------------
@@ -334,19 +392,25 @@ class VasicekModel(DiffusionModel):
     """Ornstein-Uhlenbeck short rate; eigenfunctions are weighted Hermite polynomials."""
 
     kind = "vasicek"
+    state_lo, state_hi = -math.inf, math.inf
+    affine = True
+    polynomial_family = "hermite"
+    table_degree_cap = HERMITE_DEGREE_CAP
+    search_sigmas = 4.0  # half-width of the search band in stationary standard deviations
 
     @cached_property
     def hermite_shift(self) -> float:
         """a = sigma / kappa^{3/2}; offset of the Hermite argument."""
         return self.sigma / self.kappa**1.5
 
-    @property
-    def state_lo(self) -> float:
-        return -math.inf
+    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
+        # a symmetric band around theta, whose mapped coordinates the series resolve
+        half = self.search_sigmas * self.sigma / math.sqrt(2.0 * self.kappa)
+        return self.theta - half, self.theta + half, self.theta + half
 
-    @property
-    def state_hi(self) -> float:
-        return math.inf
+    @cached_property
+    def overlap_log_constant(self) -> float:
+        return math.log(2.0) - math.log(self.sigma) - 0.5 * math.log(self.kappa)
 
     def xi(self, x) -> float | np.ndarray:
         return math.sqrt(self.kappa) / self.sigma * (x - self.theta)
@@ -421,11 +485,19 @@ class VasicekModel(DiffusionModel):
         )
         return a_fac, b_fac
 
-    def closed_form_bond(self, t: float, x):
-        if t < 0.0:
-            raise ValidationError("maturity must be >= 0")
-        a_fac, b_fac = self.affine_bond_factors(t)
-        return a_fac * np.exp(-b_fac * np.asarray(x, dtype=float))
+    def strike_factors(self, delta: float, n_max: int) -> tuple[float, np.ndarray]:
+        a_fac, b_fac = self.affine_bond_factors(delta)
+        log_n = self.log_norm_constants(n_max)
+        a, root_k = self.hermite_shift, math.sqrt(self.kappa)
+        tilt = a - b_fac * self.sigma / root_k
+        pref = (
+            2.0
+            * a_fac
+            * np.exp(log_n)
+            / (self.sigma * root_k)
+            * math.exp(-0.5 * a * a - b_fac * (self.theta - a * self.sigma / root_k))
+        )
+        return tilt, pref
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +508,9 @@ class ThreeHalvesModel(DiffusionModel):
     """3/2 diffusion; Laguerre eigenfunctions in the reciprocal coordinate beta/x."""
 
     kind = "three_halves"
+    state_lo, state_hi = 0.0, math.inf  # the origin is a boundary, not a state
+    polynomial_family = "laguerre"
+    coordinate_reversed = True
 
     @cached_property
     def alpha(self) -> float:
@@ -452,20 +527,26 @@ class ThreeHalvesModel(DiffusionModel):
         """sqrt((kappa/sigma^2 + 1/2)^2 + 2/sigma^2); half the Laguerre order."""
         return math.sqrt((self.kappa / self.sigma**2 + 0.5) ** 2 + 2.0 / self.sigma**2)
 
-    @property
-    def state_lo(self) -> float:
-        return 0.0
-
-    @property
-    def state_hi(self) -> float:
-        return math.inf
-
     def contains(self, x: float) -> bool:
         return self.state_lo < x <= self.state_hi
+
+    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
+        # the left end maps to a huge Laguerre abscissa: pull it in to keep the
+        # coordinate inside the oscillatory range of the available degrees
+        v_max = 4.0 * max(n_supply, 16) + 2.0 * self.laguerre_order + 2.0
+        return self.beta / v_max, self.theta, self.theta * _BRACKET_CAP
 
     @property
     def laguerre_order(self) -> float:
         return 2.0 * self.order_m
+
+    @property
+    def table_degree_cap(self) -> int:
+        return int(168.0 - self.laguerre_order)
+
+    @cached_property
+    def overlap_log_constant(self) -> float:
+        return math.log(2.0 / self.sigma**2) - (2.0 * self.order_m + 1.0) * math.log(self.beta)
 
     def poly_coordinate(self, x) -> float | np.ndarray:
         """Map state to the Laguerre abscissa v = beta / x (orientation reversed)."""
@@ -555,11 +636,8 @@ class ThreeHalvesModel(DiffusionModel):
 
 # ---------------------------------------------------------------------------
 
-_MODEL_CLASSES = {
-    "cir": CIRModel,
-    "vasicek": VasicekModel,
-    "three_halves": ThreeHalvesModel,
-}
+_MODEL_CLASSES = {cls.kind: cls for cls in (CIRModel, VasicekModel, ThreeHalvesModel)}
+MODEL_KINDS = tuple(_MODEL_CLASSES)
 
 
 def make_model(kind: str, kappa: float, theta: float, sigma: float) -> DiffusionModel:

@@ -292,7 +292,7 @@ def _short_rate_table(
     """
     if sub.family != "ig":
         raise ValidationError("subordinated Monte Carlo supports the ig family only")
-    if not isinstance(model, (CIRModel, VasicekModel)):
+    if not model.affine:
         raise UnsupportedModelError(
             f"subordinated Monte Carlo needs the closed-form bond, which the {model.kind} model lacks"
         )

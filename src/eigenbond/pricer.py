@@ -35,7 +35,7 @@ from scipy import optimize
 from . import coeffs as coeffs_mod
 from . import series
 from .errors import BracketError, ConvergenceError, ValidationError
-from .models import POOL_CAP, CIRModel, DiffusionModel, ThreeHalvesModel, VasicekModel
+from .models import POOL_CAP, DiffusionModel
 from .subordinators import SubordinatorSpec, laplace_exponent, short_rate_map
 
 __all__ = [
@@ -49,8 +49,6 @@ __all__ = [
     "price_bond",
 ]
 
-_DEFAULT_BRACKET_SIGMAS = 4.0
-_CIR_BRACKET_CAP = 50.0  # upper search bound as a multiple of theta
 # A date's break-even search starts from last date's state of the same kind
 # with this half-width; an end that fails to straddle moves out by steps
 # growing this factor at a time.
@@ -333,51 +331,27 @@ def continuation_value(
 # ---------------------------------------------------------------------------
 
 
-def _search_interval(
-    model: DiffusionModel, n_supply: int, bracket_sigmas: float
-) -> tuple[float, float]:
-    """State interval over which truncated series are trustworthy.
-
-    Lower ends: the CIR origin is an admissible reflecting/entrance point
-    and poses no resolution problem; the 3/2 left end maps to a huge
-    Laguerre abscissa, so it is pulled in to keep the mapped coordinate
-    inside the resolvable (oscillatory) range of the available degrees.
-    Vasicek searches a symmetric band of ``bracket_sigmas`` stationary
-    standard deviations, for the same resolvability reason.
-    """
-    if isinstance(model, VasicekModel):
-        half = bracket_sigmas * model.sigma / math.sqrt(2.0 * model.kappa)
-        return model.theta - half, model.theta + half
-    if isinstance(model, ThreeHalvesModel):
-        v_max = 4.0 * max(n_supply, 16) + 2.0 * model.laguerre_order + 2.0
-        return model.beta / v_max, model.theta * _CIR_BRACKET_CAP
-    return 0.0, model.theta * _CIR_BRACKET_CAP
-
-
 class _RootFinder:
     """Locates one date's break-even states against a continuation function.
 
-    ``cont(x)`` returns the continuation value and its series stop level.
-    The levels of every evaluation ``find`` makes are appended to
-    ``levels``; the sign scan records none.
+    ``cont(x)`` returns the continuation value and its series stop level;
+    ``interval`` is the model's ``search_interval``.  The levels of every
+    evaluation ``find`` makes are appended to ``levels``; the sign scan
+    records none.
     """
 
     def __init__(
         self,
-        model: DiffusionModel,
         cont,
         discounted_strike,
-        search_lo: float,
-        search_hi: float,
+        interval: tuple[float, float, float],
         tol_x: float,
         decision_index: int,
         levels: list[int] | None = None,
     ):
-        self.model = model
         self.cont = cont
         self.discounted_strike = discounted_strike
-        self.search_lo = search_lo
-        self.search_hi = search_hi
+        self.search_lo, self.bracket_start, self.search_hi = interval
         self.tol_x = tol_x
         self.decision_index = decision_index
         self.levels = levels
@@ -400,13 +374,10 @@ class _RootFinder:
         """Bracket over the whole search interval; None for an empty region."""
         lo = self.search_lo
         f_lo = diff(lo)
-        if isinstance(self.model, VasicekModel):
-            hi = self.search_hi
-        else:
-            # grow the upper end geometrically until the difference turns positive
-            hi = max(self.model.theta, lo + self.tol_x)
-            while diff(hi) <= 0.0 and hi < self.search_hi:
-                hi = min(2.0 * hi, self.search_hi)
+        # grow the upper end geometrically until the difference turns positive
+        hi = max(self.bracket_start, lo + self.tol_x)
+        while diff(hi) <= 0.0 and hi < self.search_hi:
+            hi = min(2.0 * hi, self.search_hi)
         f_hi = diff(hi)
         if kind == "call":
             if f_lo > 0.0:
@@ -497,7 +468,6 @@ def find_break_even(
     eps: float = 1e-9,
     tol_x: float = 1e-7,
     rule: str = series.TWO_TERM,
-    bracket_sigmas: float = _DEFAULT_BRACKET_SIGMAS,
 ) -> float | None:
     """Solve strike * P(delta, x) = continuation(x) for a single date.
 
@@ -514,15 +484,15 @@ def find_break_even(
         return _series_eval_capped(basis, weights, x, eps, rule)
 
     pdelta = _make_discounted_bond(basis, delta, eps, rule)
-    lo, hi = _search_interval(model, coefficients.size - 1, bracket_sigmas)
-    finder = _RootFinder(model, cont, pdelta, lo, hi, tol_x, decision_index=-1)
+    interval = model.search_interval(coefficients.size - 1)
+    finder = _RootFinder(cont, pdelta, interval, tol_x, decision_index=-1)
     return finder.find(kind, strike)
 
 
 def _make_discounted_bond(basis: SpectralBasis, delta: float, eps: float, rule: str):
     """P(delta, x) evaluator: affine closed form when exact, else expansion."""
     model, sub = basis.model, basis.sub
-    if sub.is_trivial and isinstance(model, (CIRModel, VasicekModel)):
+    if sub.is_trivial and model.affine:
         a_fac, b_fac = model.affine_bond_factors(delta)
         return lambda x: a_fac * math.exp(-b_fac * x)
     return lambda x: _series_eval_pool(basis, delta, x, eps, rule)[0]
@@ -543,7 +513,6 @@ class _Engine:
         rule: str,
         tol_x: float,
         check_single_crossing: bool,
-        bracket_sigmas: float,
     ):
         if not 0.0 < eps <= 1e-3:
             raise ValidationError(f"eps must lie in (0, 1e-3], got {eps}")
@@ -559,7 +528,6 @@ class _Engine:
         self.rule = rule
         self.tol_x = tol_x
         self.check_single_crossing = check_single_crossing
-        self.bracket_sigmas = bracket_sigmas
         self.basis = SpectralBasis(model, sub)
         self.pdelta = _make_discounted_bond(self.basis, schedule.notice_delta, eps, rule)
         self.dates: list[DateRecord] = []
@@ -596,10 +564,8 @@ class _Engine:
             def cont(x: float) -> tuple[float, int]:
                 return _series_eval_capped(self.basis, prev_weights, x, self.eps, self.rule)
 
-        lo, hi = _search_interval(self.model, m_cols, self.bracket_sigmas)
-        finder = _RootFinder(
-            self.model, cont, self.pdelta, lo, hi, self.tol_x, i, record.eval_levels
-        )
+        interval = self.model.search_interval(m_cols)
+        finder = _RootFinder(cont, self.pdelta, interval, self.tol_x, i, record.eval_levels)
 
         states: dict[str, float | None] = {"call": None, "put": None}
         for kind, strike in (("call", sched.call_price(i)), ("put", sched.put_price(i))):
@@ -754,7 +720,7 @@ class _Engine:
         )
 
     def _protected_coupon_bond(self, t: float, x: float) -> float:
-        if self.sub.is_trivial and isinstance(self.model, (CIRModel, VasicekModel)):
+        if self.sub.is_trivial and self.model.affine:
             return float(self.model.closed_form_bond(t, x))
         return _series_eval_pool(self.basis, t, x, self.eps, self.rule)[0]
 
@@ -785,7 +751,6 @@ def price_bond(
     rule: str = series.TWO_TERM,
     tol_x: float = 1e-7,
     check_single_crossing: bool = False,
-    bracket_sigmas: float = _DEFAULT_BRACKET_SIGMAS,
 ) -> PricingResult:
     """Value a callable/putable bond at one or more initial states.
 
@@ -805,6 +770,5 @@ def price_bond(
         rule=rule,
         tol_x=tol_x,
         check_single_crossing=check_single_crossing,
-        bracket_sigmas=bracket_sigmas,
     )
     return engine.run(initial_states)

@@ -121,6 +121,17 @@ def test_price_numerical_failure_exit_code(tmp_path, capsys):
     assert "put region" in err
 
 
+def test_price_refuses_a_model_without_integral_tables(tmp_path, capsys):
+    doc = preset_config("swiss1987", "cir")
+    doc["model"] = {"kind": "cir", "kappa": 1.0, "theta": 0.05, "sigma": 0.02}  # b = 250
+    path = tmp_path / "b250.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "price", "--config", str(path))
+    assert code == 2  # ValidationError, the exit code of refused input
+    assert out == ""
+    assert err.startswith("error: ") and "integral tables" in err
+
+
 def test_reproduce_t5_matches_reference(capsys):
     code, out, _ = run_cli(capsys, "reproduce", "--table", "T5")
     assert code == 0

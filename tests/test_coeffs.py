@@ -138,6 +138,13 @@ def test_degree_caps():
         coeffs.hermite_pair_integrals(141, 0.3)
     assert coeffs.max_table_degree(VAS) == 140
     assert coeffs.max_table_degree(CIR) > 160
+    # 3/2: Laguerre order 2m, the tables build at the cap and refuse beyond it
+    cap = coeffs.max_table_degree(TH)
+    assert cap == int(168.0 - TH.laguerre_order) == 150
+    table = coeffs.laguerre_pair_integrals(cap, TH.laguerre_order, TH.poly_coordinate(0.05))
+    assert np.all(np.isfinite(table))
+    with pytest.raises(ValidationError):
+        coeffs.laguerre_pair_integrals(cap + 2, TH.laguerre_order, 1.0)
 
 
 # ---------------------------------------------------------------------------
