@@ -30,7 +30,7 @@ for model in (cir, vasicek, three_halves):
 
 print("\neigenfunctions are orthonormal against the speed density:")
 for model in (cir, vasicek, three_halves):
-    gram = overlap_matrix(model, 8, model.state_lo, model.state_hi).entries
+    gram = overlap_matrix(model, 8, model.state_lo, model.state_hi)
     print(f"  {model.kind:13s} max |Gram - I| = {np.max(np.abs(gram - np.eye(9))):.2e}")
 
 print("\nthe unit payoff expands as 1 = sum_n p_n phi_n(x):")

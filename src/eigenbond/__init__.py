@@ -10,7 +10,7 @@ warm-started from the previous date's boundary.
 
 __version__ = "0.1.0"
 
-from .coeffs import OverlapMatrix, StrikeProjection, overlap_matrix, strike_projection
+from .coeffs import overlap_matrix, strike_projection
 from .errors import (
     BracketError,
     ConvergenceError,
@@ -23,7 +23,6 @@ from .models import CIRModel, DiffusionModel, ThreeHalvesModel, VasicekModel, ma
 from .oracle import mc_zero_coupon, quadrature_dp_price
 from .pricer import (
     BondSchedule,
-    CoefficientState,
     PricingResult,
     continuation_value,
     find_break_even,
@@ -45,14 +44,11 @@ __all__ = [
     "BondSchedule",
     "BracketError",
     "CIRModel",
-    "CoefficientState",
     "ConvergenceError",
     "DensityTruncationError",
     "DiffusionModel",
     "EigenbondError",
-    "OverlapMatrix",
     "PricingResult",
-    "StrikeProjection",
     "SubordinatorSpec",
     "ThreeHalvesModel",
     "UnsupportedModelError",

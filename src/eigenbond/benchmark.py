@@ -14,7 +14,8 @@ checked against: bond values per initial rate, break-even short rates per
 decision date, and per-date maximum truncation levels at three tolerances.
 One put-block entry (subvasicek_jd at tau_14) is printed in the source
 with a missing leading zero (0.3080348); it is stored here corrected to
-0.03080348, consistent with its neighbors.
+0.03080348, consistent with its neighbors.  ``published_values`` and
+``published_break_even`` read the tables with ``ERRATA`` substituted.
 """
 
 from __future__ import annotations
@@ -32,6 +33,8 @@ __all__ = [
     "BENCHMARK_CONFIGS",
     "MODEL_PARAMS",
     "REFERENCE",
+    "published_values",
+    "published_break_even",
 ]
 
 MODEL_PARAMS = {
@@ -329,3 +332,25 @@ REFERENCE = {
     "max_truncation": MAX_TRUNCATION,
     "errata": ERRATA,
 }
+
+
+def published_values(config: str, include_put: bool = False) -> tuple[float, ...]:
+    """Published bond values at ``RATES``, errata substituted."""
+    table = "callable_putable_values" if include_put else "callable_values"
+    return tuple(ERRATA.get(table, {}).get(config, REFERENCE[table][config]))
+
+
+def published_break_even(config: str, include_put: bool = False) -> list[tuple]:
+    """Published (call, put) break-even short rates at tau_20 .. tau_11,
+    errata substituted.  NaN marks a date without a break-even point; the
+    put entry is None for the call-only bond.
+    """
+    if include_put:
+        table = "callable_putable_break_even"
+        blocks = ERRATA.get(table, {}).get(config, REFERENCE[table][config])
+        return list(zip(blocks["call"], blocks["put"]))
+    table = "callable_break_even"
+    calls = list(REFERENCE[table][config])
+    for pos, fixed in ERRATA.get(table, {}).get(config, {}).items():
+        calls[pos] = fixed
+    return [(call, None) for call in calls]

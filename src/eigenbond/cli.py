@@ -1,10 +1,9 @@
-"""Command-line front end: price bonds, reproduce benchmarks, time runs.
+"""Command-line front end: price bonds and reproduce the published tables.
 
 Subcommands
 -----------
 price       value a bond from a JSON config or the built-in preset
 reproduce   recompute a published benchmark table with abs-diff columns
-bench       wall-time statistics per full bond pricing at three tolerances
 
 Exit codes: 0 success, 2 invalid input/config, 3 numerical failure.
 Table columns are priced one after another in a single thread.
@@ -15,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import statistics
 import sys
 import time
 
@@ -270,28 +268,6 @@ def cmd_price(args) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _reference_column(table: str, config: str, block: str | None = None):
-    """Golden values with documented errata substituted."""
-    if table in ("callable_values", "callable_putable_values"):
-        ref = list(benchmark.REFERENCE[table][config])
-        err = benchmark.ERRATA.get(table, {}).get(config)
-        if err is not None:
-            ref = list(err)
-        return ref
-    if table == "callable_break_even":
-        ref = list(benchmark.REFERENCE[table][config])
-        for pos, fixed in benchmark.ERRATA.get(table, {}).get(config, {}).items():
-            ref[pos] = fixed
-        return ref
-    if table == "callable_putable_break_even":
-        ref = list(benchmark.REFERENCE[table][config][block])
-        err = benchmark.ERRATA.get(table, {}).get(config)
-        if err is not None:
-            ref = list(err[block])
-        return ref
-    raise KeyError(table)
-
-
 def _run_config(config: str, include_put: bool, rates, eps: float) -> PricingResult:
     model = benchmark.benchmark_model(config)
     sub = benchmark.benchmark_subordinator(config)
@@ -302,7 +278,6 @@ def _run_config(config: str, include_put: bool, rates, eps: float) -> PricingRes
 
 def _value_table_lines(table_id: str) -> list[str]:
     include_put = table_id == "T10"
-    ref_key = "callable_putable_values" if include_put else "callable_values"
     configs = {
         "T5": ("cir",),
         "T6": ("vasicek",),
@@ -312,6 +287,7 @@ def _value_table_lines(table_id: str) -> list[str]:
     eps = _EPS_VALUES if table_id in ("T5", "T6") else _EPS_VALUES_SUB
     rates = list(benchmark.RATES)
     results = [_run_config(c, include_put, rates, eps).values for c in configs]
+    published = [benchmark.published_values(c, include_put) for c in configs]
     lines = [_csv_header(f"reproduce {table_id}", eps)]
     header = ["rate"]
     for config in configs:
@@ -319,9 +295,8 @@ def _value_table_lines(table_id: str) -> list[str]:
     lines.append(",".join(header))
     for i, rate in enumerate(rates):
         row = [f"{rate:.2f}"]
-        for config, values in zip(configs, results):
-            ref = _reference_column(ref_key, config)[i]
-            row += [f"{values[i]:.6f}", f"{abs(values[i] - ref):.2e}"]
+        for values, refs in zip(results, published):
+            row += [f"{values[i]:.6f}", f"{abs(values[i] - refs[i]):.2e}"]
         lines.append(",".join(row))
     return lines
 
@@ -330,9 +305,10 @@ def _break_even_lines(table_id: str) -> list[str]:
     include_put = table_id == "T9"
     configs = benchmark.BENCHMARK_CONFIGS
     results = [_run_config(c, include_put, [0.05], _EPS_ROOTS) for c in configs]
+    published = [benchmark.published_break_even(c, include_put) for c in configs]
     lines = [_csv_header(f"reproduce {table_id}", _EPS_ROOTS)]
     blocks = ("call", "put") if include_put else ("call",)
-    for block in blocks:
+    for side, block in enumerate(blocks):
         header = ["date"]
         for config in configs:
             header += [f"{config}_{block}", f"{config}_{block}_absdiff"]
@@ -340,15 +316,10 @@ def _break_even_lines(table_id: str) -> list[str]:
         for pos in range(10):
             index = 20 - pos
             row = [f"tau_{index}"]
-            for config, res in zip(configs, results):
+            for res, refs in zip(results, published):
                 rec = next(d for d in res.dates if d.index == index)
                 mine = rec.call_rate if block == "call" else rec.put_rate
-                if include_put:
-                    ref = _reference_column(
-                        "callable_putable_break_even", config, block
-                    )[pos]
-                else:
-                    ref = _reference_column("callable_break_even", config)[pos]
+                ref = refs[pos][side]
                 if mine is None and (ref is None or math.isnan(ref)):
                     row += ["n.a.", "0"]
                 elif mine is None or ref is None or math.isnan(ref):
@@ -413,41 +384,6 @@ def cmd_reproduce(args) -> int:
 
 
 # ---------------------------------------------------------------------------
-# bench
-# ---------------------------------------------------------------------------
-
-
-def cmd_bench(args) -> int:
-    if args.repetitions < 10:
-        raise ValidationError("bench needs at least 10 repetitions")
-    if args.config:
-        with open(args.config) as handle:
-            cfg = parse_config(json.load(handle))
-        model, sub, sched = cfg["model"], cfg["sub"], cfg["schedule"]
-        rates = cfg["rates"][:1]
-    else:
-        model = benchmark.benchmark_model(args.model)
-        sub = benchmark.benchmark_subordinator(args.model)
-        sched = benchmark.swiss1987_schedule(include_put=args.include_put)
-        rates = [0.05]
-    states = _initial_states(model, sub, rates)
-    lines = [f"bench model={model.kind} sub={sub.family} reps={args.repetitions}"]
-    lines.append(f"{'eps':>8} {'median ms':>10} {'p95 ms':>10}")
-    for eps in (1e-5, 1e-6, 1e-7):
-        times = []
-        for _ in range(args.repetitions):
-            start = time.perf_counter()
-            price_bond(model, sub, sched, states, eps=eps)
-            times.append(1e3 * (time.perf_counter() - start))
-        times.sort()
-        median = statistics.median(times)
-        p95 = times[min(len(times) - 1, int(round(0.95 * (len(times) - 1))))]
-        lines.append(f"{eps:8.0e} {median:10.2f} {p95:10.2f}")
-    _emit(lines, args.output)
-    return 0
-
-
-# ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
 
@@ -480,14 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--table", required=True, help=f"one of {', '.join(_TABLE_IDS)}")
     p_rep.add_argument("--output", help="write CSV to file instead of stdout")
     p_rep.set_defaults(func=cmd_reproduce)
-
-    p_bench = sub.add_parser("bench", help="time full bond pricings")
-    p_bench.add_argument("--config", help="JSON config path")
-    p_bench.add_argument("--model", default="cir")
-    p_bench.add_argument("--include-put", action="store_true")
-    p_bench.add_argument("--repetitions", type=int, default=20)
-    p_bench.add_argument("--output")
-    p_bench.set_defaults(func=cmd_bench)
     return parser
 
 

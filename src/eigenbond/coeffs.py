@@ -37,7 +37,6 @@ and the strike leg that meet at the state share it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special as sp
@@ -58,8 +57,6 @@ __all__ = [
     "hermite_exp_integrals",
     "hermite_exp_integrals_at_infinity",
     "Endpoint",
-    "OverlapMatrix",
-    "StrikeProjection",
     "overlap_matrix",
     "strike_projection",
     "max_table_degree",
@@ -271,25 +268,6 @@ def hermite_exp_integrals_at_infinity(n_max: int, s: float) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class OverlapMatrix:
-    """Gram matrix of eigenfunctions restricted to a state interval."""
-
-    entries: np.ndarray
-    interval: tuple[float, float]
-    model_kind: str
-
-
-@dataclass(frozen=True)
-class StrikeProjection:
-    """Projections of the delta-discounted unit payoff onto eigenfunctions."""
-
-    entries: np.ndarray
-    interval: tuple[float, float]
-    notice_delta: float
-    route: str
-
-
 class Endpoint:
     """A state placed in the model's polynomial coordinate, with the
     polynomial table its integrals share at a finite coordinate.
@@ -370,9 +348,7 @@ def _coordinate_order(model: DiffusionModel, lo: Endpoint, hi: Endpoint):
     return (hi, lo) if model.coordinate_reversed else (lo, hi)
 
 
-def overlap_matrix(
-    model: DiffusionModel, n_max: int, x_lo: float, x_hi: float
-) -> OverlapMatrix:
+def overlap_matrix(model: DiffusionModel, n_max: int, x_lo: float, x_hi: float) -> np.ndarray:
     """Gram matrix overlap_{m,n}(x_lo, x_hi) for m, n = 0..n_max.
 
     The endpoints may be the state-space boundaries; the full interval
@@ -380,8 +356,7 @@ def overlap_matrix(
     matrix.
     """
     _check_interval(model, x_lo, x_hi)
-    entries = _overlap_block(model, n_max, n_max, x_lo, x_hi)
-    return OverlapMatrix(entries=entries, interval=(x_lo, x_hi), model_kind=model.kind)
+    return _overlap_block(model, n_max, n_max, x_lo, x_hi)
 
 
 def _overlap_block(
@@ -414,13 +389,12 @@ def _expansion_strike(
     hi: Endpoint,
     delta: float,
     eps: float,
-    rule: str,
 ) -> np.ndarray:
     def weights(m_hi: int) -> np.ndarray:
         lam = laplace_exponent(sub, model.eigenvalues(m_hi))
         return model.unit_payoff_coefficients(m_hi) * np.exp(-lam * delta)
 
-    m_cut = series.weight_cutoff(weights, eps, rule=rule)
+    m_cut = series.weight_cutoff(weights, eps)
     w = weights(m_cut)
     block = _overlap_block(model, n_max, m_cut, lo, hi)
     return block @ w
@@ -435,8 +409,7 @@ def strike_projection(
     delta: float,
     eps: float = 1e-10,
     route: str = "auto",
-    rule: str = series.TWO_TERM,
-) -> StrikeProjection:
+) -> np.ndarray:
     """Projections strike_n(x_lo, x_hi) of the delta-discounted unit payoff.
 
     ``route="closed_form"`` integrates the exponential-affine bond directly
@@ -459,11 +432,7 @@ def strike_projection(
             "closed-form strike projections need an affine model on the plain clock"
         )
     if lo.x == hi.x:
-        entries = np.zeros(n_max + 1)
-    elif route == "closed_form":
-        entries = _closed_form_strike(model, n_max, lo, hi, delta)
-    else:
-        entries = _expansion_strike(model, sub, n_max, lo, hi, delta, eps, rule)
-    return StrikeProjection(
-        entries=entries, interval=(lo.x, hi.x), notice_delta=delta, route=route
-    )
+        return np.zeros(n_max + 1)
+    if route == "closed_form":
+        return _closed_form_strike(model, n_max, lo, hi, delta)
+    return _expansion_strike(model, sub, n_max, lo, hi, delta, eps)

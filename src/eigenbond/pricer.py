@@ -16,8 +16,9 @@ The bond value at issue is built in three moves:
 3.  At issue the value is the series at the first decision time plus the
     closed-form (or expansion) present value of the protected coupons.
 
-Every series evaluation is truncated adaptively (see ``series``).  The
-carried coefficient vectors are cut separately, by the decay of their own
+Every series evaluation is truncated adaptively by the two-term
+look-ahead rule of ``series``.  The coefficients carried from one date to
+the next are a plain array, cut separately, by the decay of their own
 next-stage term weights: exercise kinks give the assembled value function
 slower coefficient decay than the series evaluations that located the
 boundaries, so the two depths are controlled independently (see
@@ -40,7 +41,6 @@ from .subordinators import SubordinatorSpec, laplace_exponent, short_rate_map
 
 __all__ = [
     "BondSchedule",
-    "CoefficientState",
     "DateRecord",
     "PricingResult",
     "zero_coupon_price",
@@ -155,21 +155,6 @@ class BondSchedule:
         return self.put_prices[i - self.protection_index]
 
 
-@dataclass(frozen=True)
-class CoefficientState:
-    """Expansion coefficients carried between decision dates."""
-
-    coefficients: np.ndarray
-    decision_index: int
-    truncation_used: int
-
-    def __post_init__(self):
-        if not np.all(np.isfinite(self.coefficients)):
-            raise ConvergenceError(
-                f"non-finite expansion coefficients at decision index {self.decision_index}"
-            )
-
-
 @dataclass
 class DateRecord:
     """Per-decision-date diagnostics of the backward recursion."""
@@ -252,7 +237,7 @@ class SpectralBasis:
 
 
 def _series_eval_capped(
-    basis: SpectralBasis, weights: np.ndarray, x: float, eps: float, rule: str
+    basis: SpectralBasis, weights: np.ndarray, x: float, eps: float
 ) -> tuple[float, int]:
     """Truncated sum_n weights_n phi_n(x) with a fixed coefficient supply.
 
@@ -262,19 +247,19 @@ def _series_eval_capped(
     n_hi = weights.size - 1
     phi = basis.model.eigenfunctions(n_hi, x)
     terms = weights * phi
-    value, level, _ = series.truncate_terms(terms, eps, rule)
+    value, level, _ = series.truncate_terms(terms, eps)
     return value, level
 
 
 def _series_eval_pool(
-    basis: SpectralBasis, t: float, x: float, eps: float, rule: str, scale: float = 1.0
+    basis: SpectralBasis, t: float, x: float, eps: float, scale: float = 1.0
 ) -> tuple[float, int]:
     """Truncated sum_n scale p_n e^{-phi(lambda_n) t} phi_n(x), growing supply."""
     n_hi = 32
     while True:
         weights = scale * basis.unit_weights(t, n_hi)
         phi = basis.model.eigenfunctions(n_hi, x)
-        value, level, converged = series.truncate_terms(weights * phi, eps, rule)
+        value, level, converged = series.truncate_terms(weights * phi, eps)
         if converged:
             return value, level
         if n_hi >= POOL_CAP:
@@ -295,7 +280,6 @@ def zero_coupon_price(
     t: float,
     x: float,
     eps: float = 1e-9,
-    rule: str = series.TWO_TERM,
 ) -> float:
     """Zero-coupon bond by the (subordinate) eigenfunction expansion."""
     if not t > 0.0:
@@ -303,7 +287,7 @@ def zero_coupon_price(
     if not model.contains(x):
         raise ValidationError(f"state {x} outside the {model.kind} state space")
     basis = SpectralBasis(model, sub)
-    value, _ = _series_eval_pool(basis, t, x, eps, rule)
+    value, _ = _series_eval_pool(basis, t, x, eps)
     return value
 
 
@@ -314,7 +298,6 @@ def continuation_value(
     h: float,
     x: float,
     eps: float = 1e-9,
-    rule: str = series.TWO_TERM,
 ) -> float:
     """Hold value sum_n c_n e^{-phi(lambda_n) h} phi_n(x) under truncation."""
     if not h > 0.0:
@@ -322,7 +305,7 @@ def continuation_value(
     coefficients = np.asarray(coefficients, dtype=float)
     basis = SpectralBasis(model, sub)
     weights = coefficients * basis.decay(h, coefficients.size - 1)
-    value, _ = _series_eval_capped(basis, weights, x, eps, rule)
+    value, _ = _series_eval_capped(basis, weights, x, eps)
     return value
 
 
@@ -467,7 +450,6 @@ def find_break_even(
     sub: SubordinatorSpec,
     eps: float = 1e-9,
     tol_x: float = 1e-7,
-    rule: str = series.TWO_TERM,
 ) -> float | None:
     """Solve strike * P(delta, x) = continuation(x) for a single date.
 
@@ -481,21 +463,21 @@ def find_break_even(
     weights = coefficients * basis.decay(h, coefficients.size - 1)
 
     def cont(x):
-        return _series_eval_capped(basis, weights, x, eps, rule)
+        return _series_eval_capped(basis, weights, x, eps)
 
-    pdelta = _make_discounted_bond(basis, delta, eps, rule)
+    pdelta = _make_discounted_bond(basis, delta, eps)
     interval = model.search_interval(coefficients.size - 1)
     finder = _RootFinder(cont, pdelta, interval, tol_x, decision_index=-1)
     return finder.find(kind, strike)
 
 
-def _make_discounted_bond(basis: SpectralBasis, delta: float, eps: float, rule: str):
+def _make_discounted_bond(basis: SpectralBasis, delta: float, eps: float):
     """P(delta, x) evaluator: affine closed form when exact, else expansion."""
     model, sub = basis.model, basis.sub
     if sub.is_trivial and model.affine:
         a_fac, b_fac = model.affine_bond_factors(delta)
         return lambda x: a_fac * math.exp(-b_fac * x)
-    return lambda x: _series_eval_pool(basis, delta, x, eps, rule)[0]
+    return lambda x: _series_eval_pool(basis, delta, x, eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +492,6 @@ class _Engine:
         sub: SubordinatorSpec,
         schedule: BondSchedule,
         eps: float,
-        rule: str,
         tol_x: float,
         check_single_crossing: bool,
     ):
@@ -525,18 +506,21 @@ class _Engine:
         self.schedule = schedule
         self.eps = eps
         self._eps_assembly = ASSEMBLY_TAIL_MARGIN * eps
-        self.rule = rule
         self.tol_x = tol_x
         self.check_single_crossing = check_single_crossing
         self.basis = SpectralBasis(model, sub)
-        self.pdelta = _make_discounted_bond(self.basis, schedule.notice_delta, eps, rule)
+        self.pdelta = _make_discounted_bond(self.basis, schedule.notice_delta, eps)
         self.dates: list[DateRecord] = []
         # break-even states of the date stepped last, the next date's hints
         self._hints: dict[str, float | None] = {"call": None, "put": None}
 
     # -- one decision date ---------------------------------------------------
 
-    def _step(self, i: int, prev: CoefficientState | None) -> CoefficientState:
+    def _step(self, i: int, prev: np.ndarray | None) -> np.ndarray:
+        """Locate date i's break-even states and return the coefficient
+        vector carried to the date before it; ``prev`` is the vector carried
+        from date i + 1, None at the terminal stage.
+        """
         sched = self.schedule
         k = sched.n_coupons
         if i == k - 1:
@@ -549,20 +533,18 @@ class _Engine:
             # terminal stage: c_n = (1 + coupon) p_n, unbounded supply
             scale = 1.0 + sched.coupon
             majorant = lambda m_hi: scale * self.basis.unit_weights(h, m_hi)
-            m_cols = series.weight_cutoff(majorant, self.eps, rule=self.rule)
+            m_cols = series.weight_cutoff(majorant, self.eps)
             prev_weights = scale * self.basis.unit_weights(h, m_cols)
 
             def cont(x: float) -> tuple[float, int]:
-                return _series_eval_pool(self.basis, h, x, self.eps, self.rule, scale=scale)
+                return _series_eval_pool(self.basis, h, x, self.eps, scale=scale)
 
         else:
-            prev_weights = prev.coefficients * self.basis.decay(
-                h, prev.coefficients.size - 1
-            )
-            m_cols = prev.coefficients.size - 1
+            m_cols = prev.size - 1
+            prev_weights = prev * self.basis.decay(h, m_cols)
 
             def cont(x: float) -> tuple[float, int]:
-                return _series_eval_capped(self.basis, prev_weights, x, self.eps, self.rule)
+                return _series_eval_capped(self.basis, prev_weights, x, self.eps)
 
         interval = self.model.search_interval(m_cols)
         finder = _RootFinder(cont, self.pdelta, interval, self.tol_x, i, record.eval_levels)
@@ -599,9 +581,7 @@ class _Engine:
         while True:
             new = self._assemble(i, n_rows, m_cols, x_call, x_put, prev_weights)
             decay_next = self.basis.decay(h_next, n_rows)
-            level, converged = series.stop_level(
-                np.abs(new) * decay_next, self._eps_assembly, self.rule
-            )
+            level, converged = series.stop_level(np.abs(new) * decay_next, self._eps_assembly)
             if converged:
                 new = new[: level + 3]  # keep the two look-ahead terms
                 break
@@ -611,11 +591,11 @@ class _Engine:
                 break
             n_rows = min(2 * n_rows, degree_cap)
 
+        if not np.all(np.isfinite(new)):
+            raise ConvergenceError(f"non-finite expansion coefficients at decision index {i}")
         record.assembled = new.size - 1
         self.dates.append(record)
-        return CoefficientState(
-            coefficients=new, decision_index=i, truncation_used=new.size - 1
-        )
+        return new
 
     def _assemble(self, i, n_rows, m_cols, x_call, x_put, prev_weights) -> np.ndarray:
         sched = self.schedule
@@ -648,9 +628,8 @@ class _Engine:
                 x_c_eff,
                 sched.notice_delta,
                 eps=self.eps,
-                rule=self.rule,
             )
-            new = new + k_call * leg.entries
+            new = new + k_call * leg
         if k_put is not None and x_put is not None:
             leg = coeffs_mod.strike_projection(
                 self.model,
@@ -660,9 +639,8 @@ class _Engine:
                 self.model.state_hi,
                 sched.notice_delta,
                 eps=self.eps,
-                rule=self.rule,
             )
-            new = new + k_put * leg.entries
+            new = new + k_put * leg
         return new + sched.coupon * self.basis.unit_weights(sched.notice_delta, n_rows)
 
     # -- full run --------------------------------------------------------------
@@ -670,19 +648,17 @@ class _Engine:
     def run(self, initial_states: np.ndarray) -> PricingResult:
         sched = self.schedule
         k = sched.n_coupons
-        state: CoefficientState | None = None
+        coefficients: np.ndarray | None = None
         for i in range(k - 1, sched.protection_index - 1, -1):
             try:
-                state = self._step(i, state)
+                coefficients = self._step(i, coefficients)
             except ConvergenceError as exc:
                 raise ConvergenceError(f"at decision index {i}: {exc}") from exc
         self.dates.sort(key=lambda d: d.index)
 
-        if state is not None:
+        if coefficients is not None:
             start_t = sched.decision_time(sched.protection_index)
-            weights0 = state.coefficients * self.basis.decay(
-                start_t, state.coefficients.size - 1
-            )
+            weights0 = coefficients * self.basis.decay(start_t, coefficients.size - 1)
 
         values = np.empty(len(initial_states))
         value_levels: list[int] = []
@@ -691,19 +667,12 @@ class _Engine:
                 raise ValidationError(
                     f"initial state {x0} outside the {self.model.kind} state space"
                 )
-            if state is None:
+            if coefficients is None:
                 value, level = _series_eval_pool(
-                    self.basis,
-                    sched.maturity,
-                    x0,
-                    self.eps,
-                    self.rule,
-                    scale=1.0 + sched.coupon,
+                    self.basis, sched.maturity, x0, self.eps, scale=1.0 + sched.coupon
                 )
             else:
-                value, level = _series_eval_capped(
-                    self.basis, weights0, x0, self.eps, self.rule
-                )
+                value, level = _series_eval_capped(self.basis, weights0, x0, self.eps)
             coupon_leg = 0.0
             for i in range(1, sched.protection_index):
                 coupon_leg += self._protected_coupon_bond(sched.coupon_time(i), x0)
@@ -722,7 +691,7 @@ class _Engine:
     def _protected_coupon_bond(self, t: float, x: float) -> float:
         if self.sub.is_trivial and self.model.affine:
             return float(self.model.closed_form_bond(t, x))
-        return _series_eval_pool(self.basis, t, x, self.eps, self.rule)[0]
+        return _series_eval_pool(self.basis, t, x, self.eps)[0]
 
     def _map_break_even_rates(self) -> None:
         """Map every call and put state of the run in one short-rate map call."""
@@ -748,7 +717,6 @@ def price_bond(
     schedule: BondSchedule,
     initial_states,
     eps: float = 1e-7,
-    rule: str = series.TWO_TERM,
     tol_x: float = 1e-7,
     check_single_crossing: bool = False,
 ) -> PricingResult:
@@ -767,7 +735,6 @@ def price_bond(
         sub,
         schedule,
         eps=eps,
-        rule=rule,
         tol_x=tol_x,
         check_single_crossing=check_single_crossing,
     )

@@ -8,8 +8,6 @@ small relative to everything accumulated so far:
 
 with S_N = sum_{n<=N} t_n.  The two-term look-ahead guards against the
 near-cancellation of consecutive terms of alternating-sign expansions.
-The alternative single-term reading (first condition only) is kept behind
-``rule="single_term"``.
 """
 
 from __future__ import annotations
@@ -17,16 +15,14 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ConvergenceError
+from .models import POOL_CAP
 
 __all__ = ["MIN_LEVEL", "stop_level", "truncate_terms", "weight_cutoff"]
 
 MIN_LEVEL = 2  # always keep at least levels 0..2 (three terms)
 
-TWO_TERM = "two_term"
-SINGLE_TERM = "single_term"
 
-
-def stop_level(terms: np.ndarray, eps: float, rule: str = TWO_TERM) -> tuple[int, bool]:
+def stop_level(terms: np.ndarray, eps: float) -> tuple[int, bool]:
     """First admissible truncation level for the given term sequence.
 
     Returns ``(level, converged)``.  When the rule never fires within the
@@ -46,48 +42,35 @@ def stop_level(terms: np.ndarray, eps: float, rule: str = TWO_TERM) -> tuple[int
     scale = eps * np.abs(partial[MIN_LEVEL:-2])
     look1 = np.abs(terms[MIN_LEVEL + 1 : -1])
     look2 = np.abs(terms[MIN_LEVEL + 1 : -1] + terms[MIN_LEVEL + 2 :])
-    if rule == TWO_TERM:
-        ok = (look1 <= scale) & (look2 <= scale)
-    elif rule == SINGLE_TERM:
-        ok = look1 <= scale
-    else:
-        raise ValueError(f"unknown truncation rule {rule!r}")
-    hits = np.nonzero(ok)[0]
+    hits = np.nonzero((look1 <= scale) & (look2 <= scale))[0]
     if hits.size == 0:
         return last, False
     return int(hits[0]) + MIN_LEVEL, True
 
 
-def truncate_terms(
-    terms: np.ndarray, eps: float, rule: str = TWO_TERM
-) -> tuple[float, int, bool]:
+def truncate_terms(terms: np.ndarray, eps: float) -> tuple[float, int, bool]:
     """Truncated value, stop level, and convergence flag for a term sequence."""
-    level, converged = stop_level(terms, eps, rule)
+    level, converged = stop_level(terms, eps)
     return float(np.sum(terms[: level + 1])), level, converged
 
 
-def weight_cutoff(
-    weight_fn,
-    eps: float,
-    rule: str = TWO_TERM,
-    block: int = 32,
-    hard_cap: int = 2000,
-) -> int:
+def weight_cutoff(weight_fn, eps: float) -> int:
     """Truncation level for a sum dominated termwise by the weights.
 
     ``weight_fn(n_hi)`` must return the nonnegative majorant weights for
-    indices 0..n_hi.  Used for the inner sums of expansion-route strike
-    projections, where the overlap factors are bounded by one and the
-    weights p_m e^{-phi(lambda_m) delta} carry all the decay.
+    indices 0..n_hi; n_hi starts at 32 and doubles up to ``POOL_CAP``.
+    Used for the inner sums of expansion-route strike projections, where
+    the overlap factors are bounded by one and the weights
+    p_m e^{-phi(lambda_m) delta} carry all the decay, and to size the
+    terminal stage's coefficient vector.
     """
-    n_hi = block
+    n_hi = 32
     while True:
-        weights = np.abs(weight_fn(n_hi))
-        level, converged = stop_level(weights, eps, rule)
+        level, converged = stop_level(np.abs(weight_fn(n_hi)), eps)
         if converged:
             return level
-        if n_hi >= hard_cap:
+        if n_hi >= POOL_CAP:
             raise ConvergenceError(
-                f"inner-series weights did not satisfy the truncation rule by n={hard_cap}"
+                f"inner-series weights did not satisfy the truncation rule by n={POOL_CAP}"
             )
-        n_hi = min(2 * n_hi, hard_cap)
+        n_hi = min(2 * n_hi, POOL_CAP)

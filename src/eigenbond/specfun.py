@@ -3,7 +3,7 @@
 Everything downstream (eigenfunctions, overlap integrals, strike
 projections) is built on generalized Laguerre and Hermite polynomials
 evaluated by their two-term recursions, plus the lower incomplete gamma
-function, the error function and the standard normal CDF.
+function.
 
 Polynomial evaluators return the full sequence of degrees 0..n_max at a
 fixed abscissa: every caller needs all indices up to its truncation level,
@@ -24,7 +24,6 @@ __all__ = [
     "hermite_sequence",
     "laguerre_sequence_table",
     "lower_incomplete_gamma",
-    "erf_and_normal_cdf",
 ]
 
 
@@ -108,10 +107,3 @@ def lower_incomplete_gamma(a: float, x: float) -> float:
     if x < 0.0 or not math.isfinite(x):
         raise ValidationError(f"integration endpoint must be >= 0 and finite, got {x}")
     return float(sp.gammainc(a, x) * math.exp(math.lgamma(a)))
-
-
-def erf_and_normal_cdf(x: float) -> tuple[float, float]:
-    """Return (Erf(x), Phi(x)) where Phi is the standard normal CDF."""
-    if not math.isfinite(x):
-        raise ValidationError(f"argument must be finite, got {x}")
-    return float(sp.erf(x)), float(sp.ndtr(x))

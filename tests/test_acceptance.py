@@ -90,17 +90,14 @@ def root_runs():
     return out
 
 
-def _column_check(res, config: str, table: str) -> float:
-    ref = benchmark.REFERENCE[table][config]
-    err = benchmark.ERRATA.get(table, {}).get(config)
-    if err is not None:
-        ref = err
+def _column_check(res, config: str, include_put: bool = False) -> float:
+    ref = benchmark.published_values(config, include_put)
     return float(np.max(np.abs(res.values - np.asarray(ref))))
 
 
 def test_criterion_1_cir_callable_values_and_runtime(callable_runs):
     res, ms = callable_runs["cir"]
-    diff = _column_check(res, "cir", "callable_values")
+    diff = _column_check(res, "cir")
     per_rate = ms / len(RATES)
     ok = diff <= VALUE_TOL and per_rate <= RUNTIME_BUDGET_MS
     _report(
@@ -113,7 +110,7 @@ def test_criterion_1_cir_callable_values_and_runtime(callable_runs):
 
 def test_criterion_2_vasicek_callable_values_and_runtime(callable_runs):
     res, ms = callable_runs["vasicek"]
-    diff = _column_check(res, "vasicek", "callable_values")
+    diff = _column_check(res, "vasicek")
     per_rate = ms / len(RATES)
     ok = diff <= VALUE_TOL and per_rate <= RUNTIME_BUDGET_MS
     _report(
@@ -128,7 +125,7 @@ def test_criterion_3_subordinated_callable_values(callable_runs):
     worst = 0.0
     for config in ("subcir_jd", "subcir_pj", "subvasicek_jd", "subvasicek_pj"):
         res, _ = callable_runs[config]
-        worst = max(worst, _column_check(res, config, "callable_values"))
+        worst = max(worst, _column_check(res, config))
     _report(
         "criterion 3",
         worst <= VALUE_TOL,
@@ -140,7 +137,7 @@ def test_criterion_3_subordinated_callable_values(callable_runs):
 def test_criterion_4_callable_putable_values(putable_runs):
     worst = 0.0
     for config in CONFIGS:
-        diff = _column_check(putable_runs[config], config, "callable_putable_values")
+        diff = _column_check(putable_runs[config], config, include_put=True)
         worst = max(worst, diff)
     _report(
         "criterion 4",
@@ -155,12 +152,10 @@ def test_criterion_5_break_even_short_rates(root_runs):
     errata_notes = []
     for config in CONFIGS:
         res = root_runs[(config, False)]
-        ref = list(benchmark.REFERENCE["callable_break_even"][config])
-        for pos, fixed in benchmark.ERRATA.get("callable_break_even", {}).get(config, {}).items():
-            ref[pos] = fixed
+        for pos in benchmark.ERRATA["callable_break_even"].get(config, {}):
             errata_notes.append(f"{config} tau_{20 - pos}")
         recs = sorted(res.dates, key=lambda d: -d.index)
-        for rec, target in zip(recs, ref):
+        for rec, (target, _) in zip(recs, benchmark.published_break_even(config)):
             if math.isnan(target):
                 assert rec.call_rate is None, f"{config} tau_{rec.index}: expected n.a."
             else:
@@ -168,13 +163,11 @@ def test_criterion_5_break_even_short_rates(root_runs):
                 worst = max(worst, abs(rec.call_rate - target))
     for config in CONFIGS:
         res = root_runs[(config, True)]
-        table = benchmark.REFERENCE["callable_putable_break_even"][config]
-        err = benchmark.ERRATA.get("callable_putable_break_even", {}).get(config)
-        if err is not None:
-            table = err
+        if config in benchmark.ERRATA["callable_putable_break_even"]:
             errata_notes.append(f"{config} putable blocks")
         recs = sorted(res.dates, key=lambda d: -d.index)
-        for rec, call_ref, put_ref in zip(recs, table["call"], table["put"]):
+        published = benchmark.published_break_even(config, include_put=True)
+        for rec, (call_ref, put_ref) in zip(recs, published):
             worst = max(worst, abs(rec.call_rate - call_ref), abs(rec.put_rate - put_ref))
     _report(
         "criterion 5",
@@ -217,7 +210,7 @@ def test_criterion_7_property_suite(callable_runs, putable_runs, root_runs):
     three_halves = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
     models = [benchmark.benchmark_model("cir"), benchmark.benchmark_model("vasicek"), three_halves]
     for model in models:
-        gram = coeffs.overlap_matrix(model, 30, model.state_lo, model.state_hi).entries
+        gram = coeffs.overlap_matrix(model, 30, model.state_lo, model.state_hi)
         assert np.max(np.abs(gram - np.eye(31))) <= 1e-8, model.kind
 
     # coefficient recursions against adaptive quadrature, 200 random cases

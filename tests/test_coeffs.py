@@ -217,18 +217,18 @@ def test_randomized_hermite_exp_cases():
 @pytest.mark.parametrize("model", (CIR, VAS, TH), ids=lambda m: m.kind)
 def test_overlap_full_interval_identity(model):
     om = coeffs.overlap_matrix(model, 12, model.state_lo, model.state_hi)
-    assert np.max(np.abs(om.entries - np.eye(13))) <= 1e-8
+    assert np.max(np.abs(om - np.eye(13))) <= 1e-8
 
 
 def test_overlap_empty_interval_is_zero():
     om = coeffs.overlap_matrix(CIR, 6, 0.05, 0.05)
-    assert np.all(om.entries == 0.0)
+    assert np.all(om == 0.0)
 
 
 def test_overlap_cir_entry_against_quadrature():
     om = coeffs.overlap_matrix(CIR, 10, 0.0, 0.05)
     f = lambda z: CIR.eigenfunctions(3, z)[2] * CIR.eigenfunctions(3, z)[3] * CIR.speed_density(z)
-    assert om.entries[2, 3] == pytest.approx(quad(f, 0.0, 0.05), abs=1e-9)
+    assert om[2, 3] == pytest.approx(quad(f, 0.0, 0.05), abs=1e-9)
 
 
 @pytest.mark.parametrize(
@@ -238,8 +238,8 @@ def test_overlap_cir_entry_against_quadrature():
 )
 def test_overlap_is_positive_semidefinite(model, interval):
     om = coeffs.overlap_matrix(model, 20, *interval)
-    np.testing.assert_allclose(om.entries, om.entries.T, atol=1e-14)
-    eigvals = np.linalg.eigvalsh(om.entries)
+    np.testing.assert_allclose(om, om.T, atol=1e-14)
+    eigvals = np.linalg.eigvalsh(om)
     assert eigvals.min() >= -1e-10
 
 
@@ -250,15 +250,15 @@ def test_overlap_is_positive_semidefinite(model, interval):
 )
 def test_overlap_interval_additivity(model, pts):
     x, y, z = pts
-    a = coeffs.overlap_matrix(model, 12, x, y).entries
-    b = coeffs.overlap_matrix(model, 12, y, z).entries
-    c = coeffs.overlap_matrix(model, 12, x, z).entries
+    a = coeffs.overlap_matrix(model, 12, x, y)
+    b = coeffs.overlap_matrix(model, 12, y, z)
+    c = coeffs.overlap_matrix(model, 12, x, z)
     assert np.max(np.abs(a + b - c)) <= 1e-10
 
 
 def test_overlap_monotone_in_interval():
-    inner = coeffs.overlap_matrix(CIR, 10, 0.02, 0.05).entries
-    outer = coeffs.overlap_matrix(CIR, 10, 0.01, 0.08).entries
+    inner = coeffs.overlap_matrix(CIR, 10, 0.02, 0.05)
+    outer = coeffs.overlap_matrix(CIR, 10, 0.01, 0.08)
     eigvals = np.linalg.eigvalsh(outer - inner)
     assert eigvals.min() >= -1e-10
 
@@ -279,7 +279,7 @@ def test_strike_full_interval_equals_discounted_unit_coeffs():
         expected = model.unit_payoff_coefficients(10) * np.exp(
             -model.eigenvalues(10) * DELTA
         )
-        np.testing.assert_allclose(spj.entries, expected, rtol=1e-11, atol=1e-13)
+        np.testing.assert_allclose(spj, expected, rtol=1e-11, atol=1e-13)
 
 
 def test_strike_full_interval_subordinated():
@@ -288,13 +288,13 @@ def test_strike_full_interval_subordinated():
     from eigenbond.subordinators import laplace_exponent
 
     expected = CIR.unit_payoff_coefficients(10) * np.exp(-laplace_exponent(JD, lam) * DELTA)
-    np.testing.assert_allclose(spj.entries, expected, rtol=1e-9, atol=1e-12)
+    np.testing.assert_allclose(spj, expected, rtol=1e-9, atol=1e-12)
 
 
 def test_strike_zero_notice_is_unit_coeffs():
     spj = coeffs.strike_projection(CIR, NONE, 8, 0.0, math.inf, 0.0)
     np.testing.assert_allclose(
-        spj.entries, CIR.unit_payoff_coefficients(8), rtol=1e-12, atol=1e-14
+        spj, CIR.unit_payoff_coefficients(8), rtol=1e-12, atol=1e-14
     )
 
 
@@ -304,7 +304,7 @@ def test_strike_route_cross_check():
         expanded = coeffs.strike_projection(
             model, NONE, 10, lo, hi, DELTA, eps=1e-12, route="expansion"
         )
-        assert np.max(np.abs(closed.entries - expanded.entries)) <= 1e-8
+        assert np.max(np.abs(closed - expanded)) <= 1e-8
 
 
 def test_strike_closed_route_rejected_for_jump_models():
@@ -321,7 +321,7 @@ def test_strike_against_quadrature():
         * CIR.eigenfunctions(4, z)[4]
         * CIR.speed_density(z)
     )
-    assert spj.entries[4] == pytest.approx(quad(f, 0.0, 0.0412), abs=1e-10)
+    assert spj[4] == pytest.approx(quad(f, 0.0, 0.0412), abs=1e-10)
 
 
 def test_strike_partial_sums_reproduce_indicator_bond():
@@ -332,13 +332,13 @@ def test_strike_partial_sums_reproduce_indicator_bond():
     spj = coeffs.strike_projection(CIR, NONE, 160, lo, hi, DELTA, route="closed_form")
     # interior point: raw partial sums settle toward the bond value
     phi_in = CIR.eigenfunctions(160, 0.05)
-    partial_in = np.cumsum(spj.entries * phi_in)
+    partial_in = np.cumsum(spj * phi_in)
     target_in = float(CIR.closed_form_bond(DELTA, 0.05))
     assert abs(partial_in[160] - target_in) < abs(partial_in[80] - target_in)
     assert abs(partial_in[160] - target_in) <= 5e-3
     # exterior point: partial sums oscillate around zero; the averaged tail
     # is small compared to the indicator jump
     phi_out = CIR.eigenfunctions(160, 0.2)
-    partial_out = np.cumsum(spj.entries * phi_out)
+    partial_out = np.cumsum(spj * phi_out)
     assert abs(np.mean(partial_out[120:])) <= 3e-2
     assert np.max(np.abs(partial_out[120:])) <= 0.1

@@ -59,7 +59,7 @@ def test_cir_ground_eigenfunction_shape():
 @pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind)
 def test_orthonormality(model):
     om = overlap_matrix(model, 30, model.state_lo, model.state_hi)
-    assert np.max(np.abs(om.entries - np.eye(31))) <= 1e-8
+    assert np.max(np.abs(om - np.eye(31))) <= 1e-8
 
 
 @pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind)

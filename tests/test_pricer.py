@@ -82,14 +82,12 @@ def test_truncation_stops_immediately_on_zero_tail():
 
 
 def test_truncation_rule_readings_differ():
-    # a tiny term followed by a late spike: the single-term reading stops at
-    # the tiny term, the two-term look-ahead sees the spike and keeps going
+    # a tiny term followed by a late spike: the two-term look-ahead sees the
+    # spike and does not stop at the tiny term
     terms = np.array([1.0, 0.3, 0.1, 1e-9, 0.5, 0.2, 1e-9, 1e-9, 1e-9, 1e-9])
-    single_level, single_ok = series.stop_level(terms, 1e-6, rule=series.SINGLE_TERM)
-    two_level, two_ok = series.stop_level(terms, 1e-6, rule=series.TWO_TERM)
-    assert single_ok and two_ok
-    assert single_level == 2
-    assert two_level > single_level
+    level, converged = series.stop_level(terms, 1e-6)
+    assert converged
+    assert level > series.MIN_LEVEL
 
 
 def test_zero_coupon_matches_closed_form():

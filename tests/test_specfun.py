@@ -7,7 +7,6 @@ from scipy import integrate
 
 from eigenbond.errors import ValidationError
 from eigenbond.specfun import (
-    erf_and_normal_cdf,
     hermite_sequence,
     laguerre_sequence,
     laguerre_sequence_table,
@@ -122,27 +121,3 @@ def test_lower_gamma_domain_errors():
         lower_incomplete_gamma(0.0, 1.0)
     with pytest.raises(ValidationError):
         lower_incomplete_gamma(1.0, -0.5)
-
-
-def test_erf_and_cdf_symmetry_points():
-    assert erf_and_normal_cdf(0.0) == (0.0, 0.5)
-    e, p = erf_and_normal_cdf(40.0)
-    assert e == pytest.approx(1.0, abs=1e-15)
-    assert p == pytest.approx(1.0, abs=1e-15)
-
-
-def test_erf_against_quadrature():
-    val, _ = integrate.quad(lambda t: 2.0 / math.sqrt(math.pi) * math.exp(-t * t), 0.0, 1.0, epsabs=1e-14)
-    assert erf_and_normal_cdf(1.0)[0] == pytest.approx(val, rel=1e-13)
-
-
-def test_erf_cdf_consistency_identity():
-    for x in np.linspace(-6.0, 6.0, 25):
-        e, p = erf_and_normal_cdf(float(x))
-        assert abs(p - 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))) <= 1e-14
-        assert abs(e + erf_and_normal_cdf(float(-x))[0]) <= 1e-14
-
-
-def test_erf_domain_error():
-    with pytest.raises(ValidationError):
-        erf_and_normal_cdf(math.inf)
