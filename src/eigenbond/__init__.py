@@ -24,8 +24,6 @@ from .oracle import mc_zero_coupon, quadrature_dp_price
 from .pricer import (
     BondSchedule,
     PricingResult,
-    continuation_value,
-    find_break_even,
     price_bond,
     zero_coupon_price,
 )
@@ -35,8 +33,6 @@ from .subordinators import (
     laplace_exponent,
     mean_rate,
     short_rate_map,
-    subordinate_eigenvalue,
-    subordinate_eigenvalues,
 )
 
 __all__ = [
@@ -54,8 +50,6 @@ __all__ = [
     "UnsupportedModelError",
     "ValidationError",
     "VasicekModel",
-    "continuation_value",
-    "find_break_even",
     "invert_short_rate",
     "laplace_exponent",
     "make_model",
@@ -66,7 +60,5 @@ __all__ = [
     "quadrature_dp_price",
     "short_rate_map",
     "strike_projection",
-    "subordinate_eigenvalue",
-    "subordinate_eigenvalues",
     "zero_coupon_price",
 ]

@@ -2,7 +2,7 @@
 
 Subcommands
 -----------
-price       value a bond from a JSON config or the built-in preset
+price       value a bond from a JSON config or the built-in Swiss 1987 bond
 reproduce   recompute a published benchmark table with abs-diff columns
 
 Exit codes: 0 success, 2 invalid input/config, 3 numerical failure.
@@ -125,16 +125,8 @@ def parse_config(doc: dict) -> dict:
     }
 
 
-def preset_config(
-    name: str,
-    model_name: str,
-    include_put: bool = False,
-    rates=None,
-    eps: float = 1e-7,
-) -> dict:
-    """Config document for a built-in preset (currently 'swiss1987')."""
-    if name != "swiss1987":
-        raise ValidationError(f"unknown preset {name!r}")
+def preset_config(model_name: str, include_put: bool = False) -> dict:
+    """Config document of the built-in Swiss 1987 bond under a benchmark model."""
     if model_name not in benchmark.BENCHMARK_CONFIGS:
         raise ValidationError(
             f"unknown benchmark model {model_name!r}; expected one of "
@@ -167,8 +159,8 @@ def preset_config(
             "put_prices": list(sched.put_prices) if sched.put_prices else None,
         },
         "run": {
-            "rates": list(rates) if rates is not None else [0.01 * i for i in range(1, 11)],
-            "eps": eps,
+            "rates": [0.01 * i for i in range(1, 11)],
+            "eps": 1e-7,
             "format": "table",
         },
     }
@@ -249,7 +241,7 @@ def cmd_price(args) -> int:
         with open(args.config) as handle:
             doc = json.load(handle)
     else:
-        doc = preset_config(args.preset, args.model, include_put=args.include_put)
+        doc = preset_config(args.model, include_put=args.include_put)
     if args.rates is not None:
         doc["run"]["rates"] = [float(tok) for tok in args.rates.split(",") if tok]
     if args.eps is not None:
@@ -398,11 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_price = sub.add_parser("price", help="value a bond")
     p_price.add_argument("--config", help="JSON config path")
-    p_price.add_argument("--preset", default="swiss1987", help="built-in preset name")
     p_price.add_argument(
         "--model",
         default="cir",
-        help="benchmark model for preset runs "
+        help="benchmark model of the built-in swiss1987 bond "
         f"({', '.join(benchmark.BENCHMARK_CONFIGS)})",
     )
     p_price.add_argument("--include-put", action="store_true", help="add the put ladder")

@@ -22,9 +22,15 @@ keeps every intermediate O(1) and finite at degrees where the raw polynomial
 and the norm constant would separately overflow or underflow).  One loop per
 polynomial family (``_laguerre_kernel`` for CIR and 3/2, ``_hermite_kernel``
 for Vasicek) runs over those coefficients: on plain floats for one abscissa,
-on numpy rows for ``eigenfunction_matrix``.  The coefficient lists are built
-on first use, cached on the model and grown on demand; the derived constants
-(``gamma``, ``b``, ``order_m``, ``hermite_shift``, ...) are cached too.
+on numpy rows for many.  ``eigenfunctions`` (one state) and
+``eigenfunction_matrix`` (an array of states) share one code path, the
+model's ``_prefactor`` (numpy ``exp``/``power`` for a float and an array
+alike) times the kernel at ``poly_coordinate(x)``, so they agree to the last
+bit.  The coefficient lists are built on first use, cached on the model and
+grown on demand; the derived constants (``gamma``, ``b``, ``order_m``,
+``hermite_shift``, ...) are cached too.  Every norm constant is formed in
+log space, so parameter sets whose raw factors overflow separately still
+evaluate.
 
 The pricer and the integral tables (``coeffs``) run the same code for every
 model; what differs between the diffusions is read from these facts:
@@ -140,6 +146,9 @@ def _hermite_kernel(rec: _Recurrence, n_max: int, z) -> np.ndarray:
     return np.array(out)
 
 
+_KERNELS = {"laguerre": _laguerre_kernel, "hermite": _hermite_kernel}
+
+
 @dataclass(frozen=True)
 class DiffusionModel:
     """Base for the three short-rate diffusions; holds kappa, theta, sigma."""
@@ -206,13 +215,29 @@ class DiffusionModel:
         """Projections p_n = (1, phi_n) of the unit payoff for n = 0..n_max."""
         raise NotImplementedError
 
+    def poly_coordinate(self, x) -> float | np.ndarray:
+        """Abscissa of the model's polynomial family at a state or states."""
+        raise NotImplementedError
+
+    def _prefactor(self, x) -> float | np.ndarray:
+        """Factor of phi_n(x) besides the normalized polynomial (numpy, so a
+        float and an array of states round alike)."""
+        raise NotImplementedError
+
     def eigenfunctions(self, n_max: int, x: float) -> np.ndarray:
         """phi_0(x) .. phi_{n_max}(x), orthonormal against m(x) dx."""
-        raise NotImplementedError
+        self._require_state(x)
+        return self._eigenfunction_rows(n_max, float(x))
 
     def eigenfunction_matrix(self, n_max: int, xs: np.ndarray) -> np.ndarray:
         """Matrix [j, n] = phi_n(xs[j]); vectorized over the abscissas."""
-        raise NotImplementedError
+        return self._eigenfunction_rows(n_max, np.asarray(xs, dtype=float)).T
+
+    def _eigenfunction_rows(self, n_max: int, x) -> np.ndarray:
+        """Rows [n] = phi_n(x): one code path for a state and for an array of
+        states, so both evaluators agree to the last bit."""
+        kernel = _KERNELS[self.polynomial_family]
+        return self._prefactor(x) * kernel(self._recurrence, n_max, self.poly_coordinate(x))
 
     # --- integral-table data ------------------------------------------------
 
@@ -329,10 +354,11 @@ class CIRModel(DiffusionModel):
     @cached_property
     def _recurrence(self) -> _Recurrence:
         """N_n L_n^(b-1): r1_n = sqrt(n / (b+n-1)), r2_n = sqrt(n (n-1) / ((b+n-1)(b+n-2)))."""
-        b = self.b
-        n0 = math.sqrt(self.sigma**2 / (2.0 * math.gamma(b))) * (
-            2.0 * self.gamma / self.sigma**2
-        ) ** (0.5 * b)
+        b, s2 = self.b, self.sigma**2
+        n0 = math.exp(
+            0.5 * (math.log(s2) - math.log(2.0) - math.lgamma(b))
+            + 0.5 * b * math.log(2.0 * self.gamma / s2)
+        )
 
         def terms(n: int) -> tuple[float, float]:
             r1 = math.sqrt(n / (b + n - 1.0))
@@ -341,17 +367,12 @@ class CIRModel(DiffusionModel):
 
         return _Recurrence(n0, (b, 0.0, math.sqrt(1.0 / b), b - 2.0), 2, terms)
 
-    def eigenfunctions(self, n_max: int, x: float) -> np.ndarray:
-        self._require_state(x)
-        prefactor = math.exp((self.kappa - self.gamma) * x / self.sigma**2)
-        u = float(self.poly_coordinate(x))
-        return prefactor * _laguerre_kernel(self._recurrence, n_max, u)
+    def _prefactor(self, x):
+        return np.exp((self.kappa - self.gamma) * x / self.sigma**2)
 
-    def eigenfunction_matrix(self, n_max: int, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        pref = np.exp((self.kappa - self.gamma) * xs / self.sigma**2)
-        u = self.poly_coordinate(xs)
-        return (pref * _laguerre_kernel(self._recurrence, n_max, u)).T
+    # named in the class body, where bench/tracer.py wraps them per class
+    eigenfunctions = DiffusionModel.eigenfunctions
+    eigenfunction_matrix = DiffusionModel.eigenfunction_matrix
 
     def speed_density(self, x):
         x = np.asarray(x, dtype=float)
@@ -453,17 +474,13 @@ class VasicekModel(DiffusionModel):
 
         return _Recurrence(n0, (), 1, terms)
 
-    def eigenfunctions(self, n_max: int, x: float) -> np.ndarray:
+    def _prefactor(self, x):
         a = self.hermite_shift
-        xi = self.xi(x)
-        prefactor = math.exp(-a * xi - 0.5 * a * a)
-        return prefactor * _hermite_kernel(self._recurrence, n_max, float(xi + a))
+        return np.exp(-a * self.xi(x) - 0.5 * a * a)
 
-    def eigenfunction_matrix(self, n_max: int, xs: np.ndarray) -> np.ndarray:
-        a = self.hermite_shift
-        xi = self.xi(np.asarray(xs, dtype=float))
-        pref = np.exp(-a * xi - 0.5 * a * a)
-        return (pref * _hermite_kernel(self._recurrence, n_max, xi + a)).T
+    # named in the class body, where bench/tracer.py wraps them per class
+    eigenfunctions = DiffusionModel.eigenfunctions
+    eigenfunction_matrix = DiffusionModel.eigenfunction_matrix
 
     def speed_density(self, x):
         x = np.asarray(x, dtype=float)
@@ -603,17 +620,12 @@ class ThreeHalvesModel(DiffusionModel):
         seed = (two_m, 1.0, math.sqrt(1.0 / (two_m + 1.0)), two_m - 1.0)
         return _Recurrence(n0, seed, 2, terms)
 
-    def eigenfunctions(self, n_max: int, x: float) -> np.ndarray:
-        self._require_state(x)
-        prefactor = x ** (self.alpha - self.order_m - 0.5)
-        v = float(self.poly_coordinate(x))
-        return prefactor * _laguerre_kernel(self._recurrence, n_max, v)
+    def _prefactor(self, x):
+        return np.power(x, self.alpha - self.order_m - 0.5)
 
-    def eigenfunction_matrix(self, n_max: int, xs: np.ndarray) -> np.ndarray:
-        xs = np.asarray(xs, dtype=float)
-        pref = xs ** (self.alpha - self.order_m - 0.5)
-        v = self.poly_coordinate(xs)
-        return (pref * _laguerre_kernel(self._recurrence, n_max, v)).T
+    # named in the class body, where bench/tracer.py wraps them per class
+    eigenfunctions = DiffusionModel.eigenfunctions
+    eigenfunction_matrix = DiffusionModel.eigenfunction_matrix
 
     def speed_density(self, x):
         x = np.asarray(x, dtype=float)

@@ -130,12 +130,7 @@ def quadrature_dp_price(
     y, w = grid.nodes, grid.weights
 
     philam = np.asarray(laplace_exponent(sub, model.eigenvalues(n_density)), dtype=float)
-    steps = [
-        sched.coupon_time(k) - sched.decision_time(k - 1)
-        if i == k - 1
-        else sched.decision_time(i + 1) - sched.decision_time(i)
-        for i in range(sched.protection_index, k)
-    ]
+    steps = [sched.holding_period(i) for i in range(sched.protection_index, k)]
     if steps:
         _check_density_tail(philam, min(steps))
     eig = model.eigenfunction_matrix(n_density, y)
@@ -149,11 +144,7 @@ def quadrature_dp_price(
 
     value = np.full(grid_size, 1.0 + sched.coupon)
     for i in range(k - 1, sched.protection_index - 1, -1):
-        if i == k - 1:
-            h = sched.coupon_time(k) - sched.decision_time(k - 1)
-        else:
-            h = sched.decision_time(i + 1) - sched.decision_time(i)
-        density = _density_matrix(eig, philam, h)
+        density = _density_matrix(eig, philam, sched.holding_period(i))
         cont = density @ (w * value)
         value = cont.copy()
         k_call, k_put = sched.call_price(i), sched.put_price(i)

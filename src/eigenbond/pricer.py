@@ -16,6 +16,14 @@ The bond value at issue is built in three moves:
 3.  At issue the value is the series at the first decision time plus the
     closed-form (or expansion) present value of the protected coupons.
 
+Each quantity has one evaluator.  ``_discount_bond`` gives x -> P(t, x)
+for the notice-period bond of the strike comparisons and for every
+protected coupon: the closed form on an affine model with the plain clock,
+else the growing-supply series.  Continuation values and break-even states
+are computed only inside the recursion (``_Engine``); the public entry
+points are ``price_bond`` and ``zero_coupon_price``.  Brent closes every
+break-even search to ``TOL_X``.
+
 Every series evaluation is truncated adaptively by the two-term
 look-ahead rule of ``series``.  The coefficients carried from one date to
 the next are a plain array, cut separately, by the decay of their own
@@ -44,10 +52,11 @@ __all__ = [
     "DateRecord",
     "PricingResult",
     "zero_coupon_price",
-    "continuation_value",
-    "find_break_even",
     "price_bond",
 ]
+
+# Brent closes each break-even search to within TOL_X / 2 of the crossing.
+TOL_X = 1e-7
 
 # A date's break-even search starts from last date's state of the same kind
 # with this half-width; an end that fails to straddle moves out by steps
@@ -143,6 +152,12 @@ class BondSchedule:
 
     def decision_time(self, i: int) -> float:
         return self.coupon_time(i) - self.notice_delta
+
+    def holding_period(self, i: int) -> float:
+        """Time from decision date i to the next one, or to maturity after the last."""
+        if i == self.n_coupons - 1:
+            return self.maturity - self.decision_time(i)
+        return self.decision_time(i + 1) - self.decision_time(i)
 
     def call_price(self, i: int) -> float | None:
         if self.call_prices is None:
@@ -270,7 +285,7 @@ def _series_eval_pool(
 
 
 # ---------------------------------------------------------------------------
-# Public series operations
+# Zero-coupon bonds
 # ---------------------------------------------------------------------------
 
 
@@ -291,22 +306,14 @@ def zero_coupon_price(
     return value
 
 
-def continuation_value(
-    model: DiffusionModel,
-    sub: SubordinatorSpec,
-    coefficients: np.ndarray,
-    h: float,
-    x: float,
-    eps: float = 1e-9,
-) -> float:
-    """Hold value sum_n c_n e^{-phi(lambda_n) h} phi_n(x) under truncation."""
-    if not h > 0.0:
-        raise ValidationError("time step must be positive")
-    coefficients = np.asarray(coefficients, dtype=float)
-    basis = SpectralBasis(model, sub)
-    weights = coefficients * basis.decay(h, coefficients.size - 1)
-    value, _ = _series_eval_capped(basis, weights, x, eps)
-    return value
+def _discount_bond(basis: SpectralBasis, t: float, eps: float):
+    """x -> P(t, x): the affine closed form on the plain clock, else the
+    growing-supply eigenfunction series."""
+    model = basis.model
+    if basis.sub.is_trivial and model.affine:
+        a_fac, b_fac = model.affine_bond_factors(t)
+        return lambda x: a_fac * math.exp(-b_fac * x)
+    return lambda x: _series_eval_pool(basis, t, x, eps)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -328,14 +335,12 @@ class _RootFinder:
         cont,
         discounted_strike,
         interval: tuple[float, float, float],
-        tol_x: float,
         decision_index: int,
-        levels: list[int] | None = None,
+        levels: list[int],
     ):
         self.cont = cont
         self.discounted_strike = discounted_strike
         self.search_lo, self.bracket_start, self.search_hi = interval
-        self.tol_x = tol_x
         self.decision_index = decision_index
         self.levels = levels
 
@@ -358,7 +363,7 @@ class _RootFinder:
         lo = self.search_lo
         f_lo = diff(lo)
         # grow the upper end geometrically until the difference turns positive
-        hi = max(self.bracket_start, lo + self.tol_x)
+        hi = max(self.bracket_start, lo + TOL_X)
         while diff(hi) <= 0.0 and hi < self.search_hi:
             hi = min(2.0 * hi, self.search_hi)
         f_hi = diff(hi)
@@ -412,10 +417,8 @@ class _RootFinder:
         the same kind) seeds a narrow bracket; without one, or when that
         bracket runs into the search interval's edge, the whole interval
         is bracketed.  Brent's method then closes the bracket to within
-        ``tol_x / 2`` of the crossing.
+        ``TOL_X / 2`` of the crossing.
         """
-        if kind not in ("call", "put"):
-            raise ValidationError(f"unknown option kind {kind!r}")
         diff = self._difference(strike, self.levels)
         bracket = None if hint is None else self._warm_bracket(diff, hint)
         if bracket is None:
@@ -423,7 +426,7 @@ class _RootFinder:
             if bracket is None:
                 return None
         lo, hi = bracket
-        return optimize.brentq(diff, lo, hi, xtol=0.5 * self.tol_x)
+        return optimize.brentq(diff, lo, hi, xtol=0.5 * TOL_X)
 
     def scan_single_crossing(self, strike: float, has_root: bool) -> None:
         """64-point sign scan guarding the single-root assumption."""
@@ -440,46 +443,6 @@ class _RootFinder:
             )
 
 
-def find_break_even(
-    kind: str,
-    strike: float,
-    coefficients: np.ndarray,
-    h: float,
-    delta: float,
-    model: DiffusionModel,
-    sub: SubordinatorSpec,
-    eps: float = 1e-9,
-    tol_x: float = 1e-7,
-) -> float | None:
-    """Solve strike * P(delta, x) = continuation(x) for a single date.
-
-    Returns the break-even state, or None when the corresponding exercise
-    region is empty (the sentinel endpoints substitute in the recursion).
-    """
-    if not strike > 0.0:
-        raise ValidationError("strike must be positive")
-    coefficients = np.asarray(coefficients, dtype=float)
-    basis = SpectralBasis(model, sub)
-    weights = coefficients * basis.decay(h, coefficients.size - 1)
-
-    def cont(x):
-        return _series_eval_capped(basis, weights, x, eps)
-
-    pdelta = _make_discounted_bond(basis, delta, eps)
-    interval = model.search_interval(coefficients.size - 1)
-    finder = _RootFinder(cont, pdelta, interval, tol_x, decision_index=-1)
-    return finder.find(kind, strike)
-
-
-def _make_discounted_bond(basis: SpectralBasis, delta: float, eps: float):
-    """P(delta, x) evaluator: affine closed form when exact, else expansion."""
-    model, sub = basis.model, basis.sub
-    if sub.is_trivial and model.affine:
-        a_fac, b_fac = model.affine_bond_factors(delta)
-        return lambda x: a_fac * math.exp(-b_fac * x)
-    return lambda x: _series_eval_pool(basis, delta, x, eps)[0]
-
-
 # ---------------------------------------------------------------------------
 # The backward recursion
 # ---------------------------------------------------------------------------
@@ -492,7 +455,6 @@ class _Engine:
         sub: SubordinatorSpec,
         schedule: BondSchedule,
         eps: float,
-        tol_x: float,
         check_single_crossing: bool,
     ):
         if not 0.0 < eps <= 1e-3:
@@ -506,10 +468,9 @@ class _Engine:
         self.schedule = schedule
         self.eps = eps
         self._eps_assembly = ASSEMBLY_TAIL_MARGIN * eps
-        self.tol_x = tol_x
         self.check_single_crossing = check_single_crossing
         self.basis = SpectralBasis(model, sub)
-        self.pdelta = _make_discounted_bond(self.basis, schedule.notice_delta, eps)
+        self.pdelta = _discount_bond(self.basis, schedule.notice_delta, eps)
         self.dates: list[DateRecord] = []
         # break-even states of the date stepped last, the next date's hints
         self._hints: dict[str, float | None] = {"call": None, "put": None}
@@ -522,11 +483,8 @@ class _Engine:
         from date i + 1, None at the terminal stage.
         """
         sched = self.schedule
-        k = sched.n_coupons
-        if i == k - 1:
-            h = sched.coupon_time(k) - sched.decision_time(k - 1)
-        else:
-            h = sched.decision_time(i + 1) - sched.decision_time(i)
+        h = sched.holding_period(i)
+        degree_cap = coeffs_mod.max_table_degree(self.model)
         record = DateRecord(index=i, decision_time=sched.decision_time(i))
 
         if prev is None:
@@ -534,6 +492,12 @@ class _Engine:
             scale = 1.0 + sched.coupon
             majorant = lambda m_hi: scale * self.basis.unit_weights(h, m_hi)
             m_cols = series.weight_cutoff(majorant, self.eps)
+            if m_cols > degree_cap:
+                raise ValidationError(
+                    f"{self.model!r} is unsupported at eps={self.eps:g}: its terminal "
+                    f"expansion needs {m_cols} terms, beyond the integral-table degree "
+                    f"cap {degree_cap}"
+                )
             prev_weights = scale * self.basis.unit_weights(h, m_cols)
 
             def cont(x: float) -> tuple[float, int]:
@@ -547,7 +511,7 @@ class _Engine:
                 return _series_eval_capped(self.basis, prev_weights, x, self.eps)
 
         interval = self.model.search_interval(m_cols)
-        finder = _RootFinder(cont, self.pdelta, interval, self.tol_x, i, record.eval_levels)
+        finder = _RootFinder(cont, self.pdelta, interval, i, record.eval_levels)
 
         states: dict[str, float | None] = {"call": None, "put": None}
         for kind, strike in (("call", sched.call_price(i)), ("put", sched.put_price(i))):
@@ -573,10 +537,9 @@ class _Engine:
         # next date may need deeper coefficients than this date's
         # evaluations used.
         if i > sched.protection_index:
-            h_next = sched.decision_time(i) - sched.decision_time(i - 1)
+            h_next = sched.holding_period(i - 1)
         else:
             h_next = sched.decision_time(i)
-        degree_cap = coeffs_mod.max_table_degree(self.model)
         n_rows = min(max(16, m_cols), degree_cap)
         while True:
             new = self._assemble(i, n_rows, m_cols, x_call, x_put, prev_weights)
@@ -660,6 +623,10 @@ class _Engine:
             start_t = sched.decision_time(sched.protection_index)
             weights0 = coefficients * self.basis.decay(start_t, coefficients.size - 1)
 
+        coupon_bonds = [
+            _discount_bond(self.basis, sched.coupon_time(i), self.eps)
+            for i in range(1, sched.protection_index)
+        ]
         values = np.empty(len(initial_states))
         value_levels: list[int] = []
         for j, x0 in enumerate(initial_states):
@@ -673,9 +640,7 @@ class _Engine:
                 )
             else:
                 value, level = _series_eval_capped(self.basis, weights0, x0, self.eps)
-            coupon_leg = 0.0
-            for i in range(1, sched.protection_index):
-                coupon_leg += self._protected_coupon_bond(sched.coupon_time(i), x0)
+            coupon_leg = sum(bond(x0) for bond in coupon_bonds)
             values[j] = value + sched.coupon * coupon_leg
             value_levels.append(level)
 
@@ -687,11 +652,6 @@ class _Engine:
             value_levels=value_levels,
             eps=self.eps,
         )
-
-    def _protected_coupon_bond(self, t: float, x: float) -> float:
-        if self.sub.is_trivial and self.model.affine:
-            return float(self.model.closed_form_bond(t, x))
-        return _series_eval_pool(self.basis, t, x, self.eps)[0]
 
     def _map_break_even_rates(self) -> None:
         """Map every call and put state of the run in one short-rate map call."""
@@ -717,7 +677,6 @@ def price_bond(
     schedule: BondSchedule,
     initial_states,
     eps: float = 1e-7,
-    tol_x: float = 1e-7,
     check_single_crossing: bool = False,
 ) -> PricingResult:
     """Value a callable/putable bond at one or more initial states.
@@ -730,12 +689,5 @@ def price_bond(
     initial_states = np.atleast_1d(np.asarray(initial_states, dtype=float))
     if initial_states.size == 0:
         raise ValidationError("need at least one initial state")
-    engine = _Engine(
-        model,
-        sub,
-        schedule,
-        eps=eps,
-        tol_x=tol_x,
-        check_single_crossing=check_single_crossing,
-    )
+    engine = _Engine(model, sub, schedule, eps=eps, check_single_crossing=check_single_crossing)
     return engine.run(initial_states)

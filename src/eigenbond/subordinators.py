@@ -5,8 +5,9 @@ measure nu(ds) time-changes a short-rate diffusion into a jump-diffusion
 (gamma > 0) or pure-jump (gamma = 0) model.  Computationally the change is
 tiny: each eigenvalue lambda_n of the pricing semigroup is replaced by
 phi(lambda_n), where phi is the subordinator's Laplace exponent, while the
-eigenfunctions are untouched.  The short rate of the time-changed model is
-no longer the state itself but
+eigenfunctions are untouched.  Every caller forms these subordinate
+eigenvalues as ``laplace_exponent(sub, model.eigenvalues(n_max))``.  The
+short rate of the time-changed model is no longer the state itself but
 
     r_phi(x) = gamma * r(x) + integral (1 - P(s, x)) nu(ds),
 
@@ -43,8 +44,6 @@ from .models import DiffusionModel
 __all__ = [
     "SubordinatorSpec",
     "laplace_exponent",
-    "subordinate_eigenvalue",
-    "subordinate_eigenvalues",
     "levy_mean",
     "mean_rate",
     "short_rate_map",
@@ -147,15 +146,6 @@ def laplace_exponent(sub: SubordinatorSpec, lam):
         raise ValidationError("tempered-stable Laplace exponent undefined: lam + eta < 0")
     g = math.gamma(-sub.p)
     return sub.drift * lam - sub.c * g * (shifted**sub.p - sub.eta**sub.p)
-
-
-def subordinate_eigenvalue(model: DiffusionModel, sub: SubordinatorSpec, n):
-    """phi(lambda_n) of the time-changed pricing semigroup."""
-    return laplace_exponent(sub, model.eigenvalue(n))
-
-
-def subordinate_eigenvalues(model: DiffusionModel, sub: SubordinatorSpec, n_max: int):
-    return laplace_exponent(sub, model.eigenvalues(n_max))
 
 
 def levy_mean(sub: SubordinatorSpec) -> float:

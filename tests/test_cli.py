@@ -21,7 +21,7 @@ def run_cli(capsys, *argv):
 
 
 def test_preset_round_trip():
-    doc = preset_config("swiss1987", "cir")
+    doc = preset_config("cir")
     cfg = parse_config(doc)
     sched = benchmark.swiss1987_schedule()
     assert cfg["model"].kind == "cir"
@@ -35,7 +35,7 @@ def test_preset_round_trip():
 
 
 def test_preset_with_put_and_jump_model():
-    doc = preset_config("swiss1987", "subvasicek_pj", include_put=True)
+    doc = preset_config("subvasicek_pj", include_put=True)
     cfg = parse_config(doc)
     assert cfg["sub"].family == "ig"
     assert cfg["sub"].drift == 0.0
@@ -43,28 +43,28 @@ def test_preset_with_put_and_jump_model():
 
 
 def test_unknown_keys_rejected():
-    doc = preset_config("swiss1987", "cir")
+    doc = preset_config("cir")
     doc["model"]["vol_of_vol"] = 0.3
     with pytest.raises(ValidationError):
         parse_config(doc)
-    doc = preset_config("swiss1987", "cir")
+    doc = preset_config("cir")
     doc["extras"] = {}
     with pytest.raises(ValidationError):
         parse_config(doc)
 
 
 def test_seed_key_and_flag_are_gone(capsys):
-    doc = preset_config("swiss1987", "cir")
+    doc = preset_config("cir")
     doc["run"]["seed"] = 7
     with pytest.raises(ValidationError):
         parse_config(doc)
     with pytest.raises(SystemExit) as exc:
-        run_cli(capsys, "price", "--preset", "swiss1987", "--seed", "7")
+        run_cli(capsys, "price", "--seed", "7")
     assert exc.value.code == 2
 
 
 def test_empty_rates_rejected():
-    doc = preset_config("swiss1987", "cir")
+    doc = preset_config("cir")
     doc["run"]["rates"] = []
     with pytest.raises(ValidationError):
         parse_config(doc)
@@ -107,7 +107,7 @@ def test_price_bad_config_path(capsys):
 
 
 def test_price_numerical_failure_exit_code(tmp_path, capsys):
-    doc = preset_config("swiss1987", "cir")
+    doc = preset_config("cir")
     doc["schedule"] = {
         "coupon": 0.0,
         "coupon_times": [1.0, 2.0, 3.0],
@@ -124,7 +124,7 @@ def test_price_numerical_failure_exit_code(tmp_path, capsys):
 
 
 def test_price_refuses_a_model_without_integral_tables(tmp_path, capsys):
-    doc = preset_config("swiss1987", "cir")
+    doc = preset_config("cir")
     doc["model"] = {"kind": "cir", "kappa": 1.0, "theta": 0.05, "sigma": 0.02}  # b = 250
     path = tmp_path / "b250.json"
     path.write_text(json.dumps(doc))
@@ -162,6 +162,13 @@ def test_reproduce_unknown_table(capsys):
 def test_bench_subcommand_is_gone(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(capsys, "bench", "--model", "cir")
+    assert exc.value.code == 2
+
+
+def test_preset_flag_is_gone(capsys):
+    # swiss1987 was its only legal value; --model picks the benchmark model
+    with pytest.raises(SystemExit) as exc:
+        run_cli(capsys, "price", "--preset", "swiss1987", "--model", "cir")
     assert exc.value.code == 2
 
 

@@ -64,24 +64,29 @@ def test_orthonormality(model):
 
 @pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind)
 def test_eigenfunction_matrix_agrees_pointwise(model):
-    xs = np.array([0.02, 0.07, 0.31])
-    mat = model.eigenfunction_matrix(14, xs)
+    # one state and an array of states take one code path, so the short-rate
+    # map's matrix sum and its inverse's scalar gap are the same function
+    xs = model.stationary_distribution().rvs(2000, random_state=np.random.default_rng(2012))
+    mat = model.eigenfunction_matrix(40, xs)
     for j, x in enumerate(xs):
-        np.testing.assert_array_equal(mat[j], model.eigenfunctions(14, float(x)))
+        np.testing.assert_array_equal(mat[j], model.eigenfunctions(40, float(x)))
 
 
 # Reference copy of the numpy recursions the eigenfunction kernel replaced:
-# one array row per degree, every coefficient recomputed per degree.  The
-# kernel keeps their order of operations, so its values match bit for bit.
+# one array row per degree, every coefficient recomputed per degree, with
+# the prefactor from numpy for one state and for many.  The kernel keeps
+# their order of operations, so its values match bit for bit.
 
 
 def _reference_cir(model, n_max, x):
     u = np.asarray(2.0 * model.gamma * np.asarray(x, dtype=float) / model.sigma**2)
     b = model.b
     out = np.empty((n_max + 1,) + u.shape)
-    n0 = math.sqrt(model.sigma**2 / (2.0 * math.gamma(b))) * (
-        2.0 * model.gamma / model.sigma**2
-    ) ** (0.5 * b)
+    s2 = model.sigma**2
+    n0 = math.exp(
+        0.5 * (math.log(s2) - math.log(2.0) - math.lgamma(b))
+        + 0.5 * b * math.log(2.0 * model.gamma / s2)
+    )
     out[0] = n0
     if n_max >= 1:
         out[1] = (-u + b) * math.sqrt(1.0 / b) * n0
@@ -91,8 +96,6 @@ def _reference_cir(model, n_max, x):
         out[n] = (2.0 + (b - 2.0 - u) / n) * r1 * out[n - 1] - (
             1.0 + (b - 2.0) / n
         ) * r2 * out[n - 2]
-    if np.ndim(x) == 0:
-        return math.exp((model.kappa - model.gamma) * x / model.sigma**2) * out
     return (np.exp((model.kappa - model.gamma) * x / model.sigma**2) * out).T
 
 
@@ -107,8 +110,6 @@ def _reference_vasicek(model, n_max, x):
         out[1] = w * math.sqrt(2.0) * n0
     for n in range(2, n_max + 1):
         out[n] = w * math.sqrt(2.0 / n) * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
-    if np.ndim(x) == 0:
-        return math.exp(-a * xi - 0.5 * a * a) * out
     return (np.exp(-a * xi - 0.5 * a * a) * out).T
 
 
@@ -134,7 +135,7 @@ def _reference_three_halves(model, n_max, x):
         out[n] = (2.0 + (two_m - 1.0 - v) / n) * r1 * out[n - 1] - (
             1.0 + (two_m - 1.0) / n
         ) * r2 * out[n - 2]
-    return (x ** (model.alpha - model.order_m - 0.5) * out).T
+    return (np.power(x, model.alpha - model.order_m - 0.5) * out).T
 
 
 _GRID = tuple(np.linspace(0.0, 1.0, 41)[1:])

@@ -2,12 +2,10 @@ import numpy as np
 import pytest
 
 from eigenbond import benchmark, series
-from eigenbond.errors import BracketError, ConvergenceError, ValidationError
-from eigenbond.models import VasicekModel
+from eigenbond.errors import BracketError, ConvergenceError, EigenbondError, ValidationError
+from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel
 from eigenbond.pricer import (
     BondSchedule,
-    continuation_value,
-    find_break_even,
     price_bond,
     zero_coupon_price,
 )
@@ -113,56 +111,86 @@ def test_zero_coupon_rejects_bad_input():
 def test_zero_coupon_convergence_failure_reported():
     # slow 3/2 coefficient decay at a tiny maturity cannot satisfy the
     # stopping rule within the n=2000 ceiling
-    from eigenbond.models import ThreeHalvesModel
-
     slow = ThreeHalvesModel(kappa=0.1, theta=0.05, sigma=1.0)
     with pytest.raises(ConvergenceError):
         zero_coupon_price(slow, NONE, 1e-3, 0.05, eps=1e-9)
 
 
-def test_continuation_of_terminal_stage_is_scaled_bond():
-    # with coefficients (1+C) p_n the hold value is (1+C) P(h, x)
-    coupon, h = 0.0425, 1.1666
-    coeffs = (1.0 + coupon) * CIR.unit_payoff_coefficients(60)
-    for x in (0.01, 0.05, 0.12):
-        got = continuation_value(CIR, NONE, coeffs, h, x, eps=1e-11)
-        assert got == pytest.approx(
-            (1.0 + coupon) * float(CIR.closed_form_bond(h, x)), abs=1e-8
-        )
+def test_unreachable_call_prices_the_closed_form_straight_bond():
+    # one exercise date whose call price is never reached: the recursion's
+    # hold value is (1 + C) P(h, x) and the value is the straight bond
+    coupon = 0.0425
+    sched = BondSchedule(
+        coupon=coupon,
+        coupon_times=(1.0, 2.1666),
+        protection_index=1,
+        notice_delta=0.1666,
+        call_prices=(5.0,),
+    )
+    xs = np.array([0.01, 0.05, 0.12])
+    res = price_bond(CIR, NONE, sched, xs, eps=1e-11)
+    assert res.break_even_states == [(None, None)]
+    straight = coupon * CIR.closed_form_bond(1.0, xs) + (1.0 + coupon) * CIR.closed_form_bond(
+        2.1666, xs
+    )
+    np.testing.assert_allclose(res.values, straight, rtol=0.0, atol=1e-8)
 
 
-def test_continuation_decreasing_in_state():
-    coeffs = 1.0425 * CIR.unit_payoff_coefficients(60)
-    xs = np.linspace(0.0, 0.5, 26)
-    vals = [continuation_value(CIR, NONE, coeffs, 1.0, float(x), eps=1e-10) for x in xs]
-    assert all(b < a for a, b in zip(vals, vals[1:]))
+def test_notice_bond_and_protected_coupons_share_one_evaluator(monkeypatch):
+    from eigenbond import pricer
+
+    maturities = []
+    make = pricer._discount_bond
+
+    def counted(basis, t, eps):
+        maturities.append(t)
+        return make(basis, t, eps)
+
+    monkeypatch.setattr(pricer, "_discount_bond", counted)
+    price_bond(CIR, NONE, SWISS, [0.03, 0.05], eps=1e-7)
+    protected = [SWISS.coupon_time(i) for i in range(1, SWISS.protection_index)]
+    assert maturities == [SWISS.notice_delta] + protected
+
+
+def test_holding_periods_of_the_schedule():
+    k = SWISS.n_coupons
+    assert SWISS.holding_period(k - 1) == SWISS.maturity - SWISS.decision_time(k - 1)
+    for i in range(SWISS.protection_index, k - 1):
+        assert SWISS.holding_period(i) == SWISS.decision_time(i + 1) - SWISS.decision_time(i)
+
+
+def test_cir_with_a_large_norm_exponent_prices_zero_coupon_bonds():
+    # b = 160: the factor (2 gamma / sigma^2)^(b/2) of the norm constant
+    # overflows on its own; formed in log space it does not
+    model = CIRModel(kappa=10.0, theta=0.005, sigma=0.025)
+    for x in (0.001, 0.005, 0.02):
+        got = zero_coupon_price(model, NONE, 1.0, x)
+        assert got == pytest.approx(float(model.closed_form_bond(1.0, x)), abs=1e-12)
+
+
+def test_cir_with_a_large_norm_exponent_fails_typed_on_the_callable():
+    model = CIRModel(kappa=10.0, theta=0.005, sigma=0.025)
+    with pytest.raises(EigenbondError):
+        price_bond(model, NONE, SWISS, [0.005], eps=1e-7)
+
+
+def test_terminal_supply_beyond_the_degree_cap_is_refused_before_any_search(monkeypatch):
+    from eigenbond import coeffs, pricer
+
+    model = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.155)
+    assert coeffs.max_table_degree(model) == 0
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("break-even search ran")
+
+    monkeypatch.setattr(pricer._RootFinder, "find", no_search)
+    with pytest.raises(ValidationError, match=r"ThreeHalvesModel\(.*degree cap 0"):
+        price_bond(model, NONE, SWISS, [0.05], eps=1e-7)
 
 
 # ---------------------------------------------------------------------------
 # break-even search
 # ---------------------------------------------------------------------------
-
-
-def test_find_break_even_terminal_cir():
-    # last decision date of the benchmark: K=1, h = 1.1666, coefficients
-    # are the terminal expansion; the root matches the published table
-    coeffs = 1.0425 * CIR.unit_payoff_coefficients(80)
-    root = find_break_even("call", 1.0, coeffs, 1.1666, 0.1666, CIR, NONE, eps=1e-9)
-    assert root == pytest.approx(0.03388791, abs=1e-6)
-
-
-def test_find_break_even_absent_when_strike_dear():
-    coeffs = 1.0425 * CIR.unit_payoff_coefficients(80)
-    root = find_break_even("call", 1.2, coeffs, 1.1666, 0.1666, CIR, NONE, eps=1e-9)
-    assert root is None
-
-
-def test_find_break_even_put_above_call():
-    coeffs = 1.0425 * VAS.unit_payoff_coefficients(80)
-    call = find_break_even("call", 1.0, coeffs, 1.1666, 0.1666, VAS, NONE, eps=1e-9)
-    put = find_break_even("put", 0.99, coeffs, 1.1666, 0.1666, VAS, NONE, eps=1e-9)
-    assert call is not None and put is not None
-    assert call < put
 
 
 def _five_year_monthly(call_prices):
@@ -207,7 +235,7 @@ def _warm_states_matching_cold(monkeypatch, model, ladder):
     assert [x is None for x in warm_states] == [x is None for x in cold_states]
     for x_warm, x_cold in zip(warm_states, cold_states):
         if x_warm is not None:
-            assert x_warm == pytest.approx(x_cold, abs=1e-7)  # tol_x
+            assert x_warm == pytest.approx(x_cold, abs=1e-7)  # TOL_X
     assert warm.values[0] == pytest.approx(cold.values[0], abs=1e-10)
     return warm_states
 

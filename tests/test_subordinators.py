@@ -13,7 +13,6 @@ from eigenbond.subordinators import (
     levy_mean,
     mean_rate,
     short_rate_map,
-    subordinate_eigenvalues,
 )
 
 CIR = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
@@ -57,12 +56,12 @@ def test_ig_equals_tempered_stable_half():
 
 def test_trivial_clock_is_identity():
     lam = CIR.eigenvalues(30)
-    np.testing.assert_array_equal(subordinate_eigenvalues(CIR, NONE, 30), lam)
+    np.testing.assert_array_equal(laplace_exponent(NONE, lam), lam)
 
 
 def test_subordinate_eigenvalues_lie_below_for_unit_mean_clock():
     lam = CIR.eigenvalues(50)
-    sub_lam = subordinate_eigenvalues(CIR, JD, 50)
+    sub_lam = laplace_exponent(JD, lam)
     assert np.all(sub_lam[10:] < lam[10:])
     assert np.all(np.diff(sub_lam) > 0.0)
 
@@ -73,7 +72,7 @@ def test_trace_condition_at_small_time():
     # tail dies slowly and needs ~1e5 terms before dropping below 1e-12
     for model in (CIR, VAS):
         for sub in (JD, PJ):
-            lam = subordinate_eigenvalues(model, sub, 100_000)
+            lam = laplace_exponent(sub, model.eigenvalues(100_000))
             terms = np.exp(-lam * 0.1)
             assert terms[-1] < 1e-12
             total = float(np.sum(terms))
