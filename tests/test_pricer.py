@@ -188,9 +188,50 @@ def test_terminal_supply_beyond_the_degree_cap_is_refused_before_any_search(monk
         price_bond(model, NONE, SWISS, [0.05], eps=1e-7)
 
 
+def test_continuation_decreasing_in_state():
+    # a lone redemption date: the value is the hold value (1 + C) P(h, x)
+    sched = BondSchedule(coupon=0.0425, coupon_times=(1.0,), protection_index=1, notice_delta=0.0)
+    xs = np.linspace(0.0, 0.5, 26)
+    vals = price_bond(CIR, NONE, sched, xs, eps=1e-10).values
+    assert all(b < a for a, b in zip(vals, vals[1:]))
+
+
 # ---------------------------------------------------------------------------
 # break-even search
 # ---------------------------------------------------------------------------
+
+
+def _terminal_stage(call_price, put_price=None):
+    """One exercise date with the benchmark's last holding period: h = 1.1666."""
+    return BondSchedule(
+        coupon=0.0425,
+        coupon_times=(1.0, 2.0),
+        protection_index=1,
+        notice_delta=0.1666,
+        call_prices=(call_price,),
+        put_prices=None if put_price is None else (put_price,),
+    )
+
+
+def test_find_break_even_terminal_cir():
+    # last decision date of the benchmark: K=1, h = 1.1666, coefficients
+    # are the terminal expansion; the root matches the published table
+    res = price_bond(CIR, NONE, _terminal_stage(1.0), [0.05], eps=1e-9)
+    (call_state, put_state), = res.break_even_states
+    assert call_state == pytest.approx(0.03388791, abs=1e-6)
+    assert put_state is None
+
+
+def test_find_break_even_absent_when_strike_dear():
+    res = price_bond(CIR, NONE, _terminal_stage(1.2), [0.05], eps=1e-9)
+    assert res.break_even_states == [(None, None)]
+
+
+def test_find_break_even_put_above_call():
+    res = price_bond(VAS, NONE, _terminal_stage(1.0, 0.99), [0.05], eps=1e-9)
+    (call_state, put_state), = res.break_even_states
+    assert call_state is not None and put_state is not None
+    assert call_state < put_state
 
 
 def _five_year_monthly(call_prices):
