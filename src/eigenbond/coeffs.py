@@ -376,9 +376,14 @@ def _overlap_block(
 def _closed_form_strike(
     model: DiffusionModel, n_max: int, lo: Endpoint, hi: Endpoint, delta: float
 ) -> np.ndarray:
-    tilt, pref = model.strike_factors(delta, n_max)
+    tilt, log_pref = model.strike_factors(delta, n_max)
     lo, hi = _coordinate_order(model, lo, hi)
-    return pref * (hi.exp(n_max, tilt) - lo.exp(n_max, tilt))
+    # The factor and the integral can leave double range on opposite sides
+    # (CIR with b = 160: factors near 1e-420 against integrals near e^629),
+    # so each integral is split into mantissa and power of two and the power
+    # joins the factor's log.
+    mantissa, power = np.frexp(hi.exp(n_max, tilt) - lo.exp(n_max, tilt))
+    return mantissa * np.exp(log_pref + power * math.log(2.0))
 
 
 def _expansion_strike(

@@ -36,8 +36,8 @@ The pricer and the integral tables (``coeffs``) run the same code for every
 model; what differs between the diffusions is read from these facts:
 
 * ``affine``: whether ``affine_bond_factors`` (and so ``closed_form_bond``
-  and ``strike_factors``, the tilt and prefactor of the closed-form strike
-  projection) exist;
+  and ``strike_factors``, the tilt and log prefactor of the closed-form
+  strike projection) exist;
 * ``search_interval(n_supply)``: the states a break-even search may probe
   and the first upper end of its cold bracket;
 * ``table_degree_cap``: the largest degree whose integral tables stay in
@@ -252,7 +252,9 @@ class DiffusionModel:
         raise NotImplementedError
 
     def strike_factors(self, delta: float, n_max: int) -> tuple[float, np.ndarray]:
-        """Tilt s and factors [n] from exp integrals to P(delta, .) projections."""
+        """Tilt s and log factors [n] from exp integrals to P(delta, .)
+        projections (logs, because a factor can underflow where its product
+        with the integral does not)."""
         raise NotImplementedError
 
     # --- densities and bonds ----------------------------------------------
@@ -401,8 +403,8 @@ class CIRModel(DiffusionModel):
         log_n = self.log_norm_constants(n_max)
         g, s2 = self.gamma, self.sigma**2
         tilt = b_fac * s2 / (2.0 * g) + (self.kappa + g) / (2.0 * g)
-        pref = a_fac * np.exp(log_n + (self.b - 1.0) * math.log(s2 / (2.0 * g)) - math.log(g))
-        return tilt, pref
+        log_pref = math.log(a_fac) + log_n + (self.b - 1.0) * math.log(s2 / (2.0 * g)) - math.log(g)
+        return tilt, log_pref
 
 
 # ---------------------------------------------------------------------------
@@ -507,14 +509,13 @@ class VasicekModel(DiffusionModel):
         log_n = self.log_norm_constants(n_max)
         a, root_k = self.hermite_shift, math.sqrt(self.kappa)
         tilt = a - b_fac * self.sigma / root_k
-        pref = (
-            2.0
-            * a_fac
-            * np.exp(log_n)
-            / (self.sigma * root_k)
-            * math.exp(-0.5 * a * a - b_fac * (self.theta - a * self.sigma / root_k))
+        log_pref = (
+            math.log(2.0 * a_fac / (self.sigma * root_k))
+            + log_n
+            - 0.5 * a * a
+            - b_fac * (self.theta - a * self.sigma / root_k)
         )
-        return tilt, pref
+        return tilt, log_pref
 
 
 # ---------------------------------------------------------------------------

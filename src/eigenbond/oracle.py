@@ -10,14 +10,15 @@ recursion, the overlap/strike tables, and the break-even search:
   Shares only the model layer (eigenfunctions, closed-form bonds) with the
   main pricer.
 
-* ``mc_zero_coupon``: Monte Carlo discounting along simulated paths, with
-  the subordinated models sampled through their inverse Gaussian clock.
+* ``mc_zero_coupon``: Monte Carlo discounting along simulated Euler
+  paths of the diffusion.  A subordinated model's bond is the diffusion's
+  closed-form bond averaged over draws of the inverse Gaussian or gamma
+  clock, so it shares no series with the pricer.
 
 * ``short_rate_quadrature``: the short rate r_phi(x) of a time-changed
   model as the Levy integral of 1 - P(s, x) over the closed-form bond,
   by adaptive quadrature.  It cross-checks the eigenfunction expansion
-  that ``subordinators.short_rate_map`` sums, and feeds the Monte Carlo
-  discounting, which thereby shares no series with the pricer.
+  that ``subordinators.short_rate_map`` sums.
 """
 
 from __future__ import annotations
@@ -59,15 +60,16 @@ def build_grid(model: DiffusionModel, grid_size: int) -> QuadratureGrid:
     """Gauss-Legendre grid over stationary-quantile bounds, weighted by m(x).
 
     The CIR speed density has an integrable singularity x^{b-1} at the
-    origin when b < 1; the left panel is built in the substituted variable
-    u = x^b, which absorbs the singularity into the Jacobian exactly.
+    origin when b < 1; the left panel is then built in the substituted
+    variable u = x^b, which absorbs the singularity into the Jacobian
+    exactly.  For b >= 1 the density is bounded and one panel serves.
     """
     dist = model.stationary_distribution()
     lo = float(dist.ppf(_TAIL_MASS))
     hi = float(dist.ppf(1.0 - _TAIL_MASS))
     half = grid_size // 2
 
-    if isinstance(model, CIRModel):
+    if isinstance(model, CIRModel) and model.b < 1.0:
         b = model.b
         split = model.theta
         nodes_l, wts_l = np.polynomial.legendre.leggauss(half)
@@ -273,91 +275,30 @@ def _euler_diffusion_discount(
     return np.exp(-integral)
 
 
-def _short_rate_table(
-    model: DiffusionModel, sub: SubordinatorSpec, x0: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """States and ``short_rate_quadrature`` values over a generous range.
+def _clock_average_bonds(
+    model: DiffusionModel, sub: SubordinatorSpec, t: float, x0: float, n_paths: int, rng
+) -> np.ndarray:
+    """Closed-form diffusion bonds P(T_t, x0) at draws of the clock T_t.
 
-    The subordinated paths interpolate their short rate in this monotone
-    table (CIR and Vasicek with the ig clock only).
+    Bochner subordination makes the subordinate bond the diffusion's bond
+    averaged over the clock, P_phi(t, x) = E[P(T_t, x)], so the draws are
+    unbiased samples of it.  T_t is the drift times t plus an inverse
+    Gaussian (mean mu t, shape mu^3 t^2 / nu_var) or gamma (shape c t,
+    rate eta) increment.
     """
-    if sub.family != "ig":
-        raise ValidationError("subordinated Monte Carlo supports the ig family only")
+    if sub.family not in ("ig", "gamma"):
+        raise ValidationError(
+            f"subordinated Monte Carlo samples the ig and gamma clocks, not {sub.family}"
+        )
     if not model.affine:
         raise UnsupportedModelError(
             f"subordinated Monte Carlo needs the closed-form bond, which the {model.kind} model lacks"
         )
-    dist = model.stationary_distribution()
-    lo = model.state_lo if math.isfinite(model.state_lo) else float(dist.ppf(1e-12))
-    hi = max(float(dist.ppf(1.0 - 1e-12)), x0 * 1.5 + 0.5)
-    xs = np.linspace(lo, hi, 600)
-    rphi = np.array([short_rate_quadrature(model, sub, float(v)) for v in xs])
-    return xs, rphi
-
-
-def _subordinated_discount(
-    model: DiffusionModel,
-    sub: SubordinatorSpec,
-    t: float,
-    x0: float,
-    n_paths: int,
-    steps_per_year: int,
-    rng,
-    rate_table: tuple[np.ndarray, np.ndarray],
-) -> np.ndarray:
-    """exp(-int r_phi(Y_u) du) along time-changed paths.
-
-    The inverse Gaussian clock is sampled on the calendar grid; the
-    diffusion is advanced between clock readings by Euler substeps no
-    longer than the calendar resolution.  Each substep pass works on the
-    paths whose clock increment is not yet used up, in path order, so the
-    passes shrink with the increments left.  The running discount uses the
-    left-point rule in the short-rate map, interpolated from
-    ``rate_table`` (see ``_short_rate_table``).
-    """
-    n_steps = max(1, int(round(t * steps_per_year)))
-    du = t / n_steps
-    dt_x = 1.0 / steps_per_year
-    xs, rphi = rate_table
-
-    def rate_of(state):
-        return np.interp(np.clip(state, xs[0], xs[-1]), xs, rphi)
-
-    # IG increments over du: mean mu*du, shape mu^3 du^2 / nu
-    ig_mean = sub.mu * du
-    ig_shape = sub.mu**3 * du**2 / sub.nu_var
-
-    x = np.full(n_paths, float(x0))
-    integral = np.zeros(n_paths)
-    for _ in range(n_steps):
-        integral += rate_of(x) * du
-        jump = rng.wald(ig_mean, ig_shape, size=n_paths) + sub.drift * du
-        # advance the diffusion by the clock increment in bounded substeps
-        active = np.flatnonzero(jump > 0.0)
-        remaining = jump[active]
-        while active.size:
-            dt_vec = np.minimum(remaining, dt_x)
-            if isinstance(model, CIRModel):
-                pos = np.maximum(x[active], 0.0)
-                x[active] = (
-                    x[active]
-                    + model.kappa * (model.theta - pos) * dt_vec
-                    + model.sigma * np.sqrt(pos * dt_vec) * rng.standard_normal(dt_vec.size)
-                )
-            else:
-                decay = np.exp(-model.kappa * dt_vec)
-                sd = model.sigma * np.sqrt(
-                    (1.0 - np.exp(-2.0 * model.kappa * dt_vec)) / (2.0 * model.kappa)
-                )
-                x[active] = (
-                    model.theta
-                    + (x[active] - model.theta) * decay
-                    + sd * rng.standard_normal(dt_vec.size)
-                )
-            remaining = remaining - dt_vec
-            left = remaining > 0.0
-            active, remaining = active[left], remaining[left]
-    return np.exp(-integral)
+    if sub.family == "ig":
+        jumps = rng.wald(sub.mu * t, sub.mu**3 * t * t / sub.nu_var, size=n_paths)
+    else:
+        jumps = rng.gamma(sub.c * t, 1.0 / sub.eta, size=n_paths)
+    return np.array([model.closed_form_bond(clock, x0) for clock in jumps + sub.drift * t])
 
 
 def mc_zero_coupon(
@@ -371,8 +312,11 @@ def mc_zero_coupon(
 ) -> tuple[float, float]:
     """Monte Carlo zero-coupon price estimate with its standard error.
 
-    Deterministic for a fixed seed.  Paths are generated in chunks drawn
-    from spawned child streams so the memory footprint stays bounded.
+    On the plain clock each path is a full-truncation Euler path of the
+    diffusion with ``steps_per_year`` steps a year; on a jump clock each
+    path is one clock draw (see ``_clock_average_bonds``).  Deterministic
+    for a fixed seed.  Paths are generated in chunks drawn from spawned
+    child streams so the memory footprint stays bounded.
     """
     if steps_per_year < 250:
         raise ValidationError("steps_per_year must be at least 250")
@@ -384,7 +328,6 @@ def mc_zero_coupon(
     chunk = 20_000
     n_chunks = (n_paths + chunk - 1) // chunk
     streams = np.random.default_rng(seed).spawn(n_chunks)
-    rate_table = None if sub.is_trivial else _short_rate_table(model, sub, x0)
     total = 0.0
     total_sq = 0.0
     done = 0
@@ -393,9 +336,7 @@ def mc_zero_coupon(
         if sub.is_trivial:
             disc = _euler_diffusion_discount(model, t, x0, m, steps, rng)
         else:
-            disc = _subordinated_discount(
-                model, sub, t, x0, m, steps_per_year, rng, rate_table
-            )
+            disc = _clock_average_bonds(model, sub, t, x0, m, rng)
         total += float(np.sum(disc))
         total_sq += float(np.sum(disc * disc))
         done += m

@@ -74,6 +74,6 @@ def test_model_at_a_small_degree_cap_still_prices():
     model = CIRModel(kappa=1.0, theta=0.05, sigma=0.025)  # b = 160
     assert coeffs.max_table_degree(model) == 9
     result = price_bond(model, NONE, SWISS, [0.05])
-    assert result.values[0] == pytest.approx(0.9265265722920424, abs=1e-12)
+    assert result.values[0] == pytest.approx(0.9265283079527182, abs=1e-12)
     assert max(d.assembled for d in result.dates) <= 9
     assert np.isfinite(zero_coupon_price(model, NONE, 5.0, 0.05))

@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from eigenbond import benchmark
+from eigenbond import benchmark, oracle
 from eigenbond.errors import DensityTruncationError, UnsupportedModelError, ValidationError
-from eigenbond.models import ThreeHalvesModel
+from eigenbond.models import CIRModel, DiffusionModel, ThreeHalvesModel
 from eigenbond.oracle import build_grid, mc_zero_coupon, quadrature_dp_price
 from eigenbond.pricer import BondSchedule, price_bond, zero_coupon_price
 from eigenbond.subordinators import SubordinatorSpec
@@ -11,6 +13,11 @@ from eigenbond.subordinators import SubordinatorSpec
 CIR = benchmark.benchmark_model("cir")
 VAS = benchmark.benchmark_model("vasicek")
 NONE = SubordinatorSpec.none()
+CLOCKS = {
+    "jd": benchmark.benchmark_subordinator("subcir_jd"),
+    "pj": benchmark.benchmark_subordinator("subcir_pj"),
+    "gamma": SubordinatorSpec.gamma_process(drift=0.2, c=0.6, eta=1.5),
+}
 
 REDUCED = BondSchedule(
     coupon=0.0425,
@@ -30,7 +37,9 @@ def test_grid_weights_recover_speed_mass(model):
 
 def test_zero_option_schedule_matches_expansion():
     sched = BondSchedule(coupon=0.0, coupon_times=(4.0,), protection_index=1, notice_delta=0.0)
-    for model in (CIR, VAS):
+    # CIR with b = 10, 40, 160: a bounded speed density, no x^b panel
+    large_b = tuple(CIRModel(kappa=1.0, theta=0.05, sigma=s) for s in (0.1, 0.05, 0.025))
+    for model in (CIR, VAS) + large_b:
         dp = quadrature_dp_price(model, NONE, sched, 0.05)
         ref = zero_coupon_price(model, NONE, 4.0, 0.05, eps=1e-10)
         assert dp == pytest.approx(ref, abs=1e-6)
@@ -68,9 +77,11 @@ def test_grid_size_floor():
 
 
 def test_mc_is_deterministic_under_seed():
-    a = mc_zero_coupon(CIR, NONE, 0.5, 0.05, n_paths=4000, steps_per_year=250, seed=9)
-    b = mc_zero_coupon(CIR, NONE, 0.5, 0.05, n_paths=4000, steps_per_year=250, seed=9)
-    assert a == b
+    # 24,000 paths run as two chunks
+    for sub in (NONE, CLOCKS["jd"], CLOCKS["gamma"]):
+        a = mc_zero_coupon(CIR, sub, 0.5, 0.05, n_paths=24_000, steps_per_year=250, seed=9)
+        b = mc_zero_coupon(CIR, sub, 0.5, 0.05, n_paths=24_000, steps_per_year=250, seed=9)
+        assert a == b
 
 
 def test_mc_short_maturity_limit():
@@ -90,95 +101,52 @@ def test_mc_parameter_validation():
         mc_zero_coupon(CIR, NONE, 1.0, 0.05, n_paths=1000, steps_per_year=100)
     with pytest.raises(ValidationError):
         mc_zero_coupon(CIR, NONE, 1.0, -0.05, n_paths=1000, steps_per_year=250)
+    tempered = SubordinatorSpec.tempered_stable(drift=0.1, c=0.5, p=0.5, eta=2.0)
+    with pytest.raises(ValidationError):
+        mc_zero_coupon(CIR, tempered, 1.0, 0.05, n_paths=1000, steps_per_year=250)
 
 
-def test_mc_subordinated_runs_and_is_sane():
-    jd = SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0)
-    mean, se = mc_zero_coupon(CIR, jd, 0.1666, 0.05, n_paths=4000, steps_per_year=250, seed=5)
-    ref = zero_coupon_price(CIR, jd, 0.1666, 0.05, eps=1e-10)
-    assert abs(mean - ref) <= 4.0 * se + 5e-4
-    mean, se = mc_zero_coupon(VAS, jd, 0.1666, 0.05, n_paths=4000, steps_per_year=250, seed=5)
-    ref = zero_coupon_price(VAS, jd, 0.1666, 0.05, eps=1e-10)
-    assert abs(mean - ref) <= 4.0 * se + 5e-4
+@pytest.mark.parametrize("t", (0.1666, 1.0, 5.0))
+@pytest.mark.parametrize("clock", ("jd", "pj", "gamma"))
+@pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
+def test_mc_clock_average_matches_expansion(model, clock, t):
+    # the subordinate bond is the diffusion's bond averaged over the clock,
+    # the same quantity the eigenfunction series sums, so no bias allowance
+    mean, se = mc_zero_coupon(model, CLOCKS[clock], t, 0.05, n_paths=40_000, seed=5)
+    ref = zero_coupon_price(model, CLOCKS[clock], t, 0.05, eps=1e-10)
+    assert abs(mean - ref) <= 3.0 * se
 
 
 def test_mc_subordinated_needs_the_closed_form_bond():
-    # the rate table comes from the Levy-integral quadrature of the
-    # closed-form bond, which the 3/2 model lacks
-    jd = SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0)
+    # the clock average is over the closed-form bond, which the 3/2 model lacks
     th = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
     with pytest.raises(UnsupportedModelError):
-        mc_zero_coupon(th, jd, 0.1666, 0.05, n_paths=100, steps_per_year=250)
+        mc_zero_coupon(th, CLOCKS["jd"], 0.1666, 0.05, n_paths=100, steps_per_year=250)
 
 
-def test_mc_rate_table_is_built_once_per_call(monkeypatch):
-    from eigenbond import oracle
+def test_mc_jump_clock_shares_no_series_with_the_pricer(monkeypatch):
+    def series_code(*args, **kwargs):
+        raise AssertionError("the Monte Carlo called series code")
 
-    calls = []
-
-    def counted(model, sub, x):
-        calls.append(x)
-        return x
-
-    monkeypatch.setattr(oracle, "short_rate_quadrature", counted)
-    jd = SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0)
-    # 20,001 paths run as two chunks; the 600-point table is shared
-    mc_zero_coupon(CIR, jd, 0.02, 0.05, n_paths=20_001, steps_per_year=250, seed=1)
-    assert len(calls) == 600
+    monkeypatch.setattr(DiffusionModel, "_eigenfunction_rows", series_code)
+    monkeypatch.setattr(oracle, "laplace_exponent", series_code)
+    monkeypatch.setattr(oracle, "short_rate_quadrature", series_code)
+    for model in (CIR, VAS):
+        for sub in CLOCKS.values():
+            mean, _ = mc_zero_coupon(model, sub, 1.0, 0.05, n_paths=100, seed=1)
+            assert 0.0 < mean < 1.0
 
 
-def _whole_chunk_discount(model, sub, t, x0, n_paths, steps_per_year, rng, rate_table):
-    """Reference substep loop that sweeps every path of the chunk on each pass."""
-    n_steps = max(1, int(round(t * steps_per_year)))
-    du = t / n_steps
-    dt_x = 1.0 / steps_per_year
-    xs, rphi = rate_table
-    x = np.full(n_paths, float(x0))
-    integral = np.zeros(n_paths)
-    for _ in range(n_steps):
-        integral += np.interp(np.clip(x, xs[0], xs[-1]), xs, rphi) * du
-        jump = rng.wald(sub.mu * du, sub.mu**3 * du**2 / sub.nu_var, size=n_paths)
-        remaining = jump + sub.drift * du
-        while True:
-            step = np.minimum(remaining, dt_x)
-            active = step > 0.0
-            if not np.any(active):
-                break
-            dt_vec = step[active]
-            if model.kind == "cir":
-                pos = np.maximum(x[active], 0.0)
-                x[active] = (
-                    x[active]
-                    + model.kappa * (model.theta - pos) * dt_vec
-                    + model.sigma * np.sqrt(pos * dt_vec) * rng.standard_normal(dt_vec.size)
-                )
-            else:
-                decay = np.exp(-model.kappa * dt_vec)
-                sd = model.sigma * np.sqrt(
-                    (1.0 - np.exp(-2.0 * model.kappa * dt_vec)) / (2.0 * model.kappa)
-                )
-                x[active] = (
-                    model.theta
-                    + (x[active] - model.theta) * decay
-                    + sd * rng.standard_normal(dt_vec.size)
-                )
-            remaining = remaining - step
-    return np.exp(-integral)
-
-
-@pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
-def test_mc_substeps_on_active_paths_are_bit_identical(model):
-    # the substep passes shrink to the paths with clock time left, in path
-    # order and with the same draw sizes, so a fixed seed gives the same paths
-    from eigenbond.oracle import _subordinated_discount
-
-    jd = SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0)
-    xs = np.linspace(-0.5, 1.0, 61)
-    table = (xs, 0.01 + 0.9 * xs)
-    args = (model, jd, 0.1, 0.05, 2000, 250)
-    shrinking = _subordinated_discount(*args, np.random.default_rng(7), table)
-    reference = _whole_chunk_discount(*args, np.random.default_rng(7), table)
-    np.testing.assert_array_equal(shrinking, reference)
+@pytest.mark.parametrize("calls", ("all_at_0.90", "swiss_ladder"))
+def test_large_b_callable_matches_grid_dp(calls):
+    # b = 160: the closed-form strike leg underflowed to zero
+    model = CIRModel(kappa=1.0, theta=0.05, sigma=0.025)
+    schedule = benchmark.swiss1987_schedule()
+    if calls == "all_at_0.90":
+        schedule = dataclasses.replace(schedule, call_prices=(0.90,) * 10)
+    value = price_bond(model, NONE, schedule, [0.05]).values[0]
+    ref = quadrature_dp_price(model, NONE, schedule, 0.05, n_density=250)
+    assert value == pytest.approx(ref, abs=1e-6)
 
 
 def test_three_halves_callable_matches_grid_dp():
