@@ -1,4 +1,5 @@
-"""Closed-form recursions for truncated-interval eigenfunction integrals.
+"""Truncated-interval eigenfunction integrals: Gauss-Jacobi quadrature and
+closed-form recursions.
 
 The backward recursion for callable/putable bonds needs, at every decision
 date, the Gram ("overlap") integrals of pairs of eigenfunctions over the
@@ -8,30 +9,42 @@ eigenfunction over the exercise regions:
     overlap_{m,n}(x, y) = int_x^y phi_m phi_n m(z) dz
     strike_n(x, y)      = int_x^y P(delta, z) phi_n(z) m(z) dz
 
-Both reduce to two families of weighted polynomial integrals, taken from
-the bottom of the model's polynomial coordinate to the mapped endpoint:
+An interval integral is the difference of the two integrals from the
+bottom of the model's polynomial coordinate to the mapped endpoints, taken
+in coordinate order.  An ``Endpoint`` places one state in that coordinate:
+a state-space boundary maps to an end of the coordinate range.  Each
+integral from the bottom is taken one of three ways:
+
+* zero at the bottom itself;
+* by Gauss-Jacobi quadrature at a finite Laguerre coordinate (CIR, 3/2).
+  There phi_m phi_n m is u^alpha e^{-u} times a polynomial in u, so a
+  Gauss rule for the weight t^alpha on [0, 1] (``_gauss_jacobi``, cached
+  on the model per size), scaled to [0, z], takes every integral.  One
+  kernel pass at the nodes gives the node matrix V (``Endpoint.nodes``),
+  and the hold overlap applied to a coefficient vector is V^T (V w),
+  without forming the block; the strike legs are V^T times one node vector;
+* in closed form otherwise: a finite Hermite coordinate (Vasicek) and the
+  top of either coordinate range (the Laguerre overlap there is the
+  identity, by orthonormality).  The closed forms are two families of
+  weighted polynomial integrals,
 
     pair_{m,n}(x) = int_0^x  L_m L_n e^{-y} y^alpha dy      (Laguerre family)
                     int_-inf^x H_m H_n e^{-y^2} dy          (Hermite family)
     exp_n(s, x)   = int_0^x  y^alpha e^{-s y} L_n dy
                     int_-inf^x e^{s y - y^2} H_n dy
 
-Off-diagonal pair integrals have closed forms; the diagonal ones and the
-exp integrals satisfy recursions that step *down* in the polynomial order
-while stepping up in degree, so each is built as a two-dimensional table
-seeded at elevated order (alpha + N descending to alpha).
+  whose off-diagonal pair integrals have closed forms, while the diagonal
+  ones and the exp integrals satisfy recursions that step *down* in the
+  polynomial order while stepping up in degree, each built as a
+  two-dimensional table seeded at elevated order (alpha + N descending to
+  alpha).  The finite-coordinate Laguerre tables are kept as the reference
+  that the quadrature is tested against; the pricer does not build them.
 
-An interval integral is the difference of the two endpoint integrals, taken
-in coordinate order, times the model's constant factors
-(``overlap_log_constant``, ``strike_factors``).  An ``Endpoint`` places one
-state in the coordinate of the model's ``polynomial_family``: a state-space
-boundary maps to an end of the coordinate range, where the integrals are
-zero or the orthogonality / Gamma-integral limits.  At a finite coordinate
-the Endpoint holds the polynomial table (Laguerre polynomials of orders
-alpha..alpha+N+1, or Hermite polynomials) that the pair and exp integrals
-both slice.  The pricer makes one ``Endpoint`` per finite break-even state
-per assembly pass, so each endpoint table is built once: the hold overlap
-and the strike leg that meet at the state share it.
+The model's constant factors (``overlap_log_constant``, ``strike_factors``)
+turn the polynomial integrals into eigenfunction integrals.  The pricer
+makes one ``Endpoint`` per finite break-even state per assembly pass, so
+the hold overlap and the strike leg that meet at the state share one
+polynomial table (Hermite) or one node matrix (Laguerre).
 """
 
 from __future__ import annotations
@@ -39,11 +52,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import linalg
 from scipy import special as sp
 
 from . import series
 from .errors import UnsupportedModelError, ValidationError
-from .models import HERMITE_DEGREE_CAP, DiffusionModel
+from .models import HERMITE_DEGREE_CAP, DiffusionModel, _laguerre_kernel
 from .specfun import hermite_sequence, laguerre_sequence_table
 from .subordinators import SubordinatorSpec, laplace_exponent
 
@@ -267,67 +281,155 @@ def hermite_exp_integrals_at_infinity(n_max: int, s: float) -> np.ndarray:
 # Model-level assembly
 # ---------------------------------------------------------------------------
 
+# Gauss-Jacobi sizes are rounded up to a multiple of this, so that a run
+# builds only a handful of rules.
+_RULE_STEP = 8
+
+
+def _gauss_jacobi(size: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes t_j and log weights of the ``size``-point Gauss rule on [0, 1]
+    for the weight t^alpha (Golub-Welsch).
+
+    The nodes are the eigenvalues of the Jacobi matrix of the shifted Jacobi
+    polynomials, polished by one Newton step on their orthonormal
+    three-term recurrence, which keeps the nodes near t = 0 to relative
+    precision; ``scipy.special.roots_jacobi`` maps its nodes from [-1, 1] and
+    loses that precision there (its rule misses int_0^1 t^alpha e^{-t} dt by
+    6e-13 at alpha = -0.745 with 80 nodes).  The weights are the Christoffel
+    numbers mu_0 / sum_k q_k(t_j)^2, summed under a running scale so that
+    large alpha neither overflows nor underflows.
+    """
+    k = np.arange(size + 1, dtype=float)
+    two_k = 2.0 * k + alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        shift = np.where(k == 0, alpha / (alpha + 2.0), alpha * alpha / (two_k * (two_k + 2.0)))
+        off = k * (k + alpha) / (two_k * np.sqrt((two_k + 1.0) * (two_k - 1.0)))
+    diag = 0.5 + 0.5 * shift
+    off[0] = 0.0  # off[n] couples degrees n - 1 and n
+    t = linalg.eigvalsh_tridiagonal(diag[:size], off[1:size])
+    for newton in (True, False):
+        q_prev, q = np.zeros(size), np.ones(size)
+        dq_prev, dq = np.zeros(size), np.zeros(size)
+        total, log_scale = np.ones(size), np.zeros(size)
+        for n in range(size):  # q = q_n -> q_{n+1}, dq its derivative
+            gap = t - diag[n]
+            q_prev, q = q, (gap * q - off[n] * q_prev) / off[n + 1]
+            dq_prev, dq = dq, (q_prev + gap * dq - off[n] * dq_prev) / off[n + 1]
+            if n + 1 < size:
+                total += q * q
+            if n % 8 == 7:  # q grows by at most ~1/off per degree
+                scale = np.maximum(np.abs(q), 1.0)
+                q, q_prev, dq, dq_prev = q / scale, q_prev / scale, dq / scale, dq_prev / scale
+                total /= scale * scale
+                log_scale += np.log(scale)
+        if newton:
+            t = t - q / dq
+    return t, -math.log(alpha + 1.0) - np.log(total) - 2.0 * log_scale
+
+
+def _jacobi_rule(model: DiffusionModel, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """``_gauss_jacobi`` for the model's ``laguerre_order``, built on first use
+    of a size and cached on the model."""
+    rules = model._jacobi_rules
+    rule = rules.get(size)
+    if rule is None:
+        rule = rules[size] = _gauss_jacobi(size, model.laguerre_order)
+    return rule
+
+
+def _leading(weights: np.ndarray, size: int) -> np.ndarray:
+    """The first ``size`` rows of ``weights``, zero-padded when it has fewer."""
+    out = np.zeros((size,) + weights.shape[1:])
+    k = min(size, weights.shape[0])
+    out[:k] = weights[:k]
+    return out
+
 
 class Endpoint:
-    """A state placed in the model's polynomial coordinate, with the
-    polynomial table its integrals share at a finite coordinate.
+    """A state placed in the model's polynomial coordinate, with what the
+    integrals from the bottom of the coordinate to it share.
 
-    Smaller tables are leading slices of larger ones, entry for entry, so
-    sharing one changes no value.
+    Every interval integral is the difference of two such integrals, and
+    each is taken one of three ways: zero at the bottom; by Gauss-Jacobi
+    quadrature at a finite Laguerre coordinate (``quadrature``, the node
+    matrix of ``nodes``, its rule cached on the model); in closed form
+    otherwise (``closed``: a finite Hermite coordinate, with the polynomial
+    table of ``table``, or the top end of the coordinate range).  The
+    closed-form Laguerre tables at a finite coordinate
+    (``laguerre_pair_integrals``, ``laguerre_exp_integrals``) are the
+    reference the quadrature is checked against; no Endpoint builds them.
     """
 
     def __init__(self, model: DiffusionModel, x: float):
         self.model = model
         self.x = x
         self._hermite = model.polynomial_family == "hermite"
-        self._bottom = -math.inf if self._hermite else 0.0
+        bottom = -math.inf if self._hermite else 0.0
         if model.state_lo < x < model.state_hi:
             self.z = model.poly_coordinate(x)
         else:  # a state-space boundary maps to an end of the coordinate range
             at_top = (x == model.state_hi) != model.coordinate_reversed
-            self.z = math.inf if at_top else self._bottom
+            self.z = math.inf if at_top else bottom
+        self.quadrature = not self._hermite and 0.0 < self.z < math.inf
+        self.closed = self.z != bottom and not self.quadrature
         self._table: np.ndarray | None = None
+        self._nodes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
     def table(self, n_max: int) -> np.ndarray:
-        """[degree, j] = L_degree^(alpha+j), or [degree] = H_degree, at the
-        finite coordinate for degrees and j up to at least n_max + 1; built
-        on first use, rebuilt only for a higher degree.
+        """[degree] = H_degree at a finite Hermite coordinate for degrees up to
+        at least n_max + 1; built on first use, rebuilt only for a higher
+        degree.  Smaller tables are leading slices of larger ones, entry for
+        entry, so sharing one changes no value.
         """
         if self._table is None or self._table.shape[0] < n_max + 2:
-            if self._hermite:
-                self._table = hermite_sequence(n_max + 1, self.z)
-            else:
-                js = np.arange(n_max + 2, dtype=float)
-                self._table = laguerre_sequence_table(
-                    n_max + 1, self.model.laguerre_order + js, self.z
-                )
+            self._table = hermite_sequence(n_max + 1, self.z)
         return self._table
 
+    def nodes(self, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(V, u, h) at a quadrature endpoint: the Gauss-Jacobi nodes u_j of
+        [0, z] for the weight u^alpha, with weights w_j; h_j = log sqrt(w_j
+        e^{C - u_j}), C the model's ``overlap_log_constant``; and V[n, j] =
+        N_n L_n(u_j) e^{h_j}, one kernel pass for the degrees up to at least
+        n_max, so that V V^T is the overlap block from the bottom to z.
+
+        The rule has n_max + 12 + ceil(1.5 z) nodes, rounded up to a multiple
+        of ``_RULE_STEP``: the factor e^{-u} needs nodes in proportion to z.
+        Beyond u = 4 (2 n_max + alpha + 1) + 80 every integrand is below
+        1e-26 of its total, so a larger z is cut there.  Built on first use,
+        rebuilt with a larger rule only for a higher degree.
+        """
+        if self._nodes is None or self._nodes[0].shape[0] < n_max + 1:
+            model = self.model
+            z = min(self.z, 4.0 * (2.0 * n_max + model.laguerre_order + 1.0) + 80.0)
+            size = n_max + 12 + math.ceil(1.5 * z)
+            t, log_w = _jacobi_rule(model, -(-size // _RULE_STEP) * _RULE_STEP)
+            u = z * t
+            # the weights on [0, z] carry z^(alpha + 1); logs keep large alpha
+            # and z (CIR with b = 160) from under- or overflowing
+            log_scale = (model.laguerre_order + 1.0) * math.log(z) + model.overlap_log_constant
+            half = 0.5 * (log_w + log_scale - u)
+            rows = _laguerre_kernel(model._recurrence, n_max, u) * np.exp(half)
+            self._nodes = rows, u, half
+        return self._nodes
+
     def pair(self, n_max: int) -> np.ndarray:
-        """Pair-integral table from the bottom of the coordinate to z."""
-        if self.z == self._bottom:
+        """Hermite pair-integral table from the bottom of the coordinate to z."""
+        if not self.closed:
             return np.zeros((n_max + 1, n_max + 1))
-        if self._hermite:
-            if self.z == math.inf:
-                return hermite_pair_integrals_at_infinity(n_max)
-            return hermite_pair_integrals(n_max, self.z, self.table(n_max))
-        alpha = self.model.laguerre_order
         if self.z == math.inf:
-            return laguerre_pair_integrals_at_infinity(n_max, alpha)
-        return laguerre_pair_integrals(n_max, alpha, self.z, self.table(n_max))
+            return hermite_pair_integrals_at_infinity(n_max)
+        return hermite_pair_integrals(n_max, self.z, self.table(n_max))
 
     def exp(self, n_max: int, s: float) -> np.ndarray:
-        """Exp integrals at tilt s from the bottom of the coordinate to z."""
-        if self.z == self._bottom:
+        """Closed-form exp integrals at tilt s from the bottom of the
+        coordinate to z; zero unless the endpoint is ``closed``."""
+        if not self.closed:
             return np.zeros(n_max + 1)
         if self._hermite:
             if self.z == math.inf:
                 return hermite_exp_integrals_at_infinity(n_max, s)
             return hermite_exp_integrals(n_max, s, self.z, self.table(n_max))
-        alpha = self.model.laguerre_order
-        if self.z == math.inf:
-            return laguerre_exp_integrals_at_infinity(n_max, alpha, s)
-        return laguerre_exp_integrals(n_max, alpha, s, self.z, self.table(n_max))
+        return laguerre_exp_integrals_at_infinity(n_max, self.model.laguerre_order, s)
 
 
 def _endpoint(model: DiffusionModel, x: float | Endpoint) -> Endpoint:
@@ -356,21 +458,42 @@ def overlap_matrix(model: DiffusionModel, n_max: int, x_lo: float, x_hi: float) 
     matrix.
     """
     _check_interval(model, x_lo, x_hi)
-    return _overlap_block(model, n_max, n_max, x_lo, x_hi)
+    return _overlap_apply(model, n_max, x_lo, x_hi, np.eye(n_max + 1))
 
 
-def _overlap_block(
-    model: DiffusionModel, n_rows: int, n_cols: int, x_lo: float | Endpoint, x_hi: float | Endpoint
+def _overlap_apply(
+    model: DiffusionModel,
+    n_rows: int,
+    x_lo: float | Endpoint,
+    x_hi: float | Endpoint,
+    weights: np.ndarray,
 ) -> np.ndarray:
-    """Rectangular overlap block (rows 0..n_rows, cols 0..n_cols)."""
+    """Rows 0..n_rows of overlap(x_lo, x_hi) @ weights, the block having one
+    column per row of ``weights`` (a vector, or a matrix of columns).
+
+    A quadrature endpoint adds +-V^T (V weights) and never forms the block;
+    for the Laguerre family the top of the coordinate adds ``weights`` itself
+    (orthonormality) and the bottom nothing.
+    """
     lo, hi = _endpoint(model, x_lo), _endpoint(model, x_hi)
+    size = weights.shape[0]
     if lo.x == hi.x:
-        return np.zeros((n_rows + 1, n_cols + 1))
-    n_max = max(n_rows, n_cols)
-    log_n = model.log_norm_constants(n_max)
-    pref = np.exp(log_n[: n_rows + 1, None] + log_n[None, : n_cols + 1] + model.overlap_log_constant)
+        return np.zeros((n_rows + 1,) + weights.shape[1:])
+    n_max = max(n_rows, size - 1)
     lo, hi = _coordinate_order(model, lo, hi)
-    return pref * (hi.pair(n_max) - lo.pair(n_max))[: n_rows + 1, : n_cols + 1]
+    if model.polynomial_family == "hermite":
+        log_n = model.log_norm_constants(n_max)
+        pref = np.exp(log_n[: n_rows + 1, None] + log_n[None, :size] + model.overlap_log_constant)
+        return (pref * (hi.pair(n_max) - lo.pair(n_max))[: n_rows + 1, :size]) @ weights
+    if hi.z == math.inf:
+        out = _leading(weights, n_rows + 1)
+    else:
+        out = np.zeros((n_rows + 1,) + weights.shape[1:])
+    for sign, end in ((1.0, hi), (-1.0, lo)):
+        if end.quadrature:
+            rows = end.nodes(n_max)[0]
+            out += sign * (rows[: n_rows + 1] @ (rows[:size].T @ weights))
+    return out
 
 
 def _closed_form_strike(
@@ -378,12 +501,22 @@ def _closed_form_strike(
 ) -> np.ndarray:
     tilt, log_pref = model.strike_factors(delta, n_max)
     lo, hi = _coordinate_order(model, lo, hi)
-    # The factor and the integral can leave double range on opposite sides
-    # (CIR with b = 160: factors near 1e-420 against integrals near e^629),
-    # so each integral is split into mantissa and power of two and the power
-    # joins the factor's log.
-    mantissa, power = np.frexp(hi.exp(n_max, tilt) - lo.exp(n_max, tilt))
-    return mantissa * np.exp(log_pref + power * math.log(2.0))
+    out = np.zeros(n_max + 1)
+    if lo.closed or hi.closed:
+        # The factor and the integral can leave double range on opposite
+        # sides (CIR with b = 160: factors near 1e-420 against integrals near
+        # e^629), so each integral is split into mantissa and power of two
+        # and the power joins the factor's log.
+        mantissa, power = np.frexp(hi.exp(n_max, tilt) - lo.exp(n_max, tilt))
+        out = mantissa * np.exp(log_pref + power * math.log(2.0))
+    # At a quadrature endpoint P(delta, x) / prefactor(x) is e^{a + (1 - s) u}
+    # at coordinate u: the factors are log N_n + C + a, with a independent of n.
+    a = log_pref[0] - model.log_norm_constants(0)[0] - model.overlap_log_constant
+    for sign, end in ((1.0, hi), (-1.0, lo)):
+        if end.quadrature:
+            rows, u, half = end.nodes(n_max)
+            out += sign * (rows[: n_max + 1] @ np.exp(half + (1.0 - tilt) * u + a))
+    return out
 
 
 def _expansion_strike(
@@ -400,9 +533,7 @@ def _expansion_strike(
         return model.unit_payoff_coefficients(m_hi) * np.exp(-lam * delta)
 
     m_cut = series.weight_cutoff(weights, eps)
-    w = weights(m_cut)
-    block = _overlap_block(model, n_max, m_cut, lo, hi)
-    return block @ w
+    return _overlap_apply(model, n_max, lo, hi, weights(m_cut))
 
 
 def strike_projection(

@@ -246,6 +246,12 @@ class DiffusionModel:
         """Largest degree whose integral tables stay inside double range."""
         raise NotImplementedError
 
+    @cached_property
+    def _jacobi_rules(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
+        """Gauss-Jacobi rules of the Laguerre-family integrals by size; filled
+        on demand by ``coeffs``, since they depend only on the model's order."""
+        return {}
+
     @property
     def overlap_log_constant(self) -> float:
         """log of the factor, besides N_m N_n, from pair to overlap integrals."""

@@ -318,6 +318,8 @@ def mc_zero_coupon(
     for a fixed seed.  Paths are generated in chunks drawn from spawned
     child streams so the memory footprint stays bounded.
     """
+    if not t > 0.0:
+        raise ValidationError("maturity must be positive")
     if steps_per_year < 250:
         raise ValidationError("steps_per_year must be at least 250")
     if n_paths < 1:

@@ -10,9 +10,10 @@ The bond value at issue is built in three moves:
     under the hold value, the holder puts above the state x_p where the
     discounted put price rises above it; both break-even states are found
     by bracketed Brent, warm-started from the previous date's states.  The
-    new coefficient vector is assembled in closed form from strike
-    projections over the exercise regions, the overlap matrix over the hold
-    region, and the coupon term.
+    new coefficient vector is assembled from strike projections over the
+    exercise regions, the overlap matrix over the hold region (applied to
+    the coefficients, never formed at a Gauss-Jacobi endpoint; see
+    ``coeffs``), and the coupon term.
 3.  At issue the value is the series at the first decision time plus the
     closed-form (or expansion) present value of the protected coupons.
 
@@ -542,7 +543,7 @@ class _Engine:
             h_next = sched.decision_time(i)
         n_rows = min(max(16, m_cols), degree_cap)
         while True:
-            new = self._assemble(i, n_rows, m_cols, x_call, x_put, prev_weights)
+            new = self._assemble(i, n_rows, x_call, x_put, prev_weights)
             decay_next = self.basis.decay(h_next, n_rows)
             level, converged = series.stop_level(np.abs(new) * decay_next, self._eps_assembly)
             if converged:
@@ -560,50 +561,32 @@ class _Engine:
         self.dates.append(record)
         return new
 
-    def _assemble(self, i, n_rows, m_cols, x_call, x_put, prev_weights) -> np.ndarray:
-        sched = self.schedule
+    def _assemble(self, i, n_rows, x_call, x_put, prev_weights) -> np.ndarray:
+        sched, model = self.schedule, self.model
         # The hold overlap and the strike leg meeting at a break-even state
-        # share one polynomial table there, built once per assembly pass.
-        x_c_eff = (
-            self.model.state_lo if x_call is None else coeffs_mod.Endpoint(self.model, x_call)
-        )
-        x_p_eff = (
-            self.model.state_hi if x_put is None else coeffs_mod.Endpoint(self.model, x_put)
-        )
+        # share one polynomial table (Hermite) or one node matrix (Laguerre)
+        # there, built once per assembly pass.  The strike legs go first: an
+        # expansion leg may need a higher degree than the hold, which then
+        # reads the leading rows of the same node matrix.
+        x_c_eff = model.state_lo if x_call is None else coeffs_mod.Endpoint(model, x_call)
+        x_p_eff = model.state_hi if x_put is None else coeffs_mod.Endpoint(model, x_put)
+        legs = [
+            strike
+            * coeffs_mod.strike_projection(
+                model, self.sub, n_rows, lo, hi, sched.notice_delta, eps=self.eps
+            )
+            for strike, state, lo, hi in (
+                (sched.call_price(i), x_call, model.state_lo, x_c_eff),
+                (sched.put_price(i), x_put, x_p_eff, model.state_hi),
+            )
+            if state is not None
+        ]
         if x_call is None and x_put is None:
-            hold = prev_weights[: n_rows + 1].copy()
-            if hold.size < n_rows + 1:
-                hold = np.pad(hold, (0, n_rows + 1 - hold.size))
+            new = coeffs_mod._leading(prev_weights, n_rows + 1)
         else:
-            block = coeffs_mod._overlap_block(
-                self.model, n_rows, m_cols, x_c_eff, x_p_eff
-            )
-            hold = block @ prev_weights
-
-        new = hold
-        k_call, k_put = sched.call_price(i), sched.put_price(i)
-        if k_call is not None and x_call is not None:
-            leg = coeffs_mod.strike_projection(
-                self.model,
-                self.sub,
-                n_rows,
-                self.model.state_lo,
-                x_c_eff,
-                sched.notice_delta,
-                eps=self.eps,
-            )
-            new = new + k_call * leg
-        if k_put is not None and x_put is not None:
-            leg = coeffs_mod.strike_projection(
-                self.model,
-                self.sub,
-                n_rows,
-                x_p_eff,
-                self.model.state_hi,
-                sched.notice_delta,
-                eps=self.eps,
-            )
-            new = new + k_put * leg
+            new = coeffs_mod._overlap_apply(model, n_rows, x_c_eff, x_p_eff, prev_weights)
+        for leg in legs:
+            new = new + leg
         return new + sched.coupon * self.basis.unit_weights(sched.notice_delta, n_rows)
 
     # -- full run --------------------------------------------------------------

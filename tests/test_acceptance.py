@@ -252,6 +252,32 @@ def test_criterion_7_property_suite(callable_runs, putable_runs, root_runs):
         g = lambda y: math.exp(s * y - y * y) * hermite_sequence(max(n, 1), y)[n]
         assert vec[n] == pytest.approx(quad(g, -30.0, x), rel=1e-9, abs=1e-12)
 
+    # the integrals the pricer takes for the Laguerre models (Gauss-Jacobi at
+    # finite endpoints) against adaptive quadrature in the state: overlap
+    # phi_n phi_m m and strike leg P(delta, .) phi_n m on finite intervals
+    delta = benchmark.swiss1987_schedule().notice_delta
+    cir = models[0]
+    none = SubordinatorSpec.none()
+    bonds = {
+        "cir": lambda x: float(cir.closed_form_bond(delta, x)),
+        "three_halves": lambda x: zero_coupon_price(three_halves, none, delta, x, eps=1e-12),
+    }
+    for model, cases in ((cir, 10), (three_halves, 4)):
+        for _ in range(cases):
+            n, m = (int(v) for v in rng.integers(0, 10, size=2))
+            x_lo, x_hi = sorted(float(v) for v in rng.uniform(0.01, 0.3, size=2))
+            gram = coeffs.overlap_matrix(model, max(n, m), x_lo, x_hi)
+            f = lambda x: (
+                model.eigenfunctions(max(n, m), x)[n]
+                * model.eigenfunctions(max(n, m), x)[m]
+                * model.speed_density(x)
+            )
+            assert gram[n, m] == pytest.approx(quad(f, x_lo, x_hi), rel=1e-9, abs=1e-12)
+            leg = coeffs.strike_projection(model, none, n, x_lo, x_hi, delta, eps=1e-12)
+            bond = bonds[model.kind]
+            g = lambda x: bond(x) * model.eigenfunctions(n, x)[n] * model.speed_density(x)
+            assert leg[n] == pytest.approx(quad(g, x_lo, x_hi), rel=1e-9, abs=1e-12)
+
     # closed-form vs expansion zero-coupon agreement for t >= 0.5
     for config in ("cir", "vasicek"):
         model, sub, _ = _setup(config, False)

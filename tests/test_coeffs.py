@@ -1,15 +1,16 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy import special as sp
 
-from eigenbond import coeffs
+from eigenbond import coeffs, series
 from eigenbond.errors import UnsupportedModelError, ValidationError
 from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel
 from eigenbond.specfun import hermite_sequence, laguerre_sequence, lower_incomplete_gamma
-from eigenbond.subordinators import SubordinatorSpec
+from eigenbond.subordinators import SubordinatorSpec, laplace_exponent
 
 CIR = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
 VAS = VasicekModel(kappa=0.44178462, theta=0.098397028, sigma=0.13264223)
@@ -346,3 +347,156 @@ def test_strike_partial_sums_reproduce_indicator_bond():
     partial_out = np.cumsum(spj * phi_out)
     assert abs(np.mean(partial_out[120:])) <= 3e-2
     assert np.max(np.abs(partial_out[120:])) <= 0.1
+
+
+# ---------------------------------------------------------------------------
+# Gauss-Jacobi quadrature at finite Laguerre endpoints, against the
+# closed-form tables
+# ---------------------------------------------------------------------------
+
+B160 = CIRModel(kappa=1.0, theta=0.05, sigma=0.025)  # b = 160, Laguerre order 159
+
+
+def _state_at(model, z):
+    """The state whose polynomial coordinate is z."""
+    unit = model.poly_coordinate(1.0)
+    return unit / z if model.coordinate_reversed else z / unit
+
+
+def _coordinates(model, x_lo, x_hi):
+    return sorted(coeffs.Endpoint(model, x).z for x in (x_lo, x_hi))
+
+
+def _closed_overlap(model, n, x_lo, x_hi):
+    alpha = model.laguerre_order
+
+    def pair(z):
+        if z == 0.0:
+            return np.zeros((n + 1, n + 1))
+        if z == math.inf:
+            return coeffs.laguerre_pair_integrals_at_infinity(n, alpha)
+        return coeffs.laguerre_pair_integrals(n, alpha, z)
+
+    z_lo, z_hi = _coordinates(model, x_lo, x_hi)
+    log_n = model.log_norm_constants(n)
+    pref = np.exp(log_n[:, None] + log_n[None, :] + model.overlap_log_constant)
+    return pref * (pair(z_hi) - pair(z_lo))
+
+
+def _closed_strike(model, n, x_lo, x_hi):
+    alpha = model.laguerre_order
+    tilt, log_pref = model.strike_factors(DELTA, n)
+
+    def exp(z):
+        if z == 0.0:
+            return np.zeros(n + 1)
+        if z == math.inf:
+            return coeffs.laguerre_exp_integrals_at_infinity(n, alpha, tilt)
+        return coeffs.laguerre_exp_integrals(n, alpha, tilt, z)
+
+    z_lo, z_hi = _coordinates(model, x_lo, x_hi)
+    mantissa, power = np.frexp(exp(z_hi) - exp(z_lo))
+    return mantissa * np.exp(log_pref + power * math.log(2.0))
+
+
+def _closed_expansion_strike(model, sub, n, x_lo, x_hi, eps):
+    def weights(m):
+        lam = laplace_exponent(sub, model.eigenvalues(m))
+        return model.unit_payoff_coefficients(m) * np.exp(-lam * DELTA)
+
+    m = series.weight_cutoff(weights, eps)
+    return _closed_overlap(model, max(n, m), x_lo, x_hi)[: n + 1, : m + 1] @ weights(m)
+
+
+def _intervals(model, z):
+    """[bottom, x], [x, top] and [x, x'] with x at coordinate z, in state order."""
+    x, x2 = _state_at(model, z), _state_at(model, 1.5 * z)
+    return ((model.state_lo, x), (x, model.state_hi), tuple(sorted((x, x2))))
+
+
+GJ_CASES = (
+    # benchmark CIR (order -0.745) up to the top of its search interval
+    (CIR, 40, (1e-3, 0.1, 1.0, 5.0, 20.0, CIR.poly_coordinate(CIR.search_interval(40)[2]))),
+    (TH, 40, (1e-3, 1.0, 16.0, 80.0, 320.0, 640.0)),  # order 17.9
+    (B160, 9, (1e-3, 80.0, 160.0, 320.0, 640.0)),  # degree cap 9
+)
+
+
+@pytest.mark.parametrize("model,n,zs", GJ_CASES, ids=("cir", "three_halves", "cir_b160"))
+def test_gauss_jacobi_overlap_matches_closed_form(model, n, zs):
+    for z in zs:
+        for lo, hi in _intervals(model, z):
+            got = coeffs.overlap_matrix(model, n, lo, hi)
+            assert np.max(np.abs(got - _closed_overlap(model, n, lo, hi))) <= 1e-12, (z, lo, hi)
+
+
+@pytest.mark.parametrize("model,n,zs", GJ_CASES, ids=("cir", "three_halves", "cir_b160"))
+def test_gauss_jacobi_strike_matches_closed_form(model, n, zs):
+    # Interval integrals are differences of integrals from the bottom of the
+    # coordinate, so both routes are accurate relative to the whole-space
+    # projection, not to a small difference.
+    full = np.max(np.abs(coeffs.strike_projection(model, JD, n, 0.0, math.inf, DELTA, eps=1e-12)))
+    if model.affine:
+        full_closed = np.max(np.abs(coeffs.strike_projection(model, NONE, n, 0.0, math.inf, DELTA)))
+    for z in zs:
+        for lo, hi in _intervals(model, z):
+            got = coeffs.strike_projection(model, JD, n, lo, hi, DELTA, eps=1e-12)
+            ref = _closed_expansion_strike(model, JD, n, lo, hi, 1e-12)
+            assert np.max(np.abs(got - ref)) <= 1e-12 * full, (z, lo, hi)
+            if model.affine:
+                got = coeffs.strike_projection(model, NONE, n, lo, hi, DELTA, route="closed_form")
+                ref = _closed_strike(model, n, lo, hi)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * full_closed, (z, lo, hi)
+
+
+def _mp_laguerre(n, a, u):
+    """L_n^(a)(u) by the three-term recurrence, in mpmath arithmetic."""
+    prev, cur = 0, 1
+    for k in range(n):
+        prev, cur = cur, ((2 * k + 1 + a - u) * cur - (k + a) * prev) / (k + 1)
+    return cur
+
+
+def _mp_weighted_integral(g, alpha, z):
+    """int_0^z u^alpha g(u) du by mpmath; u = v^(1/(alpha+1)) removes a
+    singular weight."""
+    a = mpmath.mpf(alpha)
+    if alpha < 0.0:
+        p = 1 / (a + 1)
+        return p * mpmath.quad(lambda v: g(v**p), mpmath.linspace(0, mpmath.mpf(z) ** (a + 1), 3))
+    return mpmath.quad(lambda u: u**a * g(u), [0, z / 2, z], method="gauss-legendre")
+
+
+def test_gauss_jacobi_entries_against_mpmath():
+    cases = ((CIR, 3, 7, 5.0), (CIR, 30, 31, 40.0), (TH, 2, 5, 16.0), (B160, 4, 9, 160.0))
+    for model, m, n, z in cases:
+        alpha = model.laguerre_order
+        log_n = model.log_norm_constants(n)
+        with mpmath.workdps(20):
+            a = mpmath.mpf(alpha)
+            g = lambda u: _mp_laguerre(m, a, u) * _mp_laguerre(n, a, u) * mpmath.exp(-u)
+            ref = _mp_weighted_integral(g, alpha, z)
+            ref = float(ref * mpmath.exp(log_n[m] + log_n[n] + model.overlap_log_constant))
+        x = _state_at(model, z)
+        lo, hi = (x, math.inf) if model.coordinate_reversed else (0.0, x)
+        got = coeffs.overlap_matrix(model, n, lo, hi)[m, n]
+        assert got == pytest.approx(ref, rel=1e-12, abs=1e-15), (model.kind, m, n, z)
+
+    # the closed-form strike leg of the benchmark CIR at one entry
+    n, z = 6, 3.0
+    tilt, log_pref = CIR.strike_factors(DELTA, n)
+    with mpmath.workdps(20):
+        a = mpmath.mpf(CIR.laguerre_order)
+        g = lambda u: mpmath.exp(-tilt * u) * _mp_laguerre(n, a, u)
+        ref = float(_mp_weighted_integral(g, CIR.laguerre_order, z) * mpmath.exp(log_pref[n]))
+    got = coeffs.strike_projection(CIR, NONE, n, 0.0, _state_at(CIR, z), DELTA, route="closed_form")
+    assert got[n] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def test_gauss_jacobi_rules_are_cached_per_size():
+    model = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
+    for x in (0.02, 0.03, 0.05):
+        coeffs.overlap_matrix(model, 20, 0.0, x)
+    assert list(model._jacobi_rules) == [40]  # 20 + 12 + 1, rounded up to a multiple of 8
+    coeffs.overlap_matrix(model, 30, 0.0, 0.05)
+    assert sorted(model._jacobi_rules) == [40, 48]

@@ -106,6 +106,13 @@ def test_mc_parameter_validation():
         mc_zero_coupon(CIR, tempered, 1.0, 0.05, n_paths=1000, steps_per_year=250)
 
 
+@pytest.mark.parametrize("clock,t", (("jd", 0.0), ("none", -1.0)))
+def test_mc_refuses_a_nonpositive_maturity(clock, t):
+    sub = NONE if clock == "none" else CLOCKS[clock]
+    with pytest.raises(ValidationError, match="maturity must be positive"):
+        mc_zero_coupon(CIR, sub, t, 0.05, n_paths=100, steps_per_year=250)
+
+
 @pytest.mark.parametrize("t", (0.1666, 1.0, 5.0))
 @pytest.mark.parametrize("clock", ("jd", "pj", "gamma"))
 @pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)

@@ -301,15 +301,22 @@ def test_strike_jump_leaves_the_warm_bracket(monkeypatch, model):
 
 
 @pytest.mark.parametrize(
-    "model,schedule",
-    ((CIR, _five_year_monthly([1.0] * 48)), (VAS, SWISS_PUT)),
-    ids=("cir_callable", "vasicek_call_put"),
+    "model,sub,schedule",
+    (
+        (CIR, NONE, _five_year_monthly([1.0] * 48)),
+        (VAS, NONE, SWISS_PUT),
+        # the expansion strike leg may need a deeper node matrix than the hold
+        (CIR, JD, SWISS_PUT),
+    ),
+    ids=("cir_callable", "vasicek_call_put", "subcir_jd_call_put"),
 )
-def test_one_polynomial_table_per_break_even_state_per_pass(monkeypatch, model, schedule):
+def test_one_polynomial_table_per_break_even_state_per_pass(monkeypatch, model, sub, schedule):
     from eigenbond import coeffs, pricer
 
+    # Hermite polynomial tables, Laguerre node-kernel passes, and the closed-form
+    # Laguerre tables, which assembly no longer builds
     builds = []
-    for name in ("laguerre_sequence_table", "hermite_sequence"):
+    for name in ("laguerre_sequence_table", "_laguerre_kernel", "hermite_sequence"):
         build = getattr(coeffs, name)
         monkeypatch.setattr(
             coeffs, name, lambda *args, build=build: builds.append(args) or build(*args)
@@ -317,14 +324,14 @@ def test_one_polynomial_table_per_break_even_state_per_pass(monkeypatch, model, 
     passes = []  # (tables built, finite break-even states) per assembly pass
     assemble = pricer._Engine._assemble
 
-    def counted(self, i, n_rows, m_cols, x_call, x_put, prev_weights):
+    def counted(self, i, n_rows, x_call, x_put, prev_weights):
         before = len(builds)
-        new = assemble(self, i, n_rows, m_cols, x_call, x_put, prev_weights)
+        new = assemble(self, i, n_rows, x_call, x_put, prev_weights)
         passes.append((len(builds) - before, (x_call, x_put).count(None)))
         return new
 
     monkeypatch.setattr(pricer._Engine, "_assemble", counted)
-    price_bond(model, NONE, schedule, [0.05], eps=1e-7)
+    price_bond(model, sub, schedule, [0.05], eps=1e-7)
     assert len(passes) >= len(schedule.exercise_indices)
     # the callable has one state per pass at most; the put bond has passes with both
     assert max(built for built, _ in passes) == (1 if schedule.put_prices is None else 2)
