@@ -519,6 +519,29 @@ def _closed_form_strike(
     return out
 
 
+def _expansion_weights(
+    model: DiffusionModel, sub: SubordinatorSpec, delta: float, eps: float
+) -> np.ndarray:
+    """p_m e^{-phi(lambda_m) delta} up to the cut of ``series.weight_cutoff``.
+
+    Nothing but the model, the clock, delta and eps moves the cut, so the
+    weights are computed on first use and cached on the model (read-only).
+    """
+    cache = model._expansion_weights
+    key = (sub, delta, eps)
+    cut = cache.get(key)
+    if cut is None:
+
+        def weights(m_hi: int) -> np.ndarray:
+            lam = laplace_exponent(sub, model.eigenvalues(m_hi))
+            return model.unit_payoff_coefficients(m_hi) * np.exp(-lam * delta)
+
+        cut = weights(series.weight_cutoff(weights, eps))
+        cut.flags.writeable = False
+        cache[key] = cut
+    return cut
+
+
 def _expansion_strike(
     model: DiffusionModel,
     sub: SubordinatorSpec,
@@ -528,12 +551,7 @@ def _expansion_strike(
     delta: float,
     eps: float,
 ) -> np.ndarray:
-    def weights(m_hi: int) -> np.ndarray:
-        lam = laplace_exponent(sub, model.eigenvalues(m_hi))
-        return model.unit_payoff_coefficients(m_hi) * np.exp(-lam * delta)
-
-    m_cut = series.weight_cutoff(weights, eps)
-    return _overlap_apply(model, n_max, lo, hi, weights(m_cut))
+    return _overlap_apply(model, n_max, lo, hi, _expansion_weights(model, sub, delta, eps))
 
 
 def strike_projection(
@@ -554,6 +572,7 @@ def strike_projection(
     pricer.  ``"auto"`` picks the closed form whenever it exists.  Either
     endpoint may be an ``Endpoint`` whose table other integrals share.
     """
+    series.check_eps(eps)
     lo, hi = _endpoint(model, x_lo), _endpoint(model, x_hi)
     _check_interval(model, lo.x, hi.x)
     if delta < 0.0:

@@ -19,14 +19,17 @@ coordinate, so each model supplies three things: its coordinate map
 (``poly_coordinate``), its prefactor, and the coefficients of its normalized
 three-term recurrence (the norm constant folded into the recursion, which
 keeps every intermediate O(1) and finite at degrees where the raw polynomial
-and the norm constant would separately overflow or underflow).  One loop per
-polynomial family (``_laguerre_kernel`` for CIR and 3/2, ``_hermite_kernel``
-for Vasicek) runs over those coefficients: on plain floats for one abscissa,
-on numpy rows for many.  ``eigenfunctions`` (one state) and
-``eigenfunction_matrix`` (an array of states) share one code path, the
-model's ``_prefactor`` (numpy ``exp``/``power`` for a float and an array
-alike) times the kernel at ``poly_coordinate(x)``, so they agree to the last
-bit.  The coefficient lists are built on first use, cached on the model and
+and the norm constant would separately overflow or underflow).  One
+recurrence generator per polynomial family (``_laguerre_terms`` for CIR and
+3/2, ``_hermite_terms`` for Vasicek) runs over those coefficients and yields
+one degree at a time: plain floats for one abscissa, numpy rows for many.
+The array kernels (``_laguerre_kernel``, ``_hermite_kernel``) collect it
+whole; ``eigenfunction_terms`` streams it, so a scalar series takes only the
+recurrence steps its truncation rule draws.  ``eigenfunctions`` (one state),
+``eigenfunction_matrix`` (an array of states) and ``eigenfunction_terms``
+multiply the model's ``_prefactor`` (numpy ``exp``/``power`` for a float and
+an array alike) into the same recurrence at ``poly_coordinate(x)``, so they
+agree to the last bit.  The coefficient lists are built on first use, cached on the model and
 grown on demand; the derived constants (``gamma``, ``b``, ``order_m``,
 ``hermite_shift``, ...) are cached too.  Every norm constant is formed in
 log space, so parameter sets whose raw factors overflow separately still
@@ -52,6 +55,7 @@ model; what differs between the diffusions is read from these facts:
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -110,8 +114,9 @@ def _degree_zero(rec: _Recurrence, z):
     return np.full(z.shape, rec.n0) if isinstance(z, np.ndarray) else rec.n0
 
 
-def _laguerre_kernel(rec: _Recurrence, n_max: int, z) -> np.ndarray:
-    """N_n L_n(z) for n = 0..n_max, rows over z when z is an array.
+def _laguerre_terms(rec: _Recurrence, n_max: int, z) -> Iterator:
+    """Yield N_n L_n(z) for n = 0..n_max: floats for a float z, rows for an
+    array; each degree is computed only when it is drawn.
 
     ``rec.seed`` is (lead, bump, root1, shift): degree 1 is
     (lead - z + bump) root1 N_0, and degree n >= 2 is
@@ -120,32 +125,42 @@ def _laguerre_kernel(rec: _Recurrence, n_max: int, z) -> np.ndarray:
     """
     r1, q = rec.upto(n_max)
     prev = _degree_zero(rec, z)
-    out = [prev]
+    yield prev
     if n_max >= 1:
         lead, bump, root1, shift = rec.seed
         cur = (lead - z + bump) * root1 * rec.n0
-        out.append(cur)
+        yield cur
         gap = shift - z
         for n in range(2, n_max + 1):
             prev, cur = cur, (2.0 + gap / n) * r1[n] * cur - q[n] * prev
-            out.append(cur)
-    return np.array(out)
+            yield cur
+
+
+def _hermite_terms(rec: _Recurrence, n_max: int, z) -> Iterator:
+    """Yield N_n H_n(z) for n = 0..n_max, as ``_laguerre_terms``:
+    z sqrt(2/n) N_{n-1} - sqrt((n-1)/n) N_{n-2}."""
+    up, down = rec.upto(n_max)
+    prev = _degree_zero(rec, z)
+    yield prev
+    if n_max >= 1:
+        cur = z * up[1] * rec.n0
+        yield cur
+        for n in range(2, n_max + 1):
+            prev, cur = cur, z * up[n] * cur - down[n] * prev
+            yield cur
+
+
+def _laguerre_kernel(rec: _Recurrence, n_max: int, z) -> np.ndarray:
+    """N_n L_n(z) for n = 0..n_max, rows over z when z is an array."""
+    return np.array(list(_laguerre_terms(rec, n_max, z)))
 
 
 def _hermite_kernel(rec: _Recurrence, n_max: int, z) -> np.ndarray:
-    """N_n H_n(z) for n = 0..n_max: z sqrt(2/n) N_{n-1} - sqrt((n-1)/n) N_{n-2}."""
-    up, down = rec.upto(n_max)
-    prev = _degree_zero(rec, z)
-    out = [prev]
-    if n_max >= 1:
-        cur = z * up[1] * rec.n0
-        out.append(cur)
-        for n in range(2, n_max + 1):
-            prev, cur = cur, z * up[n] * cur - down[n] * prev
-            out.append(cur)
-    return np.array(out)
+    """N_n H_n(z) for n = 0..n_max, rows over z when z is an array."""
+    return np.array(list(_hermite_terms(rec, n_max, z)))
 
 
+_TERMS = {"laguerre": _laguerre_terms, "hermite": _hermite_terms}
 _KERNELS = {"laguerre": _laguerre_kernel, "hermite": _hermite_kernel}
 
 
@@ -233,6 +248,15 @@ class DiffusionModel:
         """Matrix [j, n] = phi_n(xs[j]); vectorized over the abscissas."""
         return self._eigenfunction_rows(n_max, np.asarray(xs, dtype=float)).T
 
+    def eigenfunction_terms(self, n_max: int, x: float) -> Iterator[float]:
+        """phi_0(x) .. phi_{n_max}(x) as plain floats, each recurrence step
+        taken only when its term is drawn; entry for entry the values of
+        ``eigenfunctions``."""
+        self._require_state(x)
+        x = float(x)
+        terms = _TERMS[self.polynomial_family](self._recurrence, n_max, self.poly_coordinate(x))
+        return map(float(self._prefactor(x)).__mul__, terms)
+
     def _eigenfunction_rows(self, n_max: int, x) -> np.ndarray:
         """Rows [n] = phi_n(x): one code path for a state and for an array of
         states, so both evaluators agree to the last bit."""
@@ -250,6 +274,12 @@ class DiffusionModel:
     def _jacobi_rules(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
         """Gauss-Jacobi rules of the Laguerre-family integrals by size; filled
         on demand by ``coeffs``, since they depend only on the model's order."""
+        return {}
+
+    @cached_property
+    def _expansion_weights(self) -> dict[tuple, np.ndarray]:
+        """Expansion-route strike weights by (clock, notice period, eps);
+        filled on demand by ``coeffs``, like ``_jacobi_rules``."""
         return {}
 
     @property

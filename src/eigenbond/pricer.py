@@ -26,7 +26,13 @@ points are ``price_bond`` and ``zero_coupon_price``.  Brent closes every
 break-even search to ``TOL_X``.
 
 Every series evaluation is truncated adaptively by the two-term
-look-ahead rule of ``series``.  The coefficients carried from one date to
+look-ahead rule of ``series``, streamed: the terms w_n phi_n(x) are drawn
+one at a time from the model's recurrence (``eigenfunction_terms``) until
+the rule fires, with no term array built.  The weights w_n are plain float
+lists: the continuation weights once per date, and for the growing-supply
+series scale p_n e^{-phi(lambda_n) t}, cached by ``SpectralBasis`` per
+(t, scale) and grown by doubling only when a series runs past them.  The
+coefficients carried from one date to
 the next are a plain array, cut separately, by the decay of their own
 next-stage term weights: exercise kinks give the assembled value function
 slower coefficient decay than the series evaluations that located the
@@ -38,6 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 
 import numpy as np
 from scipy import optimize
@@ -218,7 +225,8 @@ class PricingResult:
 
 
 class SpectralBasis:
-    """Grow-on-demand eigenvalues, subordinate eigenvalues, and unit coefficients."""
+    """Grow-on-demand eigenvalues, subordinate eigenvalues, and unit coefficients,
+    with the weight lists of the growing-supply series cached per (t, scale)."""
 
     def __init__(self, model: DiffusionModel, sub: SubordinatorSpec):
         self.model = model
@@ -232,6 +240,7 @@ class SpectralBasis:
                 f"{model.eigenvalue(0):.6g}: {exc}"
             ) from exc
         self._grow(64)
+        self._pools: dict[tuple[float, float], list[float]] = {}
 
     def _grow(self, n_hi: int) -> None:
         self.lam = np.asarray(self.model.eigenvalues(n_hi), dtype=float)
@@ -251,31 +260,47 @@ class SpectralBasis:
         self.ensure(n_hi)
         return np.exp(-self.philam[: n_hi + 1] * t)
 
+    def pool_weights(self, t: float, scale: float, n_hi: int) -> list[float]:
+        """scale p_n e^{-phi(lambda_n) t} as a float list of at least n_hi + 1
+        entries, cached per (t, scale); a miss doubles the cached list, up
+        to ``POOL_CAP``."""
+        weights = self._pools.get((t, scale))
+        if weights is None or len(weights) <= n_hi:
+            if weights is not None:
+                n_hi = max(n_hi, min(2 * (len(weights) - 1), POOL_CAP))
+            weights = (scale * self.unit_weights(t, n_hi)).tolist()
+            self._pools[t, scale] = weights
+        return weights
+
 
 def _series_eval_capped(
-    basis: SpectralBasis, weights: np.ndarray, x: float, eps: float
+    basis: SpectralBasis, weights: list[float], x: float, eps: float
 ) -> tuple[float, int]:
     """Truncated sum_n weights_n phi_n(x) with a fixed coefficient supply.
 
     Returns (value, stop level).  When the rule does not fire within the
     supply, every available term is used.
     """
-    n_hi = weights.size - 1
-    phi = basis.model.eigenfunctions(n_hi, x)
-    terms = weights * phi
-    value, level, _ = series.truncate_terms(terms, eps)
+    terms = map(mul, weights, basis.model.eigenfunction_terms(len(weights) - 1, x))
+    value, level, _ = series.truncate_stream(terms, eps)
     return value, level
 
 
 def _series_eval_pool(
     basis: SpectralBasis, t: float, x: float, eps: float, scale: float = 1.0
 ) -> tuple[float, int]:
-    """Truncated sum_n scale p_n e^{-phi(lambda_n) t} phi_n(x), growing supply."""
+    """Truncated sum_n scale p_n e^{-phi(lambda_n) t} phi_n(x), growing supply.
+
+    The series is offered the basis's whole cached weight list: the level
+    where the rule first fires does not depend on how far the supply
+    reaches, so a list grown by an earlier call changes no result.
+    """
     n_hi = 32
     while True:
-        weights = scale * basis.unit_weights(t, n_hi)
-        phi = basis.model.eigenfunctions(n_hi, x)
-        value, level, converged = series.truncate_terms(weights * phi, eps)
+        weights = basis.pool_weights(t, scale, n_hi)
+        n_hi = len(weights) - 1
+        terms = map(mul, weights, basis.model.eigenfunction_terms(n_hi, x))
+        value, level, converged = series.truncate_stream(terms, eps)
         if converged:
             return value, level
         if n_hi >= POOL_CAP:
@@ -298,6 +323,7 @@ def zero_coupon_price(
     eps: float = 1e-9,
 ) -> float:
     """Zero-coupon bond by the (subordinate) eigenfunction expansion."""
+    series.check_eps(eps)
     if not t > 0.0:
         raise ValidationError("maturity must be positive")
     if not model.contains(x):
@@ -458,8 +484,7 @@ class _Engine:
         eps: float,
         check_single_crossing: bool,
     ):
-        if not 0.0 < eps <= 1e-3:
-            raise ValidationError(f"eps must lie in (0, 1e-3], got {eps}")
+        series.check_eps(eps)
         if schedule.protection_index < schedule.n_coupons:
             tau_first = schedule.decision_time(schedule.protection_index)
             if tau_first <= 0.0:
@@ -507,9 +532,10 @@ class _Engine:
         else:
             m_cols = prev.size - 1
             prev_weights = prev * self.basis.decay(h, m_cols)
+            cont_weights = prev_weights.tolist()
 
             def cont(x: float) -> tuple[float, int]:
-                return _series_eval_capped(self.basis, prev_weights, x, self.eps)
+                return _series_eval_capped(self.basis, cont_weights, x, self.eps)
 
         interval = self.model.search_interval(m_cols)
         finder = _RootFinder(cont, self.pdelta, interval, i, record.eval_levels)
@@ -604,7 +630,7 @@ class _Engine:
 
         if coefficients is not None:
             start_t = sched.decision_time(sched.protection_index)
-            weights0 = coefficients * self.basis.decay(start_t, coefficients.size - 1)
+            weights0 = (coefficients * self.basis.decay(start_t, coefficients.size - 1)).tolist()
 
         coupon_bonds = [
             _discount_bond(self.basis, sched.coupon_time(i), self.eps)

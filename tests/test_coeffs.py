@@ -292,6 +292,35 @@ def test_strike_full_interval_subordinated():
     np.testing.assert_allclose(spj, expected, rtol=1e-9, atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", (-1.0, 0.0, 0.5, math.nan))
+def test_strike_refuses_a_bad_eps_up_front(eps):
+    # eps = -1 ran on into a ConvergenceError from the inner series
+    with pytest.raises(ValidationError, match="eps must lie in"):
+        coeffs.strike_projection(CIR, JD, 10, 0.0, 0.05, DELTA, eps=eps)
+
+
+def test_expansion_strike_weights_are_cut_once_per_clock_notice_and_eps(monkeypatch):
+    model = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
+    cuts = []
+    cutoff = series.weight_cutoff
+    monkeypatch.setattr(series, "weight_cutoff", lambda *args: cuts.append(args) or cutoff(*args))
+    first = [coeffs.strike_projection(model, JD, 12, 0.0, x, DELTA, eps=1e-10) for x in (0.03, 0.1)]
+    again = [coeffs.strike_projection(model, JD, 12, 0.0, x, DELTA, eps=1e-10) for x in (0.03, 0.1)]
+    assert len(cuts) == 1
+    for a, b in zip(first, again):
+        np.testing.assert_array_equal(a, b)
+    coeffs.strike_projection(model, JD, 12, 0.0, 0.03, DELTA, eps=1e-12)
+    coeffs.strike_projection(model, JD, 12, 0.0, 0.03, 0.5, eps=1e-10)
+    assert len(cuts) == 3
+
+    # the cached weights are the ones the cut would give afresh, bit for bit
+    (weights, eps), = cuts[:1]
+    m_cut = cutoff(weights, eps)
+    cached = model._expansion_weights[JD, DELTA, 1e-10]
+    np.testing.assert_array_equal(cached, weights(m_cut))
+    assert not cached.flags.writeable
+
+
 def test_strike_zero_notice_is_unit_coeffs():
     spj = coeffs.strike_projection(CIR, NONE, 8, 0.0, math.inf, 0.0)
     np.testing.assert_allclose(

@@ -72,6 +72,18 @@ def test_eigenfunction_matrix_agrees_pointwise(model):
         np.testing.assert_array_equal(mat[j], model.eigenfunctions(40, float(x)))
 
 
+@pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind)
+def test_eigenfunction_terms_agree_with_eigenfunctions(model):
+    # the pricer's streamed series draws these plain floats one at a time
+    xs = model.stationary_distribution().rvs(500, random_state=np.random.default_rng(2013))
+    for x in xs:
+        streamed = list(model.eigenfunction_terms(60, float(x)))
+        assert all(type(value) is float for value in streamed)
+        np.testing.assert_array_equal(streamed, model.eigenfunctions(60, float(x)))
+    with pytest.raises(ValidationError):
+        model.eigenfunction_terms(5, math.nan)
+
+
 # Reference copy of the numpy recursions the eigenfunction kernel replaced:
 # one array row per degree, every coefficient recomputed per degree, with
 # the prefactor from numpy for one state and for many.  The kernel keeps

@@ -13,6 +13,7 @@ from eigenbond.subordinators import SubordinatorSpec
 
 CIR = benchmark.benchmark_model("cir")
 VAS = benchmark.benchmark_model("vasicek")
+TH = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
 NONE = SubordinatorSpec.none()
 JD = SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0)
 SWISS = benchmark.swiss1987_schedule()
@@ -114,6 +115,91 @@ def test_zero_coupon_convergence_failure_reported():
     slow = ThreeHalvesModel(kappa=0.1, theta=0.05, sigma=1.0)
     with pytest.raises(ConvergenceError):
         zero_coupon_price(slow, NONE, 1e-3, 0.05, eps=1e-9)
+
+
+@pytest.mark.parametrize("eps", (0.5, 2e-3, 0.0, -1e-9, float("nan")))
+def test_zero_coupon_refuses_a_bad_eps_up_front(eps):
+    # eps = 0.5 returned 0.93978 for a bond worth 0.94690; a negative or NaN
+    # eps ran on into a ConvergenceError at n = 2000
+    with pytest.raises(ValidationError, match="eps must lie in"):
+        zero_coupon_price(CIR, NONE, 1.0, 0.05, eps=eps)
+
+
+# ---------------------------------------------------------------------------
+# streamed series
+# ---------------------------------------------------------------------------
+
+
+def _count_recurrence_steps(monkeypatch, family):
+    """Per recurrence generator started, the number of degrees it computed."""
+    from eigenbond import models
+
+    steps = []
+    make = models._TERMS[family]
+
+    def counted(rec, n_max, z):
+        steps.append(0)
+        for term in make(rec, n_max, z):
+            steps[-1] += 1
+            yield term
+
+    monkeypatch.setitem(models._TERMS, family, counted)
+    return steps
+
+
+@pytest.mark.parametrize("model", (CIR, VAS, TH), ids=lambda m: m.kind)
+def test_pool_series_draws_only_the_steps_the_rule_needs(monkeypatch, model):
+    from eigenbond import pricer
+
+    steps = _count_recurrence_steps(monkeypatch, model.polynomial_family)
+    basis = pricer.SpectralBasis(model, NONE)
+    for x in model.stationary_distribution().ppf([0.01, 0.5, 0.99]):
+        for t in (0.02, 0.1666, 1.0, 5.0):
+            for eps in (1e-7, 1e-13):
+                steps.clear()
+                value, level = pricer._series_eval_pool(basis, t, float(x), eps)
+                assert steps[-1] == level + 3
+                # a pass before it drew the whole supply, half the grown list
+                assert len(steps) == 1 or steps[-2] == len(basis.pool_weights(t, 1.0, 0)) // 2 + 1
+
+    steps.clear()
+    weights = basis.pool_weights(1.0, 1.0, 0)
+    value, level = pricer._series_eval_capped(basis, weights, 0.05, 1e-9)
+    assert steps == [level + 3]
+
+
+def test_pool_series_keeps_its_depth_between_calls(monkeypatch):
+    from eigenbond import pricer
+
+    steps = _count_recurrence_steps(monkeypatch, "laguerre")
+    basis = pricer.SpectralBasis(CIR, NONE)
+    value, level = pricer._series_eval_pool(basis, 0.02, 0.05, 1e-13)
+    # a first supply of 33 weights, used whole, then a list of 65 that the
+    # rule stops inside
+    assert steps == [33, level + 3] and level + 3 <= 65
+    steps.clear()
+    assert pricer._series_eval_pool(basis, 0.02, 0.05, 1e-13) == (value, level)
+    assert steps == [level + 3]  # the cached list keeps its depth
+
+
+@pytest.mark.parametrize(
+    "model,sub", ((CIR, NONE), (VAS, NONE), (CIR, JD), (TH, NONE)), ids=("cir", "vas", "jd", "th")
+)
+def test_pool_series_is_the_same_for_any_cached_supply(model, sub):
+    from eigenbond import pricer
+
+    deep = pricer.SpectralBasis(model, sub)
+    scale = 1.0425
+    xs = model.stationary_distribution().ppf(np.linspace(0.02, 0.98, 9))
+    for t in (0.1666, 1.0, 7.0):
+        assert len(deep.pool_weights(t, scale, 1024)) == 1025
+        for x in xs:
+            for eps in (1e-7, 1e-12):
+                fresh = pricer.SpectralBasis(model, sub)
+                assert len(fresh.pool_weights(t, scale, 32)) == 33
+                assert pricer._series_eval_pool(
+                    fresh, t, float(x), eps, scale
+                ) == pricer._series_eval_pool(deep, t, float(x), eps, scale)
 
 
 def test_unreachable_call_prices_the_closed_form_straight_bond():

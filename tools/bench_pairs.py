@@ -12,7 +12,12 @@ seed = pair index 1..10, odd pairs parent first, even pairs change first.
 The summary gives, for every end-to-end metric that the change's
 ``BENCHMARK.json`` lists, the median and quartiles (linear interpolation)
 over the ten runs of each side, ``pairs_better`` (the pairs in which the
-change is better), ``pairs_equal`` and the ratio of the medians.
+change is better), ``pairs_equal`` and the ratio of the medians.  It also
+applies the two rules a result is judged by: ``beats_parent_iqr`` (the
+change's median is better than the parent's by more than ``parent_iqr``,
+the parent's q3 - q1) for a claimed gain, and ``within_bound`` (the
+change's median is worse than the parent's by at most the metric's
+``bound``, a fraction of the parent's median) for every metric.
 
 The script only runs ``bench/run.py`` as a subprocess; it imports nothing
 from ``bench/``.
@@ -100,6 +105,8 @@ def summarize(runs: list, workloads: list, metrics: list) -> dict:
             sign = 1.0 if metric["better"] == "higher" else -1.0
             diffs = [sign * (c - p) for p, c in zip(values["parent"], values["change"])]
             parent, change = stats(values["parent"]), stats(values["change"])
+            gain = sign * (change["median"] - parent["median"])
+            parent_iqr = round(parent["q3"] - parent["q1"], 6)
             end_to_end[name] = {
                 "unit": metric["unit"],
                 "better": metric["better"],
@@ -111,6 +118,9 @@ def summarize(runs: list, workloads: list, metrics: list) -> dict:
                 "median_ratio_change_over_parent": (
                     round(change["median"] / parent["median"], 4) if parent["median"] else None
                 ),
+                "parent_iqr": parent_iqr,
+                "beats_parent_iqr": gain > parent_iqr,
+                "within_bound": -gain <= metric["bound"] * abs(parent["median"]),
             }
         summary[workload] = {
             "end_to_end": end_to_end,
