@@ -24,27 +24,31 @@ integral from the bottom is taken one of three ways:
   and the hold overlap applied to a coefficient vector is V^T (V w),
   without forming the block; the strike legs are V^T times one node vector;
 * in closed form otherwise: a finite Hermite coordinate (Vasicek) and the
-  top of either coordinate range (the Laguerre overlap there is the
-  identity, by orthonormality).  The closed forms are two families of
-  weighted polynomial integrals,
+  top of either coordinate range (the overlap there is the identity, by
+  orthonormality).  The Hermite tables are taken in orthonormal form, over
+  the Hermite functions h_n(y) = H_n(y) e^{-y^2/2} / sqrt(sqrt(pi) 2^n n!)
+  of the models' normalized recurrence:
 
-    pair_{m,n}(x) = int_0^x  L_m L_n e^{-y} y^alpha dy      (Laguerre family)
-                    int_-inf^x H_m H_n e^{-y^2} dy          (Hermite family)
-    exp_n(s, x)   = int_0^x  y^alpha e^{-s y} L_n dy
-                    int_-inf^x e^{s y - y^2} H_n dy
+    pair_{m,n}(x) = int_-inf^x h_m h_n dy
+    exp_n(s, x)   = int_-inf^x e^{s y - y^2/2} h_n dy
 
-  whose off-diagonal pair integrals have closed forms, while the diagonal
-  ones and the exp integrals satisfy recursions that step *down* in the
-  polynomial order while stepping up in degree, each built as a
-  two-dimensional table seeded at elevated order (alpha + N descending to
-  alpha).  The finite-coordinate Laguerre tables are kept as the reference
-  that the quadrature is tested against; the pricer does not build them.
+  The off-diagonal pair integrals have a closed form, and the diagonal and
+  the exp integrals step up in degree from erfc seeds; no factor leaves
+  double range at any degree.  At the top of the Laguerre coordinate the
+  exp integrals Gamma(alpha + n + 1) (s - 1)^n / (n! s^{alpha + n + 1})
+  meet the strike factors in log space.
+
+The closed-form Laguerre tables at a finite coordinate,
+int_0^x L_m L_n e^{-y} y^alpha dy and int_0^x y^alpha e^{-s y} L_n dy, step
+down in order from incomplete-gamma seeds at elevated order; they are kept
+as the reference that the quadrature is tested against, and the pricer
+does not build them.
 
 The model's constant factors (``overlap_log_constant``, ``strike_factors``)
 turn the polynomial integrals into eigenfunction integrals.  The pricer
 makes one ``Endpoint`` per finite break-even state per assembly pass, so
 the hold overlap and the strike leg that meet at the state share one
-polynomial table (Hermite) or one node matrix (Laguerre).
+row of Hermite functions (Vasicek) or one node matrix (Laguerre).
 """
 
 from __future__ import annotations
@@ -56,9 +60,15 @@ from scipy import linalg
 from scipy import special as sp
 
 from . import series
-from .errors import UnsupportedModelError, ValidationError
-from .models import HERMITE_DEGREE_CAP, DiffusionModel, _laguerre_kernel
-from .specfun import hermite_sequence, laguerre_sequence_table
+from .errors import ValidationError
+from .models import (
+    HERMITE_FUNCTIONS,
+    POOL_CAP,
+    DiffusionModel,
+    _hermite_kernel,
+    _laguerre_kernel,
+)
+from .specfun import laguerre_sequence_table
 from .subordinators import SubordinatorSpec, laplace_exponent
 
 __all__ = [
@@ -78,11 +88,9 @@ __all__ = [
 
 
 def max_table_degree(model: DiffusionModel) -> int:
-    """Largest degree whose integral tables stay inside double range (the
-    model's ``table_degree_cap``); callers that grow coefficient vectors
-    adaptively must stop here.
-    """
-    return model.table_degree_cap
+    """Largest degree an assembled coefficient vector may reach: ``POOL_CAP``
+    for every model, since no table the pricer builds leaves double range."""
+    return POOL_CAP
 
 
 def _lower_gamma_vec(a: np.ndarray, x: float) -> np.ndarray:
@@ -93,8 +101,8 @@ def _lower_gamma_vec(a: np.ndarray, x: float) -> np.ndarray:
 def _check_laguerre_degree(n_max: int, alpha: float) -> None:
     if alpha + n_max + 1.0 > 170.0:
         raise ValidationError(
-            f"Laguerre integral tables limited to alpha + n + 1 <= 170 "
-            f"(Gamma overflows double precision); got alpha={alpha}, n_max={n_max}"
+            f"closed-form Laguerre recursions need alpha + n + 1 <= 170 "
+            f"(their Gamma seeds overflow beyond); got alpha={alpha}, n_max={n_max}"
         )
 
 
@@ -109,7 +117,7 @@ def laguerre_pair_integrals(n_max: int, alpha: float, x: float, lag=None) -> np.
     Off-diagonal entries from the closed form; diagonal entries from the
     descending-order chain seeded by lower incomplete gammas at orders
     alpha + n_max .. alpha.  ``lag`` may pass in the polynomial table
-    (see ``Endpoint.table``).
+    ``laguerre_sequence_table(n_max + 1, alpha + [0 .. n_max + 1], x)``.
     """
     if not alpha > -1.0:
         raise ValidationError(f"Laguerre order must satisfy alpha > -1, got {alpha}")
@@ -189,92 +197,96 @@ def laguerre_exp_integrals(n_max: int, alpha: float, s: float, x: float, lag=Non
 
 def laguerre_exp_integrals_at_infinity(n_max: int, alpha: float, s: float) -> np.ndarray:
     """Full-line limit Gamma(alpha + n + 1) (s - 1)^n / (n! s^{alpha + n + 1})."""
+    sign, log_mag = _laguerre_exp_logs_at_infinity(n_max, alpha, s)
+    return sign * np.exp(log_mag)
+
+
+def _laguerre_exp_logs_at_infinity(
+    n_max: int, alpha: float, s: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """(sign, log |.|) of ``laguerre_exp_integrals_at_infinity``, whose values
+    leave double range at large alpha while their products with the strike
+    factors do not."""
     if not alpha > -1.0:
         raise ValidationError(f"Laguerre order must satisfy alpha > -1, got {alpha}")
     if not s > 0.0:
         raise ValidationError(f"exponential tilt must satisfy s > 0, got {s}")
     n = np.arange(n_max + 1, dtype=float)
-    if s == 1.0:
-        out = np.zeros(n_max + 1)
-        out[0] = math.gamma(alpha + 1.0)
-        return out
     sign = np.where(n % 2 == 0, 1.0, -1.0) if s < 1.0 else np.ones(n_max + 1)
+    if s == 1.0:  # (s - 1)^n = 0 for n >= 1
+        powers = np.where(n > 0, -math.inf, 0.0)
+    else:
+        powers = n * math.log(abs(s - 1.0))
     log_mag = (
         sp.gammaln(alpha + n + 1.0)
         - sp.gammaln(n + 1.0)
-        + n * math.log(abs(s - 1.0))
+        + powers
         - (alpha + n + 1.0) * math.log(s)
     )
-    return sign * np.exp(log_mag)
+    return sign, log_mag
 
 
 # ---------------------------------------------------------------------------
-# Hermite family
+# Hermite family, orthonormal form
 # ---------------------------------------------------------------------------
 
 
-def _check_hermite_degree(n_max: int) -> None:
-    if n_max > HERMITE_DEGREE_CAP:
-        raise ValidationError(
-            f"Hermite integral tables limited to degree {HERMITE_DEGREE_CAP} "
-            "(the orthogonality constants overflow double precision beyond)"
-        )
+def _hermite_functions(n_max: int, x: float) -> np.ndarray:
+    """[n] = h_n(x) = H_n(x) e^{-x^2/2} / sqrt(sqrt(pi) 2^n n!), the orthonormal
+    Hermite functions, by the normalized recurrence with e^{-x^2/2} in its
+    seed (no factor leaves double range at any degree)."""
+    return _hermite_kernel(HERMITE_FUNCTIONS, n_max, x, math.exp(-0.5 * x * x))
 
 
 def hermite_pair_integrals(n_max: int, x: float, herm=None) -> np.ndarray:
-    """Table [m, n] = int_{-inf}^x H_m H_n e^{-y^2} dy; ``herm`` as ``Endpoint.table``."""
-    _check_hermite_degree(n_max)
+    """Table [m, n] = int_{-inf}^x h_m h_n dy; ``herm`` may pass in
+    ``_hermite_functions`` up to degree n_max + 1 (see ``Endpoint.row``).
+
+    The diagonal steps d_n = d_{n-1} - h_{n-1} h_n / sqrt(2n) up from
+    d_0 = erfc(-x) / 2; off the diagonal
+    (h_m h_{n+1} sqrt((n+1)/2) - h_n h_{m+1} sqrt((m+1)/2)) / (n - m).
+    """
     size = n_max + 1
     if herm is None:
-        herm = hermite_sequence(n_max + 1, x)
-    damp = math.exp(-x * x)
+        herm = _hermite_functions(n_max + 1, x)
+    root = np.sqrt(0.5 * np.arange(1, size + 1, dtype=float))  # sqrt((n+1)/2)
 
     diag = np.empty(size)
-    diag[0] = math.sqrt(math.pi) * sp.ndtr(math.sqrt(2.0) * x)
-    for n in range(1, size):
-        diag[n] = -herm[n - 1] * herm[n] * damp + 2.0 * n * diag[n - 1]
+    diag[0] = 0.5 * sp.erfc(-x)
+    steps = herm[:n_max] * herm[1:size] / (2.0 * root[:n_max])
+    diag[1:] = diag[0] - np.cumsum(steps)
 
-    cross = np.outer(herm[:size], herm[1 : size + 1])  # H_n H_{m+1}
+    cross = np.outer(herm[:size], herm[1 : size + 1] * root)  # h_m h_{n+1} sqrt((n+1)/2)
     idx = np.arange(size, dtype=float)
-    denom = 2.0 * (idx[None, :] - idx[:, None])
     with np.errstate(divide="ignore", invalid="ignore"):
-        table = damp * (cross - cross.T) / denom
+        table = (cross - cross.T) / (idx[None, :] - idx[:, None])
     table[np.diag_indices(size)] = diag
     return table
 
 
 def hermite_pair_integrals_at_infinity(n_max: int) -> np.ndarray:
-    """Full-line limit: sqrt(pi) 2^n n! on the diagonal, zero off it."""
-    _check_hermite_degree(n_max)
-    n = np.arange(n_max + 1, dtype=float)
-    return np.diag(
-        np.exp(0.5 * math.log(math.pi) + n * math.log(2.0) + sp.gammaln(n + 1.0))
-    )
+    """Full-line limit: the identity (orthonormality)."""
+    return np.eye(n_max + 1)
 
 
 def hermite_exp_integrals(n_max: int, s: float, x: float, herm=None) -> np.ndarray:
-    """Vector [n] = int_{-inf}^x e^{s y - y^2} H_n(y) dy; ``herm`` as ``Endpoint.table``."""
-    _check_hermite_degree(n_max)
+    """Vector [n] = int_{-inf}^x e^{s y - y^2/2} h_n(y) dy, stepping
+    e_n = (s e_{n-1} - e^{s x - x^2/2} h_{n-1}(x)) / sqrt(2n); ``herm`` as above."""
     if herm is None:
-        herm = hermite_sequence(max(n_max, 1), x)
-    boundary = math.exp(s * x - x * x)
+        herm = _hermite_functions(max(n_max, 1), x)
+    boundary = math.exp(s * x - 0.5 * x * x)
     out = np.empty(n_max + 1)
-    out[0] = (
-        0.5
-        * math.exp(0.25 * s * s)
-        * math.sqrt(math.pi)
-        * (sp.erf(0.5 * (2.0 * x - s)) + 1.0)
-    )
+    out[0] = 0.5 * math.exp(0.25 * s * s) * math.pi**0.25 * sp.erfc(0.5 * s - x)
     for n in range(1, n_max + 1):
-        out[n] = -boundary * herm[n - 1] + s * out[n - 1]
+        out[n] = (s * out[n - 1] - boundary * herm[n - 1]) / math.sqrt(2.0 * n)
     return out
 
 
 def hermite_exp_integrals_at_infinity(n_max: int, s: float) -> np.ndarray:
-    """Full-line limit e^{s^2/4} sqrt(pi) s^n (the recursion limit of the above)."""
-    _check_hermite_degree(n_max)
-    n = np.arange(n_max + 1)
-    return math.exp(0.25 * s * s) * math.sqrt(math.pi) * s**n.astype(float)
+    """Full-line limit e^{s^2/4} pi^{1/4} s^n / sqrt(2^n n!) (the recursion
+    limit of the above)."""
+    steps = s / np.sqrt(2.0 * np.arange(1, n_max + 1, dtype=float))
+    return math.exp(0.25 * s * s) * math.pi**0.25 * np.cumprod(np.concatenate(([1.0], steps)))
 
 
 # ---------------------------------------------------------------------------
@@ -353,8 +365,8 @@ class Endpoint:
     each is taken one of three ways: zero at the bottom; by Gauss-Jacobi
     quadrature at a finite Laguerre coordinate (``quadrature``, the node
     matrix of ``nodes``, its rule cached on the model); in closed form
-    otherwise (``closed``: a finite Hermite coordinate, with the polynomial
-    table of ``table``, or the top end of the coordinate range).  The
+    otherwise (``closed``: a finite Hermite coordinate, with the Hermite
+    functions of ``row``, or the top end of the coordinate range).  The
     closed-form Laguerre tables at a finite coordinate
     (``laguerre_pair_integrals``, ``laguerre_exp_integrals``) are the
     reference the quadrature is checked against; no Endpoint builds them.
@@ -372,18 +384,19 @@ class Endpoint:
             self.z = math.inf if at_top else bottom
         self.quadrature = not self._hermite and 0.0 < self.z < math.inf
         self.closed = self.z != bottom and not self.quadrature
-        self._table: np.ndarray | None = None
+        self._row: np.ndarray | None = None
         self._nodes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
-    def table(self, n_max: int) -> np.ndarray:
-        """[degree] = H_degree at a finite Hermite coordinate for degrees up to
-        at least n_max + 1; built on first use, rebuilt only for a higher
-        degree.  Smaller tables are leading slices of larger ones, entry for
-        entry, so sharing one changes no value.
+    def row(self, n_max: int) -> np.ndarray:
+        """[degree] = h_degree(z), the orthonormal Hermite functions at a
+        finite Hermite coordinate, for degrees up to at least n_max + 1;
+        built on first use, rebuilt only for a higher degree.  Smaller rows
+        are leading slices of larger ones, entry for entry, so sharing one
+        changes no value.
         """
-        if self._table is None or self._table.shape[0] < n_max + 2:
-            self._table = hermite_sequence(n_max + 1, self.z)
-        return self._table
+        if self._row is None or self._row.shape[0] < n_max + 2:
+            self._row = _hermite_functions(n_max + 1, self.z)
+        return self._row
 
     def nodes(self, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(V, u, h) at a quadrature endpoint: the Gauss-Jacobi nodes u_j of
@@ -405,31 +418,30 @@ class Endpoint:
             t, log_w = _jacobi_rule(model, -(-size // _RULE_STEP) * _RULE_STEP)
             u = z * t
             # the weights on [0, z] carry z^(alpha + 1); logs keep large alpha
-            # and z (CIR with b = 160) from under- or overflowing
+            # and z (CIR with b = 160) from under- or overflowing, and e^h
+            # seeds the kernel, where N_n L_n(u_j) alone would overflow
             log_scale = (model.laguerre_order + 1.0) * math.log(z) + model.overlap_log_constant
             half = 0.5 * (log_w + log_scale - u)
-            rows = _laguerre_kernel(model._recurrence, n_max, u) * np.exp(half)
+            rows = _laguerre_kernel(model._recurrence, n_max, u, np.exp(half))
             self._nodes = rows, u, half
         return self._nodes
 
     def pair(self, n_max: int) -> np.ndarray:
-        """Hermite pair-integral table from the bottom of the coordinate to z."""
+        """Orthonormal Hermite pair table from the bottom of the coordinate to z."""
         if not self.closed:
             return np.zeros((n_max + 1, n_max + 1))
         if self.z == math.inf:
             return hermite_pair_integrals_at_infinity(n_max)
-        return hermite_pair_integrals(n_max, self.z, self.table(n_max))
+        return hermite_pair_integrals(n_max, self.z, self.row(n_max))
 
     def exp(self, n_max: int, s: float) -> np.ndarray:
-        """Closed-form exp integrals at tilt s from the bottom of the
-        coordinate to z; zero unless the endpoint is ``closed``."""
+        """Orthonormal Hermite exp integrals at tilt s from the bottom of the
+        coordinate to z."""
         if not self.closed:
             return np.zeros(n_max + 1)
-        if self._hermite:
-            if self.z == math.inf:
-                return hermite_exp_integrals_at_infinity(n_max, s)
-            return hermite_exp_integrals(n_max, s, self.z, self.table(n_max))
-        return laguerre_exp_integrals_at_infinity(n_max, self.model.laguerre_order, s)
+        if self.z == math.inf:
+            return hermite_exp_integrals_at_infinity(n_max, s)
+        return hermite_exp_integrals(n_max, s, self.z, self.row(n_max))
 
 
 def _endpoint(model: DiffusionModel, x: float | Endpoint) -> Endpoint:
@@ -473,7 +485,8 @@ def _overlap_apply(
 
     A quadrature endpoint adds +-V^T (V weights) and never forms the block;
     for the Laguerre family the top of the coordinate adds ``weights`` itself
-    (orthonormality) and the bottom nothing.
+    (orthonormality) and the bottom nothing.  The Hermite tables are in
+    orthonormal form, so the Vasicek overlap is their difference as it stands.
     """
     lo, hi = _endpoint(model, x_lo), _endpoint(model, x_hi)
     size = weights.shape[0]
@@ -482,9 +495,7 @@ def _overlap_apply(
     n_max = max(n_rows, size - 1)
     lo, hi = _coordinate_order(model, lo, hi)
     if model.polynomial_family == "hermite":
-        log_n = model.log_norm_constants(n_max)
-        pref = np.exp(log_n[: n_rows + 1, None] + log_n[None, :size] + model.overlap_log_constant)
-        return (pref * (hi.pair(n_max) - lo.pair(n_max))[: n_rows + 1, :size]) @ weights
+        return (hi.pair(n_max) - lo.pair(n_max))[: n_rows + 1, :size] @ weights
     if hi.z == math.inf:
         out = _leading(weights, n_rows + 1)
     else:
@@ -501,17 +512,20 @@ def _closed_form_strike(
 ) -> np.ndarray:
     tilt, log_pref = model.strike_factors(delta, n_max)
     lo, hi = _coordinate_order(model, lo, hi)
-    out = np.zeros(n_max + 1)
-    if lo.closed or hi.closed:
-        # The factor and the integral can leave double range on opposite
-        # sides (CIR with b = 160: factors near 1e-420 against integrals near
-        # e^629), so each integral is split into mantissa and power of two
-        # and the power joins the factor's log.
-        mantissa, power = np.frexp(hi.exp(n_max, tilt) - lo.exp(n_max, tilt))
-        out = mantissa * np.exp(log_pref + power * math.log(2.0))
-    # At a quadrature endpoint P(delta, x) / prefactor(x) is e^{a + (1 - s) u}
-    # at coordinate u: the factors are log N_n + C + a, with a independent of n.
+    # P(delta, x) / prefactor(x) is e^{a + (1 - s) u} at coordinate u: the
+    # factors are log N_n + C + a, with a independent of n.
     a = log_pref[0] - model.log_norm_constants(0)[0] - model.overlap_log_constant
+    if model.polynomial_family == "hermite":
+        # N_n sqrt(sqrt(pi) 2^n n!) e^{C/2} = 1: one factor for the orthonormal tables
+        return math.exp(a + 0.5 * model.overlap_log_constant) * (
+            hi.exp(n_max, tilt) - lo.exp(n_max, tilt)
+        )
+    out = np.zeros(n_max + 1)
+    if hi.z == math.inf:
+        # the integrals and the factors can leave double range on opposite
+        # sides (CIR with b = 250), so they meet in log space
+        sign, log_mag = _laguerre_exp_logs_at_infinity(n_max, model.laguerre_order, tilt)
+        out = sign * np.exp(log_pref + log_mag)
     for sign, end in ((1.0, hi), (-1.0, lo)):
         if end.quadrature:
             rows, u, half = end.nodes(n_max)
@@ -562,32 +576,22 @@ def strike_projection(
     x_hi: float | Endpoint,
     delta: float,
     eps: float = 1e-10,
-    route: str = "auto",
 ) -> np.ndarray:
     """Projections strike_n(x_lo, x_hi) of the delta-discounted unit payoff.
 
-    ``route="closed_form"`` integrates the exponential-affine bond directly
-    (affine models on the plain clock); ``route="expansion"`` expands the bond in
-    eigenfunctions with the inner sum cut by the same adaptive rule as the
-    pricer.  ``"auto"`` picks the closed form whenever it exists.  Either
-    endpoint may be an ``Endpoint`` whose table other integrals share.
+    An affine model on the plain clock integrates its exponential-affine
+    bond in closed form; otherwise the bond is expanded in eigenfunctions,
+    with the inner sum cut by the same adaptive rule as the pricer.  Either
+    endpoint may be an ``Endpoint`` whose row or node matrix other integrals
+    share.
     """
     series.check_eps(eps)
     lo, hi = _endpoint(model, x_lo), _endpoint(model, x_hi)
     _check_interval(model, lo.x, hi.x)
     if delta < 0.0:
         raise ValidationError(f"notice period must be >= 0, got {delta}")
-    closed_form = sub.is_trivial and model.affine
-    if route == "auto":
-        route = "closed_form" if closed_form else "expansion"
-    if route not in ("closed_form", "expansion"):
-        raise ValidationError(f"unknown strike projection route {route!r}")
-    if route == "closed_form" and not closed_form:
-        raise UnsupportedModelError(
-            "closed-form strike projections need an affine model on the plain clock"
-        )
     if lo.x == hi.x:
         return np.zeros(n_max + 1)
-    if route == "closed_form":
+    if sub.is_trivial and model.affine:
         return _closed_form_strike(model, n_max, lo, hi, delta)
     return _expansion_strike(model, sub, n_max, lo, hi, delta, eps)

@@ -43,8 +43,6 @@ model; what differs between the diffusions is read from these facts:
   strike projection) exist;
 * ``search_interval(n_supply)``: the states a break-even search may probe
   and the first upper end of its cold bracket;
-* ``table_degree_cap``: the largest degree whose integral tables stay in
-  double range; a model whose cap is negative is refused at construction;
 * ``polynomial_family`` ("laguerre" or "hermite") and
   ``coordinate_reversed`` (whether ``poly_coordinate`` decreases in the
   state), which place the integral tables in the polynomial coordinate;
@@ -77,7 +75,6 @@ __all__ = [
 # Hard ceiling on the terms of an uncapped series before the pricer declares
 # failure; the recurrence coefficient lists double up to it.
 POOL_CAP = 2000
-HERMITE_DEGREE_CAP = 140  # sqrt(pi) 2^n n! overflows doubles shortly beyond
 _BRACKET_CAP = 50.0  # upper search bound of the positive models, as a multiple of theta
 
 
@@ -110,25 +107,29 @@ class _Recurrence:
         return lists
 
 
-def _degree_zero(rec: _Recurrence, z):
-    return np.full(z.shape, rec.n0) if isinstance(z, np.ndarray) else rec.n0
+def _degree_zero(n0, z):
+    return np.full(z.shape, n0) if isinstance(z, np.ndarray) else n0
 
 
-def _laguerre_terms(rec: _Recurrence, n_max: int, z) -> Iterator:
-    """Yield N_n L_n(z) for n = 0..n_max: floats for a float z, rows for an
-    array; each degree is computed only when it is drawn.
+def _laguerre_terms(rec: _Recurrence, n_max: int, z, seed=1.0) -> Iterator:
+    """Yield seed N_n L_n(z) for n = 0..n_max: floats for a float z, rows for
+    an array; each degree is computed only when it is drawn.
 
     ``rec.seed`` is (lead, bump, root1, shift): degree 1 is
     (lead - z + bump) root1 N_0, and degree n >= 2 is
     (2 + (shift - z)/n) r1_n N_{n-1} - q_n N_{n-2} with
-    q_n = (1 + shift/n) r2_n.
+    q_n = (1 + shift/n) r2_n.  The recurrence is linear, so the factor
+    ``seed`` (a float, or an array like z) taken into degrees 0 and 1 scales
+    every degree: a factor that is tiny where the polynomials are huge
+    keeps each row in double range.
     """
     r1, q = rec.upto(n_max)
-    prev = _degree_zero(rec, z)
+    n0 = rec.n0 * seed
+    prev = _degree_zero(n0, z)
     yield prev
     if n_max >= 1:
         lead, bump, root1, shift = rec.seed
-        cur = (lead - z + bump) * root1 * rec.n0
+        cur = (lead - z + bump) * root1 * n0
         yield cur
         gap = shift - z
         for n in range(2, n_max + 1):
@@ -136,28 +137,39 @@ def _laguerre_terms(rec: _Recurrence, n_max: int, z) -> Iterator:
             yield cur
 
 
-def _hermite_terms(rec: _Recurrence, n_max: int, z) -> Iterator:
-    """Yield N_n H_n(z) for n = 0..n_max, as ``_laguerre_terms``:
+def _hermite_terms(rec: _Recurrence, n_max: int, z, seed=1.0) -> Iterator:
+    """Yield seed N_n H_n(z) for n = 0..n_max, as ``_laguerre_terms``:
     z sqrt(2/n) N_{n-1} - sqrt((n-1)/n) N_{n-2}."""
     up, down = rec.upto(n_max)
-    prev = _degree_zero(rec, z)
+    n0 = rec.n0 * seed
+    prev = _degree_zero(n0, z)
     yield prev
     if n_max >= 1:
-        cur = z * up[1] * rec.n0
+        cur = z * up[1] * n0
         yield cur
         for n in range(2, n_max + 1):
             prev, cur = cur, z * up[n] * cur - down[n] * prev
             yield cur
 
 
-def _laguerre_kernel(rec: _Recurrence, n_max: int, z) -> np.ndarray:
-    """N_n L_n(z) for n = 0..n_max, rows over z when z is an array."""
-    return np.array(list(_laguerre_terms(rec, n_max, z)))
+def _laguerre_kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
+    """seed N_n L_n(z) for n = 0..n_max, rows over z when z is an array."""
+    return np.array(list(_laguerre_terms(rec, n_max, z, seed)))
 
 
-def _hermite_kernel(rec: _Recurrence, n_max: int, z) -> np.ndarray:
-    """N_n H_n(z) for n = 0..n_max, rows over z when z is an array."""
-    return np.array(list(_hermite_terms(rec, n_max, z)))
+def _hermite_kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
+    """seed N_n H_n(z) for n = 0..n_max, rows over z when z is an array."""
+    return np.array(list(_hermite_terms(rec, n_max, z, seed)))
+
+
+def _hermite_coefficients(n: int) -> tuple[float, float]:
+    return math.sqrt(2.0 / n), math.sqrt((n - 1.0) / n)
+
+
+# The orthonormal Hermite functions H_n(z) e^{-z^2/2} / sqrt(sqrt(pi) 2^n n!),
+# once the kernel is seeded with e^{-z^2/2}: the Vasicek recurrence with the
+# norm constant of the weight e^{-z^2} in place of the model's.
+HERMITE_FUNCTIONS = _Recurrence(math.pi**-0.25, (), 1, _hermite_coefficients)
 
 
 _TERMS = {"laguerre": _laguerre_terms, "hermite": _hermite_terms}
@@ -181,12 +193,6 @@ class DiffusionModel:
             value = getattr(self, name)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be finite and > 0, got {value}")
-        if self.table_degree_cap < 0:
-            raise ValidationError(
-                f"{self.kind} model with kappa={self.kappa}, theta={self.theta}, "
-                f"sigma={self.sigma} is unsupported: its integral tables overflow double "
-                f"precision at every degree (degree cap {self.table_degree_cap})"
-            )
 
     # --- state space -----------------------------------------------------
 
@@ -264,11 +270,6 @@ class DiffusionModel:
         return self._prefactor(x) * kernel(self._recurrence, n_max, self.poly_coordinate(x))
 
     # --- integral-table data ------------------------------------------------
-
-    @property
-    def table_degree_cap(self) -> int:
-        """Largest degree whose integral tables stay inside double range."""
-        raise NotImplementedError
 
     @cached_property
     def _jacobi_rules(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
@@ -349,11 +350,6 @@ class CIRModel(DiffusionModel):
     @property
     def laguerre_order(self) -> float:
         return self.b - 1.0
-
-    @property
-    def table_degree_cap(self) -> int:
-        # Gamma(alpha + n + 1) seeds the Laguerre chains
-        return int(168.0 - self.laguerre_order)
 
     @cached_property
     def overlap_log_constant(self) -> float:
@@ -454,7 +450,6 @@ class VasicekModel(DiffusionModel):
     state_lo, state_hi = -math.inf, math.inf
     affine = True
     polynomial_family = "hermite"
-    table_degree_cap = HERMITE_DEGREE_CAP
     search_sigmas = 4.0  # half-width of the search band in stationary standard deviations
 
     @cached_property
@@ -506,11 +501,7 @@ class VasicekModel(DiffusionModel):
     def _recurrence(self) -> _Recurrence:
         """N_n H_n: the coefficients sqrt(2/n) and sqrt((n-1)/n)."""
         n0 = math.sqrt(math.sqrt(self.kappa / math.pi) * self.sigma / 2.0)
-
-        def terms(n: int) -> tuple[float, float]:
-            return math.sqrt(2.0 / n), math.sqrt((n - 1.0) / n)
-
-        return _Recurrence(n0, (), 1, terms)
+        return _Recurrence(n0, (), 1, _hermite_coefficients)
 
     def _prefactor(self, x):
         a = self.hermite_shift
@@ -593,10 +584,6 @@ class ThreeHalvesModel(DiffusionModel):
     @property
     def laguerre_order(self) -> float:
         return 2.0 * self.order_m
-
-    @property
-    def table_degree_cap(self) -> int:
-        return int(168.0 - self.laguerre_order)
 
     @cached_property
     def overlap_log_constant(self) -> float:

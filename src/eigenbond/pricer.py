@@ -386,7 +386,13 @@ class _RootFinder:
         return diff
 
     def _cold_bracket(self, diff, kind: str) -> tuple[float, float] | None:
-        """Bracket over the whole search interval; None for an empty region."""
+        """Bracket over the whole search interval; None for an empty region.
+
+        A call region that covers the whole interval gives the one-point
+        bracket (search_hi, search_hi): the strike is cheaper than holding
+        wherever the series resolve.  A put region that covers it raises,
+        since on the 3/2 model a poorly resolved continuation can fake one.
+        """
         lo = self.search_lo
         f_lo = diff(lo)
         # grow the upper end geometrically until the difference turns positive
@@ -398,10 +404,7 @@ class _RootFinder:
             if f_lo > 0.0:
                 return None  # strike too dear even at the lowest rates
             if f_hi <= 0.0:
-                raise BracketError(
-                    "call region covers the whole search interval",
-                    decision_index=self.decision_index,
-                )
+                return hi, hi  # hi is search_hi: the loop above stops there
         else:
             if f_hi <= 0.0:
                 return None  # hold value dominates everywhere reachable
@@ -444,7 +447,8 @@ class _RootFinder:
         the same kind) seeds a narrow bracket; without one, or when that
         bracket runs into the search interval's edge, the whole interval
         is bracketed.  Brent's method then closes the bracket to within
-        ``TOL_X / 2`` of the crossing.
+        ``TOL_X / 2`` of the crossing.  A call region over the whole search
+        interval has its break-even state at ``search_hi``.
         """
         diff = self._difference(strike, self.levels)
         bracket = None if hint is None else self._warm_bracket(diff, hint)
@@ -453,6 +457,8 @@ class _RootFinder:
             if bracket is None:
                 return None
         lo, hi = bracket
+        if lo == hi:
+            return hi
         return optimize.brentq(diff, lo, hi, xtol=0.5 * TOL_X)
 
     def scan_single_crossing(self, strike: float, has_root: bool) -> None:
@@ -510,7 +516,6 @@ class _Engine:
         """
         sched = self.schedule
         h = sched.holding_period(i)
-        degree_cap = coeffs_mod.max_table_degree(self.model)
         record = DateRecord(index=i, decision_time=sched.decision_time(i))
 
         if prev is None:
@@ -518,12 +523,6 @@ class _Engine:
             scale = 1.0 + sched.coupon
             majorant = lambda m_hi: scale * self.basis.unit_weights(h, m_hi)
             m_cols = series.weight_cutoff(majorant, self.eps)
-            if m_cols > degree_cap:
-                raise ValidationError(
-                    f"{self.model!r} is unsupported at eps={self.eps:g}: its terminal "
-                    f"expansion needs {m_cols} terms, beyond the integral-table degree "
-                    f"cap {degree_cap}"
-                )
             prev_weights = scale * self.basis.unit_weights(h, m_cols)
 
             def cont(x: float) -> tuple[float, int]:
@@ -545,7 +544,8 @@ class _Engine:
             if strike is not None:
                 states[kind] = finder.find(kind, strike, hint=self._hints[kind])
                 if self.check_single_crossing:
-                    finder.scan_single_crossing(strike, states[kind] is not None)
+                    crossing = states[kind] not in (None, finder.search_hi)
+                    finder.scan_single_crossing(strike, crossing)
         self._hints = states
         x_call, x_put = states["call"], states["put"]
         if x_call is not None and x_put is not None and not x_call < x_put:
@@ -567,7 +567,7 @@ class _Engine:
             h_next = sched.holding_period(i - 1)
         else:
             h_next = sched.decision_time(i)
-        n_rows = min(max(16, m_cols), degree_cap)
+        n_rows = max(16, m_cols)
         while True:
             new = self._assemble(i, n_rows, x_call, x_put, prev_weights)
             decay_next = self.basis.decay(h_next, n_rows)
@@ -575,11 +575,11 @@ class _Engine:
             if converged:
                 new = new[: level + 3]  # keep the two look-ahead terms
                 break
-            if n_rows >= degree_cap:
-                # Integral tables cannot be built deeper; the remaining tail
-                # is already damped by e^{-phi(lambda_n) h} at the next stage.
-                break
-            n_rows = min(2 * n_rows, degree_cap)
+            if n_rows >= POOL_CAP:
+                raise ConvergenceError(
+                    f"carried coefficients at decision index {i} not converged by n={POOL_CAP}"
+                )
+            n_rows = min(2 * n_rows, POOL_CAP)
 
         if not np.all(np.isfinite(new)):
             raise ConvergenceError(f"non-finite expansion coefficients at decision index {i}")

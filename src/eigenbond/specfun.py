@@ -1,9 +1,11 @@
 """Orthogonal polynomials and classical special functions.
 
-Everything downstream (eigenfunctions, overlap integrals, strike
-projections) is built on generalized Laguerre and Hermite polynomials
+Generalized Laguerre and Hermite polynomials in raw (unnormalized) form,
 evaluated by their two-term recursions, plus the lower incomplete gamma
-function.
+function.  The closed-form Laguerre tables of ``coeffs``, the reference
+its quadrature is checked against, are built on them; the eigenfunctions
+and every table the pricer takes run on the normalized recurrences of
+``models`` instead.
 
 Polynomial evaluators return the full sequence of degrees 0..n_max at a
 fixed abscissa: every caller needs all indices up to its truncation level,

@@ -205,6 +205,11 @@ def test_criterion_6_truncation_profile():
     )
 
 
+def _hermite_norm(n: int) -> float:
+    """sqrt(sqrt(pi) 2^n n!), the L2 norm of H_n against e^{-y^2}."""
+    return math.sqrt(math.sqrt(math.pi) * 2.0**n * math.factorial(n))
+
+
 def test_criterion_7_property_suite(callable_runs, putable_runs, root_runs):
     # orthonormality for all three diffusion families
     three_halves = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
@@ -240,17 +245,20 @@ def test_criterion_7_property_suite(callable_runs, putable_runs, root_runs):
     for _ in range(100):
         n, m = (int(v) for v in rng.integers(0, 10, size=2))
         x = float(rng.uniform(-2.5, 2.5))
+        # the Hermite tables are in orthonormal form: scale back to H_n
         table = coeffs.hermite_pair_integrals(max(n, m), x)
         f = lambda y: (
             hermite_sequence(max(n, m), y)[n]
             * hermite_sequence(max(n, m), y)[m]
             * math.exp(-y * y)
         )
-        assert table[n, m] == pytest.approx(quad(f, -30.0, x), rel=1e-9, abs=1e-12)
+        raw = table[n, m] * _hermite_norm(n) * _hermite_norm(m)
+        assert raw == pytest.approx(quad(f, -30.0, x), rel=1e-9, abs=1e-12)
         s = float(rng.uniform(-1.5, 1.5))
         vec = coeffs.hermite_exp_integrals(n, s, x)
         g = lambda y: math.exp(s * y - y * y) * hermite_sequence(max(n, 1), y)[n]
-        assert vec[n] == pytest.approx(quad(g, -30.0, x), rel=1e-9, abs=1e-12)
+        raw = vec[n] * _hermite_norm(n)
+        assert raw == pytest.approx(quad(g, -30.0, x), rel=1e-9, abs=1e-12)
 
     # the integrals the pricer takes for the Laguerre models (Gauss-Jacobi at
     # finite endpoints) against adaptive quadrature in the state: overlap

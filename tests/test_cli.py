@@ -7,6 +7,7 @@ import pytest
 from eigenbond import benchmark
 from eigenbond.cli import build_parser, main, parse_config, preset_config
 from eigenbond.errors import ValidationError
+from eigenbond.pricer import price_bond
 
 
 def run_cli(capsys, *argv):
@@ -123,15 +124,18 @@ def test_price_numerical_failure_exit_code(tmp_path, capsys):
     assert "put region" in err
 
 
-def test_price_refuses_a_model_without_integral_tables(tmp_path, capsys):
+def test_price_cir_b250_prints_the_library_value(tmp_path, capsys):
+    # b = 250: Gamma(b + n) overflows at every degree
     doc = preset_config("cir")
-    doc["model"] = {"kind": "cir", "kappa": 1.0, "theta": 0.05, "sigma": 0.02}  # b = 250
+    doc["model"] = {"kind": "cir", "kappa": 1.0, "theta": 0.05, "sigma": 0.02}
+    doc["run"]["rates"] = [0.05]
     path = tmp_path / "b250.json"
     path.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "price", "--config", str(path))
-    assert code == 2  # ValidationError, the exit code of refused input
-    assert out == ""
-    assert err.startswith("error: ") and "integral tables" in err
+    assert code == 0 and not err
+    cfg = parse_config(doc)
+    value = price_bond(cfg["model"], cfg["sub"], cfg["schedule"], [0.05], eps=cfg["eps"]).values[0]
+    assert f"  0.0500    {value:.6f}" in out.splitlines()
 
 
 def test_reproduce_t5_matches_reference(capsys):

@@ -7,14 +7,19 @@ from scipy import integrate
 from scipy import special as sp
 
 from eigenbond import coeffs, series
-from eigenbond.errors import UnsupportedModelError, ValidationError
-from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel
+from eigenbond.pricer import zero_coupon_price
+from eigenbond.errors import ValidationError
+from eigenbond.models import POOL_CAP, CIRModel, ThreeHalvesModel, VasicekModel
 from eigenbond.specfun import hermite_sequence, laguerre_sequence, lower_incomplete_gamma
 from eigenbond.subordinators import SubordinatorSpec, laplace_exponent
 
 CIR = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
 VAS = VasicekModel(kappa=0.44178462, theta=0.098397028, sigma=0.13264223)
 TH = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
+# Laguerre orders 249, 168.5 and 402, where Gamma(alpha + n + 1) leaves double range
+B250 = CIRModel(kappa=1.0, theta=0.05, sigma=0.02)
+TH_168 = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.155)
+TH_402 = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.1)
 NONE = SubordinatorSpec.none()
 JD = SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0)
 DELTA = 0.1666
@@ -23,6 +28,24 @@ DELTA = 0.1666
 def quad(f, lo, hi):
     val, _ = integrate.quad(f, lo, hi, epsabs=1e-13, epsrel=1e-12, limit=400)
     return val
+
+
+def _hermite_norm(n: int) -> float:
+    """sqrt(sqrt(pi) 2^n n!): the Hermite tables are in orthonormal form, and
+    times these norms they are the integrals of the raw H_n."""
+    return math.sqrt(math.sqrt(math.pi) * 2.0**n * math.factorial(n))
+
+
+def _closed(model, n, lo, hi, delta=DELTA):
+    """The closed-form strike projection, called directly."""
+    ends = (coeffs.Endpoint(model, lo), coeffs.Endpoint(model, hi))
+    return coeffs._closed_form_strike(model, n, *ends, delta)
+
+
+def _expanded(model, sub, n, lo, hi, eps, delta=DELTA):
+    """The expansion strike projection, called directly."""
+    ends = (coeffs.Endpoint(model, lo), coeffs.Endpoint(model, hi))
+    return coeffs._expansion_strike(model, sub, n, *ends, delta, eps)
 
 
 # ---------------------------------------------------------------------------
@@ -92,7 +115,7 @@ def test_laguerre_exp_infinity_against_quadrature():
 def test_hermite_pair_seed_is_normal_cdf():
     for x in (-1.2, 0.3, 2.0):
         table = coeffs.hermite_pair_integrals(0, x)
-        assert table[0, 0] == pytest.approx(
+        assert table[0, 0] * _hermite_norm(0) ** 2 == pytest.approx(
             math.sqrt(math.pi) * sp.ndtr(math.sqrt(2.0) * x), rel=1e-13
         )
 
@@ -100,52 +123,101 @@ def test_hermite_pair_seed_is_normal_cdf():
 def test_hermite_pair_against_quadrature_fixed_case():
     table = coeffs.hermite_pair_integrals(5, 0.3)
     f = lambda y: math.exp(-y * y) * hermite_sequence(4, y)[1] * hermite_sequence(4, y)[4]
-    assert table[1, 4] == pytest.approx(quad(f, -30.0, 0.3), abs=1e-10)
+    raw = table[1, 4] * _hermite_norm(1) * _hermite_norm(4)
+    assert raw == pytest.approx(quad(f, -30.0, 0.3), abs=1e-10)
 
 
 def test_hermite_pair_infinity_is_orthogonality():
     table = coeffs.hermite_pair_integrals_at_infinity(7)
     n = np.arange(8, dtype=float)
+    norms = np.array([_hermite_norm(k) for k in range(8)])
     np.testing.assert_allclose(
-        np.diag(table), math.sqrt(math.pi) * 2.0**n * sp.gamma(n + 1.0), rtol=1e-13
+        np.diag(table) * norms**2, math.sqrt(math.pi) * 2.0**n * sp.gamma(n + 1.0), rtol=1e-13
     )
+    assert np.array_equal(table, np.eye(8))
 
 
 def test_hermite_exp_seed_is_erf_form():
     s, x = 0.7, 1.1
     vec = coeffs.hermite_exp_integrals(0, s, x)
     expected = 0.5 * math.exp(0.25 * s * s) * math.sqrt(math.pi) * (math.erf(0.5 * (2.0 * x - s)) + 1.0)
-    assert vec[0] == pytest.approx(expected, rel=1e-13)
+    assert vec[0] * _hermite_norm(0) == pytest.approx(expected, rel=1e-13)
 
 
 def test_hermite_exp_against_quadrature_fixed_case():
     vec = coeffs.hermite_exp_integrals(2, 0.7, 1.1)
     f = lambda y: math.exp(0.7 * y - y * y) * hermite_sequence(2, y)[2]
-    assert vec[2] == pytest.approx(quad(f, -30.0, 1.1), abs=1e-10)
+    assert vec[2] * _hermite_norm(2) == pytest.approx(quad(f, -30.0, 1.1), abs=1e-10)
 
 
 def test_hermite_exp_infinity_sign():
-    # the full-line limit is e^{s^2/4} sqrt(pi) (+s)^n: the recursion limit
-    # and direct quadrature agree on the positive sign
+    # the full-line limit is e^{s^2/4} sqrt(pi) (+s)^n (raw H_n): the
+    # recursion limit and direct quadrature agree on the positive sign
     s = 0.42
     vec = coeffs.hermite_exp_integrals_at_infinity(3, s)
     f = lambda y: math.exp(s * y - y * y) * hermite_sequence(3, y)[3]
-    assert vec[3] == pytest.approx(quad(f, -30.0, 30.0), rel=1e-11)
+    assert vec[3] * _hermite_norm(3) == pytest.approx(quad(f, -30.0, 30.0), rel=1e-11)
     assert vec[3] > 0.0
 
 
-def test_degree_caps():
-    with pytest.raises(ValidationError):
-        coeffs.hermite_pair_integrals(141, 0.3)
-    assert coeffs.max_table_degree(VAS) == 140
-    assert coeffs.max_table_degree(CIR) > 160
-    # 3/2: Laguerre order 2m, the tables build at the cap and refuse beyond it
-    cap = coeffs.max_table_degree(TH)
-    assert cap == int(168.0 - TH.laguerre_order) == 150
-    table = coeffs.laguerre_pair_integrals(cap, TH.laguerre_order, TH.poly_coordinate(0.05))
+def test_the_pool_cap_is_the_only_degree_limit():
+    for model in (VAS, CIR, TH, B250, TH_168, TH_402):
+        assert coeffs.max_table_degree(model) == POOL_CAP
+    # the closed-form Laguerre reference tables keep their Gamma range
+    table = coeffs.laguerre_pair_integrals(150, TH.laguerre_order, TH.poly_coordinate(0.05))
     assert np.all(np.isfinite(table))
     with pytest.raises(ValidationError):
-        coeffs.laguerre_pair_integrals(cap + 2, TH.laguerre_order, 1.0)
+        coeffs.laguerre_pair_integrals(152, TH.laguerre_order, 1.0)
+
+
+def test_orthonormal_hermite_tables_at_high_degree():
+    n = 300
+    idx = np.arange(n + 1)
+    sign = (-1.0) ** (idx[:, None] + idx[None, :])
+    for x in (0.37, 2.9, 7.5):
+        table = coeffs.hermite_pair_integrals(n, x)
+        # [-inf, x] and [-x, inf] (h_n(-y) = (-1)^n h_n(y)) make up the line
+        reflected = coeffs.hermite_pair_integrals(n, -x)
+        assert np.max(np.abs(table + sign * reflected - np.eye(n + 1))) <= 1e-14
+        eigvals = np.linalg.eigvalsh(table)  # a Gram matrix of a part of the line
+        assert eigvals.min() >= -1e-12 and eigvals.max() <= 1.0 + 1e-12
+    assert np.array_equal(coeffs.hermite_pair_integrals(n, 40.0), np.eye(n + 1))
+    assert np.all(np.isfinite(coeffs.hermite_pair_integrals(1000, 3.3)))
+    assert np.all(np.isfinite(coeffs.hermite_exp_integrals(1000, 0.4, 3.3)))
+    assert np.all(np.isfinite(coeffs.hermite_exp_integrals_at_infinity(1000, 0.4)))
+
+
+def _raw_hermite_tables(n_max, s, x):
+    """The pair and exp integrals of the raw H_n against e^{-y^2}, by the
+    recursions in H_n (finite only up to degree ~140)."""
+    herm = hermite_sequence(n_max + 1, x)
+    damp = math.exp(-x * x)
+    diag = np.empty(n_max + 1)
+    diag[0] = math.sqrt(math.pi) * sp.ndtr(math.sqrt(2.0) * x)
+    for n in range(1, n_max + 1):
+        diag[n] = -herm[n - 1] * herm[n] * damp + 2.0 * n * diag[n - 1]
+    cross = np.outer(herm[: n_max + 1], herm[1:])
+    idx = np.arange(n_max + 1, dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        pair = damp * (cross - cross.T) / (2.0 * (idx[None, :] - idx[:, None]))
+    pair[np.diag_indices(n_max + 1)] = diag
+    exp = np.empty(n_max + 1)
+    exp[0] = 0.5 * math.exp(0.25 * s * s) * math.sqrt(math.pi) * (sp.erf(x - 0.5 * s) + 1.0)
+    for n in range(1, n_max + 1):
+        exp[n] = -math.exp(s * x - x * x) * herm[n - 1] + s * exp[n - 1]
+    return pair, exp
+
+
+def test_orthonormal_hermite_tables_match_the_rescaled_raw_recursion():
+    n = 100
+    norms = np.array([_hermite_norm(k) for k in range(n + 1)])
+    for x in np.linspace(-3.0, 6.0, 19):
+        for s in (-1.2, 0.45):
+            pair, exp = _raw_hermite_tables(n, s, x)
+            got = coeffs.hermite_pair_integrals(n, x)
+            assert np.max(np.abs(got - pair / np.outer(norms, norms))) <= 1e-13, x
+            got = coeffs.hermite_exp_integrals(n, s, x)
+            assert np.max(np.abs(got - exp / norms)) <= 1e-13, (x, s)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +267,8 @@ def test_randomized_hermite_pair_cases():
             * math.exp(-y * y)
         )
         ref = quad(f, -30.0, x)
-        assert table[n, m] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        raw = table[n, m] * _hermite_norm(n) * _hermite_norm(m)
+        assert raw == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
 def test_randomized_hermite_exp_cases():
@@ -207,7 +280,7 @@ def test_randomized_hermite_exp_cases():
         vec = coeffs.hermite_exp_integrals(n, s, x)
         f = lambda y: math.exp(s * y - y * y) * hermite_sequence(max(n, 1), y)[n]
         ref = quad(f, -30.0, x)
-        assert vec[n] == pytest.approx(ref, rel=1e-9, abs=1e-12)
+        assert vec[n] * _hermite_norm(n) == pytest.approx(ref, rel=1e-9, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -333,23 +406,14 @@ def test_strike_route_cross_check():
     # while its exp integrals are ~e^629; the projections are ~1e-138
     b160 = CIRModel(kappa=1.0, theta=0.05, sigma=0.025)
     for model, lo, hi in ((CIR, 0.0, 0.04), (VAS, -0.2, 0.03), (b160, 0.0, 0.05)):
-        closed = coeffs.strike_projection(model, NONE, 10, lo, hi, DELTA, route="closed_form")
-        expanded = coeffs.strike_projection(
-            model, NONE, 10, lo, hi, DELTA, eps=1e-12, route="expansion"
-        )
+        closed = _closed(model, 10, lo, hi)
+        expanded = _expanded(model, NONE, 10, lo, hi, 1e-12)
         scale = min(1.0, float(np.max(np.abs(expanded))))
         assert np.max(np.abs(closed - expanded)) <= 1e-8 * scale
 
 
-def test_strike_closed_route_rejected_for_jump_models():
-    with pytest.raises(UnsupportedModelError):
-        coeffs.strike_projection(CIR, JD, 5, 0.0, 0.05, DELTA, route="closed_form")
-    with pytest.raises(UnsupportedModelError):
-        coeffs.strike_projection(TH, NONE, 5, 0.01, 0.05, DELTA, route="closed_form")
-
-
 def test_strike_against_quadrature():
-    spj = coeffs.strike_projection(CIR, NONE, 4, 0.0, 0.0412, DELTA, route="closed_form")
+    spj = _closed(CIR, 4, 0.0, 0.0412)
     f = lambda z: (
         float(CIR.closed_form_bond(DELTA, z))
         * CIR.eigenfunctions(4, z)[4]
@@ -363,7 +427,7 @@ def test_strike_partial_sums_reproduce_indicator_bond():
     # P(delta, z) 1_(lo,hi)(z); the sharp indicator makes this a slow
     # Fourier-type limit, so assert the measured decay, not a fantasy rate
     lo, hi = 0.01, 0.09
-    spj = coeffs.strike_projection(CIR, NONE, 160, lo, hi, DELTA, route="closed_form")
+    spj = _closed(CIR, 160, lo, hi)
     # interior point: raw partial sums settle toward the bond value
     phi_in = CIR.eigenfunctions(160, 0.05)
     partial_in = np.cumsum(spj * phi_in)
@@ -473,7 +537,7 @@ def test_gauss_jacobi_strike_matches_closed_form(model, n, zs):
             ref = _closed_expansion_strike(model, JD, n, lo, hi, 1e-12)
             assert np.max(np.abs(got - ref)) <= 1e-12 * full, (z, lo, hi)
             if model.affine:
-                got = coeffs.strike_projection(model, NONE, n, lo, hi, DELTA, route="closed_form")
+                got = _closed(model, n, lo, hi)
                 ref = _closed_strike(model, n, lo, hi)
                 assert np.max(np.abs(got - ref)) <= 1e-12 * full_closed, (z, lo, hi)
 
@@ -518,8 +582,47 @@ def test_gauss_jacobi_entries_against_mpmath():
         a = mpmath.mpf(CIR.laguerre_order)
         g = lambda u: mpmath.exp(-tilt * u) * _mp_laguerre(n, a, u)
         ref = float(_mp_weighted_integral(g, CIR.laguerre_order, z) * mpmath.exp(log_pref[n]))
-    got = coeffs.strike_projection(CIR, NONE, n, 0.0, _state_at(CIR, z), DELTA, route="closed_form")
+    got = _closed(CIR, n, 0.0, _state_at(CIR, z))
     assert got[n] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def _root_speed(model, x):
+    """sqrt(m(x)), by way of log m: at large orders m(x) and phi_n(x)^2 leave
+    double range on opposite sides."""
+    s2 = model.sigma**2
+    if model.kind == "cir":
+        log_m = math.log(2.0 / s2) + (model.b - 1.0) * math.log(x) - 2.0 * model.kappa * x / s2
+    else:
+        log_m = math.log(2.0 / s2) - (2.0 * model.alpha + 1.0) * math.log(x) - model.beta / x
+    return math.exp(0.5 * log_m)
+
+
+@pytest.mark.parametrize(
+    "model,states",
+    ((B250, (0.04, 0.05, 0.053, 0.07)), (TH_168, (0.04, 0.058, 0.063, 0.09)),
+     (TH_402, (0.045, 0.059, 0.062, 0.08))),
+    ids=("cir_b250", "three_halves_168", "three_halves_402"),
+)
+def test_integrals_beyond_the_gamma_range_against_quadrature_in_the_state(model, states):
+    n = 12
+    phi = lambda x: model.eigenfunctions(n, x) * _root_speed(model, x)
+    for lo, hi in zip(states, states[1:]):
+        gram = coeffs.overlap_matrix(model, n, lo, hi)
+        for m, k in ((0, 0), (3, 7), (5, 11), (12, 12)):
+            ref = quad(lambda x: phi(x)[m] * phi(x)[k], lo, hi)
+            assert gram[m, k] == pytest.approx(ref, abs=1e-12), (lo, hi, m, k)
+    # the strike legs: closed form on CIR, the expansion on 3/2; their scale
+    # is sqrt(speed mass), e^{-498} for b = 250 and e^{+366} for order 402
+    if model.affine:
+        bond = lambda x: float(model.closed_form_bond(DELTA, x))
+    else:
+        bond = lambda x: zero_coupon_price(model, NONE, DELTA, x, eps=1e-12)
+    for lo, hi in ((states[0], states[2]), (states[1], states[3])):
+        got = coeffs.strike_projection(model, NONE, n, lo, hi, DELTA, eps=1e-12)
+        scale = np.max(np.abs(got))
+        for k in (0, 4, 12):
+            ref = quad(lambda x: bond(x) * phi(x)[k] * _root_speed(model, x), lo, hi)
+            assert abs(got[k] - ref) <= 1e-11 * scale, (lo, hi, k)
 
 
 def test_gauss_jacobi_rules_are_cached_per_size():

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from eigenbond import benchmark, coeffs, models
-from eigenbond.errors import ValidationError
+from eigenbond import benchmark, models
 from eigenbond.models import CIRModel, DiffusionModel, ThreeHalvesModel
+from eigenbond.oracle import quadrature_dp_price
 from eigenbond.pricer import price_bond, zero_coupon_price
 from eigenbond.subordinators import SubordinatorSpec
 
@@ -59,21 +59,29 @@ def test_model_kinds_come_from_the_classes():
 
 
 @pytest.mark.parametrize(
-    "kind,params",
-    (("cir", (1.0, 0.05, 0.02)), ("three_halves", (2.0, 0.06, 0.1))),
-    ids=("cir_b250", "three_halves_2m402"),
+    "model",
+    (
+        CIRModel(kappa=1.0, theta=0.05, sigma=0.02),  # b = 250
+        ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.155),  # Laguerre order 168.5
+        ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.1),  # Laguerre order ~402
+    ),
+    ids=("cir_b250", "three_halves_2m168", "three_halves_2m402"),
 )
-def test_models_without_integral_tables_are_refused(kind, params):
-    # b = 250 overflowed Gamma(b) in the eigenfunction norm; 2m ~ 402 gave a
-    # negative table degree cap that surfaced deep in the recursion
-    with pytest.raises(ValidationError, match="integral tables"):
-        models.make_model(kind, *params)
+def test_models_beyond_the_gamma_range_price_the_callable(model):
+    # Gamma(alpha + n + 1) leaves double range at degree 2 or sooner here,
+    # so no table built on it could serve these models
+    x0 = model.theta
+    coarse, fine = (price_bond(model, NONE, SWISS, [x0], eps=eps) for eps in (1e-7, 1e-10))
+    assert np.isfinite(coarse.values[0]) and 0.5 < coarse.values[0] < 1.5
+    assert coarse.values[0] == pytest.approx(fine.values[0], abs=1e-7)
 
 
-def test_model_at_a_small_degree_cap_still_prices():
-    model = CIRModel(kappa=1.0, theta=0.05, sigma=0.025)  # b = 160
-    assert coeffs.max_table_degree(model) == 9
-    result = price_bond(model, NONE, SWISS, [0.05])
-    assert result.values[0] == pytest.approx(0.9265283079527182, abs=1e-12)
-    assert max(d.assembled for d in result.dates) <= 9
+@pytest.mark.parametrize("schedule", (SWISS, SWISS_PUT), ids=("call", "call_put"))
+@pytest.mark.parametrize("eps", (1e-7, 1e-10))
+def test_cir_b160_matches_the_grid_dp(schedule, eps):
+    # b = 160: a Laguerre order at the edge of the Gamma range (Gamma(b + n)
+    # overflows from degree 12)
+    model = CIRModel(kappa=1.0, theta=0.05, sigma=0.025)
+    value = price_bond(model, NONE, schedule, [0.05], eps=eps).values[0]
+    assert value == pytest.approx(quadrature_dp_price(model, NONE, schedule, 0.05), abs=1e-9)
     assert np.isfinite(zero_coupon_price(model, NONE, 5.0, 0.05))

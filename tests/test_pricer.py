@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from eigenbond import benchmark, series
-from eigenbond.errors import BracketError, ConvergenceError, EigenbondError, ValidationError
+from eigenbond.errors import BracketError, ConvergenceError, ValidationError
 from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel
 from eigenbond.pricer import (
     BondSchedule,
@@ -254,24 +254,29 @@ def test_cir_with_a_large_norm_exponent_prices_zero_coupon_bonds():
         assert got == pytest.approx(float(model.closed_form_bond(1.0, x)), abs=1e-12)
 
 
-def test_cir_with_a_large_norm_exponent_fails_typed_on_the_callable():
+@pytest.mark.parametrize("schedule", (SWISS, SWISS_PUT), ids=("call", "call_put"))
+@pytest.mark.parametrize("eps", (1e-7, 1e-10))
+def test_a_call_region_over_the_whole_search_interval_calls_at_the_first_date(schedule, eps):
+    # b = 160 at rates near 0.005: calling beats holding up to the top of the
+    # search interval at every date
     model = CIRModel(kappa=10.0, theta=0.005, sigma=0.025)
-    with pytest.raises(EigenbondError):
-        price_bond(model, NONE, SWISS, [0.005], eps=1e-7)
+    x0 = 0.005
+    result = price_bond(model, NONE, schedule, [x0], eps=eps)
+    _, _, search_hi = model.search_interval(0)
+    assert all(state == (search_hi, None) for state in result.break_even_states)
+    # so the bond is called at the first call date p wherever it starts
+    p = schedule.protection_index
+    bond = lambda i: float(model.closed_form_bond(schedule.coupon_time(i), x0))
+    called = schedule.coupon * sum(bond(i) for i in range(1, p + 1)) + schedule.call_price(p) * bond(p)
+    assert result.values[0] == pytest.approx(called, abs=1e-11)
 
 
-def test_terminal_supply_beyond_the_degree_cap_is_refused_before_any_search(monkeypatch):
-    from eigenbond import coeffs, pricer
+def test_assembly_unconverged_at_the_pool_cap_raises(monkeypatch):
+    from eigenbond import pricer
 
-    model = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.155)
-    assert coeffs.max_table_degree(model) == 0
-
-    def no_search(*args, **kwargs):
-        raise AssertionError("break-even search ran")
-
-    monkeypatch.setattr(pricer._RootFinder, "find", no_search)
-    with pytest.raises(ValidationError, match=r"ThreeHalvesModel\(.*degree cap 0"):
-        price_bond(model, NONE, SWISS, [0.05], eps=1e-7)
+    monkeypatch.setattr(pricer, "POOL_CAP", 20)
+    with pytest.raises(ConvergenceError, match="carried coefficients .* not converged by n=20"):
+        price_bond(CIR, NONE, SWISS, [0.05], eps=1e-10)
 
 
 def test_continuation_decreasing_in_state():
@@ -399,10 +404,10 @@ def test_strike_jump_leaves_the_warm_bracket(monkeypatch, model):
 def test_one_polynomial_table_per_break_even_state_per_pass(monkeypatch, model, sub, schedule):
     from eigenbond import coeffs, pricer
 
-    # Hermite polynomial tables, Laguerre node-kernel passes, and the closed-form
+    # Hermite-function rows, Laguerre node-kernel passes, and the closed-form
     # Laguerre tables, which assembly no longer builds
     builds = []
-    for name in ("laguerre_sequence_table", "_laguerre_kernel", "hermite_sequence"):
+    for name in ("laguerre_sequence_table", "_laguerre_kernel", "_hermite_kernel"):
         build = getattr(coeffs, name)
         monkeypatch.setattr(
             coeffs, name, lambda *args, build=build: builds.append(args) or build(*args)
