@@ -88,8 +88,7 @@ __all__ = [
 
 
 def max_table_degree(model: DiffusionModel) -> int:
-    """Largest degree an assembled coefficient vector may reach: ``POOL_CAP``
-    for every model, since no table the pricer builds leaves double range."""
+    """``POOL_CAP`` for every model: no table the pricer builds leaves double range."""
     return POOL_CAP
 
 
@@ -449,10 +448,9 @@ def _endpoint(model: DiffusionModel, x: float | Endpoint) -> Endpoint:
 
 
 def _check_interval(model: DiffusionModel, x_lo: float, x_hi: float) -> None:
-    if not (model.state_lo <= x_lo <= model.state_hi):
-        raise ValidationError(f"x_lo={x_lo} outside closure of the state space")
-    if not (model.state_lo <= x_hi <= model.state_hi):
-        raise ValidationError(f"x_hi={x_hi} outside closure of the state space")
+    for name, x in (("x_lo", x_lo), ("x_hi", x_hi)):
+        if not (model.state_lo <= x <= model.state_hi):
+            raise ValidationError(f"{name}={x} outside closure of the state space")
     if x_lo > x_hi:
         raise ValidationError(f"interval endpoints out of order: {x_lo} > {x_hi}")
 

@@ -219,6 +219,9 @@ class DiffusionModel:
         of ``n_supply`` terms resolve; its cold bracket first ends at start."""
         raise NotImplementedError
 
+    def check_recursion(self) -> None:
+        """Raise ValidationError where the backward recursion misses eps."""
+
     # --- spectral data ----------------------------------------------------
 
     def eigenvalue(self, n) -> float | np.ndarray:
@@ -300,9 +303,12 @@ class DiffusionModel:
         """Speed density m(x); the stationary density up to normalization."""
         raise NotImplementedError
 
-    def speed_mass(self) -> float:
-        """Total mass integral of m over the state space (finite by assumption)."""
+    def log_speed_mass(self) -> float:
+        """log of the (finite) mass M of m, which can leave double range."""
         raise NotImplementedError
+
+    def speed_mass(self) -> float:
+        return math.exp(self.log_speed_mass())
 
     def stationary_distribution(self):
         """Normalized stationary law as a frozen scipy.stats distribution."""
@@ -415,9 +421,9 @@ class CIRModel(DiffusionModel):
         s2 = self.sigma**2
         return (2.0 / s2) * x ** (self.b - 1.0) * np.exp(-2.0 * self.kappa * x / s2)
 
-    def speed_mass(self) -> float:
+    def log_speed_mass(self) -> float:
         s2 = self.sigma**2
-        return (2.0 / s2) * math.gamma(self.b) * (s2 / (2.0 * self.kappa)) ** self.b
+        return math.log(2.0 / s2) + math.lgamma(self.b) + self.b * math.log(s2 / (2.0 * self.kappa))
 
     def stationary_distribution(self):
         return stats.gamma(self.b, scale=self.sigma**2 / (2.0 * self.kappa))
@@ -456,6 +462,15 @@ class VasicekModel(DiffusionModel):
     def hermite_shift(self) -> float:
         """a = sigma / kappa^{3/2}; offset of the Hermite argument."""
         return self.sigma / self.kappa**1.5
+
+    def check_recursion(self) -> None:
+        # past a = 10 the carried coefficient cut misses eps by orders of
+        # magnitude (a = 14.1 by 1.9e-4 on the Swiss callable at eps 1e-7)
+        if self.hermite_shift > 10.0:
+            raise ValidationError(
+                f"{self!r}: Hermite shift a = {self.hermite_shift:.4g} exceeds 10, where "
+                "the carried coefficient cut of the backward recursion falls short of eps"
+            )
 
     def search_interval(self, n_supply: int) -> tuple[float, float, float]:
         # a symmetric band around theta, whose mapped coordinates the series resolve
@@ -516,8 +531,8 @@ class VasicekModel(DiffusionModel):
         s2 = self.sigma**2
         return (2.0 / s2) * np.exp(-self.kappa * (self.theta - x) ** 2 / s2)
 
-    def speed_mass(self) -> float:
-        return 2.0 / self.sigma * math.sqrt(math.pi / self.kappa)
+    def log_speed_mass(self) -> float:
+        return math.log(2.0 / self.sigma) + 0.5 * math.log(math.pi / self.kappa)
 
     def stationary_distribution(self):
         return stats.norm(self.theta, self.sigma / math.sqrt(2.0 * self.kappa))
@@ -658,13 +673,10 @@ class ThreeHalvesModel(DiffusionModel):
         s2 = self.sigma**2
         return (2.0 / s2) * x ** (-2.0 * self.alpha - 1.0) * np.exp(-self.beta / x)
 
-    def speed_mass(self) -> float:
+    def log_speed_mass(self) -> float:
         # substitute v = beta/x: (2/sigma^2) beta^{-2 alpha} Gamma(2 alpha)
-        return (
-            2.0
-            / self.sigma**2
-            * math.exp(math.lgamma(2.0 * self.alpha) - 2.0 * self.alpha * math.log(self.beta))
-        )
+        two_a = 2.0 * self.alpha
+        return math.log(2.0 / self.sigma**2) + math.lgamma(two_a) - two_a * math.log(self.beta)
 
     def stationary_distribution(self):
         return stats.invgamma(2.0 * self.alpha, scale=self.beta)

@@ -46,18 +46,19 @@ _DENSITY_TAIL = 1e-12
 
 
 class QuadratureGrid:
-    """State abscissas and weights against the speed measure m(x) dx."""
+    """State abscissas and weights against the stationary law m(x) / M, M = e^{log_mass}."""
 
-    def __init__(self, nodes: np.ndarray, weights: np.ndarray, bounds: tuple[float, float]):
+    def __init__(self, nodes, weights, bounds: tuple[float, float], log_mass: float):
         if np.any(weights <= 0.0):
             raise ValidationError("quadrature weights must be positive")
         self.nodes = nodes
         self.weights = weights
         self.bounds = bounds
+        self.log_mass = log_mass
 
 
 def build_grid(model: DiffusionModel, grid_size: int) -> QuadratureGrid:
-    """Gauss-Legendre grid over stationary-quantile bounds, weighted by m(x).
+    """Gauss-Legendre grid over stationary-quantile bounds, weighted by m(x) / M.
 
     The CIR speed density has an integrable singularity x^{b-1} at the
     origin when b < 1; the left panel is then built in the substituted
@@ -76,19 +77,19 @@ def build_grid(model: DiffusionModel, grid_size: int) -> QuadratureGrid:
         u = 0.5 * split**b * (nodes_l + 1.0)
         x_l = u ** (1.0 / b)
         w_l = 0.5 * split**b * wts_l * (1.0 / b) * u ** (1.0 / b - 1.0)
-        w_l = w_l * model.speed_density(x_l)
+        w_l = w_l * dist.pdf(x_l)
         nodes_r, wts_r = np.polynomial.legendre.leggauss(grid_size - half)
         x_r = 0.5 * (hi - split) * nodes_r + 0.5 * (hi + split)
-        w_r = 0.5 * (hi - split) * wts_r * model.speed_density(x_r)
+        w_r = 0.5 * (hi - split) * wts_r * dist.pdf(x_r)
         nodes = np.concatenate([x_l, x_r])
         weights = np.concatenate([w_l, w_r])
         lo = 0.0
     else:
         nodes_g, wts_g = np.polynomial.legendre.leggauss(grid_size)
         nodes = 0.5 * (hi - lo) * nodes_g + 0.5 * (hi + lo)
-        weights = 0.5 * (hi - lo) * wts_g * model.speed_density(nodes)
+        weights = 0.5 * (hi - lo) * wts_g * dist.pdf(nodes)
 
-    return QuadratureGrid(nodes=nodes, weights=weights, bounds=(lo, hi))
+    return QuadratureGrid(nodes, weights, (lo, hi), model.log_speed_mass())
 
 
 def _density_matrix(
@@ -135,7 +136,9 @@ def quadrature_dp_price(
     steps = [sched.holding_period(i) for i in range(sched.protection_index, k)]
     if steps:
         _check_density_tail(philam, min(steps))
-    eig = model.eigenfunction_matrix(n_density, y)
+    # phi_n sqrt(M) against the weights m / M: a product that stays in range
+    root_mass = math.exp(0.5 * grid.log_mass)
+    eig = model.eigenfunction_matrix(n_density, y) * root_mass
 
     # zero-coupon P(delta, y) on the grid for the strike comparisons
     n_bond = 300
@@ -162,7 +165,7 @@ def quadrature_dp_price(
     else:
         start_t = sched.maturity
     proj = eig.T @ (w * value)
-    phi0 = model.eigenfunctions(n_density, x0)
+    phi0 = model.eigenfunctions(n_density, x0) * root_mass
     v0 = float(np.sum(np.exp(-philam * start_t) * proj * phi0))
     for i in range(1, sched.protection_index):
         t_i = sched.coupon_time(i)
@@ -244,34 +247,25 @@ def _euler_diffusion_discount(
     model: DiffusionModel, t: float, x0: float, n_paths: int, steps: int, rng
 ) -> np.ndarray:
     """exp(-int r) along full-truncation Euler paths of the diffusion."""
+    floor = {CIRModel: 0.0, VasicekModel: -math.inf, ThreeHalvesModel: 1e-12}.get(type(model))
+    if floor is None:
+        raise ValidationError(f"no Monte Carlo scheme for {model.kind}")
     dt = t / steps
     sqdt = math.sqrt(dt)
     x = np.full(n_paths, float(x0))
+    rate = np.maximum(x, floor)  # the short rate, floored where the scheme needs it
     integral = np.zeros(n_paths)
     for _ in range(steps):
+        z = rng.standard_normal(n_paths)
         if isinstance(model, CIRModel):
-            pos = np.maximum(x, 0.0)
-            rate = pos
-            x_new = x + model.kappa * (model.theta - pos) * dt + model.sigma * np.sqrt(
-                pos
-            ) * sqdt * rng.standard_normal(n_paths)
+            x = x + model.kappa * (model.theta - rate) * dt + model.sigma * np.sqrt(rate) * sqdt * z
         elif isinstance(model, VasicekModel):
-            rate = x
-            x_new = x + model.kappa * (model.theta - x) * dt + model.sigma * sqdt * rng.standard_normal(n_paths)
-        elif isinstance(model, ThreeHalvesModel):
-            pos = np.maximum(x, 1e-12)
-            rate = pos
-            x_new = x + model.kappa * (model.theta - pos) * pos * dt + model.sigma * pos**1.5 * sqdt * rng.standard_normal(n_paths)
+            x = x + model.kappa * (model.theta - x) * dt + model.sigma * sqdt * z
         else:
-            raise ValidationError(f"no Monte Carlo scheme for {model.kind}")
-        if isinstance(model, CIRModel):
-            rate_new = np.maximum(x_new, 0.0)
-        elif isinstance(model, ThreeHalvesModel):
-            rate_new = np.maximum(x_new, 1e-12)
-        else:
-            rate_new = x_new
+            x = x + model.kappa * (model.theta - rate) * rate * dt + model.sigma * rate**1.5 * sqdt * z
+        rate_new = np.maximum(x, floor)
         integral += 0.5 * (rate + rate_new) * dt
-        x = x_new
+        rate = rate_new
     return np.exp(-integral)
 
 

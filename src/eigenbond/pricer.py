@@ -386,13 +386,9 @@ class _RootFinder:
         return diff
 
     def _cold_bracket(self, diff, kind: str) -> tuple[float, float] | None:
-        """Bracket over the whole search interval; None for an empty region.
-
-        A call region that covers the whole interval gives the one-point
-        bracket (search_hi, search_hi): the strike is cheaper than holding
-        wherever the series resolve.  A put region that covers it raises,
-        since on the 3/2 model a poorly resolved continuation can fake one.
-        """
+        """Bracket over the whole search interval; None for an empty region,
+        (search_hi, search_hi) for a call region over all of it.  A put region
+        over it raises: a poorly resolved 3/2 continuation can fake one."""
         lo = self.search_lo
         f_lo = diff(lo)
         # grow the upper end geometrically until the difference turns positive
@@ -495,6 +491,7 @@ class _Engine:
             tau_first = schedule.decision_time(schedule.protection_index)
             if tau_first <= 0.0:
                 raise ValidationError("first decision time must be positive")
+            model.check_recursion()
         self.model = model
         self.sub = sub
         self.schedule = schedule
@@ -543,9 +540,14 @@ class _Engine:
         for kind, strike in (("call", sched.call_price(i)), ("put", sched.put_price(i))):
             if strike is not None:
                 states[kind] = finder.find(kind, strike, hint=self._hints[kind])
-                if self.check_single_crossing:
-                    crossing = states[kind] not in (None, finder.search_hi)
-                    finder.scan_single_crossing(strike, crossing)
+                if kind == "call" and states[kind] == finder.search_hi:
+                    # taken on an affine model once the sign scan confirms it:
+                    # on the 3/2 model a wrongly large continuation can fake one
+                    if not self.model.affine:
+                        raise BracketError("call region covers the whole search interval", i)
+                    finder.scan_single_crossing(strike, False)
+                elif self.check_single_crossing:
+                    finder.scan_single_crossing(strike, states[kind] is not None)
         self._hints = states
         x_call, x_put = states["call"], states["put"]
         if x_call is not None and x_put is not None and not x_call < x_put:

@@ -271,6 +271,37 @@ def test_a_call_region_over_the_whole_search_interval_calls_at_the_first_date(sc
     assert result.values[0] == pytest.approx(called, abs=1e-11)
 
 
+def test_a_faked_call_region_over_the_whole_interval_fails_typed_on_three_halves(monkeypatch):
+    from eigenbond import pricer
+
+    # a carried vector that evaluates wrongly large everywhere makes calling
+    # look cheaper than holding over the whole search interval
+    capped = pricer._series_eval_capped
+
+    def inflated(*args):
+        value, level = capped(*args)
+        return value + 10.0, level
+
+    monkeypatch.setattr(pricer, "_series_eval_capped", inflated)
+    with pytest.raises(BracketError, match="call region covers the whole search interval"):
+        price_bond(TH, NONE, SWISS, [0.05], eps=1e-7)
+
+
+def test_vasicek_with_a_large_hermite_shift_is_refused_before_any_search(monkeypatch):
+    from eigenbond import pricer
+
+    # a = 14.1: the carried coefficient cut missed eps 1e-7 by 1.9e-4 here
+    model = VasicekModel(kappa=0.02, theta=0.05, sigma=0.04)
+
+    def no_search(*args, **kwargs):
+        raise AssertionError("break-even search ran")
+
+    monkeypatch.setattr(pricer._RootFinder, "find", no_search)
+    for eps in (1e-7, 1e-12):
+        with pytest.raises(ValidationError, match=r"Hermite shift a = 14\.14 exceeds 10"):
+            price_bond(model, NONE, SWISS, [0.05], eps=eps)
+
+
 def test_assembly_unconverged_at_the_pool_cap_raises(monkeypatch):
     from eigenbond import pricer
 
