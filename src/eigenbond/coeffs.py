@@ -11,38 +11,42 @@ eigenfunction over the exercise regions:
 
 An interval integral is the difference of the two integrals from the
 bottom of the model's polynomial coordinate to the mapped endpoints, taken
-in coordinate order.  An ``Endpoint`` places one state in that coordinate:
-a state-space boundary maps to an end of the coordinate range.  Each
-integral from the bottom is taken one of three ways:
+in coordinate order.  An ``Endpoint`` places one state in that coordinate
+(a state-space boundary maps to an end of the coordinate range) and takes
+both integrals from the bottom: the hold overlap applied to a coefficient
+vector w (``Endpoint.apply``) and the closed-form strike leg of an affine
+model (``Endpoint.bond``).  Each is taken one of four ways:
 
 * zero at the bottom itself;
+* exactly at the top of the coordinate range: the overlap is the
+  identity (orthonormality), so ``apply`` returns w itself, and the strike
+  leg is p_n e^{-lambda_n delta}, the expansion coefficients of P(delta, .);
 * by Gauss-Jacobi quadrature at a finite Laguerre coordinate (CIR, 3/2).
   There phi_m phi_n m is u^alpha e^{-u} times a polynomial in u, so a
   Gauss rule for the weight t^alpha on [0, 1] (``_gauss_jacobi``, cached
   on the model per size), scaled to [0, z], takes every integral.  One
-  kernel pass at the nodes gives the node matrix V (``Endpoint.nodes``),
-  and the hold overlap applied to a coefficient vector is V^T (V w),
-  without forming the block; the strike legs are V^T times one node vector;
-* in closed form otherwise: a finite Hermite coordinate (Vasicek) and the
-  top of either coordinate range (the overlap there is the identity, by
-  orthonormality).  The Hermite tables are taken in orthonormal form, over
-  the Hermite functions h_n(y) = H_n(y) e^{-y^2/2} / sqrt(sqrt(pi) 2^n n!)
-  of the models' normalized recurrence:
+  kernel pass at the nodes gives the node matrix V (``Endpoint.nodes``);
+  the hold overlap applied to w is V (V^T w), without forming the block,
+  and the strike legs are V times one node vector;
+* by the Hermite tables at a finite Hermite coordinate (Vasicek), taken in
+  orthonormal form over the Hermite functions
+  h_n(y) = H_n(y) e^{-y^2/2} / sqrt(sqrt(pi) 2^n n!) of the models'
+  normalized recurrence:
 
     pair_{m,n}(x) = int_-inf^x h_m h_n dy
     exp_n(s, x)   = int_-inf^x e^{s y - y^2/2} h_n dy
 
   The off-diagonal pair integrals have a closed form, and the diagonal and
   the exp integrals step up in degree from erfc seeds; no factor leaves
-  double range at any degree.  At the top of the Laguerre coordinate the
-  exp integrals Gamma(alpha + n + 1) (s - 1)^n / (n! s^{alpha + n + 1})
-  meet the strike factors in log space.
+  double range at any degree.
 
-The closed-form Laguerre tables at a finite coordinate,
-int_0^x L_m L_n e^{-y} y^alpha dy and int_0^x y^alpha e^{-s y} L_n dy, step
-down in order from incomplete-gamma seeds at elevated order; they are kept
-as the reference that the quadrature is tested against, and the pricer
-does not build them.
+Only ``Endpoint`` reads the model's polynomial family.  The other tables
+here are the reference that tests compare against, and the pricer builds
+none of them: the closed-form Laguerre tables at a finite coordinate,
+int_0^x L_m L_n e^{-y} y^alpha dy and int_0^x y^alpha e^{-s y} L_n dy, which
+step down in order from incomplete-gamma seeds at elevated order, and the
+full-line limits of both families (``*_at_infinity``), which the exact top
+end replaces.
 
 The model's constant factors (``overlap_log_constant``, ``strike_factors``)
 turn the polynomial integrals into eigenfunction integrals.  The pricer
@@ -195,17 +199,8 @@ def laguerre_exp_integrals(n_max: int, alpha: float, s: float, x: float, lag=Non
 
 
 def laguerre_exp_integrals_at_infinity(n_max: int, alpha: float, s: float) -> np.ndarray:
-    """Full-line limit Gamma(alpha + n + 1) (s - 1)^n / (n! s^{alpha + n + 1})."""
-    sign, log_mag = _laguerre_exp_logs_at_infinity(n_max, alpha, s)
-    return sign * np.exp(log_mag)
-
-
-def _laguerre_exp_logs_at_infinity(
-    n_max: int, alpha: float, s: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """(sign, log |.|) of ``laguerre_exp_integrals_at_infinity``, whose values
-    leave double range at large alpha while their products with the strike
-    factors do not."""
+    """Full-line limit Gamma(alpha + n + 1) (s - 1)^n / (n! s^{alpha + n + 1}),
+    formed in log space (it leaves double range at large alpha)."""
     if not alpha > -1.0:
         raise ValidationError(f"Laguerre order must satisfy alpha > -1, got {alpha}")
     if not s > 0.0:
@@ -222,7 +217,7 @@ def _laguerre_exp_logs_at_infinity(
         + powers
         - (alpha + n + 1.0) * math.log(s)
     )
-    return sign, log_mag
+    return sign * np.exp(log_mag)
 
 
 # ---------------------------------------------------------------------------
@@ -348,41 +343,23 @@ def _jacobi_rule(model: DiffusionModel, size: int) -> tuple[np.ndarray, np.ndarr
     return rule
 
 
-def _leading(weights: np.ndarray, size: int) -> np.ndarray:
-    """The first ``size`` rows of ``weights``, zero-padded when it has fewer."""
-    out = np.zeros((size,) + weights.shape[1:])
-    k = min(size, weights.shape[0])
-    out[:k] = weights[:k]
-    return out
-
-
 class Endpoint:
-    """A state placed in the model's polynomial coordinate, with what the
-    integrals from the bottom of the coordinate to it share.
-
-    Every interval integral is the difference of two such integrals, and
-    each is taken one of three ways: zero at the bottom; by Gauss-Jacobi
-    quadrature at a finite Laguerre coordinate (``quadrature``, the node
-    matrix of ``nodes``, its rule cached on the model); in closed form
-    otherwise (``closed``: a finite Hermite coordinate, with the Hermite
-    functions of ``row``, or the top end of the coordinate range).  The
-    closed-form Laguerre tables at a finite coordinate
-    (``laguerre_pair_integrals``, ``laguerre_exp_integrals``) are the
-    reference the quadrature is checked against; no Endpoint builds them.
-    """
+    """A state placed in the model's polynomial coordinate, with the two
+    integrals from the bottom of the coordinate to it (``apply``, ``bond``)
+    and what they share there (``row``, ``nodes``)."""
 
     def __init__(self, model: DiffusionModel, x: float):
         self.model = model
         self.x = x
-        self._hermite = model.polynomial_family == "hermite"
-        bottom = -math.inf if self._hermite else 0.0
+        hermite = model.polynomial_family == "hermite"
+        bottom = -math.inf if hermite else 0.0
         if model.state_lo < x < model.state_hi:
             self.z = model.poly_coordinate(x)
         else:  # a state-space boundary maps to an end of the coordinate range
             at_top = (x == model.state_hi) != model.coordinate_reversed
             self.z = math.inf if at_top else bottom
-        self.quadrature = not self._hermite and 0.0 < self.z < math.inf
-        self.closed = self.z != bottom and not self.quadrature
+        self.bottom = self.z == bottom
+        self.quadrature = not hermite and 0.0 < self.z < math.inf
         self._row: np.ndarray | None = None
         self._nodes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
@@ -425,22 +402,42 @@ class Endpoint:
             self._nodes = rows, u, half
         return self._nodes
 
-    def pair(self, n_max: int) -> np.ndarray:
-        """Orthonormal Hermite pair table from the bottom of the coordinate to z."""
-        if not self.closed:
-            return np.zeros((n_max + 1, n_max + 1))
-        if self.z == math.inf:
-            return hermite_pair_integrals_at_infinity(n_max)
-        return hermite_pair_integrals(n_max, self.z, self.row(n_max))
+    def apply(self, n_rows: int, weights: np.ndarray) -> np.ndarray:
+        """Rows 0..n_rows of the overlap block from the bottom of the
+        coordinate to z, one column per row of ``weights`` (a vector, or a
+        matrix of columns), applied to ``weights``."""
+        size = weights.shape[0]
+        if self.bottom:
+            return np.zeros((n_rows + 1,) + weights.shape[1:])
+        if self.z == math.inf:  # the identity, by orthonormality
+            out = np.zeros((n_rows + 1,) + weights.shape[1:])
+            out[:size] = weights[: n_rows + 1]
+            return out
+        n_max = max(n_rows, size - 1)
+        if self.quadrature:
+            rows = self.nodes(n_max)[0]
+            return rows[: n_rows + 1] @ (rows[:size].T @ weights)
+        table = hermite_pair_integrals(n_max, self.z, self.row(n_max))
+        return table[: n_rows + 1, :size] @ weights
 
-    def exp(self, n_max: int, s: float) -> np.ndarray:
-        """Orthonormal Hermite exp integrals at tilt s from the bottom of the
-        coordinate to z."""
-        if not self.closed:
+    def bond(self, n_max: int, delta: float) -> np.ndarray:
+        """[n] = int P(delta, .) phi_n m from the bottom of the coordinate to
+        z, for an affine model's closed-form bond; below the top it takes
+        the model's ``strike_factors`` (s, a)."""
+        model = self.model
+        if self.bottom:
             return np.zeros(n_max + 1)
         if self.z == math.inf:
-            return hermite_exp_integrals_at_infinity(n_max, s)
-        return hermite_exp_integrals(n_max, s, self.z, self.row(n_max))
+            decay = np.exp(-model.eigenvalues(n_max) * delta)
+            return model.unit_payoff_coefficients(n_max) * decay
+        tilt, a = model.strike_factors(delta)
+        if self.quadrature:
+            # P(delta, x) over the prefactor is e^{a + (1 - s) u} at coordinate u
+            rows, u, half = self.nodes(n_max)
+            return rows[: n_max + 1] @ np.exp(half + (1.0 - tilt) * u + a)
+        # N_n sqrt(sqrt(pi) 2^n n!) e^{C/2} = 1: one factor for the orthonormal table
+        factor = math.exp(a + 0.5 * model.overlap_log_constant)
+        return factor * hermite_exp_integrals(n_max, tilt, self.z, self.row(n_max))
 
 
 def _endpoint(model: DiffusionModel, x: float | Endpoint) -> Endpoint:
@@ -479,56 +476,19 @@ def _overlap_apply(
     weights: np.ndarray,
 ) -> np.ndarray:
     """Rows 0..n_rows of overlap(x_lo, x_hi) @ weights, the block having one
-    column per row of ``weights`` (a vector, or a matrix of columns).
-
-    A quadrature endpoint adds +-V^T (V weights) and never forms the block;
-    for the Laguerre family the top of the coordinate adds ``weights`` itself
-    (orthonormality) and the bottom nothing.  The Hermite tables are in
-    orthonormal form, so the Vasicek overlap is their difference as it stands.
-    """
+    column per row of ``weights`` (a vector, or a matrix of columns)."""
     lo, hi = _endpoint(model, x_lo), _endpoint(model, x_hi)
-    size = weights.shape[0]
     if lo.x == hi.x:
         return np.zeros((n_rows + 1,) + weights.shape[1:])
-    n_max = max(n_rows, size - 1)
     lo, hi = _coordinate_order(model, lo, hi)
-    if model.polynomial_family == "hermite":
-        return (hi.pair(n_max) - lo.pair(n_max))[: n_rows + 1, :size] @ weights
-    if hi.z == math.inf:
-        out = _leading(weights, n_rows + 1)
-    else:
-        out = np.zeros((n_rows + 1,) + weights.shape[1:])
-    for sign, end in ((1.0, hi), (-1.0, lo)):
-        if end.quadrature:
-            rows = end.nodes(n_max)[0]
-            out += sign * (rows[: n_rows + 1] @ (rows[:size].T @ weights))
-    return out
+    return hi.apply(n_rows, weights) - lo.apply(n_rows, weights)
 
 
 def _closed_form_strike(
     model: DiffusionModel, n_max: int, lo: Endpoint, hi: Endpoint, delta: float
 ) -> np.ndarray:
-    tilt, log_pref = model.strike_factors(delta, n_max)
     lo, hi = _coordinate_order(model, lo, hi)
-    # P(delta, x) / prefactor(x) is e^{a + (1 - s) u} at coordinate u: the
-    # factors are log N_n + C + a, with a independent of n.
-    a = log_pref[0] - model.log_norm_constants(0)[0] - model.overlap_log_constant
-    if model.polynomial_family == "hermite":
-        # N_n sqrt(sqrt(pi) 2^n n!) e^{C/2} = 1: one factor for the orthonormal tables
-        return math.exp(a + 0.5 * model.overlap_log_constant) * (
-            hi.exp(n_max, tilt) - lo.exp(n_max, tilt)
-        )
-    out = np.zeros(n_max + 1)
-    if hi.z == math.inf:
-        # the integrals and the factors can leave double range on opposite
-        # sides (CIR with b = 250), so they meet in log space
-        sign, log_mag = _laguerre_exp_logs_at_infinity(n_max, model.laguerre_order, tilt)
-        out = sign * np.exp(log_pref + log_mag)
-    for sign, end in ((1.0, hi), (-1.0, lo)):
-        if end.quadrature:
-            rows, u, half = end.nodes(n_max)
-            out += sign * (rows[: n_max + 1] @ np.exp(half + (1.0 - tilt) * u + a))
-    return out
+    return hi.bond(n_max, delta) - lo.bond(n_max, delta)
 
 
 def _expansion_weights(

@@ -39,10 +39,10 @@ The pricer and the integral tables (``coeffs``) run the same code for every
 model; what differs between the diffusions is read from these facts:
 
 * ``affine``: whether ``affine_bond_factors`` (and so ``closed_form_bond``
-  and ``strike_factors``, the tilt and log prefactor of the closed-form
-  strike projection) exist;
+  and ``strike_factors``, the tilt and the one log factor of the
+  closed-form strike projection) exist;
 * ``search_interval(n_supply)``: the states a break-even search may probe
-  and the first upper end of its cold bracket;
+  and the first upper end of its walk when no earlier state starts it;
 * ``polynomial_family`` ("laguerre" or "hermite") and
   ``coordinate_reversed`` (whether ``poly_coordinate`` decreases in the
   state), which place the integral tables in the polynomial coordinate;
@@ -216,7 +216,7 @@ class DiffusionModel:
 
     def search_interval(self, n_supply: int) -> tuple[float, float, float]:
         """(lo, start, hi): the break-even search probes [lo, hi], where series
-        of ``n_supply`` terms resolve; its cold bracket first ends at start."""
+        of ``n_supply`` terms resolve; a walk without a hint first ends at start."""
         raise NotImplementedError
 
     def check_recursion(self) -> None:
@@ -291,10 +291,11 @@ class DiffusionModel:
         """log of the factor, besides N_m N_n, from pair to overlap integrals."""
         raise NotImplementedError
 
-    def strike_factors(self, delta: float, n_max: int) -> tuple[float, np.ndarray]:
-        """Tilt s and log factors [n] from exp integrals to P(delta, .)
-        projections (logs, because a factor can underflow where its product
-        with the integral does not)."""
+    def strike_factors(self, delta: float) -> tuple[float, float]:
+        """(s, a): the tilt s of the family's exp integrals and the log
+        factor a, the same for every degree, that with the norm and overlap
+        constants turn them into the closed-form strike leg of P(delta, .)
+        (a = log A(delta) on CIR; see ``coeffs.Endpoint.bond``)."""
         raise NotImplementedError
 
     # --- densities and bonds ----------------------------------------------
@@ -436,13 +437,11 @@ class CIRModel(DiffusionModel):
         b_fac = 2.0 * egt / denom
         return a_fac, b_fac
 
-    def strike_factors(self, delta: float, n_max: int) -> tuple[float, np.ndarray]:
+    def strike_factors(self, delta: float) -> tuple[float, float]:
         a_fac, b_fac = self.affine_bond_factors(delta)
-        log_n = self.log_norm_constants(n_max)
-        g, s2 = self.gamma, self.sigma**2
-        tilt = b_fac * s2 / (2.0 * g) + (self.kappa + g) / (2.0 * g)
-        log_pref = math.log(a_fac) + log_n + (self.b - 1.0) * math.log(s2 / (2.0 * g)) - math.log(g)
-        return tilt, log_pref
+        g = self.gamma
+        tilt = b_fac * self.sigma**2 / (2.0 * g) + (self.kappa + g) / (2.0 * g)
+        return tilt, math.log(a_fac)
 
 
 # ---------------------------------------------------------------------------
@@ -546,18 +545,12 @@ class VasicekModel(DiffusionModel):
         )
         return a_fac, b_fac
 
-    def strike_factors(self, delta: float, n_max: int) -> tuple[float, np.ndarray]:
+    def strike_factors(self, delta: float) -> tuple[float, float]:
         a_fac, b_fac = self.affine_bond_factors(delta)
-        log_n = self.log_norm_constants(n_max)
         a, root_k = self.hermite_shift, math.sqrt(self.kappa)
         tilt = a - b_fac * self.sigma / root_k
-        log_pref = (
-            math.log(2.0 * a_fac / (self.sigma * root_k))
-            + log_n
-            - 0.5 * a * a
-            - b_fac * (self.theta - a * self.sigma / root_k)
-        )
-        return tilt, log_pref
+        log_a = math.log(a_fac) - 0.5 * a * a - b_fac * (self.theta - a * self.sigma / root_k)
+        return tilt, log_a
 
 
 # ---------------------------------------------------------------------------

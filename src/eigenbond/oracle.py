@@ -243,6 +243,9 @@ def short_rate_quadrature(model: DiffusionModel, sub: SubordinatorSpec, x: float
 # ---------------------------------------------------------------------------
 
 
+_STEPS_PER_YEAR = 250  # Euler steps of the plain-clock Monte Carlo
+
+
 def _euler_diffusion_discount(
     model: DiffusionModel, t: float, x0: float, n_paths: int, steps: int, rng
 ) -> np.ndarray:
@@ -301,26 +304,23 @@ def mc_zero_coupon(
     t: float,
     x0: float,
     n_paths: int = 100_000,
-    steps_per_year: int = 250,
     seed: int = 0,
 ) -> tuple[float, float]:
     """Monte Carlo zero-coupon price estimate with its standard error.
 
     On the plain clock each path is a full-truncation Euler path of the
-    diffusion with ``steps_per_year`` steps a year; on a jump clock each
+    diffusion with ``_STEPS_PER_YEAR`` steps a year; on a jump clock each
     path is one clock draw (see ``_clock_average_bonds``).  Deterministic
     for a fixed seed.  Paths are generated in chunks drawn from spawned
     child streams so the memory footprint stays bounded.
     """
     if not t > 0.0:
         raise ValidationError("maturity must be positive")
-    if steps_per_year < 250:
-        raise ValidationError("steps_per_year must be at least 250")
     if n_paths < 1:
         raise ValidationError("need at least one path")
-    if not model.contains(x0):
-        raise ValidationError(f"state {x0} outside the {model.kind} state space")
-    steps = max(1, int(round(t * steps_per_year)))
+    if not (math.isfinite(x0) and model.contains(x0)):
+        raise ValidationError(f"state {x0} outside the {model.kind} state space or not finite")
+    steps = max(1, int(round(t * _STEPS_PER_YEAR)))
     chunk = 20_000
     n_chunks = (n_paths + chunk - 1) // chunk
     streams = np.random.default_rng(seed).spawn(n_chunks)

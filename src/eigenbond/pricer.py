@@ -9,7 +9,8 @@ The bond value at issue is built in three moves:
     issuer calls below the state x_c where the discounted call price drops
     under the hold value, the holder puts above the state x_p where the
     discounted put price rises above it; both break-even states are found
-    by bracketed Brent, warm-started from the previous date's states.  The
+    by one bracket walk, started at the previous date's state of the same
+    kind (or at the bottom of the search interval), and Brent.  The
     new coefficient vector is assembled from strike projections over the
     exercise regions, the overlap matrix over the hold region (applied to
     the coefficients, never formed at a Gauss-Jacobi endpoint; see
@@ -66,7 +67,7 @@ __all__ = [
 # Brent closes each break-even search to within TOL_X / 2 of the crossing.
 TOL_X = 1e-7
 
-# A date's break-even search starts from last date's state of the same kind
+# A date's break-even walk starts from last date's state of the same kind
 # with this half-width; an end that fails to straddle moves out by steps
 # growing this factor at a time.
 _WARM_HALF_WIDTH = 1e-3
@@ -109,12 +110,14 @@ class BondSchedule:
         object.__setattr__(self, "coupon_times", times)
         if len(times) == 0:
             raise ValidationError("schedule needs at least one coupon/redemption date")
-        if self.coupon < 0.0:
-            raise ValidationError("coupon must be >= 0")
-        if any(t2 <= t1 for t1, t2 in zip(times, times[1:])) or times[0] <= 0.0:
-            raise ValidationError("coupon times must be positive and strictly increasing")
-        if self.notice_delta < 0.0:
-            raise ValidationError("notice period must be >= 0")
+        if not (math.isfinite(self.coupon) and self.coupon >= 0.0):
+            raise ValidationError(f"coupon must be finite and >= 0, got {self.coupon}")
+        if not all(map(math.isfinite, times)) or times[0] <= 0.0 or any(
+            t2 <= t1 for t1, t2 in zip(times, times[1:])
+        ):
+            raise ValidationError("coupon times must be finite, positive and strictly increasing")
+        if not (math.isfinite(self.notice_delta) and self.notice_delta >= 0.0):
+            raise ValidationError(f"notice period must be finite and >= 0, got {self.notice_delta}")
         spacing = min(
             [times[0]] + [t2 - t1 for t1, t2 in zip(times, times[1:])]
         )
@@ -135,8 +138,8 @@ class BondSchedule:
                         f"{name} must list one strike per exercisable date "
                         f"({n_ex} expected, got {len(ladder)})"
                     )
-                if any(v <= 0.0 for v in ladder):
-                    raise ValidationError(f"{name} must be positive")
+                if not all(math.isfinite(v) and v > 0.0 for v in ladder):
+                    raise ValidationError(f"{name} must be finite and positive")
         if self.call_prices is not None and self.put_prices is not None:
             if any(c <= p for c, p in zip(self.call_prices, self.put_prices)):
                 raise ValidationError("call prices must exceed put prices datewise")
@@ -326,8 +329,8 @@ def zero_coupon_price(
     series.check_eps(eps)
     if not t > 0.0:
         raise ValidationError("maturity must be positive")
-    if not model.contains(x):
-        raise ValidationError(f"state {x} outside the {model.kind} state space")
+    if not (math.isfinite(x) and model.contains(x)):
+        raise ValidationError(f"state {x} outside the {model.kind} state space or not finite")
     basis = SpectralBasis(model, sub)
     value, _ = _series_eval_pool(basis, t, x, eps)
     return value
@@ -385,76 +388,47 @@ class _RootFinder:
 
         return diff
 
-    def _cold_bracket(self, diff, kind: str) -> tuple[float, float] | None:
-        """Bracket over the whole search interval; None for an empty region,
-        (search_hi, search_hi) for a call region over all of it.  A put region
-        over it raises: a poorly resolved 3/2 continuation can fake one."""
-        lo = self.search_lo
-        f_lo = diff(lo)
-        # grow the upper end geometrically until the difference turns positive
-        hi = max(self.bracket_start, lo + TOL_X)
-        while diff(hi) <= 0.0 and hi < self.search_hi:
-            hi = min(2.0 * hi, self.search_hi)
-        f_hi = diff(hi)
-        if kind == "call":
-            if f_lo > 0.0:
-                return None  # strike too dear even at the lowest rates
-            if f_hi <= 0.0:
-                return hi, hi  # hi is search_hi: the loop above stops there
-        else:
-            if f_hi <= 0.0:
-                return None  # hold value dominates everywhere reachable
-            if f_lo > 0.0:
-                raise BracketError(
-                    "put region covers the whole search interval",
-                    decision_index=self.decision_index,
-                )
-        return lo, hi
-
-    def _warm_bracket(self, diff, hint: float) -> tuple[float, float] | None:
-        """Bracket marched out from ``hint``; None once it reaches an edge.
-
-        The first bracket is hint +- ``_WARM_HALF_WIDTH``; an end that
-        fails to straddle becomes the other end and the step grows
-        geometrically on that side.
-        """
-        step = _WARM_HALF_WIDTH
-        lo, hi = hint - step, hint + step
-        if not (self.search_lo < lo and hi < self.search_hi):
-            return None
-        while diff(lo) > 0.0:  # the root lies below lo
-            step *= _WARM_GROWTH
-            lo, hi = lo - step, lo
-            if lo <= self.search_lo:
-                return None
-        while diff(hi) <= 0.0:  # the root lies above hi
-            step *= _WARM_GROWTH
-            lo, hi = hi, hi + step
-            if hi >= self.search_hi:
-                return None
-        return lo, hi
-
     def find(self, kind: str, strike: float, hint: float | None = None) -> float | None:
         """Break-even state, or None when the exercise region is empty.
 
         The difference K P(delta, x) - C(x) is increasing with a single
         crossing: exercise regions are the low-rate side for calls and the
-        high-rate side for puts.  ``hint`` (last date's break-even state of
-        the same kind) seeds a narrow bracket; without one, or when that
-        bracket runs into the search interval's edge, the whole interval
-        is bracketed.  Brent's method then closes the bracket to within
-        ``TOL_X / 2`` of the crossing.  A call region over the whole search
-        interval has its break-even state at ``search_hi``.
+        high-rate side for puts.  One walk brackets the crossing.  It starts
+        at ``hint`` +- ``_WARM_HALF_WIDTH`` (``hint``, last date's break-even
+        state of the same kind, clamped into the search interval), or at
+        [search_lo, start] without one.  An end that fails to straddle
+        becomes the other end while the failed side moves out by steps
+        growing ``_WARM_GROWTH``-fold, stopping at the interval's edge.
+        Brent's method then closes the bracket to within ``TOL_X / 2`` of
+        the crossing.  At an edge that fails to straddle the region covers
+        the whole interval or none of it: a call region over all of it has
+        its break-even state at ``search_hi``, and a put region over all of
+        it raises, since a poorly resolved 3/2 continuation can fake one.
         """
         diff = self._difference(strike, self.levels)
-        bracket = None if hint is None else self._warm_bracket(diff, hint)
-        if bracket is None:
-            bracket = self._cold_bracket(diff, kind)
-            if bracket is None:
-                return None
-        lo, hi = bracket
-        if lo == hi:
-            return hi
+        edge_lo, edge_hi = self.search_lo, self.search_hi
+        if hint is None:
+            lo, hi = edge_lo, max(self.bracket_start, edge_lo + TOL_X)
+            step = 0.5 * (hi - lo)
+        else:
+            hint, step = min(max(hint, edge_lo), edge_hi), _WARM_HALF_WIDTH
+            lo, hi = max(hint - step, edge_lo), min(hint + step, edge_hi)
+        while diff(lo) > 0.0:  # the root lies below lo
+            if lo == edge_lo:
+                if kind == "call":
+                    return None  # strike too dear even at the lowest rates
+                raise BracketError(
+                    "put region covers the whole search interval",
+                    decision_index=self.decision_index,
+                )
+            step *= _WARM_GROWTH
+            lo, hi = max(lo - step, edge_lo), lo
+        while diff(hi) <= 0.0:  # the root lies above hi
+            if hi == edge_hi:
+                # a call region over the whole interval, or no put region
+                return edge_hi if kind == "call" else None
+            step *= _WARM_GROWTH
+            lo, hi = hi, min(hi + step, edge_hi)
         return optimize.brentq(diff, lo, hi, xtol=0.5 * TOL_X)
 
     def scan_single_crossing(self, strike: float, has_root: bool) -> None:
@@ -609,10 +583,7 @@ class _Engine:
             )
             if state is not None
         ]
-        if x_call is None and x_put is None:
-            new = coeffs_mod._leading(prev_weights, n_rows + 1)
-        else:
-            new = coeffs_mod._overlap_apply(model, n_rows, x_c_eff, x_p_eff, prev_weights)
+        new = coeffs_mod._overlap_apply(model, n_rows, x_c_eff, x_p_eff, prev_weights)
         for leg in legs:
             new = new + leg
         return new + sched.coupon * self.basis.unit_weights(sched.notice_delta, n_rows)
@@ -641,10 +612,6 @@ class _Engine:
         values = np.empty(len(initial_states))
         value_levels: list[int] = []
         for j, x0 in enumerate(initial_states):
-            if not self.model.contains(x0):
-                raise ValidationError(
-                    f"initial state {x0} outside the {self.model.kind} state space"
-                )
             if coefficients is None:
                 value, level = _series_eval_pool(
                     self.basis, sched.maturity, x0, self.eps, scale=1.0 + sched.coupon
@@ -700,5 +667,10 @@ def price_bond(
     initial_states = np.atleast_1d(np.asarray(initial_states, dtype=float))
     if initial_states.size == 0:
         raise ValidationError("need at least one initial state")
+    for x0 in initial_states:
+        if not (math.isfinite(x0) and model.contains(x0)):
+            raise ValidationError(
+                f"initial state {x0} outside the {model.kind} state space or not finite"
+            )
     engine = _Engine(model, sub, schedule, eps=eps, check_single_crossing=check_single_crossing)
     return engine.run(initial_states)

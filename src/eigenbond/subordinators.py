@@ -76,6 +76,10 @@ class SubordinatorSpec:
             raise ValidationError(
                 f"unknown subordinator family {self.family!r}; expected one of {FAMILIES}"
             )
+        for name in ("drift", "mu", "nu_var", "c", "p", "eta"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValidationError(f"{name} must be finite, got {value}")
         if self.family != "none" and not self.drift >= 0.0:
             raise ValidationError(f"drift must be >= 0, got {self.drift}")
         if self.family == "ig":
@@ -188,6 +192,7 @@ _MAX_SUPPLY = 16383
 _BRACKET_WIDTH = 0.5
 _BRACKET_STEPS = 8
 _BRACKET_GRID = 17
+_STATE_TOL = 1e-12  # Brent's xtol on the state
 
 
 def _jump_rate_coefficients(model: DiffusionModel, sub: SubordinatorSpec, n_max: int):
@@ -263,7 +268,6 @@ def invert_short_rate(
     model: DiffusionModel,
     sub: SubordinatorSpec,
     rate: float,
-    tol: float = 1e-12,
 ) -> float:
     """State x with r_phi(x) = rate; r_phi is strictly increasing in x.
 
@@ -298,4 +302,4 @@ def invert_short_rate(
         series = float(model.eigenfunctions(n_max, state) @ coefficients)
         return sub.drift * state + series - rate
 
-    return float(brentq(gap, xs[cell - 1], xs[cell], xtol=tol))
+    return float(brentq(gap, xs[cell - 1], xs[cell], xtol=_STATE_TOL))

@@ -355,7 +355,7 @@ def test_criterion_8_oracles():
     for config, t in (("cir", 1.0), ("vasicek", 5.0)):
         model = benchmark.benchmark_model(config)
         mean, se = mc_zero_coupon(
-            model, none, t, 0.05, n_paths=100_000, steps_per_year=250, seed=20
+            model, none, t, 0.05, n_paths=100_000, seed=20
         )
         ref = float(model.closed_form_bond(t, 0.05))
         worst_z = max(worst_z, abs(mean - ref) / se)

@@ -124,6 +124,16 @@ def test_price_numerical_failure_exit_code(tmp_path, capsys):
     assert "put region" in err
 
 
+def test_price_nan_coupon_time_is_validation_error(tmp_path, capsys):
+    doc = preset_config("cir")
+    doc["schedule"]["coupon_times"][0] = float("nan")
+    path = tmp_path / "nan_time.json"
+    path.write_text(json.dumps(doc))  # written as the JSON extension NaN
+    code, out, err = run_cli(capsys, "price", "--config", str(path))
+    assert code == 2 and not out
+    assert "coupon times must be finite" in err
+
+
 def test_price_cir_b250_prints_the_library_value(tmp_path, capsys):
     # b = 250: Gamma(b + n) overflows at every degree
     doc = preset_config("cir")

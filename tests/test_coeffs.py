@@ -476,9 +476,54 @@ def _closed_overlap(model, n, x_lo, x_hi):
     return pref * (pair(z_hi) - pair(z_lo))
 
 
+def _strike_log_factors(model, n, delta=DELTA):
+    """Tilt s and the per-degree log factors a + log N_n + C that turn the
+    closed-form Laguerre exp integrals into strike projections."""
+    tilt, a = model.strike_factors(delta)
+    return tilt, a + model.log_norm_constants(n) + model.overlap_log_constant
+
+
+@pytest.mark.parametrize("model", (CIR, VAS, B250), ids=("cir", "vasicek", "cir_b250"))
+def test_top_end_strike_leg_is_the_full_line_table(model):
+    # The top end of the closed-form strike leg is p_n e^{-lambda_n delta},
+    # the expansion of P(delta, .); it equals the full-line exp tables times
+    # the per-degree factors.
+    n = 40
+    top = _closed(model, n, model.state_lo, model.state_hi)
+    tilt, a = model.strike_factors(DELTA)
+    if model is VAS:
+        factor = math.exp(a + 0.5 * model.overlap_log_constant)
+        ref = factor * coeffs.hermite_exp_integrals_at_infinity(n, tilt)
+    elif model is CIR:
+        _, log_factors = _strike_log_factors(model, n)
+        table = coeffs.laguerre_exp_integrals_at_infinity(n, model.laguerre_order, tilt)
+        ref = table * np.exp(log_factors)
+    if model is not B250:
+        np.testing.assert_allclose(top, ref, rtol=1e-12, atol=0.0)
+        return
+    # b = 250: the table leaves double range (Gamma(250) ~ 1e490) while the
+    # leg is ~1e-216, so the two meet in log space, where log terms of size
+    # ~1e3 cancel
+    _, log_factors = _strike_log_factors(model, n)
+    k = np.arange(n + 1, dtype=float)
+    alpha = model.laguerre_order
+    log_ref = (
+        sp.gammaln(alpha + k + 1.0)
+        - sp.gammaln(k + 1.0)
+        + k * math.log(abs(tilt - 1.0))
+        - (alpha + k + 1.0) * math.log(tilt)
+        + log_factors
+    )
+    sign = np.where(k % 2 == 0, 1.0, -1.0) if tilt < 1.0 else np.ones(n + 1)
+    normal = log_ref > -650.0  # the leg holds no subnormals there
+    assert normal.sum() >= 20
+    np.testing.assert_array_equal(np.sign(top[normal]), sign[normal])
+    np.testing.assert_allclose(np.log(np.abs(top[normal])), log_ref[normal], rtol=0.0, atol=1e-10)
+
+
 def _closed_strike(model, n, x_lo, x_hi):
     alpha = model.laguerre_order
-    tilt, log_pref = model.strike_factors(DELTA, n)
+    tilt, log_pref = _strike_log_factors(model, n)
 
     def exp(z):
         if z == 0.0:
@@ -577,7 +622,7 @@ def test_gauss_jacobi_entries_against_mpmath():
 
     # the closed-form strike leg of the benchmark CIR at one entry
     n, z = 6, 3.0
-    tilt, log_pref = CIR.strike_factors(DELTA, n)
+    tilt, log_pref = _strike_log_factors(CIR, n)
     with mpmath.workdps(20):
         a = mpmath.mpf(CIR.laguerre_order)
         g = lambda u: mpmath.exp(-tilt * u) * _mp_laguerre(n, a, u)

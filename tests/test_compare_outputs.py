@@ -1,0 +1,66 @@
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "compare_outputs.py"
+_SPEC = importlib.util.spec_from_file_location("compare_outputs", _PATH)
+compare_outputs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(compare_outputs)
+
+
+def _run(workload="swiss", seed=5046, job_eps=True, values=(1.0, 2.0),
+         states=((0.03, None), (0.04, 0.2)), levels=((12, 13), (14,)), assembled=(40, 41)):
+    states = [list(pair) for pair in states]
+    return {
+        "workload": workload, "seed": seed, "eps": 1e-7, "job_eps": job_eps,
+        "values": list(values),
+        "states": states,
+        "rates": [list(pair) for pair in states],
+        "eval_levels": [list(lv) for lv in levels],
+        "value_levels": [20, 21],
+        "assembled": list(assembled),
+    }
+
+
+def test_identical_dumps_compare_clean():
+    dump = {"a": _run(), "b": _run(workload="rate_sweep", job_eps=False)}
+    summary = compare_outputs.compare(dump, dump)
+    assert summary["failed"] == []
+    assert all(diff == 0.0 for diff, _ in summary["worst"].values())
+    assert set(summary["counts"].values()) == {0}
+    # evaluations count seed 5046 at the job's eps only
+    assert summary["evaluations"]["parent"] == {"swiss": 3}
+    assert "OK" in compare_outputs.report(summary)
+
+
+def test_differences_within_the_bounds_pass():
+    parent = {"a": _run()}
+    change = {"a": _run(values=(1.0 + 5e-14, 2.0), states=((0.03 + 4e-8, None), (0.04, 0.2)),
+                        levels=((12,), (14, 15, 16)))}
+    summary = compare_outputs.compare(parent, change)
+    assert summary["failed"] == []
+    assert summary["worst"]["value"] == (pytest.approx(5e-14, rel=1e-3), "a")
+    assert summary["worst"]["state"][0] == pytest.approx(4e-8)
+    assert summary["counts"]["eval_levels"] == 2
+    assert summary["evaluations"] == {"parent": {"swiss": 3}, "change": {"swiss": 4}}
+
+
+def test_each_breach_is_reported():
+    parent = {"a": _run(), "b": _run(), "c": _run(), "gone": _run()}
+    change = {
+        "a": _run(values=(1.0 + 1e-12, float("nan"))),
+        "b": _run(states=((None, None), (0.04 + 1e-6, 0.2)), assembled=(40, 42)),
+        "c": {"workload": "swiss", "seed": 5046, "eps": 1e-7, "job_eps": True,
+              "error": "BracketError: put region covers the whole search interval"},
+        "new": _run(),
+    }
+    summary = compare_outputs.compare(parent, change)
+    assert summary["worst"]["value"] == (float("inf"), "a")  # NaN counts as the worst
+    assert summary["counts"]["none_pattern"] == 1
+    assert summary["counts"]["assembled"] == 1
+    assert summary["counts"]["errors"] == 1
+    assert summary["counts"]["missing"] == 2
+    assert summary["failed"] == ["value", "state", "rate", "missing", "errors", "none_pattern",
+                                 "assembled"]
+    assert "FAILED: value" in compare_outputs.report(summary)

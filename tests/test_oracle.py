@@ -81,38 +81,38 @@ def test_grid_size_floor():
 def test_mc_is_deterministic_under_seed():
     # 24,000 paths run as two chunks
     for sub in (NONE, CLOCKS["jd"], CLOCKS["gamma"]):
-        a = mc_zero_coupon(CIR, sub, 0.5, 0.05, n_paths=24_000, steps_per_year=250, seed=9)
-        b = mc_zero_coupon(CIR, sub, 0.5, 0.05, n_paths=24_000, steps_per_year=250, seed=9)
+        a = mc_zero_coupon(CIR, sub, 0.5, 0.05, n_paths=24_000, seed=9)
+        b = mc_zero_coupon(CIR, sub, 0.5, 0.05, n_paths=24_000, seed=9)
         assert a == b
 
 
 def test_mc_short_maturity_limit():
-    mean, se = mc_zero_coupon(CIR, NONE, 0.004, 0.05, n_paths=4000, steps_per_year=250, seed=3)
+    mean, se = mc_zero_coupon(CIR, NONE, 0.004, 0.05, n_paths=4000, seed=3)
     assert mean == pytest.approx(1.0, abs=1e-3)
     assert se < 1e-5
 
 
 def test_mc_cir_against_closed_form():
-    mean, se = mc_zero_coupon(CIR, NONE, 1.0, 0.05, n_paths=40_000, steps_per_year=250, seed=12)
+    mean, se = mc_zero_coupon(CIR, NONE, 1.0, 0.05, n_paths=40_000, seed=12)
     ref = float(CIR.closed_form_bond(1.0, 0.05))
     assert abs(mean - ref) <= 3.0 * se + 2e-4  # Euler bias allowance at dt=1/250
 
 
 def test_mc_parameter_validation():
     with pytest.raises(ValidationError):
-        mc_zero_coupon(CIR, NONE, 1.0, 0.05, n_paths=1000, steps_per_year=100)
-    with pytest.raises(ValidationError):
-        mc_zero_coupon(CIR, NONE, 1.0, -0.05, n_paths=1000, steps_per_year=250)
+        mc_zero_coupon(CIR, NONE, 1.0, -0.05, n_paths=1000)
+    with pytest.raises(ValidationError, match="not finite"):
+        mc_zero_coupon(VAS, NONE, 1.0, math.inf, n_paths=100)
     tempered = SubordinatorSpec.tempered_stable(drift=0.1, c=0.5, p=0.5, eta=2.0)
     with pytest.raises(ValidationError):
-        mc_zero_coupon(CIR, tempered, 1.0, 0.05, n_paths=1000, steps_per_year=250)
+        mc_zero_coupon(CIR, tempered, 1.0, 0.05, n_paths=1000)
 
 
 @pytest.mark.parametrize("clock,t", (("jd", 0.0), ("none", -1.0)))
 def test_mc_refuses_a_nonpositive_maturity(clock, t):
     sub = NONE if clock == "none" else CLOCKS[clock]
     with pytest.raises(ValidationError, match="maturity must be positive"):
-        mc_zero_coupon(CIR, sub, t, 0.05, n_paths=100, steps_per_year=250)
+        mc_zero_coupon(CIR, sub, t, 0.05, n_paths=100)
 
 
 @pytest.mark.parametrize("t", (0.1666, 1.0, 5.0))
@@ -130,7 +130,7 @@ def test_mc_subordinated_needs_the_closed_form_bond():
     # the clock average is over the closed-form bond, which the 3/2 model lacks
     th = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
     with pytest.raises(UnsupportedModelError):
-        mc_zero_coupon(th, CLOCKS["jd"], 0.1666, 0.05, n_paths=100, steps_per_year=250)
+        mc_zero_coupon(th, CLOCKS["jd"], 0.1666, 0.05, n_paths=100)
 
 
 def test_mc_jump_clock_shares_no_series_with_the_pricer(monkeypatch):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,42 @@ def test_schedule_validation():
             call_prices=(1.00,),
             put_prices=(1.00,),
         )
+
+
+@pytest.mark.parametrize("bad", (math.nan, math.inf), ids=("nan", "inf"))
+@pytest.mark.parametrize(
+    "field", ("coupon", "notice_delta", "coupon_times", "call_prices", "put_prices")
+)
+def test_schedule_refuses_non_finite_fields(field, bad):
+    fields = {
+        "coupon": 0.04,
+        "coupon_times": (1.0, 2.0, 3.0),
+        "protection_index": 1,
+        "notice_delta": 0.1,
+        "call_prices": (1.01, 1.0),
+        "put_prices": (0.98, 0.99),
+    }
+    if isinstance(fields[field], tuple):
+        fields[field] = (bad,) + fields[field][1:]
+    else:
+        fields[field] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        BondSchedule(**fields)
+
+
+@pytest.mark.parametrize("x0", (math.inf, -math.inf, math.nan), ids=("inf", "-inf", "nan"))
+@pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
+def test_non_finite_states_are_refused_up_front(monkeypatch, model, x0):
+    from eigenbond import pricer
+
+    def no_recursion(*args, **kwargs):
+        raise AssertionError("backward recursion ran")
+
+    monkeypatch.setattr(pricer, "_Engine", no_recursion)
+    with pytest.raises(ValidationError, match="not finite"):
+        price_bond(model, NONE, SWISS, [0.05, x0])
+    with pytest.raises(ValidationError, match="not finite"):
+        zero_coupon_price(model, NONE, 1.0, x0)
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +406,8 @@ def _five_year_monthly(call_prices):
 
 
 def _cold_start(monkeypatch):
-    """Make every break-even search bracket the whole search interval."""
+    """Start every break-even walk without a hint, at the bottom of the
+    search interval."""
     from eigenbond import pricer
 
     warm_find = pricer._RootFinder.find
@@ -405,7 +444,7 @@ def _warm_states_matching_cold(monkeypatch, model, ladder):
 
 @pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
 def test_emptied_call_region_falls_back_to_cold_start(monkeypatch, model):
-    # the first date at 1.5 runs its warm bracket into the search edge; the
+    # the first date at 1.5 walks from its hint to the search edge; the
     # later ones and the first date after the gap have no hint
     ladder = [1.0] * 18 + [1.5] * 12 + [1.0] * 18
     states = _warm_states_matching_cold(monkeypatch, model, ladder)
@@ -420,6 +459,49 @@ def test_strike_jump_leaves_the_warm_bracket(monkeypatch, model):
     states = _warm_states_matching_cold(monkeypatch, model, [1.0] * 24 + [1.06] * 24)
     # the last date at par is found from the first date at 1.06
     assert abs(states[23] - states[24]) > 4.0 * pricer._WARM_HALF_WIDTH
+
+
+def _walk(interval, root):
+    """A break-even search on diff(x) = x - root (K = 1, P(delta, x) = 1,
+    C(x) = 1 - (x - root)), with the list of the states it evaluates."""
+    from eigenbond import pricer
+
+    seen = []
+
+    def cont(x):
+        seen.append(x)
+        return 1.0 - (x - root), 0
+
+    return pricer._RootFinder(cont, lambda x: 1.0, interval, 7, []), seen
+
+
+def test_walk_clamps_a_hint_outside_the_search_interval():
+    from eigenbond import pricer
+
+    # the bottom of the 3/2 search interval moves with the carried length, so
+    # last date's state can lie below this date's search_lo
+    below = TH.search_interval(400)[0]
+    interval = TH.search_interval(8)
+    lo, _, hi = interval
+    assert below < lo
+    for kind, hint in (("call", below), ("put", below), ("call", 2.0 * hi), ("put", 2.0 * hi)):
+        for root in (lo + 1e-4, 0.5 * (lo + hi), hi - 1e-4):
+            finder, seen = _walk(interval, root)
+            assert finder.find(kind, 1.0, hint=hint) == pytest.approx(root, abs=pricer.TOL_X)
+            assert all(lo <= x <= hi for x in seen), (kind, hint, root)
+
+
+@pytest.mark.parametrize("hint", ("none", "inside", "below", "above"))
+def test_walk_at_the_edges_of_the_search_interval(hint):
+    interval = lo, _, hi = CIR.search_interval(40)
+    hint = {"none": None, "inside": 0.5 * (lo + hi), "below": lo - 1.0, "above": 2.0 * hi}[hint]
+    # diff > 0 everywhere: no call region, and a put region over the whole interval
+    assert _walk(interval, lo - 1.0)[0].find("call", 1.0, hint=hint) is None
+    with pytest.raises(BracketError, match="put region covers the whole search interval"):
+        _walk(interval, lo - 1.0)[0].find("put", 1.0, hint=hint)
+    # diff <= 0 everywhere: a call region over the whole interval, and no put region
+    assert _walk(interval, hi + 1.0)[0].find("call", 1.0, hint=hint) == hi
+    assert _walk(interval, hi + 1.0)[0].find("put", 1.0, hint=hint) is None
 
 
 @pytest.mark.parametrize(

@@ -134,6 +134,22 @@ def test_spec_validation():
         SubordinatorSpec(family="weibull")
 
 
+@pytest.mark.parametrize("bad", (math.nan, math.inf), ids=("nan", "inf"))
+@pytest.mark.parametrize(
+    "family,field",
+    (("ig", "drift"), ("ig", "mu"), ("ig", "nu_var"), ("gamma", "c"), ("gamma", "eta"),
+     ("tempered_stable", "p"), ("tempered_stable", "eta")),
+)
+def test_clock_refuses_non_finite_parameters(family, field, bad):
+    params = {
+        "ig": {"drift": 0.1, "mu": 0.5, "nu_var": 1.0},
+        "gamma": {"drift": 0.1, "c": 0.5, "eta": 2.0},
+        "tempered_stable": {"drift": 0.1, "c": 0.5, "p": 0.5, "eta": 2.0},
+    }[family]
+    with pytest.raises(ValidationError, match=f"{field} must be finite"):
+        SubordinatorSpec(family=family, **{**params, field: bad})
+
+
 def test_short_rate_map_trivial():
     assert short_rate_map(CIR, NONE, 0.05) == 0.05
 
