@@ -49,9 +49,26 @@ _TOP_KEYS = {"model", "subordinator", "schedule", "run"}
 
 
 def _reject_unknown(block: dict, allowed: set, where: str) -> None:
+    if not isinstance(block, dict):
+        raise ValidationError(f"{where} must be a JSON object, got {block!r}")
     unknown = set(block) - allowed
     if unknown:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
+
+
+def _number(value, where: str, kind=float):
+    """``kind(value)``, refused as a ValidationError naming ``where``."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ValidationError(f"{where} must be a number, got {value!r}") from None
+
+
+def _numbers(values, where: str) -> tuple:
+    """A list of numbers, each read by ``_number`` and named by its index."""
+    if not isinstance(values, (list, tuple)):
+        raise ValidationError(f"{where} must be a list of numbers, got {values!r}")
+    return tuple(_number(value, f"{where}[{i}]") for i, value in enumerate(values))
 
 
 def parse_config(doc: dict) -> dict:
@@ -70,21 +87,19 @@ def parse_config(doc: dict) -> dict:
             raise ValidationError(f"model block missing {key!r}")
     model = make_model(
         model_block["kind"],
-        float(model_block["kappa"]),
-        float(model_block["theta"]),
-        float(model_block["sigma"]),
+        *(_number(model_block[key], f"model {key}") for key in ("kappa", "theta", "sigma")),
     )
 
     sub_block = doc.get("subordinator") or {"family": "none"}
     _reject_unknown(sub_block, _SUB_KEYS, "subordinator block")
     sub = SubordinatorSpec(
         family=sub_block.get("family", "none"),
-        drift=float(sub_block.get("drift", 0.0)),
-        mu=sub_block.get("mu"),
-        nu_var=sub_block.get("nu_var"),
-        c=sub_block.get("c"),
-        p=sub_block.get("p"),
-        eta=sub_block.get("eta"),
+        drift=_number(sub_block.get("drift", 0.0), "subordinator drift"),
+        **{
+            key: _number(sub_block[key], f"subordinator {key}")
+            for key in ("mu", "nu_var", "c", "p", "eta")
+            if sub_block.get(key) is not None
+        },
     )
 
     sched_block = doc["schedule"]
@@ -93,24 +108,24 @@ def parse_config(doc: dict) -> dict:
         if key not in sched_block:
             raise ValidationError(f"schedule block missing {key!r}")
     schedule = BondSchedule(
-        coupon=float(sched_block["coupon"]),
-        coupon_times=tuple(sched_block["coupon_times"]),
-        protection_index=int(sched_block["protection_index"]),
-        notice_delta=float(sched_block["notice_delta"]),
-        call_prices=tuple(sched_block["call_prices"])
+        coupon=_number(sched_block["coupon"], "schedule coupon"),
+        coupon_times=_numbers(sched_block["coupon_times"], "schedule coupon_times"),
+        protection_index=_number(sched_block["protection_index"], "schedule protection_index", int),
+        notice_delta=_number(sched_block["notice_delta"], "schedule notice_delta"),
+        call_prices=_numbers(sched_block["call_prices"], "schedule call_prices")
         if sched_block.get("call_prices") is not None
         else None,
-        put_prices=tuple(sched_block["put_prices"])
+        put_prices=_numbers(sched_block["put_prices"], "schedule put_prices")
         if sched_block.get("put_prices") is not None
         else None,
     )
 
     run_block = doc["run"]
     _reject_unknown(run_block, _RUN_KEYS, "run block")
-    rates = [float(r) for r in run_block.get("rates", [])]
+    rates = list(_numbers(run_block.get("rates", []), "run rates"))
     if not rates:
         raise ValidationError("run block must list at least one initial rate")
-    eps = float(run_block.get("eps", 1e-7))
+    eps = _number(run_block.get("eps", 1e-7), "run eps")
     fmt = run_block.get("format", "table")
     if fmt not in ("csv", "table"):
         raise ValidationError(f"format must be 'csv' or 'table', got {fmt!r}")

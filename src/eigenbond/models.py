@@ -286,6 +286,12 @@ class DiffusionModel:
         filled on demand by ``coeffs``, like ``_jacobi_rules``."""
         return {}
 
+    @cached_property
+    def _short_rate_brackets(self) -> dict[object, list[tuple]]:
+        """Resolved quote-inversion brackets (states, coefficients, rates) by
+        clock; filled on demand by ``subordinators``, like ``_jacobi_rules``."""
+        return {}
+
     @property
     def overlap_log_constant(self) -> float:
         """log of the factor, besides N_m N_n, from pair to overlap integrals."""

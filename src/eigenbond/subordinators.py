@@ -21,13 +21,21 @@ only route ``short_rate_map`` and ``invert_short_rate`` take, for every
 model.  The Levy-integral quadrature lives in ``oracle.py`` as an
 independent cross-check.
 
+``invert_short_rate`` keeps, on the model and per clock, every bracket
+(states, resolved coefficients, r_phi at the states) whose rates enclosed
+the quote it was walked for.  A later quote inside one of them resolves no
+series: the kept coefficients place it in a cell of its own first grid,
+and its own Brent search runs there.  ``short_rate_map`` keeps nothing: it
+resolves the series over the states it is given.
+
 Supported families (lowercase names used in configs):
 
 * ``"none"``            trivial clock, phi(lam) = lam
 * ``"ig"``              inverse Gaussian, parameterized by the mean mu and
                         variance nu_var of the process at unit time
 * ``"gamma"``           Levy density C s^{-1} e^{-eta s}
-* ``"tempered_stable"`` Levy density C s^{-p-1} e^{-eta s}, p < 1
+* ``"tempered_stable"`` Levy density C s^{-p-1} e^{-eta s}, p < 1 and p != 0
+                        (its p -> 0 limit is ``"gamma"``)
 """
 
 from __future__ import annotations
@@ -99,6 +107,10 @@ class SubordinatorSpec:
                 raise ValidationError("tempered_stable requires c > 0")
             if not self.p < 1.0:
                 raise ValidationError(f"tempered_stable requires p < 1, got {self.p}")
+            if self.p == 0.0:
+                raise ValidationError(
+                    "tempered_stable requires p != 0; its p -> 0 limit is the 'gamma' family"
+                )
             if self.eta < 0.0:
                 raise ValidationError("tempered_stable requires eta >= 0")
             if self.eta == 0.0 and not 0.0 < self.p:
@@ -264,6 +276,41 @@ def _step_down(model: DiffusionModel, x: float, width: float) -> float:
     return 0.5 * (x + model.state_lo)
 
 
+def _first_ends(model: DiffusionModel, rate: float) -> tuple[float, float]:
+    """Ends of the first grid the walk tries for a quote."""
+    return _step_down(model, rate, _BRACKET_WIDTH), rate + _BRACKET_WIDTH
+
+
+def _walk_bracket(model: DiffusionModel, sub: SubordinatorSpec, rate: float):
+    """(states, coefficients, rates) of the first grid whose series values
+    enclose the quote, or of the last one tried when a lower boundary that
+    is a state stops the walk below the quote."""
+    width = _BRACKET_WIDTH
+    lo, hi = _first_ends(model, rate)
+    for _ in range(_BRACKET_STEPS):
+        xs = np.linspace(lo, hi, _BRACKET_GRID)
+        coefficients, rates = _resolved_series(model, sub, xs)
+        if rates[-1] < rate:
+            hi += width
+        elif rates[0] > rate and (lower := _step_down(model, lo, width)) < lo:
+            lo = lower
+        else:
+            return xs, coefficients, rates
+        width *= 2.0
+    raise ValidationError(f"cannot bracket state for short rate {rate}")
+
+
+def _gap(model: DiffusionModel, sub: SubordinatorSpec, coefficients: np.ndarray, rate: float):
+    """state -> r_phi(state) - rate through the given coefficient vector."""
+    n_max = coefficients.size - 1
+
+    def gap(state: float) -> float:
+        series = float(model.eigenfunctions(n_max, state) @ coefficients)
+        return sub.drift * state + series - rate
+
+    return gap
+
+
 def invert_short_rate(
     model: DiffusionModel,
     sub: SubordinatorSpec,
@@ -274,32 +321,35 @@ def invert_short_rate(
     The bracket widens until the series values at its grid enclose the
     quote.  The coefficient vector resolved over that grid then serves
     every step of a Brent search in the grid cell holding the quote.
+
+    A bracket that encloses its quote is kept on the model per clock
+    (read-only).  A later quote inside a kept bracket skips the series
+    resolution: its coefficients find the cell of the walk's first grid
+    that holds the quote (checked by the signs of the gap at its ends),
+    and Brent runs in that cell, so the state is the walk's to a few ulps.
+    When the quote is not in that grid, the quote walks as if nothing
+    were kept.  A refused quote keeps nothing.
     """
     if sub.is_trivial:
         return float(rate)
     rate = float(rate)
     if not math.isfinite(rate):
         raise ValidationError(f"short rate must be finite, got {rate}")
-    width = _BRACKET_WIDTH
-    lo, hi = _step_down(model, rate, width), rate + width
-    for _ in range(_BRACKET_STEPS):
-        xs = np.linspace(lo, hi, _BRACKET_GRID)
-        coefficients, rates = _resolved_series(model, sub, xs)
-        if rates[-1] < rate:
-            hi += width
-        elif rates[0] > rate and (lower := _step_down(model, lo, width)) < lo:
-            lo = lower
-        else:
-            break
-        width *= 2.0
-    else:
-        raise ValidationError(f"cannot bracket state for short rate {rate}")
+    brackets = model._short_rate_brackets.get(sub, ())
+    kept = next((b for b in brackets if b[2][0] <= rate <= b[2][-1]), None)
+    if kept is not None:
+        xs, coefficients, rates = kept
+        gap = _gap(model, sub, coefficients, rate)
+        grid = np.linspace(*_first_ends(model, rate), _BRACKET_GRID)
+        cell = int(np.clip(np.searchsorted(grid, np.interp(rate, rates, xs)), 1, _BRACKET_GRID - 1))
+        if gap(grid[cell - 1]) < 0.0 <= gap(grid[cell]):
+            return float(brentq(gap, grid[cell - 1], grid[cell], xtol=_STATE_TOL))
 
-    n_max = coefficients.size - 1
+    xs, coefficients, rates = bracket = _walk_bracket(model, sub, rate)
+    if kept is None and rates[0] <= rate <= rates[-1]:
+        for array in bracket:
+            array.flags.writeable = False
+        model._short_rate_brackets.setdefault(sub, []).append(bracket)
     cell = int(np.clip(np.searchsorted(rates, rate), 1, _BRACKET_GRID - 1))
-
-    def gap(state: float) -> float:
-        series = float(model.eigenfunctions(n_max, state) @ coefficients)
-        return sub.drift * state + series - rate
-
+    gap = _gap(model, sub, coefficients, rate)
     return float(brentq(gap, xs[cell - 1], xs[cell], xtol=_STATE_TOL))

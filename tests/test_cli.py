@@ -1,4 +1,5 @@
 import json
+import re
 import shlex
 from pathlib import Path
 
@@ -132,6 +133,46 @@ def test_price_nan_coupon_time_is_validation_error(tmp_path, capsys):
     code, out, err = run_cli(capsys, "price", "--config", str(path))
     assert code == 2 and not out
     assert "coupon times must be finite" in err
+
+
+@pytest.mark.parametrize(
+    "block,key,bad,named",
+    (
+        ("model", "kappa", "abc", "model kappa"),
+        ("subordinator", "mu", "x", "subordinator mu"),
+        ("run", "rates", [0.05, "five"], "run rates[1]"),
+        ("run", "eps", None, "run eps"),
+        ("schedule", "coupon_times", [0.5, "one"], "schedule coupon_times[1]"),
+    ),
+    ids=("kappa", "mu", "rate", "eps", "coupon_time"),
+)
+def test_price_non_numeric_config_value_is_validation_error(tmp_path, capsys, block, key, bad,
+                                                            named):
+    doc = preset_config("subcir_jd")
+    doc[block][key] = bad
+    with pytest.raises(ValidationError, match=rf"{re.escape(named)} must be a number"):
+        parse_config(doc)
+    path = tmp_path / "bad_value.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "price", "--config", str(path))
+    assert code == 2 and not out
+    assert f"{named} must be a number" in err
+
+
+@pytest.mark.parametrize(
+    "block,key,bad,refusal",
+    (
+        (None, "model", 5, "model block must be a JSON object"),
+        ("run", "rates", 0.05, "run rates must be a list of numbers"),
+        ("schedule", "call_prices", 1.0, "schedule call_prices must be a list of numbers"),
+    ),
+    ids=("model_block", "rates", "call_prices"),
+)
+def test_misshapen_config_is_validation_error(block, key, bad, refusal):
+    doc = preset_config("cir")
+    (doc if block is None else doc[block])[key] = bad
+    with pytest.raises(ValidationError, match=refusal):
+        parse_config(doc)
 
 
 def test_price_cir_b250_prints_the_library_value(tmp_path, capsys):

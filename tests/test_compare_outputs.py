@@ -10,10 +10,12 @@ _SPEC.loader.exec_module(compare_outputs)
 
 
 def _run(workload="swiss", seed=5046, job_eps=True, values=(1.0, 2.0),
-         states=((0.03, None), (0.04, 0.2)), levels=((12, 13), (14,)), assembled=(40, 41)):
+         states=((0.03, None), (0.04, 0.2)), levels=((12, 13), (14,)), assembled=(40, 41),
+         quote_states=(0.021, 0.047)):
     states = [list(pair) for pair in states]
     return {
         "workload": workload, "seed": seed, "eps": 1e-7, "job_eps": job_eps,
+        "quote_states": list(quote_states),
         "values": list(values),
         "states": states,
         "rates": [list(pair) for pair in states],
@@ -37,10 +39,11 @@ def test_identical_dumps_compare_clean():
 def test_differences_within_the_bounds_pass():
     parent = {"a": _run()}
     change = {"a": _run(values=(1.0 + 5e-14, 2.0), states=((0.03 + 4e-8, None), (0.04, 0.2)),
-                        levels=((12,), (14, 15, 16)))}
+                        levels=((12,), (14, 15, 16)), quote_states=(0.021 + 3e-13, 0.047))}
     summary = compare_outputs.compare(parent, change)
     assert summary["failed"] == []
     assert summary["worst"]["value"] == (pytest.approx(5e-14, rel=1e-3), "a")
+    assert summary["worst"]["quote_state"][0] == pytest.approx(3e-13, rel=1e-2)
     assert summary["worst"]["state"][0] == pytest.approx(4e-8)
     assert summary["counts"]["eval_levels"] == 2
     assert summary["evaluations"] == {"parent": {"swiss": 3}, "change": {"swiss": 4}}
@@ -64,3 +67,15 @@ def test_each_breach_is_reported():
     assert summary["failed"] == ["value", "state", "rate", "missing", "errors", "none_pattern",
                                  "assembled"]
     assert "FAILED: value" in compare_outputs.report(summary)
+
+
+def test_quote_states_are_held_to_the_inversion_tolerance():
+    # 2e-12 passes the pricer's STATE_TOL but not the inversion's xtol
+    parent = {"a": _run(), "b": _run()}
+    change = {"a": _run(quote_states=(0.021, 0.047 + 2e-12)), "b": _run(quote_states=(0.021,))}
+    summary = compare_outputs.compare(parent, change)
+    assert compare_outputs.QUOTE_STATE_TOL == 1e-12 < compare_outputs.STATE_TOL
+    assert summary["worst"]["quote_state"] == (pytest.approx(2e-12, rel=1e-2), "a")
+    assert summary["counts"]["quotes"] == 1
+    assert summary["failed"] == ["quote_state", "quotes"]
+    assert "max |quote_state diff|" in compare_outputs.report(summary)

@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from eigenbond import benchmark, subordinators
 from eigenbond.errors import ValidationError
 from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel
 from eigenbond.oracle import short_rate_quadrature
@@ -134,6 +136,12 @@ def test_spec_validation():
         SubordinatorSpec(family="weibull")
 
 
+def test_tempered_stable_p_zero_is_refused_for_the_gamma_family():
+    with pytest.raises(ValidationError, match="'gamma' family"):
+        SubordinatorSpec.tempered_stable(0.0, 0.1, 0.0, 1.0)
+    SubordinatorSpec.gamma_process(0.0, 0.1, 1.0)  # the p -> 0 limit itself
+
+
 @pytest.mark.parametrize("bad", (math.nan, math.inf), ids=("nan", "inf"))
 @pytest.mark.parametrize(
     "family,field",
@@ -252,3 +260,117 @@ def test_invert_short_rate_evaluates_the_series_at_most_twelve_times(
         before = calls[0]
         invert_short_rate(model, sub, rate)
         assert 1 <= calls[0] - before <= 12
+
+
+# ---------------------------------------------------------------------------
+# brackets cached per model and clock
+# ---------------------------------------------------------------------------
+
+# (model, clock, quoted range): the bench's jump configs over the rate_sweep
+# range, and 3/2 from 0.02, since a fresh 3/2 model refuses quotes up to about
+# 0.016 (its first grid reaches where the series cancels to rounding noise)
+JUMP_CASES = [
+    (benchmark.benchmark_model(config), benchmark.benchmark_subordinator(config), (0.01, 0.12))
+    for config in ("subcir_jd", "subcir_pj", "subvasicek_jd", "subvasicek_pj")
+] + [(TH, JD, (0.02, 0.3)), (TH, PJ, (0.02, 0.3))]
+CASE_IDS = ("subcir_jd", "subcir_pj", "subvasicek_jd", "subvasicek_pj", "3/2_jd", "3/2_pj")
+
+
+def _fresh(model):
+    """An equal model with empty caches."""
+    return dataclasses.replace(model)
+
+
+def _sweep_quotes(count=40, lo=0.01, hi=0.12, seed=5046):
+    """One uniform quote in each of ``count`` slices of [lo, hi]."""
+    edges = np.linspace(lo, hi, count + 1)
+    return np.random.default_rng(seed).uniform(edges[:-1], edges[1:])
+
+
+@pytest.mark.parametrize("model,sub,quoted", JUMP_CASES, ids=CASE_IDS)
+def test_cached_brackets_match_cold_inversion_in_any_order(model, sub, quoted):
+    quotes = _sweep_quotes(24, *quoted)
+    cold = [invert_short_rate(_fresh(model), sub, q) for q in quotes]
+    orders = {
+        "ascending": np.arange(quotes.size),
+        "reversed": np.arange(quotes.size)[::-1],
+        "shuffled": np.random.default_rng(9137).permutation(quotes.size),
+    }
+    for order in orders.values():
+        warm = _fresh(model)
+        states = {i: invert_short_rate(warm, sub, quotes[i]) for i in order}
+        assert states[order[0]] == cold[order[0]]  # the first quote runs the walk
+        # Brent runs in the walk's own cell: a few ulps, not its xtol of 1e-12
+        assert max(abs(states[i] - cold[i]) for i in order) <= 1e-14
+
+
+def test_a_sweep_resolves_one_series_per_model_and_clock(monkeypatch):
+    calls = []
+
+    def counted(model, sub, xs, _original=subordinators._resolved_series):
+        calls.append((id(model), sub))
+        return _original(model, sub, xs)
+
+    monkeypatch.setattr(subordinators, "_resolved_series", counted)
+    cases = [(_fresh(model), sub) for model, sub, _ in JUMP_CASES[:4]]
+    for model, sub in cases:
+        for quote in _sweep_quotes():
+            invert_short_rate(model, sub, quote)
+    assert sorted(calls) == sorted((id(model), sub) for model, sub in cases)
+
+
+def test_a_quote_whose_cell_check_fails_walks_as_if_nothing_were_kept(monkeypatch):
+    # Kept from 0.05, the estimate for 0.0592 lands 6e-5 above its state,
+    # which lies 1.3e-5 below a point of the quote's own first grid.
+    model, sub = _fresh(benchmark.benchmark_model("subvasicek_jd")), JD
+    invert_short_rate(model, sub, 0.05)
+    before = {key: list(brackets) for key, brackets in model._short_rate_brackets.items()}
+    walks = []
+
+    def counted(*args, _original=subordinators._walk_bracket):
+        walks.append(args[2])
+        return _original(*args)
+
+    monkeypatch.setattr(subordinators, "_walk_bracket", counted)
+    state = invert_short_rate(model, sub, 0.0592)
+    assert walks == [0.0592]
+    assert model._short_rate_brackets == before  # a kept bracket enclosed it already
+    monkeypatch.undo()
+    assert state == invert_short_rate(_fresh(model), sub, 0.0592)
+
+
+def test_two_clocks_on_one_model_keep_their_own_brackets():
+    model = _fresh(CIR)
+    jd, pj = invert_short_rate(model, JD, 0.05), invert_short_rate(model, PJ, 0.05)
+    assert set(model._short_rate_brackets) == {JD, PJ}
+    assert jd == invert_short_rate(_fresh(CIR), JD, 0.05)
+    assert pj == invert_short_rate(_fresh(CIR), PJ, 0.05)
+    assert jd != pj
+
+
+def test_refused_quotes_leave_the_cache_as_it_was():
+    model = _fresh(CIR)
+    state = invert_short_rate(model, JD, 0.05)
+    before = {sub: list(brackets) for sub, brackets in model._short_rate_brackets.items()}
+    with pytest.raises(ValidationError):
+        invert_short_rate(model, JD, 500.0)
+    # below r_phi(0) = 0.00592: no state, and the bracket stops at the boundary
+    with pytest.raises((ValueError, ValidationError)):
+        invert_short_rate(model, JD, 0.004)
+    assert model._short_rate_brackets == before
+    fresh = _fresh(CIR)
+    with pytest.raises((ValueError, ValidationError)):
+        invert_short_rate(fresh, JD, 0.004)
+    assert fresh._short_rate_brackets == {}
+    assert invert_short_rate(model, JD, 0.05) == state
+
+
+def test_cached_brackets_are_read_only():
+    model = _fresh(VAS)
+    invert_short_rate(model, PJ, 0.05)
+    (brackets,) = model._short_rate_brackets.values()
+    for xs, coefficients, rates in brackets:
+        for array in (xs, coefficients, rates):
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0

@@ -11,14 +11,16 @@ subprocess of this script (``--dump FILE``, run in the copy) imports that copy's
 * the criterion-6 runs: the Swiss callable under CIR and Vasicek at the
   short rate 0.05, at eps 1e-5 .. 1e-8.
 
-Per run it records the values, the break-even states and short rates, the
-levels of every break-even evaluation (``eval_levels``), the issue-date
+Per run it records the job's quote states (``job.states()``, the inverted
+quotes of a jump model), the values, the break-even states and short rates,
+the levels of every break-even evaluation (``eval_levels``), the issue-date
 levels (``value_levels``) and the assembled lengths, or the error raised.
 The comparison prints the largest differences, the mismatch counts, the
 break-even evaluations per workload (seed 5046, the job's eps) and the
 criterion-6 deviation of each side.  It exits 1 when values differ by more
-than ``VALUE_TOL``, states or rates by more than ``STATE_TOL``, or the
-None pattern, the assembled lengths, the dates or the errors differ.
+than ``VALUE_TOL``, quote states by more than ``QUOTE_STATE_TOL``,
+break-even states or rates by more than ``STATE_TOL``, or the None pattern,
+the assembled lengths, the dates, the quote counts or the errors differ.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ FULL_EPS = 1e-12
 CRITERION_6_EPS = (1e-5, 1e-6, 1e-7, 1e-8)
 VALUE_TOL = 1e-13
 STATE_TOL = 1e-7  # the pricer's TOL_X
+QUOTE_STATE_TOL = 1e-12  # Brent's xtol of the quote inversion
 
 
 # ---------------------------------------------------------------------------
@@ -56,9 +59,9 @@ def _record(result) -> dict:
     }
 
 
-def _priced(price, meta: dict) -> dict:
+def _priced(price, meta: dict, quote_states=list) -> dict:
     try:
-        out = _record(price())
+        out = {"quote_states": [float(x) for x in quote_states()], **_record(price())}
     except Exception as exc:  # the dump records whatever the pricer raises
         out = {"error": f"{type(exc).__name__}: {exc}"}
     return {**meta, **out}
@@ -77,7 +80,7 @@ def dump(tree: Path) -> dict:
                 for eps in (job.eps, FULL_EPS):
                     meta = {"workload": name, "seed": seed, "eps": eps, "job_eps": eps == job.eps}
                     label = f"{name} {seed} {job.label} @ {eps:g}"
-                    runs[label] = _priced(lambda: job.price(eps), meta)
+                    runs[label] = _priced(lambda: job.price(eps), meta, job.states)
     for config in ("cir", "vasicek"):
         model = benchmark.benchmark_model(config)
         sub = benchmark.benchmark_subordinator(config)
@@ -109,9 +112,9 @@ def _max_diff(worst: dict, key: str, a: float, b: float, label: str) -> None:
 
 def compare(parent: dict, change: dict) -> dict:
     """Largest differences and mismatch counts of two dumps."""
-    worst = {key: (0.0, None) for key in ("value", "state", "rate")}
+    worst = {key: (0.0, None) for key in ("value", "quote_state", "state", "rate")}
     counts = dict.fromkeys(
-        ("missing", "errors", "dates", "none_pattern", "assembled", "value_levels",
+        ("missing", "errors", "quotes", "dates", "none_pattern", "assembled", "value_levels",
          "eval_levels"), 0
     )
     evaluations: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
@@ -136,6 +139,10 @@ def compare(parent: dict, change: dict) -> dict:
             continue
         for x, y in zip(a["values"], b["values"]):
             _max_diff(worst, "value", x, y, label)
+        quotes_a, quotes_b = a.get("quote_states", []), b.get("quote_states", [])
+        counts["quotes"] += len(quotes_a) != len(quotes_b)
+        for x, y in zip(quotes_a, quotes_b):
+            _max_diff(worst, "quote_state", x, y, label)
         counts["value_levels"] += sum(x != y for x, y in zip(a["value_levels"], b["value_levels"]))
         if len(a["states"]) != len(b["states"]):
             counts["dates"] += 1
@@ -154,10 +161,11 @@ def compare(parent: dict, change: dict) -> dict:
         name
         for name, bad in (
             ("value", worst["value"][0] > VALUE_TOL),
+            ("quote_state", worst["quote_state"][0] > QUOTE_STATE_TOL),
             ("state", worst["state"][0] > STATE_TOL),
             ("rate", worst["rate"][0] > STATE_TOL),
             *((name, counts[name] > 0)
-              for name in ("missing", "errors", "dates", "none_pattern", "assembled")),
+              for name in ("missing", "errors", "quotes", "dates", "none_pattern", "assembled")),
         )
         if bad
     ]
@@ -172,7 +180,9 @@ def compare(parent: dict, change: dict) -> dict:
 
 def report(summary: dict) -> str:
     lines = []
-    for key, tol in (("value", VALUE_TOL), ("state", STATE_TOL), ("rate", STATE_TOL)):
+    bounds = (("value", VALUE_TOL), ("quote_state", QUOTE_STATE_TOL), ("state", STATE_TOL),
+              ("rate", STATE_TOL))
+    for key, tol in bounds:
         diff, label = summary["worst"][key]
         lines.append(f"max |{key} diff| = {diff:.3g} (bound {tol:g}) at {label}")
     counts = summary["counts"]
