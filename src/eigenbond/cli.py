@@ -56,12 +56,24 @@ def _reject_unknown(block: dict, allowed: set, where: str) -> None:
         raise ValidationError(f"unknown keys in {where}: {sorted(unknown)}")
 
 
-def _number(value, where: str, kind=float):
-    """``kind(value)``, refused as a ValidationError naming ``where``."""
-    try:
-        return kind(value)
-    except (TypeError, ValueError):
-        raise ValidationError(f"{where} must be a number, got {value!r}") from None
+def _number(value, where: str) -> float:
+    """``float(value)``, refused as a ValidationError naming ``where`` (a
+    JSON true or false too, which ``float`` would read as 1 or 0)."""
+    if not isinstance(value, bool):
+        try:
+            return float(value)
+        except (TypeError, ValueError):
+            pass
+    raise ValidationError(f"{where} must be a number, got {value!r}")
+
+
+def _integer(value, where: str) -> int:
+    """An integral number (3 or 3.0), refused as a ValidationError naming
+    ``where`` when it has a fraction."""
+    number = _number(value, where)
+    if not number.is_integer():
+        raise ValidationError(f"{where} must be an integer, got {value!r}")
+    return int(number)
 
 
 def _numbers(values, where: str) -> tuple:
@@ -110,7 +122,7 @@ def parse_config(doc: dict) -> dict:
     schedule = BondSchedule(
         coupon=_number(sched_block["coupon"], "schedule coupon"),
         coupon_times=_numbers(sched_block["coupon_times"], "schedule coupon_times"),
-        protection_index=_number(sched_block["protection_index"], "schedule protection_index", int),
+        protection_index=_integer(sched_block["protection_index"], "schedule protection_index"),
         notice_delta=_number(sched_block["notice_delta"], "schedule notice_delta"),
         call_prices=_numbers(sched_block["call_prices"], "schedule call_prices")
         if sched_block.get("call_prices") is not None
@@ -257,14 +269,17 @@ def cmd_price(args) -> int:
             doc = json.load(handle)
     else:
         doc = preset_config(args.model, include_put=args.include_put)
-    if args.rates is not None:
-        doc["run"]["rates"] = [float(tok) for tok in args.rates.split(",") if tok]
-    if args.eps is not None:
-        doc["run"]["eps"] = args.eps
-    if args.format:
-        doc["run"]["format"] = args.format
-    if args.output:
-        doc["run"]["output"] = args.output
+    # a config without a run block is refused by parse_config, options or not
+    run = doc.get("run") if isinstance(doc, dict) else None
+    if isinstance(run, dict):
+        if args.rates is not None:
+            run["rates"] = [tok for tok in args.rates.split(",") if tok]
+        if args.eps is not None:
+            run["eps"] = args.eps
+        if args.format:
+            run["format"] = args.format
+        if args.output:
+            run["output"] = args.output
     cfg = parse_config(doc)
     _emit(_price_lines(cfg), cfg["output"])
     return 0
@@ -430,7 +445,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValidationError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except EigenbondError as exc:

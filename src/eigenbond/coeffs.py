@@ -65,13 +65,7 @@ from scipy import special as sp
 
 from . import series
 from .errors import ValidationError
-from .models import (
-    HERMITE_FUNCTIONS,
-    POOL_CAP,
-    DiffusionModel,
-    _hermite_kernel,
-    _laguerre_kernel,
-)
+from .models import HERMITE_FUNCTIONS, POOL_CAP, DiffusionModel, _kernel
 from .specfun import laguerre_sequence_table
 from .subordinators import SubordinatorSpec, laplace_exponent
 
@@ -229,7 +223,7 @@ def _hermite_functions(n_max: int, x: float) -> np.ndarray:
     """[n] = h_n(x) = H_n(x) e^{-x^2/2} / sqrt(sqrt(pi) 2^n n!), the orthonormal
     Hermite functions, by the normalized recurrence with e^{-x^2/2} in its
     seed (no factor leaves double range at any degree)."""
-    return _hermite_kernel(HERMITE_FUNCTIONS, n_max, x, math.exp(-0.5 * x * x))
+    return _kernel(HERMITE_FUNCTIONS, n_max, x, math.exp(-0.5 * x * x))
 
 
 def hermite_pair_integrals(n_max: int, x: float, herm=None) -> np.ndarray:
@@ -398,7 +392,7 @@ class Endpoint:
             # seeds the kernel, where N_n L_n(u_j) alone would overflow
             log_scale = (model.laguerre_order + 1.0) * math.log(z) + model.overlap_log_constant
             half = 0.5 * (log_w + log_scale - u)
-            rows = _laguerre_kernel(model._recurrence, n_max, u, np.exp(half))
+            rows = _kernel(model._recurrence, n_max, u, np.exp(half))
             self._nodes = rows, u, half
         return self._nodes
 

@@ -19,21 +19,24 @@ coordinate, so each model supplies three things: its coordinate map
 (``poly_coordinate``), its prefactor, and the coefficients of its normalized
 three-term recurrence (the norm constant folded into the recursion, which
 keeps every intermediate O(1) and finite at degrees where the raw polynomial
-and the norm constant would separately overflow or underflow).  One
-recurrence generator per polynomial family (``_laguerre_terms`` for CIR and
-3/2, ``_hermite_terms`` for Vasicek) runs over those coefficients and yields
-one degree at a time: plain floats for one abscissa, numpy rows for many.
-The array kernels (``_laguerre_kernel``, ``_hermite_kernel``) collect it
-whole; ``eigenfunction_terms`` streams it, so a scalar series takes only the
-recurrence steps its truncation rule draws.  ``eigenfunctions`` (one state),
+and the norm constant would separately overflow or underflow).  Laguerre and
+Hermite polynomials satisfy one step,
+N_n P_n = (a_n + (s - z) b_n) N_{n-1} P_{n-1} - c_n N_{n-2} P_{n-2}, so one
+generator (``_terms``) serves all three models: CIR and 3/2 name the
+Laguerre coefficients of their ``laguerre_order``, Vasicek the Hermite ones,
+and each starts from N_0 = exp(``log_norm_constants(0)``).  It yields one
+degree at a time: plain floats for one abscissa, numpy rows for many.  The
+array kernel (``_kernel``) collects it whole; ``eigenfunction_terms``
+streams it, so a scalar series takes only the recurrence steps its
+truncation rule draws.  ``eigenfunctions`` (one state),
 ``eigenfunction_matrix`` (an array of states) and ``eigenfunction_terms``
 multiply the model's ``_prefactor`` (numpy ``exp``/``power`` for a float and
 an array alike) into the same recurrence at ``poly_coordinate(x)``, so they
-agree to the last bit.  The coefficient lists are built on first use, cached on the model and
-grown on demand; the derived constants (``gamma``, ``b``, ``order_m``,
-``hermite_shift``, ...) are cached too.  Every norm constant is formed in
-log space, so parameter sets whose raw factors overflow separately still
-evaluate.
+agree to the last bit.  The coefficient lists are built on first use, cached
+on the model and grown on demand; the derived constants (``gamma``, ``b``,
+``order_m``, ``hermite_shift``, ...) are cached too.  Every norm constant is
+formed in log space, so parameter sets whose raw factors overflow separately
+still evaluate.
 
 The pricer and the integral tables (``coeffs``) run the same code for every
 model; what differs between the diffusions is read from these facts:
@@ -53,7 +56,7 @@ model; what differs between the diffusions is read from these facts:
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -78,102 +81,85 @@ POOL_CAP = 2000
 _BRACKET_CAP = 50.0  # upper search bound of the positive models, as a multiple of theta
 
 
-class _Recurrence:
-    """Normalized three-term-recurrence coefficients of one model.
+_Coefficients = Callable[[int], tuple[float, float, float]]
 
-    ``n0`` is the degree-0 value, ``seed`` holds the family's degree-1
-    constants and ``terms(n)`` returns the pair of coefficients of degree
-    ``n`` from degree ``start`` up.  The per-degree lists are filled on first
-    use and grown on demand, doubling up to ``POOL_CAP``.  A grown pair is
-    new lists, stored in one assignment and returned as built, so a caller
-    never sees lists shorter than it asked for even when threads share a
-    model.
+
+class _Recurrence:
+    """Normalized three-term recurrence of one model: for n >= 1,
+    N_n P_n(z) = (a_n + (s - z) b_n) N_{n-1} P_{n-1}(z) - c_n N_{n-2} P_{n-2}(z),
+    from N_0 P_0 = ``n0`` (and zero below degree 0).
+
+    ``shift`` is s and ``coefficients(n)`` returns (a_n, b_n, c_n).  The
+    per-degree lists are filled on first use and grown on demand, doubling
+    up to ``POOL_CAP``.  Grown lists are new lists, stored in one assignment
+    and returned as built, so a caller never sees lists shorter than it
+    asked for even when threads share a model.
     """
 
-    def __init__(self, n0: float, seed: tuple, start: int, terms):
+    def __init__(self, n0: float, shift: float, coefficients: _Coefficients):
         self.n0 = n0
-        self.seed = seed
-        self._terms = terms
-        self._lists: tuple[list, list] = ([0.0] * start, [0.0] * start)
+        self.shift = shift
+        self._coefficients = coefficients
+        self._lists: tuple[list, ...] = ([0.0], [0.0], [0.0])  # degree 0 takes no step
 
-    def upto(self, n_max: int) -> tuple[list, list]:
+    def upto(self, n_max: int) -> tuple[list, ...]:
         lists = self._lists
-        first, second = lists
-        if len(first) <= n_max:
-            size = max(n_max + 1, min(2 * len(first), POOL_CAP + 1))
-            more = [self._terms(n) for n in range(len(first), size)]
-            lists = (first + [pair[0] for pair in more], second + [pair[1] for pair in more])
+        have = len(lists[0])
+        if have <= n_max:
+            size = max(n_max + 1, min(2 * have, POOL_CAP + 1))
+            more = zip(*(self._coefficients(n) for n in range(have, size)))
+            lists = tuple(old + list(new) for old, new in zip(lists, more))
             self._lists = lists
         return lists
 
 
-def _degree_zero(n0, z):
-    return np.full(z.shape, n0) if isinstance(z, np.ndarray) else n0
-
-
-def _laguerre_terms(rec: _Recurrence, n_max: int, z, seed=1.0) -> Iterator:
-    """Yield seed N_n L_n(z) for n = 0..n_max: floats for a float z, rows for
+def _terms(rec: _Recurrence, n_max: int, z, seed=1.0) -> Iterator:
+    """Yield seed N_n P_n(z) for n = 0..n_max: floats for a float z, rows for
     an array; each degree is computed only when it is drawn.
 
-    ``rec.seed`` is (lead, bump, root1, shift): degree 1 is
-    (lead - z + bump) root1 N_0, and degree n >= 2 is
-    (2 + (shift - z)/n) r1_n N_{n-1} - q_n N_{n-2} with
-    q_n = (1 + shift/n) r2_n.  The recurrence is linear, so the factor
-    ``seed`` (a float, or an array like z) taken into degrees 0 and 1 scales
-    every degree: a factor that is tiny where the polynomials are huge
-    keeps each row in double range.
+    The recurrence is linear, so the factor ``seed`` (a float, or an array
+    like z) taken into degree 0 scales every degree: a factor that is tiny
+    where the polynomials are huge keeps each row in double range.
     """
-    r1, q = rec.upto(n_max)
-    n0 = rec.n0 * seed
-    prev = _degree_zero(n0, z)
-    yield prev
-    if n_max >= 1:
-        lead, bump, root1, shift = rec.seed
-        cur = (lead - z + bump) * root1 * n0
+    a, b, c = rec.upto(n_max)
+    gap = rec.shift - z
+    prev, cur = 0.0, rec.n0 * seed
+    yield cur
+    for n in range(1, n_max + 1):
+        prev, cur = cur, (a[n] + gap * b[n]) * cur - c[n] * prev
         yield cur
-        gap = shift - z
-        for n in range(2, n_max + 1):
-            prev, cur = cur, (2.0 + gap / n) * r1[n] * cur - q[n] * prev
-            yield cur
 
 
-def _hermite_terms(rec: _Recurrence, n_max: int, z, seed=1.0) -> Iterator:
-    """Yield seed N_n H_n(z) for n = 0..n_max, as ``_laguerre_terms``:
-    z sqrt(2/n) N_{n-1} - sqrt((n-1)/n) N_{n-2}."""
-    up, down = rec.upto(n_max)
-    n0 = rec.n0 * seed
-    prev = _degree_zero(n0, z)
-    yield prev
-    if n_max >= 1:
-        cur = z * up[1] * n0
-        yield cur
-        for n in range(2, n_max + 1):
-            prev, cur = cur, z * up[n] * cur - down[n] * prev
-            yield cur
+def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
+    """seed N_n P_n(z) for n = 0..n_max, rows over z when z is an array."""
+    rows = np.empty((n_max + 1,) + np.shape(z))
+    for n, row in enumerate(_terms(rec, n_max, z, seed)):
+        rows[n] = row
+    return rows
 
 
-def _laguerre_kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
-    """seed N_n L_n(z) for n = 0..n_max, rows over z when z is an array."""
-    return np.array(list(_laguerre_terms(rec, n_max, z, seed)))
+def _laguerre_coefficients(alpha: float) -> tuple[float, _Coefficients]:
+    """(s, coefficients) of N_n L_n^(alpha): s = alpha - 1, a_n = 2 r1_n,
+    b_n = r1_n / n and c_n = (1 + (alpha - 1)/n) r2_n, with
+    r1_n = sqrt(n / (alpha + n)), r2_n = sqrt(n (n-1) / ((alpha + n)(alpha + n - 1)))."""
+
+    def coefficients(n: int) -> tuple[float, float, float]:
+        r1 = math.sqrt(n / (alpha + n))
+        r2 = math.sqrt(n * (n - 1.0) / ((alpha + n) * (alpha + n - 1.0)))
+        return 2.0 * r1, r1 / n, (1.0 + (alpha - 1.0) / n) * r2
+
+    return alpha - 1.0, coefficients
 
 
-def _hermite_kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
-    """seed N_n H_n(z) for n = 0..n_max, rows over z when z is an array."""
-    return np.array(list(_hermite_terms(rec, n_max, z, seed)))
-
-
-def _hermite_coefficients(n: int) -> tuple[float, float]:
-    return math.sqrt(2.0 / n), math.sqrt((n - 1.0) / n)
+def _hermite_coefficients(n: int) -> tuple[float, float, float]:
+    """N_n H_n with s = 0: a_n = 0, b_n = -sqrt(2/n), c_n = sqrt((n-1)/n)."""
+    return 0.0, -math.sqrt(2.0 / n), math.sqrt((n - 1.0) / n)
 
 
 # The orthonormal Hermite functions H_n(z) e^{-z^2/2} / sqrt(sqrt(pi) 2^n n!),
 # once the kernel is seeded with e^{-z^2/2}: the Vasicek recurrence with the
 # norm constant of the weight e^{-z^2} in place of the model's.
-HERMITE_FUNCTIONS = _Recurrence(math.pi**-0.25, (), 1, _hermite_coefficients)
-
-
-_TERMS = {"laguerre": _laguerre_terms, "hermite": _hermite_terms}
-_KERNELS = {"laguerre": _laguerre_kernel, "hermite": _hermite_kernel}
+HERMITE_FUNCTIONS = _Recurrence(math.pi**-0.25, 0.0, _hermite_coefficients)
 
 
 @dataclass(frozen=True)
@@ -263,14 +249,24 @@ class DiffusionModel:
         ``eigenfunctions``."""
         self._require_state(x)
         x = float(x)
-        terms = _TERMS[self.polynomial_family](self._recurrence, n_max, self.poly_coordinate(x))
+        terms = _terms(self._recurrence, n_max, self.poly_coordinate(x))
         return map(float(self._prefactor(x)).__mul__, terms)
 
     def _eigenfunction_rows(self, n_max: int, x) -> np.ndarray:
         """Rows [n] = phi_n(x): one code path for a state and for an array of
         states, so both evaluators agree to the last bit."""
-        kernel = _KERNELS[self.polynomial_family]
-        return self._prefactor(x) * kernel(self._recurrence, n_max, self.poly_coordinate(x))
+        return self._prefactor(x) * _kernel(self._recurrence, n_max, self.poly_coordinate(x))
+
+    def _recurrence_coefficients(self) -> tuple[float, _Coefficients]:
+        """(s, coefficients) of the model's normalized recurrence (see
+        ``_Recurrence``): the Laguerre family of order ``laguerre_order``
+        unless the model names its own."""
+        return _laguerre_coefficients(self.laguerre_order)
+
+    @cached_property
+    def _recurrence(self) -> _Recurrence:
+        n0 = math.exp(self.log_norm_constants(0)[0])
+        return _Recurrence(n0, *self._recurrence_coefficients())
 
     # --- integral-table data ------------------------------------------------
 
@@ -398,22 +394,6 @@ class CIRModel(DiffusionModel):
         # (kappa - gamma) < 0 always, so the sign alternates with n.
         return np.where(n % 2 == 0, 1.0, -1.0) * np.exp(log_p)
 
-    @cached_property
-    def _recurrence(self) -> _Recurrence:
-        """N_n L_n^(b-1): r1_n = sqrt(n / (b+n-1)), r2_n = sqrt(n (n-1) / ((b+n-1)(b+n-2)))."""
-        b, s2 = self.b, self.sigma**2
-        n0 = math.exp(
-            0.5 * (math.log(s2) - math.log(2.0) - math.lgamma(b))
-            + 0.5 * b * math.log(2.0 * self.gamma / s2)
-        )
-
-        def terms(n: int) -> tuple[float, float]:
-            r1 = math.sqrt(n / (b + n - 1.0))
-            r2 = math.sqrt(n * (n - 1.0) / ((b + n - 1.0) * (b + n - 2.0)))
-            return r1, (1.0 + (b - 2.0) / n) * r2
-
-        return _Recurrence(n0, (b, 0.0, math.sqrt(1.0 / b), b - 2.0), 2, terms)
-
     def _prefactor(self, x):
         return np.exp((self.kappa - self.gamma) * x / self.sigma**2)
 
@@ -517,11 +497,8 @@ class VasicekModel(DiffusionModel):
         )
         return np.exp(log_p)
 
-    @cached_property
-    def _recurrence(self) -> _Recurrence:
-        """N_n H_n: the coefficients sqrt(2/n) and sqrt((n-1)/n)."""
-        n0 = math.sqrt(math.sqrt(self.kappa / math.pi) * self.sigma / 2.0)
-        return _Recurrence(n0, (), 1, _hermite_coefficients)
+    def _recurrence_coefficients(self) -> tuple[float, _Coefficients]:
+        return 0.0, _hermite_coefficients
 
     def _prefactor(self, x):
         a = self.hermite_shift
@@ -636,28 +613,6 @@ class ThreeHalvesModel(DiffusionModel):
         )
         return np.exp(log_p)
 
-    @cached_property
-    def _recurrence(self) -> _Recurrence:
-        """N_n L_n^(2m): r1_n = sqrt(n / (2m+n)), r2_n = sqrt(n (n-1) / ((2m+n)(2m+n-1)))."""
-        two_m = 2.0 * self.order_m
-        n0 = math.exp(
-            0.5
-            * (
-                math.log(self.sigma**2)
-                + (two_m + 1.0) * math.log(self.beta)
-                - math.log(2.0)
-                - math.lgamma(two_m + 1.0)
-            )
-        )
-
-        def terms(n: int) -> tuple[float, float]:
-            r1 = math.sqrt(n / (two_m + n))
-            r2 = math.sqrt(n * (n - 1.0) / ((two_m + n) * (two_m + n - 1.0)))
-            return r1, (1.0 + (two_m - 1.0) / n) * r2
-
-        seed = (two_m, 1.0, math.sqrt(1.0 / (two_m + 1.0)), two_m - 1.0)
-        return _Recurrence(n0, seed, 2, terms)
-
     def _prefactor(self, x):
         return np.power(x, self.alpha - self.order_m - 0.5)
 
@@ -689,10 +644,7 @@ MODEL_KINDS = tuple(_MODEL_CLASSES)
 
 def make_model(kind: str, kappa: float, theta: float, sigma: float) -> DiffusionModel:
     """Construct a model by kind name ('cir', 'vasicek', 'three_halves')."""
-    try:
-        cls = _MODEL_CLASSES[kind.lower()]
-    except KeyError:
-        raise ValidationError(
-            f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}"
-        ) from None
+    cls = _MODEL_CLASSES.get(kind.lower()) if isinstance(kind, str) else None
+    if cls is None:
+        raise ValidationError(f"unknown model kind {kind!r}; expected one of {MODEL_KINDS}")
     return cls(kappa=kappa, theta=theta, sigma=sigma)

@@ -44,6 +44,7 @@ boundaries, so the two depths are controlled independently (see
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -124,6 +125,9 @@ class BondSchedule:
         if self.notice_delta >= spacing:
             raise ValidationError("notice period must be shorter than the coupon spacing")
         k = len(times)
+        index = self.protection_index
+        if isinstance(index, bool) or not isinstance(index, numbers.Integral):
+            raise ValidationError(f"protection index must be an integer, got {index!r}")
         if not 1 <= self.protection_index <= k:
             raise ValidationError(
                 f"protection index must lie in [1, {k}], got {self.protection_index}"

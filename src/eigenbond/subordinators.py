@@ -284,12 +284,23 @@ def _first_ends(model: DiffusionModel, rate: float) -> tuple[float, float]:
 def _walk_bracket(model: DiffusionModel, sub: SubordinatorSpec, rate: float):
     """(states, coefficients, rates) of the first grid whose series values
     enclose the quote, or of the last one tried when a lower boundary that
-    is a state stops the walk below the quote."""
+    is a state stops the walk below the quote.
+
+    Near an excluded lower boundary (the 3/2 origin) the series may not
+    resolve over a grid; its lower end then moves halfway back toward the
+    quote, once, before the quote is refused."""
     width = _BRACKET_WIDTH
     lo, hi = _first_ends(model, rate)
+    retry = not model.contains(model.state_lo)
     for _ in range(_BRACKET_STEPS):
         xs = np.linspace(lo, hi, _BRACKET_GRID)
-        coefficients, rates = _resolved_series(model, sub, xs)
+        try:
+            coefficients, rates = _resolved_series(model, sub, xs)
+        except ValidationError:
+            if not retry:
+                raise
+            lo, retry = 0.5 * (lo + rate), False
+            continue
         if rates[-1] < rate:
             hi += width
         elif rates[0] > rate and (lower := _step_down(model, lo, width)) < lo:

@@ -143,8 +143,10 @@ def test_price_nan_coupon_time_is_validation_error(tmp_path, capsys):
         ("run", "rates", [0.05, "five"], "run rates[1]"),
         ("run", "eps", None, "run eps"),
         ("schedule", "coupon_times", [0.5, "one"], "schedule coupon_times[1]"),
+        ("model", "sigma", True, "model sigma"),
+        ("run", "rates", [False], "run rates[0]"),
     ),
-    ids=("kappa", "mu", "rate", "eps", "coupon_time"),
+    ids=("kappa", "mu", "rate", "eps", "coupon_time", "bool_sigma", "bool_rate"),
 )
 def test_price_non_numeric_config_value_is_validation_error(tmp_path, capsys, block, key, bad,
                                                             named):
@@ -173,6 +175,70 @@ def test_misshapen_config_is_validation_error(block, key, bad, refusal):
     (doc if block is None else doc[block])[key] = bad
     with pytest.raises(ValidationError, match=refusal):
         parse_config(doc)
+
+
+def test_price_non_numeric_rates_option_is_validation_error(capsys):
+    code, out, err = run_cli(capsys, "price", "--model", "cir", "--rates", "0.05,abc")
+    assert code == 2 and not out
+    assert "run rates[1] must be a number, got 'abc'" in err
+
+
+def test_price_non_string_model_kind_is_validation_error(tmp_path, capsys):
+    doc = preset_config("cir")
+    doc["model"]["kind"] = 5
+    path = tmp_path / "kind.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "price", "--config", str(path))
+    assert code == 2 and not out
+    assert "unknown model kind 5" in err
+
+
+@pytest.mark.parametrize("option", (("--rates", "0.05"), ("--eps", "1e-7")), ids=("rates", "eps"))
+def test_price_options_on_a_config_without_run_block(tmp_path, capsys, option):
+    doc = preset_config("cir")
+    del doc["run"]
+    path = tmp_path / "no_run.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "price", "--config", str(path), *option)
+    assert code == 2 and not out
+    assert "config missing required block 'run'" in err
+
+
+@pytest.mark.parametrize("kind", ("directory", "not_utf8"))
+def test_price_config_that_cannot_be_read(tmp_path, capsys, kind):
+    path = tmp_path
+    if kind == "not_utf8":
+        path = tmp_path / "latin1.json"
+        path.write_bytes(b'\xff\xfe{"model": {}}')
+    code, out, err = run_cli(capsys, "price", "--config", str(path))
+    assert code == 2 and not out
+    assert err.startswith("error: ")
+
+
+@pytest.mark.parametrize(
+    "bad,refusal",
+    ((1.7, "an integer"), ("1.5", "an integer"), (float("inf"), "an integer"), (True, "a number")),
+    ids=("float", "str", "inf", "bool"),
+)
+def test_price_non_integral_protection_index_is_validation_error(tmp_path, capsys, bad, refusal):
+    # 1.7 was read through int(): the bond priced with index 1 and exit 0
+    doc = preset_config("cir")
+    doc["schedule"]["protection_index"] = bad
+    with pytest.raises(ValidationError, match=f"schedule protection_index must be {refusal}"):
+        parse_config(doc)
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps(doc))  # inf written as the JSON extension Infinity
+    code, out, err = run_cli(capsys, "price", "--config", str(path))
+    assert code == 2 and not out
+    assert f"protection_index must be {refusal}" in err
+
+
+def test_integral_protection_index_reads_as_an_integer():
+    doc = preset_config("cir")
+    index = doc["schedule"]["protection_index"]
+    doc["schedule"]["protection_index"] = float(index)
+    schedule = parse_config(doc)["schedule"]
+    assert schedule.protection_index == index and type(schedule.protection_index) is int
 
 
 def test_price_cir_b250_prints_the_library_value(tmp_path, capsys):

@@ -79,3 +79,15 @@ def test_quote_states_are_held_to_the_inversion_tolerance():
     assert summary["counts"]["quotes"] == 1
     assert summary["failed"] == ["quote_state", "quotes"]
     assert "max |quote_state diff|" in compare_outputs.report(summary)
+
+
+def test_criterion_6_deviation_past_its_bound_fails():
+    def criterion_6(dev):
+        return {**_run(workload="criterion_6", job_eps=False), "criterion_6_dev": dev}
+
+    parent = {"c6 cir": criterion_6(2), "c6 vasicek": criterion_6(1)}
+    summary = compare_outputs.compare(parent, {"c6 cir": criterion_6(2), "c6 vasicek": criterion_6(3)})
+    assert summary["criterion_6_dev"] == {"parent": 2, "change": 3}
+    assert summary["failed"] == ["criterion_6"]
+    assert "change 3 (bound 2)" in compare_outputs.report(summary)
+    assert compare_outputs.compare(parent, parent)["failed"] == []

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from eigenbond import specfun
 from eigenbond.coeffs import overlap_matrix
 from eigenbond.errors import UnsupportedModelError, ValidationError
 from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel, make_model
@@ -84,34 +85,87 @@ def test_eigenfunction_terms_agree_with_eigenfunctions(model):
         model.eigenfunction_terms(5, math.nan)
 
 
-# Reference copy of the numpy recursions the eigenfunction kernel replaced:
-# one array row per degree, every coefficient recomputed per degree, with
-# the prefactor from numpy for one state and for many.  The kernel keeps
-# their order of operations, so its values match bit for bit.
+# Reference copy of the eigenfunction kernel's recursion in numpy: one array
+# row per degree, every coefficient recomputed per degree, with the
+# prefactor from numpy for one state and for many.  The kernel keeps its
+# order of operations, N_n = (a_n + (s - z) b_n) N_{n-1} - c_n N_{n-2}, so
+# its values match bit for bit.
+
+
+def _reference_step(n0, shift, coefficients, n_max, z):
+    out = np.empty((n_max + 1,) + z.shape)
+    out[0] = n0
+    prev = np.zeros(z.shape)
+    for n in range(1, n_max + 1):
+        a, b, c = coefficients(n)
+        out[n] = (a + (shift - z) * b) * out[n - 1] - c * prev
+        prev = out[n - 1]
+    return out
+
+
+def _reference_laguerre(model, alpha, n_max, z):
+    def coefficients(n):
+        r1 = math.sqrt(n / (alpha + n))
+        r2 = math.sqrt(n * (n - 1.0) / ((alpha + n) * (alpha + n - 1.0)))
+        return 2.0 * r1, r1 / n, (1.0 + (alpha - 1.0) / n) * r2
+
+    n0 = math.exp(model.log_norm_constants(0)[0])
+    return _reference_step(n0, alpha - 1.0, coefficients, n_max, z)
 
 
 def _reference_cir(model, n_max, x):
     u = np.asarray(2.0 * model.gamma * np.asarray(x, dtype=float) / model.sigma**2)
-    b = model.b
-    out = np.empty((n_max + 1,) + u.shape)
-    s2 = model.sigma**2
-    n0 = math.exp(
-        0.5 * (math.log(s2) - math.log(2.0) - math.lgamma(b))
-        + 0.5 * b * math.log(2.0 * model.gamma / s2)
-    )
-    out[0] = n0
-    if n_max >= 1:
-        out[1] = (-u + b) * math.sqrt(1.0 / b) * n0
-    for n in range(2, n_max + 1):
-        r1 = math.sqrt(n / (b + n - 1.0))
-        r2 = math.sqrt(n * (n - 1.0) / ((b + n - 1.0) * (b + n - 2.0)))
-        out[n] = (2.0 + (b - 2.0 - u) / n) * r1 * out[n - 1] - (
-            1.0 + (b - 2.0) / n
-        ) * r2 * out[n - 2]
+    out = _reference_laguerre(model, model.b - 1.0, n_max, u)
     return (np.exp((model.kappa - model.gamma) * x / model.sigma**2) * out).T
 
 
 def _reference_vasicek(model, n_max, x):
+    a = model.hermite_shift
+    xi = math.sqrt(model.kappa) / model.sigma * (np.asarray(x, dtype=float) - model.theta)
+    n0 = math.exp(model.log_norm_constants(0)[0])
+    out = _reference_step(
+        n0, 0.0, lambda n: (0.0, -math.sqrt(2.0 / n), math.sqrt((n - 1.0) / n)), n_max, xi + a
+    )
+    return (np.exp(-a * xi - 0.5 * a * a) * out).T
+
+
+def _reference_three_halves(model, n_max, x):
+    v = model.beta / np.asarray(x, dtype=float)
+    out = _reference_laguerre(model, 2.0 * model.order_m, n_max, v)
+    return (np.power(x, model.alpha - model.order_m - 0.5) * out).T
+
+
+# The classical-order recursions the kernel replaced: degree 1 written out,
+# and (2 + (s - z)/n) r1_n N_{n-1} - (1 + s/n) r2_n N_{n-2} from degree 2.
+# Their rounding differs from the kernel's, so they agree to a tolerance.
+
+
+def _classical_laguerre(n0, alpha, n_max, z):
+    out = np.empty((n_max + 1,) + z.shape)
+    out[0] = n0
+    if n_max >= 1:
+        out[1] = (-z + alpha + 1.0) * math.sqrt(1.0 / (alpha + 1.0)) * n0
+    for n in range(2, n_max + 1):
+        r1 = math.sqrt(n / (alpha + n))
+        r2 = math.sqrt(n * (n - 1.0) / ((alpha + n) * (alpha + n - 1.0)))
+        out[n] = (2.0 + (alpha - 1.0 - z) / n) * r1 * out[n - 1] - (
+            1.0 + (alpha - 1.0) / n
+        ) * r2 * out[n - 2]
+    return out
+
+
+def _classical_cir(model, n_max, x):
+    u = np.asarray(2.0 * model.gamma * np.asarray(x, dtype=float) / model.sigma**2)
+    b, s2 = model.b, model.sigma**2
+    n0 = math.exp(
+        0.5 * (math.log(s2) - math.log(2.0) - math.lgamma(b))
+        + 0.5 * b * math.log(2.0 * model.gamma / s2)
+    )
+    out = _classical_laguerre(n0, b - 1.0, n_max, u)
+    return (np.exp((model.kappa - model.gamma) * x / model.sigma**2) * out).T
+
+
+def _classical_vasicek(model, n_max, x):
     a = model.hermite_shift
     xi = math.sqrt(model.kappa) / model.sigma * (np.asarray(x, dtype=float) - model.theta)
     w = xi + a
@@ -125,10 +179,9 @@ def _reference_vasicek(model, n_max, x):
     return (np.exp(-a * xi - 0.5 * a * a) * out).T
 
 
-def _reference_three_halves(model, n_max, x):
+def _classical_three_halves(model, n_max, x):
     v = model.beta / np.asarray(x, dtype=float)
     two_m = 2.0 * model.order_m
-    out = np.empty((n_max + 1,) + v.shape)
     n0 = math.exp(
         0.5
         * (
@@ -138,31 +191,22 @@ def _reference_three_halves(model, n_max, x):
             - math.lgamma(two_m + 1.0)
         )
     )
-    out[0] = np.full(v.shape, n0)
-    if n_max >= 1:
-        out[1] = (-v + two_m + 1.0) * math.sqrt(1.0 / (two_m + 1.0)) * n0
-    for n in range(2, n_max + 1):
-        r1 = math.sqrt(n / (two_m + n))
-        r2 = math.sqrt(n * (n - 1.0) / ((two_m + n) * (two_m + n - 1.0)))
-        out[n] = (2.0 + (two_m - 1.0 - v) / n) * r1 * out[n - 1] - (
-            1.0 + (two_m - 1.0) / n
-        ) * r2 * out[n - 2]
+    out = _classical_laguerre(n0, two_m, n_max, v)
     return (np.power(x, model.alpha - model.order_m - 0.5) * out).T
 
 
 _GRID = tuple(np.linspace(0.0, 1.0, 41)[1:])
 _REFERENCE_CASES = (
-    (CIR, _reference_cir, (0.0, 1e-9, 0.02, 0.133976855, 0.7, 3.0) + _GRID),
-    (VAS, _reference_vasicek, (-0.4, -0.05, 0.0, 0.098397028, 0.31, 1.2) + _GRID),
-    (TH, _reference_three_halves, (0.0101, 0.02, 0.05, 0.3, 2.0) + _GRID),
+    (CIR, _reference_cir, _classical_cir, (0.0, 1e-9, 0.02, 0.133976855, 0.7, 3.0) + _GRID),
+    (VAS, _reference_vasicek, _classical_vasicek, (-0.4, -0.05, 0.0, 0.098397028, 0.31, 1.2) + _GRID),
+    (TH, _reference_three_halves, _classical_three_halves, (0.0101, 0.02, 0.05, 0.3, 2.0) + _GRID),
 )
+_REFERENCE_IDS = [case[0].kind for case in _REFERENCE_CASES]
 
 
 @pytest.mark.parametrize("n_max", (0, 1, 2, 64, 300))
-@pytest.mark.parametrize(
-    "model,reference,xs", _REFERENCE_CASES, ids=[case[0].kind for case in _REFERENCE_CASES]
-)
-def test_kernel_matches_numpy_recursion_bit_for_bit(model, reference, xs, n_max):
+@pytest.mark.parametrize("model,reference,_,xs", _REFERENCE_CASES, ids=_REFERENCE_IDS)
+def test_kernel_matches_numpy_recursion_bit_for_bit(model, reference, _, xs, n_max):
     for x in xs:
         np.testing.assert_array_equal(model.eigenfunctions(n_max, x), reference(model, n_max, x))
     grid = np.array(xs)
@@ -171,15 +215,41 @@ def test_kernel_matches_numpy_recursion_bit_for_bit(model, reference, xs, n_max)
     )
 
 
+@pytest.mark.parametrize("n_max", (0, 1, 2, 64, 300))
+@pytest.mark.parametrize("model,_,classical,xs", _REFERENCE_CASES, ids=_REFERENCE_IDS)
+def test_kernel_matches_the_classical_order_recursion(model, _, classical, xs, n_max):
+    # the step (a_n + (s - z) b_n) rounds apart from (2 + (s - z)/n) r1_n and
+    # from the written-out degree 1; measured at most 1.0e-13 (3/2, n = 300)
+    grid = np.array(xs)
+    kernel, reference = model.eigenfunction_matrix(n_max, grid), classical(model, n_max, grid)
+    assert np.max(np.abs(kernel - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+@pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind)
+def test_eigenfunctions_are_the_normalized_classical_polynomials(model):
+    # phi_n = prefactor N_n P_n(coordinate), P_n from the unnormalized
+    # recursions of specfun and N_n from log_norm_constants
+    norms = np.exp(model.log_norm_constants(40))
+    for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
+        z = model.poly_coordinate(x)
+        if model.polynomial_family == "hermite":
+            polynomials = specfun.hermite_sequence(40, z)
+        else:
+            polynomials = specfun.laguerre_sequence(40, model.laguerre_order, z)
+        expected = model._prefactor(x) * norms * polynomials
+        phi = model.eigenfunctions(40, x)
+        assert np.max(np.abs(phi - expected)) <= 1e-12 * np.max(np.abs(expected))
+
+
 def test_recurrence_coefficients_are_built_on_use_and_grown():
     model = CIRModel(kappa=0.3, theta=0.05, sigma=0.2)
     assert "_recurrence" not in vars(model)  # nothing built at construction
     short = model.eigenfunctions(10, 0.05)
-    first, _ = model._recurrence.upto(0)
-    assert len(first) == 11
+    lists = model._recurrence.upto(0)
+    assert [len(values) for values in lists] == [11, 11, 11]
     long = model.eigenfunctions(40, 0.05)
-    first, _ = model._recurrence.upto(0)
-    assert len(first) == 41
+    lists = model._recurrence.upto(0)
+    assert [len(values) for values in lists] == [41, 41, 41]
     np.testing.assert_array_equal(long[:11], short)
     np.testing.assert_array_equal(long, _reference_cir(model, 40, 0.05))
 

@@ -91,6 +91,20 @@ def test_schedule_refuses_non_finite_fields(field, bad):
         BondSchedule(**fields)
 
 
+@pytest.mark.parametrize("ladders", (False, True), ids=("no_ladder", "ladders"))
+@pytest.mark.parametrize("bad", (1.5, 2.0, True, "2"), ids=("fraction", "float", "bool", "str"))
+def test_schedule_refuses_a_non_integer_protection_index(bad, ladders):
+    # 1.5 without ladders escaped as a TypeError when priced, and with
+    # ladders the count check said "1.5 expected"
+    fields = {"coupon": 0.04, "coupon_times": (1.0, 2.0, 3.0), "notice_delta": 0.1}
+    if ladders:
+        fields.update(call_prices=(1.01, 1.0), put_prices=(0.98, 0.99))
+    with pytest.raises(ValidationError, match="protection index must be an integer"):
+        BondSchedule(protection_index=bad, **fields)
+    assert BondSchedule(protection_index=np.int64(2), **{**fields, "call_prices": None,
+                                                         "put_prices": None}).n_coupons == 3
+
+
 @pytest.mark.parametrize("x0", (math.inf, -math.inf, math.nan), ids=("inf", "-inf", "nan"))
 @pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
 def test_non_finite_states_are_refused_up_front(monkeypatch, model, x0):
@@ -168,20 +182,20 @@ def test_zero_coupon_refuses_a_bad_eps_up_front(eps):
 # ---------------------------------------------------------------------------
 
 
-def _count_recurrence_steps(monkeypatch, family):
+def _count_recurrence_steps(monkeypatch):
     """Per recurrence generator started, the number of degrees it computed."""
     from eigenbond import models
 
     steps = []
-    make = models._TERMS[family]
+    make = models._terms
 
-    def counted(rec, n_max, z):
+    def counted(*args):
         steps.append(0)
-        for term in make(rec, n_max, z):
+        for term in make(*args):
             steps[-1] += 1
             yield term
 
-    monkeypatch.setitem(models._TERMS, family, counted)
+    monkeypatch.setattr(models, "_terms", counted)
     return steps
 
 
@@ -189,7 +203,7 @@ def _count_recurrence_steps(monkeypatch, family):
 def test_pool_series_draws_only_the_steps_the_rule_needs(monkeypatch, model):
     from eigenbond import pricer
 
-    steps = _count_recurrence_steps(monkeypatch, model.polynomial_family)
+    steps = _count_recurrence_steps(monkeypatch)
     basis = pricer.SpectralBasis(model, NONE)
     for x in model.stationary_distribution().ppf([0.01, 0.5, 0.99]):
         for t in (0.02, 0.1666, 1.0, 5.0):
@@ -209,7 +223,7 @@ def test_pool_series_draws_only_the_steps_the_rule_needs(monkeypatch, model):
 def test_pool_series_keeps_its_depth_between_calls(monkeypatch):
     from eigenbond import pricer
 
-    steps = _count_recurrence_steps(monkeypatch, "laguerre")
+    steps = _count_recurrence_steps(monkeypatch)
     basis = pricer.SpectralBasis(CIR, NONE)
     value, level = pricer._series_eval_pool(basis, 0.02, 0.05, 1e-13)
     # a first supply of 33 weights, used whole, then a list of 65 that the
@@ -517,10 +531,10 @@ def test_walk_at_the_edges_of_the_search_interval(hint):
 def test_one_polynomial_table_per_break_even_state_per_pass(monkeypatch, model, sub, schedule):
     from eigenbond import coeffs, pricer
 
-    # Hermite-function rows, Laguerre node-kernel passes, and the closed-form
-    # Laguerre tables, which assembly no longer builds
+    # Hermite-function rows and Laguerre node matrices (one kernel), and the
+    # closed-form Laguerre tables, which assembly no longer builds
     builds = []
-    for name in ("laguerre_sequence_table", "_laguerre_kernel", "_hermite_kernel"):
+    for name in ("laguerre_sequence_table", "_kernel"):
         build = getattr(coeffs, name)
         monkeypatch.setattr(
             coeffs, name, lambda *args, build=build: builds.append(args) or build(*args)

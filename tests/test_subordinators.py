@@ -267,12 +267,13 @@ def test_invert_short_rate_evaluates_the_series_at_most_twelve_times(
 # ---------------------------------------------------------------------------
 
 # (model, clock, quoted range): the bench's jump configs over the rate_sweep
-# range, and 3/2 from 0.02, since a fresh 3/2 model refuses quotes up to about
-# 0.016 (its first grid reaches where the series cancels to rounding noise)
+# range, and 3/2 from the lowest quote a fresh model inverts (0.012 under JD,
+# 0.0125 under PJ; below them the series cancels to rounding noise over every
+# grid the walk tries)
 JUMP_CASES = [
     (benchmark.benchmark_model(config), benchmark.benchmark_subordinator(config), (0.01, 0.12))
     for config in ("subcir_jd", "subcir_pj", "subvasicek_jd", "subvasicek_pj")
-] + [(TH, JD, (0.02, 0.3)), (TH, PJ, (0.02, 0.3))]
+] + [(TH, JD, (0.012, 0.3)), (TH, PJ, (0.0125, 0.3))]
 CASE_IDS = ("subcir_jd", "subcir_pj", "subvasicek_jd", "subvasicek_pj", "3/2_jd", "3/2_pj")
 
 
@@ -302,6 +303,26 @@ def test_cached_brackets_match_cold_inversion_in_any_order(model, sub, quoted):
         assert states[order[0]] == cold[order[0]]  # the first quote runs the walk
         # Brent runs in the walk's own cell: a few ulps, not its xtol of 1e-12
         assert max(abs(states[i] - cold[i]) for i in order) <= 1e-14
+
+
+@pytest.mark.parametrize("sub,lowest", ((JD, 0.012), (PJ, 0.0125)), ids=("jd", "pj"))
+def test_a_fresh_three_halves_model_inverts_what_a_warm_one_does(sub, lowest):
+    # The first grid of a low quote reaches toward the excluded origin, where
+    # the series cancels to rounding noise; its lower end moves halfway back
+    # toward the quote.  Before, a fresh model refused 0.0154 and 0.016 under
+    # JD, and a model that kept the bracket of 0.03 inverted them.
+    quotes = (lowest, 0.0154, 0.016, 0.03)
+    cold = [invert_short_rate(_fresh(TH), sub, q) for q in quotes]
+    for order in (quotes, quotes[::-1]):
+        warm = _fresh(TH)
+        states = {q: invert_short_rate(warm, sub, q) for q in order}
+        assert max(abs(states[q] - x) for q, x in zip(quotes, cold)) <= 1e-12
+    for q, x in zip(quotes, cold):
+        assert short_rate_map(TH, sub, x) == pytest.approx(q, abs=1e-13)
+    fresh = _fresh(TH)
+    with pytest.raises(ValidationError, match="cancels to rounding noise"):
+        invert_short_rate(fresh, sub, 0.0115)
+    assert fresh._short_rate_brackets == {}
 
 
 def test_a_sweep_resolves_one_series_per_model_and_clock(monkeypatch):

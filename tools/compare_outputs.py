@@ -19,8 +19,9 @@ The comparison prints the largest differences, the mismatch counts, the
 break-even evaluations per workload (seed 5046, the job's eps) and the
 criterion-6 deviation of each side.  It exits 1 when values differ by more
 than ``VALUE_TOL``, quote states by more than ``QUOTE_STATE_TOL``,
-break-even states or rates by more than ``STATE_TOL``, or the None pattern,
-the assembled lengths, the dates, the quote counts or the errors differ.
+break-even states or rates by more than ``STATE_TOL``, the None pattern,
+the assembled lengths, the dates, the quote counts or the errors differ, or
+the change's criterion-6 deviation exceeds ``CRITERION_6_BOUND``.
 """
 
 from __future__ import annotations
@@ -41,6 +42,7 @@ CRITERION_6_EPS = (1e-5, 1e-6, 1e-7, 1e-8)
 VALUE_TOL = 1e-13
 STATE_TOL = 1e-7  # the pricer's TOL_X
 QUOTE_STATE_TOL = 1e-12  # Brent's xtol of the quote inversion
+CRITERION_6_BOUND = 2  # the truncation profile's +-2 of the acceptance suite
 
 
 # ---------------------------------------------------------------------------
@@ -164,6 +166,7 @@ def compare(parent: dict, change: dict) -> dict:
             ("quote_state", worst["quote_state"][0] > QUOTE_STATE_TOL),
             ("state", worst["state"][0] > STATE_TOL),
             ("rate", worst["rate"][0] > STATE_TOL),
+            ("criterion_6", criterion_6["change"] > CRITERION_6_BOUND),
             *((name, counts[name] > 0)
               for name in ("missing", "errors", "quotes", "dates", "none_pattern", "assembled")),
         )
@@ -192,7 +195,8 @@ def report(summary: dict) -> str:
         c = summary["evaluations"]["change"].get(workload)
         lines.append(f"break-even evaluations, {workload} (seed {SEEDS[0]}, job eps): {p} -> {c}")
     dev = summary["criterion_6_dev"]
-    lines.append(f"criterion-6 max deviation: parent {dev['parent']}, change {dev['change']} (bound 2)")
+    lines.append(f"criterion-6 max deviation: parent {dev['parent']}, change {dev['change']} "
+                 f"(bound {CRITERION_6_BOUND})")
     lines.append("FAILED: " + ", ".join(summary["failed"]) if summary["failed"] else "OK")
     return "\n".join(lines)
 
