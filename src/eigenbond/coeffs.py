@@ -1,5 +1,5 @@
-"""Truncated-interval eigenfunction integrals: Gauss-Jacobi quadrature and
-closed-form recursions.
+"""Truncated-interval eigenfunction integrals by Gauss-Jacobi quadrature
+and orthonormal Hermite tables, with closed-form reference tables.
 
 The backward recursion for callable/putable bonds needs, at every decision
 date, the Gram ("overlap") integrals of pairs of eigenfunctions over the
@@ -9,50 +9,48 @@ eigenfunction over the exercise regions:
     overlap_{m,n}(x, y) = int_x^y phi_m phi_n m(z) dz
     strike_n(x, y)      = int_x^y P(delta, z) phi_n(z) m(z) dz
 
+Under every model and clock P(delta, .) is itself an eigenfunction series
+with coefficients p_m e^{-phi(lambda_m) delta} (``_expansion_weights``), so a
+strike projection is one more overlap, applied to those coefficients.
+
 An interval integral is the difference of the two integrals from the
 bottom of the model's polynomial coordinate to the mapped endpoints, taken
 in coordinate order.  An ``Endpoint`` places one state in that coordinate
-(a state-space boundary maps to an end of the coordinate range) and takes
-both integrals from the bottom: the hold overlap applied to a coefficient
-vector w (``Endpoint.apply``) and the closed-form strike leg of an affine
-model (``Endpoint.bond``).  Each is taken one of four ways:
+(a state-space boundary maps to an end of the coordinate range) and
+applies the overlap block from the bottom to it to a coefficient vector w
+(``Endpoint.apply``), one of four ways:
 
 * zero at the bottom itself;
 * exactly at the top of the coordinate range: the overlap is the
-  identity (orthonormality), so ``apply`` returns w itself, and the strike
-  leg is p_n e^{-lambda_n delta}, the expansion coefficients of P(delta, .);
+  identity (orthonormality), so ``apply`` returns w itself;
 * by Gauss-Jacobi quadrature at a finite Laguerre coordinate (CIR, 3/2).
   There phi_m phi_n m is u^alpha e^{-u} times a polynomial in u, so a
   Gauss rule for the weight t^alpha on [0, 1] (``_gauss_jacobi``, cached
   on the model per size), scaled to [0, z], takes every integral.  One
-  kernel pass at the nodes gives the node matrix V (``Endpoint.nodes``);
-  the hold overlap applied to w is V (V^T w), without forming the block,
-  and the strike legs are V times one node vector;
-* by the Hermite tables at a finite Hermite coordinate (Vasicek), taken in
-  orthonormal form over the Hermite functions
+  kernel pass at the nodes gives the node matrix V, and the overlap
+  applied to w is V (V^T w), without forming the block;
+* by the Hermite pair table at a finite Hermite coordinate (Vasicek),
+  taken in orthonormal form over the Hermite functions
   h_n(y) = H_n(y) e^{-y^2/2} / sqrt(sqrt(pi) 2^n n!) of the models'
   normalized recurrence:
 
     pair_{m,n}(x) = int_-inf^x h_m h_n dy
-    exp_n(s, x)   = int_-inf^x e^{s y - y^2/2} h_n dy
 
-  The off-diagonal pair integrals have a closed form, and the diagonal and
-  the exp integrals step up in degree from erfc seeds; no factor leaves
-  double range at any degree.
+  The off-diagonal entries have a closed form, and the diagonal steps up
+  in degree from an erfc seed; no factor leaves double range at any
+  degree.
 
-Only ``Endpoint`` reads the model's polynomial family.  The other tables
-here are the reference that tests compare against, and the pricer builds
-none of them: the closed-form Laguerre tables at a finite coordinate,
-int_0^x L_m L_n e^{-y} y^alpha dy and int_0^x y^alpha e^{-s y} L_n dy, which
-step down in order from incomplete-gamma seeds at elevated order, and the
+Only ``Endpoint`` reads the model's polynomial family, and the model's
+``overlap_log_constant`` turns its polynomial integrals into eigenfunction
+integrals.  The other tables here are the reference that tests compare
+against, and the pricer builds none of them: the closed-form Laguerre
+tables at a finite coordinate, int_0^x L_m L_n e^{-y} y^alpha dy and
+int_0^x y^alpha e^{-s y} L_n dy, which step down in order from
+incomplete-gamma seeds at elevated order; the Hermite exp integrals
+int_-inf^x e^{s y - y^2/2} h_n dy, which step up from an erfc seed; and the
 full-line limits of both families (``*_at_infinity``), which the exact top
-end replaces.
-
-The model's constant factors (``overlap_log_constant``, ``strike_factors``)
-turn the polynomial integrals into eigenfunction integrals.  The pricer
-makes one ``Endpoint`` per finite break-even state per assembly pass, so
-the hold overlap and the strike leg that meet at the state share one
-row of Hermite functions (Vasicek) or one node matrix (Laguerre).
+end replaces.  The pricer applies one ``Endpoint`` per finite break-even
+state per assembly pass (see ``pricer._Engine._assemble``).
 """
 
 from __future__ import annotations
@@ -108,13 +106,12 @@ def _check_laguerre_degree(n_max: int, alpha: float) -> None:
 # ---------------------------------------------------------------------------
 
 
-def laguerre_pair_integrals(n_max: int, alpha: float, x: float, lag=None) -> np.ndarray:
+def laguerre_pair_integrals(n_max: int, alpha: float, x: float) -> np.ndarray:
     """Table [m, n] = int_0^x L_m^(alpha) L_n^(alpha) e^{-y} y^alpha dy.
 
     Off-diagonal entries from the closed form; diagonal entries from the
     descending-order chain seeded by lower incomplete gammas at orders
-    alpha + n_max .. alpha.  ``lag`` may pass in the polynomial table
-    ``laguerre_sequence_table(n_max + 1, alpha + [0 .. n_max + 1], x)``.
+    alpha + n_max .. alpha.
     """
     if not alpha > -1.0:
         raise ValidationError(f"Laguerre order must satisfy alpha > -1, got {alpha}")
@@ -126,8 +123,7 @@ def laguerre_pair_integrals(n_max: int, alpha: float, x: float, lag=None) -> np.
         return np.zeros((size, size))
 
     js = np.arange(n_max + 2, dtype=float)
-    if lag is None:
-        lag = laguerre_sequence_table(n_max + 1, alpha + js, x)  # [degree, order offset]
+    lag = laguerre_sequence_table(n_max + 1, alpha + js, x)  # [degree, order offset]
     log_x = math.log(x)
 
     # Diagonal chain: diag[j, n] = a_{n,n}^(alpha+j)(x), needed for n <= n_max - j.
@@ -161,8 +157,8 @@ def laguerre_pair_integrals_at_infinity(n_max: int, alpha: float) -> np.ndarray:
     return np.diag(np.exp(sp.gammaln(alpha + n + 1.0) - sp.gammaln(n + 1.0)))
 
 
-def laguerre_exp_integrals(n_max: int, alpha: float, s: float, x: float, lag=None) -> np.ndarray:
-    """Vector [n] = int_0^x y^alpha e^{-s y} L_n^(alpha)(y) dy, s > 0; ``lag`` as above."""
+def laguerre_exp_integrals(n_max: int, alpha: float, s: float, x: float) -> np.ndarray:
+    """Vector [n] = int_0^x y^alpha e^{-s y} L_n^(alpha)(y) dy, s > 0."""
     if not alpha > -1.0:
         raise ValidationError(f"Laguerre order must satisfy alpha > -1, got {alpha}")
     _check_laguerre_degree(n_max, alpha)
@@ -174,8 +170,7 @@ def laguerre_exp_integrals(n_max: int, alpha: float, s: float, x: float, lag=Non
         return np.zeros(n_max + 1)
 
     js = np.arange(n_max + 2, dtype=float)
-    if lag is None:
-        lag = laguerre_sequence_table(n_max + 1, alpha + js, x)
+    lag = laguerre_sequence_table(n_max + 1, alpha + js, x)
     log_x = math.log(x)
     log_s = math.log(s)
 
@@ -226,17 +221,15 @@ def _hermite_functions(n_max: int, x: float) -> np.ndarray:
     return _kernel(HERMITE_FUNCTIONS, n_max, x, math.exp(-0.5 * x * x))
 
 
-def hermite_pair_integrals(n_max: int, x: float, herm=None) -> np.ndarray:
-    """Table [m, n] = int_{-inf}^x h_m h_n dy; ``herm`` may pass in
-    ``_hermite_functions`` up to degree n_max + 1 (see ``Endpoint.row``).
+def hermite_pair_integrals(n_max: int, x: float) -> np.ndarray:
+    """Table [m, n] = int_{-inf}^x h_m h_n dy.
 
     The diagonal steps d_n = d_{n-1} - h_{n-1} h_n / sqrt(2n) up from
     d_0 = erfc(-x) / 2; off the diagonal
     (h_m h_{n+1} sqrt((n+1)/2) - h_n h_{m+1} sqrt((m+1)/2)) / (n - m).
     """
     size = n_max + 1
-    if herm is None:
-        herm = _hermite_functions(n_max + 1, x)
+    herm = _hermite_functions(n_max + 1, x)
     root = np.sqrt(0.5 * np.arange(1, size + 1, dtype=float))  # sqrt((n+1)/2)
 
     diag = np.empty(size)
@@ -257,11 +250,10 @@ def hermite_pair_integrals_at_infinity(n_max: int) -> np.ndarray:
     return np.eye(n_max + 1)
 
 
-def hermite_exp_integrals(n_max: int, s: float, x: float, herm=None) -> np.ndarray:
+def hermite_exp_integrals(n_max: int, s: float, x: float) -> np.ndarray:
     """Vector [n] = int_{-inf}^x e^{s y - y^2/2} h_n(y) dy, stepping
-    e_n = (s e_{n-1} - e^{s x - x^2/2} h_{n-1}(x)) / sqrt(2n); ``herm`` as above."""
-    if herm is None:
-        herm = _hermite_functions(max(n_max, 1), x)
+    e_n = (s e_{n-1} - e^{s x - x^2/2} h_{n-1}(x)) / sqrt(2n)."""
+    herm = _hermite_functions(max(n_max, 1), x)
     boundary = math.exp(s * x - 0.5 * x * x)
     out = np.empty(n_max + 1)
     out[0] = 0.5 * math.exp(0.25 * s * s) * math.pi**0.25 * sp.erfc(0.5 * s - x)
@@ -338,9 +330,8 @@ def _jacobi_rule(model: DiffusionModel, size: int) -> tuple[np.ndarray, np.ndarr
 
 
 class Endpoint:
-    """A state placed in the model's polynomial coordinate, with the two
-    integrals from the bottom of the coordinate to it (``apply``, ``bond``)
-    and what they share there (``row``, ``nodes``)."""
+    """A state placed in the model's polynomial coordinate, with the overlap
+    block from the bottom of the coordinate to it (``apply``)."""
 
     def __init__(self, model: DiffusionModel, x: float):
         self.model = model
@@ -354,88 +345,43 @@ class Endpoint:
             self.z = math.inf if at_top else bottom
         self.bottom = self.z == bottom
         self.quadrature = not hermite and 0.0 < self.z < math.inf
-        self._row: np.ndarray | None = None
-        self._nodes: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
-
-    def row(self, n_max: int) -> np.ndarray:
-        """[degree] = h_degree(z), the orthonormal Hermite functions at a
-        finite Hermite coordinate, for degrees up to at least n_max + 1;
-        built on first use, rebuilt only for a higher degree.  Smaller rows
-        are leading slices of larger ones, entry for entry, so sharing one
-        changes no value.
-        """
-        if self._row is None or self._row.shape[0] < n_max + 2:
-            self._row = _hermite_functions(n_max + 1, self.z)
-        return self._row
-
-    def nodes(self, n_max: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(V, u, h) at a quadrature endpoint: the Gauss-Jacobi nodes u_j of
-        [0, z] for the weight u^alpha, with weights w_j; h_j = log sqrt(w_j
-        e^{C - u_j}), C the model's ``overlap_log_constant``; and V[n, j] =
-        N_n L_n(u_j) e^{h_j}, one kernel pass for the degrees up to at least
-        n_max, so that V V^T is the overlap block from the bottom to z.
-
-        The rule has n_max + 12 + ceil(1.5 z) nodes, rounded up to a multiple
-        of ``_RULE_STEP``: the factor e^{-u} needs nodes in proportion to z.
-        Beyond u = 4 (2 n_max + alpha + 1) + 80 every integrand is below
-        1e-26 of its total, so a larger z is cut there.  Built on first use,
-        rebuilt with a larger rule only for a higher degree.
-        """
-        if self._nodes is None or self._nodes[0].shape[0] < n_max + 1:
-            model = self.model
-            z = min(self.z, 4.0 * (2.0 * n_max + model.laguerre_order + 1.0) + 80.0)
-            size = n_max + 12 + math.ceil(1.5 * z)
-            t, log_w = _jacobi_rule(model, -(-size // _RULE_STEP) * _RULE_STEP)
-            u = z * t
-            # the weights on [0, z] carry z^(alpha + 1); logs keep large alpha
-            # and z (CIR with b = 160) from under- or overflowing, and e^h
-            # seeds the kernel, where N_n L_n(u_j) alone would overflow
-            log_scale = (model.laguerre_order + 1.0) * math.log(z) + model.overlap_log_constant
-            half = 0.5 * (log_w + log_scale - u)
-            rows = _kernel(model._recurrence, n_max, u, np.exp(half))
-            self._nodes = rows, u, half
-        return self._nodes
 
     def apply(self, n_rows: int, weights: np.ndarray) -> np.ndarray:
         """Rows 0..n_rows of the overlap block from the bottom of the
         coordinate to z, one column per row of ``weights`` (a vector, or a
-        matrix of columns), applied to ``weights``."""
+        matrix of columns), applied to ``weights``.
+
+        At a quadrature endpoint the rule has n_max + 12 + ceil(1.5 z)
+        nodes u_j of [0, z] for the weight u^alpha, rounded up to a multiple
+        of ``_RULE_STEP``: the factor e^{-u} needs nodes in proportion to z.
+        Beyond u = 4 (2 n_max + alpha + 1) + 80 every integrand is below
+        1e-26 of its total, so a larger z is cut there.  With weights w_j,
+        h_j = log sqrt(w_j e^{C - u_j}) (C the model's
+        ``overlap_log_constant``) and V[n, j] = N_n L_n(u_j) e^{h_j}, one
+        kernel pass, V V^T is the overlap block.
+        """
         size = weights.shape[0]
+        out_shape = (n_rows + 1,) + weights.shape[1:]
         if self.bottom:
-            return np.zeros((n_rows + 1,) + weights.shape[1:])
+            return np.zeros(out_shape)
         if self.z == math.inf:  # the identity, by orthonormality
-            out = np.zeros((n_rows + 1,) + weights.shape[1:])
+            out = np.zeros(out_shape)
             out[:size] = weights[: n_rows + 1]
             return out
         n_max = max(n_rows, size - 1)
-        if self.quadrature:
-            rows = self.nodes(n_max)[0]
-            return rows[: n_rows + 1] @ (rows[:size].T @ weights)
-        table = hermite_pair_integrals(n_max, self.z, self.row(n_max))
-        return table[: n_rows + 1, :size] @ weights
-
-    def bond(self, n_max: int, delta: float) -> np.ndarray:
-        """[n] = int P(delta, .) phi_n m from the bottom of the coordinate to
-        z, for an affine model's closed-form bond; below the top it takes
-        the model's ``strike_factors`` (s, a)."""
+        if not self.quadrature:
+            return hermite_pair_integrals(n_max, self.z)[: n_rows + 1, :size] @ weights
         model = self.model
-        if self.bottom:
-            return np.zeros(n_max + 1)
-        if self.z == math.inf:
-            decay = np.exp(-model.eigenvalues(n_max) * delta)
-            return model.unit_payoff_coefficients(n_max) * decay
-        tilt, a = model.strike_factors(delta)
-        if self.quadrature:
-            # P(delta, x) over the prefactor is e^{a + (1 - s) u} at coordinate u
-            rows, u, half = self.nodes(n_max)
-            return rows[: n_max + 1] @ np.exp(half + (1.0 - tilt) * u + a)
-        # N_n sqrt(sqrt(pi) 2^n n!) e^{C/2} = 1: one factor for the orthonormal table
-        factor = math.exp(a + 0.5 * model.overlap_log_constant)
-        return factor * hermite_exp_integrals(n_max, tilt, self.z, self.row(n_max))
-
-
-def _endpoint(model: DiffusionModel, x: float | Endpoint) -> Endpoint:
-    return x if isinstance(x, Endpoint) else Endpoint(model, x)
+        z = min(self.z, 4.0 * (2.0 * n_max + model.laguerre_order + 1.0) + 80.0)
+        n_nodes = n_max + 12 + math.ceil(1.5 * z)
+        t, log_w = _jacobi_rule(model, -(-n_nodes // _RULE_STEP) * _RULE_STEP)
+        u = z * t
+        # the weights on [0, z] carry z^(alpha + 1); logs keep large alpha
+        # and z (CIR with b = 160) from under- or overflowing, and e^h
+        # seeds the kernel, where N_n L_n(u_j) alone would overflow
+        log_scale = (model.laguerre_order + 1.0) * math.log(z) + model.overlap_log_constant
+        rows = _kernel(model._recurrence, n_max, u, np.exp(0.5 * (log_w + log_scale - u)))
+        return rows[: n_rows + 1] @ (rows[:size].T @ weights)
 
 
 def _check_interval(model: DiffusionModel, x_lo: float, x_hi: float) -> None:
@@ -444,11 +390,6 @@ def _check_interval(model: DiffusionModel, x_lo: float, x_hi: float) -> None:
             raise ValidationError(f"{name}={x} outside closure of the state space")
     if x_lo > x_hi:
         raise ValidationError(f"interval endpoints out of order: {x_lo} > {x_hi}")
-
-
-def _coordinate_order(model: DiffusionModel, lo: Endpoint, hi: Endpoint):
-    """The interval's endpoints, lower coordinate first."""
-    return (hi, lo) if model.coordinate_reversed else (lo, hi)
 
 
 def overlap_matrix(model: DiffusionModel, n_max: int, x_lo: float, x_hi: float) -> np.ndarray:
@@ -463,26 +404,16 @@ def overlap_matrix(model: DiffusionModel, n_max: int, x_lo: float, x_hi: float) 
 
 
 def _overlap_apply(
-    model: DiffusionModel,
-    n_rows: int,
-    x_lo: float | Endpoint,
-    x_hi: float | Endpoint,
-    weights: np.ndarray,
+    model: DiffusionModel, n_rows: int, x_lo: float, x_hi: float, weights: np.ndarray
 ) -> np.ndarray:
     """Rows 0..n_rows of overlap(x_lo, x_hi) @ weights, the block having one
     column per row of ``weights`` (a vector, or a matrix of columns)."""
-    lo, hi = _endpoint(model, x_lo), _endpoint(model, x_hi)
-    if lo.x == hi.x:
+    if x_lo == x_hi:
         return np.zeros((n_rows + 1,) + weights.shape[1:])
-    lo, hi = _coordinate_order(model, lo, hi)
+    lo, hi = Endpoint(model, x_lo), Endpoint(model, x_hi)
+    if model.coordinate_reversed:  # take the ends in coordinate order
+        lo, hi = hi, lo
     return hi.apply(n_rows, weights) - lo.apply(n_rows, weights)
-
-
-def _closed_form_strike(
-    model: DiffusionModel, n_max: int, lo: Endpoint, hi: Endpoint, delta: float
-) -> np.ndarray:
-    lo, hi = _coordinate_order(model, lo, hi)
-    return hi.bond(n_max, delta) - lo.bond(n_max, delta)
 
 
 def _expansion_weights(
@@ -508,42 +439,21 @@ def _expansion_weights(
     return cut
 
 
-def _expansion_strike(
-    model: DiffusionModel,
-    sub: SubordinatorSpec,
-    n_max: int,
-    lo: Endpoint,
-    hi: Endpoint,
-    delta: float,
-    eps: float,
-) -> np.ndarray:
-    return _overlap_apply(model, n_max, lo, hi, _expansion_weights(model, sub, delta, eps))
-
-
 def strike_projection(
     model: DiffusionModel,
     sub: SubordinatorSpec,
     n_max: int,
-    x_lo: float | Endpoint,
-    x_hi: float | Endpoint,
+    x_lo: float,
+    x_hi: float,
     delta: float,
     eps: float = 1e-10,
 ) -> np.ndarray:
-    """Projections strike_n(x_lo, x_hi) of the delta-discounted unit payoff.
-
-    An affine model on the plain clock integrates its exponential-affine
-    bond in closed form; otherwise the bond is expanded in eigenfunctions,
-    with the inner sum cut by the same adaptive rule as the pricer.  Either
-    endpoint may be an ``Endpoint`` whose row or node matrix other integrals
-    share.
-    """
+    """Projections strike_n(x_lo, x_hi) of the delta-discounted unit payoff:
+    the overlap over the interval applied to the expansion of P(delta, .),
+    its inner sum cut by the same adaptive rule as the pricer's
+    (``_expansion_weights``), under every model and clock."""
     series.check_eps(eps)
-    lo, hi = _endpoint(model, x_lo), _endpoint(model, x_hi)
-    _check_interval(model, lo.x, hi.x)
+    _check_interval(model, x_lo, x_hi)
     if delta < 0.0:
         raise ValidationError(f"notice period must be >= 0, got {delta}")
-    if lo.x == hi.x:
-        return np.zeros(n_max + 1)
-    if sub.is_trivial and model.affine:
-        return _closed_form_strike(model, n_max, lo, hi, delta)
-    return _expansion_strike(model, sub, n_max, lo, hi, delta, eps)
+    return _overlap_apply(model, n_max, x_lo, x_hi, _expansion_weights(model, sub, delta, eps))

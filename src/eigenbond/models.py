@@ -41,9 +41,10 @@ still evaluate.
 The pricer and the integral tables (``coeffs``) run the same code for every
 model; what differs between the diffusions is read from these facts:
 
-* ``affine``: whether ``affine_bond_factors`` (and so ``closed_form_bond``
-  and ``strike_factors``, the tilt and the one log factor of the
-  closed-form strike projection) exist;
+* ``affine``: whether ``affine_bond_factors`` (and so ``closed_form_bond``)
+  exist, which the break-even search takes for its notice-period bond on
+  the plain clock, and whether a call region may cover the whole search
+  interval;
 * ``search_interval(n_supply)``: the states a break-even search may probe
   and the first upper end of its walk when no earlier state starts it;
 * ``polynomial_family`` ("laguerre" or "hermite") and
@@ -278,8 +279,8 @@ class DiffusionModel:
 
     @cached_property
     def _expansion_weights(self) -> dict[tuple, np.ndarray]:
-        """Expansion-route strike weights by (clock, notice period, eps);
-        filled on demand by ``coeffs``, like ``_jacobi_rules``."""
+        """Strike-leg weights p_m e^{-phi(lambda_m) delta} by (clock, notice
+        period, eps); filled on demand by ``coeffs``, like ``_jacobi_rules``."""
         return {}
 
     @cached_property
@@ -291,13 +292,6 @@ class DiffusionModel:
     @property
     def overlap_log_constant(self) -> float:
         """log of the factor, besides N_m N_n, from pair to overlap integrals."""
-        raise NotImplementedError
-
-    def strike_factors(self, delta: float) -> tuple[float, float]:
-        """(s, a): the tilt s of the family's exp integrals and the log
-        factor a, the same for every degree, that with the norm and overlap
-        constants turn them into the closed-form strike leg of P(delta, .)
-        (a = log A(delta) on CIR; see ``coeffs.Endpoint.bond``)."""
         raise NotImplementedError
 
     # --- densities and bonds ----------------------------------------------
@@ -423,12 +417,6 @@ class CIRModel(DiffusionModel):
         b_fac = 2.0 * egt / denom
         return a_fac, b_fac
 
-    def strike_factors(self, delta: float) -> tuple[float, float]:
-        a_fac, b_fac = self.affine_bond_factors(delta)
-        g = self.gamma
-        tilt = b_fac * self.sigma**2 / (2.0 * g) + (self.kappa + g) / (2.0 * g)
-        return tilt, math.log(a_fac)
-
 
 # ---------------------------------------------------------------------------
 
@@ -527,13 +515,6 @@ class VasicekModel(DiffusionModel):
             - s2 * b_fac * b_fac / (4.0 * k)
         )
         return a_fac, b_fac
-
-    def strike_factors(self, delta: float) -> tuple[float, float]:
-        a_fac, b_fac = self.affine_bond_factors(delta)
-        a, root_k = self.hermite_shift, math.sqrt(self.kappa)
-        tilt = a - b_fac * self.sigma / root_k
-        log_a = math.log(a_fac) - 0.5 * a * a - b_fac * (self.theta - a * self.sigma / root_k)
-        return tilt, log_a
 
 
 # ---------------------------------------------------------------------------

@@ -11,10 +11,13 @@ The bond value at issue is built in three moves:
     discounted put price rises above it; both break-even states are found
     by one bracket walk, started at the previous date's state of the same
     kind (or at the bottom of the search interval), and Brent.  The
-    new coefficient vector is assembled from strike projections over the
-    exercise regions, the overlap matrix over the hold region (applied to
-    the coefficients, never formed at a Gauss-Jacobi endpoint; see
-    ``coeffs``), and the coupon term.
+    new coefficient vector sums, over the regions, the overlap over the
+    region applied to its payoff (the strike times the expansion of
+    P(delta, .) over an exercise region, the continuation coefficients
+    over the hold region), plus the coupon term.  The sum telescopes to
+    one overlap apply per finite break-even state (``_Engine._assemble``;
+    the overlap is never formed at a Gauss-Jacobi endpoint, see
+    ``coeffs``).
 3.  At issue the value is the series at the first decision time plus the
     closed-form (or expansion) present value of the protected coupons.
 
@@ -455,6 +458,13 @@ class _RootFinder:
 # ---------------------------------------------------------------------------
 
 
+def _resized(vector: np.ndarray, size: int) -> np.ndarray:
+    """A copy of ``vector`` cut or zero-padded to ``size`` entries."""
+    out = np.zeros(size)
+    out[: min(size, vector.size)] = vector[:size]
+    return out
+
+
 class _Engine:
     def __init__(
         self,
@@ -568,29 +578,39 @@ class _Engine:
         return new
 
     def _assemble(self, i, n_rows, x_call, x_put, prev_weights) -> np.ndarray:
+        """Rows 0..n_rows of the coefficient vector carried from date i.
+
+        Each region's payoff is a coefficient vector: K e over an exercise
+        region (e the expansion of P(delta, .)) and the hold weights w in
+        between.  With A_x the overlap from the bottom of the coordinate to
+        x (0 at the bottom, I at the top), the sum over the regions of
+        (A_end - A_start) g telescopes into the payoff at the top of the
+        coordinate plus one apply per finite break-even state, on the jump
+        of the payoff across it:
+
+            new = g_top + s sum_x A_x (g_left(x) - g_right(x)) + coupon term,
+
+        where s = +1 when the coordinate increases with the state (g_top
+        the region at ``state_hi``) and s = -1 on a reversed coordinate
+        (g_top the region at ``state_lo``).
+        """
         sched, model = self.schedule, self.model
-        # The hold overlap and the strike leg meeting at a break-even state
-        # share one polynomial table (Hermite) or one node matrix (Laguerre)
-        # there, built once per assembly pass.  The strike legs go first: an
-        # expansion leg may need a higher degree than the hold, which then
-        # reads the leading rows of the same node matrix.
-        x_c_eff = model.state_lo if x_call is None else coeffs_mod.Endpoint(model, x_call)
-        x_p_eff = model.state_hi if x_put is None else coeffs_mod.Endpoint(model, x_put)
-        legs = [
-            strike
-            * coeffs_mod.strike_projection(
-                model, self.sub, n_rows, lo, hi, sched.notice_delta, eps=self.eps
-            )
-            for strike, state, lo, hi in (
-                (sched.call_price(i), x_call, model.state_lo, x_c_eff),
-                (sched.put_price(i), x_put, x_p_eff, model.state_hi),
-            )
-            if state is not None
-        ]
-        new = coeffs_mod._overlap_apply(model, n_rows, x_c_eff, x_p_eff, prev_weights)
-        for leg in legs:
-            new = new + leg
-        return new + sched.coupon * self.basis.unit_weights(sched.notice_delta, n_rows)
+        strike = coeffs_mod._expansion_weights(model, self.sub, sched.notice_delta, self.eps)
+        states, payoffs = [], [prev_weights]  # in state order
+        if x_call is not None:
+            states.insert(0, x_call)
+            payoffs.insert(0, sched.call_price(i) * strike)
+        if x_put is not None:
+            states.append(x_put)
+            payoffs.append(sched.put_price(i) * strike)
+        sign, top = (-1.0, payoffs[0]) if model.coordinate_reversed else (1.0, payoffs[-1])
+        new = _resized(top, n_rows + 1)
+        new += sched.coupon * self.basis.unit_weights(sched.notice_delta, n_rows)
+        for x, left, right in zip(states, payoffs, payoffs[1:]):
+            size = max(left.size, right.size)
+            jump = _resized(left, size) - _resized(right, size)
+            new += sign * coeffs_mod.Endpoint(model, x).apply(n_rows, jump)
+        return new
 
     # -- full run --------------------------------------------------------------
 

@@ -336,10 +336,11 @@ def invert_short_rate(
     A bracket that encloses its quote is kept on the model per clock
     (read-only).  A later quote inside a kept bracket skips the series
     resolution: its coefficients find the cell of the walk's first grid
-    that holds the quote (checked by the signs of the gap at its ends),
-    and Brent runs in that cell, so the state is the walk's to a few ulps.
-    When the quote is not in that grid, the quote walks as if nothing
-    were kept.  A refused quote keeps nothing.
+    that holds the quote (checked by the signs of the gap at its ends,
+    which must lie inside the kept states), and Brent runs in that cell,
+    so the state is the walk's to a few ulps.  When the quote is not in
+    that grid, or the cell reaches past the kept states, the quote walks
+    as if nothing were kept.  A refused quote keeps nothing.
     """
     if sub.is_trivial:
         return float(rate)
@@ -353,8 +354,10 @@ def invert_short_rate(
         gap = _gap(model, sub, coefficients, rate)
         grid = np.linspace(*_first_ends(model, rate), _BRACKET_GRID)
         cell = int(np.clip(np.searchsorted(grid, np.interp(rate, rates, xs)), 1, _BRACKET_GRID - 1))
-        if gap(grid[cell - 1]) < 0.0 <= gap(grid[cell]):
-            return float(brentq(gap, grid[cell - 1], grid[cell], xtol=_STATE_TOL))
+        lo, hi = grid[cell - 1], grid[cell]
+        # the kept coefficients are resolved over xs only
+        if xs[0] <= lo and hi <= xs[-1] and gap(lo) < 0.0 <= gap(hi):
+            return float(brentq(gap, lo, hi, xtol=_STATE_TOL))
 
     xs, coefficients, rates = bracket = _walk_bracket(model, sub, rate)
     if kept is None and rates[0] <= rate <= rates[-1]:

@@ -36,18 +36,6 @@ def _hermite_norm(n: int) -> float:
     return math.sqrt(math.sqrt(math.pi) * 2.0**n * math.factorial(n))
 
 
-def _closed(model, n, lo, hi, delta=DELTA):
-    """The closed-form strike projection, called directly."""
-    ends = (coeffs.Endpoint(model, lo), coeffs.Endpoint(model, hi))
-    return coeffs._closed_form_strike(model, n, *ends, delta)
-
-
-def _expanded(model, sub, n, lo, hi, eps, delta=DELTA):
-    """The expansion strike projection, called directly."""
-    ends = (coeffs.Endpoint(model, lo), coeffs.Endpoint(model, hi))
-    return coeffs._expansion_strike(model, sub, n, *ends, delta, eps)
-
-
 # ---------------------------------------------------------------------------
 # Laguerre pair integrals
 # ---------------------------------------------------------------------------
@@ -402,18 +390,27 @@ def test_strike_zero_notice_is_unit_coeffs():
 
 
 def test_strike_route_cross_check():
-    # b = 160: the closed form's factors (~1e-420) underflow on their own
-    # while its exp integrals are ~e^629; the projections are ~1e-138
+    # the plain-clock strike legs of the affine models against quadrature in
+    # the state of the closed-form bond; b = 160: the projections are
+    # ~1e-138, so the integrand is taken relative to sqrt(speed mass)
     b160 = CIRModel(kappa=1.0, theta=0.05, sigma=0.025)
     for model, lo, hi in ((CIR, 0.0, 0.04), (VAS, -0.2, 0.03), (b160, 0.0, 0.05)):
-        closed = _closed(model, 10, lo, hi)
-        expanded = _expanded(model, NONE, 10, lo, hi, 1e-12)
-        scale = min(1.0, float(np.max(np.abs(expanded))))
-        assert np.max(np.abs(closed - expanded)) <= 1e-8 * scale
+        got = coeffs.strike_projection(model, NONE, 10, lo, hi, DELTA, eps=1e-12)
+        scale = float(np.max(np.abs(got)))
+        root_mass = math.exp(0.5 * model.log_speed_mass())
+        if model is VAS:
+            root = lambda x: math.sqrt(model.speed_density(x)) / root_mass
+        else:
+            root = lambda x: _root_speed(model, x) / root_mass
+        bond = lambda x: float(model.closed_form_bond(DELTA, x))
+        for k in range(11):
+            f = lambda x: bond(x) * model.eigenfunctions(10, x)[k] * root(x) ** 2
+            ref = quad(f, lo, hi) * root_mass**2
+            assert abs(got[k] - ref) <= 1e-11 * scale, (model, k)
 
 
 def test_strike_against_quadrature():
-    spj = _closed(CIR, 4, 0.0, 0.0412)
+    spj = coeffs.strike_projection(CIR, NONE, 4, 0.0, 0.0412, DELTA, eps=1e-12)
     f = lambda z: (
         float(CIR.closed_form_bond(DELTA, z))
         * CIR.eigenfunctions(4, z)[4]
@@ -427,7 +424,7 @@ def test_strike_partial_sums_reproduce_indicator_bond():
     # P(delta, z) 1_(lo,hi)(z); the sharp indicator makes this a slow
     # Fourier-type limit, so assert the measured decay, not a fantasy rate
     lo, hi = 0.01, 0.09
-    spj = _closed(CIR, 160, lo, hi)
+    spj = coeffs.strike_projection(CIR, NONE, 160, lo, hi, DELTA, eps=1e-12)
     # interior point: raw partial sums settle toward the bond value
     phi_in = CIR.eigenfunctions(160, 0.05)
     partial_in = np.cumsum(spj * phi_in)
@@ -477,64 +474,13 @@ def _closed_overlap(model, n, x_lo, x_hi):
 
 
 def _strike_log_factors(model, n, delta=DELTA):
-    """Tilt s and the per-degree log factors a + log N_n + C that turn the
-    closed-form Laguerre exp integrals into strike projections."""
-    tilt, a = model.strike_factors(delta)
-    return tilt, a + model.log_norm_constants(n) + model.overlap_log_constant
-
-
-@pytest.mark.parametrize("model", (CIR, VAS, B250), ids=("cir", "vasicek", "cir_b250"))
-def test_top_end_strike_leg_is_the_full_line_table(model):
-    # The top end of the closed-form strike leg is p_n e^{-lambda_n delta},
-    # the expansion of P(delta, .); it equals the full-line exp tables times
-    # the per-degree factors.
-    n = 40
-    top = _closed(model, n, model.state_lo, model.state_hi)
-    tilt, a = model.strike_factors(DELTA)
-    if model is VAS:
-        factor = math.exp(a + 0.5 * model.overlap_log_constant)
-        ref = factor * coeffs.hermite_exp_integrals_at_infinity(n, tilt)
-    elif model is CIR:
-        _, log_factors = _strike_log_factors(model, n)
-        table = coeffs.laguerre_exp_integrals_at_infinity(n, model.laguerre_order, tilt)
-        ref = table * np.exp(log_factors)
-    if model is not B250:
-        np.testing.assert_allclose(top, ref, rtol=1e-12, atol=0.0)
-        return
-    # b = 250: the table leaves double range (Gamma(250) ~ 1e490) while the
-    # leg is ~1e-216, so the two meet in log space, where log terms of size
-    # ~1e3 cancel
-    _, log_factors = _strike_log_factors(model, n)
-    k = np.arange(n + 1, dtype=float)
-    alpha = model.laguerre_order
-    log_ref = (
-        sp.gammaln(alpha + k + 1.0)
-        - sp.gammaln(k + 1.0)
-        + k * math.log(abs(tilt - 1.0))
-        - (alpha + k + 1.0) * math.log(tilt)
-        + log_factors
-    )
-    sign = np.where(k % 2 == 0, 1.0, -1.0) if tilt < 1.0 else np.ones(n + 1)
-    normal = log_ref > -650.0  # the leg holds no subnormals there
-    assert normal.sum() >= 20
-    np.testing.assert_array_equal(np.sign(top[normal]), sign[normal])
-    np.testing.assert_allclose(np.log(np.abs(top[normal])), log_ref[normal], rtol=0.0, atol=1e-10)
-
-
-def _closed_strike(model, n, x_lo, x_hi):
-    alpha = model.laguerre_order
-    tilt, log_pref = _strike_log_factors(model, n)
-
-    def exp(z):
-        if z == 0.0:
-            return np.zeros(n + 1)
-        if z == math.inf:
-            return coeffs.laguerre_exp_integrals_at_infinity(n, alpha, tilt)
-        return coeffs.laguerre_exp_integrals(n, alpha, tilt, z)
-
-    z_lo, z_hi = _coordinates(model, x_lo, x_hi)
-    mantissa, power = np.frexp(exp(z_hi) - exp(z_lo))
-    return mantissa * np.exp(log_pref + power * math.log(2.0))
+    """Tilt s and the per-degree log factors log A(delta) + log N_n + C that
+    turn the closed-form Laguerre exp integrals into the strike projections
+    of the CIR bond A(delta) e^{-B(delta) x}."""
+    a_fac, b_fac = model.affine_bond_factors(delta)
+    g = model.gamma
+    tilt = b_fac * model.sigma**2 / (2.0 * g) + (model.kappa + g) / (2.0 * g)
+    return tilt, math.log(a_fac) + model.log_norm_constants(n) + model.overlap_log_constant
 
 
 def _closed_expansion_strike(model, sub, n, x_lo, x_hi, eps):
@@ -572,19 +518,15 @@ def test_gauss_jacobi_overlap_matches_closed_form(model, n, zs):
 def test_gauss_jacobi_strike_matches_closed_form(model, n, zs):
     # Interval integrals are differences of integrals from the bottom of the
     # coordinate, so both routes are accurate relative to the whole-space
-    # projection, not to a small difference.
-    full = np.max(np.abs(coeffs.strike_projection(model, JD, n, 0.0, math.inf, DELTA, eps=1e-12)))
-    if model.affine:
-        full_closed = np.max(np.abs(coeffs.strike_projection(model, NONE, n, 0.0, math.inf, DELTA)))
-    for z in zs:
-        for lo, hi in _intervals(model, z):
-            got = coeffs.strike_projection(model, JD, n, lo, hi, DELTA, eps=1e-12)
-            ref = _closed_expansion_strike(model, JD, n, lo, hi, 1e-12)
-            assert np.max(np.abs(got - ref)) <= 1e-12 * full, (z, lo, hi)
-            if model.affine:
-                got = _closed(model, n, lo, hi)
-                ref = _closed_strike(model, n, lo, hi)
-                assert np.max(np.abs(got - ref)) <= 1e-12 * full_closed, (z, lo, hi)
+    # projection, not to a small difference.  The plain clock takes the same
+    # route as the jump clock.
+    for sub in (JD, NONE):
+        full = np.max(np.abs(coeffs.strike_projection(model, sub, n, 0.0, math.inf, DELTA, eps=1e-12)))
+        for z in zs:
+            for lo, hi in _intervals(model, z):
+                got = coeffs.strike_projection(model, sub, n, lo, hi, DELTA, eps=1e-12)
+                ref = _closed_expansion_strike(model, sub, n, lo, hi, 1e-12)
+                assert np.max(np.abs(got - ref)) <= 1e-12 * full, (sub, z, lo, hi)
 
 
 def _mp_laguerre(n, a, u):
@@ -620,14 +562,14 @@ def test_gauss_jacobi_entries_against_mpmath():
         got = coeffs.overlap_matrix(model, n, lo, hi)[m, n]
         assert got == pytest.approx(ref, rel=1e-12, abs=1e-15), (model.kind, m, n, z)
 
-    # the closed-form strike leg of the benchmark CIR at one entry
+    # the plain-clock strike leg of the benchmark CIR at one entry
     n, z = 6, 3.0
     tilt, log_pref = _strike_log_factors(CIR, n)
     with mpmath.workdps(20):
         a = mpmath.mpf(CIR.laguerre_order)
         g = lambda u: mpmath.exp(-tilt * u) * _mp_laguerre(n, a, u)
         ref = float(_mp_weighted_integral(g, CIR.laguerre_order, z) * mpmath.exp(log_pref[n]))
-    got = _closed(CIR, n, 0.0, _state_at(CIR, z))
+    got = coeffs.strike_projection(CIR, NONE, n, 0.0, _state_at(CIR, z), DELTA, eps=1e-12)
     assert got[n] == pytest.approx(ref, rel=1e-12, abs=1e-15)
 
 
@@ -656,8 +598,9 @@ def test_integrals_beyond_the_gamma_range_against_quadrature_in_the_state(model,
         for m, k in ((0, 0), (3, 7), (5, 11), (12, 12)):
             ref = quad(lambda x: phi(x)[m] * phi(x)[k], lo, hi)
             assert gram[m, k] == pytest.approx(ref, abs=1e-12), (lo, hi, m, k)
-    # the strike legs: closed form on CIR, the expansion on 3/2; their scale
-    # is sqrt(speed mass), e^{-498} for b = 250 and e^{+366} for order 402
+    # the strike legs, against the closed-form bond on CIR and the series
+    # bond on 3/2; their scale is sqrt(speed mass), e^{-498} for b = 250 and
+    # e^{+366} for order 402
     if model.affine:
         bond = lambda x: float(model.closed_form_bond(DELTA, x))
     else:

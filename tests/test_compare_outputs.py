@@ -69,6 +69,18 @@ def test_each_breach_is_reported():
     assert "FAILED: value" in compare_outputs.report(summary)
 
 
+def test_value_differences_are_reported_in_units_of_each_runs_eps():
+    # 2e-8 is 0.2 eps of a run at 1e-7; 5e-13 is 0.5 eps of a run at 1e-12
+    parent = {"coarse": _run(), "fine": {**_run(), "eps": 1e-12}}
+    change = {"coarse": _run(values=(1.0 + 2e-8, 2.0)),
+              "fine": {**_run(values=(1.0, 2.0 + 5e-13)), "eps": 1e-12}}
+    summary = compare_outputs.compare(parent, change)
+    assert summary["worst"]["value"] == (pytest.approx(2e-8, rel=1e-6), "coarse")
+    assert summary["worst"]["value_eps"] == (pytest.approx(0.5, rel=1e-3), "fine")
+    assert summary["failed"] == ["value"]  # the bound stays on the absolute difference
+    assert "max |value diff| / eps = 0.5 at fine" in compare_outputs.report(summary)
+
+
 def test_quote_states_are_held_to_the_inversion_tolerance():
     # 2e-12 passes the pricer's STATE_TOL but not the inversion's xtol
     parent = {"a": _run(), "b": _run()}

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from eigenbond import benchmark, series
 from eigenbond.errors import BracketError, ConvergenceError, ValidationError
@@ -555,6 +557,109 @@ def test_one_polynomial_table_per_break_even_state_per_pass(monkeypatch, model, 
     assert max(built for built, _ in passes) == (1 if schedule.put_prices is None else 2)
     assert all(built == 2 - missing for built, missing in passes)
     assert len(builds) == sum(built for built, _ in passes)  # none outside assembly
+
+
+@pytest.mark.parametrize(
+    "model,sub,schedule",
+    (
+        (CIR, NONE, SWISS_PUT),
+        (VAS, JD, SWISS_PUT),
+        (TH, JD, SWISS),
+        # b = 160 near 0.005: a call region over the whole search interval,
+        # whose state is finite too
+        (CIRModel(kappa=10.0, theta=0.005, sigma=0.025), NONE, SWISS_PUT),
+    ),
+    ids=("cir_call_put", "subvasicek_jd_call_put", "three_halves_jd_callable", "cir_whole_interval"),
+)
+def test_one_overlap_apply_per_break_even_state_per_pass(monkeypatch, model, sub, schedule):
+    from eigenbond import coeffs, pricer
+
+    applies = []
+    apply = coeffs.Endpoint.apply
+    monkeypatch.setattr(
+        coeffs.Endpoint, "apply", lambda self, *args: applies.append(self.x) or apply(self, *args)
+    )
+    passes = []  # (states applied, finite break-even states) per assembly pass
+    assemble = pricer._Engine._assemble
+
+    def counted(self, i, n_rows, x_call, x_put, prev_weights):
+        before = len(applies)
+        new = assemble(self, i, n_rows, x_call, x_put, prev_weights)
+        passes.append((applies[before:], [x for x in (x_call, x_put) if x is not None]))
+        return new
+
+    monkeypatch.setattr(pricer._Engine, "_assemble", counted)
+    result = price_bond(model, sub, schedule, [0.05], eps=1e-7)
+    assert len(passes) >= len(schedule.exercise_indices)
+    assert all(applied == finite for applied, finite in passes)
+    assert len(applies) == sum(len(finite) for _, finite in passes)  # none outside assembly
+    if model.theta == 0.005:
+        hi = model.search_interval(0)[2]
+        assert all(state == (hi, None) for state in result.break_even_states)
+
+
+def _assembly_reference(engine, i, n_rows, x_call, x_put, weights):
+    """The carried vector region by region: the hold overlap applied to w,
+    the strike legs and the coupon term."""
+    from eigenbond import coeffs
+
+    model, sched = engine.model, engine.schedule
+    lo = model.state_lo if x_call is None else x_call
+    hi = model.state_hi if x_put is None else x_put
+    n = max(n_rows, weights.size - 1)
+    out = coeffs.overlap_matrix(model, n, lo, hi)[: n_rows + 1, : weights.size] @ weights
+    for strike, state, a, b in (
+        (sched.call_price(i), x_call, model.state_lo, x_call),
+        (sched.put_price(i), x_put, x_put, model.state_hi),
+    ):
+        if state is not None:
+            leg = coeffs.strike_projection(
+                model, engine.sub, n_rows, a, b, sched.notice_delta, eps=engine.eps
+            )
+            out = out + strike * leg
+    return out + sched.coupon * engine.basis.unit_weights(sched.notice_delta, n_rows)
+
+
+_ASSEMBLY_MODELS = {
+    "cir": (CIR, NONE),
+    "vasicek": (VAS, NONE),
+    "subvasicek_jd": (VAS, JD),
+    "three_halves": (TH, NONE),
+}
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    config=st.sampled_from(sorted(_ASSEMBLY_MODELS)),
+    call=st.one_of(st.none(), st.just("whole"), st.floats(0.0, 1.0)),
+    put=st.one_of(st.none(), st.floats(0.0, 1.0)),
+    size=st.integers(3, 60),
+    ratio=st.floats(0.3, 0.9),
+    n_rows=st.integers(16, 64),
+    seed=st.integers(0, 2**16),
+)
+def test_telescoping_assembly_equals_the_region_sum(config, call, put, size, ratio, n_rows, seed):
+    from eigenbond import coeffs, pricer
+
+    model, sub = _ASSEMBLY_MODELS[config]
+    engine = pricer._Engine(model, sub, SWISS_PUT, eps=1e-7, check_single_crossing=False)
+    lo, _, hi = model.search_interval(size - 1)
+    x_call = None if call is None else hi if call == "whole" else lo + call * (hi - lo)
+    x_put = None if put is None else lo + put * (hi - lo)
+    if x_call is not None and x_put is not None and not x_call < x_put:
+        x_put = None
+    rng = np.random.default_rng(seed)
+    weights = rng.uniform(-1.0, 1.0, size) * ratio ** np.arange(size)
+    got = engine._assemble(15, n_rows, x_call, x_put, weights)
+    ref = _assembly_reference(engine, 15, n_rows, x_call, x_put, weights)
+    assert got.shape == ref.shape == (n_rows + 1,)
+    # interval integrals are differences of integrals from the bottom of the
+    # coordinate: both sides are accurate relative to the whole-space payoffs
+    strike = coeffs.strike_projection(
+        model, sub, n_rows, model.state_lo, model.state_hi, SWISS_PUT.notice_delta, eps=1e-7
+    )
+    scale = max(np.max(np.abs(weights)), SWISS_PUT.call_price(15) * np.max(np.abs(strike)))
+    assert np.max(np.abs(got - ref)) <= 1e-12 * scale, (x_call, x_put)
 
 
 # ---------------------------------------------------------------------------

@@ -360,6 +360,29 @@ def test_a_quote_whose_cell_check_fails_walks_as_if_nothing_were_kept(monkeypatc
     assert state == invert_short_rate(_fresh(model), sub, 0.0592)
 
 
+def test_a_kept_bracket_is_not_evaluated_outside_its_states(monkeypatch):
+    # Kept from 0.03 under JD, the 3/2 bracket covers the states from 0.015;
+    # the first-grid cell of 0.016 starts at 0.008, where the kept
+    # coefficients were never resolved, so 0.016 walks instead.
+    model = _fresh(TH)
+    invert_short_rate(model, JD, 0.03)
+    (kept_xs, kept_coefficients, _), = model._short_rate_brackets[JD]
+    assert kept_xs[0] == pytest.approx(0.015, rel=1e-12)
+    kept_states = []
+
+    def spied(model, sub, coefficients, rate, _original=subordinators._gap):
+        gap = _original(model, sub, coefficients, rate)
+        if coefficients is not kept_coefficients:
+            return gap
+        return lambda state: kept_states.append(state) or gap(state)
+
+    monkeypatch.setattr(subordinators, "_gap", spied)
+    state = invert_short_rate(model, JD, 0.016)
+    assert all(kept_xs[0] <= x <= kept_xs[-1] for x in kept_states)
+    monkeypatch.undo()
+    assert abs(state - invert_short_rate(_fresh(TH), JD, 0.016)) <= 1e-12
+
+
 def test_two_clocks_on_one_model_keep_their_own_brackets():
     model = _fresh(CIR)
     jd, pj = invert_short_rate(model, JD, 0.05), invert_short_rate(model, PJ, 0.05)

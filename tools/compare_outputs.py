@@ -15,9 +15,10 @@ Per run it records the job's quote states (``job.states()``, the inverted
 quotes of a jump model), the values, the break-even states and short rates,
 the levels of every break-even evaluation (``eval_levels``), the issue-date
 levels (``value_levels``) and the assembled lengths, or the error raised.
-The comparison prints the largest differences, the mismatch counts, the
-break-even evaluations per workload (seed 5046, the job's eps) and the
-criterion-6 deviation of each side.  It exits 1 when values differ by more
+The comparison prints the largest differences (of values also in units of
+each run's eps), the mismatch counts, the break-even evaluations per
+workload (seed 5046, the job's eps) and the criterion-6 deviation of each
+side.  It exits 1 when values differ by more
 than ``VALUE_TOL``, quote states by more than ``QUOTE_STATE_TOL``,
 break-even states or rates by more than ``STATE_TOL``, the None pattern,
 the assembled lengths, the dates, the quote counts or the errors differ, or
@@ -114,7 +115,7 @@ def _max_diff(worst: dict, key: str, a: float, b: float, label: str) -> None:
 
 def compare(parent: dict, change: dict) -> dict:
     """Largest differences and mismatch counts of two dumps."""
-    worst = {key: (0.0, None) for key in ("value", "quote_state", "state", "rate")}
+    worst = {key: (0.0, None) for key in ("value", "value_eps", "quote_state", "state", "rate")}
     counts = dict.fromkeys(
         ("missing", "errors", "quotes", "dates", "none_pattern", "assembled", "value_levels",
          "eval_levels"), 0
@@ -141,6 +142,7 @@ def compare(parent: dict, change: dict) -> dict:
             continue
         for x, y in zip(a["values"], b["values"]):
             _max_diff(worst, "value", x, y, label)
+            _max_diff(worst, "value_eps", x / a["eps"], y / a["eps"], label)
         quotes_a, quotes_b = a.get("quote_states", []), b.get("quote_states", [])
         counts["quotes"] += len(quotes_a) != len(quotes_b)
         for x, y in zip(quotes_a, quotes_b):
@@ -188,6 +190,8 @@ def report(summary: dict) -> str:
     for key, tol in bounds:
         diff, label = summary["worst"][key]
         lines.append(f"max |{key} diff| = {diff:.3g} (bound {tol:g}) at {label}")
+    diff, label = summary["worst"]["value_eps"]
+    lines.append(f"max |value diff| / eps = {diff:.3g} at {label}")
     counts = summary["counts"]
     lines.append("mismatches: " + ", ".join(f"{k} {v}" for k, v in counts.items()))
     for workload in sorted(set(summary["evaluations"]["parent"]) | set(summary["evaluations"]["change"])):
