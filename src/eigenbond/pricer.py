@@ -19,12 +19,13 @@ The bond value at issue is built in three moves:
     the overlap is never formed at a Gauss-Jacobi endpoint, see
     ``coeffs``).
 3.  At issue the value is the series at the first decision time plus the
-    closed-form (or expansion) present value of the protected coupons.
+    protected coupons, one series over their summed weights.
 
-Each quantity has one evaluator.  ``_discount_bond`` gives x -> P(t, x)
-for the notice-period bond of the strike comparisons and for every
-protected coupon: the closed form on an affine model with the plain clock,
-else the growing-supply series.  Continuation values and break-even states
+Each quantity has one evaluator.  ``_discount_bond`` gives
+x -> sum_j a_j P(t_j, x) over cash flows ((t_j, a_j), ...), for the
+notice-period bond of the strike comparisons and for all the protected
+coupons at once: the closed form on an affine model with the plain clock,
+else one growing-supply series.  Continuation values and break-even states
 are computed only inside the recursion (``_Engine``); the public entry
 points are ``price_bond`` and ``zero_coupon_price``.  Brent closes every
 break-even search to ``TOL_X``.
@@ -34,14 +35,13 @@ look-ahead rule of ``series``, streamed: the terms w_n phi_n(x) are drawn
 one at a time from the model's recurrence (``eigenfunction_terms``) until
 the rule fires, with no term array built.  The weights w_n are plain float
 lists: the continuation weights once per date, and for the growing-supply
-series scale p_n e^{-phi(lambda_n) t}, cached by ``SpectralBasis`` per
-(t, scale) and grown by doubling only when a series runs past them.  The
-coefficients carried from one date to
-the next are a plain array, cut separately, by the decay of their own
-next-stage term weights: exercise kinks give the assembled value function
-slower coefficient decay than the series evaluations that located the
-boundaries, so the two depths are controlled independently (see
-``ASSEMBLY_TAIL_MARGIN``).
+series sum_j a_j p_n e^{-phi(lambda_n) t_j}, cached by ``SpectralBasis``
+per cash-flow set and grown by doubling only when a series runs past them.
+The coefficients carried from one date to the next are a plain array, cut
+separately, by the decay of their own next-stage term weights: exercise
+kinks give the assembled value function slower coefficient decay than the
+series evaluations that located the boundaries, so the two depths are
+controlled independently (see ``ASSEMBLY_TAIL_MARGIN``).
 """
 
 from __future__ import annotations
@@ -235,8 +235,8 @@ class PricingResult:
 
 
 class SpectralBasis:
-    """Grow-on-demand eigenvalues, subordinate eigenvalues, and unit coefficients,
-    with the weight lists of the growing-supply series cached per (t, scale)."""
+    """Grow-on-demand subordinate eigenvalues and unit coefficients, with the
+    weight lists of the growing-supply series cached per cash-flow set."""
 
     def __init__(self, model: DiffusionModel, sub: SubordinatorSpec):
         self.model = model
@@ -250,16 +250,16 @@ class SpectralBasis:
                 f"{model.eigenvalue(0):.6g}: {exc}"
             ) from exc
         self._grow(64)
-        self._pools: dict[tuple[float, float], list[float]] = {}
+        self._pools: dict[tuple[tuple[float, float], ...], list[float]] = {}
 
     def _grow(self, n_hi: int) -> None:
-        self.lam = np.asarray(self.model.eigenvalues(n_hi), dtype=float)
-        self.philam = np.asarray(laplace_exponent(self.sub, self.lam), dtype=float)
+        lam = np.asarray(self.model.eigenvalues(n_hi), dtype=float)
+        self.philam = np.asarray(laplace_exponent(self.sub, lam), dtype=float)
         self.p = self.model.unit_payoff_coefficients(n_hi)
 
     def ensure(self, n_hi: int) -> None:
-        if n_hi >= self.lam.size:
-            self._grow(max(n_hi, 2 * (self.lam.size - 1)))
+        if n_hi >= self.philam.size:
+            self._grow(max(n_hi, 2 * (self.philam.size - 1)))
 
     def unit_weights(self, t: float, n_hi: int) -> np.ndarray:
         """p_n e^{-phi(lambda_n) t} for n = 0..n_hi."""
@@ -270,16 +270,17 @@ class SpectralBasis:
         self.ensure(n_hi)
         return np.exp(-self.philam[: n_hi + 1] * t)
 
-    def pool_weights(self, t: float, scale: float, n_hi: int) -> list[float]:
-        """scale p_n e^{-phi(lambda_n) t} as a float list of at least n_hi + 1
-        entries, cached per (t, scale); a miss doubles the cached list, up
-        to ``POOL_CAP``."""
-        weights = self._pools.get((t, scale))
+    def pool_weights(self, flows: tuple[tuple[float, float], ...], n_hi: int) -> list[float]:
+        """sum_j a_j p_n e^{-phi(lambda_n) t_j} over the cash flows ((t_j, a_j), ...)
+        as a float list of at least n_hi + 1 entries, cached per flows tuple; a
+        miss doubles the cached list, up to ``POOL_CAP``."""
+        weights = self._pools.get(flows)
         if weights is None or len(weights) <= n_hi:
             if weights is not None:
                 n_hi = max(n_hi, min(2 * (len(weights) - 1), POOL_CAP))
-            weights = (scale * self.unit_weights(t, n_hi)).tolist()
-            self._pools[t, scale] = weights
+            zero = np.zeros(n_hi + 1)  # no flows (no protected coupons): zero weights
+            weights = sum((a * self.unit_weights(t, n_hi) for t, a in flows), zero).tolist()
+            self._pools[flows] = weights
         return weights
 
 
@@ -297,9 +298,9 @@ def _series_eval_capped(
 
 
 def _series_eval_pool(
-    basis: SpectralBasis, t: float, x: float, eps: float, scale: float = 1.0
+    basis: SpectralBasis, flows: tuple[tuple[float, float], ...], x: float, eps: float
 ) -> tuple[float, int]:
-    """Truncated sum_n scale p_n e^{-phi(lambda_n) t} phi_n(x), growing supply.
+    """Truncated sum_n w_n phi_n(x) over the weights w of ``pool_weights``, growing supply.
 
     The series is offered the basis's whole cached weight list: the level
     where the rule first fires does not depend on how far the supply
@@ -307,7 +308,7 @@ def _series_eval_pool(
     """
     n_hi = 32
     while True:
-        weights = basis.pool_weights(t, scale, n_hi)
+        weights = basis.pool_weights(flows, n_hi)
         n_hi = len(weights) - 1
         terms = map(mul, weights, basis.model.eigenfunction_terms(n_hi, x))
         value, level, converged = series.truncate_stream(terms, eps)
@@ -315,7 +316,7 @@ def _series_eval_pool(
             return value, level
         if n_hi >= POOL_CAP:
             raise ConvergenceError(
-                f"eigenfunction series at t={t}, x={x} not converged by n={POOL_CAP}"
+                f"series of the cash flows {flows} at x={x} not converged by n={POOL_CAP}"
             )
         n_hi = min(2 * n_hi, POOL_CAP)
 
@@ -339,18 +340,23 @@ def zero_coupon_price(
     if not (math.isfinite(x) and model.contains(x)):
         raise ValidationError(f"state {x} outside the {model.kind} state space or not finite")
     basis = SpectralBasis(model, sub)
-    value, _ = _series_eval_pool(basis, t, x, eps)
+    value, _ = _series_eval_pool(basis, ((t, 1.0),), x, eps)
     return value
 
 
-def _discount_bond(basis: SpectralBasis, t: float, eps: float):
-    """x -> P(t, x): the affine closed form on the plain clock, else the
-    growing-supply eigenfunction series."""
+def _discount_bond(basis: SpectralBasis, flows: tuple[tuple[float, float], ...], eps: float):
+    """x -> sum_j a_j P(t_j, x) over the cash flows ((t_j, a_j), ...): the
+    affine closed form on the plain clock, else one growing-supply
+    eigenfunction series over the summed weights."""
     model = basis.model
-    if basis.sub.is_trivial and model.affine:
-        a_fac, b_fac = model.affine_bond_factors(t)
+    if not (basis.sub.is_trivial and model.affine):
+        return lambda x: _series_eval_pool(basis, flows, x, eps)[0]
+    legs = [(a, *model.affine_bond_factors(t)) for t, a in flows]
+    if len(legs) == 1:  # one product: the notice bond is read at every break-even evaluation
+        ((a, a_fac, b_fac),) = legs
+        a_fac *= a
         return lambda x: a_fac * math.exp(-b_fac * x)
-    return lambda x: _series_eval_pool(basis, t, x, eps)[0]
+    return lambda x: sum(a * a_fac * math.exp(-b_fac * x) for a, a_fac, b_fac in legs)
 
 
 # ---------------------------------------------------------------------------
@@ -472,7 +478,6 @@ class _Engine:
         sub: SubordinatorSpec,
         schedule: BondSchedule,
         eps: float,
-        check_single_crossing: bool,
     ):
         series.check_eps(eps)
         if schedule.protection_index < schedule.n_coupons:
@@ -485,9 +490,8 @@ class _Engine:
         self.schedule = schedule
         self.eps = eps
         self._eps_assembly = ASSEMBLY_TAIL_MARGIN * eps
-        self.check_single_crossing = check_single_crossing
         self.basis = SpectralBasis(model, sub)
-        self.pdelta = _discount_bond(self.basis, schedule.notice_delta, eps)
+        self.pdelta = _discount_bond(self.basis, ((schedule.notice_delta, 1.0),), eps)
         self.dates: list[DateRecord] = []
         # break-even states of the date stepped last, the next date's hints
         self._hints: dict[str, float | None] = {"call": None, "put": None}
@@ -511,7 +515,7 @@ class _Engine:
             prev_weights = scale * self.basis.unit_weights(h, m_cols)
 
             def cont(x: float) -> tuple[float, int]:
-                return _series_eval_pool(self.basis, h, x, self.eps, scale=scale)
+                return _series_eval_pool(self.basis, ((h, scale),), x, self.eps)
 
         else:
             m_cols = prev.size - 1
@@ -534,8 +538,6 @@ class _Engine:
                     if not self.model.affine:
                         raise BracketError("call region covers the whole search interval", i)
                     finder.scan_single_crossing(strike, False)
-                elif self.check_single_crossing:
-                    finder.scan_single_crossing(strike, states[kind] is not None)
         self._hints = states
         x_call, x_put = states["call"], states["put"]
         if x_call is not None and x_put is not None and not x_call < x_put:
@@ -629,21 +631,17 @@ class _Engine:
             start_t = sched.decision_time(sched.protection_index)
             weights0 = (coefficients * self.basis.decay(start_t, coefficients.size - 1)).tolist()
 
-        coupon_bonds = [
-            _discount_bond(self.basis, sched.coupon_time(i), self.eps)
-            for i in range(1, sched.protection_index)
-        ]
+        flows = tuple((t, sched.coupon) for t in sched.coupon_times[: sched.protection_index - 1])
+        coupon_leg = _discount_bond(self.basis, flows, self.eps)  # the protected coupons
         values = np.empty(len(initial_states))
         value_levels: list[int] = []
         for j, x0 in enumerate(initial_states):
             if coefficients is None:
-                value, level = _series_eval_pool(
-                    self.basis, sched.maturity, x0, self.eps, scale=1.0 + sched.coupon
-                )
+                redemption = ((sched.maturity, 1.0 + sched.coupon),)
+                value, level = _series_eval_pool(self.basis, redemption, x0, self.eps)
             else:
                 value, level = _series_eval_capped(self.basis, weights0, x0, self.eps)
-            coupon_leg = sum(bond(x0) for bond in coupon_bonds)
-            values[j] = value + sched.coupon * coupon_leg
+            values[j] = value + coupon_leg(x0)
             value_levels.append(level)
 
         self._map_break_even_rates()
@@ -679,14 +677,12 @@ def price_bond(
     schedule: BondSchedule,
     initial_states,
     eps: float = 1e-7,
-    check_single_crossing: bool = False,
 ) -> PricingResult:
     """Value a callable/putable bond at one or more initial states.
 
     The backward recursion over decision dates runs once; each initial
-    state then costs a single series evaluation plus the protected-coupon
-    leg.  ``check_single_crossing`` adds the 64-point sign scan behind the
-    one-root-per-date policy (slower; meant for validation runs).
+    state then costs one series evaluation plus the protected-coupon leg,
+    one more series (a closed form on an affine model with the plain clock).
     """
     initial_states = np.atleast_1d(np.asarray(initial_states, dtype=float))
     if initial_states.size == 0:
@@ -696,5 +692,5 @@ def price_bond(
             raise ValidationError(
                 f"initial state {x0} outside the {model.kind} state space or not finite"
             )
-    engine = _Engine(model, sub, schedule, eps=eps, check_single_crossing=check_single_crossing)
+    engine = _Engine(model, sub, schedule, eps=eps)
     return engine.run(initial_states)

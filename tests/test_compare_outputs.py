@@ -103,3 +103,16 @@ def test_criterion_6_deviation_past_its_bound_fails():
     assert summary["failed"] == ["criterion_6"]
     assert "change 3 (bound 2)" in compare_outputs.report(summary)
     assert compare_outputs.compare(parent, parent)["failed"] == []
+
+
+def test_runs_outside_the_bench_are_compared_but_not_counted():
+    # the straight-bond and 3/2 runs carry no seed: their values are held
+    # to the bounds, their evaluations stay out of the per-workload counts
+    def extra(**kw):
+        run = _run(workload="straight", **kw)
+        del run["seed"], run["job_eps"]
+        return run
+
+    summary = compare_outputs.compare({"s": extra()}, {"s": extra(values=(1.0 + 1e-12, 2.0))})
+    assert summary["evaluations"] == {"parent": {}, "change": {}}
+    assert summary["failed"] == ["value"]

@@ -211,13 +211,14 @@ def test_pool_series_draws_only_the_steps_the_rule_needs(monkeypatch, model):
         for t in (0.02, 0.1666, 1.0, 5.0):
             for eps in (1e-7, 1e-13):
                 steps.clear()
-                value, level = pricer._series_eval_pool(basis, t, float(x), eps)
+                flows = ((t, 1.0),)
+                value, level = pricer._series_eval_pool(basis, flows, float(x), eps)
                 assert steps[-1] == level + 3
                 # a pass before it drew the whole supply, half the grown list
-                assert len(steps) == 1 or steps[-2] == len(basis.pool_weights(t, 1.0, 0)) // 2 + 1
+                assert len(steps) == 1 or steps[-2] == len(basis.pool_weights(flows, 0)) // 2 + 1
 
     steps.clear()
-    weights = basis.pool_weights(1.0, 1.0, 0)
+    weights = basis.pool_weights(((1.0, 1.0),), 0)
     value, level = pricer._series_eval_capped(basis, weights, 0.05, 1e-9)
     assert steps == [level + 3]
 
@@ -227,12 +228,12 @@ def test_pool_series_keeps_its_depth_between_calls(monkeypatch):
 
     steps = _count_recurrence_steps(monkeypatch)
     basis = pricer.SpectralBasis(CIR, NONE)
-    value, level = pricer._series_eval_pool(basis, 0.02, 0.05, 1e-13)
+    value, level = pricer._series_eval_pool(basis, ((0.02, 1.0),), 0.05, 1e-13)
     # a first supply of 33 weights, used whole, then a list of 65 that the
     # rule stops inside
     assert steps == [33, level + 3] and level + 3 <= 65
     steps.clear()
-    assert pricer._series_eval_pool(basis, 0.02, 0.05, 1e-13) == (value, level)
+    assert pricer._series_eval_pool(basis, ((0.02, 1.0),), 0.05, 1e-13) == (value, level)
     assert steps == [level + 3]  # the cached list keeps its depth
 
 
@@ -246,14 +247,15 @@ def test_pool_series_is_the_same_for_any_cached_supply(model, sub):
     scale = 1.0425
     xs = model.stationary_distribution().ppf(np.linspace(0.02, 0.98, 9))
     for t in (0.1666, 1.0, 7.0):
-        assert len(deep.pool_weights(t, scale, 1024)) == 1025
+        flows = ((t, scale),)
+        assert len(deep.pool_weights(flows, 1024)) == 1025
         for x in xs:
             for eps in (1e-7, 1e-12):
                 fresh = pricer.SpectralBasis(model, sub)
-                assert len(fresh.pool_weights(t, scale, 32)) == 33
+                assert len(fresh.pool_weights(flows, 32)) == 33
                 assert pricer._series_eval_pool(
-                    fresh, t, float(x), eps, scale
-                ) == pricer._series_eval_pool(deep, t, float(x), eps, scale)
+                    fresh, flows, float(x), eps
+                ) == pricer._series_eval_pool(deep, flows, float(x), eps)
 
 
 def test_unreachable_call_prices_the_closed_form_straight_bond():
@@ -276,20 +278,56 @@ def test_unreachable_call_prices_the_closed_form_straight_bond():
     np.testing.assert_allclose(res.values, straight, rtol=0.0, atol=1e-8)
 
 
+def _protected_coupons(schedule):
+    """The protected coupons as cash flows ((t_i, c), ...)."""
+    return tuple(
+        (schedule.coupon_time(i), schedule.coupon) for i in range(1, schedule.protection_index)
+    )
+
+
 def test_notice_bond_and_protected_coupons_share_one_evaluator(monkeypatch):
     from eigenbond import pricer
 
-    maturities = []
+    built = []
     make = pricer._discount_bond
 
-    def counted(basis, t, eps):
-        maturities.append(t)
-        return make(basis, t, eps)
+    def counted(basis, flows, eps):
+        built.append(flows)
+        return make(basis, flows, eps)
 
     monkeypatch.setattr(pricer, "_discount_bond", counted)
-    price_bond(CIR, NONE, SWISS, [0.03, 0.05], eps=1e-7)
-    protected = [SWISS.coupon_time(i) for i in range(1, SWISS.protection_index)]
-    assert maturities == [SWISS.notice_delta] + protected
+    for sub in (NONE, JD):
+        built.clear()
+        price_bond(CIR, sub, SWISS, [0.03, 0.05], eps=1e-7)
+        assert built == [((SWISS.notice_delta, 1.0),), _protected_coupons(SWISS)]
+
+
+@pytest.mark.parametrize("config", ("cir_jd", "vasicek_pj"))
+def test_coupon_leg_series_matches_the_sum_of_coupon_bonds(config):
+    # one series over the summed weights against one series per coupon:
+    # both truncate at eps relative, so they agree within eps of the leg
+    from eigenbond import pricer
+
+    model = benchmark.benchmark_model(config)
+    sub = benchmark.benchmark_subordinator(config)
+    eps = 1e-10
+    flows = _protected_coupons(SWISS)
+    leg = pricer._discount_bond(pricer.SpectralBasis(model, sub), flows, eps)
+    for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
+        got = leg(float(x))
+        ref = sum(a * zero_coupon_price(model, sub, t, float(x), eps=eps) for t, a in flows)
+        assert abs(got - ref) <= eps * abs(got), (x, got, ref)
+
+
+@pytest.mark.parametrize("model", (CIR, VAS), ids=("cir", "vas"))
+def test_coupon_leg_matches_the_closed_form_on_the_plain_clock(model):
+    from eigenbond import pricer
+
+    flows = _protected_coupons(SWISS)
+    leg = pricer._discount_bond(pricer.SpectralBasis(model, NONE), flows, 1e-7)
+    for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
+        ref = sum(a * float(model.closed_form_bond(t, x)) for t, a in flows)
+        assert leg(float(x)) == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_holding_periods_of_the_schedule():
@@ -642,7 +680,7 @@ def test_telescoping_assembly_equals_the_region_sum(config, call, put, size, rat
     from eigenbond import coeffs, pricer
 
     model, sub = _ASSEMBLY_MODELS[config]
-    engine = pricer._Engine(model, sub, SWISS_PUT, eps=1e-7, check_single_crossing=False)
+    engine = pricer._Engine(model, sub, SWISS_PUT, eps=1e-7)
     lo, _, hi = model.search_interval(size - 1)
     x_call = None if call is None else hi if call == "whole" else lo + call * (hi - lo)
     x_put = None if put is None else lo + put * (hi - lo)
@@ -710,6 +748,21 @@ def test_prices_cauchy_in_eps():
     assert all(later <= earlier + 1e-12 for earlier, later in zip(gaps, gaps[1:]))
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="the 3/2 search interval reaches down to where the series are rounding noise",
+)
+def test_three_halves_callable_is_stable_at_tight_eps():
+    # search_lo moves down as the carried vector grows; at eps 1e-11 it
+    # reaches states where the pool series of the hold value and of the
+    # discounted strike read orders of magnitude off, the walk's first end
+    # reads diff > 0 and the call region is declared empty at dates 20..13
+    model = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.5)
+    v10 = price_bond(model, NONE, SWISS, [0.05], eps=1e-10).values[0]
+    v11 = price_bond(model, NONE, SWISS, [0.05], eps=1e-11).values[0]
+    assert abs(v11 - v10) <= 1e-8
+
+
 def test_truncation_levels_monotone_in_eps():
     per_eps = []
     for eps in (1e-5, 1e-6, 1e-7):
@@ -719,8 +772,22 @@ def test_truncation_levels_monotone_in_eps():
         assert all(t >= l for l, t in zip(looser, tighter))
 
 
-def test_single_crossing_scan_passes_on_benchmark():
-    res = price_bond(CIR, NONE, SWISS, [0.05], eps=1e-7, check_single_crossing=True)
+def test_single_crossing_scan_passes_on_benchmark(monkeypatch):
+    # every break-even search is followed by the 64-point sign scan behind
+    # the one-root-per-date policy (a call region over the whole interval
+    # is scanned by the engine itself)
+    from eigenbond import pricer
+
+    find = pricer._RootFinder.find
+
+    def scanned(self, kind, strike, hint=None):
+        state = find(self, kind, strike, hint=hint)
+        if not (kind == "call" and state == self.search_hi):
+            self.scan_single_crossing(strike, state is not None)
+        return state
+
+    monkeypatch.setattr(pricer._RootFinder, "find", scanned)
+    res = price_bond(CIR, NONE, SWISS, [0.05], eps=1e-7)
     assert res.values[0] == pytest.approx(0.849823, abs=5e-6)
 
 

@@ -9,7 +9,11 @@ subprocess of this script (``--dump FILE``, run in the copy) imports that copy's
 * every job of the three bench workloads at seeds 5046 and 9137, at the
   job's eps and at 1e-12;
 * the criterion-6 runs: the Swiss callable under CIR and Vasicek at the
-  short rate 0.05, at eps 1e-5 .. 1e-8.
+  short rate 0.05, at eps 1e-5 .. 1e-8;
+* paths the bench does not price, at the short rates 0.01 .. 0.10 and at
+  eps 1e-7 and 1e-10: the straight Swiss bond (no decision dates) under the
+  six benchmark configs, and the Swiss callable under
+  ``ThreeHalvesModel(2, 0.06, 0.5)``.
 
 Per run it records the job's quote states (``job.states()``, the inverted
 quotes of a jump model), the values, the break-even states and short rates,
@@ -28,6 +32,7 @@ the change's criterion-6 deviation exceeds ``CRITERION_6_BOUND``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -40,6 +45,7 @@ TOOLS = Path(__file__).resolve().parent
 SEEDS = (5046, 9137)
 FULL_EPS = 1e-12
 CRITERION_6_EPS = (1e-5, 1e-6, 1e-7, 1e-8)
+EXTRA_EPS = (1e-7, 1e-10)
 VALUE_TOL = 1e-13
 STATE_TOL = 1e-7  # the pricer's TOL_X
 QUOTE_STATE_TOL = 1e-12  # Brent's xtol of the quote inversion
@@ -74,7 +80,8 @@ def dump(tree: Path) -> dict:
     """Every run of the comparison, priced by the eigenbond of ``tree``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import workloads
-    from eigenbond import benchmark, price_bond
+    from eigenbond import BondSchedule, SubordinatorSpec, ThreeHalvesModel, benchmark, price_bond
+    from eigenbond.subordinators import invert_short_rate
 
     runs = {}
     for name in workloads.WORKLOADS:
@@ -99,6 +106,32 @@ def dump(tree: Path) -> dict:
                 mine = [max(levels, default=0) for levels in run["eval_levels"]]
                 mine = mine[::-1] + run["value_levels"][:1]
                 run["criterion_6_dev"] = max(abs(m - r) for m, r in zip(mine, reference))
+
+    swiss = benchmark.swiss1987_schedule()
+    straight = BondSchedule(
+        coupon=swiss.coupon,
+        coupon_times=swiss.coupon_times,
+        protection_index=swiss.n_coupons,
+        notice_delta=swiss.notice_delta,
+    )
+    extra = [(f"straight {config}", benchmark.benchmark_model(config),
+              benchmark.benchmark_subordinator(config), straight)
+             for config in benchmark.BENCHMARK_CONFIGS]
+    extra.append(("three_halves callable", ThreeHalvesModel(2.0, 0.06, 0.5),
+                  SubordinatorSpec.none(), swiss))
+    for name, model, sub, schedule in extra:
+        @functools.cache
+        def quote_states(model=model, sub=sub):
+            if sub.is_trivial:
+                return benchmark.RATES
+            return tuple(invert_short_rate(model, sub, rate) for rate in benchmark.RATES)
+
+        for eps in EXTRA_EPS:
+            meta = {"workload": name.split()[0], "eps": eps}
+            runs[f"{name} @ {eps:g}"] = _priced(
+                lambda: price_bond(model, sub, schedule, quote_states(), eps=eps),
+                meta, quote_states,
+            )
     return runs
 
 
@@ -128,7 +161,7 @@ def compare(parent: dict, change: dict) -> dict:
                 continue
             if run["workload"] == "criterion_6":
                 criterion_6[side] = max(criterion_6[side], run.get("criterion_6_dev", 0))
-            elif run["seed"] == SEEDS[0] and run["job_eps"]:
+            elif run.get("seed") == SEEDS[0] and run["job_eps"]:
                 total = sum(len(levels) for levels in run["eval_levels"])
                 evaluations[side][run["workload"]] = evaluations[side].get(run["workload"], 0) + total
 
