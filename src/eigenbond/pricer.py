@@ -25,10 +25,10 @@ Each quantity has one evaluator.  ``_discount_bond`` gives
 x -> sum_j a_j P(t_j, x) over cash flows ((t_j, a_j), ...), for the
 notice-period bond of the strike comparisons and for all the protected
 coupons at once: the closed form on an affine model with the plain clock,
-else one growing-supply series.  Continuation values and break-even states
-are computed only inside the recursion (``_Engine``); the public entry
-points are ``price_bond`` and ``zero_coupon_price``.  Brent closes every
-break-even search to ``TOL_X``.
+else one growing-supply series, cut at eps of the mean flow.  Continuation
+values and break-even states are computed only inside the recursion
+(``_Engine``); the public entry points are ``price_bond`` and
+``zero_coupon_price``.  Brent closes every break-even search to ``TOL_X``.
 
 Every series evaluation is truncated adaptively by the two-term
 look-ahead rule of ``series``, streamed: the terms w_n phi_n(x) are drawn
@@ -347,15 +347,14 @@ def zero_coupon_price(
 def _discount_bond(basis: SpectralBasis, flows: tuple[tuple[float, float], ...], eps: float):
     """x -> sum_j a_j P(t_j, x) over the cash flows ((t_j, a_j), ...): the
     affine closed form on the plain clock, else one growing-supply
-    eigenfunction series over the summed weights."""
+    eigenfunction series over the summed weights, cut at eps of the mean
+    flow (eps / len(flows) relative to the sum), so that the earliest flow,
+    whose slow decay sets the depth, is cut no looser than on its own."""
     model = basis.model
     if not (basis.sub.is_trivial and model.affine):
-        return lambda x: _series_eval_pool(basis, flows, x, eps)[0]
+        eps_mean = eps / max(len(flows), 1)
+        return lambda x: _series_eval_pool(basis, flows, x, eps_mean)[0]
     legs = [(a, *model.affine_bond_factors(t)) for t, a in flows]
-    if len(legs) == 1:  # one product: the notice bond is read at every break-even evaluation
-        ((a, a_fac, b_fac),) = legs
-        a_fac *= a
-        return lambda x: a_fac * math.exp(-b_fac * x)
     return lambda x: sum(a * a_fac * math.exp(-b_fac * x) for a, a_fac, b_fac in legs)
 
 

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from eigenbond import benchmark, coeffs, pricer
+from eigenbond import benchmark, coeffs
 from eigenbond.models import ThreeHalvesModel
 from eigenbond.oracle import mc_zero_coupon, quadrature_dp_price
 from eigenbond.pricer import BondSchedule, price_bond, zero_coupon_price
@@ -210,7 +210,7 @@ def _hermite_norm(n: int) -> float:
     return math.sqrt(math.sqrt(math.pi) * 2.0**n * math.factorial(n))
 
 
-def test_criterion_7_property_suite(monkeypatch, callable_runs, putable_runs, root_runs):
+def test_criterion_7_property_suite(single_crossing_scans, callable_runs, putable_runs, root_runs):
     # orthonormality for all three diffusion families
     three_halves = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
     models = [benchmark.benchmark_model("cir"), benchmark.benchmark_model("vasicek"), three_halves]
@@ -314,17 +314,8 @@ def test_criterion_7_property_suite(monkeypatch, callable_runs, putable_runs, ro
     assert np.all(v_callput >= v_call - 1e-10)
 
     # single-crossing sign scans at every decision date of every benchmark
-    # run: each break-even search is followed by the 64-point scan (a call
-    # region over the whole interval is scanned by the engine itself)
-    find = pricer._RootFinder.find
-
-    def scanned(self, kind, strike, hint=None):
-        state = find(self, kind, strike, hint=hint)
-        if not (kind == "call" and state == self.search_hi):
-            self.scan_single_crossing(strike, state is not None)
-        return state
-
-    monkeypatch.setattr(pricer._RootFinder, "find", scanned)
+    # run: each break-even search is followed by the 64-point scan (the
+    # ``single_crossing_scans`` fixture)
     for include_put in (False, True):
         for config in CONFIGS:
             model, sub, sched = _setup(config, include_put)

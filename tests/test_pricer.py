@@ -302,21 +302,32 @@ def test_notice_bond_and_protected_coupons_share_one_evaluator(monkeypatch):
         assert built == [((SWISS.notice_delta, 1.0),), _protected_coupons(SWISS)]
 
 
-@pytest.mark.parametrize("config", ("cir_jd", "vasicek_pj"))
-def test_coupon_leg_series_matches_the_sum_of_coupon_bonds(config):
-    # one series over the summed weights against one series per coupon:
-    # both truncate at eps relative, so they agree within eps of the leg
+@pytest.mark.parametrize(
+    "model, sub",
+    (
+        (benchmark.benchmark_model("cir_jd"), benchmark.benchmark_subordinator("cir_jd")),
+        (benchmark.benchmark_model("vasicek_pj"), benchmark.benchmark_subordinator("vasicek_pj")),
+        (ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.5), NONE),
+    ),
+    ids=("cir_jd", "vasicek_pj", "three_halves"),
+)
+def test_coupon_leg_series_matches_the_sum_of_coupon_bonds(model, sub):
+    # one series over the summed weights against one series per coupon at
+    # the same eps and against coupon bonds at eps 1e-15: the leg is held
+    # to eps of the mean coupon, so the slowly decaying first coupon is cut
+    # no looser than its own series (a cut at eps of the whole leg misses
+    # on 3/2 by up to 7 eps)
     from eigenbond import pricer
 
-    model = benchmark.benchmark_model(config)
-    sub = benchmark.benchmark_subordinator(config)
     eps = 1e-10
     flows = _protected_coupons(SWISS)
     leg = pricer._discount_bond(pricer.SpectralBasis(model, sub), flows, eps)
     for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
         got = leg(float(x))
         ref = sum(a * zero_coupon_price(model, sub, t, float(x), eps=eps) for t, a in flows)
+        exact = sum(a * zero_coupon_price(model, sub, t, float(x), eps=1e-15) for t, a in flows)
         assert abs(got - ref) <= eps * abs(got), (x, got, ref)
+        assert abs(got - exact) <= eps * exact, (x, got, exact)
 
 
 @pytest.mark.parametrize("model", (CIR, VAS), ids=("cir", "vas"))
@@ -772,21 +783,10 @@ def test_truncation_levels_monotone_in_eps():
         assert all(t >= l for l, t in zip(looser, tighter))
 
 
-def test_single_crossing_scan_passes_on_benchmark(monkeypatch):
-    # every break-even search is followed by the 64-point sign scan behind
-    # the one-root-per-date policy (a call region over the whole interval
-    # is scanned by the engine itself)
-    from eigenbond import pricer
-
-    find = pricer._RootFinder.find
-
-    def scanned(self, kind, strike, hint=None):
-        state = find(self, kind, strike, hint=hint)
-        if not (kind == "call" and state == self.search_hi):
-            self.scan_single_crossing(strike, state is not None)
-        return state
-
-    monkeypatch.setattr(pricer._RootFinder, "find", scanned)
+@pytest.mark.usefixtures("single_crossing_scans")
+def test_single_crossing_scan_passes_on_benchmark():
+    # every break-even search is followed by the sign scan behind the
+    # one-root-per-date policy
     res = price_bond(CIR, NONE, SWISS, [0.05], eps=1e-7)
     assert res.values[0] == pytest.approx(0.849823, abs=5e-6)
 
