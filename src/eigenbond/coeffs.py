@@ -10,8 +10,8 @@ eigenfunction over the exercise regions:
     strike_n(x, y)      = int_x^y P(delta, z) phi_n(z) m(z) dz
 
 Under every model and clock P(delta, .) is itself an eigenfunction series
-with coefficients p_m e^{-phi(lambda_m) delta} (``_expansion_weights``), so a
-strike projection is one more overlap, applied to those coefficients.
+with coefficients p_m e^{-phi(lambda_m) delta} (``subordinators.Spectrum.cut``),
+so a strike projection is one more overlap, applied to those coefficients.
 
 An interval integral is the difference of the two integrals from the
 bottom of the model's polynomial coordinate to the mapped endpoints, taken
@@ -65,7 +65,7 @@ from . import series
 from .errors import ValidationError
 from .models import HERMITE_FUNCTIONS, POOL_CAP, DiffusionModel, _kernel
 from .specfun import laguerre_sequence_table
-from .subordinators import SubordinatorSpec, laplace_exponent
+from .subordinators import SubordinatorSpec, spectrum
 
 __all__ = [
     "laguerre_pair_integrals",
@@ -416,29 +416,6 @@ def _overlap_apply(
     return hi.apply(n_rows, weights) - lo.apply(n_rows, weights)
 
 
-def _expansion_weights(
-    model: DiffusionModel, sub: SubordinatorSpec, delta: float, eps: float
-) -> np.ndarray:
-    """p_m e^{-phi(lambda_m) delta} up to the cut of ``series.weight_cutoff``.
-
-    Nothing but the model, the clock, delta and eps moves the cut, so the
-    weights are computed on first use and cached on the model (read-only).
-    """
-    cache = model._expansion_weights
-    key = (sub, delta, eps)
-    cut = cache.get(key)
-    if cut is None:
-
-        def weights(m_hi: int) -> np.ndarray:
-            lam = laplace_exponent(sub, model.eigenvalues(m_hi))
-            return model.unit_payoff_coefficients(m_hi) * np.exp(-lam * delta)
-
-        cut = weights(series.weight_cutoff(weights, eps))
-        cut.flags.writeable = False
-        cache[key] = cut
-    return cut
-
-
 def strike_projection(
     model: DiffusionModel,
     sub: SubordinatorSpec,
@@ -450,10 +427,11 @@ def strike_projection(
 ) -> np.ndarray:
     """Projections strike_n(x_lo, x_hi) of the delta-discounted unit payoff:
     the overlap over the interval applied to the expansion of P(delta, .),
-    its inner sum cut by the same adaptive rule as the pricer's
-    (``_expansion_weights``), under every model and clock."""
+    its inner sum cut by the same adaptive rule as the pricer's strike legs
+    (the spectrum's ``cut``), under every model and clock."""
     series.check_eps(eps)
     _check_interval(model, x_lo, x_hi)
-    if delta < 0.0:
-        raise ValidationError(f"notice period must be >= 0, got {delta}")
-    return _overlap_apply(model, n_max, x_lo, x_hi, _expansion_weights(model, sub, delta, eps))
+    if not (math.isfinite(delta) and delta >= 0.0):
+        raise ValidationError(f"notice period must be finite and >= 0, got {delta}")
+    strike = spectrum(model, sub).cut(((delta, 1.0),), eps)
+    return _overlap_apply(model, n_max, x_lo, x_hi, strike)

@@ -34,9 +34,11 @@ multiply the model's ``_prefactor`` (numpy ``exp``/``power`` for a float and
 an array alike) into the same recurrence at ``poly_coordinate(x)``, so they
 agree to the last bit.  The coefficient lists are built on first use, cached
 on the model and grown on demand; the derived constants (``gamma``, ``b``,
-``order_m``, ``hermite_shift``, ...) are cached too.  Every norm constant is
-formed in log space, so parameter sets whose raw factors overflow separately
-still evaluate.
+``order_m``, ``hermite_shift``, ...) are cached too, and so is the
+subordinate spectrum of each clock (``_spectra``, see
+``subordinators.Spectrum``), built whole to ``POOL_CAP`` on first use.
+Every norm constant is formed in log space, so parameter sets whose raw
+factors overflow separately still evaluate.
 
 The pricer and the integral tables (``coeffs``) run the same code for every
 model; what differs between the diffusions is read from these facts:
@@ -76,8 +78,8 @@ __all__ = [
     "MODEL_KINDS",
 ]
 
-# Hard ceiling on the terms of an uncapped series before the pricer declares
-# failure; the recurrence coefficient lists double up to it.
+# The one depth limit: every subordinate spectrum (``subordinators.Spectrum``)
+# holds degrees 0..POOL_CAP, and the recurrence coefficient lists double up to it.
 POOL_CAP = 2000
 _BRACKET_CAP = 50.0  # upper search bound of the positive models, as a multiple of theta
 
@@ -278,9 +280,9 @@ class DiffusionModel:
         return {}
 
     @cached_property
-    def _expansion_weights(self) -> dict[tuple, np.ndarray]:
-        """Strike-leg weights p_m e^{-phi(lambda_m) delta} by (clock, notice
-        period, eps); filled on demand by ``coeffs``, like ``_jacobi_rules``."""
+    def _spectra(self) -> dict[object, object]:
+        """The subordinate spectrum (``subordinators.Spectrum``) by clock;
+        filled on demand by ``subordinators.spectrum``, like ``_jacobi_rules``."""
         return {}
 
     @cached_property
@@ -318,8 +320,8 @@ class DiffusionModel:
 
     def closed_form_bond(self, t: float, x) -> float | np.ndarray:
         """Exponential-affine zero-coupon bond A(t) e^{-B(t) x} (affine models)."""
-        if t < 0.0:
-            raise ValidationError("maturity must be >= 0")
+        if not (t >= 0.0 and math.isfinite(t)):
+            raise ValidationError(f"maturity must be >= 0 and finite, got {t}")
         a_fac, b_fac = self.affine_bond_factors(t)
         return a_fac * np.exp(-b_fac * np.asarray(x, dtype=float))
 

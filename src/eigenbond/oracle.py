@@ -314,8 +314,8 @@ def mc_zero_coupon(
     for a fixed seed.  Paths are generated in chunks drawn from spawned
     child streams so the memory footprint stays bounded.
     """
-    if not t > 0.0:
-        raise ValidationError("maturity must be positive")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValidationError(f"maturity must be positive and finite, got {t}")
     if n_paths < 1:
         raise ValidationError("need at least one path")
     if not (math.isfinite(x0) and model.contains(x0)):

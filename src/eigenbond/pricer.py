@@ -25,7 +25,7 @@ Each quantity has one evaluator.  ``_discount_bond`` gives
 x -> sum_j a_j P(t_j, x) over cash flows ((t_j, a_j), ...), for the
 notice-period bond of the strike comparisons and for all the protected
 coupons at once: the closed form on an affine model with the plain clock,
-else one growing-supply series, cut at eps of the mean flow.  Continuation
+else one pool series, cut at eps of the mean flow.  Continuation
 values and break-even states are computed only inside the recursion
 (``_Engine``); the public entry points are ``price_bond`` and
 ``zero_coupon_price``.  Brent closes every break-even search to ``TOL_X``.
@@ -34,9 +34,10 @@ Every series evaluation is truncated adaptively by the two-term
 look-ahead rule of ``series``, streamed: the terms w_n phi_n(x) are drawn
 one at a time from the model's recurrence (``eigenfunction_terms``) until
 the rule fires, with no term array built.  The weights w_n are plain float
-lists: the continuation weights once per date, and for the growing-supply
-series sum_j a_j p_n e^{-phi(lambda_n) t_j}, cached by ``SpectralBasis``
-per cash-flow set and grown by doubling only when a series runs past them.
+lists: the continuation weights once per date, and for the pool series
+sum_j a_j p_n e^{-phi(lambda_n) t_j}, the pool of the model's subordinate
+spectrum (``subordinators.Spectrum``, one per model and clock, kept on the
+model), built once per cash-flow set whole to ``POOL_CAP`` and never grown.
 The coefficients carried from one date to the next are a plain array, cut
 separately, by the decay of their own next-stage term weights: exercise
 kinks give the assembled value function slower coefficient decay than the
@@ -58,7 +59,7 @@ from . import coeffs as coeffs_mod
 from . import series
 from .errors import BracketError, ConvergenceError, ValidationError
 from .models import POOL_CAP, DiffusionModel
-from .subordinators import SubordinatorSpec, laplace_exponent, short_rate_map
+from .subordinators import Spectrum, SubordinatorSpec, short_rate_map, spectrum
 
 __all__ = [
     "BondSchedule",
@@ -230,95 +231,35 @@ class PricingResult:
 
 
 # ---------------------------------------------------------------------------
-# Spectral supply
+# Series over the spectrum
 # ---------------------------------------------------------------------------
 
 
-class SpectralBasis:
-    """Grow-on-demand subordinate eigenvalues and unit coefficients, with the
-    weight lists of the growing-supply series cached per cash-flow set."""
-
-    def __init__(self, model: DiffusionModel, sub: SubordinatorSpec):
-        self.model = model
-        self.sub = sub
-        try:
-            lam0 = float(model.eigenvalue(0))
-            laplace_exponent(sub, lam0)
-        except ValidationError as exc:
-            raise ValidationError(
-                f"subordinator undefined at the bottom eigenvalue lambda_0 = "
-                f"{model.eigenvalue(0):.6g}: {exc}"
-            ) from exc
-        self._grow(64)
-        self._pools: dict[tuple[tuple[float, float], ...], list[float]] = {}
-
-    def _grow(self, n_hi: int) -> None:
-        lam = np.asarray(self.model.eigenvalues(n_hi), dtype=float)
-        self.philam = np.asarray(laplace_exponent(self.sub, lam), dtype=float)
-        self.p = self.model.unit_payoff_coefficients(n_hi)
-
-    def ensure(self, n_hi: int) -> None:
-        if n_hi >= self.philam.size:
-            self._grow(max(n_hi, 2 * (self.philam.size - 1)))
-
-    def unit_weights(self, t: float, n_hi: int) -> np.ndarray:
-        """p_n e^{-phi(lambda_n) t} for n = 0..n_hi."""
-        self.ensure(n_hi)
-        return self.p[: n_hi + 1] * np.exp(-self.philam[: n_hi + 1] * t)
-
-    def decay(self, t: float, n_hi: int) -> np.ndarray:
-        self.ensure(n_hi)
-        return np.exp(-self.philam[: n_hi + 1] * t)
-
-    def pool_weights(self, flows: tuple[tuple[float, float], ...], n_hi: int) -> list[float]:
-        """sum_j a_j p_n e^{-phi(lambda_n) t_j} over the cash flows ((t_j, a_j), ...)
-        as a float list of at least n_hi + 1 entries, cached per flows tuple; a
-        miss doubles the cached list, up to ``POOL_CAP``."""
-        weights = self._pools.get(flows)
-        if weights is None or len(weights) <= n_hi:
-            if weights is not None:
-                n_hi = max(n_hi, min(2 * (len(weights) - 1), POOL_CAP))
-            zero = np.zeros(n_hi + 1)  # no flows (no protected coupons): zero weights
-            weights = sum((a * self.unit_weights(t, n_hi) for t, a in flows), zero).tolist()
-            self._pools[flows] = weights
-        return weights
-
-
 def _series_eval_capped(
-    basis: SpectralBasis, weights: list[float], x: float, eps: float
+    spec: Spectrum, weights: list[float], x: float, eps: float
 ) -> tuple[float, int]:
     """Truncated sum_n weights_n phi_n(x) with a fixed coefficient supply.
 
     Returns (value, stop level).  When the rule does not fire within the
     supply, every available term is used.
     """
-    terms = map(mul, weights, basis.model.eigenfunction_terms(len(weights) - 1, x))
+    terms = map(mul, weights, spec.model.eigenfunction_terms(len(weights) - 1, x))
     value, level, _ = series.truncate_stream(terms, eps)
     return value, level
 
 
 def _series_eval_pool(
-    basis: SpectralBasis, flows: tuple[tuple[float, float], ...], x: float, eps: float
+    spec: Spectrum, flows: tuple[tuple[float, float], ...], x: float, eps: float
 ) -> tuple[float, int]:
-    """Truncated sum_n w_n phi_n(x) over the weights w of ``pool_weights``, growing supply.
-
-    The series is offered the basis's whole cached weight list: the level
-    where the rule first fires does not depend on how far the supply
-    reaches, so a list grown by an earlier call changes no result.
-    """
-    n_hi = 32
-    while True:
-        weights = basis.pool_weights(flows, n_hi)
-        n_hi = len(weights) - 1
-        terms = map(mul, weights, basis.model.eigenfunction_terms(n_hi, x))
-        value, level, converged = series.truncate_stream(terms, eps)
-        if converged:
-            return value, level
-        if n_hi >= POOL_CAP:
-            raise ConvergenceError(
-                f"series of the cash flows {flows} at x={x} not converged by n={POOL_CAP}"
-            )
-        n_hi = min(2 * n_hi, POOL_CAP)
+    """Truncated sum_n w_n phi_n(x) over the spectrum's whole pool of the
+    cash flows, in one pass; the rule must fire by ``POOL_CAP``."""
+    terms = map(mul, spec.pool(flows), spec.model.eigenfunction_terms(POOL_CAP, x))
+    value, level, converged = series.truncate_stream(terms, eps)
+    if not converged:
+        raise ConvergenceError(
+            f"series of the cash flows {flows} at x={x} not converged by n={POOL_CAP}"
+        )
+    return value, level
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +276,24 @@ def zero_coupon_price(
 ) -> float:
     """Zero-coupon bond by the (subordinate) eigenfunction expansion."""
     series.check_eps(eps)
-    if not t > 0.0:
-        raise ValidationError("maturity must be positive")
+    if not (t > 0.0 and math.isfinite(t)):
+        raise ValidationError(f"maturity must be positive and finite, got {t}")
     if not (math.isfinite(x) and model.contains(x)):
         raise ValidationError(f"state {x} outside the {model.kind} state space or not finite")
-    basis = SpectralBasis(model, sub)
-    value, _ = _series_eval_pool(basis, ((t, 1.0),), x, eps)
+    value, _ = _series_eval_pool(spectrum(model, sub), ((t, 1.0),), x, eps)
     return value
 
 
-def _discount_bond(basis: SpectralBasis, flows: tuple[tuple[float, float], ...], eps: float):
+def _discount_bond(spec: Spectrum, flows: tuple[tuple[float, float], ...], eps: float):
     """x -> sum_j a_j P(t_j, x) over the cash flows ((t_j, a_j), ...): the
-    affine closed form on the plain clock, else one growing-supply
-    eigenfunction series over the summed weights, cut at eps of the mean
+    affine closed form on the plain clock, else one eigenfunction series
+    over the summed weights (the spectrum's pool), cut at eps of the mean
     flow (eps / len(flows) relative to the sum), so that the earliest flow,
     whose slow decay sets the depth, is cut no looser than on its own."""
-    model = basis.model
-    if not (basis.sub.is_trivial and model.affine):
+    model = spec.model
+    if not (spec.sub.is_trivial and model.affine):
         eps_mean = eps / max(len(flows), 1)
-        return lambda x: _series_eval_pool(basis, flows, x, eps_mean)[0]
+        return lambda x: _series_eval_pool(spec, flows, x, eps_mean)[0]
     legs = [(a, *model.affine_bond_factors(t)) for t, a in flows]
     return lambda x: sum(a * a_fac * math.exp(-b_fac * x) for a, a_fac, b_fac in legs)
 
@@ -489,8 +429,8 @@ class _Engine:
         self.schedule = schedule
         self.eps = eps
         self._eps_assembly = ASSEMBLY_TAIL_MARGIN * eps
-        self.basis = SpectralBasis(model, sub)
-        self.pdelta = _discount_bond(self.basis, ((schedule.notice_delta, 1.0),), eps)
+        self.spectrum = spectrum(model, sub)
+        self.pdelta = _discount_bond(self.spectrum, ((schedule.notice_delta, 1.0),), eps)
         self.dates: list[DateRecord] = []
         # break-even states of the date stepped last, the next date's hints
         self._hints: dict[str, float | None] = {"call": None, "put": None}
@@ -507,22 +447,22 @@ class _Engine:
         record = DateRecord(index=i, decision_time=sched.decision_time(i))
 
         if prev is None:
-            # terminal stage: c_n = (1 + coupon) p_n, unbounded supply
-            scale = 1.0 + sched.coupon
-            majorant = lambda m_hi: scale * self.basis.unit_weights(h, m_hi)
-            m_cols = series.weight_cutoff(majorant, self.eps)
-            prev_weights = scale * self.basis.unit_weights(h, m_cols)
+            # terminal stage: c_n = (1 + coupon) p_n; the search reads the whole
+            # pool, the assembly its cut
+            redemption = ((h, 1.0 + sched.coupon),)
+            prev_weights = self.spectrum.cut(redemption, self.eps)
+            m_cols = prev_weights.size - 1
 
             def cont(x: float) -> tuple[float, int]:
-                return _series_eval_pool(self.basis, ((h, scale),), x, self.eps)
+                return _series_eval_pool(self.spectrum, redemption, x, self.eps)
 
         else:
             m_cols = prev.size - 1
-            prev_weights = prev * self.basis.decay(h, m_cols)
+            prev_weights = prev * self.spectrum.decay(h, m_cols)
             cont_weights = prev_weights.tolist()
 
             def cont(x: float) -> tuple[float, int]:
-                return _series_eval_capped(self.basis, cont_weights, x, self.eps)
+                return _series_eval_capped(self.spectrum, cont_weights, x, self.eps)
 
         interval = self.model.search_interval(m_cols)
         finder = _RootFinder(cont, self.pdelta, interval, i, record.eval_levels)
@@ -561,7 +501,7 @@ class _Engine:
         n_rows = max(16, m_cols)
         while True:
             new = self._assemble(i, n_rows, x_call, x_put, prev_weights)
-            decay_next = self.basis.decay(h_next, n_rows)
+            decay_next = self.spectrum.decay(h_next, n_rows)
             level, converged = series.stop_level(np.abs(new) * decay_next, self._eps_assembly)
             if converged:
                 new = new[: level + 3]  # keep the two look-ahead terms
@@ -596,7 +536,7 @@ class _Engine:
         (g_top the region at ``state_lo``).
         """
         sched, model = self.schedule, self.model
-        strike = coeffs_mod._expansion_weights(model, self.sub, sched.notice_delta, self.eps)
+        strike = self.spectrum.cut(((sched.notice_delta, 1.0),), self.eps)
         states, payoffs = [], [prev_weights]  # in state order
         if x_call is not None:
             states.insert(0, x_call)
@@ -606,7 +546,7 @@ class _Engine:
             payoffs.append(sched.put_price(i) * strike)
         sign, top = (-1.0, payoffs[0]) if model.coordinate_reversed else (1.0, payoffs[-1])
         new = _resized(top, n_rows + 1)
-        new += sched.coupon * self.basis.unit_weights(sched.notice_delta, n_rows)
+        new += sched.coupon * self.spectrum.unit_weights(sched.notice_delta, n_rows)
         for x, left, right in zip(states, payoffs, payoffs[1:]):
             size = max(left.size, right.size)
             jump = _resized(left, size) - _resized(right, size)
@@ -628,18 +568,18 @@ class _Engine:
 
         if coefficients is not None:
             start_t = sched.decision_time(sched.protection_index)
-            weights0 = (coefficients * self.basis.decay(start_t, coefficients.size - 1)).tolist()
+            weights0 = (coefficients * self.spectrum.decay(start_t, coefficients.size - 1)).tolist()
 
         flows = tuple((t, sched.coupon) for t in sched.coupon_times[: sched.protection_index - 1])
-        coupon_leg = _discount_bond(self.basis, flows, self.eps)  # the protected coupons
+        coupon_leg = _discount_bond(self.spectrum, flows, self.eps)  # the protected coupons
         values = np.empty(len(initial_states))
         value_levels: list[int] = []
         for j, x0 in enumerate(initial_states):
             if coefficients is None:
                 redemption = ((sched.maturity, 1.0 + sched.coupon),)
-                value, level = _series_eval_pool(self.basis, redemption, x0, self.eps)
+                value, level = _series_eval_pool(self.spectrum, redemption, x0, self.eps)
             else:
-                value, level = _series_eval_capped(self.basis, weights0, x0, self.eps)
+                value, level = _series_eval_capped(self.spectrum, weights0, x0, self.eps)
             values[j] = value + coupon_leg(x0)
             value_levels.append(level)
 

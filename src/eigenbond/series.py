@@ -13,9 +13,9 @@ The rule is written once, as a stream (``truncate_stream``): it draws terms
 one at a time, only as far as the rule needs, and keeps S_N as a running
 sum, so the pricer's scalar series build no term array and compute no
 eigenfunction beyond the look-ahead.  ``stop_level`` and ``truncate_terms``
-apply it to a term array; ``weight_cutoff`` sizes a coefficient supply by
-it.  ``check_eps`` refuses a tolerance outside (0, 1e-3], for every entry
-point that takes one.
+apply it to a term array; ``weight_cutoff`` cuts a whole weight array by
+it, in one pass.  ``check_eps`` refuses a tolerance outside (0, 1e-3], for
+every entry point that takes one.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from collections.abc import Iterable
 import numpy as np
 
 from .errors import ConvergenceError, ValidationError
-from .models import POOL_CAP
 
 __all__ = [
     "MIN_LEVEL",
@@ -82,23 +81,17 @@ def truncate_terms(terms: np.ndarray, eps: float) -> tuple[float, int, bool]:
     return truncate_stream(np.asarray(terms, dtype=float).tolist(), eps)
 
 
-def weight_cutoff(weight_fn, eps: float) -> int:
-    """Truncation level for a sum dominated termwise by the weights.
+def weight_cutoff(weights: np.ndarray, eps: float) -> int:
+    """Truncation level for a sum dominated termwise by ``weights``.
 
-    ``weight_fn(n_hi)`` must return the nonnegative majorant weights for
-    indices 0..n_hi; n_hi starts at 32 and doubles up to ``POOL_CAP``.
-    Used for the inner sums of expansion-route strike projections, where
-    the overlap factors are bounded by one and the weights
-    p_m e^{-phi(lambda_m) delta} carry all the decay, and to size the
-    terminal stage's coefficient vector.
+    The rule runs once over the whole array and must fire inside it.  Used
+    for the inner sums of strike projections, where the overlap factors are
+    bounded by one and the weights p_m e^{-phi(lambda_m) delta} carry all
+    the decay, and to size the terminal stage's coefficient vector.
     """
-    n_hi = 32
-    while True:
-        level, converged = stop_level(np.abs(weight_fn(n_hi)), eps)
-        if converged:
-            return level
-        if n_hi >= POOL_CAP:
-            raise ConvergenceError(
-                f"inner-series weights did not satisfy the truncation rule by n={POOL_CAP}"
-            )
-        n_hi = min(2 * n_hi, POOL_CAP)
+    level, converged = stop_level(np.abs(weights), eps)
+    if not converged:
+        raise ConvergenceError(
+            f"inner-series weights did not satisfy the truncation rule by n={len(weights) - 1}"
+        )
+    return level

@@ -46,12 +46,15 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
+from . import series
 from .errors import ValidationError
-from .models import DiffusionModel
+from .models import POOL_CAP, DiffusionModel
 
 __all__ = [
     "SubordinatorSpec",
     "laplace_exponent",
+    "Spectrum",
+    "spectrum",
     "levy_mean",
     "mean_rate",
     "short_rate_map",
@@ -162,6 +165,69 @@ def laplace_exponent(sub: SubordinatorSpec, lam):
         raise ValidationError("tempered-stable Laplace exponent undefined: lam + eta < 0")
     g = math.gamma(-sub.p)
     return sub.drift * lam - sub.c * g * (shifted**sub.p - sub.eta**sub.p)
+
+
+Flows = tuple[tuple[float, float], ...]  # cash flows ((t_j, a_j), ...)
+
+
+class Spectrum:
+    """The subordinate spectrum of one model under one clock: lambda_n,
+    phi(lambda_n) and p_n for n = 0..``POOL_CAP``, set once and never grown.
+
+    ``pool(flows)`` and ``cut(flows, eps)`` are kept per key, each stored in
+    one assignment once built, so threads sharing a model never see a
+    partial entry.
+    """
+
+    def __init__(self, model: DiffusionModel, sub: SubordinatorSpec):
+        self.model = model
+        self.sub = sub
+        self.lam = np.asarray(model.eigenvalues(POOL_CAP), dtype=float)
+        try:
+            self.philam = np.asarray(laplace_exponent(sub, self.lam), dtype=float)
+        except ValidationError as exc:
+            raise ValidationError(
+                f"subordinator undefined at the bottom eigenvalue lambda_0 = "
+                f"{self.lam[0]:.6g}: {exc}"
+            ) from exc
+        self.p = model.unit_payoff_coefficients(POOL_CAP)
+        self._pools: dict[Flows, list[float]] = {}
+        self._cuts: dict[tuple[Flows, float], np.ndarray] = {}
+
+    def unit_weights(self, t: float, n_hi: int) -> np.ndarray:
+        """p_n e^{-phi(lambda_n) t} for n = 0..n_hi."""
+        return self.p[: n_hi + 1] * np.exp(-self.philam[: n_hi + 1] * t)
+
+    def decay(self, t: float, n_hi: int) -> np.ndarray:
+        """e^{-phi(lambda_n) t} for n = 0..n_hi."""
+        return np.exp(-self.philam[: n_hi + 1] * t)
+
+    def pool(self, flows: Flows) -> list[float]:
+        """sum_j a_j p_n e^{-phi(lambda_n) t_j} for n = 0..``POOL_CAP`` as a
+        float list; no flows (no protected coupons) give zero weights."""
+        weights = self._pools.get(flows)
+        if weights is None:
+            zero = np.zeros(POOL_CAP + 1)
+            weights = sum((a * self.unit_weights(t, POOL_CAP) for t, a in flows), zero).tolist()
+            self._pools[flows] = weights
+        return weights
+
+    def cut(self, flows: Flows, eps: float) -> np.ndarray:
+        """``pool(flows)`` up to the level of ``series.weight_cutoff``, read-only."""
+        weights = self._cuts.get((flows, eps))
+        if weights is None:
+            pool = np.array(self.pool(flows))
+            weights = pool[: series.weight_cutoff(pool, eps) + 1]
+            weights.flags.writeable = False
+            self._cuts[flows, eps] = weights
+        return weights
+
+
+def spectrum(model: DiffusionModel, sub: SubordinatorSpec) -> Spectrum:
+    """The model's ``Spectrum`` under the clock, built on first use and kept
+    on the model."""
+    spectra = model._spectra
+    return spectra.get(sub) or spectra.setdefault(sub, Spectrum(model, sub))
 
 
 def levy_mean(sub: SubordinatorSpec) -> float:

@@ -11,7 +11,7 @@ from eigenbond.pricer import zero_coupon_price
 from eigenbond.errors import ValidationError
 from eigenbond.models import POOL_CAP, CIRModel, ThreeHalvesModel, VasicekModel
 from eigenbond.specfun import hermite_sequence, laguerre_sequence, lower_incomplete_gamma
-from eigenbond.subordinators import SubordinatorSpec, laplace_exponent
+from eigenbond.subordinators import SubordinatorSpec, laplace_exponent, spectrum
 
 CIR = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
 VAS = VasicekModel(kappa=0.44178462, theta=0.098397028, sigma=0.13264223)
@@ -360,6 +360,13 @@ def test_strike_refuses_a_bad_eps_up_front(eps):
         coeffs.strike_projection(CIR, JD, 10, 0.0, 0.05, DELTA, eps=eps)
 
 
+@pytest.mark.parametrize("delta", (math.nan, math.inf))
+def test_strike_refuses_a_non_finite_notice_period(delta):
+    # NaN ran on into a ConvergenceError from the inner series; inf returned zeros
+    with pytest.raises(ValidationError, match="notice period must be finite"):
+        coeffs.strike_projection(CIR, JD, 10, 0.0, 0.05, delta)
+
+
 def test_expansion_strike_weights_are_cut_once_per_clock_notice_and_eps(monkeypatch):
     model = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
     cuts = []
@@ -377,8 +384,8 @@ def test_expansion_strike_weights_are_cut_once_per_clock_notice_and_eps(monkeypa
     # the cached weights are the ones the cut would give afresh, bit for bit
     (weights, eps), = cuts[:1]
     m_cut = cutoff(weights, eps)
-    cached = model._expansion_weights[JD, DELTA, 1e-10]
-    np.testing.assert_array_equal(cached, weights(m_cut))
+    cached = spectrum(model, JD)._cuts[((DELTA, 1.0),), 1e-10]
+    np.testing.assert_array_equal(cached, weights[: m_cut + 1])
     assert not cached.flags.writeable
 
 
@@ -484,12 +491,10 @@ def _strike_log_factors(model, n, delta=DELTA):
 
 
 def _closed_expansion_strike(model, sub, n, x_lo, x_hi, eps):
-    def weights(m):
-        lam = laplace_exponent(sub, model.eigenvalues(m))
-        return model.unit_payoff_coefficients(m) * np.exp(-lam * DELTA)
-
+    lam = laplace_exponent(sub, model.eigenvalues(POOL_CAP))
+    weights = model.unit_payoff_coefficients(POOL_CAP) * np.exp(-lam * DELTA)
     m = series.weight_cutoff(weights, eps)
-    return _closed_overlap(model, max(n, m), x_lo, x_hi)[: n + 1, : m + 1] @ weights(m)
+    return _closed_overlap(model, max(n, m), x_lo, x_hi)[: n + 1, : m + 1] @ weights[: m + 1]
 
 
 def _intervals(model, z):

@@ -285,6 +285,14 @@ def test_closed_form_bond_at_zero_maturity():
     assert float(VAS.closed_form_bond(0.0, -0.1)) == pytest.approx(1.0, abs=1e-14)
 
 
+@pytest.mark.parametrize("t", (math.inf, math.nan))
+def test_closed_form_bond_refuses_a_non_finite_maturity(t):
+    # both returned nan
+    for model in (CIR, VAS):
+        with pytest.raises(ValidationError, match="maturity must be >= 0 and finite"):
+            model.closed_form_bond(t, 0.05)
+
+
 def test_cir_bond_factors_direct_evaluation():
     g, b = CIR.gamma, CIR.b
     t = 1.0

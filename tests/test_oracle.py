@@ -115,6 +115,15 @@ def test_mc_refuses_a_nonpositive_maturity(clock, t):
         mc_zero_coupon(CIR, sub, t, 0.05, n_paths=100)
 
 
+@pytest.mark.parametrize("t", (math.inf, math.nan))
+@pytest.mark.parametrize("clock", ("none", "jd"))
+def test_mc_refuses_a_non_finite_maturity(clock, t):
+    # t = inf escaped as OverflowError on both clocks
+    sub = NONE if clock == "none" else CLOCKS[clock]
+    with pytest.raises(ValidationError, match="maturity must be positive and finite"):
+        mc_zero_coupon(CIR, sub, t, 0.05, n_paths=100)
+
+
 @pytest.mark.parametrize("t", (0.1666, 1.0, 5.0))
 @pytest.mark.parametrize("clock", ("jd", "pj", "gamma"))
 @pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)

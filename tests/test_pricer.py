@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -13,7 +14,7 @@ from eigenbond.pricer import (
     price_bond,
     zero_coupon_price,
 )
-from eigenbond.subordinators import SubordinatorSpec
+from eigenbond.subordinators import SubordinatorSpec, spectrum
 
 CIR = benchmark.benchmark_model("cir")
 VAS = benchmark.benchmark_model("vasicek")
@@ -171,6 +172,19 @@ def test_zero_coupon_convergence_failure_reported():
         zero_coupon_price(slow, NONE, 1e-3, 0.05, eps=1e-9)
 
 
+@pytest.mark.parametrize("t", (math.inf, math.nan))
+@pytest.mark.parametrize(
+    "model,sub",
+    ((CIR, NONE), (CIR, JD), (VasicekModel(0.05, 0.05, 0.1118), NONE)),
+    ids=("cir", "cir_jd", "vasicek_negative_lambda0"),
+)
+def test_zero_coupon_refuses_a_non_finite_maturity(model, sub, t):
+    # t = inf returned 0.0 on CIR and inf, with an overflow warning, where
+    # lambda_0 < 0
+    with pytest.raises(ValidationError, match="maturity must be positive and finite"):
+        zero_coupon_price(model, sub, t, 0.05)
+
+
 @pytest.mark.parametrize("eps", (0.5, 2e-3, 0.0, -1e-9, float("nan")))
 def test_zero_coupon_refuses_a_bad_eps_up_front(eps):
     # eps = 0.5 returned 0.93978 for a bond worth 0.94690; a negative or NaN
@@ -206,56 +220,80 @@ def test_pool_series_draws_only_the_steps_the_rule_needs(monkeypatch, model):
     from eigenbond import pricer
 
     steps = _count_recurrence_steps(monkeypatch)
-    basis = pricer.SpectralBasis(model, NONE)
+    spec = spectrum(model, NONE)
     for x in model.stationary_distribution().ppf([0.01, 0.5, 0.99]):
         for t in (0.02, 0.1666, 1.0, 5.0):
             for eps in (1e-7, 1e-13):
                 steps.clear()
-                flows = ((t, 1.0),)
-                value, level = pricer._series_eval_pool(basis, flows, float(x), eps)
-                assert steps[-1] == level + 3
-                # a pass before it drew the whole supply, half the grown list
-                assert len(steps) == 1 or steps[-2] == len(basis.pool_weights(flows, 0)) // 2 + 1
+                value, level = pricer._series_eval_pool(spec, ((t, 1.0),), float(x), eps)
+                assert steps == [level + 3]  # one pass over the whole pool
 
     steps.clear()
-    weights = basis.pool_weights(((1.0, 1.0),), 0)
-    value, level = pricer._series_eval_capped(basis, weights, 0.05, 1e-9)
+    weights = spec.pool(((1.0, 1.0),))
+    value, level = pricer._series_eval_capped(spec, weights, 0.05, 1e-9)
     assert steps == [level + 3]
 
 
-def test_pool_series_keeps_its_depth_between_calls(monkeypatch):
-    from eigenbond import pricer
+@pytest.mark.parametrize("model", (CIR, ThreeHalvesModel(2.0, 0.06, 0.5)), ids=("cir", "th"))
+def test_one_spectrum_serves_every_entry_point_of_a_model_and_clock(monkeypatch, model):
+    # the plain clock: on a jump clock the short-rate map takes its own
+    # Laplace exponents, to a depth past POOL_CAP
+    from eigenbond import coeffs, subordinators
 
-    steps = _count_recurrence_steps(monkeypatch)
-    basis = pricer.SpectralBasis(CIR, NONE)
-    value, level = pricer._series_eval_pool(basis, ((0.02, 1.0),), 0.05, 1e-13)
-    # a first supply of 33 weights, used whole, then a list of 65 that the
-    # rule stops inside
-    assert steps == [33, level + 3] and level + 3 <= 65
-    steps.clear()
-    assert pricer._series_eval_pool(basis, ((0.02, 1.0),), 0.05, 1e-13) == (value, level)
-    assert steps == [level + 3]  # the cached list keeps its depth
+    model = dataclasses.replace(model)  # nothing kept on it yet
+    calls = []
+    exponent = subordinators.laplace_exponent
+    monkeypatch.setattr(
+        subordinators, "laplace_exponent", lambda *args: calls.append(args) or exponent(*args)
+    )
+    price_bond(model, NONE, SWISS, [0.05], eps=1e-7)
+    zero_coupon_price(model, NONE, 1.0, 0.05)
+    coeffs.strike_projection(model, NONE, 10, model.state_lo, 0.05, SWISS.notice_delta, eps=1e-7)
+    assert len(calls) == 1
+    (spec,) = model._spectra.values()
+    pools, cuts = dict(spec._pools), dict(spec._cuts)
+    assert ((1.0, 1.0),) in pools and (((SWISS.notice_delta, 1.0),), 1e-7) in cuts
+
+    price_bond(model, NONE, SWISS, [0.05], eps=1e-7)
+    assert len(calls) == 1 and model._spectra == {NONE: spec}
+    assert spec._pools.keys() == pools.keys() and spec._cuts.keys() == cuts.keys()
+    assert all(spec._pools[key] is pool for key, pool in pools.items())
+    assert all(spec._cuts[key] is cut for key, cut in cuts.items())
+
+
+def _run_outputs(result):
+    return (
+        result.values.tolist(),
+        result.break_even_states,
+        [d.eval_levels for d in result.dates],
+        [d.assembled for d in result.dates],
+        result.value_levels,
+    )
 
 
 @pytest.mark.parametrize(
-    "model,sub", ((CIR, NONE), (VAS, NONE), (CIR, JD), (TH, NONE)), ids=("cir", "vas", "jd", "th")
+    "model,sub,schedule",
+    (
+        (benchmark.benchmark_model("subcir_jd"), benchmark.benchmark_subordinator("subcir_jd"),
+         SWISS_PUT),
+        (benchmark.benchmark_model("subvasicek_pj"),
+         benchmark.benchmark_subordinator("subvasicek_pj"), SWISS),
+        (ThreeHalvesModel(2.0, 0.06, 0.5), NONE, SWISS),
+    ),
+    ids=("cir_jd_call_put", "vasicek_pj", "three_halves"),
 )
-def test_pool_series_is_the_same_for_any_cached_supply(model, sub):
-    from eigenbond import pricer
-
-    deep = pricer.SpectralBasis(model, sub)
-    scale = 1.0425
-    xs = model.stationary_distribution().ppf(np.linspace(0.02, 0.98, 9))
-    for t in (0.1666, 1.0, 7.0):
-        flows = ((t, scale),)
-        assert len(deep.pool_weights(flows, 1024)) == 1025
-        for x in xs:
-            for eps in (1e-7, 1e-12):
-                fresh = pricer.SpectralBasis(model, sub)
-                assert len(fresh.pool_weights(flows, 32)) == 33
-                assert pricer._series_eval_pool(
-                    fresh, flows, float(x), eps
-                ) == pricer._series_eval_pool(deep, flows, float(x), eps)
+def test_warm_and_fresh_models_price_alike(model, sub, schedule):
+    # what a model keeps from one pricing (its spectrum's pools and cuts)
+    # changes no bit of the next, whichever eps ran first
+    states = [0.03, 0.05, 0.08]
+    fresh = {
+        eps: _run_outputs(price_bond(dataclasses.replace(model), sub, schedule, states, eps=eps))
+        for eps in (1e-7, 1e-10)
+    }
+    for order in ((1e-7, 1e-10), (1e-10, 1e-7)):
+        warm = dataclasses.replace(model)
+        for eps in order:
+            assert _run_outputs(price_bond(warm, sub, schedule, states, eps=eps)) == fresh[eps]
 
 
 def test_unreachable_call_prices_the_closed_form_straight_bond():
@@ -291,9 +329,9 @@ def test_notice_bond_and_protected_coupons_share_one_evaluator(monkeypatch):
     built = []
     make = pricer._discount_bond
 
-    def counted(basis, flows, eps):
+    def counted(spec, flows, eps):
         built.append(flows)
-        return make(basis, flows, eps)
+        return make(spec, flows, eps)
 
     monkeypatch.setattr(pricer, "_discount_bond", counted)
     for sub in (NONE, JD):
@@ -321,7 +359,7 @@ def test_coupon_leg_series_matches_the_sum_of_coupon_bonds(model, sub):
 
     eps = 1e-10
     flows = _protected_coupons(SWISS)
-    leg = pricer._discount_bond(pricer.SpectralBasis(model, sub), flows, eps)
+    leg = pricer._discount_bond(spectrum(model, sub), flows, eps)
     for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
         got = leg(float(x))
         ref = sum(a * zero_coupon_price(model, sub, t, float(x), eps=eps) for t, a in flows)
@@ -335,7 +373,7 @@ def test_coupon_leg_matches_the_closed_form_on_the_plain_clock(model):
     from eigenbond import pricer
 
     flows = _protected_coupons(SWISS)
-    leg = pricer._discount_bond(pricer.SpectralBasis(model, NONE), flows, 1e-7)
+    leg = pricer._discount_bond(spectrum(model, NONE), flows, 1e-7)
     for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
         ref = sum(a * float(model.closed_form_bond(t, x)) for t, a in flows)
         assert leg(float(x)) == pytest.approx(ref, rel=1e-14, abs=0.0)
@@ -666,7 +704,7 @@ def _assembly_reference(engine, i, n_rows, x_call, x_put, weights):
                 model, engine.sub, n_rows, a, b, sched.notice_delta, eps=engine.eps
             )
             out = out + strike * leg
-    return out + sched.coupon * engine.basis.unit_weights(sched.notice_delta, n_rows)
+    return out + sched.coupon * engine.spectrum.unit_weights(sched.notice_delta, n_rows)
 
 
 _ASSEMBLY_MODELS = {

@@ -13,7 +13,13 @@ subprocess of this script (``--dump FILE``, run in the copy) imports that copy's
 * paths the bench does not price, at the short rates 0.01 .. 0.10 and at
   eps 1e-7 and 1e-10: the straight Swiss bond (no decision dates) under the
   six benchmark configs, and the Swiss callable under
-  ``ThreeHalvesModel(2, 0.06, 0.5)``.
+  ``ThreeHalvesModel(2, 0.06, 0.5)``;
+* under the same seven models and clocks, at the same eps, the public
+  entry points besides ``price_bond`` that read the model's spectrum:
+  ``zero_coupon_price`` at maturities 0.1666, 1 and 5 at the states of
+  those short rates, and ``strike_projection`` (degrees 0 .. 20, notice
+  period 0.1666) over [``state_lo``, the state of the rate 0.05].  Their
+  outputs are the runs' values, held to the same bound.
 
 Per run it records the job's quote states (``job.states()``, the inverted
 quotes of a jump model), the values, the break-even states and short rates,
@@ -46,6 +52,8 @@ SEEDS = (5046, 9137)
 FULL_EPS = 1e-12
 CRITERION_6_EPS = (1e-5, 1e-6, 1e-7, 1e-8)
 EXTRA_EPS = (1e-7, 1e-10)
+ZERO_COUPON_TIMES = (0.1666, 1.0, 5.0)
+STRIKE_DEGREES = 20
 VALUE_TOL = 1e-13
 STATE_TOL = 1e-7  # the pricer's TOL_X
 QUOTE_STATE_TOL = 1e-12  # Brent's xtol of the quote inversion
@@ -68,9 +76,15 @@ def _record(result) -> dict:
     }
 
 
-def _priced(price, meta: dict, quote_states=list) -> dict:
+def _outputs(values) -> dict:
+    """A run of a function other than ``price_bond``: its outputs, no dates."""
+    return {"values": [float(v) for v in values], "states": [], "rates": [],
+            "eval_levels": [], "value_levels": [], "assembled": []}
+
+
+def _priced(price, meta: dict, quote_states=list, record=_record) -> dict:
     try:
-        out = {"quote_states": [float(x) for x in quote_states()], **_record(price())}
+        out = {"quote_states": [float(x) for x in quote_states()], **record(price())}
     except Exception as exc:  # the dump records whatever the pricer raises
         out = {"error": f"{type(exc).__name__}: {exc}"}
     return {**meta, **out}
@@ -81,6 +95,8 @@ def dump(tree: Path) -> dict:
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import workloads
     from eigenbond import BondSchedule, SubordinatorSpec, ThreeHalvesModel, benchmark, price_bond
+    from eigenbond.coeffs import strike_projection
+    from eigenbond.pricer import zero_coupon_price
     from eigenbond.subordinators import invert_short_rate
 
     runs = {}
@@ -114,23 +130,37 @@ def dump(tree: Path) -> dict:
         protection_index=swiss.n_coupons,
         notice_delta=swiss.notice_delta,
     )
-    extra = [(f"straight {config}", benchmark.benchmark_model(config),
-              benchmark.benchmark_subordinator(config), straight)
-             for config in benchmark.BENCHMARK_CONFIGS]
-    extra.append(("three_halves callable", ThreeHalvesModel(2.0, 0.06, 0.5),
-                  SubordinatorSpec.none(), swiss))
-    for name, model, sub, schedule in extra:
+    models = [(config, benchmark.benchmark_model(config), benchmark.benchmark_subordinator(config))
+              for config in benchmark.BENCHMARK_CONFIGS]
+    models.append(("three_halves", ThreeHalvesModel(2.0, 0.06, 0.5), SubordinatorSpec.none()))
+    for config, model, sub in models:
         @functools.cache
         def quote_states(model=model, sub=sub):
             if sub.is_trivial:
                 return benchmark.RATES
             return tuple(invert_short_rate(model, sub, rate) for rate in benchmark.RATES)
 
+        name, schedule = (("three_halves callable", swiss) if config == "three_halves"
+                          else (f"straight {config}", straight))
         for eps in EXTRA_EPS:
             meta = {"workload": name.split()[0], "eps": eps}
             runs[f"{name} @ {eps:g}"] = _priced(
                 lambda: price_bond(model, sub, schedule, quote_states(), eps=eps),
                 meta, quote_states,
+            )
+            meta = {"workload": "zero_coupon", "eps": eps}
+            for t in ZERO_COUPON_TIMES:
+                runs[f"zero_coupon {config} t={t:g} @ {eps:g}"] = _priced(
+                    lambda: [zero_coupon_price(model, sub, t, x, eps=eps) for x in quote_states()],
+                    meta, quote_states, record=_outputs,
+                )
+            meta = {"workload": "strike_projection", "eps": eps}
+            runs[f"strike_projection {config} @ {eps:g}"] = _priced(
+                lambda: strike_projection(
+                    model, sub, STRIKE_DEGREES, model.state_lo,
+                    quote_states()[benchmark.RATES.index(0.05)], swiss.notice_delta, eps=eps,
+                ),
+                meta, quote_states, record=_outputs,
             )
     return runs
 
