@@ -13,24 +13,21 @@ Under every model and clock P(delta, .) is itself an eigenfunction series
 with coefficients p_m e^{-phi(lambda_m) delta} (``subordinators.Spectrum.cut``),
 so a strike projection is one more overlap, applied to those coefficients.
 
-An interval integral is the difference of the two integrals from the
-bottom of the model's polynomial coordinate to the mapped endpoints, taken
-in coordinate order.  An ``Endpoint`` places one state in that coordinate
-(a state-space boundary maps to an end of the coordinate range) and
-applies the overlap block from the bottom to it to a coefficient vector w
-(``Endpoint.apply``), one of four ways:
+An interval integral is the difference of two overlaps over the states
+below its ends (``overlap_below``), each applied to a coefficient vector w
+one of four ways:
 
-* zero at the bottom itself;
-* exactly at the top of the coordinate range: the overlap is the
-  identity (orthonormality), so ``apply`` returns w itself;
-* by Gauss-Jacobi quadrature at a finite Laguerre coordinate (CIR, 3/2).
-  There phi_m phi_n m is u^alpha e^{-u} times a polynomial in u, so a
-  Gauss rule for the weight t^alpha on [0, 1] (``_gauss_jacobi``, cached
-  on the model per size), scaled to [0, z], takes every integral.  One
-  kernel pass at the nodes gives the node matrix V, and the overlap
-  applied to w is V (V^T w), without forming the block;
-* by the Hermite pair table at a finite Hermite coordinate (Vasicek),
-  taken in orthonormal form over the Hermite functions
+* zero at ``state_lo``;
+* the identity at ``state_hi`` (orthonormality), so it returns w itself;
+* at an interior state, the block from the bottom of the model's
+  polynomial coordinate to the state's coordinate z: by Gauss-Jacobi
+  quadrature for a Laguerre coordinate (CIR, 3/2), where phi_m phi_n m is
+  u^alpha e^{-u} times a polynomial in u, so a Gauss rule for the weight
+  t^alpha on [0, 1] (``_gauss_jacobi``, cached on the model per size),
+  scaled to [0, z], takes every integral.  One kernel pass at the nodes
+  gives the node matrix V, and the block applied to w is V (V^T w),
+  without forming the block.  For a Hermite coordinate (Vasicek) it is the
+  Hermite pair table, taken in orthonormal form over the Hermite functions
   h_n(y) = H_n(y) e^{-y^2/2} / sqrt(sqrt(pi) 2^n n!) of the models'
   normalized recurrence:
 
@@ -38,19 +35,23 @@ applies the overlap block from the bottom to it to a coefficient vector w
 
   The off-diagonal entries have a closed form, and the diagonal steps up
   in degree from an erfc seed; no factor leaves double range at any
-  degree.
+  degree;
+* on a coordinate that decreases in the state (3/2, v = beta / x), the
+  identity minus that block, since the states below x are the
+  coordinates above z.
 
-Only ``Endpoint`` reads the model's polynomial family, and the model's
-``overlap_log_constant`` turns its polynomial integrals into eigenfunction
-integrals.  The other tables here are the reference that tests compare
-against, and the pricer builds none of them: the closed-form Laguerre
-tables at a finite coordinate, int_0^x L_m L_n e^{-y} y^alpha dy and
-int_0^x y^alpha e^{-s y} L_n dy, which step down in order from
-incomplete-gamma seeds at elevated order; the Hermite exp integrals
-int_-inf^x e^{s y - y^2/2} h_n dy, which step up from an erfc seed; and the
-full-line limits of both families (``*_at_infinity``), which the exact top
-end replaces.  The pricer applies one ``Endpoint`` per finite break-even
-state per assembly pass (see ``pricer._Engine._assemble``).
+Only ``overlap_below`` reads the model's polynomial family and the
+orientation of its coordinate, and the model's ``overlap_log_constant``
+turns its polynomial integrals into eigenfunction integrals.  The other
+tables here are the reference that tests compare against, and the pricer
+builds none of them: the closed-form Laguerre tables at a finite
+coordinate, int_0^x L_m L_n e^{-y} y^alpha dy and int_0^x y^alpha e^{-s y}
+L_n dy, which step down in order from incomplete-gamma seeds at elevated
+order; the Hermite exp integrals int_-inf^x e^{s y - y^2/2} h_n dy, which
+step up from an erfc seed; and the full-line limits of both families
+(``*_at_infinity``), which the exact identity at ``state_hi`` replaces.
+The pricer takes one ``overlap_below`` per finite break-even state per
+assembly pass (see ``pricer._Engine._assemble``).
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from scipy import linalg
 from scipy import special as sp
 
 from . import series
-from .errors import ValidationError
+from .errors import ValidationError, check_integer
 from .models import HERMITE_FUNCTIONS, POOL_CAP, DiffusionModel, _kernel
 from .specfun import laguerre_sequence_table
 from .subordinators import SubordinatorSpec, spectrum
@@ -76,7 +77,7 @@ __all__ = [
     "hermite_pair_integrals_at_infinity",
     "hermite_exp_integrals",
     "hermite_exp_integrals_at_infinity",
-    "Endpoint",
+    "overlap_below",
     "overlap_matrix",
     "strike_projection",
     "max_table_degree",
@@ -217,7 +218,9 @@ def laguerre_exp_integrals_at_infinity(n_max: int, alpha: float, s: float) -> np
 def _hermite_functions(n_max: int, x: float) -> np.ndarray:
     """[n] = h_n(x) = H_n(x) e^{-x^2/2} / sqrt(sqrt(pi) 2^n n!), the orthonormal
     Hermite functions, by the normalized recurrence with e^{-x^2/2} in its
-    seed (no factor leaves double range at any degree)."""
+    seed (no factor leaves double range at any degree); zero at +-inf."""
+    if math.isinf(x):
+        return np.zeros(n_max + 1)
     return _kernel(HERMITE_FUNCTIONS, n_max, x, math.exp(-0.5 * x * x))
 
 
@@ -329,50 +332,35 @@ def _jacobi_rule(model: DiffusionModel, size: int) -> tuple[np.ndarray, np.ndarr
     return rule
 
 
-class Endpoint:
-    """A state placed in the model's polynomial coordinate, with the overlap
-    block from the bottom of the coordinate to it (``apply``)."""
+def overlap_below(
+    model: DiffusionModel, x: float, n_rows: int, weights: np.ndarray
+) -> np.ndarray:
+    """Rows 0..n_rows of the overlap over the states below x, one column per
+    row of ``weights`` (a vector, or a matrix of columns), applied to
+    ``weights``.
 
-    def __init__(self, model: DiffusionModel, x: float):
-        self.model = model
-        self.x = x
-        hermite = model.polynomial_family == "hermite"
-        bottom = -math.inf if hermite else 0.0
-        if model.state_lo < x < model.state_hi:
-            self.z = model.poly_coordinate(x)
-        else:  # a state-space boundary maps to an end of the coordinate range
-            at_top = (x == model.state_hi) != model.coordinate_reversed
-            self.z = math.inf if at_top else bottom
-        self.bottom = self.z == bottom
-        self.quadrature = not hermite and 0.0 < self.z < math.inf
-
-    def apply(self, n_rows: int, weights: np.ndarray) -> np.ndarray:
-        """Rows 0..n_rows of the overlap block from the bottom of the
-        coordinate to z, one column per row of ``weights`` (a vector, or a
-        matrix of columns), applied to ``weights``.
-
-        At a quadrature endpoint the rule has n_max + 12 + ceil(1.5 z)
-        nodes u_j of [0, z] for the weight u^alpha, rounded up to a multiple
-        of ``_RULE_STEP``: the factor e^{-u} needs nodes in proportion to z.
-        Beyond u = 4 (2 n_max + alpha + 1) + 80 every integrand is below
-        1e-26 of its total, so a larger z is cut there.  With weights w_j,
-        h_j = log sqrt(w_j e^{C - u_j}) (C the model's
-        ``overlap_log_constant``) and V[n, j] = N_n L_n(u_j) e^{h_j}, one
-        kernel pass, V V^T is the overlap block.
-        """
-        size = weights.shape[0]
-        out_shape = (n_rows + 1,) + weights.shape[1:]
-        if self.bottom:
-            return np.zeros(out_shape)
-        if self.z == math.inf:  # the identity, by orthonormality
-            out = np.zeros(out_shape)
-            out[:size] = weights[: n_rows + 1]
-            return out
-        n_max = max(n_rows, size - 1)
-        if not self.quadrature:
-            return hermite_pair_integrals(n_max, self.z)[: n_rows + 1, :size] @ weights
-        model = self.model
-        z = min(self.z, 4.0 * (2.0 * n_max + model.laguerre_order + 1.0) + 80.0)
+    At a Laguerre coordinate z the rule has n_max + 12 + ceil(1.5 z) nodes
+    u_j of [0, z] for the weight u^alpha, rounded up to a multiple of
+    ``_RULE_STEP``: the factor e^{-u} needs nodes in proportion to z.
+    Beyond u = 4 (2 n_max + alpha + 1) + 80 every integrand is below 1e-26
+    of its total, so a larger z is cut there.  With weights w_j,
+    h_j = log sqrt(w_j e^{C - u_j}) (C the model's ``overlap_log_constant``)
+    and V[n, j] = N_n L_n(u_j) e^{h_j}, one kernel pass, V V^T is the block.
+    """
+    size = weights.shape[0]
+    out = np.zeros((n_rows + 1,) + weights.shape[1:])
+    if x == model.state_lo:
+        return out
+    out[:size] = weights[: n_rows + 1]  # the identity, by orthonormality
+    if x == model.state_hi:
+        return out
+    n_max = max(n_rows, size - 1)
+    z = model.poly_coordinate(x)
+    if model.polynomial_family == "hermite":
+        block = hermite_pair_integrals(n_max, z)[: n_rows + 1, :size] @ weights
+    else:
+        # a coordinate that underflows is read as the least positive float
+        z = min(max(z, math.ulp(0.0)), 4.0 * (2.0 * n_max + model.laguerre_order + 1.0) + 80.0)
         n_nodes = n_max + 12 + math.ceil(1.5 * z)
         t, log_w = _jacobi_rule(model, -(-n_nodes // _RULE_STEP) * _RULE_STEP)
         u = z * t
@@ -381,10 +369,12 @@ class Endpoint:
         # seeds the kernel, where N_n L_n(u_j) alone would overflow
         log_scale = (model.laguerre_order + 1.0) * math.log(z) + model.overlap_log_constant
         rows = _kernel(model._recurrence, n_max, u, np.exp(0.5 * (log_w + log_scale - u)))
-        return rows[: n_rows + 1] @ (rows[:size].T @ weights)
+        block = rows[: n_rows + 1] @ (rows[:size].T @ weights)
+    return out - block if model.coordinate_reversed else block
 
 
-def _check_interval(model: DiffusionModel, x_lo: float, x_hi: float) -> None:
+def _check_interval(model: DiffusionModel, n_max: int, x_lo: float, x_hi: float) -> None:
+    check_integer("degree n_max", n_max)
     for name, x in (("x_lo", x_lo), ("x_hi", x_hi)):
         if not (model.state_lo <= x <= model.state_hi):
             raise ValidationError(f"{name}={x} outside closure of the state space")
@@ -399,21 +389,9 @@ def overlap_matrix(model: DiffusionModel, n_max: int, x_lo: float, x_hi: float) 
     yields the identity (orthonormality) and an empty interval the zero
     matrix.
     """
-    _check_interval(model, x_lo, x_hi)
-    return _overlap_apply(model, n_max, x_lo, x_hi, np.eye(n_max + 1))
-
-
-def _overlap_apply(
-    model: DiffusionModel, n_rows: int, x_lo: float, x_hi: float, weights: np.ndarray
-) -> np.ndarray:
-    """Rows 0..n_rows of overlap(x_lo, x_hi) @ weights, the block having one
-    column per row of ``weights`` (a vector, or a matrix of columns)."""
-    if x_lo == x_hi:
-        return np.zeros((n_rows + 1,) + weights.shape[1:])
-    lo, hi = Endpoint(model, x_lo), Endpoint(model, x_hi)
-    if model.coordinate_reversed:  # take the ends in coordinate order
-        lo, hi = hi, lo
-    return hi.apply(n_rows, weights) - lo.apply(n_rows, weights)
+    _check_interval(model, n_max, x_lo, x_hi)
+    unit = np.eye(n_max + 1)
+    return overlap_below(model, x_hi, n_max, unit) - overlap_below(model, x_lo, n_max, unit)
 
 
 def strike_projection(
@@ -430,8 +408,8 @@ def strike_projection(
     its inner sum cut by the same adaptive rule as the pricer's strike legs
     (the spectrum's ``cut``), under every model and clock."""
     series.check_eps(eps)
-    _check_interval(model, x_lo, x_hi)
+    _check_interval(model, n_max, x_lo, x_hi)
     if not (math.isfinite(delta) and delta >= 0.0):
         raise ValidationError(f"notice period must be finite and >= 0, got {delta}")
     strike = spectrum(model, sub).cut(((delta, 1.0),), eps)
-    return _overlap_apply(model, n_max, x_lo, x_hi, strike)
+    return overlap_below(model, x_hi, n_max, strike) - overlap_below(model, x_lo, n_max, strike)

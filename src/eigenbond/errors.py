@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the one integer check."""
+
+import numbers
 
 
 class EigenbondError(Exception):
@@ -31,3 +33,13 @@ class BracketError(EigenbondError):
 
 class DensityTruncationError(EigenbondError):
     """Transition-density expansion cannot reach the requested tail accuracy."""
+
+
+def check_integer(name: str, value, minimum: int = 0) -> None:
+    """Refuse, with ``ValidationError``, a value that is not an integer (a
+    bool or a float with an integral value included) or is below
+    ``minimum``."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ValidationError(f"{name} must be >= {minimum}, got {value}")

@@ -51,7 +51,8 @@ model; what differs between the diffusions is read from these facts:
   and the first upper end of its walk when no earlier state starts it;
 * ``polynomial_family`` ("laguerre" or "hermite") and
   ``coordinate_reversed`` (whether ``poly_coordinate`` decreases in the
-  state), which place the integral tables in the polynomial coordinate;
+  state), which ``coeffs.overlap_below`` alone reads to take the overlap
+  over the states below x in the polynomial coordinate;
 * ``overlap_log_constant``: the log of the constant factor of the overlap
   integrals in that coordinate.
 """

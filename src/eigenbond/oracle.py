@@ -28,7 +28,7 @@ import math
 import numpy as np
 from scipy import integrate
 
-from .errors import DensityTruncationError, UnsupportedModelError, ValidationError
+from .errors import DensityTruncationError, UnsupportedModelError, ValidationError, check_integer
 from .models import CIRModel, DiffusionModel, ThreeHalvesModel, VasicekModel
 from .pricer import BondSchedule
 from .subordinators import SubordinatorSpec, laplace_exponent
@@ -125,8 +125,8 @@ def quadrature_dp_price(
     carried and no boundaries are located, which makes this an independent
     check of the recursion pricer at the cost of grid-level accuracy.
     """
-    if grid_size < 200:
-        raise ValidationError("grid_size must be at least 200")
+    check_integer("grid_size", grid_size, 200)
+    check_integer("n_density", n_density)
     sched = schedule
     k = sched.n_coupons
     grid = build_grid(model, grid_size)
@@ -316,8 +316,8 @@ def mc_zero_coupon(
     """
     if not (t > 0.0 and math.isfinite(t)):
         raise ValidationError(f"maturity must be positive and finite, got {t}")
-    if n_paths < 1:
-        raise ValidationError("need at least one path")
+    check_integer("n_paths", n_paths, 1)
+    check_integer("seed", seed)
     if not (math.isfinite(x0) and model.contains(x0)):
         raise ValidationError(f"state {x0} outside the {model.kind} state space or not finite")
     steps = max(1, int(round(t * _STEPS_PER_YEAR)))

@@ -37,7 +37,9 @@ the rule fires, with no term array built.  The weights w_n are plain float
 lists: the continuation weights once per date, and for the pool series
 sum_j a_j p_n e^{-phi(lambda_n) t_j}, the pool of the model's subordinate
 spectrum (``subordinators.Spectrum``, one per model and clock, kept on the
-model), built once per cash-flow set whole to ``POOL_CAP`` and never grown.
+model), built once per cash-flow set of the recursion whole to ``POOL_CAP``
+and never grown; a zero-coupon bond's weights are built per call and not
+kept, so a sweep over maturities leaves nothing behind.
 The coefficients carried from one date to the next are a plain array, cut
 separately, by the decay of their own next-stage term weights: exercise
 kinks give the assembled value function slower coefficient decay than the
@@ -48,7 +50,6 @@ controlled independently (see ``ASSEMBLY_TAIL_MARGIN``).
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 from operator import mul
 
@@ -57,7 +58,7 @@ from scipy import optimize
 
 from . import coeffs as coeffs_mod
 from . import series
-from .errors import BracketError, ConvergenceError, ValidationError
+from .errors import BracketError, ConvergenceError, ValidationError, check_integer
 from .models import POOL_CAP, DiffusionModel
 from .subordinators import Spectrum, SubordinatorSpec, short_rate_map, spectrum
 
@@ -129,9 +130,7 @@ class BondSchedule:
         if self.notice_delta >= spacing:
             raise ValidationError("notice period must be shorter than the coupon spacing")
         k = len(times)
-        index = self.protection_index
-        if isinstance(index, bool) or not isinstance(index, numbers.Integral):
-            raise ValidationError(f"protection index must be an integer, got {index!r}")
+        check_integer("protection index", self.protection_index)
         if not 1 <= self.protection_index <= k:
             raise ValidationError(
                 f"protection index must lie in [1, {k}], got {self.protection_index}"
@@ -249,16 +248,14 @@ def _series_eval_capped(
 
 
 def _series_eval_pool(
-    spec: Spectrum, flows: tuple[tuple[float, float], ...], x: float, eps: float
+    spec: Spectrum, pool: list[float], x: float, eps: float
 ) -> tuple[float, int]:
-    """Truncated sum_n w_n phi_n(x) over the spectrum's whole pool of the
-    cash flows, in one pass; the rule must fire by ``POOL_CAP``."""
-    terms = map(mul, spec.pool(flows), spec.model.eigenfunction_terms(POOL_CAP, x))
+    """Truncated sum_n w_n phi_n(x) over a whole pool of weights
+    (n = 0..``POOL_CAP``), in one pass; the rule must fire by ``POOL_CAP``."""
+    terms = map(mul, pool, spec.model.eigenfunction_terms(POOL_CAP, x))
     value, level, converged = series.truncate_stream(terms, eps)
     if not converged:
-        raise ConvergenceError(
-            f"series of the cash flows {flows} at x={x} not converged by n={POOL_CAP}"
-        )
+        raise ConvergenceError(f"series at x={x} not converged by n={POOL_CAP}")
     return value, level
 
 
@@ -280,7 +277,8 @@ def zero_coupon_price(
         raise ValidationError(f"maturity must be positive and finite, got {t}")
     if not (math.isfinite(x) and model.contains(x)):
         raise ValidationError(f"state {x} outside the {model.kind} state space or not finite")
-    value, _ = _series_eval_pool(spectrum(model, sub), ((t, 1.0),), x, eps)
+    spec = spectrum(model, sub)  # the maturity's weights are not kept on it
+    value, _ = _series_eval_pool(spec, spec.unit_weights(t, POOL_CAP).tolist(), x, eps)
     return value
 
 
@@ -293,7 +291,8 @@ def _discount_bond(spec: Spectrum, flows: tuple[tuple[float, float], ...], eps: 
     model = spec.model
     if not (spec.sub.is_trivial and model.affine):
         eps_mean = eps / max(len(flows), 1)
-        return lambda x: _series_eval_pool(spec, flows, x, eps_mean)[0]
+        pool = spec.pool(flows)
+        return lambda x: _series_eval_pool(spec, pool, x, eps_mean)[0]
     legs = [(a, *model.affine_bond_factors(t)) for t, a in flows]
     return lambda x: sum(a * a_fac * math.exp(-b_fac * x) for a, a_fac, b_fac in legs)
 
@@ -452,9 +451,10 @@ class _Engine:
             redemption = ((h, 1.0 + sched.coupon),)
             prev_weights = self.spectrum.cut(redemption, self.eps)
             m_cols = prev_weights.size - 1
+            pool = self.spectrum.pool(redemption)
 
             def cont(x: float) -> tuple[float, int]:
-                return _series_eval_pool(self.spectrum, redemption, x, self.eps)
+                return _series_eval_pool(self.spectrum, pool, x, self.eps)
 
         else:
             m_cols = prev.size - 1
@@ -523,17 +523,13 @@ class _Engine:
 
         Each region's payoff is a coefficient vector: K e over an exercise
         region (e the expansion of P(delta, .)) and the hold weights w in
-        between.  With A_x the overlap from the bottom of the coordinate to
-        x (0 at the bottom, I at the top), the sum over the regions of
-        (A_end - A_start) g telescopes into the payoff at the top of the
-        coordinate plus one apply per finite break-even state, on the jump
-        of the payoff across it:
+        between.  With A_x the overlap over the states below x
+        (``coeffs.overlap_below``: 0 at ``state_lo``, I at ``state_hi``), the
+        sum over the regions of (A_end - A_start) g telescopes into the
+        payoff of the highest region plus one apply per finite break-even
+        state, on the jump of the payoff across it:
 
-            new = g_top + s sum_x A_x (g_left(x) - g_right(x)) + coupon term,
-
-        where s = +1 when the coordinate increases with the state (g_top
-        the region at ``state_hi``) and s = -1 on a reversed coordinate
-        (g_top the region at ``state_lo``).
+            new = g_highest + sum_x A_x (g_below(x) - g_above(x)) + coupon term.
         """
         sched, model = self.schedule, self.model
         strike = self.spectrum.cut(((sched.notice_delta, 1.0),), self.eps)
@@ -544,13 +540,12 @@ class _Engine:
         if x_put is not None:
             states.append(x_put)
             payoffs.append(sched.put_price(i) * strike)
-        sign, top = (-1.0, payoffs[0]) if model.coordinate_reversed else (1.0, payoffs[-1])
-        new = _resized(top, n_rows + 1)
+        new = _resized(payoffs[-1], n_rows + 1)
         new += sched.coupon * self.spectrum.unit_weights(sched.notice_delta, n_rows)
-        for x, left, right in zip(states, payoffs, payoffs[1:]):
-            size = max(left.size, right.size)
-            jump = _resized(left, size) - _resized(right, size)
-            new += sign * coeffs_mod.Endpoint(model, x).apply(n_rows, jump)
+        for x, below, above in zip(states, payoffs, payoffs[1:]):
+            size = max(below.size, above.size)
+            jump = _resized(below, size) - _resized(above, size)
+            new += coeffs_mod.overlap_below(model, x, n_rows, jump)
         return new
 
     # -- full run --------------------------------------------------------------
@@ -566,20 +561,20 @@ class _Engine:
                 raise ConvergenceError(f"at decision index {i}: {exc}") from exc
         self.dates.sort(key=lambda d: d.index)
 
-        if coefficients is not None:
+        if coefficients is None:  # no decision date: the redemption alone
+            weights0 = self.spectrum.pool(((sched.maturity, 1.0 + sched.coupon),))
+            evaluate = _series_eval_pool
+        else:
             start_t = sched.decision_time(sched.protection_index)
             weights0 = (coefficients * self.spectrum.decay(start_t, coefficients.size - 1)).tolist()
+            evaluate = _series_eval_capped
 
         flows = tuple((t, sched.coupon) for t in sched.coupon_times[: sched.protection_index - 1])
         coupon_leg = _discount_bond(self.spectrum, flows, self.eps)  # the protected coupons
         values = np.empty(len(initial_states))
         value_levels: list[int] = []
         for j, x0 in enumerate(initial_states):
-            if coefficients is None:
-                redemption = ((sched.maturity, 1.0 + sched.coupon),)
-                value, level = _series_eval_pool(self.spectrum, redemption, x0, self.eps)
-            else:
-                value, level = _series_eval_capped(self.spectrum, weights0, x0, self.eps)
+            value, level = evaluate(self.spectrum, weights0, x0, self.eps)
             values[j] = value + coupon_leg(x0)
             value_levels.append(level)
 
@@ -623,7 +618,14 @@ def price_bond(
     state then costs one series evaluation plus the protected-coupon leg,
     one more series (a closed form on an affine model with the plain clock).
     """
-    initial_states = np.atleast_1d(np.asarray(initial_states, dtype=float))
+    try:
+        initial_states = np.atleast_1d(np.asarray(initial_states, dtype=float))
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"initial states must be numbers: {exc}") from exc
+    if initial_states.ndim != 1:
+        raise ValidationError(
+            f"initial states must be a number or a 1-D sequence, got shape {initial_states.shape}"
+        )
     if initial_states.size == 0:
         raise ValidationError("need at least one initial state")
     for x0 in initial_states:

@@ -367,6 +367,38 @@ def test_strike_refuses_a_non_finite_notice_period(delta):
         coeffs.strike_projection(CIR, JD, 10, 0.0, 0.05, delta)
 
 
+@pytest.mark.parametrize("n_max", (-1, 2.5, 3.0, True), ids=("negative", "fraction", "float", "bool"))
+def test_overlap_and_strike_refuse_a_bad_degree(n_max):
+    # -1 raised IndexError in overlap_matrix and returned [] from
+    # strike_projection; 2.5 raised TypeError in both
+    with pytest.raises(ValidationError, match="degree n_max must be"):
+        coeffs.overlap_matrix(CIR, n_max, 0.0, 0.05)
+    with pytest.raises(ValidationError, match="degree n_max must be"):
+        coeffs.strike_projection(CIR, JD, n_max, 0.0, 0.05, DELTA)
+    assert coeffs.overlap_matrix(CIR, np.int64(3), 0.0, 0.05).shape == (4, 4)
+
+
+@pytest.mark.parametrize(
+    "model,states",
+    (
+        (VasicekModel(0.2, 0.05, 0.02), (-1e308, -1e200, 1e200, 1e308)),
+        (CIRModel(0.2, 0.05, 0.07), (5e-324, 1e308)),
+        (ThreeHalvesModel(2.0, 0.06, 0.5), (5e-324, 1e308)),
+    ),
+    ids=("vasicek", "cir", "three_halves"),
+)
+def test_states_at_the_ends_of_the_float_range_are_at_the_ends_of_the_space(model, states):
+    # their coordinates overflow to +-inf or underflow to 0 (the 3/2 one
+    # runs the other way): the overlap below them is zero or the identity,
+    # to the accuracy of the Gauss-Jacobi tests above
+    for x in states:
+        below = coeffs.overlap_matrix(model, 8, model.state_lo, x)
+        expected = np.eye(9) if x > 1.0 else np.zeros((9, 9))
+        np.testing.assert_allclose(below, expected, rtol=0.0, atol=1e-12, err_msg=str(x))
+        total = below + coeffs.overlap_matrix(model, 8, x, model.state_hi)
+        np.testing.assert_allclose(total, np.eye(9), rtol=0.0, atol=1e-12, err_msg=str(x))
+
+
 def test_expansion_strike_weights_are_cut_once_per_clock_notice_and_eps(monkeypatch):
     model = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
     cuts = []
@@ -461,7 +493,15 @@ def _state_at(model, z):
 
 
 def _coordinates(model, x_lo, x_hi):
-    return sorted(coeffs.Endpoint(model, x).z for x in (x_lo, x_hi))
+    """The interval's ends in the Laguerre coordinate, in coordinate order; a
+    state-space boundary maps to an end of the coordinate range."""
+
+    def coordinate(x):
+        if model.state_lo < x < model.state_hi:
+            return model.poly_coordinate(x)
+        return math.inf if (x == model.state_hi) != model.coordinate_reversed else 0.0
+
+    return sorted(map(coordinate, (x_lo, x_hi)))
 
 
 def _closed_overlap(model, n, x_lo, x_hi):

@@ -73,6 +73,26 @@ def test_density_truncation_guard():
         quadrature_dp_price(CIR, NONE, fast, 0.05, n_density=40)
 
 
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: quadrature_dp_price(CIR, NONE, REDUCED, 0.05, grid_size=250.5),
+        lambda: quadrature_dp_price(CIR, NONE, REDUCED, 0.05, n_density=120.5),
+        lambda: quadrature_dp_price(CIR, NONE, REDUCED, 0.05, grid_size=True),
+        lambda: mc_zero_coupon(CIR, NONE, 1.0, 0.05, n_paths=2.5),
+        lambda: mc_zero_coupon(CIR, NONE, 1.0, 0.05, n_paths=1000.0),
+        lambda: mc_zero_coupon(CIR, NONE, 1.0, 0.05, n_paths=100, seed=1.5),
+        lambda: mc_zero_coupon(CIR, NONE, 1.0, 0.05, n_paths=100, seed=-1),
+    ),
+    ids=("grid_fraction", "density_fraction", "grid_bool", "paths_fraction", "paths_float",
+         "seed_fraction", "seed_negative"),
+)
+def test_oracle_integer_arguments_are_refused_unless_integers(call):
+    # each escaped as TypeError (a negative seed as numpy's ValueError)
+    with pytest.raises(ValidationError, match="must be an integer|must be >= 0"):
+        call()
+
+
 def test_grid_size_floor():
     with pytest.raises(ValidationError):
         quadrature_dp_price(CIR, NONE, REDUCED, 0.05, grid_size=100)

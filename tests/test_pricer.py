@@ -172,6 +172,16 @@ def test_zero_coupon_convergence_failure_reported():
         zero_coupon_price(slow, NONE, 1e-3, 0.05, eps=1e-9)
 
 
+@pytest.mark.parametrize(
+    "states", ([[0.05, 0.06]], [[0.05], [0.06]], [[0.05], [0.06, 0.07]], "low"),
+    ids=("row", "column", "ragged", "str"),
+)
+def test_price_bond_refuses_states_that_are_not_a_number_or_a_1d_sequence(states):
+    # [[0.05, 0.06]] escaped as TypeError from the state check
+    with pytest.raises(ValidationError, match="initial states must be"):
+        price_bond(CIR, NONE, SWISS, states)
+
+
 @pytest.mark.parametrize("t", (math.inf, math.nan))
 @pytest.mark.parametrize(
     "model,sub",
@@ -225,7 +235,8 @@ def test_pool_series_draws_only_the_steps_the_rule_needs(monkeypatch, model):
         for t in (0.02, 0.1666, 1.0, 5.0):
             for eps in (1e-7, 1e-13):
                 steps.clear()
-                value, level = pricer._series_eval_pool(spec, ((t, 1.0),), float(x), eps)
+                pool = spec.pool(((t, 1.0),))
+                value, level = pricer._series_eval_pool(spec, pool, float(x), eps)
                 assert steps == [level + 3]  # one pass over the whole pool
 
     steps.clear()
@@ -252,13 +263,25 @@ def test_one_spectrum_serves_every_entry_point_of_a_model_and_clock(monkeypatch,
     assert len(calls) == 1
     (spec,) = model._spectra.values()
     pools, cuts = dict(spec._pools), dict(spec._cuts)
-    assert ((1.0, 1.0),) in pools and (((SWISS.notice_delta, 1.0),), 1e-7) in cuts
+    assert ((1.0, 1.0),) not in pools and (((SWISS.notice_delta, 1.0),), 1e-7) in cuts
 
     price_bond(model, NONE, SWISS, [0.05], eps=1e-7)
     assert len(calls) == 1 and model._spectra == {NONE: spec}
     assert spec._pools.keys() == pools.keys() and spec._cuts.keys() == cuts.keys()
     assert all(spec._pools[key] is pool for key, pool in pools.items())
     assert all(spec._cuts[key] is cut for key, cut in cuts.items())
+
+
+def test_zero_coupon_keeps_no_weights_on_the_spectrum():
+    # one 2001-float pool per maturity was kept, without bound
+    model = dataclasses.replace(CIR)
+    zero_coupon_price(model, NONE, 1.0, 0.05)
+    spec = spectrum(model, NONE)
+    pools, cuts = dict(spec._pools), dict(spec._cuts)
+    for t in np.linspace(0.05, 30.0, 200):
+        zero_coupon_price(model, NONE, float(t), 0.05)
+    assert spec._pools == pools and spec._cuts == cuts
+    assert all(spec._pools[key] is pool for key, pool in pools.items())
 
 
 def _run_outputs(result):
@@ -662,9 +685,9 @@ def test_one_overlap_apply_per_break_even_state_per_pass(monkeypatch, model, sub
     from eigenbond import coeffs, pricer
 
     applies = []
-    apply = coeffs.Endpoint.apply
+    apply = coeffs.overlap_below
     monkeypatch.setattr(
-        coeffs.Endpoint, "apply", lambda self, *args: applies.append(self.x) or apply(self, *args)
+        coeffs, "overlap_below", lambda model, x, *args: applies.append(x) or apply(model, x, *args)
     )
     passes = []  # (states applied, finite break-even states) per assembly pass
     assemble = pricer._Engine._assemble

@@ -18,8 +18,14 @@ subprocess of this script (``--dump FILE``, run in the copy) imports that copy's
   entry points besides ``price_bond`` that read the model's spectrum:
   ``zero_coupon_price`` at maturities 0.1666, 1 and 5 at the states of
   those short rates, and ``strike_projection`` (degrees 0 .. 20, notice
-  period 0.1666) over [``state_lo``, the state of the rate 0.05].  Their
-  outputs are the runs' values, held to the same bound.
+  period 0.1666) over [``state_lo``, the state of the rate 0.05];
+* under the same seven models, once (it takes no eps), ``overlap_matrix``
+  (degree 20) over [``state_lo``, x], [x, ``state_hi``] and [x, x'], with x
+  and x' the states of the rates 0.05 and 0.08: the public overlap, on the
+  3/2 model's reversed coordinate too.
+
+The outputs of these functions other than ``price_bond`` are the runs'
+values, held to the same bound.
 
 Per run it records the job's quote states (``job.states()``, the inverted
 quotes of a jump model), the values, the break-even states and short rates,
@@ -54,6 +60,8 @@ CRITERION_6_EPS = (1e-5, 1e-6, 1e-7, 1e-8)
 EXTRA_EPS = (1e-7, 1e-10)
 ZERO_COUPON_TIMES = (0.1666, 1.0, 5.0)
 STRIKE_DEGREES = 20
+OVERLAP_DEGREE = 20
+OVERLAP_RATES = (0.05, 0.08)  # x and x' of the overlap intervals
 VALUE_TOL = 1e-13
 STATE_TOL = 1e-7  # the pricer's TOL_X
 QUOTE_STATE_TOL = 1e-12  # Brent's xtol of the quote inversion
@@ -95,7 +103,7 @@ def dump(tree: Path) -> dict:
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import workloads
     from eigenbond import BondSchedule, SubordinatorSpec, ThreeHalvesModel, benchmark, price_bond
-    from eigenbond.coeffs import strike_projection
+    from eigenbond.coeffs import overlap_matrix, strike_projection
     from eigenbond.pricer import zero_coupon_price
     from eigenbond.subordinators import invert_short_rate
 
@@ -162,6 +170,17 @@ def dump(tree: Path) -> dict:
                 ),
                 meta, quote_states, record=_outputs,
             )
+
+        def overlaps(model=model, quote_states=quote_states):
+            x, x2 = (quote_states()[benchmark.RATES.index(rate)] for rate in OVERLAP_RATES)
+            intervals = ((model.state_lo, x), (x, model.state_hi), tuple(sorted((x, x2))))
+            return [v for lo, hi in intervals
+                    for v in overlap_matrix(model, OVERLAP_DEGREE, lo, hi).ravel()]
+
+        # eps 1: the value bound reads the raw difference of the entries
+        runs[f"overlap_matrix {config}"] = _priced(
+            overlaps, {"workload": "overlap_matrix", "eps": 1.0}, quote_states, record=_outputs,
+        )
     return runs
 
 
