@@ -225,8 +225,6 @@ def _csv_header(title: str, eps: float) -> str:
 
 def _initial_states(model: DiffusionModel, sub: SubordinatorSpec, rates) -> list[float]:
     """Map quoted short rates to states; inverts r_phi for jump models."""
-    if sub.is_trivial:
-        return [float(r) for r in rates]
     return [invert_short_rate(model, sub, float(r)) for r in rates]
 
 

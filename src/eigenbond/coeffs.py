@@ -95,6 +95,7 @@ def _lower_gamma_vec(a: np.ndarray, x: float) -> np.ndarray:
 
 
 def _check_laguerre_degree(n_max: int, alpha: float) -> None:
+    check_integer("degree n_max", n_max)
     if alpha + n_max + 1.0 > 170.0:
         raise ValidationError(
             f"closed-form Laguerre recursions need alpha + n + 1 <= 170 "
@@ -152,6 +153,7 @@ def laguerre_pair_integrals(n_max: int, alpha: float, x: float) -> np.ndarray:
 
 def laguerre_pair_integrals_at_infinity(n_max: int, alpha: float) -> np.ndarray:
     """Full-line limit: Gamma(alpha + n + 1) / n! on the diagonal, zero off it."""
+    check_integer("degree n_max", n_max)
     if not alpha > -1.0:
         raise ValidationError(f"Laguerre order must satisfy alpha > -1, got {alpha}")
     n = np.arange(n_max + 1, dtype=float)
@@ -191,6 +193,7 @@ def laguerre_exp_integrals(n_max: int, alpha: float, s: float, x: float) -> np.n
 def laguerre_exp_integrals_at_infinity(n_max: int, alpha: float, s: float) -> np.ndarray:
     """Full-line limit Gamma(alpha + n + 1) (s - 1)^n / (n! s^{alpha + n + 1}),
     formed in log space (it leaves double range at large alpha)."""
+    check_integer("degree n_max", n_max)
     if not alpha > -1.0:
         raise ValidationError(f"Laguerre order must satisfy alpha > -1, got {alpha}")
     if not s > 0.0:
@@ -224,6 +227,12 @@ def _hermite_functions(n_max: int, x: float) -> np.ndarray:
     return _kernel(HERMITE_FUNCTIONS, n_max, x, math.exp(-0.5 * x * x))
 
 
+def _check_hermite_table(n_max: int, x: float) -> None:
+    check_integer("degree n_max", n_max)
+    if math.isnan(x):
+        raise ValidationError("endpoint must not be NaN")
+
+
 def hermite_pair_integrals(n_max: int, x: float) -> np.ndarray:
     """Table [m, n] = int_{-inf}^x h_m h_n dy.
 
@@ -231,6 +240,7 @@ def hermite_pair_integrals(n_max: int, x: float) -> np.ndarray:
     d_0 = erfc(-x) / 2; off the diagonal
     (h_m h_{n+1} sqrt((n+1)/2) - h_n h_{m+1} sqrt((m+1)/2)) / (n - m).
     """
+    _check_hermite_table(n_max, x)
     size = n_max + 1
     herm = _hermite_functions(n_max + 1, x)
     root = np.sqrt(0.5 * np.arange(1, size + 1, dtype=float))  # sqrt((n+1)/2)
@@ -250,12 +260,17 @@ def hermite_pair_integrals(n_max: int, x: float) -> np.ndarray:
 
 def hermite_pair_integrals_at_infinity(n_max: int) -> np.ndarray:
     """Full-line limit: the identity (orthonormality)."""
+    check_integer("degree n_max", n_max)
     return np.eye(n_max + 1)
 
 
 def hermite_exp_integrals(n_max: int, s: float, x: float) -> np.ndarray:
     """Vector [n] = int_{-inf}^x e^{s y - y^2/2} h_n(y) dy, stepping
-    e_n = (s e_{n-1} - e^{s x - x^2/2} h_{n-1}(x)) / sqrt(2n)."""
+    e_n = (s e_{n-1} - e^{s x - x^2/2} h_{n-1}(x)) / sqrt(2n); at x = inf
+    the full-line limit."""
+    _check_hermite_table(n_max, x)
+    if x == math.inf:
+        return hermite_exp_integrals_at_infinity(n_max, s)
     herm = _hermite_functions(max(n_max, 1), x)
     boundary = math.exp(s * x - 0.5 * x * x)
     out = np.empty(n_max + 1)
@@ -268,6 +283,7 @@ def hermite_exp_integrals(n_max: int, s: float, x: float) -> np.ndarray:
 def hermite_exp_integrals_at_infinity(n_max: int, s: float) -> np.ndarray:
     """Full-line limit e^{s^2/4} pi^{1/4} s^n / sqrt(2^n n!) (the recursion
     limit of the above)."""
+    check_integer("degree n_max", n_max)
     steps = s / np.sqrt(2.0 * np.arange(1, n_max + 1, dtype=float))
     return math.exp(0.25 * s * s) * math.pi**0.25 * np.cumprod(np.concatenate(([1.0], steps)))
 

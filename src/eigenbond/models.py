@@ -68,7 +68,7 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammaln
 
-from .errors import UnsupportedModelError, ValidationError
+from .errors import UnsupportedModelError, ValidationError, check_integer
 
 __all__ = [
     "DiffusionModel",
@@ -197,11 +197,12 @@ class DiffusionModel:
     def contains(self, x: float) -> bool:
         return self.state_lo <= x <= self.state_hi
 
-    def _require_state(self, x: float) -> None:
-        if not self.contains(x):
+    def check_state(self, x: float) -> None:
+        """Raise ValidationError unless x is finite and inside the state space."""
+        if not (math.isfinite(x) and self.contains(x)):
             raise ValidationError(
                 f"state {x} outside the {self.kind} state space "
-                f"[{self.state_lo}, {self.state_hi}]"
+                f"[{self.state_lo}, {self.state_hi}] or not finite"
             )
 
     def search_interval(self, n_supply: int) -> tuple[float, float, float]:
@@ -219,6 +220,7 @@ class DiffusionModel:
         raise NotImplementedError
 
     def eigenvalues(self, n_max: int) -> np.ndarray:
+        check_integer("degree n_max", n_max)
         return self.eigenvalue(np.arange(n_max + 1))
 
     def log_norm_constants(self, n_max: int) -> np.ndarray:
@@ -240,18 +242,24 @@ class DiffusionModel:
 
     def eigenfunctions(self, n_max: int, x: float) -> np.ndarray:
         """phi_0(x) .. phi_{n_max}(x), orthonormal against m(x) dx."""
-        self._require_state(x)
+        check_integer("degree n_max", n_max)
+        self.check_state(x)
         return self._eigenfunction_rows(n_max, float(x))
 
     def eigenfunction_matrix(self, n_max: int, xs: np.ndarray) -> np.ndarray:
         """Matrix [j, n] = phi_n(xs[j]); vectorized over the abscissas."""
-        return self._eigenfunction_rows(n_max, np.asarray(xs, dtype=float)).T
+        check_integer("degree n_max", n_max)
+        xs = np.asarray(xs, dtype=float)
+        for x in xs.flat:
+            self.check_state(x)
+        return self._eigenfunction_rows(n_max, xs).T
 
     def eigenfunction_terms(self, n_max: int, x: float) -> Iterator[float]:
         """phi_0(x) .. phi_{n_max}(x) as plain floats, each recurrence step
         taken only when its term is drawn; entry for entry the values of
         ``eigenfunctions``."""
-        self._require_state(x)
+        check_integer("degree n_max", n_max)
+        self.check_state(x)
         x = float(x)
         terms = _terms(self._recurrence, n_max, self.poly_coordinate(x))
         return map(float(self._prefactor(x)).__mul__, terms)

@@ -220,8 +220,7 @@ def short_rate_quadrature(model: DiffusionModel, sub: SubordinatorSpec, x: float
     Needs the affine closed-form bond (CIR, Vasicek) and an exponentially
     tilted Levy density.
     """
-    if not model.contains(x):
-        raise ValidationError(f"state {x} outside the {model.kind} state space")
+    model.check_state(x)
     if sub.is_trivial:
         return float(x)
 
@@ -318,8 +317,7 @@ def mc_zero_coupon(
         raise ValidationError(f"maturity must be positive and finite, got {t}")
     check_integer("n_paths", n_paths, 1)
     check_integer("seed", seed)
-    if not (math.isfinite(x0) and model.contains(x0)):
-        raise ValidationError(f"state {x0} outside the {model.kind} state space or not finite")
+    model.check_state(x0)
     steps = max(1, int(round(t * _STEPS_PER_YEAR)))
     chunk = 20_000
     n_chunks = (n_paths + chunk - 1) // chunk

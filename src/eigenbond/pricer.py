@@ -1,50 +1,54 @@
 """Backward recursion pricing of callable, putable, and straight bonds.
 
-The bond value at issue is built in three moves:
+The bond value at issue is built by one stage per decision date:
 
-1.  Terminal coefficients c_n = (1 + coupon) p_n expand the redemption
-    payment in the eigenbasis.
+1.  The recursion starts from the redemption, held from the last decision
+    date (from issue without one) to maturity: hold weights
+    (1 + coupon) p_n e^{-phi(lambda_n) h}.
 2.  At each decision date, stepping backward, the hold value is the
-    eigenfunction series with coefficients c_n e^{-phi(lambda_n) h}.  The
-    issuer calls below the state x_c where the discounted call price drops
-    under the hold value, the holder puts above the state x_p where the
-    discounted put price rises above it; both break-even states are found
-    by one bracket walk, started at the previous date's state of the same
-    kind (or at the bottom of the search interval), and Brent.  The
-    new coefficient vector sums, over the regions, the overlap over the
+    eigenfunction series over the date's hold weights.  The issuer calls
+    below the state x_c where the discounted call price drops under the
+    hold value, the holder puts above the state x_p where the discounted
+    put price rises above it; both break-even states are found by one
+    bracket walk, started at the previous date's state of the same kind
+    (or at the bottom of the search interval), and Brent.  The new
+    coefficient vector sums, over the regions, the overlap over the
     region applied to its payoff (the strike times the expansion of
-    P(delta, .) over an exercise region, the continuation coefficients
-    over the hold region), plus the coupon term.  The sum telescopes to
-    one overlap apply per finite break-even state (``_Engine._assemble``;
-    the overlap is never formed at a Gauss-Jacobi endpoint, see
-    ``coeffs``).
-3.  At issue the value is the series at the first decision time plus the
-    protected coupons, one series over their summed weights.
+    P(delta, .) over an exercise region, the hold weights over the hold
+    region), plus the coupon term.  The sum telescopes to one overlap
+    apply per finite break-even state (``_Engine._assemble``; the overlap
+    is never formed at a Gauss-Jacobi endpoint, see ``coeffs``).  Decayed
+    back to the date before, it is that date's hold weights.
+3.  At issue the value is the same series over the last hold weights plus
+    the protected coupons, one series over their summed weights.  A
+    straight bond is the recursion with no decision date.
 
-Each quantity has one evaluator.  ``_discount_bond`` gives
-x -> sum_j a_j P(t_j, x) over cash flows ((t_j, a_j), ...), for the
-notice-period bond of the strike comparisons and for all the protected
-coupons at once: the closed form on an affine model with the plain clock,
-else one pool series, cut at eps of the mean flow.  Continuation
-values and break-even states are computed only inside the recursion
-(``_Engine``); the public entry points are ``price_bond`` and
+Every scalar series has one evaluator, ``_series``: the truncated
+sum_n w_n phi_n(x), its terms drawn one at a time from the model's
+recurrence (``eigenfunction_terms``) until the two-term look-ahead rule of
+``series`` fires, with no term array built.  A supply that reaches
+``POOL_CAP`` (a pool) must fire the rule; a shorter one (a cut vector)
+gives all its terms when it does not.  The weights are float lists: a
+date's hold weights, or the pool sum_j a_j p_n e^{-phi(lambda_n) t_j} of
+cash flows ((t_j, a_j), ...) on the model's subordinate spectrum
+(``subordinators.Spectrum``, one per model and clock, kept on the model),
+built once per cash-flow set of the recursion and never grown; a
+zero-coupon bond's weights are built per call and not kept.  The
+recursion's first search, at the last decision date, reads the
+redemption's whole pool.  ``_discount_bond`` gives x -> sum_j a_j P(t_j, x)
+for the notice-period bond of the strike comparisons and for all the
+protected coupons at once: the closed form on an affine model with the
+plain clock, else one pool series, cut at eps of the mean flow.
+Continuation values and break-even states are computed only inside the
+recursion (``_Engine``); the public entry points are ``price_bond`` and
 ``zero_coupon_price``.  Brent closes every break-even search to ``TOL_X``.
 
-Every series evaluation is truncated adaptively by the two-term
-look-ahead rule of ``series``, streamed: the terms w_n phi_n(x) are drawn
-one at a time from the model's recurrence (``eigenfunction_terms``) until
-the rule fires, with no term array built.  The weights w_n are plain float
-lists: the continuation weights once per date, and for the pool series
-sum_j a_j p_n e^{-phi(lambda_n) t_j}, the pool of the model's subordinate
-spectrum (``subordinators.Spectrum``, one per model and clock, kept on the
-model), built once per cash-flow set of the recursion whole to ``POOL_CAP``
-and never grown; a zero-coupon bond's weights are built per call and not
-kept, so a sweep over maturities leaves nothing behind.
-The coefficients carried from one date to the next are a plain array, cut
-separately, by the decay of their own next-stage term weights: exercise
-kinks give the assembled value function slower coefficient decay than the
-series evaluations that located the boundaries, so the two depths are
-controlled independently (see ``ASSEMBLY_TAIL_MARGIN``).
+The coefficients carried from one date to the next are cut separately, by
+the decay of their own next-stage term weights: exercise kinks give the
+assembled value function slower coefficient decay than the series
+evaluations that located the boundaries, so the two depths are controlled
+independently (see ``ASSEMBLY_TAIL_MARGIN``).  The redemption's carried
+vector is its pool's ``Spectrum.cut``.
 """
 
 from __future__ import annotations
@@ -234,28 +238,17 @@ class PricingResult:
 # ---------------------------------------------------------------------------
 
 
-def _series_eval_capped(
-    spec: Spectrum, weights: list[float], x: float, eps: float
-) -> tuple[float, int]:
-    """Truncated sum_n weights_n phi_n(x) with a fixed coefficient supply.
+def _series(spec: Spectrum, weights: list[float], x: float, eps: float) -> tuple[float, int]:
+    """Truncated sum_n weights_n phi_n(x) in one pass: (value, stop level).
 
-    Returns (value, stop level).  When the rule does not fire within the
-    supply, every available term is used.
+    A supply that reaches ``POOL_CAP`` (a pool) must fire the rule; a
+    shorter one (a cut vector) gives all its terms when the rule does not
+    fire inside it.
     """
     terms = map(mul, weights, spec.model.eigenfunction_terms(len(weights) - 1, x))
-    value, level, _ = series.truncate_stream(terms, eps)
-    return value, level
-
-
-def _series_eval_pool(
-    spec: Spectrum, pool: list[float], x: float, eps: float
-) -> tuple[float, int]:
-    """Truncated sum_n w_n phi_n(x) over a whole pool of weights
-    (n = 0..``POOL_CAP``), in one pass; the rule must fire by ``POOL_CAP``."""
-    terms = map(mul, pool, spec.model.eigenfunction_terms(POOL_CAP, x))
     value, level, converged = series.truncate_stream(terms, eps)
-    if not converged:
-        raise ConvergenceError(f"series at x={x} not converged by n={POOL_CAP}")
+    if not converged and len(weights) > POOL_CAP:
+        raise ConvergenceError(f"series at x={x} not converged by n={len(weights) - 1}")
     return value, level
 
 
@@ -275,10 +268,9 @@ def zero_coupon_price(
     series.check_eps(eps)
     if not (t > 0.0 and math.isfinite(t)):
         raise ValidationError(f"maturity must be positive and finite, got {t}")
-    if not (math.isfinite(x) and model.contains(x)):
-        raise ValidationError(f"state {x} outside the {model.kind} state space or not finite")
+    model.check_state(x)
     spec = spectrum(model, sub)  # the maturity's weights are not kept on it
-    value, _ = _series_eval_pool(spec, spec.unit_weights(t, POOL_CAP).tolist(), x, eps)
+    value, _ = _series(spec, spec.unit_weights(t, POOL_CAP).tolist(), x, eps)
     return value
 
 
@@ -292,7 +284,7 @@ def _discount_bond(spec: Spectrum, flows: tuple[tuple[float, float], ...], eps: 
     if not (spec.sub.is_trivial and model.affine):
         eps_mean = eps / max(len(flows), 1)
         pool = spec.pool(flows)
-        return lambda x: _series_eval_pool(spec, pool, x, eps_mean)[0]
+        return lambda x: _series(spec, pool, x, eps_mean)[0]
     legs = [(a, *model.affine_bond_factors(t)) for t, a in flows]
     return lambda x: sum(a * a_fac * math.exp(-b_fac * x) for a, a_fac, b_fac in legs)
 
@@ -436,33 +428,21 @@ class _Engine:
 
     # -- one decision date ---------------------------------------------------
 
-    def _step(self, i: int, prev: np.ndarray | None) -> np.ndarray:
-        """Locate date i's break-even states and return the coefficient
-        vector carried to the date before it; ``prev`` is the vector carried
-        from date i + 1, None at the terminal stage.
+    def _step(self, i: int, search: list[float], carried: np.ndarray) -> np.ndarray:
+        """Locate date i's break-even states and return the hold weights of
+        the date before it, or of the issue date at the first date.
+
+        ``carried`` is date i's hold weights: the vector carried from the
+        stage after it, already decayed over the holding period.  The
+        break-even search reads ``search``: the same weights as a list, or
+        the redemption's whole pool at the last date (see ``run``).
         """
         sched = self.schedule
-        h = sched.holding_period(i)
         record = DateRecord(index=i, decision_time=sched.decision_time(i))
+        m_cols = carried.size - 1
 
-        if prev is None:
-            # terminal stage: c_n = (1 + coupon) p_n; the search reads the whole
-            # pool, the assembly its cut
-            redemption = ((h, 1.0 + sched.coupon),)
-            prev_weights = self.spectrum.cut(redemption, self.eps)
-            m_cols = prev_weights.size - 1
-            pool = self.spectrum.pool(redemption)
-
-            def cont(x: float) -> tuple[float, int]:
-                return _series_eval_pool(self.spectrum, pool, x, self.eps)
-
-        else:
-            m_cols = prev.size - 1
-            prev_weights = prev * self.spectrum.decay(h, m_cols)
-            cont_weights = prev_weights.tolist()
-
-            def cont(x: float) -> tuple[float, int]:
-                return _series_eval_capped(self.spectrum, cont_weights, x, self.eps)
+        def cont(x: float) -> tuple[float, int]:
+            return _series(self.spectrum, search, x, self.eps)
 
         interval = self.model.search_interval(m_cols)
         finder = _RootFinder(cont, self.pdelta, interval, i, record.eval_levels)
@@ -500,7 +480,7 @@ class _Engine:
             h_next = sched.decision_time(i)
         n_rows = max(16, m_cols)
         while True:
-            new = self._assemble(i, n_rows, x_call, x_put, prev_weights)
+            new = self._assemble(i, n_rows, x_call, x_put, carried)
             decay_next = self.spectrum.decay(h_next, n_rows)
             level, converged = series.stop_level(np.abs(new) * decay_next, self._eps_assembly)
             if converged:
@@ -516,14 +496,14 @@ class _Engine:
             raise ConvergenceError(f"non-finite expansion coefficients at decision index {i}")
         record.assembled = new.size - 1
         self.dates.append(record)
-        return new
+        return new * decay_next[: new.size]
 
-    def _assemble(self, i, n_rows, x_call, x_put, prev_weights) -> np.ndarray:
+    def _assemble(self, i, n_rows, x_call, x_put, hold) -> np.ndarray:
         """Rows 0..n_rows of the coefficient vector carried from date i.
 
         Each region's payoff is a coefficient vector: K e over an exercise
-        region (e the expansion of P(delta, .)) and the hold weights w in
-        between.  With A_x the overlap over the states below x
+        region (e the expansion of P(delta, .)) and the hold weights
+        ``hold`` in between.  With A_x the overlap over the states below x
         (``coeffs.overlap_below``: 0 at ``state_lo``, I at ``state_hi``), the
         sum over the regions of (A_end - A_start) g telescopes into the
         payoff of the highest region plus one apply per finite break-even
@@ -533,7 +513,7 @@ class _Engine:
         """
         sched, model = self.schedule, self.model
         strike = self.spectrum.cut(((sched.notice_delta, 1.0),), self.eps)
-        states, payoffs = [], [prev_weights]  # in state order
+        states, payoffs = [], [hold]  # in state order
         if x_call is not None:
             states.insert(0, x_call)
             payoffs.insert(0, sched.call_price(i) * strike)
@@ -551,30 +531,31 @@ class _Engine:
     # -- full run --------------------------------------------------------------
 
     def run(self, initial_states: np.ndarray) -> PricingResult:
+        """One stage per decision date, backward from the redemption held
+        from the last date (from issue without one) to maturity; the
+        issue-date value is the same series over the last hold weights."""
         sched = self.schedule
-        k = sched.n_coupons
-        coefficients: np.ndarray | None = None
-        for i in range(k - 1, sched.protection_index - 1, -1):
+        dates = sched.exercise_indices
+        held = sched.holding_period(dates[-1]) if dates else sched.maturity
+        redemption = ((held, 1.0 + sched.coupon),)
+        # the first search reads the whole pool, the assembly its cut; a
+        # straight bond assembles nothing, so its pool need not fire the cut
+        search = self.spectrum.pool(redemption)
+        weights = self.spectrum.cut(redemption, self.eps) if dates else None
+        for i in reversed(dates):
             try:
-                coefficients = self._step(i, coefficients)
+                weights = self._step(i, search, weights)
             except ConvergenceError as exc:
                 raise ConvergenceError(f"at decision index {i}: {exc}") from exc
+            search = weights.tolist()
         self.dates.sort(key=lambda d: d.index)
-
-        if coefficients is None:  # no decision date: the redemption alone
-            weights0 = self.spectrum.pool(((sched.maturity, 1.0 + sched.coupon),))
-            evaluate = _series_eval_pool
-        else:
-            start_t = sched.decision_time(sched.protection_index)
-            weights0 = (coefficients * self.spectrum.decay(start_t, coefficients.size - 1)).tolist()
-            evaluate = _series_eval_capped
 
         flows = tuple((t, sched.coupon) for t in sched.coupon_times[: sched.protection_index - 1])
         coupon_leg = _discount_bond(self.spectrum, flows, self.eps)  # the protected coupons
         values = np.empty(len(initial_states))
         value_levels: list[int] = []
         for j, x0 in enumerate(initial_states):
-            value, level = evaluate(self.spectrum, weights0, x0, self.eps)
+            value, level = _series(self.spectrum, search, x0, self.eps)
             values[j] = value + coupon_leg(x0)
             value_levels.append(level)
 
@@ -629,9 +610,6 @@ def price_bond(
     if initial_states.size == 0:
         raise ValidationError("need at least one initial state")
     for x0 in initial_states:
-        if not (math.isfinite(x0) and model.contains(x0)):
-            raise ValidationError(
-                f"initial state {x0} outside the {model.kind} state space or not finite"
-            )
+        model.check_state(x0)
     engine = _Engine(model, sub, schedule, eps=eps)
     return engine.run(initial_states)

@@ -87,7 +87,7 @@ def weight_cutoff(weights: np.ndarray, eps: float) -> int:
     The rule runs once over the whole array and must fire inside it.  Used
     for the inner sums of strike projections, where the overlap factors are
     bounded by one and the weights p_m e^{-phi(lambda_m) delta} carry all
-    the decay, and to size the terminal stage's coefficient vector.
+    the decay, and to size the redemption's carried vector.
     """
     level, converged = stop_level(np.abs(weights), eps)
     if not converged:

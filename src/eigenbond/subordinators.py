@@ -319,9 +319,8 @@ def short_rate_map(model: DiffusionModel, sub: SubordinatorSpec, x):
     """
     xs = np.asarray(x, dtype=float)
     for state in xs.flat:
-        if not model.contains(state):
-            raise ValidationError(f"state {state} outside the {model.kind} state space")
-    if sub.is_trivial:
+        model.check_state(state)
+    if sub.is_trivial or xs.size == 0:
         rates = xs.copy()
     else:
         _, rates = _resolved_series(model, sub, xs.ravel())
@@ -408,11 +407,11 @@ def invert_short_rate(
     that grid, or the cell reaches past the kept states, the quote walks
     as if nothing were kept.  A refused quote keeps nothing.
     """
-    if sub.is_trivial:
-        return float(rate)
     rate = float(rate)
     if not math.isfinite(rate):
         raise ValidationError(f"short rate must be finite, got {rate}")
+    if sub.is_trivial:
+        return rate
     brackets = model._short_rate_brackets.get(sub, ())
     kept = next((b for b in brackets if b[2][0] <= rate <= b[2][-1]), None)
     if kept is not None:

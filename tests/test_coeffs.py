@@ -665,3 +665,45 @@ def test_gauss_jacobi_rules_are_cached_per_size():
     assert list(model._jacobi_rules) == [40]  # 20 + 12 + 1, rounded up to a multiple of 8
     coeffs.overlap_matrix(model, 30, 0.0, 0.05)
     assert sorted(model._jacobi_rules) == [40, 48]
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: coeffs.hermite_pair_integrals(2.5, 0.3),
+        lambda: coeffs.hermite_pair_integrals(-1, 0.3),
+        lambda: coeffs.hermite_pair_integrals_at_infinity(-1),
+        lambda: coeffs.hermite_exp_integrals(-2, 0.5, 0.3),
+        lambda: coeffs.hermite_exp_integrals_at_infinity(1.5, 0.5),
+        lambda: coeffs.laguerre_pair_integrals(True, 0.5, 1.0),
+        lambda: coeffs.laguerre_pair_integrals_at_infinity(-1, 0.5),
+        lambda: coeffs.laguerre_exp_integrals(-1, 0.5, 1.5, 1.0),
+        lambda: coeffs.laguerre_exp_integrals_at_infinity(2.0, 0.5, 1.5),
+        lambda: CIR.eigenvalues(2.5),
+        lambda: CIR.eigenfunctions(2.5, 0.05),
+        lambda: list(CIR.eigenfunction_terms(-1, 0.05)),
+        lambda: CIR.eigenfunction_matrix(2.5, [0.05]),
+    ),
+    ids=("hermite_pair_fraction", "hermite_pair_negative", "hermite_pair_inf_negative",
+         "hermite_exp_negative", "hermite_exp_inf_fraction", "laguerre_pair_bool",
+         "laguerre_pair_inf_negative", "laguerre_exp_negative", "laguerre_exp_inf_float",
+         "eigenvalues_fraction", "eigenfunctions_fraction", "terms_negative",
+         "matrix_fraction"),
+)
+def test_tables_and_evaluators_refuse_a_bad_degree(call):
+    # these raised TypeError, IndexError or ValueError, or returned a table
+    # (eigenvalues(2.5) gave four values, the Laguerre limit at -1 gave [])
+    with pytest.raises(ValidationError, match="degree n_max must be"):
+        call()
+
+
+def test_hermite_tables_at_infinite_and_nan_abscissas():
+    # the exp table at inf was [1.417, nan, nan, nan]; the pair table at NaN
+    # returned a table
+    limit = coeffs.hermite_exp_integrals_at_infinity(3, 0.5)
+    assert np.array_equal(coeffs.hermite_exp_integrals(3, 0.5, math.inf), limit)
+    assert np.array_equal(coeffs.hermite_exp_integrals(3, 0.5, -math.inf), np.zeros(4))
+    for table in (lambda x: coeffs.hermite_pair_integrals(3, x),
+                  lambda x: coeffs.hermite_exp_integrals(3, 0.5, x)):
+        with pytest.raises(ValidationError, match="NaN"):
+            table(math.nan)

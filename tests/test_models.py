@@ -8,6 +8,8 @@ from eigenbond import specfun
 from eigenbond.coeffs import overlap_matrix
 from eigenbond.errors import UnsupportedModelError, ValidationError
 from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel, make_model
+from eigenbond.oracle import short_rate_quadrature
+from eigenbond.subordinators import SubordinatorSpec, short_rate_map
 
 CIR = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
 VAS = VasicekModel(kappa=0.44178462, theta=0.098397028, sigma=0.13264223)
@@ -341,6 +343,31 @@ def test_benchmark_cir_has_reflecting_origin():
     assert CIR.b < 1.0
     assert CIR.contains(0.0)
     assert np.isfinite(CIR.eigenfunctions(5, 0.0)).all()
+
+
+_JD = SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0)
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: CIR.eigenfunction_matrix(3, [0.05, -1.0]),
+        lambda: CIR.eigenfunctions(3, math.inf),
+        lambda: list(CIR.eigenfunction_terms(3, math.inf)),
+        lambda: CIR.eigenfunction_matrix(3, [0.05, math.nan]),
+        lambda: short_rate_map(TH, SubordinatorSpec.none(), math.inf),
+        lambda: short_rate_quadrature(CIR, _JD, math.inf),
+        lambda: VAS.check_state(-math.inf),
+        lambda: TH.check_state(0.0),
+    ),
+    ids=("matrix_negative", "rows_inf", "terms_inf", "matrix_nan", "rate_map_inf",
+         "rate_quadrature_inf", "check_vasicek_-inf", "check_three_halves_origin"),
+)
+def test_one_state_check_refuses_non_finite_and_outside_states(call):
+    # the matrix returned a row at the negative state; the rows and terms at
+    # inf were [0, nan, nan, nan]; both short-rate maps returned inf
+    with pytest.raises(ValidationError, match="state space .* or not finite"):
+        call()
 
 
 def test_state_space_validation():

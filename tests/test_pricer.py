@@ -236,12 +236,12 @@ def test_pool_series_draws_only_the_steps_the_rule_needs(monkeypatch, model):
             for eps in (1e-7, 1e-13):
                 steps.clear()
                 pool = spec.pool(((t, 1.0),))
-                value, level = pricer._series_eval_pool(spec, pool, float(x), eps)
+                value, level = pricer._series(spec, pool, float(x), eps)
                 assert steps == [level + 3]  # one pass over the whole pool
 
     steps.clear()
     weights = spec.pool(((1.0, 1.0),))
-    value, level = pricer._series_eval_capped(spec, weights, 0.05, 1e-9)
+    value, level = pricer._series(spec, weights, 0.05, 1e-9)
     assert steps == [level + 3]
 
 
@@ -439,14 +439,16 @@ def test_a_faked_call_region_over_the_whole_interval_fails_typed_on_three_halves
     from eigenbond import pricer
 
     # a carried vector that evaluates wrongly large everywhere makes calling
-    # look cheaper than holding over the whole search interval
-    capped = pricer._series_eval_capped
+    # look cheaper than holding over the whole search interval; P(delta, .)
+    # is a series too on 3/2, and inflating it as well would hide the region
+    evaluate = pricer._series
+    notice = spectrum(TH, NONE).pool(((SWISS.notice_delta, 1.0),))
 
-    def inflated(*args):
-        value, level = capped(*args)
-        return value + 10.0, level
+    def inflated(spec, weights, x, eps):
+        value, level = evaluate(spec, weights, x, eps)
+        return value + (0.0 if weights is notice else 10.0), level
 
-    monkeypatch.setattr(pricer, "_series_eval_capped", inflated)
+    monkeypatch.setattr(pricer, "_series", inflated)
     with pytest.raises(BracketError, match="call region covers the whole search interval"):
         price_bond(TH, NONE, SWISS, [0.05], eps=1e-7)
 
@@ -472,6 +474,16 @@ def test_assembly_unconverged_at_the_pool_cap_raises(monkeypatch):
     monkeypatch.setattr(pricer, "POOL_CAP", 20)
     with pytest.raises(ConvergenceError, match="carried coefficients .* not converged by n=20"):
         price_bond(CIR, NONE, SWISS, [0.05], eps=1e-10)
+
+
+def test_a_straight_bond_takes_no_cut_of_its_redemption():
+    # with no decision date nothing is assembled: a redemption pool whose
+    # weights do not fire the cut by POOL_CAP still prices where its series
+    # converges
+    slow = ThreeHalvesModel(kappa=0.1, theta=0.05, sigma=1.0)
+    sched = BondSchedule(coupon=0.0, coupon_times=(0.3,), protection_index=1, notice_delta=0.0)
+    value = price_bond(slow, NONE, sched, [0.05], eps=1e-7).values[0]
+    assert value == zero_coupon_price(slow, NONE, 0.3, 0.05, eps=1e-7)
 
 
 def test_continuation_decreasing_in_state():
@@ -833,6 +845,24 @@ def test_three_halves_callable_is_stable_at_tight_eps():
     v10 = price_bond(model, NONE, SWISS, [0.05], eps=1e-10).values[0]
     v11 = price_bond(model, NONE, SWISS, [0.05], eps=1e-11).values[0]
     assert abs(v11 - v10) <= 1e-8
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the vector carried from the first date to issue is cut by its decay "
+    "over tau_1 = 0.0054, which damps almost nothing",
+)
+@pytest.mark.parametrize("eps", (1e-7, 1e-10))
+def test_three_halves_callable_from_the_first_coupon_is_priced_in_range(eps):
+    # the call at 1.0 on every date from t_1 = 0.172 bounds the value by the
+    # call price plus the first coupon; at the rate 0.01 it read -90246.3 at
+    # eps 1e-7 and -268.5 at eps 1e-10
+    model = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.5)
+    schedule = dataclasses.replace(
+        SWISS, protection_index=1, call_prices=(1.0,) * (SWISS.n_coupons - 1)
+    )
+    value = price_bond(model, NONE, schedule, [0.01], eps=eps).values[0]
+    assert 0.0 < value <= 1.0 + schedule.coupon
 
 
 def test_truncation_levels_monotone_in_eps():

@@ -200,6 +200,16 @@ def test_short_rate_map_refuses_states_outside_the_space():
         short_rate_map(TH, JD, 0.0)
 
 
+@pytest.mark.parametrize("sub", (NONE, JD), ids=("plain", "jd"))
+def test_quote_edges_are_the_same_on_every_clock(sub):
+    # the plain clock returned a NaN quote as the state; the jump clock
+    # escaped an empty state array as numpy's ValueError
+    with pytest.raises(ValidationError, match="short rate must be finite"):
+        invert_short_rate(CIR, sub, math.nan)
+    rates = short_rate_map(CIR, sub, [])
+    assert isinstance(rates, np.ndarray) and rates.shape == (0,)
+
+
 def test_short_rate_map_refuses_where_the_expansion_cancels():
     # near the 3/2 origin the Laguerre abscissa beta/x is huge and the
     # series terms grow far beyond the sum they cancel to

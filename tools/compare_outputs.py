@@ -13,7 +13,10 @@ subprocess of this script (``--dump FILE``, run in the copy) imports that copy's
 * paths the bench does not price, at the short rates 0.01 .. 0.10 and at
   eps 1e-7 and 1e-10: the straight Swiss bond (no decision dates) under the
   six benchmark configs, and the Swiss callable under
-  ``ThreeHalvesModel(2, 0.06, 0.5)``;
+  ``ThreeHalvesModel(2, 0.06, 0.5)``; and under all seven, the two ends of
+  the recursion's stage loop: the Swiss bond callable at 1.0 on its last
+  decision date only (``protection_index=20``) and on every date
+  (``protection_index=1``, no protected coupon);
 * under the same seven models and clocks, at the same eps, the public
   entry points besides ``price_bond`` that read the model's spectrum:
   ``zero_coupon_price`` at maturities 0.1666, 1 and 5 at the states of
@@ -44,6 +47,7 @@ the change's criterion-6 deviation exceeds ``CRITERION_6_BOUND``.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import math
@@ -138,6 +142,10 @@ def dump(tree: Path) -> dict:
         protection_index=swiss.n_coupons,
         notice_delta=swiss.notice_delta,
     )
+    one_date = dataclasses.replace(swiss, protection_index=swiss.n_coupons - 1, call_prices=(1.0,))
+    every_date = dataclasses.replace(
+        swiss, protection_index=1, call_prices=(1.0,) * (swiss.n_coupons - 1)
+    )
     models = [(config, benchmark.benchmark_model(config), benchmark.benchmark_subordinator(config))
               for config in benchmark.BENCHMARK_CONFIGS]
     models.append(("three_halves", ThreeHalvesModel(2.0, 0.06, 0.5), SubordinatorSpec.none()))
@@ -148,14 +156,19 @@ def dump(tree: Path) -> dict:
                 return benchmark.RATES
             return tuple(invert_short_rate(model, sub, rate) for rate in benchmark.RATES)
 
-        name, schedule = (("three_halves callable", swiss) if config == "three_halves"
-                          else (f"straight {config}", straight))
+        schedules = (
+            ("three_halves callable", swiss) if config == "three_halves"
+            else (f"straight {config}", straight),
+            (f"one_date {config}", one_date),
+            (f"every_date {config}", every_date),
+        )
         for eps in EXTRA_EPS:
-            meta = {"workload": name.split()[0], "eps": eps}
-            runs[f"{name} @ {eps:g}"] = _priced(
-                lambda: price_bond(model, sub, schedule, quote_states(), eps=eps),
-                meta, quote_states,
-            )
+            for name, schedule in schedules:
+                meta = {"workload": name.split()[0], "eps": eps}
+                runs[f"{name} @ {eps:g}"] = _priced(
+                    lambda: price_bond(model, sub, schedule, quote_states(), eps=eps),
+                    meta, quote_states,
+                )
             meta = {"workload": "zero_coupon", "eps": eps}
             for t in ZERO_COUPON_TIMES:
                 runs[f"zero_coupon {config} t={t:g} @ {eps:g}"] = _priced(
