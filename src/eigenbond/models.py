@@ -26,10 +26,13 @@ generator (``_terms``) serves all three models: CIR and 3/2 name the
 Laguerre coefficients of their ``laguerre_order``, Vasicek the Hermite ones,
 and each starts from N_0 = exp(``log_norm_constants(0)``).  It yields one
 degree at a time: plain floats for one abscissa, numpy rows for many.  The
-array kernel (``_kernel``) collects it whole; ``eigenfunction_terms``
-streams it, so a scalar series takes only the recurrence steps its
-truncation rule draws.  ``eigenfunctions`` (one state),
-``eigenfunction_matrix`` (an array of states) and ``eigenfunction_terms``
+array kernel (``_kernel``) collects it whole; ``series_terms`` streams a
+weighted series from it, so a scalar series takes only the recurrence
+steps its truncation rule draws, and differentiates each step in the state
+alongside (the chain rule through ``coordinate_slope`` and
+``prefactor_log_slope``), so the series' slope costs no second pass.
+``eigenfunctions`` (one state), ``eigenfunction_matrix`` (an array of
+states) and ``series_terms`` (``eigenfunction_terms`` at unit weights)
 multiply the model's ``_prefactor`` (numpy ``exp``/``power`` for a float and
 an array alike) into the same recurrence at ``poly_coordinate(x)``, so they
 agree to the last bit.  The coefficient lists are built on first use, cached
@@ -54,7 +57,11 @@ model; what differs between the diffusions is read from these facts:
   state), which ``coeffs.overlap_below`` alone reads to take the overlap
   over the states below x in the polynomial coordinate;
 * ``overlap_log_constant``: the log of the constant factor of the overlap
-  integrals in that coordinate.
+  integrals in that coordinate;
+* ``coordinate_slope(x)`` and ``prefactor_log_slope(x)``: d
+  ``poly_coordinate``/dx and d log(prefactor)/dx, which turn the
+  recurrence's slope in the coordinate into the series' slope in the
+  state, read by the break-even search's Newton steps.
 """
 
 from __future__ import annotations
@@ -117,21 +124,49 @@ class _Recurrence:
         return lists
 
 
-def _terms(rec: _Recurrence, n_max: int, z, seed=1.0) -> Iterator:
+def _terms(
+    rec: _Recurrence, n_max: int, z, seed=1.0, weights=None, slopes=None, dz=0.0, dseed=0.0
+) -> Iterator:
     """Yield seed N_n P_n(z) for n = 0..n_max: floats for a float z, rows for
     an array; each degree is computed only when it is drawn.
 
     The recurrence is linear, so the factor ``seed`` (a float, or an array
     like z) taken into degree 0 scales every degree: a factor that is tiny
     where the polynomials are huge keeps each row in double range.
+
+    With ``weights`` (a float z and seed) the terms are a weighted series
+    and its slope: term n is weights_n (seed N_n P_n(z)), seed applied on
+    the way out, and the same step, differentiated,
+    D_n = (a_n + (s - z) b_n) D_{n-1} - b_n dz N_{n-1} P_{n-1} - c_n D_{n-2}
+    from D_0 = n0 dseed, appends to ``slopes`` the running sum of
+    weights_k D_k, k <= n, as term n is drawn.  With dz = seed dz/dx and
+    dseed = d seed/dx, D_n is the x-slope of term n over weights_n.
     """
     a, b, c = rec.upto(n_max)
     gap = rec.shift - z
-    prev, cur = 0.0, rec.n0 * seed
-    yield cur
-    for n in range(1, n_max + 1):
-        prev, cur = cur, (a[n] + gap * b[n]) * cur - c[n] * prev
+    if weights is None:
+        prev, cur = 0.0, rec.n0 * seed
         yield cur
+        for n in range(1, n_max + 1):
+            prev, cur = cur, (a[n] + gap * b[n]) * cur - c[n] * prev
+            yield cur
+        return
+    append = slopes.append
+    prev, cur = 0.0, rec.n0
+    dprev, dcur = 0.0, rec.n0 * dseed
+    weight = weights[0]
+    total = weight * dcur
+    append(total)
+    yield weight * (seed * cur)
+    for n in range(1, n_max + 1):
+        bn, cn = b[n], c[n]
+        step = a[n] + gap * bn
+        dprev, dcur = dcur, step * dcur - bn * dz * cur - cn * dprev
+        prev, cur = cur, step * cur - cn * prev
+        weight = weights[n]
+        total += weight * dcur
+        append(total)
+        yield weight * (seed * cur)
 
 
 def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
@@ -240,6 +275,14 @@ class DiffusionModel:
         float and an array of states round alike)."""
         raise NotImplementedError
 
+    def coordinate_slope(self, x: float) -> float:
+        """d poly_coordinate / dx at the state x."""
+        raise NotImplementedError
+
+    def prefactor_log_slope(self, x: float) -> float:
+        """d log(prefactor) / dx at the state x."""
+        raise NotImplementedError
+
     def eigenfunctions(self, n_max: int, x: float) -> np.ndarray:
         """phi_0(x) .. phi_{n_max}(x), orthonormal against m(x) dx."""
         check_integer("degree n_max", n_max)
@@ -259,10 +302,23 @@ class DiffusionModel:
         taken only when its term is drawn; entry for entry the values of
         ``eigenfunctions``."""
         check_integer("degree n_max", n_max)
+        return self.series_terms([1.0] * (n_max + 1), x, [])
+
+    def series_terms(self, weights: list[float], x: float, slopes: list[float]) -> Iterator[float]:
+        """weights_n phi_n(x) for n = 0, 1, ... as plain floats, each
+        recurrence step taken only when its term is drawn, bit for bit
+        weights_n times ``eigenfunctions``.  The same step appends to
+        ``slopes`` the slope of the partial sum, sum_{k<=n} weights_k
+        phi_k'(x), as term n is drawn: the chain rule through
+        ``coordinate_slope`` and ``prefactor_log_slope``."""
+        n_max = len(weights) - 1
+        check_integer("degree n_max", n_max)
         self.check_state(x)
         x = float(x)
-        terms = _terms(self._recurrence, n_max, self.poly_coordinate(x))
-        return map(float(self._prefactor(x)).__mul__, terms)
+        z, factor = self.poly_coordinate(x), float(self._prefactor(x))
+        dz = factor * self.coordinate_slope(x)
+        dseed = factor * self.prefactor_log_slope(x)
+        return _terms(self._recurrence, n_max, z, factor, weights, slopes, dz, dseed)
 
     def _eigenfunction_rows(self, n_max: int, x) -> np.ndarray:
         """Rows [n] = phi_n(x): one code path for a state and for an array of
@@ -402,6 +458,12 @@ class CIRModel(DiffusionModel):
     def _prefactor(self, x):
         return np.exp((self.kappa - self.gamma) * x / self.sigma**2)
 
+    def coordinate_slope(self, x: float) -> float:
+        return 2.0 * self.gamma / self.sigma**2
+
+    def prefactor_log_slope(self, x: float) -> float:
+        return (self.kappa - self.gamma) / self.sigma**2
+
     # named in the class body, where bench/tracer.py wraps them per class
     eigenfunctions = DiffusionModel.eigenfunctions
     eigenfunction_matrix = DiffusionModel.eigenfunction_matrix
@@ -502,6 +564,12 @@ class VasicekModel(DiffusionModel):
     def _prefactor(self, x):
         a = self.hermite_shift
         return np.exp(-a * self.xi(x) - 0.5 * a * a)
+
+    def coordinate_slope(self, x: float) -> float:
+        return math.sqrt(self.kappa) / self.sigma
+
+    def prefactor_log_slope(self, x: float) -> float:
+        return -self.hermite_shift * math.sqrt(self.kappa) / self.sigma
 
     # named in the class body, where bench/tracer.py wraps them per class
     eigenfunctions = DiffusionModel.eigenfunctions
@@ -607,6 +675,12 @@ class ThreeHalvesModel(DiffusionModel):
 
     def _prefactor(self, x):
         return np.power(x, self.alpha - self.order_m - 0.5)
+
+    def coordinate_slope(self, x: float) -> float:
+        return -self.beta / (x * x)
+
+    def prefactor_log_slope(self, x: float) -> float:
+        return (self.alpha - self.order_m - 0.5) / x
 
     # named in the class body, where bench/tracer.py wraps them per class
     eigenfunctions = DiffusionModel.eigenfunctions

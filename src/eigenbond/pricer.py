@@ -9,39 +9,44 @@ The bond value at issue is built by one stage per decision date:
     eigenfunction series over the date's hold weights.  The issuer calls
     below the state x_c where the discounted call price drops under the
     hold value, the holder puts above the state x_p where the discounted
-    put price rises above it; both break-even states are found by one
-    bracket walk, started at the previous date's state of the same kind
-    (or at the bottom of the search interval), and Brent.  The new
-    coefficient vector sums, over the regions, the overlap over the
-    region applied to its payoff (the strike times the expansion of
-    P(delta, .) over an exercise region, the hold weights over the hold
-    region), plus the coupon term.  The sum telescopes to one overlap
-    apply per finite break-even state (``_Engine._assemble``; the overlap
-    is never formed at a Gauss-Jacobi endpoint, see ``coeffs``).  Decayed
-    back to the date before, it is that date's hold weights.
+    put price rises above it.  Each break-even state is found by a
+    safeguarded Newton iteration on the difference and its slope, started
+    at the previous date's state of the same kind; without one (the first
+    search, or an empty region at the previous date), or when Newton gives
+    up, by one bracket walk from there (or from the bottom of the search
+    interval) and Brent.  The new coefficient vector sums, over the
+    regions, the overlap over the region applied to its payoff (the strike
+    times the expansion of P(delta, .) over an exercise region, the hold
+    weights over the hold region), plus the coupon term.  The sum
+    telescopes to one overlap apply per finite break-even state
+    (``_Engine._assemble``; the overlap is never formed at a Gauss-Jacobi
+    endpoint, see ``coeffs``).  Decayed back to the date before, it is that
+    date's hold weights.
 3.  At issue the value is the same series over the last hold weights plus
     the protected coupons, one series over their summed weights.  A
     straight bond is the recursion with no decision date.
 
 Every scalar series has one evaluator, ``_series``: the truncated
-sum_n w_n phi_n(x), its terms drawn one at a time from the model's
-recurrence (``eigenfunction_terms``) until the two-term look-ahead rule of
-``series`` fires, with no term array built.  A supply that reaches
-``POOL_CAP`` (a pool) must fire the rule; a shorter one (a cut vector)
-gives all its terms when it does not.  The weights are float lists: a
-date's hold weights, or the pool sum_j a_j p_n e^{-phi(lambda_n) t_j} of
+sum_n w_n phi_n(x) and its slope in x, its terms drawn one at a time from
+the model's recurrence (``series_terms``, which differentiates the same
+step) until the two-term look-ahead rule of ``series`` fires on the value
+terms, with no term array built; the slope is summed to the same level.
+A supply that reaches ``POOL_CAP`` (a pool) must fire the rule; a shorter
+one (a cut vector) gives all its terms when it does not.  The weights are
+float lists: a date's hold weights, or the pool
+sum_j a_j p_n e^{-phi(lambda_n) t_j} of
 cash flows ((t_j, a_j), ...) on the model's subordinate spectrum
 (``subordinators.Spectrum``, one per model and clock, kept on the model),
 built once per cash-flow set of the recursion and never grown; a
 zero-coupon bond's weights are built per call and not kept.  The
 recursion's first search, at the last decision date, reads the
 redemption's whole pool.  ``_discount_bond`` gives x -> sum_j a_j P(t_j, x)
-for the notice-period bond of the strike comparisons and for all the
-protected coupons at once: the closed form on an affine model with the
-plain clock, else one pool series, cut at eps of the mean flow.
+and its slope for the notice-period bond of the strike comparisons and for
+all the protected coupons at once: the closed form on an affine model with
+the plain clock, else one pool series, cut at eps of the mean flow.
 Continuation values and break-even states are computed only inside the
 recursion (``_Engine``); the public entry points are ``price_bond`` and
-``zero_coupon_price``.  Brent closes every break-even search to ``TOL_X``.
+``zero_coupon_price``.  Every break-even search closes to ``TOL_X``.
 
 The coefficients carried from one date to the next are cut separately, by
 the decay of their own next-stage term weights: exercise kinks give the
@@ -55,7 +60,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
 
 import numpy as np
 from scipy import optimize
@@ -74,8 +78,12 @@ __all__ = [
     "price_bond",
 ]
 
-# Brent closes each break-even search to within TOL_X / 2 of the crossing.
+# Each break-even search closes to within TOL_X / 2 of the crossing: Newton
+# by its last step or its quadratic error estimate, Brent by its bracket.
 TOL_X = 1e-7
+
+# Newton's iteration from a hint gives up after this many evaluations.
+_NEWTON_ITERATIONS = 4
 
 # A date's break-even walk starts from last date's state of the same kind
 # with this half-width; an end that fails to straddle moves out by steps
@@ -203,6 +211,7 @@ class DateRecord:
     call_rate: float | None = None
     put_rate: float | None = None
     eval_levels: list[int] = field(default_factory=list)
+    search_fallbacks: int = 0  # searches that left Newton for the walk
     assembled: int = 0
 
     @property
@@ -238,18 +247,23 @@ class PricingResult:
 # ---------------------------------------------------------------------------
 
 
-def _series(spec: Spectrum, weights: list[float], x: float, eps: float) -> tuple[float, int]:
-    """Truncated sum_n weights_n phi_n(x) in one pass: (value, stop level).
+def _series(
+    spec: Spectrum, weights: list[float], x: float, eps: float
+) -> tuple[float, float, int]:
+    """Truncated sum_n weights_n phi_n(x) in one pass: (value, slope, stop
+    level).  The rule fires on the value terms; the slope, drawn from the
+    same recurrence steps, is sum_n weights_n phi_n'(x) to the same level.
 
     A supply that reaches ``POOL_CAP`` (a pool) must fire the rule; a
     shorter one (a cut vector) gives all its terms when the rule does not
     fire inside it.
     """
-    terms = map(mul, weights, spec.model.eigenfunction_terms(len(weights) - 1, x))
+    slopes: list[float] = []
+    terms = spec.model.series_terms(weights, x, slopes)
     value, level, converged = series.truncate_stream(terms, eps)
     if not converged and len(weights) > POOL_CAP:
         raise ConvergenceError(f"series at x={x} not converged by n={len(weights) - 1}")
-    return value, level
+    return value, slopes[level], level
 
 
 # ---------------------------------------------------------------------------
@@ -270,23 +284,30 @@ def zero_coupon_price(
         raise ValidationError(f"maturity must be positive and finite, got {t}")
     model.check_state(x)
     spec = spectrum(model, sub)  # the maturity's weights are not kept on it
-    value, _ = _series(spec, spec.unit_weights(t, POOL_CAP).tolist(), x, eps)
+    value, _, _ = _series(spec, spec.unit_weights(t, POOL_CAP).tolist(), x, eps)
     return value
 
 
 def _discount_bond(spec: Spectrum, flows: tuple[tuple[float, float], ...], eps: float):
-    """x -> sum_j a_j P(t_j, x) over the cash flows ((t_j, a_j), ...): the
-    affine closed form on the plain clock, else one eigenfunction series
-    over the summed weights (the spectrum's pool), cut at eps of the mean
-    flow (eps / len(flows) relative to the sum), so that the earliest flow,
+    """x -> (sum_j a_j P(t_j, x), its slope in x) over the cash flows
+    ((t_j, a_j), ...): the affine closed form on the plain clock, with slope
+    -sum_j a_j B_j A_j e^{-B_j x}, else one eigenfunction series over the
+    summed weights (the spectrum's pool), cut at eps of the mean flow
+    (eps / len(flows) relative to the sum), so that the earliest flow,
     whose slow decay sets the depth, is cut no looser than on its own."""
     model = spec.model
     if not (spec.sub.is_trivial and model.affine):
         eps_mean = eps / max(len(flows), 1)
         pool = spec.pool(flows)
-        return lambda x: _series(spec, pool, x, eps_mean)[0]
+        return lambda x: _series(spec, pool, x, eps_mean)[:2]
     legs = [(a, *model.affine_bond_factors(t)) for t, a in flows]
-    return lambda x: sum(a * a_fac * math.exp(-b_fac * x) for a, a_fac, b_fac in legs)
+
+    def bond(x: float) -> tuple[float, float]:
+        values = [a * a_fac * math.exp(-b_fac * x) for a, a_fac, b_fac in legs]
+        slope = -sum(b_fac * value for (_, _, b_fac), value in zip(legs, values))
+        return sum(values), slope
+
+    return bond
 
 
 # ---------------------------------------------------------------------------
@@ -297,10 +318,12 @@ def _discount_bond(spec: Spectrum, flows: tuple[tuple[float, float], ...], eps: 
 class _RootFinder:
     """Locates one date's break-even states against a continuation function.
 
-    ``cont(x)`` returns the continuation value and its series stop level;
-    ``interval`` is the model's ``search_interval``.  The levels of every
-    evaluation ``find`` makes are appended to ``levels``; the sign scan
-    records none.
+    ``cont(x)`` returns the continuation value, its slope and its series
+    stop level, ``discounted_strike(x)`` the notice-period bond and its
+    slope; ``interval`` is the model's ``search_interval``.  The levels of
+    every evaluation ``find`` makes are appended to ``levels``; the sign
+    scan records none.  ``fallbacks`` counts the searches that left Newton
+    for the walk.
     """
 
     def __init__(
@@ -316,17 +339,20 @@ class _RootFinder:
         self.search_lo, self.bracket_start, self.search_hi = interval
         self.decision_index = decision_index
         self.levels = levels
+        self.fallbacks = 0
 
     def _difference(self, strike: float, levels: list[int] | None = None):
-        """x -> K P(delta, x) - C(x), evaluated once per distinct x."""
-        seen: dict[float, float] = {}
+        """x -> (D(x), D'(x)) for D = K P(delta, .) - C, evaluated once per
+        distinct x."""
+        seen: dict[float, tuple[float, float]] = {}
 
-        def diff(x: float) -> float:
+        def diff(x: float) -> tuple[float, float]:
             if x not in seen:
-                value, level = self.cont(x)
+                value, slope, level = self.cont(x)
                 if levels is not None:
                     levels.append(level)
-                seen[x] = strike * self.discounted_strike(x) - value
+                bond, bond_slope = self.discounted_strike(x)
+                seen[x] = (strike * bond - value, strike * bond_slope - slope)
             return seen[x]
 
         return diff
@@ -334,11 +360,60 @@ class _RootFinder:
     def find(self, kind: str, strike: float, hint: float | None = None) -> float | None:
         """Break-even state, or None when the exercise region is empty.
 
-        The difference K P(delta, x) - C(x) is increasing with a single
+        The difference D = K P(delta, .) - C is increasing with a single
         crossing: exercise regions are the low-rate side for calls and the
-        high-rate side for puts.  One walk brackets the crossing.  It starts
-        at ``hint`` +- ``_WARM_HALF_WIDTH`` (``hint``, last date's break-even
-        state of the same kind, clamped into the search interval), or at
+        high-rate side for puts.  With a ``hint`` (last date's break-even
+        state of the same kind, clamped into the search interval) a
+        safeguarded Newton iteration (``_newton``) closes the search; when
+        it gives up, or without a hint, the walk does (``_walk``).
+        """
+        diff = self._difference(strike, self.levels)
+        if hint is not None:
+            hint = min(max(hint, self.search_lo), self.search_hi)
+            root = self._newton(diff, hint)
+            if root is not None:
+                return root
+            self.fallbacks += 1
+        return self._walk(diff, kind, hint)
+
+    def _newton(self, diff, x: float) -> float | None:
+        """Newton's iteration on D from x, or None to fall back to the walk.
+
+        It keeps the sign bracket [lo, hi] (D(lo) <= 0 < D(hi)) of every
+        state evaluated, inside the search interval.  An iterate is accepted
+        when its step is at most ``TOL_X / 2``, or when it lies strictly
+        inside an evaluated sign change and the quadratic error estimate
+        |D'' / 2 D'| step^2, D'' from the last two slopes, is at most
+        ``TOL_X / 4``.  It gives up on a slope D' <= 0, on an iterate outside
+        the bracket, and after ``_NEWTON_ITERATIONS`` evaluations.
+        """
+        lo, hi = self.search_lo, self.search_hi
+        lo_seen = hi_seen = False  # whether D was evaluated at lo, at hi
+        for _ in range(_NEWTON_ITERATIONS):
+            value, slope = diff(x)  # x lies in [lo, hi]
+            if not slope > 0.0:
+                return None
+            if value > 0.0:
+                hi, hi_seen = x, True
+            else:
+                lo, lo_seen = x, True
+            step = -value / slope
+            new = x + step
+            if not lo <= new <= hi:
+                return None
+            if abs(step) <= 0.5 * TOL_X:
+                return new
+            if lo_seen and hi_seen and lo < new < hi:  # so a last state exists
+                curvature = (slope - last_slope) / (x - last_x)
+                if abs(curvature / (2.0 * slope)) * step * step <= 0.25 * TOL_X:
+                    return new
+            last_x, last_slope, x = x, slope, new
+        return None
+
+    def _walk(self, diff, kind: str, hint: float | None) -> float | None:
+        """One walk brackets the crossing and Brent's method closes it.
+
+        The walk starts at ``hint`` +- ``_WARM_HALF_WIDTH``, or at
         [search_lo, start] without one.  An end that fails to straddle
         becomes the other end while the failed side moves out by steps
         growing ``_WARM_GROWTH``-fold, stopping at the interval's edge.
@@ -348,15 +423,14 @@ class _RootFinder:
         its break-even state at ``search_hi``, and a put region over all of
         it raises, since a poorly resolved 3/2 continuation can fake one.
         """
-        diff = self._difference(strike, self.levels)
         edge_lo, edge_hi = self.search_lo, self.search_hi
         if hint is None:
             lo, hi = edge_lo, max(self.bracket_start, edge_lo + TOL_X)
             step = 0.5 * (hi - lo)
         else:
-            hint, step = min(max(hint, edge_lo), edge_hi), _WARM_HALF_WIDTH
+            step = _WARM_HALF_WIDTH
             lo, hi = max(hint - step, edge_lo), min(hint + step, edge_hi)
-        while diff(lo) > 0.0:  # the root lies below lo
+        while diff(lo)[0] > 0.0:  # the root lies below lo
             if lo == edge_lo:
                 if kind == "call":
                     return None  # strike too dear even at the lowest rates
@@ -366,19 +440,19 @@ class _RootFinder:
                 )
             step *= _WARM_GROWTH
             lo, hi = max(lo - step, edge_lo), lo
-        while diff(hi) <= 0.0:  # the root lies above hi
+        while diff(hi)[0] <= 0.0:  # the root lies above hi
             if hi == edge_hi:
                 # a call region over the whole interval, or no put region
                 return edge_hi if kind == "call" else None
             step *= _WARM_GROWTH
             lo, hi = hi, min(hi + step, edge_hi)
-        return optimize.brentq(diff, lo, hi, xtol=0.5 * TOL_X)
+        return optimize.brentq(lambda x: diff(x)[0], lo, hi, xtol=0.5 * TOL_X)
 
     def scan_single_crossing(self, strike: float, has_root: bool) -> None:
         """64-point sign scan guarding the single-root assumption."""
         xs = np.linspace(self.search_lo, self.search_hi, 64)
         diff = self._difference(strike)
-        signs = np.sign([diff(x) for x in xs])
+        signs = np.sign([diff(x)[0] for x in xs])
         signs = signs[signs != 0.0]
         crossings = int(np.sum(signs[1:] != signs[:-1]))
         expected = 1 if has_root else 0
@@ -441,7 +515,7 @@ class _Engine:
         record = DateRecord(index=i, decision_time=sched.decision_time(i))
         m_cols = carried.size - 1
 
-        def cont(x: float) -> tuple[float, int]:
+        def cont(x: float) -> tuple[float, float, int]:
             return _series(self.spectrum, search, x, self.eps)
 
         interval = self.model.search_interval(m_cols)
@@ -458,6 +532,7 @@ class _Engine:
                         raise BracketError("call region covers the whole search interval", i)
                     finder.scan_single_crossing(strike, False)
         self._hints = states
+        record.search_fallbacks = finder.fallbacks
         x_call, x_put = states["call"], states["put"]
         if x_call is not None and x_put is not None and not x_call < x_put:
             raise BracketError(
@@ -555,8 +630,8 @@ class _Engine:
         values = np.empty(len(initial_states))
         value_levels: list[int] = []
         for j, x0 in enumerate(initial_states):
-            value, level = _series(self.spectrum, search, x0, self.eps)
-            values[j] = value + coupon_leg(x0)
+            value, _, level = _series(self.spectrum, search, x0, self.eps)
+            values[j] = value + coupon_leg(x0)[0]
             value_levels.append(level)
 
         self._map_break_even_rates()

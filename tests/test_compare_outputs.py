@@ -49,6 +49,18 @@ def test_differences_within_the_bounds_pass():
     assert summary["evaluations"] == {"parent": {"swiss": 3}, "change": {"swiss": 4}}
 
 
+def test_evaluations_per_date_and_fallbacks_are_reported():
+    # a parent that does not count fallbacks reads "-"
+    parent = {"a": {**_run(), "fallbacks": None}, "b": {**_run(), "fallbacks": None}}
+    change = {"a": {**_run(levels=((12,), (14,))), "fallbacks": 1},
+              "b": {**_run(levels=((12,), (14, 15))), "fallbacks": 0}}
+    summary = compare_outputs.compare(parent, change)
+    assert summary["dates"] == {"parent": {"swiss": 4}, "change": {"swiss": 4}}
+    assert summary["fallbacks"] == {"parent": {"swiss": None}, "change": {"swiss": 1}}
+    assert ("break-even evaluations, swiss (seed 5046, job eps): 6 -> 5, "
+            "per date 1.500 -> 1.250; search fallbacks - -> 1") in compare_outputs.report(summary)
+
+
 def test_each_breach_is_reported():
     parent = {"a": _run(), "b": _run(), "c": _run(), "gone": _run()}
     change = {

@@ -87,6 +87,34 @@ def test_eigenfunction_terms_agree_with_eigenfunctions(model):
         model.eigenfunction_terms(5, math.nan)
 
 
+@pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind)
+def test_series_terms_carry_the_slope_of_each_partial_sum(model):
+    # the pricer's scalar series: weights_n phi_n(x) bit for bit, and the
+    # differentiated recurrence's running slope against a central difference
+    weights = np.random.default_rng(2014).standard_normal(41).tolist()
+    for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
+        x = float(x)
+        slopes = []
+        terms = list(model.series_terms(weights, x, slopes))
+        assert all(type(value) is float for value in terms + slopes)
+        np.testing.assert_array_equal(terms, np.multiply(weights, model.eigenfunctions(40, x)))
+        h = min(1e-6 * max(abs(x), 0.01), 0.5 * (x - model.state_lo))
+        up, down = (np.cumsum(weights * model.eigenfunctions(40, x + s)) for s in (h, -h))
+        scale = np.max(np.abs(slopes))
+        np.testing.assert_allclose(slopes, (up - down) / (2.0 * h), rtol=0.0, atol=1e-7 * scale)
+
+
+@pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind)
+def test_coordinate_and_prefactor_slopes_are_their_derivatives(model):
+    for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
+        h = min(1e-6 * max(abs(x), 0.01), 0.5 * (x - model.state_lo))
+        dz = (model.poly_coordinate(x + h) - model.poly_coordinate(x - h)) / (2.0 * h)
+        log_prefactor = lambda y: math.log(float(model._prefactor(y)))
+        dlog = (log_prefactor(x + h) - log_prefactor(x - h)) / (2.0 * h)
+        assert model.coordinate_slope(x) == pytest.approx(dz, rel=1e-7)
+        assert model.prefactor_log_slope(x) == pytest.approx(dlog, rel=1e-6)
+
+
 # Reference copy of the eigenfunction kernel's recursion in numpy: one array
 # row per degree, every coefficient recomputed per degree, with the
 # prefactor from numpy for one state and for many.  The kernel keeps its

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import optimize
 
 from eigenbond import benchmark, series
 from eigenbond.errors import BracketError, ConvergenceError, ValidationError
@@ -236,13 +237,57 @@ def test_pool_series_draws_only_the_steps_the_rule_needs(monkeypatch, model):
             for eps in (1e-7, 1e-13):
                 steps.clear()
                 pool = spec.pool(((t, 1.0),))
-                value, level = pricer._series(spec, pool, float(x), eps)
+                value, slope, level = pricer._series(spec, pool, float(x), eps)
                 assert steps == [level + 3]  # one pass over the whole pool
 
     steps.clear()
     weights = spec.pool(((1.0, 1.0),))
-    value, level = pricer._series(spec, weights, 0.05, 1e-9)
+    value, slope, level = pricer._series(spec, weights, 0.05, 1e-9)
     assert steps == [level + 3]
+
+
+def _central_slope(evaluate, x, h):
+    return (evaluate(x + h)[0] - evaluate(x - h)[0]) / (2.0 * h)
+
+
+@pytest.mark.parametrize(
+    "model",
+    (CIR, VAS, TH, CIRModel(1.0, 0.05, 0.02), ThreeHalvesModel(2.0, 0.06, 0.1)),
+    ids=("cir", "vasicek", "three_halves", "cir_b250", "three_halves_402"),
+)
+def test_series_slope_is_the_derivative_of_its_value(model):
+    # the break-even search's Newton steps read this slope; the interval is
+    # the one a search over a carried vector of 64 terms probes
+    from eigenbond import pricer
+
+    spec = spectrum(model, NONE)
+    lo, _, hi = model.search_interval(64)
+    h = 1e-6 * (hi - lo)
+    for t in (0.1666, 1.1666):
+        pool = spec.pool(((t, 1.0),))
+        evaluate = lambda x: pricer._series(spec, pool, x, 1e-13)
+        for x in np.linspace(lo, hi, 41)[1:].tolist():
+            _, slope, _ = evaluate(x)
+            assert slope == pytest.approx(_central_slope(evaluate, x, h), rel=1e-7), (t, x)
+
+
+@pytest.mark.parametrize("model", (CIR, VAS), ids=("cir", "vasicek"))
+def test_discount_bond_slopes(model):
+    # the notice-period bond of the strike comparison: the pool series on a
+    # jump clock, the closed form with slope -B P on the plain clock
+    from eigenbond import pricer
+
+    notice = ((SWISS.notice_delta, 1.0),)
+    lo, _, hi = model.search_interval(64)
+    h = 1e-6 * (hi - lo)
+    series_bond = pricer._discount_bond(spectrum(model, JD), notice, 1e-13)
+    closed_bond = pricer._discount_bond(spectrum(model, NONE), notice, 1e-13)
+    _, b_fac = model.affine_bond_factors(SWISS.notice_delta)
+    for x in np.linspace(lo, hi, 41)[1:].tolist():
+        _, slope = series_bond(x)
+        assert slope == pytest.approx(_central_slope(series_bond, x, h), rel=1e-7), x
+        value, slope = closed_bond(x)
+        assert slope == pytest.approx(-b_fac * value, rel=1e-15), x
 
 
 @pytest.mark.parametrize("model", (CIR, ThreeHalvesModel(2.0, 0.06, 0.5)), ids=("cir", "th"))
@@ -384,7 +429,7 @@ def test_coupon_leg_series_matches_the_sum_of_coupon_bonds(model, sub):
     flows = _protected_coupons(SWISS)
     leg = pricer._discount_bond(spectrum(model, sub), flows, eps)
     for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
-        got = leg(float(x))
+        got, _ = leg(float(x))
         ref = sum(a * zero_coupon_price(model, sub, t, float(x), eps=eps) for t, a in flows)
         exact = sum(a * zero_coupon_price(model, sub, t, float(x), eps=1e-15) for t, a in flows)
         assert abs(got - ref) <= eps * abs(got), (x, got, ref)
@@ -399,7 +444,7 @@ def test_coupon_leg_matches_the_closed_form_on_the_plain_clock(model):
     leg = pricer._discount_bond(spectrum(model, NONE), flows, 1e-7)
     for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
         ref = sum(a * float(model.closed_form_bond(t, x)) for t, a in flows)
-        assert leg(float(x)) == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert leg(float(x))[0] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_holding_periods_of_the_schedule():
@@ -445,8 +490,8 @@ def test_a_faked_call_region_over_the_whole_interval_fails_typed_on_three_halves
     notice = spectrum(TH, NONE).pool(((SWISS.notice_delta, 1.0),))
 
     def inflated(spec, weights, x, eps):
-        value, level = evaluate(spec, weights, x, eps)
-        return value + (0.0 if weights is notice else 10.0), level
+        value, slope, level = evaluate(spec, weights, x, eps)
+        return value + (0.0 if weights is notice else 10.0), slope, level
 
     monkeypatch.setattr(pricer, "_series", inflated)
     with pytest.raises(BracketError, match="call region covers the whole search interval"):
@@ -560,7 +605,7 @@ def _cold_start(monkeypatch):
 def test_warm_started_search_is_cheap(model):
     res = price_bond(model, NONE, _five_year_monthly([1.0] * 48), [0.05], eps=1e-7)
     assert len(res.dates) == 48
-    assert np.mean([len(d.eval_levels) for d in res.dates]) <= 10.0
+    assert np.mean([len(d.eval_levels) for d in res.dates]) <= 4.0
 
 
 def _warm_states_matching_cold(monkeypatch, model, ladder):
@@ -599,6 +644,61 @@ def test_strike_jump_leaves_the_warm_bracket(monkeypatch, model):
     assert abs(states[23] - states[24]) > 4.0 * pricer._WARM_HALF_WIDTH
 
 
+@pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
+def test_a_strike_jump_falls_back_to_the_walk(monkeypatch, model):
+    # the break-even state moves far over the first two par dates after the
+    # strike drops (from 0.0019 to 0.041 to 0.021 on CIR); a search there
+    # that Newton's iteration does not close goes to the walk from its hint
+    ladder = [1.0] * 24 + [1.06] * 24
+    warm = price_bond(model, NONE, _five_year_monthly(ladder), [0.05], eps=1e-7)
+    fallbacks = {i: d.search_fallbacks for i, d in enumerate(warm.dates) if d.search_fallbacks}
+    assert fallbacks and set(fallbacks) <= {22, 23} and set(fallbacks.values()) == {1}
+    _warm_states_matching_cold(monkeypatch, model, ladder)
+
+
+def _tight_root(finder, diff, root):
+    """Brent's root of the same difference at xtol 1e-14, bracketed around root."""
+    from eigenbond import pricer
+
+    width = pricer.TOL_X
+    for _ in range(40):
+        lo = max(root - width, finder.search_lo)
+        hi = min(root + width, finder.search_hi)
+        if diff(lo)[0] <= 0.0 < diff(hi)[0]:
+            return optimize.brentq(lambda x: diff(x)[0], lo, hi, xtol=1e-14)
+        width *= 2.0
+    raise AssertionError(f"no sign change around {root}")
+
+
+@pytest.mark.parametrize(
+    "model,sub,schedule",
+    [
+        (benchmark.benchmark_model(c), benchmark.benchmark_subordinator(c), SWISS_PUT)
+        for c in benchmark.BENCHMARK_CONFIGS
+    ]
+    + [(ThreeHalvesModel(2.0, 0.06, 0.5), NONE, SWISS)],
+    ids=[f"{c}_call_put" for c in benchmark.BENCHMARK_CONFIGS] + ["three_halves_callable"],
+)
+@pytest.mark.parametrize("eps", (1e-7, 1e-10))
+def test_newton_closes_within_half_tol_of_a_tight_brent(monkeypatch, model, sub, schedule, eps):
+    from eigenbond import pricer
+
+    newton = pricer._RootFinder._newton
+    closed = []
+
+    def checked(self, diff, x):
+        root = newton(self, diff, x)
+        if root is not None:
+            closed.append((root, _tight_root(self, diff, root)))
+        return root
+
+    monkeypatch.setattr(pricer._RootFinder, "_newton", checked)
+    price_bond(model, sub, schedule, [0.05], eps=eps)
+    assert len(closed) >= 9
+    for root, reference in closed:
+        assert abs(root - reference) <= 0.5 * pricer.TOL_X, (root, reference)
+
+
 def _walk(interval, root):
     """A break-even search on diff(x) = x - root (K = 1, P(delta, x) = 1,
     C(x) = 1 - (x - root)), with the list of the states it evaluates."""
@@ -608,9 +708,27 @@ def _walk(interval, root):
 
     def cont(x):
         seen.append(x)
-        return 1.0 - (x - root), 0
+        return 1.0 - (x - root), -1.0, 0
 
-    return pricer._RootFinder(cont, lambda x: 1.0, interval, 7, []), seen
+    return pricer._RootFinder(cont, lambda x: (1.0, 0.0), interval, 7, []), seen
+
+
+def test_newton_takes_an_iterate_only_on_a_small_error_estimate():
+    # D(x) = expm1(100 (x - root)) from a hint 0.01 below: the second iterate
+    # lies inside the evaluated sign change but 2e-3 from the root, where
+    # the quadratic estimate reads 6e-4; the search goes on and closes
+    from eigenbond import pricer
+
+    root, seen = 0.5, []
+
+    def cont(x):
+        seen.append(x)
+        return 1.0 - math.expm1(100.0 * (x - root)), -100.0 * math.exp(100.0 * (x - root)), 0
+
+    finder = pricer._RootFinder(cont, lambda x: (1.0, 0.0), CIR.search_interval(40), 7, [])
+    found = finder.find("call", 1.0, hint=root - 0.01)
+    assert found == pytest.approx(root, abs=0.5 * pricer.TOL_X)
+    assert len(seen) > 3
 
 
 def test_walk_clamps_a_hint_outside_the_search_interval():

@@ -33,15 +33,18 @@ values, held to the same bound.
 Per run it records the job's quote states (``job.states()``, the inverted
 quotes of a jump model), the values, the break-even states and short rates,
 the levels of every break-even evaluation (``eval_levels``), the issue-date
-levels (``value_levels``) and the assembled lengths, or the error raised.
-The comparison prints the largest differences (of values also in units of
-each run's eps), the mismatch counts, the break-even evaluations per
-workload (seed 5046, the job's eps) and the criterion-6 deviation of each
-side.  It exits 1 when values differ by more
-than ``VALUE_TOL``, quote states by more than ``QUOTE_STATE_TOL``,
-break-even states or rates by more than ``STATE_TOL``, the None pattern,
-the assembled lengths, the dates, the quote counts or the errors differ, or
-the change's criterion-6 deviation exceeds ``CRITERION_6_BOUND``.
+levels (``value_levels``), the assembled lengths and the searches that left
+Newton's iteration for the walk (``search_fallbacks``, summed over the
+dates; absent on revisions without the count), or the error raised.  The
+comparison prints the largest differences (of values also in units of each
+run's eps), the mismatch counts, the break-even evaluations per workload
+(seed 5046, the job's eps) in total and per decision date with the
+workload's fallbacks, and the criterion-6 deviation of each side.  It
+exits 1 when values differ by more than ``VALUE_TOL``, quote states by more
+than ``QUOTE_STATE_TOL``, break-even states or rates by more than
+``STATE_TOL``, the None pattern, the assembled lengths, the dates, the
+quote counts or the errors differ, or the change's criterion-6 deviation
+exceeds ``CRITERION_6_BOUND``.
 """
 
 from __future__ import annotations
@@ -85,6 +88,11 @@ def _record(result) -> dict:
         "eval_levels": [list(d.eval_levels) for d in result.dates],
         "value_levels": list(result.value_levels),
         "assembled": [d.assembled for d in result.dates],
+        # None where the revision does not count them
+        "fallbacks": (
+            sum(d.search_fallbacks for d in result.dates)
+            if all(hasattr(d, "search_fallbacks") for d in result.dates) else None
+        ),
     }
 
 
@@ -216,6 +224,8 @@ def compare(parent: dict, change: dict) -> dict:
          "eval_levels"), 0
     )
     evaluations: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
+    dates: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
+    fallbacks: dict[str, dict[str, int | None]] = {"parent": {}, "change": {}}
     criterion_6 = {"parent": 0, "change": 0}
     for side, runs in (("parent", parent), ("change", change)):
         for run in runs.values():
@@ -224,8 +234,12 @@ def compare(parent: dict, change: dict) -> dict:
             if run["workload"] == "criterion_6":
                 criterion_6[side] = max(criterion_6[side], run.get("criterion_6_dev", 0))
             elif run.get("seed") == SEEDS[0] and run["job_eps"]:
+                workload = run["workload"]
                 total = sum(len(levels) for levels in run["eval_levels"])
-                evaluations[side][run["workload"]] = evaluations[side].get(run["workload"], 0) + total
+                evaluations[side][workload] = evaluations[side].get(workload, 0) + total
+                dates[side][workload] = dates[side].get(workload, 0) + len(run["eval_levels"])
+                count, so_far = run.get("fallbacks"), fallbacks[side].get(workload, 0)
+                fallbacks[side][workload] = None if None in (count, so_far) else so_far + count
 
     for label in sorted(set(parent) | set(change)):
         if label not in parent or label not in change:
@@ -273,6 +287,8 @@ def compare(parent: dict, change: dict) -> dict:
         "worst": worst,
         "counts": counts,
         "evaluations": evaluations,
+        "dates": dates,
+        "fallbacks": fallbacks,
         "criterion_6_dev": criterion_6,
         "failed": failed,
     }
@@ -290,9 +306,18 @@ def report(summary: dict) -> str:
     counts = summary["counts"]
     lines.append("mismatches: " + ", ".join(f"{k} {v}" for k, v in counts.items()))
     for workload in sorted(set(summary["evaluations"]["parent"]) | set(summary["evaluations"]["change"])):
-        p = summary["evaluations"]["parent"].get(workload)
-        c = summary["evaluations"]["change"].get(workload)
-        lines.append(f"break-even evaluations, {workload} (seed {SEEDS[0]}, job eps): {p} -> {c}")
+        per_side = {}
+        for side in ("parent", "change"):
+            total = summary["evaluations"][side].get(workload)
+            n_dates = summary["dates"][side].get(workload)
+            per_date = f"{total / n_dates:.3f}" if total is not None and n_dates else "-"
+            counted = summary["fallbacks"][side].get(workload)
+            per_side[side] = (total, per_date, "-" if counted is None else counted)
+        (p, p_date, p_fall), (c, c_date, c_fall) = per_side["parent"], per_side["change"]
+        lines.append(
+            f"break-even evaluations, {workload} (seed {SEEDS[0]}, job eps): {p} -> {c}, "
+            f"per date {p_date} -> {c_date}; search fallbacks {p_fall} -> {c_fall}"
+        )
     dev = summary["criterion_6_dev"]
     lines.append(f"criterion-6 max deviation: parent {dev['parent']}, change {dev['change']} "
                  f"(bound {CRITERION_6_BOUND})")
