@@ -4,8 +4,8 @@ The test case is a 1987 Swiss Confederation issue: 20.172 years to
 maturity, 21 annual coupons of 4.25%, callable at the last ten coupon
 dates with two months' notice.  The backward recursion walks the decision
 dates from maturity to the end of the protection period, locating the
-break-even state at each date by one bracket walk, started at the
-previous date's state, and Brent, and rebuilding the expansion
+break-even state at each date by one bracketed Newton loop, started at
+the previous date's state, and rebuilding the expansion
 coefficients from interval integrals over the hold and exercise regions.
 
 Run: python demos/02_callable_bond_recursion.py

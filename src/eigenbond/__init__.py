@@ -4,8 +4,8 @@ Prices zero-coupon, callable, putable, and callable-putable bonds under
 CIR, Vasicek, and 3/2 short-rate diffusions and their Levy-subordinated
 jump extensions.  The pricing semigroup is expanded in its eigenfunctions;
 embedded options are handled by a backward recursion on the expansion
-coefficients with break-even boundaries located by one bracket walk,
-started at the previous date's boundary, and Brent.
+coefficients with break-even boundaries located by one bracketed Newton
+loop, started at the previous date's boundary.
 """
 
 __version__ = "0.1.0"

@@ -9,19 +9,20 @@ The bond value at issue is built by one stage per decision date:
     eigenfunction series over the date's hold weights.  The issuer calls
     below the state x_c where the discounted call price drops under the
     hold value, the holder puts above the state x_p where the discounted
-    put price rises above it.  Each break-even state is found by a
-    safeguarded Newton iteration on the difference and its slope, started
-    at the previous date's state of the same kind; without one (the first
-    search, or an empty region at the previous date), or when Newton gives
-    up, by one bracket walk from there (or from the bottom of the search
-    interval) and Brent.  The new coefficient vector sums, over the
-    regions, the overlap over the region applied to its payoff (the strike
-    times the expansion of P(delta, .) over an exercise region, the hold
-    weights over the hold region), plus the coupon term.  The sum
-    telescopes to one overlap apply per finite break-even state
-    (``_Engine._assemble``; the overlap is never formed at a Gauss-Jacobi
-    endpoint, see ``coeffs``).  Decayed back to the date before, it is that
-    date's hold weights.
+    put price rises above it.  Each break-even state is found by one
+    bracketed Newton loop on the difference and its slope, started at the
+    previous date's state of the same kind, or without one (the first
+    search, or an empty region at the previous date) at the bottom of the
+    search interval: Newton steps inside the sign bracket every evaluation
+    narrows, and a bisection, or before a sign change a walk outward,
+    where a Newton step would leave the bracket or stall.  The new
+    coefficient vector sums, over the regions, the overlap over the region
+    applied to its payoff (the strike times the expansion of P(delta, .)
+    over an exercise region, the hold weights over the hold region), plus
+    the coupon term.  The sum telescopes to one overlap apply per finite
+    break-even state (``_Engine._assemble``; the overlap is never formed at
+    a Gauss-Jacobi endpoint, see ``coeffs``).  Decayed back to the date
+    before, it is that date's hold weights.
 3.  At issue the value is the same series over the last hold weights plus
     the protected coupons, one series over their summed weights.  A
     straight bond is the recursion with no decision date.
@@ -62,7 +63,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize
 
 from . import coeffs as coeffs_mod
 from . import series
@@ -78,16 +78,14 @@ __all__ = [
     "price_bond",
 ]
 
-# Each break-even search closes to within TOL_X / 2 of the crossing: Newton
-# by its last step or its quadratic error estimate, Brent by its bracket.
+# Each break-even search closes to within TOL_X / 2 of the crossing: by a
+# Newton iterate's step or its quadratic error estimate, or by the midpoint
+# of an evaluated sign change at most TOL_X wide.
 TOL_X = 1e-7
 
-# Newton's iteration from a hint gives up after this many evaluations.
-_NEWTON_ITERATIONS = 4
-
-# A date's break-even walk starts from last date's state of the same kind
-# with this half-width; an end that fails to straddle moves out by steps
-# growing this factor at a time.
+# Before a sign change is evaluated, a bracketing step walks out from last
+# date's state of the same kind by this width, then by steps growing this
+# factor at a time.
 _WARM_HALF_WIDTH = 1e-3
 _WARM_GROWTH = 4.0
 
@@ -211,7 +209,7 @@ class DateRecord:
     call_rate: float | None = None
     put_rate: float | None = None
     eval_levels: list[int] = field(default_factory=list)
-    search_fallbacks: int = 0  # searches that left Newton for the walk
+    search_fallbacks: int = 0  # searches that took a bracketing step: a walk or a bisection
     assembled: int = 0
 
     @property
@@ -322,8 +320,8 @@ class _RootFinder:
     stop level, ``discounted_strike(x)`` the notice-period bond and its
     slope; ``interval`` is the model's ``search_interval``.  The levels of
     every evaluation ``find`` makes are appended to ``levels``; the sign
-    scan records none.  ``fallbacks`` counts the searches that left Newton
-    for the walk.
+    scan records none.  ``fallbacks`` counts the searches that took a
+    bracketing step.
     """
 
     def __init__(
@@ -342,18 +340,14 @@ class _RootFinder:
         self.fallbacks = 0
 
     def _difference(self, strike: float, levels: list[int] | None = None):
-        """x -> (D(x), D'(x)) for D = K P(delta, .) - C, evaluated once per
-        distinct x."""
-        seen: dict[float, tuple[float, float]] = {}
+        """x -> (D(x), D'(x)) for D = K P(delta, .) - C."""
 
         def diff(x: float) -> tuple[float, float]:
-            if x not in seen:
-                value, slope, level = self.cont(x)
-                if levels is not None:
-                    levels.append(level)
-                bond, bond_slope = self.discounted_strike(x)
-                seen[x] = (strike * bond - value, strike * bond_slope - slope)
-            return seen[x]
+            value, slope, level = self.cont(x)
+            if levels is not None:
+                levels.append(level)
+            bond, bond_slope = self.discounted_strike(x)
+            return strike * bond - value, strike * bond_slope - slope
 
         return diff
 
@@ -362,91 +356,83 @@ class _RootFinder:
 
         The difference D = K P(delta, .) - C is increasing with a single
         crossing: exercise regions are the low-rate side for calls and the
-        high-rate side for puts.  With a ``hint`` (last date's break-even
-        state of the same kind, clamped into the search interval) a
-        safeguarded Newton iteration (``_newton``) closes the search; when
-        it gives up, or without a hint, the walk does (``_walk``).
+        high-rate side for puts.  One loop closes the search, the ``rtsafe``
+        scheme of Press et al., *Numerical Recipes*, 9.4: Newton steps inside
+        a sign bracket [lo, hi] (D(lo) <= 0 < D(hi)) that every evaluation
+        narrows, starting as the search interval, whose ends are not
+        evaluated.  The first state is ``hint`` (last date's break-even
+        state of the same kind, clamped into the interval); without one it
+        is ``search_lo``, and the first step walks to ``bracket_start``.
+
+        A bracketing step replaces the Newton step when the iterate would
+        leave the bracket, when D' <= 0, or, once a sign change is
+        evaluated, when the step fails to halve the last one.  It bisects
+        an evaluated sign change; before one, it walks out from the
+        bracket's evaluated end by ``_WARM_HALF_WIDTH`` (cold: to
+        ``bracket_start``), each further walk step ``_WARM_GROWTH`` times
+        the last, stopping at the interval's edge.  Each evaluation is at a
+        new state.
+
+        An iterate is accepted when its step is at most ``TOL_X / 2``, or
+        when it lies inside an evaluated sign change and the quadratic error
+        estimate |D'' / 2 D'| step^2, D'' from the last two slopes, is at
+        most ``TOL_X / 4``; an evaluated sign change at most ``TOL_X`` wide
+        gives its midpoint.  An edge of the interval that fails to straddle
+        decides the whole interval: a call region over all of it has its
+        break-even state at ``search_hi``, and a put region over all of it
+        raises, since a poorly resolved 3/2 continuation can fake one.
         """
         diff = self._difference(strike, self.levels)
-        if hint is not None:
-            hint = min(max(hint, self.search_lo), self.search_hi)
-            root = self._newton(diff, hint)
-            if root is not None:
-                return root
-            self.fallbacks += 1
-        return self._walk(diff, kind, hint)
-
-    def _newton(self, diff, x: float) -> float | None:
-        """Newton's iteration on D from x, or None to fall back to the walk.
-
-        It keeps the sign bracket [lo, hi] (D(lo) <= 0 < D(hi)) of every
-        state evaluated, inside the search interval.  An iterate is accepted
-        when its step is at most ``TOL_X / 2``, or when it lies strictly
-        inside an evaluated sign change and the quadratic error estimate
-        |D'' / 2 D'| step^2, D'' from the last two slopes, is at most
-        ``TOL_X / 4``.  It gives up on a slope D' <= 0, on an iterate outside
-        the bracket, and after ``_NEWTON_ITERATIONS`` evaluations.
-        """
-        lo, hi = self.search_lo, self.search_hi
-        lo_seen = hi_seen = False  # whether D was evaluated at lo, at hi
-        for _ in range(_NEWTON_ITERATIONS):
-            value, slope = diff(x)  # x lies in [lo, hi]
-            if not slope > 0.0:
-                return None
+        edge_lo, edge_hi = self.search_lo, self.search_hi
+        lo, hi = edge_lo, edge_hi
+        lo_seen = hi_seen = bracketed = False  # D evaluated at lo, at hi
+        if hint is None:
+            x, reach = edge_lo, max(self.bracket_start - edge_lo, TOL_X)
+        else:
+            x, reach = min(max(hint, edge_lo), edge_hi), _WARM_HALF_WIDTH
+        last_x = last_slope = last_step = None
+        while True:
+            value, slope = diff(x)
             if value > 0.0:
+                if x == edge_lo:
+                    if kind == "call":
+                        return None  # strike too dear even at the lowest rates
+                    raise BracketError(
+                        "put region covers the whole search interval",
+                        decision_index=self.decision_index,
+                    )
                 hi, hi_seen = x, True
             else:
+                if x == edge_hi:
+                    # a call region over the whole interval, or no put region
+                    return edge_hi if kind == "call" else None
                 lo, lo_seen = x, True
-            step = -value / slope
+            straddled = lo_seen and hi_seen
+            step = -value / slope if slope > 0.0 else math.nan  # nan: no Newton step
             new = x + step
-            if not lo <= new <= hi:
-                return None
-            if abs(step) <= 0.5 * TOL_X:
+            # a cold start walks its first step
+            newton = lo < new < hi and (hint is not None or last_x is not None)
+            if newton and abs(step) <= 0.5 * TOL_X:
                 return new
-            if lo_seen and hi_seen and lo < new < hi:  # so a last state exists
-                curvature = (slope - last_slope) / (x - last_x)
-                if abs(curvature / (2.0 * slope)) * step * step <= 0.25 * TOL_X:
-                    return new
-            last_x, last_slope, x = x, slope, new
-        return None
-
-    def _walk(self, diff, kind: str, hint: float | None) -> float | None:
-        """One walk brackets the crossing and Brent's method closes it.
-
-        The walk starts at ``hint`` +- ``_WARM_HALF_WIDTH``, or at
-        [search_lo, start] without one.  An end that fails to straddle
-        becomes the other end while the failed side moves out by steps
-        growing ``_WARM_GROWTH``-fold, stopping at the interval's edge.
-        Brent's method then closes the bracket to within ``TOL_X / 2`` of
-        the crossing.  At an edge that fails to straddle the region covers
-        the whole interval or none of it: a call region over all of it has
-        its break-even state at ``search_hi``, and a put region over all of
-        it raises, since a poorly resolved 3/2 continuation can fake one.
-        """
-        edge_lo, edge_hi = self.search_lo, self.search_hi
-        if hint is None:
-            lo, hi = edge_lo, max(self.bracket_start, edge_lo + TOL_X)
-            step = 0.5 * (hi - lo)
-        else:
-            step = _WARM_HALF_WIDTH
-            lo, hi = max(hint - step, edge_lo), min(hint + step, edge_hi)
-        while diff(lo)[0] > 0.0:  # the root lies below lo
-            if lo == edge_lo:
-                if kind == "call":
-                    return None  # strike too dear even at the lowest rates
-                raise BracketError(
-                    "put region covers the whole search interval",
-                    decision_index=self.decision_index,
-                )
-            step *= _WARM_GROWTH
-            lo, hi = max(lo - step, edge_lo), lo
-        while diff(hi)[0] <= 0.0:  # the root lies above hi
-            if hi == edge_hi:
-                # a call region over the whole interval, or no put region
-                return edge_hi if kind == "call" else None
-            step *= _WARM_GROWTH
-            lo, hi = hi, min(hi + step, edge_hi)
-        return optimize.brentq(lambda x: diff(x)[0], lo, hi, xtol=0.5 * TOL_X)
+            if straddled:
+                if hi - lo <= TOL_X:
+                    return 0.5 * (lo + hi)
+                if newton:
+                    curvature = (slope - last_slope) / (x - last_x)
+                    if abs(curvature / (2.0 * slope)) * step * step <= 0.25 * TOL_X:
+                        return new
+                    newton = abs(step) <= 0.5 * abs(last_step)
+            if not newton:
+                self.fallbacks += not bracketed  # once per search
+                bracketed = True
+                if straddled:
+                    new = 0.5 * (lo + hi)
+                elif lo_seen:
+                    new, reach = min(lo + reach, edge_hi), reach * _WARM_GROWTH
+                else:
+                    new, reach = max(hi - reach, edge_lo), reach * _WARM_GROWTH
+            last_x, last_slope, last_step = x, slope, new - x
+            x = new
 
     def scan_single_crossing(self, strike: float, has_root: bool) -> None:
         """64-point sign scan guarding the single-root assumption."""

@@ -128,3 +128,26 @@ def test_runs_outside_the_bench_are_compared_but_not_counted():
     summary = compare_outputs.compare({"s": extra()}, {"s": extra(values=(1.0 + 1e-12, 2.0))})
     assert summary["evaluations"] == {"parent": {}, "change": {}}
     assert summary["failed"] == ["value"]
+
+
+def test_every_run_past_a_bound_is_named():
+    # a known-wrong run past the value bound stays beside a real regression,
+    # not hidden behind it as the worst; runs within the bounds are not named
+    parent = {"wrong": _run(), "moved": _run(), "fine": _run()}
+    change = {
+        "wrong": _run(values=(1.0 + 3.8e-5, 2.0)),
+        "moved": _run(values=(1.0, 2.0 + 1e-12), states=((0.03 + 2e-7, None), (0.04, 0.2))),
+        "fine": _run(values=(1.0 + 5e-14, 2.0)),
+    }
+    summary = compare_outputs.compare(parent, change)
+    assert summary["worst"]["value"][1] == "wrong"
+    assert summary["past"] == {"value": ["moved", "wrong"], "quote_state": [],
+                               "state": ["moved"], "rate": ["moved"]}
+    assert summary["failed"] == ["value", "state", "rate"]
+    report = compare_outputs.report(summary)
+    assert "  2 run(s) past the value bound: moved; wrong" in report
+    assert "  1 run(s) past the state bound: moved" in report
+    assert "past the quote_state bound" not in report
+    assert compare_outputs.compare(parent, parent)["past"] == dict.fromkeys(
+        compare_outputs.BOUNDS, []
+    )

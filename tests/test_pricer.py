@@ -647,12 +647,35 @@ def test_strike_jump_leaves_the_warm_bracket(monkeypatch, model):
 @pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
 def test_a_strike_jump_falls_back_to_the_walk(monkeypatch, model):
     # the break-even state moves far over the first two par dates after the
-    # strike drops (from 0.0019 to 0.041 to 0.021 on CIR); a search there
-    # that Newton's iteration does not close goes to the walk from its hint
+    # strike drops (from 0.0019 to 0.041 to 0.021 on CIR).  Newton's steps
+    # close those searches inside the bracket they narrow: the first par
+    # date below the jump once took Newton's 4 evaluations plus a walk and
+    # Brent from the hint again (12 on CIR, 14 on Vasicek).  Only a search
+    # without a hint that finds a region takes a bracketing step, its walk
+    # from search_lo to bracket_start.
+    from eigenbond import pricer
+
+    find = pricer._RootFinder.find
+    searched = []  # the states each search evaluated
+
+    def recorded(self, kind, strike, hint=None):
+        seen, cont = [], self.cont
+        searched.append(seen)
+        self.cont = lambda x: seen.append(x) or cont(x)
+        try:
+            return find(self, kind, strike, hint=hint)
+        finally:
+            self.cont = cont
+
+    monkeypatch.setattr(pricer._RootFinder, "find", recorded)
     ladder = [1.0] * 24 + [1.06] * 24
     warm = price_bond(model, NONE, _five_year_monthly(ladder), [0.05], eps=1e-7)
+    assert len(searched) == 48 and all(len(set(seen)) == len(seen) for seen in searched)
+    assert len(warm.dates[22].eval_levels) <= 6
+    states = [d.call_state for d in warm.dates] + [None]  # no hint for the last date
+    cold = {i for i, state in enumerate(states[:-1]) if state is not None and states[i + 1] is None}
     fallbacks = {i: d.search_fallbacks for i, d in enumerate(warm.dates) if d.search_fallbacks}
-    assert fallbacks and set(fallbacks) <= {22, 23} and set(fallbacks.values()) == {1}
+    assert fallbacks == dict.fromkeys(cold, 1) and len(cold) == 1
     _warm_states_matching_cold(monkeypatch, model, ladder)
 
 
@@ -683,16 +706,18 @@ def _tight_root(finder, diff, root):
 def test_newton_closes_within_half_tol_of_a_tight_brent(monkeypatch, model, sub, schedule, eps):
     from eigenbond import pricer
 
-    newton = pricer._RootFinder._newton
+    # every finite crossing, whether a Newton step, a bisection or the walk
+    # closed it; a call region over the whole interval has none
+    find = pricer._RootFinder.find
     closed = []
 
-    def checked(self, diff, x):
-        root = newton(self, diff, x)
-        if root is not None:
-            closed.append((root, _tight_root(self, diff, root)))
+    def checked(self, kind, strike, hint=None):
+        root = find(self, kind, strike, hint=hint)
+        if root is not None and not (kind == "call" and root == self.search_hi):
+            closed.append((root, _tight_root(self, self._difference(strike), root)))
         return root
 
-    monkeypatch.setattr(pricer._RootFinder, "_newton", checked)
+    monkeypatch.setattr(pricer._RootFinder, "find", checked)
     price_bond(model, sub, schedule, [0.05], eps=eps)
     assert len(closed) >= 9
     for root, reference in closed:
@@ -729,6 +754,46 @@ def test_newton_takes_an_iterate_only_on_a_small_error_estimate():
     found = finder.find("call", 1.0, hint=root - 0.01)
     assert found == pytest.approx(root, abs=0.5 * pricer.TOL_X)
     assert len(seen) > 3
+
+
+_WRONG_SLOPES = {
+    "1e-3_too_small": lambda x, slope, n, root: 1e-3 * slope,
+    "zero_at_every_other_state": lambda x, slope, n, root: 0.0 if n % 2 else slope,
+    "negative_above_the_root": lambda x, slope, n, root: -slope if x > root else slope,
+    "negative_below_the_root": lambda x, slope, n, root: -slope if x < root else slope,
+}
+
+
+@pytest.mark.parametrize("wrong", sorted(_WRONG_SLOPES))
+@pytest.mark.parametrize("curve", ("exp", "atan"))
+def test_a_wrong_slope_still_closes_within_half_tol(wrong, curve):
+    # the bracketing step takes over where the reported D' would send Newton
+    # astray: D = expm1(30 (x - root)), or the inflected atan(300 (x - root))
+    # + 0.01 (x - root), whose slope the finder reads through `wrong`
+    from eigenbond import pricer
+
+    interval = lo, start, hi = CIR.search_interval(40)
+    bracketing = 0  # searches that took a bracketing step
+    for root in (lo + 5e-4, 0.02, start, 0.5 * (start + hi)):
+        for hint in (None, root - 0.02, root + 0.05, root + 3e-5, lo, hi):
+            seen = []
+
+            def cont(x, root=root, seen=seen):
+                seen.append(x)
+                u = x - root
+                if curve == "exp":
+                    value, slope = math.expm1(30.0 * u), 30.0 * math.exp(30.0 * u)
+                else:
+                    value = math.atan(300.0 * u) + 0.01 * u
+                    slope = 300.0 / (1.0 + (300.0 * u) ** 2) + 0.01
+                return 1.0 - value, -_WRONG_SLOPES[wrong](x, slope, len(seen), root), 0
+
+            finder = pricer._RootFinder(cont, lambda x: (1.0, 0.0), interval, 7, [])
+            found = finder.find("call", 1.0, hint=hint)
+            assert abs(found - root) <= 0.5 * pricer.TOL_X, (root, hint, found)
+            assert len(set(seen)) == len(seen)
+            bracketing += finder.fallbacks
+    assert bracketing > 0
 
 
 def test_walk_clamps_a_hint_outside_the_search_interval():

@@ -33,13 +33,14 @@ values, held to the same bound.
 Per run it records the job's quote states (``job.states()``, the inverted
 quotes of a jump model), the values, the break-even states and short rates,
 the levels of every break-even evaluation (``eval_levels``), the issue-date
-levels (``value_levels``), the assembled lengths and the searches that left
-Newton's iteration for the walk (``search_fallbacks``, summed over the
-dates; absent on revisions without the count), or the error raised.  The
-comparison prints the largest differences (of values also in units of each
-run's eps), the mismatch counts, the break-even evaluations per workload
-(seed 5046, the job's eps) in total and per decision date with the
-workload's fallbacks, and the criterion-6 deviation of each side.  It
+levels (``value_levels``), the assembled lengths and the searches that took
+a bracketing step (``search_fallbacks``, summed over the dates; absent on
+revisions without the count), or the error raised.  The comparison prints
+the largest differences (of values also in units of each run's eps), the
+name of every run past each bound (``BOUNDS``), the mismatch counts, the
+break-even evaluations per workload (seed 5046, the job's eps) in total and
+per decision date with the workload's fallbacks, and the criterion-6
+deviation of each side.  It
 exits 1 when values differ by more than ``VALUE_TOL``, quote states by more
 than ``QUOTE_STATE_TOL``, break-even states or rates by more than
 ``STATE_TOL``, the None pattern, the assembled lengths, the dates, the
@@ -73,6 +74,8 @@ VALUE_TOL = 1e-13
 STATE_TOL = 1e-7  # the pricer's TOL_X
 QUOTE_STATE_TOL = 1e-12  # Brent's xtol of the quote inversion
 CRITERION_6_BOUND = 2  # the truncation profile's +-2 of the acceptance suite
+BOUNDS = {"value": VALUE_TOL, "quote_state": QUOTE_STATE_TOL, "state": STATE_TOL,
+          "rate": STATE_TOL}
 
 
 # ---------------------------------------------------------------------------
@@ -210,15 +213,19 @@ def dump(tree: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _max_diff(worst: dict, key: str, a: float, b: float, label: str) -> None:
+def _max_diff(worst: dict, past: dict, key: str, a: float, b: float, label: str) -> None:
+    """Keep the largest difference of ``key`` and name every run past its bound."""
     diff = abs(a - b)
     if not diff <= worst[key][0]:  # NaN counts as the worst
         worst[key] = (diff if not math.isnan(diff) else math.inf, label)
+    if key in past and not diff <= BOUNDS[key] and label not in past[key]:
+        past[key].append(label)
 
 
 def compare(parent: dict, change: dict) -> dict:
     """Largest differences and mismatch counts of two dumps."""
     worst = {key: (0.0, None) for key in ("value", "value_eps", "quote_state", "state", "rate")}
+    past: dict[str, list[str]] = {key: [] for key in BOUNDS}  # the runs past each bound
     counts = dict.fromkeys(
         ("missing", "errors", "quotes", "dates", "none_pattern", "assembled", "value_levels",
          "eval_levels"), 0
@@ -250,12 +257,12 @@ def compare(parent: dict, change: dict) -> dict:
             counts["errors"] += a.get("error") != b.get("error")
             continue
         for x, y in zip(a["values"], b["values"]):
-            _max_diff(worst, "value", x, y, label)
-            _max_diff(worst, "value_eps", x / a["eps"], y / a["eps"], label)
+            _max_diff(worst, past, "value", x, y, label)
+            _max_diff(worst, past, "value_eps", x / a["eps"], y / a["eps"], label)
         quotes_a, quotes_b = a.get("quote_states", []), b.get("quote_states", [])
         counts["quotes"] += len(quotes_a) != len(quotes_b)
         for x, y in zip(quotes_a, quotes_b):
-            _max_diff(worst, "quote_state", x, y, label)
+            _max_diff(worst, past, "quote_state", x, y, label)
         counts["value_levels"] += sum(x != y for x, y in zip(a["value_levels"], b["value_levels"]))
         if len(a["states"]) != len(b["states"]):
             counts["dates"] += 1
@@ -266,17 +273,14 @@ def compare(parent: dict, change: dict) -> dict:
                     if (x is None) != (y is None):
                         counts["none_pattern"] += key == "states"
                     elif x is not None:
-                        _max_diff(worst, key[:-1], x, y, label)
+                        _max_diff(worst, past, key[:-1], x, y, label)
         counts["assembled"] += sum(x != y for x, y in zip(a["assembled"], b["assembled"]))
         counts["eval_levels"] += sum(x != y for x, y in zip(a["eval_levels"], b["eval_levels"]))
 
     failed = [
         name
         for name, bad in (
-            ("value", worst["value"][0] > VALUE_TOL),
-            ("quote_state", worst["quote_state"][0] > QUOTE_STATE_TOL),
-            ("state", worst["state"][0] > STATE_TOL),
-            ("rate", worst["rate"][0] > STATE_TOL),
+            *((key, bool(past[key])) for key in BOUNDS),
             ("criterion_6", criterion_6["change"] > CRITERION_6_BOUND),
             *((name, counts[name] > 0)
               for name in ("missing", "errors", "quotes", "dates", "none_pattern", "assembled")),
@@ -285,6 +289,7 @@ def compare(parent: dict, change: dict) -> dict:
     ]
     return {
         "worst": worst,
+        "past": past,
         "counts": counts,
         "evaluations": evaluations,
         "dates": dates,
@@ -296,11 +301,12 @@ def compare(parent: dict, change: dict) -> dict:
 
 def report(summary: dict) -> str:
     lines = []
-    bounds = (("value", VALUE_TOL), ("quote_state", QUOTE_STATE_TOL), ("state", STATE_TOL),
-              ("rate", STATE_TOL))
-    for key, tol in bounds:
+    for key, tol in BOUNDS.items():
         diff, label = summary["worst"][key]
         lines.append(f"max |{key} diff| = {diff:.3g} (bound {tol:g}) at {label}")
+        past = summary["past"][key]
+        if past:
+            lines.append(f"  {len(past)} run(s) past the {key} bound: " + "; ".join(past))
     diff, label = summary["worst"]["value_eps"]
     lines.append(f"max |value diff| / eps = {diff:.3g} at {label}")
     counts = summary["counts"]
