@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the one integer check."""
+"""Exception types shared across the package, and the one integer and one
+real-number check."""
 
 import numbers
 
@@ -46,3 +47,12 @@ def check_integer(name: str, value, minimum: int = 0) -> None:
         raise ValidationError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
         raise ValidationError(f"{name} must be >= {minimum}, got {value}")
+
+
+def check_real(name: str, value) -> None:
+    """Refuse, with ``ValidationError``, a value that is not a real number
+    (a bool, a string or None included).  Range checks are the caller's."""
+    if type(value) is not float and (
+        isinstance(value, bool) or not isinstance(value, numbers.Real)
+    ):
+        raise ValidationError(f"{name} must be a real number, got {value!r}")

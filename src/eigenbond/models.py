@@ -21,25 +21,29 @@ three-term recurrence (the norm constant folded into the recursion, which
 keeps every intermediate O(1) and finite at degrees where the raw polynomial
 and the norm constant would separately overflow or underflow).  Laguerre and
 Hermite polynomials satisfy one step,
-N_n P_n = (a_n + (s - z) b_n) N_{n-1} P_{n-1} - c_n N_{n-2} P_{n-2}, so one
-generator (``_terms``) serves all three models: CIR and 3/2 name the
-Laguerre coefficients of their ``laguerre_order``, Vasicek the Hermite ones,
-and each starts from N_0 = exp(``log_norm_constants(0)``).  It yields one
-degree at a time: plain floats for one abscissa, numpy rows for many.  The
-array kernel (``_kernel``) collects it whole; ``series_terms`` streams a
-weighted series from it, so a scalar series takes only the recurrence
-steps its truncation rule draws, and differentiates each step in the state
-alongside (the chain rule through ``coordinate_slope`` and
-``prefactor_log_slope``), so the series' slope costs no second pass.
-``eigenfunctions`` (one state), ``eigenfunction_matrix`` (an array of
-states) and ``series_terms`` (``eigenfunction_terms`` at unit weights)
-multiply the model's ``_prefactor`` (numpy ``exp``/``power`` for a float and
-an array alike) into the same recurrence at ``poly_coordinate(x)``, so they
-agree to the last bit.  The coefficient lists are built on first use, cached
-on the model and grown on demand; the derived constants (``gamma``, ``b``,
-``order_m``, ``hermite_shift``, ...) are cached too, and so is the
-subordinate spectrum of each clock (``_spectra``, see
-``subordinators.Spectrum``), built whole to ``POOL_CAP`` on first use.
+N_n P_n = (a_n + (s - z) b_n) N_{n-1} P_{n-1} - c_n N_{n-2} P_{n-2}, and
+CIR and 3/2 name the Laguerre coefficients of their ``laguerre_order``,
+Vasicek the Hermite ones, each starting from N_0 =
+exp(``log_norm_constants(0)``).  Two loops step it.  The kernel
+(``_kernel``) returns every degree at once, one row per degree, for a float
+abscissa and an array alike; ``eigenfunctions`` (one state) and
+``eigenfunction_matrix`` (an array of states) multiply the model's
+``_prefactor`` (numpy ``exp``/``power`` for a float and an array alike) into
+it at ``poly_coordinate(x)``, so they agree to the last bit.  ``series_sum``
+evaluates a weighted series at one state: its loop steps the recurrence and
+its x-derivative (the chain rule through ``coordinate_slope`` and
+``prefactor_log_slope``), sums the value and the slope and applies the
+truncation rule of ``series`` inline, so it takes only the steps the rule
+reads and builds no term array.  The rule thus has two bodies, this loop
+and ``series.truncate_terms``;
+``tests/test_series.py::test_series_sum_and_truncate_terms_agree_bit_for_bit``
+pins them against each other.
+
+The coefficient lists are built on first use, cached on the model and grown
+on demand; the derived constants (``gamma``, ``b``, ``order_m``,
+``hermite_shift``, ...) are cached too, and so is the subordinate spectrum
+of each clock (``_spectra``, see ``subordinators.Spectrum``), built whole to
+``POOL_CAP`` on first use.
 Every norm constant is formed in log space, so parameter sets whose raw
 factors overflow separately still evaluate.
 
@@ -67,7 +71,7 @@ model; what differs between the diffusions is read from these facts:
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -75,7 +79,8 @@ import numpy as np
 from scipy import stats
 from scipy.special import gammaln
 
-from .errors import UnsupportedModelError, ValidationError, check_integer
+from .errors import UnsupportedModelError, ValidationError, check_integer, check_real
+from .series import MIN_LEVEL
 
 __all__ = [
     "DiffusionModel",
@@ -124,56 +129,21 @@ class _Recurrence:
         return lists
 
 
-def _terms(
-    rec: _Recurrence, n_max: int, z, seed=1.0, weights=None, slopes=None, dz=0.0, dseed=0.0
-) -> Iterator:
-    """Yield seed N_n P_n(z) for n = 0..n_max: floats for a float z, rows for
-    an array; each degree is computed only when it is drawn.
+def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
+    """seed N_n P_n(z) for n = 0..n_max, rows over z when z is an array.
 
     The recurrence is linear, so the factor ``seed`` (a float, or an array
     like z) taken into degree 0 scales every degree: a factor that is tiny
     where the polynomials are huge keeps each row in double range.
-
-    With ``weights`` (a float z and seed) the terms are a weighted series
-    and its slope: term n is weights_n (seed N_n P_n(z)), seed applied on
-    the way out, and the same step, differentiated,
-    D_n = (a_n + (s - z) b_n) D_{n-1} - b_n dz N_{n-1} P_{n-1} - c_n D_{n-2}
-    from D_0 = n0 dseed, appends to ``slopes`` the running sum of
-    weights_k D_k, k <= n, as term n is drawn.  With dz = seed dz/dx and
-    dseed = d seed/dx, D_n is the x-slope of term n over weights_n.
     """
     a, b, c = rec.upto(n_max)
     gap = rec.shift - z
-    if weights is None:
-        prev, cur = 0.0, rec.n0 * seed
-        yield cur
-        for n in range(1, n_max + 1):
-            prev, cur = cur, (a[n] + gap * b[n]) * cur - c[n] * prev
-            yield cur
-        return
-    append = slopes.append
-    prev, cur = 0.0, rec.n0
-    dprev, dcur = 0.0, rec.n0 * dseed
-    weight = weights[0]
-    total = weight * dcur
-    append(total)
-    yield weight * (seed * cur)
-    for n in range(1, n_max + 1):
-        bn, cn = b[n], c[n]
-        step = a[n] + gap * bn
-        dprev, dcur = dcur, step * dcur - bn * dz * cur - cn * dprev
-        prev, cur = cur, step * cur - cn * prev
-        weight = weights[n]
-        total += weight * dcur
-        append(total)
-        yield weight * (seed * cur)
-
-
-def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
-    """seed N_n P_n(z) for n = 0..n_max, rows over z when z is an array."""
     rows = np.empty((n_max + 1,) + np.shape(z))
-    for n, row in enumerate(_terms(rec, n_max, z, seed)):
-        rows[n] = row
+    prev, cur = 0.0, rec.n0 * seed
+    rows[0] = cur
+    for n in range(1, n_max + 1):
+        prev, cur = cur, (a[n] + gap * b[n]) * cur - c[n] * prev
+        rows[n] = cur
     return rows
 
 
@@ -216,6 +186,7 @@ class DiffusionModel:
     def __post_init__(self):
         for name in ("kappa", "theta", "sigma"):
             value = getattr(self, name)
+            check_real(name, value)
             if not (math.isfinite(value) and value > 0.0):
                 raise ValidationError(f"{name} must be finite and > 0, got {value}")
 
@@ -297,28 +268,52 @@ class DiffusionModel:
             self.check_state(x)
         return self._eigenfunction_rows(n_max, xs).T
 
-    def eigenfunction_terms(self, n_max: int, x: float) -> Iterator[float]:
-        """phi_0(x) .. phi_{n_max}(x) as plain floats, each recurrence step
-        taken only when its term is drawn; entry for entry the values of
-        ``eigenfunctions``."""
-        check_integer("degree n_max", n_max)
-        return self.series_terms([1.0] * (n_max + 1), x, [])
-
-    def series_terms(self, weights: list[float], x: float, slopes: list[float]) -> Iterator[float]:
-        """weights_n phi_n(x) for n = 0, 1, ... as plain floats, each
-        recurrence step taken only when its term is drawn, bit for bit
-        weights_n times ``eigenfunctions``.  The same step appends to
-        ``slopes`` the slope of the partial sum, sum_{k<=n} weights_k
-        phi_k'(x), as term n is drawn: the chain rule through
-        ``coordinate_slope`` and ``prefactor_log_slope``."""
+    def series_sum(
+        self, weights: list[float], x: float, eps: float
+    ) -> tuple[float, float, int, bool]:
+        """(value, slope, level, converged) of sum_n weights_n phi_n(x) cut
+        by the rule of ``series``: one loop steps the recurrence, sums the
+        terms left to right and applies the rule, reading weights only up to
+        level + 2.  The terms are bit for bit weights_n times
+        ``eigenfunctions``, and value, level and converged those of
+        ``series.truncate_terms`` on them.  The slope is
+        sum_{n<=level} weights_n phi_n'(x), from the same step differentiated
+        in x: D_n = (a_n + (s - z) b_n) D_{n-1} - b_n dz N_{n-1} P_{n-1}
+        - c_n D_{n-2}, with dz = seed dz/dx and D_0 = N_0 d seed/dx (the
+        chain rule through ``coordinate_slope`` and ``prefactor_log_slope``).
+        When the rule does not fire inside the weights, level is the last
+        index and every term is summed."""
         n_max = len(weights) - 1
         check_integer("degree n_max", n_max)
         self.check_state(x)
         x = float(x)
-        z, factor = self.poly_coordinate(x), float(self._prefactor(x))
-        dz = factor * self.coordinate_slope(x)
-        dseed = factor * self.prefactor_log_slope(x)
-        return _terms(self._recurrence, n_max, z, factor, weights, slopes, dz, dseed)
+        rec = self._recurrence
+        a, b, c = rec.upto(n_max)
+        seed = float(self._prefactor(x))
+        gap = rec.shift - self.poly_coordinate(x)
+        dz = seed * self.coordinate_slope(x)
+        prev, cur = 0.0, rec.n0
+        dprev, dcur = 0.0, rec.n0 * (seed * self.prefactor_log_slope(x))
+        # after degree n: the sums to degree n - 2 and the terms n - 1, n
+        weight = weights[0]
+        total, ahead1, ahead2 = 0.0, 0.0, weight * (seed * cur)
+        dtotal, dahead1, dahead2 = 0.0, 0.0, weight * dcur
+        first = MIN_LEVEL + 2
+        for n in range(1, n_max + 1):
+            bn, cn = b[n], c[n]
+            step = a[n] + gap * bn
+            dprev, dcur = dcur, step * dcur - bn * dz * cur - cn * dprev
+            prev, cur = cur, step * cur - cn * prev
+            weight = weights[n]
+            total += ahead1
+            dtotal += dahead1
+            ahead1, ahead2 = ahead2, weight * (seed * cur)
+            dahead1, dahead2 = dahead2, weight * dcur
+            if n >= first:  # the rule at level n - 2
+                bound = eps * abs(total)
+                if abs(ahead1) <= bound and abs(ahead1 + ahead2) <= bound:
+                    return total, dtotal, n - 2, True
+        return total + ahead1 + ahead2, dtotal + dahead1 + dahead2, n_max, False
 
     def _eigenfunction_rows(self, n_max: int, x) -> np.ndarray:
         """Rows [n] = phi_n(x): one code path for a state and for an array of

@@ -28,10 +28,13 @@ The bond value at issue is built by one stage per decision date:
     straight bond is the recursion with no decision date.
 
 Every scalar series has one evaluator, ``_series``: the truncated
-sum_n w_n phi_n(x) and its slope in x, its terms drawn one at a time from
-the model's recurrence (``series_terms``, which differentiates the same
-step) until the two-term look-ahead rule of ``series`` fires on the value
-terms, with no term array built; the slope is summed to the same level.
+sum_n w_n phi_n(x) and its slope in x, from the model's ``series_sum``, one
+loop that steps the recurrence and its derivative until the two-term
+look-ahead rule of ``series`` fires on the value terms, with no term array
+built; the slope is summed to the same level.  That loop is the rule's
+second body besides ``series.truncate_terms``;
+``tests/test_series.py::test_series_sum_and_truncate_terms_agree_bit_for_bit``
+pins the two against each other.
 A supply that reaches ``POOL_CAP`` (a pool) must fire the rule; a shorter
 one (a cut vector) gives all its terms when it does not.  The weights are
 float lists: a date's hold weights, or the pool
@@ -66,7 +69,7 @@ import numpy as np
 
 from . import coeffs as coeffs_mod
 from . import series
-from .errors import BracketError, ConvergenceError, ValidationError, check_integer
+from .errors import BracketError, ConvergenceError, ValidationError, check_integer, check_real
 from .models import POOL_CAP, DiffusionModel
 from .subordinators import Spectrum, SubordinatorSpec, short_rate_map, spectrum
 
@@ -103,6 +106,18 @@ ASSEMBLY_TAIL_MARGIN = 100.0
 # ---------------------------------------------------------------------------
 
 
+def _reals(name: str, values) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, refused with ``ValidationError``
+    unless it is a sequence of real numbers."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValidationError(f"{name} must be a sequence of numbers, got {values!r}") from None
+    for i, value in enumerate(values):
+        check_real(f"{name}[{i}]", value)
+    return tuple(map(float, values))
+
+
 @dataclass(frozen=True)
 class BondSchedule:
     """Coupon and exercise schedule of a (possibly) callable/putable bond.
@@ -122,16 +137,18 @@ class BondSchedule:
     put_prices: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        times = tuple(float(t) for t in self.coupon_times)
+        times = _reals("coupon_times", self.coupon_times)
         object.__setattr__(self, "coupon_times", times)
         if len(times) == 0:
             raise ValidationError("schedule needs at least one coupon/redemption date")
+        check_real("coupon", self.coupon)
         if not (math.isfinite(self.coupon) and self.coupon >= 0.0):
             raise ValidationError(f"coupon must be finite and >= 0, got {self.coupon}")
         if not all(map(math.isfinite, times)) or times[0] <= 0.0 or any(
             t2 <= t1 for t1, t2 in zip(times, times[1:])
         ):
             raise ValidationError("coupon times must be finite, positive and strictly increasing")
+        check_real("notice period", self.notice_delta)
         if not (math.isfinite(self.notice_delta) and self.notice_delta >= 0.0):
             raise ValidationError(f"notice period must be finite and >= 0, got {self.notice_delta}")
         spacing = min(
@@ -148,7 +165,7 @@ class BondSchedule:
         n_ex = k - self.protection_index
         for name, ladder in (("call_prices", self.call_prices), ("put_prices", self.put_prices)):
             if ladder is not None:
-                ladder = tuple(float(v) for v in ladder)
+                ladder = _reals(name, ladder)
                 object.__setattr__(self, name, ladder)
                 if len(ladder) != n_ex:
                     raise ValidationError(
@@ -249,19 +266,17 @@ def _series(
     spec: Spectrum, weights: list[float], x: float, eps: float
 ) -> tuple[float, float, int]:
     """Truncated sum_n weights_n phi_n(x) in one pass: (value, slope, stop
-    level).  The rule fires on the value terms; the slope, drawn from the
-    same recurrence steps, is sum_n weights_n phi_n'(x) to the same level.
+    level), from the model's ``series_sum``.  The rule fires on the value
+    terms; the slope is sum_n weights_n phi_n'(x) to the same level.
 
     A supply that reaches ``POOL_CAP`` (a pool) must fire the rule; a
     shorter one (a cut vector) gives all its terms when the rule does not
     fire inside it.
     """
-    slopes: list[float] = []
-    terms = spec.model.series_terms(weights, x, slopes)
-    value, level, converged = series.truncate_stream(terms, eps)
+    value, slope, level, converged = spec.model.series_sum(weights, x, eps)
     if not converged and len(weights) > POOL_CAP:
         raise ConvergenceError(f"series at x={x} not converged by n={len(weights) - 1}")
-    return value, slopes[level], level
+    return value, slope, level
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +293,10 @@ def zero_coupon_price(
 ) -> float:
     """Zero-coupon bond by the (subordinate) eigenfunction expansion."""
     series.check_eps(eps)
+    check_real("maturity", t)
     if not (t > 0.0 and math.isfinite(t)):
         raise ValidationError(f"maturity must be positive and finite, got {t}")
+    check_real("state", x)
     model.check_state(x)
     spec = spectrum(model, sub)  # the maturity's weights are not kept on it
     value, _, _ = _series(spec, spec.unit_weights(t, POOL_CAP).tolist(), x, eps)

@@ -9,28 +9,29 @@ small relative to everything accumulated so far:
 with S_N = sum_{n<=N} t_n.  The two-term look-ahead guards against the
 near-cancellation of consecutive terms of alternating-sign expansions.
 
-The rule is written once, as a stream (``truncate_stream``): it draws terms
-one at a time, only as far as the rule needs, and keeps S_N as a running
-sum, so the pricer's scalar series build no term array and compute no
-eigenfunction beyond the look-ahead.  ``stop_level`` and ``truncate_terms``
-apply it to a term array; ``weight_cutoff`` cuts a whole weight array by
-it, in one pass.  ``check_eps`` refuses a tolerance outside (0, 1e-3], for
-every entry point that takes one.
+The rule has two bodies, each a loop that keeps S_N as a running sum added
+left to right.  ``truncate_terms`` applies it to a term array, and
+``stop_level`` and ``weight_cutoff`` (which cuts a whole weight array by it)
+call that.  The model's ``series_sum`` (see ``models``) runs it inside the
+recurrence loop of a weighted eigenfunction series, so the pricer's scalar
+series build no term array and compute no eigenfunction beyond the
+look-ahead.
+``tests/test_series.py::test_series_sum_and_truncate_terms_agree_bit_for_bit``
+pins the two bodies against each other.  ``check_eps`` refuses a tolerance
+that is not a real number or lies outside (0, 1e-3], for every entry point
+that takes one.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
-from .errors import ConvergenceError, ValidationError
+from .errors import ConvergenceError, ValidationError, check_real
 
 __all__ = [
     "MIN_LEVEL",
     "check_eps",
     "stop_level",
-    "truncate_stream",
     "truncate_terms",
     "weight_cutoff",
 ]
@@ -39,16 +40,17 @@ MIN_LEVEL = 2  # always keep at least levels 0..2 (three terms)
 
 
 def check_eps(eps: float) -> None:
-    """Refuse a series tolerance outside (0, 1e-3], NaN included."""
+    """Refuse a series tolerance that is not a real number or lies outside
+    (0, 1e-3], NaN included."""
+    check_real("eps", eps)
     if not 0.0 < eps <= 1e-3:
         raise ValidationError(f"eps must lie in (0, 1e-3], got {eps}")
 
 
-def truncate_stream(terms: Iterable[float], eps: float) -> tuple[float, int, bool]:
-    """The rule applied to terms drawn one at a time: ``(S_N, N, converged)``.
+def truncate_terms(terms: np.ndarray, eps: float) -> tuple[float, int, bool]:
+    """The rule applied to a term array: ``(S_N, N, converged)``.
 
-    Draws terms only as far as the rule needs: N + 3 of them when it fires
-    at level N.  When the terms run out first (the last two are needed as
+    When the terms run out before it fires (the last two are needed as
     look-ahead and can never themselves be stopping levels), the level is
     the last index, the value the sum of every term and ``converged`` is
     False: with a capped coefficient supply the caller simply uses every
@@ -57,8 +59,7 @@ def truncate_stream(terms: Iterable[float], eps: float) -> tuple[float, int, boo
     """
     total, ahead1, ahead2 = 0.0, 0.0, 0.0  # S_{k-3}, t_{k-2}, t_{k-1}
     k = -1
-    for term in terms:  # term = t_k
-        k += 1
+    for k, term in enumerate(np.asarray(terms, dtype=float).tolist()):  # term = t_k
         total += ahead1
         ahead1, ahead2 = ahead2, term
         if k >= MIN_LEVEL + 2:  # the rule at level N = k - 2
@@ -71,14 +72,9 @@ def truncate_stream(terms: Iterable[float], eps: float) -> tuple[float, int, boo
 
 
 def stop_level(terms: np.ndarray, eps: float) -> tuple[int, bool]:
-    """``(level, converged)`` of ``truncate_stream`` for a term array."""
-    _, level, converged = truncate_stream(np.asarray(terms, dtype=float).tolist(), eps)
+    """``(level, converged)`` of ``truncate_terms``."""
+    _, level, converged = truncate_terms(terms, eps)
     return level, converged
-
-
-def truncate_terms(terms: np.ndarray, eps: float) -> tuple[float, int, bool]:
-    """Truncated value, stop level, and convergence flag for a term array."""
-    return truncate_stream(np.asarray(terms, dtype=float).tolist(), eps)
 
 
 def weight_cutoff(weights: np.ndarray, eps: float) -> int:

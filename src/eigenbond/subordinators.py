@@ -47,7 +47,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import series
-from .errors import ValidationError
+from .errors import ValidationError, check_real
 from .models import POOL_CAP, DiffusionModel
 
 __all__ = [
@@ -89,8 +89,10 @@ class SubordinatorSpec:
             )
         for name in ("drift", "mu", "nu_var", "c", "p", "eta"):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValidationError(f"{name} must be finite, got {value}")
+            if value is not None or name == "drift":  # only drift is never optional
+                check_real(name, value)
+                if not math.isfinite(value):
+                    raise ValidationError(f"{name} must be finite, got {value}")
         if self.family != "none" and not self.drift >= 0.0:
             raise ValidationError(f"drift must be >= 0, got {self.drift}")
         if self.family == "ig":

@@ -19,3 +19,20 @@ def single_crossing_scans(monkeypatch):
         return state
 
     monkeypatch.setattr(pricer._RootFinder, "find", scanned)
+
+
+class _CountedReads(list):
+    """A weight list that counts its item reads in ``reads``."""
+
+    reads = 0
+
+    def __getitem__(self, index):
+        self.reads += 1
+        return super().__getitem__(index)
+
+
+@pytest.fixture
+def counted_reads():
+    """The list type whose instances count their item reads, for checking
+    how far a series evaluator reads its weights."""
+    return _CountedReads

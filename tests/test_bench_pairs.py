@@ -1,4 +1,5 @@
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -61,3 +62,40 @@ def test_a_worsening_inside_the_bound_is_within_it():
     end_to_end = bench_pairs.summarize(_runs("w", parent, change), ["w"], METRICS)["w"]["end_to_end"]
     assert end_to_end["pricings_per_s"]["within_bound"]
     assert end_to_end["pricing_ms.p50"]["within_bound"]
+
+
+_FAKE_RUN = """\
+import json, os, sys
+seed = sys.argv[sys.argv.index("--seed") + 1]
+if os.path.basename(os.getcwd()) == "change" and seed == "2":
+    print("Traceback (most recent call last):", file=sys.stderr)
+    print("RuntimeError: the change's second run fails", file=sys.stderr)
+    sys.exit(3)
+metrics = {"pricings_per_s": {"value": 1.0}, "pricing_ms.p50": {"value": 1.0}}
+print(json.dumps({"metrics": metrics, "attempted": 1, "failed": 0}))
+"""
+
+
+def test_a_failing_run_keeps_the_finished_runs(tmp_path, monkeypatch):
+    spec = {"run_seconds": 1, "workloads": [{"name": "w"}], "end_to_end": METRICS}
+
+    def fake_freeze(rev, dest):
+        (dest / "bench").mkdir(parents=True)
+        (dest / "bench" / "run.py").write_text(_FAKE_RUN)
+        (dest / "BENCHMARK.json").write_text(json.dumps(spec))
+        return rev
+
+    monkeypatch.setattr(bench_pairs, "freeze", fake_freeze)
+    out = tmp_path / "BENCH.json"
+    argv = ["--parent", "p", "--change", "c", "--out", str(out), "--workdir", str(tmp_path / "w")]
+    assert bench_pairs.main(argv) == 1
+
+    report = json.loads(out.read_text())
+    # pair 1 ran parent then change; pair 2 runs the change first, which fails
+    assert [(r["pair"], r["side"]) for r in report["runs"]] == [(1, "parent"), (1, "change")]
+    assert report["failed_run"] == {
+        "workload": "w", "pair": 2, "side": "change", "exit_code": 3,
+        "stderr_tail": ["Traceback (most recent call last):",
+                        "RuntimeError: the change's second run fails"],
+    }
+    assert "summary" not in report

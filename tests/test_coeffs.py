@@ -681,7 +681,7 @@ def test_gauss_jacobi_rules_are_cached_per_size():
         lambda: coeffs.laguerre_exp_integrals_at_infinity(2.0, 0.5, 1.5),
         lambda: CIR.eigenvalues(2.5),
         lambda: CIR.eigenfunctions(2.5, 0.05),
-        lambda: list(CIR.eigenfunction_terms(-1, 0.05)),
+        lambda: CIR.series_sum([], 0.05, 1e-7),
         lambda: CIR.eigenfunction_matrix(2.5, [0.05]),
     ),
     ids=("hermite_pair_fraction", "hermite_pair_negative", "hermite_pair_inf_negative",

@@ -77,31 +77,40 @@ def test_eigenfunction_matrix_agrees_pointwise(model):
 
 @pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind)
 def test_eigenfunction_terms_agree_with_eigenfunctions(model):
-    # the pricer's streamed series draws these plain floats one at a time
+    # the pricer's scalar series at unit weights: a plain float, the
+    # left-to-right sum of ``eigenfunctions`` up to its stop level
     xs = model.stationary_distribution().rvs(500, random_state=np.random.default_rng(2013))
     for x in xs:
-        streamed = list(model.eigenfunction_terms(60, float(x)))
-        assert all(type(value) is float for value in streamed)
-        np.testing.assert_array_equal(streamed, model.eigenfunctions(60, float(x)))
+        value, slope, level, _ = model.series_sum([1.0] * 61, float(x), 1e-7)
+        assert type(value) is float and type(slope) is float
+        total = 0.0
+        for phi in model.eigenfunctions(60, float(x))[: level + 1].tolist():
+            total += phi
+        assert value == total
     with pytest.raises(ValidationError):
-        model.eigenfunction_terms(5, math.nan)
+        model.series_sum([1.0] * 6, math.nan, 1e-7)
 
 
 @pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind)
 def test_series_terms_carry_the_slope_of_each_partial_sum(model):
-    # the pricer's scalar series: weights_n phi_n(x) bit for bit, and the
-    # differentiated recurrence's running slope against a central difference
-    weights = np.random.default_rng(2014).standard_normal(41).tolist()
-    for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
-        x = float(x)
-        slopes = []
-        terms = list(model.series_terms(weights, x, slopes))
-        assert all(type(value) is float for value in terms + slopes)
-        np.testing.assert_array_equal(terms, np.multiply(weights, model.eigenfunctions(40, x)))
-        h = min(1e-6 * max(abs(x), 0.01), 0.5 * (x - model.state_lo))
-        up, down = (np.cumsum(weights * model.eigenfunctions(40, x + s)) for s in (h, -h))
-        scale = np.max(np.abs(slopes))
-        np.testing.assert_allclose(slopes, (up - down) / (2.0 * h), rtol=0.0, atol=1e-7 * scale)
+    # the slope the break-even search's Newton steps read: the differentiated
+    # recurrence's sum to the stop level against a central difference of the
+    # same partial sum, on random-sign weights, decaying (the rule fires) and
+    # not (it does not)
+    rng = np.random.default_rng(2014)
+    signs = rng.choice([-1.0, 1.0], 41)
+    outcomes = set()
+    for weights in (rng.standard_normal(41), signs * 0.6 ** np.arange(41)):
+        for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
+            x = float(x)
+            _, slope, level, converged = model.series_sum(weights.tolist(), x, 1e-7)
+            outcomes.add(converged)
+            h = min(1e-6 * max(abs(x), 0.01), 0.5 * (x - model.state_lo))
+            up, down = (np.cumsum(weights * model.eigenfunctions(40, x + s)) for s in (h, -h))
+            central = (up - down) / (2.0 * h)
+            scale = np.max(np.abs(central))
+            assert slope == pytest.approx(central[level], rel=0.0, abs=1e-7 * scale)
+    assert outcomes == {True, False}
 
 
 @pytest.mark.parametrize("model", ALL, ids=lambda m: m.kind)
@@ -381,7 +390,7 @@ _JD = SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0)
     (
         lambda: CIR.eigenfunction_matrix(3, [0.05, -1.0]),
         lambda: CIR.eigenfunctions(3, math.inf),
-        lambda: list(CIR.eigenfunction_terms(3, math.inf)),
+        lambda: CIR.series_sum([1.0] * 4, math.inf, 1e-7),
         lambda: CIR.eigenfunction_matrix(3, [0.05, math.nan]),
         lambda: short_rate_map(TH, SubordinatorSpec.none(), math.inf),
         lambda: short_rate_quadrature(CIR, _JD, math.inf),

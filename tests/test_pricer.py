@@ -109,6 +109,37 @@ def test_schedule_refuses_a_non_integer_protection_index(bad, ladders):
                                                          "put_prices": None}).n_coupons == 3
 
 
+_SCHEDULE = {"coupon": 0.04, "coupon_times": (1.0, 2.0, 3.0), "protection_index": 1,
+             "notice_delta": 0.1, "call_prices": (1.01, 1.0)}
+
+
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda: CIRModel("a", 0.1, 0.1),
+        lambda: VasicekModel(0.5, True, 0.1),
+        lambda: ThreeHalvesModel(2.0, 0.05, None),
+        lambda: BondSchedule(**{**_SCHEDULE, "coupon_times": ("a", 2.0)}),
+        lambda: BondSchedule(**{**_SCHEDULE, "coupon_times": 5.0}),
+        lambda: BondSchedule(**{**_SCHEDULE, "coupon": "0.04"}),
+        lambda: BondSchedule(**{**_SCHEDULE, "notice_delta": "0.1"}),
+        lambda: BondSchedule(**{**_SCHEDULE, "call_prices": ("1.01", 1.0)}),
+        lambda: SubordinatorSpec(family="ig", mu="a", nu_var=1.0),
+        lambda: SubordinatorSpec(family="ig", drift=None, mu=0.5, nu_var=1.0),
+        lambda: zero_coupon_price(CIR, NONE, "1", 0.05),
+        lambda: zero_coupon_price(CIR, NONE, 1.0, "0.05"),
+        lambda: price_bond(CIR, NONE, SWISS, 0.05, eps="1e-7"),
+    ),
+    ids=("model_str", "model_bool", "model_none", "coupon_times_str", "coupon_times_float",
+         "coupon_str", "notice_str", "ladder_str", "clock_str", "clock_drift_none",
+         "zero_coupon_maturity_str", "zero_coupon_state_str", "price_bond_eps_str"),
+)
+def test_entry_points_refuse_a_non_numeric_real(call):
+    # each raised TypeError or ValueError, or (the bool) was read as 1
+    with pytest.raises(ValidationError, match="must be a real number|must be a sequence"):
+        call()
+
+
 @pytest.mark.parametrize("x0", (math.inf, -math.inf, math.nan), ids=("inf", "-inf", "nan"))
 @pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
 def test_non_finite_states_are_refused_up_front(monkeypatch, model, x0):
@@ -205,45 +236,26 @@ def test_zero_coupon_refuses_a_bad_eps_up_front(eps):
 
 
 # ---------------------------------------------------------------------------
-# streamed series
+# scalar series
 # ---------------------------------------------------------------------------
 
 
-def _count_recurrence_steps(monkeypatch):
-    """Per recurrence generator started, the number of degrees it computed."""
-    from eigenbond import models
-
-    steps = []
-    make = models._terms
-
-    def counted(*args):
-        steps.append(0)
-        for term in make(*args):
-            steps[-1] += 1
-            yield term
-
-    monkeypatch.setattr(models, "_terms", counted)
-    return steps
-
-
 @pytest.mark.parametrize("model", (CIR, VAS, TH), ids=lambda m: m.kind)
-def test_pool_series_draws_only_the_steps_the_rule_needs(monkeypatch, model):
+def test_pool_series_draws_only_the_steps_the_rule_needs(counted_reads, model):
+    # one recurrence step per weight read: the rule at level N reads N + 3
     from eigenbond import pricer
 
-    steps = _count_recurrence_steps(monkeypatch)
     spec = spectrum(model, NONE)
     for x in model.stationary_distribution().ppf([0.01, 0.5, 0.99]):
         for t in (0.02, 0.1666, 1.0, 5.0):
             for eps in (1e-7, 1e-13):
-                steps.clear()
-                pool = spec.pool(((t, 1.0),))
+                pool = counted_reads(spec.pool(((t, 1.0),)))
                 value, slope, level = pricer._series(spec, pool, float(x), eps)
-                assert steps == [level + 3]  # one pass over the whole pool
+                assert pool.reads == level + 3
 
-    steps.clear()
-    weights = spec.pool(((1.0, 1.0),))
+    weights = counted_reads(spec.pool(((1.0, 1.0),)))
     value, slope, level = pricer._series(spec, weights, 0.05, 1e-9)
-    assert steps == [level + 3]
+    assert weights.reads == level + 3
 
 
 def _central_slope(evaluate, x, h):

@@ -5,11 +5,13 @@ import pytest
 
 from eigenbond import series
 from eigenbond.errors import ValidationError
+from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel
+from eigenbond.subordinators import SubordinatorSpec, spectrum
 
-# Reference copy of the numpy rule that the streaming one replaced: one
+# Reference copy of the numpy rule that the running-sum loop replaced: one
 # cumulative sum and two vector comparisons over the whole supply.  The
-# running sum of the stream is that cumulative sum, so (level, converged)
-# must agree exactly.
+# loop's running sum is that cumulative sum, so (level, converged) must
+# agree exactly.
 
 
 def _reference_stop_level(terms, eps):
@@ -65,7 +67,7 @@ def test_streaming_rule_matches_the_numpy_reference():
         eps = float(rng.choice([1e-3, 1e-6, 1e-9, 1e-12, 2.0**-20, 2.0**-40]))
         expected = _reference_stop_level(terms, eps)
         assert series.stop_level(terms, eps) == expected, (terms.tolist(), eps)
-        value, level, converged = series.truncate_stream(iter(terms.tolist()), eps)
+        value, level, converged = series.truncate_terms(terms, eps)
         assert (level, converged) == expected
         partial = np.cumsum(terms)[level]
         assert value == partial or (math.isnan(value) and math.isnan(partial))
@@ -83,27 +85,71 @@ def test_short_sequences(size):
 
 def test_empty_sequence_is_an_error():
     with pytest.raises(ValueError):
-        series.truncate_stream(iter(()), 1e-8)
+        series.truncate_terms(np.array([]), 1e-8)
     with pytest.raises(ValueError):
         series.stop_level(np.array([]), 1e-8)
 
 
-def test_stream_draws_only_what_the_rule_needs():
-    drawn = []
-
-    def terms():
-        for n in range(1000):
-            drawn.append(n)
-            yield 0.5**n
-
-    value, level, converged = series.truncate_stream(terms(), 1e-6)
-    assert converged and len(drawn) == level + 3
-    assert value == float(np.cumsum(0.5 ** np.arange(level + 1))[-1])
+def test_stream_draws_only_what_the_rule_needs(counted_reads):
+    # the series evaluator reads weight n as it takes recurrence step n
+    model = CIRModel(0.14294371, 0.133976855, 0.38757496)
+    weights = counted_reads((0.5 ** np.arange(1000)).tolist())
+    value, _, level, converged = model.series_sum(weights, 0.05, 1e-6)
+    assert converged and weights.reads == level + 3
+    terms = np.multiply(weights[: level + 1], model.eigenfunctions(level, 0.05))
+    assert value == float(np.cumsum(terms)[-1])
 
 
 def test_unconverged_stream_sums_every_term():
-    terms = [1.0, -1.0, 1.0, -1.0, 1.0, -1.0]
-    assert series.truncate_stream(iter(terms), 1e-8) == (0.0, 5, False)
+    terms = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
+    assert series.truncate_terms(terms, 1e-8) == (0.0, 5, False)
+
+
+# The rule has two bodies: ``truncate_terms`` over a term array, and the
+# model's ``series_sum``, which runs it inside the recurrence loop.  They
+# must agree bit for bit on the terms w_n phi_n(x).
+_PIN_MODELS = (
+    CIRModel(0.14294371, 0.133976855, 0.38757496),
+    VasicekModel(0.44178462, 0.098397028, 0.13264223),
+    ThreeHalvesModel(2.0, 0.05, 0.5),
+    CIRModel(1.0, 0.05, 0.02),  # b = 250
+    ThreeHalvesModel(2.0, 0.06, 0.1),  # Laguerre order 402
+)
+
+
+def _pin_weights(model, rng):
+    """Pools, random-sign cut vectors that do not converge, 1 to 5 weights,
+    a vector with an all-zero tail and one of zeros only (a zero bound,
+    where the rule's comparisons tie)."""
+    spec = spectrum(model, SubordinatorSpec.none())
+    pools = [spec.pool(((t, 1.0),)) for t in (0.02, 1.0)]
+    cuts = [(rng.choice([-1.0, 1.0], n) * rng.uniform(0.5, 1.0, n)).tolist() for n in (30, 64)]
+    short = [rng.standard_normal(n).tolist() for n in range(1, series.MIN_LEVEL + 4)]
+    zeros = [pools[1][:8] + [0.0] * 12, [0.0] * 12]
+    return pools + cuts + short + zeros
+
+
+@pytest.mark.parametrize(
+    "model", _PIN_MODELS, ids=("cir", "vasicek", "three_halves", "cir_b250", "three_halves_402")
+)
+def test_series_sum_and_truncate_terms_agree_bit_for_bit(model):
+    rng = np.random.default_rng(2015)
+    lo, _, hi = model.search_interval(64)
+    hi = min(hi, model.theta * 4.0)
+    states = np.linspace(lo, hi, 7)[1:].tolist()
+    outcomes = set()
+    for weights in _pin_weights(model, rng):
+        n_max = len(weights) - 1
+        for x in states:
+            terms = np.multiply(weights, model.eigenfunctions(n_max, x))
+            for eps in (1e-7, 1e-13):
+                value, _, level, converged = model.series_sum(weights, x, eps)
+                expected, expected_level, expected_converged = series.truncate_terms(terms, eps)
+                assert (value.hex(), level, converged) == (
+                    expected.hex(), expected_level, expected_converged
+                ), (n_max, x, eps)
+                outcomes.add((converged, len(weights) < series.MIN_LEVEL + 3))
+    assert outcomes == {(True, False), (False, False), (False, True)}
 
 
 @pytest.mark.parametrize("eps", (0.0, -1e-9, 2e-3, 0.5, math.nan, math.inf))

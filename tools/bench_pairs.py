@@ -19,6 +19,10 @@ the parent's q3 - q1) for a claimed gain, and ``within_bound`` (the
 change's median is worse than the parent's by at most the metric's
 ``bound``, a fraction of the parent's median) for every metric.
 
+When a run exits non-zero, the script stops there: it writes the runs so
+far to ``--out``, with the failed run's workload, pair, side, exit code and
+the tail of its stderr under ``failed_run`` (and no summary), and exits 1.
+
 The script only runs ``bench/run.py`` as a subprocess; it imports nothing
 from ``bench/``.
 """
@@ -40,6 +44,16 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKING_TREE = "."
 PAIRS = 10
+STDERR_TAIL = 20  # lines of a failed run's stderr kept in the report
+
+
+class RunFailed(Exception):
+    """A ``bench/run.py`` run exited non-zero."""
+
+    def __init__(self, returncode: int, stderr: str):
+        super().__init__(f"bench/run.py exited {returncode}")
+        self.returncode = returncode
+        self.stderr_tail = stderr.splitlines()[-STDERR_TAIL:]
 
 
 def freeze(rev: str, dest: Path) -> str:
@@ -72,15 +86,34 @@ def git(*args: str) -> str:
 
 
 def bench_run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``bench/run.py`` run in ``tree``; its final JSON line."""
+    """One ``bench/run.py`` run in ``tree``; its final JSON line, or
+    ``RunFailed`` on a non-zero exit."""
     proc = subprocess.run(
         [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", f"{seconds:g}"],
         cwd=tree, capture_output=True, text=True,
     )
     if proc.returncode != 0:
-        raise RuntimeError(f"bench/run.py failed in {tree}:\n{proc.stderr}")
+        raise RunFailed(proc.returncode, proc.stderr)
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def run_pairs(trees: dict, workloads: list, seconds: float, runs: list) -> dict | None:
+    """Append each finished run to ``runs``; stop at the first failing run
+    and return its workload, pair, side, exit code and stderr tail."""
+    for workload in workloads:
+        for pair in range(1, PAIRS + 1):
+            order = ("parent", "change") if pair % 2 else ("change", "parent")
+            for side in order:
+                try:
+                    result = bench_run(trees[side], workload, pair, seconds)
+                except RunFailed as exc:
+                    return {"workload": workload, "pair": pair, "side": side,
+                            "exit_code": exc.returncode, "stderr_tail": exc.stderr_tail}
+                runs.append({"workload": workload, "pair": pair, "side": side, "result": result})
+                value = result["metrics"]["pricings_per_s"]["value"]
+                print(f"{workload} pair {pair} {side}: {value:.4g} pricings/s", flush=True)
+    return None
 
 
 def stats(values: list) -> dict:
@@ -147,15 +180,7 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
 
     runs = []
-    for workload in workloads:
-        for pair in range(1, PAIRS + 1):
-            order = ("parent", "change") if pair % 2 else ("change", "parent")
-            for side in order:
-                result = bench_run(trees[side], workload, pair, seconds)
-                runs.append({"workload": workload, "pair": pair, "side": side, "result": result})
-                value = result["metrics"]["pricings_per_s"]["value"]
-                print(f"{workload} pair {pair} {side}: {value:.4g} pricings/s", flush=True)
-
+    failed = run_pairs(trees, workloads, seconds, runs)
     report = {
         "what": (
             f"python3 bench/run.py --workload W --seed i ({seconds:g} s runs) on frozen "
@@ -168,11 +193,17 @@ def main(argv=None) -> int:
         "change": names["change"],
         "machine": f"{platform.machine()}, Python {platform.python_version()}, "
                    f"numpy {np.__version__}",
-        "summary": summarize(runs, workloads, spec["end_to_end"]),
-        "runs": runs,
     }
+    if failed is None:
+        report["summary"] = summarize(runs, workloads, spec["end_to_end"])
+    else:
+        report["failed_run"] = failed
+        print(f"{failed['workload']} pair {failed['pair']} {failed['side']} exited "
+              f"{failed['exit_code']}; {len(runs)} finished runs written to {args.out}",
+              file=sys.stderr)
+    report["runs"] = runs
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
-    return 0
+    return 0 if failed is None else 1
 
 
 if __name__ == "__main__":
