@@ -24,18 +24,23 @@ one of four ways:
   quadrature for a Laguerre coordinate (CIR, 3/2), where phi_m phi_n m is
   u^alpha e^{-u} times a polynomial in u, so a Gauss rule for the weight
   t^alpha on [0, 1] (``_gauss_jacobi``, cached on the model per size),
-  scaled to [0, z], takes every integral.  One kernel pass at the nodes
-  gives the node matrix V, and the block applied to w is V (V^T w),
-  without forming the block.  For a Hermite coordinate (Vasicek) it is the
-  Hermite pair table, taken in orthonormal form over the Hermite functions
+  scaled to [0, z], takes every integral.  The node matrix V (one row per
+  degree, one column per node) comes from one banded triangular solve,
+  the recurrence over all nodes at once (``models._node_matrix``), and the
+  block applied to w is V (V^T w), without forming the block.  For a
+  Hermite coordinate (Vasicek) it is the Hermite pair table, taken in
+  orthonormal form over the Hermite functions
   h_n(y) = H_n(y) e^{-y^2/2} / sqrt(sqrt(pi) 2^n n!) of the models'
   normalized recurrence:
 
     pair_{m,n}(x) = int_-inf^x h_m h_n dy
 
-  The off-diagonal entries have a closed form, and the diagonal steps up
-  in degree from an erfc seed; no factor leaves double range at any
-  degree;
+  The off-diagonal entries have a closed form, h_m g_n - g_m h_n over
+  n - m with g_n = h_{n+1} sqrt((n+1)/2), and the diagonal steps up in
+  degree from an erfc seed; no factor leaves double range at any degree.
+  The closed form is applied to w as it stands, two weighted columns
+  through one product with D[m, n] = 1 / (n - m) (``_hermite_pair_apply``),
+  without forming the table;
 * on a coordinate that decreases in the state (3/2, v = beta / x), the
   identity minus that block, since the states below x are the
   coordinates above z.
@@ -64,7 +69,7 @@ from scipy import special as sp
 
 from . import series
 from .errors import ValidationError, check_integer
-from .models import HERMITE_FUNCTIONS, POOL_CAP, DiffusionModel, _kernel
+from .models import HERMITE_FUNCTIONS, POOL_CAP, DiffusionModel, _kernel, _node_matrix
 from .specfun import laguerre_sequence_table
 from .subordinators import SubordinatorSpec, spectrum
 
@@ -234,28 +239,62 @@ def _check_hermite_table(n_max: int, x: float) -> None:
 
 
 def hermite_pair_integrals(n_max: int, x: float) -> np.ndarray:
-    """Table [m, n] = int_{-inf}^x h_m h_n dy.
+    """Table [m, n] = int_{-inf}^x h_m h_n dy: ``_hermite_pair_apply`` on the
+    identity, so the table and the pricer's apply share one code path.
 
     The diagonal steps d_n = d_{n-1} - h_{n-1} h_n / sqrt(2n) up from
     d_0 = erfc(-x) / 2; off the diagonal
     (h_m h_{n+1} sqrt((n+1)/2) - h_n h_{m+1} sqrt((m+1)/2)) / (n - m).
     """
     _check_hermite_table(n_max, x)
-    size = n_max + 1
-    herm = _hermite_functions(n_max + 1, x)
-    root = np.sqrt(0.5 * np.arange(1, size + 1, dtype=float))  # sqrt((n+1)/2)
+    return _hermite_pair_apply(x, n_max, np.eye(n_max + 1))
 
-    diag = np.empty(size)
+
+# [m, n] = 1 / (n - m) off the diagonal and 0 on it, for every size up to its
+# own: grown on demand (doubling up to POOL_CAP + 1) and read as a slice
+_reciprocal_gaps = np.zeros((0, 0))
+
+
+def _gaps(rows: int, cols: int) -> np.ndarray:
+    global _reciprocal_gaps
+    gaps = _reciprocal_gaps
+    if len(gaps) < max(rows, cols):
+        size = max(rows, cols, min(2 * len(gaps), POOL_CAP + 1))
+        idx = np.arange(size, dtype=float)
+        with np.errstate(divide="ignore"):
+            gaps = 1.0 / (idx[None, :] - idx[:, None])
+        gaps[np.diag_indices(size)] = 0.0
+        _reciprocal_gaps = gaps  # one assignment: a thread sees the old or the new
+    return gaps[:rows, :cols]
+
+
+def _hermite_pair_apply(x: float, n_rows: int, weights: np.ndarray) -> np.ndarray:
+    """Rows 0..n_rows of ``hermite_pair_integrals`` at x, columns 0..size - 1
+    (size = the rows of ``weights``, a vector or a matrix of columns), applied
+    to ``weights`` without forming the table.
+
+    With g_n = h_{n+1} sqrt((n+1)/2) and D[m, n] = 1 / (n - m) (zero on the
+    diagonal), the table is h_m g_n D[m, n] - g_m h_n D[m, n] off the
+    diagonal, so T w = h (D (g w)) - g (D (h w)) + d w: one product of D
+    with both weighted columns, and the diagonal d of the erfc chain.
+    """
+    size = weights.shape[0]
+    n_max = max(n_rows, size - 1)
+    herm = _hermite_functions(n_max + 1, x)
+    root = np.sqrt(0.5 * np.arange(1, n_max + 2, dtype=float))  # sqrt((n+1)/2)
+    h, g = herm[:-1], herm[1:] * root
+
+    diag = np.empty(min(n_rows + 1, size))
     diag[0] = 0.5 * sp.erfc(-x)
-    steps = herm[:n_max] * herm[1:size] / (2.0 * root[:n_max])
+    steps = h[: len(diag) - 1] * herm[1 : len(diag)] / (2.0 * root[: len(diag) - 1])
     diag[1:] = diag[0] - np.cumsum(steps)
 
-    cross = np.outer(herm[:size], herm[1 : size + 1] * root)  # h_m h_{n+1} sqrt((n+1)/2)
-    idx = np.arange(size, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        table = (cross - cross.T) / (idx[None, :] - idx[:, None])
-    table[np.diag_indices(size)] = diag
-    return table
+    columns = weights.reshape(size, -1)
+    k = columns.shape[1]
+    both = _gaps(n_rows + 1, size) @ np.hstack((g[:size, None] * columns, h[:size, None] * columns))
+    out = h[: n_rows + 1, None] * both[:, :k] - g[: n_rows + 1, None] * both[:, k:]
+    out[: len(diag)] += diag[:, None] * columns[: len(diag)]
+    return out.reshape((n_rows + 1,) + weights.shape[1:])
 
 
 def hermite_pair_integrals_at_infinity(n_max: int) -> np.ndarray:
@@ -361,7 +400,10 @@ def overlap_below(
     Beyond u = 4 (2 n_max + alpha + 1) + 80 every integrand is below 1e-26
     of its total, so a larger z is cut there.  With weights w_j,
     h_j = log sqrt(w_j e^{C - u_j}) (C the model's ``overlap_log_constant``)
-    and V[n, j] = N_n L_n(u_j) e^{h_j}, one kernel pass, V V^T is the block.
+    and V[n, j] = N_n L_n(u_j) e^{h_j}, V V^T is the block.  V is one banded
+    solve over every node (``models._node_matrix``), not a numpy step per
+    degree.  At a Hermite coordinate the pair table's closed form is applied
+    to the weights (``_hermite_pair_apply``) without forming the table.
     """
     size = weights.shape[0]
     out = np.zeros((n_rows + 1,) + weights.shape[1:])
@@ -370,11 +412,11 @@ def overlap_below(
     out[:size] = weights[: n_rows + 1]  # the identity, by orthonormality
     if x == model.state_hi:
         return out
-    n_max = max(n_rows, size - 1)
     z = model.poly_coordinate(x)
     if model.polynomial_family == "hermite":
-        block = hermite_pair_integrals(n_max, z)[: n_rows + 1, :size] @ weights
+        block = _hermite_pair_apply(z, n_rows, weights)
     else:
+        n_max = max(n_rows, size - 1)
         # a coordinate that underflows is read as the least positive float
         z = min(max(z, math.ulp(0.0)), 4.0 * (2.0 * n_max + model.laguerre_order + 1.0) + 80.0)
         n_nodes = n_max + 12 + math.ceil(1.5 * z)
@@ -382,9 +424,9 @@ def overlap_below(
         u = z * t
         # the weights on [0, z] carry z^(alpha + 1); logs keep large alpha
         # and z (CIR with b = 160) from under- or overflowing, and e^h
-        # seeds the kernel, where N_n L_n(u_j) alone would overflow
+        # seeds the node matrix, where N_n L_n(u_j) alone would overflow
         log_scale = (model.laguerre_order + 1.0) * math.log(z) + model.overlap_log_constant
-        rows = _kernel(model._recurrence, n_max, u, np.exp(0.5 * (log_w + log_scale - u)))
+        rows = _node_matrix(model._recurrence, n_max, u, np.exp(0.5 * (log_w + log_scale - u)))
         block = rows[: n_rows + 1] @ (rows[:size].T @ weights)
     return out - block if model.coordinate_reversed else block
 

@@ -1,7 +1,9 @@
 """Exception types shared across the package, and the one integer and one
-real-number check."""
+real-number check (with its form for arrays of states)."""
 
 import numbers
+
+import numpy as np
 
 
 class EigenbondError(Exception):
@@ -56,3 +58,15 @@ def check_real(name: str, value) -> None:
         isinstance(value, bool) or not isinstance(value, numbers.Real)
     ):
         raise ValidationError(f"{name} must be a real number, got {value!r}")
+
+
+def real_array(name: str, values) -> np.ndarray:
+    """``values`` (a real number or an array-like of them) as a float array,
+    each entry refused by ``check_real`` when it is not a real number.  A
+    numpy array of integers or floats passes whole; anything else is read
+    entry by entry before numpy converts it (which reads "0.05" and True)."""
+    array = values if isinstance(values, np.ndarray) else np.asarray(values, dtype=object)
+    if array.dtype.kind not in "iuf":
+        for value in array.flat:
+            check_real(name, value)
+    return array.astype(float, copy=False)

@@ -24,9 +24,9 @@ Hermite polynomials satisfy one step,
 N_n P_n = (a_n + (s - z) b_n) N_{n-1} P_{n-1} - c_n N_{n-2} P_{n-2}, and
 CIR and 3/2 name the Laguerre coefficients of their ``laguerre_order``,
 Vasicek the Hermite ones, each starting from N_0 =
-exp(``log_norm_constants(0)``).  Two loops step it.  The kernel
-(``_kernel``) returns every degree at once, one row per degree, for a float
-abscissa and an array alike; ``eigenfunctions`` (one state) and
+exp(``log_norm_constants(0)``).  Two loops and one banded solve step it.
+The kernel (``_kernel``) returns every degree at once, one row per degree,
+for a float abscissa and an array alike; ``eigenfunctions`` (one state) and
 ``eigenfunction_matrix`` (an array of states) multiply the model's
 ``_prefactor`` (numpy ``exp``/``power`` for a float and an array alike) into
 it at ``poly_coordinate(x)``, so they agree to the last bit.  ``series_sum``
@@ -37,7 +37,13 @@ truncation rule of ``series`` inline, so it takes only the steps the rule
 reads and builds no term array.  The rule thus has two bodies, this loop
 and ``series.truncate_terms``;
 ``tests/test_series.py::test_series_sum_and_truncate_terms_agree_bit_for_bit``
-pins them against each other.
+pins them against each other.  The overlap's node matrix
+(``coeffs.overlap_below``) takes the same rows at many Gauss-Jacobi nodes
+from ``_node_matrix``: the recurrence over all nodes is one banded
+triangular system, solved by one BLAS call instead of one numpy step per
+degree.  BLAS rounds the step by fused multiply-adds, so those rows agree
+with ``_kernel``'s to rounding, not bit for bit; the evaluators, which the
+tests hold to each other bit for bit, keep ``_kernel``.
 
 The coefficient lists are built on first use, cached on the model and grown
 on demand; the derived constants (``gamma``, ``b``, ``order_m``,
@@ -77,9 +83,16 @@ from functools import cached_property
 
 import numpy as np
 from scipy import stats
+from scipy.linalg import blas
 from scipy.special import gammaln
 
-from .errors import UnsupportedModelError, ValidationError, check_integer, check_real
+from .errors import (
+    UnsupportedModelError,
+    ValidationError,
+    check_integer,
+    check_real,
+    real_array,
+)
 from .series import MIN_LEVEL
 
 __all__ = [
@@ -106,27 +119,38 @@ class _Recurrence:
     from N_0 P_0 = ``n0`` (and zero below degree 0).
 
     ``shift`` is s and ``coefficients(n)`` returns (a_n, b_n, c_n).  The
-    per-degree lists are filled on first use and grown on demand, doubling
-    up to ``POOL_CAP``.  Grown lists are new lists, stored in one assignment
-    and returned as built, so a caller never sees lists shorter than it
-    asked for even when threads share a model.
+    per-degree lists, and numpy copies of them for ``_node_matrix``, are
+    filled on first use and grown on demand, doubling up to ``POOL_CAP``.
+    Grown lists and arrays are new objects, stored in one assignment and
+    returned as built, so a caller never sees them shorter than it asked
+    for even when threads share a model.
     """
 
     def __init__(self, n0: float, shift: float, coefficients: _Coefficients):
         self.n0 = n0
         self.shift = shift
         self._coefficients = coefficients
-        self._lists: tuple[list, ...] = ([0.0], [0.0], [0.0])  # degree 0 takes no step
+        lists = ([0.0], [0.0], [0.0])  # degree 0 takes no step
+        self._grown = (lists, tuple(np.array(values) for values in lists))
 
-    def upto(self, n_max: int) -> tuple[list, ...]:
-        lists = self._lists
+    def _upto(self, n_max: int) -> tuple[tuple[list, ...], tuple[np.ndarray, ...]]:
+        grown = self._grown
+        lists = grown[0]
         have = len(lists[0])
         if have <= n_max:
             size = max(n_max + 1, min(2 * have, POOL_CAP + 1))
             more = zip(*(self._coefficients(n) for n in range(have, size)))
             lists = tuple(old + list(new) for old, new in zip(lists, more))
-            self._lists = lists
-        return lists
+            grown = self._grown = (lists, tuple(np.array(values) for values in lists))
+        return grown
+
+    def upto(self, n_max: int) -> tuple[list, ...]:
+        """The lists a, b, c, to degree n_max at least."""
+        return self._upto(n_max)[0]
+
+    def arrays_upto(self, n_max: int) -> tuple[np.ndarray, ...]:
+        """The lists a, b, c as float arrays, to degree n_max at least."""
+        return self._upto(n_max)[1]
 
 
 def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
@@ -145,6 +169,38 @@ def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
         prev, cur = cur, (a[n] + gap * b[n]) * cur - c[n] * prev
         rows[n] = cur
     return rows
+
+
+def _node_matrix(rec: _Recurrence, n_max: int, z: np.ndarray, seed: np.ndarray) -> np.ndarray:
+    """``_kernel``'s rows at the nodes z (a 1-D array), by one banded solve.
+
+    Over J nodes the recurrence is one unit lower-triangular system of
+    J (n_max + 1) unknowns, node-major with the degree fastest, of
+    bandwidth 2: row (j, n) holds -(a_n + (s - z_j) b_n) one place left of
+    the diagonal and c_n two places left, both zero where they would
+    reach into node j - 1's block, and its right-hand side is n0 seed_j
+    at n = 0 and zero elsewhere.  One BLAS ``dtbsv`` solves it, in place
+    of ``_kernel``'s Python-level step per degree.
+
+    BLAS rounds the step apart from ``_kernel`` (fused multiply-adds), so
+    the rows agree with ``_kernel``'s to rounding, not bit for bit.  The
+    evaluators (``eigenfunctions``, ``eigenfunction_matrix``, ``series_sum``)
+    are pinned to the last bit against each other and keep ``_kernel``;
+    only the overlap's node matrix (``coeffs.overlap_below``) takes this.
+    """
+    a, b, c = rec.arrays_upto(n_max)
+    size = n_max + 1
+    # band[j, n] is column (j, n) of the lower band in LAPACK's storage:
+    # [1] the entry of row (j, n + 1), [2] the entry of row (j, n + 2)
+    step = np.multiply.outer(z - rec.shift, b[1:size])
+    step -= a[1:size]
+    band = np.zeros((z.size, size, 3))
+    band[:, :n_max, 1] = step
+    band[:, : n_max - 1, 2] = c[2:size]
+    rhs = np.zeros((z.size, size))
+    rhs[:, 0] = rec.n0 * seed
+    solved = blas.dtbsv(2, band.reshape(-1, 3).T, rhs.ravel(), lower=1, diag=1, overwrite_x=1)
+    return solved.reshape(z.size, size).T
 
 
 def _laguerre_coefficients(alpha: float) -> tuple[float, _Coefficients]:
@@ -257,13 +313,14 @@ class DiffusionModel:
     def eigenfunctions(self, n_max: int, x: float) -> np.ndarray:
         """phi_0(x) .. phi_{n_max}(x), orthonormal against m(x) dx."""
         check_integer("degree n_max", n_max)
+        check_real("state", x)
         self.check_state(x)
         return self._eigenfunction_rows(n_max, float(x))
 
     def eigenfunction_matrix(self, n_max: int, xs: np.ndarray) -> np.ndarray:
         """Matrix [j, n] = phi_n(xs[j]); vectorized over the abscissas."""
         check_integer("degree n_max", n_max)
-        xs = np.asarray(xs, dtype=float)
+        xs = real_array("states", xs)
         for x in xs.flat:
             self.check_state(x)
         return self._eigenfunction_rows(n_max, xs).T

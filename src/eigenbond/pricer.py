@@ -69,7 +69,14 @@ import numpy as np
 
 from . import coeffs as coeffs_mod
 from . import series
-from .errors import BracketError, ConvergenceError, ValidationError, check_integer, check_real
+from .errors import (
+    BracketError,
+    ConvergenceError,
+    ValidationError,
+    check_integer,
+    check_real,
+    real_array,
+)
 from .models import POOL_CAP, DiffusionModel
 from .subordinators import Spectrum, SubordinatorSpec, short_rate_map, spectrum
 
@@ -677,10 +684,7 @@ def price_bond(
     state then costs one series evaluation plus the protected-coupon leg,
     one more series (a closed form on an affine model with the plain clock).
     """
-    try:
-        initial_states = np.atleast_1d(np.asarray(initial_states, dtype=float))
-    except (TypeError, ValueError) as exc:
-        raise ValidationError(f"initial states must be numbers: {exc}") from exc
+    initial_states = np.atleast_1d(real_array("initial states", initial_states))
     if initial_states.ndim != 1:
         raise ValidationError(
             f"initial states must be a number or a 1-D sequence, got shape {initial_states.shape}"

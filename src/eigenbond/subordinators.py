@@ -47,7 +47,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from . import series
-from .errors import ValidationError, check_real
+from .errors import ValidationError, check_real, real_array
 from .models import POOL_CAP, DiffusionModel
 
 __all__ = [
@@ -319,7 +319,7 @@ def short_rate_map(model: DiffusionModel, sub: SubordinatorSpec, x):
     All states share one coefficient vector and one eigenfunction matrix.
     A scalar state returns a float, an array of states an array.
     """
-    xs = np.asarray(x, dtype=float)
+    xs = real_array("states", x)
     for state in xs.flat:
         model.check_state(state)
     if sub.is_trivial or xs.size == 0:
@@ -409,6 +409,7 @@ def invert_short_rate(
     that grid, or the cell reaches past the kept states, the quote walks
     as if nothing were kept.  A refused quote keeps nothing.
     """
+    check_real("short rate", rate)
     rate = float(rate)
     if not math.isfinite(rate):
         raise ValidationError(f"short rate must be finite, got {rate}")

@@ -9,7 +9,7 @@ from scipy import special as sp
 from eigenbond import coeffs, series
 from eigenbond.pricer import zero_coupon_price
 from eigenbond.errors import ValidationError
-from eigenbond.models import POOL_CAP, CIRModel, ThreeHalvesModel, VasicekModel
+from eigenbond.models import POOL_CAP, CIRModel, ThreeHalvesModel, VasicekModel, _kernel, _node_matrix
 from eigenbond.specfun import hermite_sequence, laguerre_sequence, lower_incomplete_gamma
 from eigenbond.subordinators import SubordinatorSpec, laplace_exponent, spectrum
 
@@ -572,6 +572,50 @@ def test_gauss_jacobi_strike_matches_closed_form(model, n, zs):
                 got = coeffs.strike_projection(model, sub, n, lo, hi, DELTA, eps=1e-12)
                 ref = _closed_expansion_strike(model, sub, n, lo, hi, 1e-12)
                 assert np.max(np.abs(got - ref)) <= 1e-12 * full, (sub, z, lo, hi)
+
+
+TH_102 = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.2)  # Laguerre order 102
+
+
+@pytest.mark.parametrize("n_max", (0, 1, 2, 64, 300))
+@pytest.mark.parametrize("model", (CIR, B250, TH_102, TH_402),
+                         ids=("cir", "cir_b250", "three_halves_102", "three_halves_402"))
+def test_banded_node_matrix_agrees_with_the_kernel(model, n_max):
+    # BLAS steps the recurrence by fused multiply-adds, so each node's row
+    # rounds apart from the kernel's by the rounding of n_max steps, both
+    # equally far from the recurrence in 40 digits (measured at most
+    # (n_max + 1) eps of the row's largest magnitude; 1e-14 up to n_max = 2)
+    tol = max(1e-14, 4.0 * (n_max + 1) * np.finfo(float).eps)
+    top = 4.0 * (2.0 * n_max + model.laguerre_order + 1.0) + 80.0
+    for n_nodes in (8, 64, 152, 400):
+        t, log_w = coeffs._jacobi_rule(model, n_nodes)
+        for x in (1e-9, 0.01, 0.05, 0.2, 1.0, 1e9):
+            z = min(max(model.poly_coordinate(x), math.ulp(0.0)), top)
+            u = z * t
+            log_scale = (model.laguerre_order + 1.0) * math.log(z) + model.overlap_log_constant
+            seed = np.exp(0.5 * (log_w + log_scale - u))
+            kernel = _kernel(model._recurrence, n_max, u, seed)
+            banded = _node_matrix(model._recurrence, n_max, u, seed)
+            assert banded.shape == kernel.shape
+            largest = np.max(np.abs(kernel), axis=0)  # per node
+            assert np.all(np.abs(banded - kernel) <= tol * largest), (n_nodes, x)
+
+
+@pytest.mark.parametrize("z", (-40.0, -3.0, 0.0, 2.5, 40.0))
+def test_hermite_apply_equals_the_sliced_table(z):
+    rng = np.random.default_rng(23)
+    for n_rows, size in ((0, 1), (5, 9), (40, 20), (20, 41), (135, 136), (300, 12), (12, 300)):
+        table = coeffs.hermite_pair_integrals(max(n_rows, size - 1), z)[: n_rows + 1, :size]
+        for shape in ((size,), (size, 3)):
+            weights = rng.uniform(-1.0, 1.0, shape)
+            got = coeffs._hermite_pair_apply(z, n_rows, weights)
+            assert got.shape == (n_rows + 1,) + shape[1:]
+            assert np.max(np.abs(got - table @ weights)) <= 1e-15, (n_rows, size, shape)
+    # the pricer's route: the overlap below a Vasicek state is the apply
+    x = VAS.theta + 0.01 * z
+    weights = rng.uniform(-1.0, 1.0, 30)
+    below = coeffs.overlap_below(VAS, x, 40, weights)
+    np.testing.assert_array_equal(below, coeffs._hermite_pair_apply(VAS.poly_coordinate(x), 40, weights))
 
 
 def _mp_laguerre(n, a, u):

@@ -151,3 +151,26 @@ def test_every_run_past_a_bound_is_named():
     assert compare_outputs.compare(parent, parent)["past"] == dict.fromkeys(
         compare_outputs.BOUNDS, []
     )
+
+
+def test_each_run_past_a_bound_reports_its_largest_output_and_relative_difference():
+    # a large output that moves by rounding stands apart from a real regression
+    parent = {"large": _run(values=(3.06e7, -2.0)), "moved": _run(), "fine": _run()}
+    change = {
+        "large": _run(values=(3.06e7 + 7.5e-9, -2.0)),
+        "moved": _run(values=(1.0 + 1e-9, 2.0), states=((0.03 + 2e-7, None), (0.04, 0.2))),
+        "fine": _run(values=(1.0 + 5e-14, 2.0)),
+    }
+    summary = compare_outputs.compare(parent, change)
+    assert summary["failed"] == ["value", "state", "rate"]  # the bounds stay absolute
+    assert summary["sizes"]["value"] == {
+        "large": (pytest.approx(7.5e-9, rel=1e-2), 3.06e7 + 7.5e-9),
+        "moved": (pytest.approx(1e-9, rel=1e-6), 2.0),
+    }
+    assert summary["sizes"]["state"] == {"moved": (pytest.approx(2e-7), 0.2)}
+    report = compare_outputs.report(summary)
+    assert "  2 run(s) past the value bound: large; moved" in report
+    assert "    large: max |diff| 7.45e-09, max |value| 3.06e+07, relative 2.43e-16" in report
+    assert "    moved: max |diff| 1e-09, max |value| 2, relative 5e-10" in report
+    assert "    moved: max |diff| 2e-07, max |state| 0.2, relative 1e-06" in report
+    assert "fine:" not in report

@@ -15,7 +15,7 @@ from eigenbond.pricer import (
     price_bond,
     zero_coupon_price,
 )
-from eigenbond.subordinators import SubordinatorSpec, spectrum
+from eigenbond.subordinators import SubordinatorSpec, invert_short_rate, short_rate_map, spectrum
 
 CIR = benchmark.benchmark_model("cir")
 VAS = benchmark.benchmark_model("vasicek")
@@ -138,6 +138,40 @@ def test_entry_points_refuse_a_non_numeric_real(call):
     # each raised TypeError or ValueError, or (the bool) was read as 1
     with pytest.raises(ValidationError, match="must be a real number|must be a sequence"):
         call()
+
+
+@pytest.mark.parametrize("state", ("0.05", True, None), ids=("str", "bool", "none"))
+@pytest.mark.parametrize(
+    "call",
+    (
+        lambda state: price_bond(CIR, NONE, SWISS, [0.05, state]),
+        lambda state: price_bond(CIR, NONE, SWISS, state),
+        lambda state: short_rate_map(CIR, JD, [0.05, state]),
+        lambda state: short_rate_map(CIR, NONE, state),
+        lambda state: CIR.eigenfunctions(3, state),
+        lambda state: VAS.eigenfunction_matrix(3, [0.05, state]),
+        lambda state: TH.eigenfunction_matrix(3, state),
+        lambda state: invert_short_rate(CIR, JD, state),
+    ),
+    ids=("price_bond_list", "price_bond_scalar", "rate_map_list", "rate_map_scalar",
+         "eigenfunctions", "eigenfunction_matrix_list", "eigenfunction_matrix_scalar",
+         "invert_short_rate"),
+)
+def test_state_entry_points_refuse_a_non_numeric_state(call, state):
+    # the array entry points read "0.05" as 0.05 and True as 1, and
+    # eigenfunctions escaped as a TypeError from check_state
+    with pytest.raises(ValidationError, match="must be a real number"):
+        call(state)
+
+
+def test_state_entry_points_take_numpy_reals():
+    states = np.array([0.04, 0.06], dtype=np.float32)
+    assert np.array_equal(short_rate_map(CIR, NONE, states), states.astype(float))
+    np.testing.assert_array_equal(
+        CIR.eigenfunction_matrix(3, states), CIR.eigenfunction_matrix(3, states.astype(float))
+    )
+    assert np.array_equal(short_rate_map(CIR, NONE, np.array([0, 1])), [0.0, 1.0])
+    assert CIR.eigenfunctions(3, np.float64(0.05)).shape == (4,)
 
 
 @pytest.mark.parametrize("x0", (math.inf, -math.inf, math.nan), ids=("inf", "-inf", "nan"))
@@ -850,10 +884,10 @@ def test_walk_at_the_edges_of_the_search_interval(hint):
 def test_one_polynomial_table_per_break_even_state_per_pass(monkeypatch, model, sub, schedule):
     from eigenbond import coeffs, pricer
 
-    # Hermite-function rows and Laguerre node matrices (one kernel), and the
-    # closed-form Laguerre tables, which assembly no longer builds
+    # Hermite-function rows (the kernel), Laguerre node matrices (the banded
+    # solve), and the closed-form Laguerre tables, which assembly no longer builds
     builds = []
-    for name in ("laguerre_sequence_table", "_kernel"):
+    for name in ("laguerre_sequence_table", "_kernel", "_node_matrix"):
         build = getattr(coeffs, name)
         monkeypatch.setattr(
             coeffs, name, lambda *args, build=build: builds.append(args) or build(*args)

@@ -37,7 +37,9 @@ levels (``value_levels``), the assembled lengths and the searches that took
 a bracketing step (``search_fallbacks``, summed over the dates; absent on
 revisions without the count), or the error raised.  The comparison prints
 the largest differences (of values also in units of each run's eps), the
-name of every run past each bound (``BOUNDS``), the mismatch counts, the
+name of every run past each bound (``BOUNDS``) with that run's largest
+difference, its largest |output| and their ratio (a difference past an
+absolute bound may be rounding of a large output), the mismatch counts, the
 break-even evaluations per workload (seed 5046, the job's eps) in total and
 per decision date with the workload's fallbacks, and the criterion-6
 deviation of each side.  It
@@ -213,19 +215,28 @@ def dump(tree: Path) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _max_diff(worst: dict, past: dict, key: str, a: float, b: float, label: str) -> None:
-    """Keep the largest difference of ``key`` and name every run past its bound."""
+def _max_diff(worst: dict, past: dict, sizes: dict, key: str, a: float, b: float,
+              label: str) -> None:
+    """Keep the largest difference of ``key`` and name every run past its bound;
+    under a bound, keep each run's largest difference and largest |output|."""
     diff = abs(a - b)
-    if not diff <= worst[key][0]:  # NaN counts as the worst
-        worst[key] = (diff if not math.isnan(diff) else math.inf, label)
+    if math.isnan(diff):  # NaN counts as the worst
+        diff = math.inf
+    if not diff <= worst[key][0]:
+        worst[key] = (diff, label)
     if key in past and not diff <= BOUNDS[key] and label not in past[key]:
         past[key].append(label)
+    if key in sizes:
+        largest_diff, largest = sizes[key].get(label, (0.0, 0.0))
+        sizes[key][label] = (max(largest_diff, diff), max(largest, abs(a), abs(b)))
 
 
 def compare(parent: dict, change: dict) -> dict:
     """Largest differences and mismatch counts of two dumps."""
     worst = {key: (0.0, None) for key in ("value", "value_eps", "quote_state", "state", "rate")}
     past: dict[str, list[str]] = {key: [] for key in BOUNDS}  # the runs past each bound
+    # per bound and run: (largest difference, largest |output|)
+    sizes: dict[str, dict[str, tuple[float, float]]] = {key: {} for key in BOUNDS}
     counts = dict.fromkeys(
         ("missing", "errors", "quotes", "dates", "none_pattern", "assembled", "value_levels",
          "eval_levels"), 0
@@ -257,12 +268,12 @@ def compare(parent: dict, change: dict) -> dict:
             counts["errors"] += a.get("error") != b.get("error")
             continue
         for x, y in zip(a["values"], b["values"]):
-            _max_diff(worst, past, "value", x, y, label)
-            _max_diff(worst, past, "value_eps", x / a["eps"], y / a["eps"], label)
+            _max_diff(worst, past, sizes, "value", x, y, label)
+            _max_diff(worst, past, sizes, "value_eps", x / a["eps"], y / a["eps"], label)
         quotes_a, quotes_b = a.get("quote_states", []), b.get("quote_states", [])
         counts["quotes"] += len(quotes_a) != len(quotes_b)
         for x, y in zip(quotes_a, quotes_b):
-            _max_diff(worst, past, "quote_state", x, y, label)
+            _max_diff(worst, past, sizes, "quote_state", x, y, label)
         counts["value_levels"] += sum(x != y for x, y in zip(a["value_levels"], b["value_levels"]))
         if len(a["states"]) != len(b["states"]):
             counts["dates"] += 1
@@ -273,7 +284,7 @@ def compare(parent: dict, change: dict) -> dict:
                     if (x is None) != (y is None):
                         counts["none_pattern"] += key == "states"
                     elif x is not None:
-                        _max_diff(worst, past, key[:-1], x, y, label)
+                        _max_diff(worst, past, sizes, key[:-1], x, y, label)
         counts["assembled"] += sum(x != y for x, y in zip(a["assembled"], b["assembled"]))
         counts["eval_levels"] += sum(x != y for x, y in zip(a["eval_levels"], b["eval_levels"]))
 
@@ -290,6 +301,7 @@ def compare(parent: dict, change: dict) -> dict:
     return {
         "worst": worst,
         "past": past,
+        "sizes": {key: {label: sizes[key][label] for label in past[key]} for key in BOUNDS},
         "counts": counts,
         "evaluations": evaluations,
         "dates": dates,
@@ -307,6 +319,12 @@ def report(summary: dict) -> str:
         past = summary["past"][key]
         if past:
             lines.append(f"  {len(past)} run(s) past the {key} bound: " + "; ".join(past))
+            # a difference past an absolute bound may still be rounding of a large output
+            for label in past:
+                diff, largest = summary["sizes"][key][label]
+                relative = diff / largest if largest > 0.0 else math.inf
+                lines.append(f"    {label}: max |diff| {diff:.3g}, max |{key}| {largest:.3g}, "
+                             f"relative {relative:.3g}")
     diff, label = summary["worst"]["value_eps"]
     lines.append(f"max |value diff| / eps = {diff:.3g} at {label}")
     counts = summary["counts"]
