@@ -1,5 +1,5 @@
-"""Truncated-interval eigenfunction integrals by Gauss-Jacobi quadrature
-and orthonormal Hermite tables, with closed-form reference tables.
+"""Truncated-interval eigenfunction integrals by one closed form over both
+polynomial families, with closed-form reference tables.
 
 The backward recursion for callable/putable bonds needs, at every decision
 date, the Gram ("overlap") integrals of pairs of eigenfunctions over the
@@ -20,40 +20,38 @@ one of four ways:
 * zero at ``state_lo``;
 * the identity at ``state_hi`` (orthonormality), so it returns w itself;
 * at an interior state, the block from the bottom of the model's
-  polynomial coordinate to the state's coordinate z: by Gauss-Jacobi
-  quadrature for a Laguerre coordinate (CIR, 3/2), where phi_m phi_n m is
-  u^alpha e^{-u} times a polynomial in u, so a Gauss rule for the weight
-  t^alpha on [0, 1] (``_gauss_jacobi``, cached on the model per size),
-  scaled to [0, z], takes every integral.  The node matrix V (one row per
-  degree, one column per node) comes from one banded triangular solve,
-  the recurrence over all nodes at once (``models._node_matrix``), and the
-  block applied to w is V (V^T w), without forming the block.  For a
-  Hermite coordinate (Vasicek) it is the Hermite pair table, taken in
-  orthonormal form over the Hermite functions
-  h_n(y) = H_n(y) e^{-y^2/2} / sqrt(sqrt(pi) 2^n n!) of the models'
-  normalized recurrence:
+  polynomial coordinate to the state's coordinate z.  In that coordinate
+  the eigenfunctions are the orthonormal functions of the family, so the
+  block is model-free: for a Hermite coordinate (Vasicek)
+  h_n(y) = H_n(y) e^{-y^2/2} / sqrt(sqrt(pi) 2^n n!), for a Laguerre one
+  (CIR, 3/2) psi_n(u) = sqrt(u^alpha e^{-u}) N_n L_n^(alpha)(u) with
+  N_n^2 = n! / Gamma(n + alpha + 1).  Both obey a Sturm-Liouville
+  equation, so (Christoffel-Darboux) every off-diagonal entry is
 
-    pair_{m,n}(x) = int_-inf^x h_m h_n dy
+    int^z f_m f_n = (f_m g_n - g_m f_n) / (n - m)
 
-  The off-diagonal entries have a closed form, h_m g_n - g_m h_n over
-  n - m with g_n = h_{n+1} sqrt((n+1)/2), and the diagonal steps up in
-  degree from an erfc seed; no factor leaves double range at any degree.
-  The closed form is applied to w as it stands, two weighted columns
-  through one product with D[m, n] = 1 / (n - m) (``_hermite_pair_apply``),
-  without forming the table;
+  with g_n = h_{n+1} sqrt((n+1)/2) for Hermite and g_n = sqrt(n) chi_n for
+  Laguerre, chi_n(u) = sqrt(u^{alpha+2} e^{-u}) M_{n-1} L_{n-1}^(alpha+1)(u),
+  M_{n-1}^2 = (n-1)! / Gamma(n + alpha + 1), chi_0 = 0.  The diagonal d
+  steps up in degree from a seed, erfc(-z) / 2 or the regularized
+  incomplete gamma P(alpha + 1, z).  ``_hermite_rows`` and
+  ``_laguerre_rows`` build (f, g, d) by one recurrence pass each, with no
+  factor leaving double range at any degree, and ``_pair_apply`` applies
+  the block to w as it stands, two weighted columns through one product
+  with D[m, n] = 1 / (n - m), without forming the block;
 * on a coordinate that decreases in the state (3/2, v = beta / x), the
   identity minus that block, since the states below x are the
   coordinates above z.
 
-Only ``overlap_below`` reads the model's polynomial family and the
-orientation of its coordinate, and the model's ``overlap_log_constant``
-turns its polynomial integrals into eigenfunction integrals.  The other
-tables here are the reference that tests compare against, and the pricer
-builds none of them: the closed-form Laguerre tables at a finite
-coordinate, int_0^x L_m L_n e^{-y} y^alpha dy and int_0^x y^alpha e^{-s y}
-L_n dy, which step down in order from incomplete-gamma seeds at elevated
-order; the Hermite exp integrals int_-inf^x e^{s y - y^2/2} h_n dy, which
-step up from an erfc seed; and the full-line limits of both families
+Only ``overlap_below`` reads the model's polynomial family, to pick the row
+builder, and the orientation of its coordinate.  The other tables here are
+the reference that tests compare against, and the pricer builds none of
+them: the closed-form Laguerre tables at a finite coordinate,
+int_0^x L_m L_n e^{-y} y^alpha dy and int_0^x y^alpha e^{-s y} L_n dy,
+which step down in order from incomplete-gamma seeds at elevated order;
+the Hermite pair table int_-inf^x h_m h_n dy, formed entry by entry from
+the same rows; the Hermite exp integrals int_-inf^x e^{s y - y^2/2} h_n dy,
+which step up from an erfc seed; and the full-line limits of both families
 (``*_at_infinity``), which the exact identity at ``state_hi`` replaces.
 The pricer takes one ``overlap_below`` per finite break-even state per
 assembly pass (see ``pricer._Engine._assemble``).
@@ -64,12 +62,11 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import linalg
 from scipy import special as sp
 
 from . import series
 from .errors import ValidationError, check_integer
-from .models import HERMITE_FUNCTIONS, POOL_CAP, DiffusionModel, _kernel, _node_matrix
+from .models import HERMITE_FUNCTIONS, POOL_CAP, DiffusionModel, _kernel
 from .specfun import laguerre_sequence_table
 from .subordinators import SubordinatorSpec, spectrum
 
@@ -238,63 +235,25 @@ def _check_hermite_table(n_max: int, x: float) -> None:
         raise ValidationError("endpoint must not be NaN")
 
 
-def hermite_pair_integrals(n_max: int, x: float) -> np.ndarray:
-    """Table [m, n] = int_{-inf}^x h_m h_n dy: ``_hermite_pair_apply`` on the
-    identity, so the table and the pricer's apply share one code path.
-
-    The diagonal steps d_n = d_{n-1} - h_{n-1} h_n / sqrt(2n) up from
-    d_0 = erfc(-x) / 2; off the diagonal
-    (h_m h_{n+1} sqrt((n+1)/2) - h_n h_{m+1} sqrt((m+1)/2)) / (n - m).
-    """
-    _check_hermite_table(n_max, x)
-    return _hermite_pair_apply(x, n_max, np.eye(n_max + 1))
-
-
-# [m, n] = 1 / (n - m) off the diagonal and 0 on it, for every size up to its
-# own: grown on demand (doubling up to POOL_CAP + 1) and read as a slice
-_reciprocal_gaps = np.zeros((0, 0))
-
-
-def _gaps(rows: int, cols: int) -> np.ndarray:
-    global _reciprocal_gaps
-    gaps = _reciprocal_gaps
-    if len(gaps) < max(rows, cols):
-        size = max(rows, cols, min(2 * len(gaps), POOL_CAP + 1))
-        idx = np.arange(size, dtype=float)
-        with np.errstate(divide="ignore"):
-            gaps = 1.0 / (idx[None, :] - idx[:, None])
-        gaps[np.diag_indices(size)] = 0.0
-        _reciprocal_gaps = gaps  # one assignment: a thread sees the old or the new
-    return gaps[:rows, :cols]
-
-
-def _hermite_pair_apply(x: float, n_rows: int, weights: np.ndarray) -> np.ndarray:
-    """Rows 0..n_rows of ``hermite_pair_integrals`` at x, columns 0..size - 1
-    (size = the rows of ``weights``, a vector or a matrix of columns), applied
-    to ``weights`` without forming the table.
-
-    With g_n = h_{n+1} sqrt((n+1)/2) and D[m, n] = 1 / (n - m) (zero on the
-    diagonal), the table is h_m g_n D[m, n] - g_m h_n D[m, n] off the
-    diagonal, so T w = h (D (g w)) - g (D (h w)) + d w: one product of D
-    with both weighted columns, and the diagonal d of the erfc chain.
-    """
-    size = weights.shape[0]
-    n_max = max(n_rows, size - 1)
+def _hermite_rows(n_max: int, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(h, g, d) of the Hermite pair table at x, degrees 0..n_max: the
+    functions h_n, g_n = h_{n+1} sqrt((n+1)/2), and the diagonal, which steps
+    d_n = d_{n-1} - h_{n-1} h_n / sqrt(2n) up from d_0 = erfc(-x) / 2."""
     herm = _hermite_functions(n_max + 1, x)
     root = np.sqrt(0.5 * np.arange(1, n_max + 2, dtype=float))  # sqrt((n+1)/2)
     h, g = herm[:-1], herm[1:] * root
+    steps = h[:-1] * herm[1:-1] / (2.0 * root[:-1])
+    return h, g, 0.5 * sp.erfc(-x) - np.concatenate(([0.0], np.cumsum(steps)))
 
-    diag = np.empty(min(n_rows + 1, size))
-    diag[0] = 0.5 * sp.erfc(-x)
-    steps = h[: len(diag) - 1] * herm[1 : len(diag)] / (2.0 * root[: len(diag) - 1])
-    diag[1:] = diag[0] - np.cumsum(steps)
 
-    columns = weights.reshape(size, -1)
-    k = columns.shape[1]
-    both = _gaps(n_rows + 1, size) @ np.hstack((g[:size, None] * columns, h[:size, None] * columns))
-    out = h[: n_rows + 1, None] * both[:, :k] - g[: n_rows + 1, None] * both[:, k:]
-    out[: len(diag)] += diag[:, None] * columns[: len(diag)]
-    return out.reshape((n_rows + 1,) + weights.shape[1:])
+def hermite_pair_integrals(n_max: int, x: float) -> np.ndarray:
+    """Table [m, n] = int_{-inf}^x h_m h_n dy, entry by entry from
+    ``_hermite_rows``: (h_m g_n - g_m h_n) / (n - m) off the diagonal."""
+    _check_hermite_table(n_max, x)
+    h, g, d = _hermite_rows(n_max, x)
+    table = (np.outer(h, g) - np.outer(g, h)) * _gaps(n_max + 1, n_max + 1)
+    table[np.diag_indices(n_max + 1)] = d
+    return table
 
 
 def hermite_pair_integrals_at_infinity(n_max: int) -> np.ndarray:
@@ -331,60 +290,74 @@ def hermite_exp_integrals_at_infinity(n_max: int, s: float) -> np.ndarray:
 # Model-level assembly
 # ---------------------------------------------------------------------------
 
-# Gauss-Jacobi sizes are rounded up to a multiple of this, so that a run
-# builds only a handful of rules.
-_RULE_STEP = 8
+# [m, n] = 1 / (n - m) off the diagonal and 0 on it, for every size up to its
+# own: grown on demand (doubling up to POOL_CAP + 1) and read as a slice
+_reciprocal_gaps = np.zeros((0, 0))
 
 
-def _gauss_jacobi(size: int, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Nodes t_j and log weights of the ``size``-point Gauss rule on [0, 1]
-    for the weight t^alpha (Golub-Welsch).
+def _gaps(rows: int, cols: int) -> np.ndarray:
+    global _reciprocal_gaps
+    gaps = _reciprocal_gaps
+    if len(gaps) < max(rows, cols):
+        size = max(rows, cols, min(2 * len(gaps), POOL_CAP + 1))
+        idx = np.arange(size, dtype=float)
+        with np.errstate(divide="ignore"):
+            gaps = 1.0 / (idx[None, :] - idx[:, None])
+        gaps[np.diag_indices(size)] = 0.0
+        _reciprocal_gaps = gaps  # one assignment: a thread sees the old or the new
+    return gaps[:rows, :cols]
 
-    The nodes are the eigenvalues of the Jacobi matrix of the shifted Jacobi
-    polynomials, polished by one Newton step on their orthonormal
-    three-term recurrence, which keeps the nodes near t = 0 to relative
-    precision; ``scipy.special.roots_jacobi`` maps its nodes from [-1, 1] and
-    loses that precision there (its rule misses int_0^1 t^alpha e^{-t} dt by
-    6e-13 at alpha = -0.745 with 80 nodes).  The weights are the Christoffel
-    numbers mu_0 / sum_k q_k(t_j)^2, summed under a running scale so that
-    large alpha neither overflows nor underflows.
+
+def _pair_apply(
+    f: np.ndarray, g: np.ndarray, d: np.ndarray, n_rows: int, weights: np.ndarray
+) -> np.ndarray:
+    """Rows 0..n_rows of the pair block with entries (f_m g_n - g_m f_n) / (n - m)
+    off the diagonal and d on it, columns 0..size - 1 (size = the rows of
+    ``weights``, a vector or a matrix of columns), applied to ``weights``
+    without forming the block.
+
+    With D[m, n] = 1 / (n - m) (zero on the diagonal) the block applied to
+    w is f (D (g w)) - g (D (f w)) + d w: one product of D with both
+    weighted columns.
     """
-    k = np.arange(size + 1, dtype=float)
-    two_k = 2.0 * k + alpha
-    with np.errstate(divide="ignore", invalid="ignore"):
-        shift = np.where(k == 0, alpha / (alpha + 2.0), alpha * alpha / (two_k * (two_k + 2.0)))
-        off = k * (k + alpha) / (two_k * np.sqrt((two_k + 1.0) * (two_k - 1.0)))
-    diag = 0.5 + 0.5 * shift
-    off[0] = 0.0  # off[n] couples degrees n - 1 and n
-    t = linalg.eigvalsh_tridiagonal(diag[:size], off[1:size])
-    for newton in (True, False):
-        q_prev, q = np.zeros(size), np.ones(size)
-        dq_prev, dq = np.zeros(size), np.zeros(size)
-        total, log_scale = np.ones(size), np.zeros(size)
-        for n in range(size):  # q = q_n -> q_{n+1}, dq its derivative
-            gap = t - diag[n]
-            q_prev, q = q, (gap * q - off[n] * q_prev) / off[n + 1]
-            dq_prev, dq = dq, (q_prev + gap * dq - off[n] * dq_prev) / off[n + 1]
-            if n + 1 < size:
-                total += q * q
-            if n % 8 == 7:  # q grows by at most ~1/off per degree
-                scale = np.maximum(np.abs(q), 1.0)
-                q, q_prev, dq, dq_prev = q / scale, q_prev / scale, dq / scale, dq_prev / scale
-                total /= scale * scale
-                log_scale += np.log(scale)
-        if newton:
-            t = t - q / dq
-    return t, -math.log(alpha + 1.0) - np.log(total) - 2.0 * log_scale
+    size = weights.shape[0]
+    columns = weights.reshape(size, -1)
+    k = columns.shape[1]
+    both = _gaps(n_rows + 1, size) @ np.hstack((g[:size, None] * columns, f[:size, None] * columns))
+    out = f[: n_rows + 1, None] * both[:, :k] - g[: n_rows + 1, None] * both[:, k:]
+    diag = min(n_rows + 1, size)
+    out[:diag] += d[:diag, None] * columns[:diag]
+    return out.reshape((n_rows + 1,) + weights.shape[1:])
 
 
-def _jacobi_rule(model: DiffusionModel, size: int) -> tuple[np.ndarray, np.ndarray]:
-    """``_gauss_jacobi`` for the model's ``laguerre_order``, built on first use
-    of a size and cached on the model."""
-    rules = model._jacobi_rules
-    rule = rules.get(size)
-    if rule is None:
-        rule = rules[size] = _gauss_jacobi(size, model.laguerre_order)
-    return rule
+def _laguerre_rows(
+    model: DiffusionModel, n_max: int, z: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(psi, g, d) of the Laguerre pair block at the coordinate z, degrees
+    0..n_max, for the model's ``laguerre_order`` alpha.
+
+    One ``_kernel`` pass of the order-(alpha + 1) recurrence, seeded with
+    sqrt(z^{alpha+2} e^{-z} / Gamma(alpha + 2)) in logs (large alpha and z
+    would under- or overflow it), gives chi_1 .. chi_{n_max+1}; then
+    psi_n = (sqrt(n + alpha + 1) chi_{n+1} - sqrt(n) chi_n) / z and
+    g_n = sqrt(n) chi_n.  (chi from psi, sqrt(n + alpha) psi_{n-1} -
+    sqrt(n) psi_n, cancels at small z when alpha < 0.)  The diagonal steps
+    d_n = d_{n-1} + chi_n (psi_n / sqrt(n) - psi_{n-1} / sqrt(n + alpha))
+    up from d_0 = P(alpha + 1, z).  Beyond z = 4 (2 n_max + alpha + 1) + 80
+    every integrand is below 1e-26 of its total, so a larger z is cut
+    there, and a coordinate that underflows is read as the least positive
+    float.
+    """
+    alpha = model.laguerre_order
+    z = min(max(z, math.ulp(0.0)), 4.0 * (2.0 * n_max + alpha + 1.0) + 80.0)
+    seed = math.exp(0.5 * ((alpha + 2.0) * math.log(z) - z - math.lgamma(alpha + 2.0)))
+    chi = np.concatenate(([0.0], _kernel(model._raised_recurrence, n_max, z, seed)))
+    n = np.arange(n_max + 1, dtype=float)
+    root_n = np.sqrt(n)
+    psi = (np.sqrt(n + alpha + 1.0) * chi[1:] - root_n * chi[:-1]) / z
+    g = root_n * chi[:-1]
+    steps = chi[1:-1] * (psi[1:] / root_n[1:] - psi[:-1] / np.sqrt(n[1:] + alpha))
+    return psi, g, sp.gammainc(alpha + 1.0, z) + np.concatenate(([0.0], np.cumsum(steps)))
 
 
 def overlap_below(
@@ -392,18 +365,8 @@ def overlap_below(
 ) -> np.ndarray:
     """Rows 0..n_rows of the overlap over the states below x, one column per
     row of ``weights`` (a vector, or a matrix of columns), applied to
-    ``weights``.
-
-    At a Laguerre coordinate z the rule has n_max + 12 + ceil(1.5 z) nodes
-    u_j of [0, z] for the weight u^alpha, rounded up to a multiple of
-    ``_RULE_STEP``: the factor e^{-u} needs nodes in proportion to z.
-    Beyond u = 4 (2 n_max + alpha + 1) + 80 every integrand is below 1e-26
-    of its total, so a larger z is cut there.  With weights w_j,
-    h_j = log sqrt(w_j e^{C - u_j}) (C the model's ``overlap_log_constant``)
-    and V[n, j] = N_n L_n(u_j) e^{h_j}, V V^T is the block.  V is one banded
-    solve over every node (``models._node_matrix``), not a numpy step per
-    degree.  At a Hermite coordinate the pair table's closed form is applied
-    to the weights (``_hermite_pair_apply``) without forming the table.
+    ``weights``: at an interior state, the closed-form pair block at the
+    state's coordinate (``_pair_apply``) on the rows of the model's family.
     """
     size = weights.shape[0]
     out = np.zeros((n_rows + 1,) + weights.shape[1:])
@@ -413,21 +376,12 @@ def overlap_below(
     if x == model.state_hi:
         return out
     z = model.poly_coordinate(x)
+    n_max = max(n_rows, size - 1)
     if model.polynomial_family == "hermite":
-        block = _hermite_pair_apply(z, n_rows, weights)
+        rows = _hermite_rows(n_max, z)
     else:
-        n_max = max(n_rows, size - 1)
-        # a coordinate that underflows is read as the least positive float
-        z = min(max(z, math.ulp(0.0)), 4.0 * (2.0 * n_max + model.laguerre_order + 1.0) + 80.0)
-        n_nodes = n_max + 12 + math.ceil(1.5 * z)
-        t, log_w = _jacobi_rule(model, -(-n_nodes // _RULE_STEP) * _RULE_STEP)
-        u = z * t
-        # the weights on [0, z] carry z^(alpha + 1); logs keep large alpha
-        # and z (CIR with b = 160) from under- or overflowing, and e^h
-        # seeds the node matrix, where N_n L_n(u_j) alone would overflow
-        log_scale = (model.laguerre_order + 1.0) * math.log(z) + model.overlap_log_constant
-        rows = _node_matrix(model._recurrence, n_max, u, np.exp(0.5 * (log_w + log_scale - u)))
-        block = rows[: n_rows + 1] @ (rows[:size].T @ weights)
+        rows = _laguerre_rows(model, n_max, z)
+    block = _pair_apply(*rows, n_rows, weights)
     return out - block if model.coordinate_reversed else block
 
 

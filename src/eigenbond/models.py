@@ -24,7 +24,7 @@ Hermite polynomials satisfy one step,
 N_n P_n = (a_n + (s - z) b_n) N_{n-1} P_{n-1} - c_n N_{n-2} P_{n-2}, and
 CIR and 3/2 name the Laguerre coefficients of their ``laguerre_order``,
 Vasicek the Hermite ones, each starting from N_0 =
-exp(``log_norm_constants(0)``).  Two loops and one banded solve step it.
+exp(``log_norm_constants(0)``).  Two loops step it.
 The kernel (``_kernel``) returns every degree at once, one row per degree,
 for a float abscissa and an array alike; ``eigenfunctions`` (one state) and
 ``eigenfunction_matrix`` (an array of states) multiply the model's
@@ -37,13 +37,9 @@ truncation rule of ``series`` inline, so it takes only the steps the rule
 reads and builds no term array.  The rule thus has two bodies, this loop
 and ``series.truncate_terms``;
 ``tests/test_series.py::test_series_sum_and_truncate_terms_agree_bit_for_bit``
-pins them against each other.  The overlap's node matrix
-(``coeffs.overlap_below``) takes the same rows at many Gauss-Jacobi nodes
-from ``_node_matrix``: the recurrence over all nodes is one banded
-triangular system, solved by one BLAS call instead of one numpy step per
-degree.  BLAS rounds the step by fused multiply-adds, so those rows agree
-with ``_kernel``'s to rounding, not bit for bit; the evaluators, which the
-tests hold to each other bit for bit, keep ``_kernel``.
+pins them against each other.  The Laguerre overlap block
+(``coeffs.overlap_below``) takes ``_kernel``'s rows of the order one above
+the model's (``_raised_recurrence``) at the coordinate of one state.
 
 The coefficient lists are built on first use, cached on the model and grown
 on demand; the derived constants (``gamma``, ``b``, ``order_m``,
@@ -64,10 +60,8 @@ model; what differs between the diffusions is read from these facts:
   and the first upper end of its walk when no earlier state starts it;
 * ``polynomial_family`` ("laguerre" or "hermite") and
   ``coordinate_reversed`` (whether ``poly_coordinate`` decreases in the
-  state), which ``coeffs.overlap_below`` alone reads to take the overlap
-  over the states below x in the polynomial coordinate;
-* ``overlap_log_constant``: the log of the constant factor of the overlap
-  integrals in that coordinate;
+  state), which ``coeffs.overlap_below`` alone reads, to pick the rows of
+  its one closed form and to take the overlap over the states below x;
 * ``coordinate_slope(x)`` and ``prefactor_log_slope(x)``: d
   ``poly_coordinate``/dx and d log(prefactor)/dx, which turn the
   recurrence's slope in the coordinate into the series' slope in the
@@ -83,7 +77,6 @@ from functools import cached_property
 
 import numpy as np
 from scipy import stats
-from scipy.linalg import blas
 from scipy.special import gammaln
 
 from .errors import (
@@ -119,38 +112,28 @@ class _Recurrence:
     from N_0 P_0 = ``n0`` (and zero below degree 0).
 
     ``shift`` is s and ``coefficients(n)`` returns (a_n, b_n, c_n).  The
-    per-degree lists, and numpy copies of them for ``_node_matrix``, are
-    filled on first use and grown on demand, doubling up to ``POOL_CAP``.
-    Grown lists and arrays are new objects, stored in one assignment and
-    returned as built, so a caller never sees them shorter than it asked
-    for even when threads share a model.
+    per-degree lists are filled on first use and grown on demand, doubling
+    up to ``POOL_CAP``.  Grown lists are new lists, stored in one assignment
+    and returned as built, so a caller never sees lists shorter than it
+    asked for even when threads share a model.
     """
 
     def __init__(self, n0: float, shift: float, coefficients: _Coefficients):
         self.n0 = n0
         self.shift = shift
         self._coefficients = coefficients
-        lists = ([0.0], [0.0], [0.0])  # degree 0 takes no step
-        self._grown = (lists, tuple(np.array(values) for values in lists))
+        self._lists: tuple[list, ...] = ([0.0], [0.0], [0.0])  # degree 0 takes no step
 
-    def _upto(self, n_max: int) -> tuple[tuple[list, ...], tuple[np.ndarray, ...]]:
-        grown = self._grown
-        lists = grown[0]
+    def upto(self, n_max: int) -> tuple[list, ...]:
+        """The lists a, b, c, to degree n_max at least."""
+        lists = self._lists
         have = len(lists[0])
         if have <= n_max:
             size = max(n_max + 1, min(2 * have, POOL_CAP + 1))
             more = zip(*(self._coefficients(n) for n in range(have, size)))
             lists = tuple(old + list(new) for old, new in zip(lists, more))
-            grown = self._grown = (lists, tuple(np.array(values) for values in lists))
-        return grown
-
-    def upto(self, n_max: int) -> tuple[list, ...]:
-        """The lists a, b, c, to degree n_max at least."""
-        return self._upto(n_max)[0]
-
-    def arrays_upto(self, n_max: int) -> tuple[np.ndarray, ...]:
-        """The lists a, b, c as float arrays, to degree n_max at least."""
-        return self._upto(n_max)[1]
+            self._lists = lists
+        return lists
 
 
 def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
@@ -169,38 +152,6 @@ def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
         prev, cur = cur, (a[n] + gap * b[n]) * cur - c[n] * prev
         rows[n] = cur
     return rows
-
-
-def _node_matrix(rec: _Recurrence, n_max: int, z: np.ndarray, seed: np.ndarray) -> np.ndarray:
-    """``_kernel``'s rows at the nodes z (a 1-D array), by one banded solve.
-
-    Over J nodes the recurrence is one unit lower-triangular system of
-    J (n_max + 1) unknowns, node-major with the degree fastest, of
-    bandwidth 2: row (j, n) holds -(a_n + (s - z_j) b_n) one place left of
-    the diagonal and c_n two places left, both zero where they would
-    reach into node j - 1's block, and its right-hand side is n0 seed_j
-    at n = 0 and zero elsewhere.  One BLAS ``dtbsv`` solves it, in place
-    of ``_kernel``'s Python-level step per degree.
-
-    BLAS rounds the step apart from ``_kernel`` (fused multiply-adds), so
-    the rows agree with ``_kernel``'s to rounding, not bit for bit.  The
-    evaluators (``eigenfunctions``, ``eigenfunction_matrix``, ``series_sum``)
-    are pinned to the last bit against each other and keep ``_kernel``;
-    only the overlap's node matrix (``coeffs.overlap_below``) takes this.
-    """
-    a, b, c = rec.arrays_upto(n_max)
-    size = n_max + 1
-    # band[j, n] is column (j, n) of the lower band in LAPACK's storage:
-    # [1] the entry of row (j, n + 1), [2] the entry of row (j, n + 2)
-    step = np.multiply.outer(z - rec.shift, b[1:size])
-    step -= a[1:size]
-    band = np.zeros((z.size, size, 3))
-    band[:, :n_max, 1] = step
-    band[:, : n_max - 1, 2] = c[2:size]
-    rhs = np.zeros((z.size, size))
-    rhs[:, 0] = rec.n0 * seed
-    solved = blas.dtbsv(2, band.reshape(-1, 3).T, rhs.ravel(), lower=1, diag=1, overwrite_x=1)
-    return solved.reshape(z.size, size).T
 
 
 def _laguerre_coefficients(alpha: float) -> tuple[float, _Coefficients]:
@@ -388,30 +339,26 @@ class DiffusionModel:
         n0 = math.exp(self.log_norm_constants(0)[0])
         return _Recurrence(n0, *self._recurrence_coefficients())
 
-    # --- integral-table data ------------------------------------------------
-
     @cached_property
-    def _jacobi_rules(self) -> dict[int, tuple[np.ndarray, np.ndarray]]:
-        """Gauss-Jacobi rules of the Laguerre-family integrals by size; filled
-        on demand by ``coeffs``, since they depend only on the model's order."""
-        return {}
+    def _raised_recurrence(self) -> _Recurrence:
+        """The normalized Laguerre recurrence of order ``laguerre_order`` + 1
+        from N_0 P_0 = 1, whose rows the Laguerre overlap block
+        (``coeffs.overlap_below``) is built from."""
+        return _Recurrence(1.0, *_laguerre_coefficients(self.laguerre_order + 1.0))
+
+    # --- per-clock caches, filled by other modules ---------------------------
 
     @cached_property
     def _spectra(self) -> dict[object, object]:
         """The subordinate spectrum (``subordinators.Spectrum``) by clock;
-        filled on demand by ``subordinators.spectrum``, like ``_jacobi_rules``."""
+        filled on demand by ``subordinators.spectrum``."""
         return {}
 
     @cached_property
     def _short_rate_brackets(self) -> dict[object, list[tuple]]:
         """Resolved quote-inversion brackets (states, coefficients, rates) by
-        clock; filled on demand by ``subordinators``, like ``_jacobi_rules``."""
+        clock; filled on demand by ``subordinators``, like ``_spectra``."""
         return {}
-
-    @property
-    def overlap_log_constant(self) -> float:
-        """log of the factor, besides N_m N_n, from pair to overlap integrals."""
-        raise NotImplementedError
 
     # --- densities and bonds ----------------------------------------------
 
@@ -472,12 +419,6 @@ class CIRModel(DiffusionModel):
     @property
     def laguerre_order(self) -> float:
         return self.b - 1.0
-
-    @cached_property
-    def overlap_log_constant(self) -> float:
-        return (self.b - 1.0) * math.log(self.sigma**2 / (2.0 * self.gamma)) - math.log(
-            self.gamma
-        )
 
     def poly_coordinate(self, x) -> float | np.ndarray:
         """Map state to the Laguerre abscissa u = 2 gamma x / sigma^2."""
@@ -574,10 +515,6 @@ class VasicekModel(DiffusionModel):
         # a symmetric band around theta, whose mapped coordinates the series resolve
         half = self.search_sigmas * self.sigma / math.sqrt(2.0 * self.kappa)
         return self.theta - half, self.theta + half, self.theta + half
-
-    @cached_property
-    def overlap_log_constant(self) -> float:
-        return math.log(2.0) - math.log(self.sigma) - 0.5 * math.log(self.kappa)
 
     def xi(self, x) -> float | np.ndarray:
         return math.sqrt(self.kappa) / self.sigma * (x - self.theta)
@@ -687,10 +624,6 @@ class ThreeHalvesModel(DiffusionModel):
     @property
     def laguerre_order(self) -> float:
         return 2.0 * self.order_m
-
-    @cached_property
-    def overlap_log_constant(self) -> float:
-        return math.log(2.0 / self.sigma**2) - (2.0 * self.order_m + 1.0) * math.log(self.beta)
 
     def poly_coordinate(self, x) -> float | np.ndarray:
         """Map state to the Laguerre abscissa v = beta / x (orientation reversed)."""

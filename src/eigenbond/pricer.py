@@ -20,8 +20,8 @@ The bond value at issue is built by one stage per decision date:
     applied to its payoff (the strike times the expansion of P(delta, .)
     over an exercise region, the hold weights over the hold region), plus
     the coupon term.  The sum telescopes to one overlap apply per finite
-    break-even state (``_Engine._assemble``; the overlap is never formed at
-    a Gauss-Jacobi endpoint, see ``coeffs``).  Decayed back to the date
+    break-even state (``_Engine._assemble``; the overlap block is applied
+    without being formed, see ``coeffs``).  Decayed back to the date
     before, it is that date's hold weights.
 3.  At issue the value is the same series over the last hold weights plus
     the protected coupons, one series over their summed weights.  A

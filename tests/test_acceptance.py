@@ -260,9 +260,10 @@ def test_criterion_7_property_suite(single_crossing_scans, callable_runs, putabl
         raw = vec[n] * _hermite_norm(n)
         assert raw == pytest.approx(quad(g, -30.0, x), rel=1e-9, abs=1e-12)
 
-    # the integrals the pricer takes for the Laguerre models (Gauss-Jacobi at
-    # finite endpoints) against adaptive quadrature in the state: overlap
-    # phi_n phi_m m and strike leg P(delta, .) phi_n m on finite intervals
+    # the integrals the pricer takes for the Laguerre models (the closed-form
+    # pair block at finite endpoints) against adaptive quadrature in the
+    # state: overlap phi_n phi_m m and strike leg P(delta, .) phi_n m on
+    # finite intervals
     delta = benchmark.swiss1987_schedule().notice_delta
     cir = models[0]
     none = SubordinatorSpec.none()

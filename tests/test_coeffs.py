@@ -9,7 +9,15 @@ from scipy import special as sp
 from eigenbond import coeffs, series
 from eigenbond.pricer import zero_coupon_price
 from eigenbond.errors import ValidationError
-from eigenbond.models import POOL_CAP, CIRModel, ThreeHalvesModel, VasicekModel, _kernel, _node_matrix
+from eigenbond.models import (
+    POOL_CAP,
+    CIRModel,
+    ThreeHalvesModel,
+    VasicekModel,
+    _kernel,
+    _laguerre_coefficients,
+    _Recurrence,
+)
 from eigenbond.specfun import hermite_sequence, laguerre_sequence, lower_incomplete_gamma
 from eigenbond.subordinators import SubordinatorSpec, laplace_exponent, spectrum
 
@@ -390,7 +398,7 @@ def test_overlap_and_strike_refuse_a_bad_degree(n_max):
 def test_states_at_the_ends_of_the_float_range_are_at_the_ends_of_the_space(model, states):
     # their coordinates overflow to +-inf or underflow to 0 (the 3/2 one
     # runs the other way): the overlap below them is zero or the identity,
-    # to the accuracy of the Gauss-Jacobi tests above
+    # to the accuracy of the closed-form tests below
     for x in states:
         below = coeffs.overlap_matrix(model, 8, model.state_lo, x)
         expected = np.eye(9) if x > 1.0 else np.zeros((9, 9))
@@ -479,8 +487,7 @@ def test_strike_partial_sums_reproduce_indicator_bond():
 
 
 # ---------------------------------------------------------------------------
-# Gauss-Jacobi quadrature at finite Laguerre endpoints, against the
-# closed-form tables
+# The overlap at finite Laguerre endpoints, against the closed-form tables
 # ---------------------------------------------------------------------------
 
 B160 = CIRModel(kappa=1.0, theta=0.05, sigma=0.025)  # b = 160, Laguerre order 159
@@ -504,6 +511,14 @@ def _coordinates(model, x_lo, x_hi):
     return sorted(map(coordinate, (x_lo, x_hi)))
 
 
+def _log_norms(alpha, n):
+    """log N_k = log sqrt(k! / Gamma(k + alpha + 1)), k = 0..n: the norms that
+    turn the Laguerre pair integrals into the overlaps of the orthonormal
+    Laguerre functions, which are the overlaps of every Laguerre model."""
+    k = np.arange(n + 1, dtype=float)
+    return 0.5 * (sp.gammaln(k + 1.0) - sp.gammaln(k + alpha + 1.0))
+
+
 def _closed_overlap(model, n, x_lo, x_hi):
     alpha = model.laguerre_order
 
@@ -515,19 +530,21 @@ def _closed_overlap(model, n, x_lo, x_hi):
         return coeffs.laguerre_pair_integrals(n, alpha, z)
 
     z_lo, z_hi = _coordinates(model, x_lo, x_hi)
-    log_n = model.log_norm_constants(n)
-    pref = np.exp(log_n[:, None] + log_n[None, :] + model.overlap_log_constant)
+    log_n = _log_norms(alpha, n)
+    pref = np.exp(log_n[:, None] + log_n[None, :])
     return pref * (pair(z_hi) - pair(z_lo))
 
 
 def _strike_log_factors(model, n, delta=DELTA):
-    """Tilt s and the per-degree log factors log A(delta) + log N_n + C that
-    turn the closed-form Laguerre exp integrals into the strike projections
-    of the CIR bond A(delta) e^{-B(delta) x}."""
+    """Tilt s and the per-degree log factors log A(delta) + 2 log N_n - log N'_n
+    (N_n the orthonormal Laguerre norms, N'_n the model's) that turn the
+    closed-form Laguerre exp integrals into the strike projections of the
+    CIR bond A(delta) e^{-B(delta) x}."""
     a_fac, b_fac = model.affine_bond_factors(delta)
     g = model.gamma
     tilt = b_fac * model.sigma**2 / (2.0 * g) + (model.kappa + g) / (2.0 * g)
-    return tilt, math.log(a_fac) + model.log_norm_constants(n) + model.overlap_log_constant
+    log_n = _log_norms(model.laguerre_order, n)
+    return tilt, math.log(a_fac) + 2.0 * log_n - model.log_norm_constants(n)
 
 
 def _closed_expansion_strike(model, sub, n, x_lo, x_hi, eps):
@@ -580,25 +597,22 @@ TH_102 = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.2)  # Laguerre order 10
 @pytest.mark.parametrize("n_max", (0, 1, 2, 64, 300))
 @pytest.mark.parametrize("model", (CIR, B250, TH_102, TH_402),
                          ids=("cir", "cir_b250", "three_halves_102", "three_halves_402"))
-def test_banded_node_matrix_agrees_with_the_kernel(model, n_max):
-    # BLAS steps the recurrence by fused multiply-adds, so each node's row
-    # rounds apart from the kernel's by the rounding of n_max steps, both
-    # equally far from the recurrence in 40 digits (measured at most
-    # (n_max + 1) eps of the row's largest magnitude; 1e-14 up to n_max = 2)
-    tol = max(1e-14, 4.0 * (n_max + 1) * np.finfo(float).eps)
-    top = 4.0 * (2.0 * n_max + model.laguerre_order + 1.0) + 80.0
-    for n_nodes in (8, 64, 152, 400):
-        t, log_w = coeffs._jacobi_rule(model, n_nodes)
-        for x in (1e-9, 0.01, 0.05, 0.2, 1.0, 1e9):
-            z = min(max(model.poly_coordinate(x), math.ulp(0.0)), top)
-            u = z * t
-            log_scale = (model.laguerre_order + 1.0) * math.log(z) + model.overlap_log_constant
-            seed = np.exp(0.5 * (log_w + log_scale - u))
-            kernel = _kernel(model._recurrence, n_max, u, seed)
-            banded = _node_matrix(model._recurrence, n_max, u, seed)
-            assert banded.shape == kernel.shape
-            largest = np.max(np.abs(kernel), axis=0)  # per node
-            assert np.all(np.abs(banded - kernel) <= tol * largest), (n_nodes, x)
+def test_laguerre_rows_agree_with_the_kernel(model, n_max):
+    # psi_n formed from the order-(alpha + 1) functions chi against the
+    # orthonormal Laguerre functions of order alpha by their own recurrence;
+    # the two seeds round apart by the rounding of their logs (measured up to
+    # 1.9e-13 of the row's largest magnitude, at order 402 and n_max = 1)
+    alpha = model.laguerre_order
+    order = _Recurrence(1.0, *_laguerre_coefficients(alpha))
+    top = 4.0 * (2.0 * n_max + alpha + 1.0) + 80.0
+    for x in (1e-9, 0.01, 0.05, 0.2, 1.0, 1e9):
+        z = model.poly_coordinate(x)
+        psi, _, _ = coeffs._laguerre_rows(model, n_max, z)
+        z = min(max(z, math.ulp(0.0)), top)
+        seed = math.exp(0.5 * (alpha * math.log(z) - z - math.lgamma(alpha + 1.0)))
+        kernel = _kernel(order, n_max, z, seed)
+        assert psi.shape == kernel.shape
+        assert np.all(np.abs(psi - kernel) <= 1e-12 * np.max(np.abs(kernel))), x
 
 
 @pytest.mark.parametrize("z", (-40.0, -3.0, 0.0, 2.5, 40.0))
@@ -606,16 +620,45 @@ def test_hermite_apply_equals_the_sliced_table(z):
     rng = np.random.default_rng(23)
     for n_rows, size in ((0, 1), (5, 9), (40, 20), (20, 41), (135, 136), (300, 12), (12, 300)):
         table = coeffs.hermite_pair_integrals(max(n_rows, size - 1), z)[: n_rows + 1, :size]
+        rows = coeffs._hermite_rows(max(n_rows, size - 1), z)
         for shape in ((size,), (size, 3)):
             weights = rng.uniform(-1.0, 1.0, shape)
-            got = coeffs._hermite_pair_apply(z, n_rows, weights)
+            got = coeffs._pair_apply(*rows, n_rows, weights)
             assert got.shape == (n_rows + 1,) + shape[1:]
             assert np.max(np.abs(got - table @ weights)) <= 1e-15, (n_rows, size, shape)
     # the pricer's route: the overlap below a Vasicek state is the apply
     x = VAS.theta + 0.01 * z
     weights = rng.uniform(-1.0, 1.0, 30)
     below = coeffs.overlap_below(VAS, x, 40, weights)
-    np.testing.assert_array_equal(below, coeffs._hermite_pair_apply(VAS.poly_coordinate(x), 40, weights))
+    rows = coeffs._hermite_rows(40, VAS.poly_coordinate(x))
+    np.testing.assert_array_equal(below, coeffs._pair_apply(*rows, 40, weights))
+
+
+@pytest.mark.parametrize("z", (1e-3, 2.5, 40.0, 160.0, 640.0))
+def test_laguerre_apply_equals_the_sliced_table(z):
+    # the same apply on the Laguerre rows of the benchmark CIR (order -0.745),
+    # against the closed-form table in orthonormal form, whose diagonal is
+    # itself off 40-digit mpmath by up to 1.2e-13 at degree 132 and z = 640
+    # (the rows by 1.4e-17), so the apply gets that much room
+    alpha = CIR.laguerre_order
+    rng = np.random.default_rng(23)
+    for n_rows, size in ((0, 1), (5, 9), (40, 20), (20, 41), (135, 136)):
+        n_max = max(n_rows, size - 1)
+        log_n = _log_norms(alpha, n_max)
+        table = np.exp(log_n[:, None] + log_n[None, :]) * coeffs.laguerre_pair_integrals(n_max, alpha, z)
+        table = table[: n_rows + 1, :size]
+        rows = coeffs._laguerre_rows(CIR, n_max, z)
+        for shape in ((size,), (size, 3)):
+            weights = rng.uniform(-1.0, 1.0, shape)
+            got = coeffs._pair_apply(*rows, n_rows, weights)
+            assert got.shape == (n_rows + 1,) + shape[1:]
+            assert np.max(np.abs(got - table @ weights)) <= 2.5e-13, (n_rows, size, shape)
+    # the pricer's route: the overlap below a CIR state is the apply
+    x = _state_at(CIR, z)
+    weights = rng.uniform(-1.0, 1.0, 30)
+    below = coeffs.overlap_below(CIR, x, 40, weights)
+    rows = coeffs._laguerre_rows(CIR, 40, CIR.poly_coordinate(x))
+    np.testing.assert_array_equal(below, coeffs._pair_apply(*rows, 40, weights))
 
 
 def _mp_laguerre(n, a, u):
@@ -640,12 +683,12 @@ def test_gauss_jacobi_entries_against_mpmath():
     cases = ((CIR, 3, 7, 5.0), (CIR, 30, 31, 40.0), (TH, 2, 5, 16.0), (B160, 4, 9, 160.0))
     for model, m, n, z in cases:
         alpha = model.laguerre_order
-        log_n = model.log_norm_constants(n)
+        log_n = _log_norms(alpha, n)
         with mpmath.workdps(20):
             a = mpmath.mpf(alpha)
             g = lambda u: _mp_laguerre(m, a, u) * _mp_laguerre(n, a, u) * mpmath.exp(-u)
             ref = _mp_weighted_integral(g, alpha, z)
-            ref = float(ref * mpmath.exp(log_n[m] + log_n[n] + model.overlap_log_constant))
+            ref = float(ref * mpmath.exp(log_n[m] + log_n[n]))
         x = _state_at(model, z)
         lo, hi = (x, math.inf) if model.coordinate_reversed else (0.0, x)
         got = coeffs.overlap_matrix(model, n, lo, hi)[m, n]
@@ -660,6 +703,54 @@ def test_gauss_jacobi_entries_against_mpmath():
         ref = float(_mp_weighted_integral(g, CIR.laguerre_order, z) * mpmath.exp(log_pref[n]))
     got = coeffs.strike_projection(CIR, NONE, n, 0.0, _state_at(CIR, z), DELTA, eps=1e-12)
     assert got[n] == pytest.approx(ref, rel=1e-12, abs=1e-15)
+
+
+def test_negative_order_overlap_at_large_coordinates_matches_closed_form():
+    # the benchmark CIR (order -0.745) at degree 60, where a Gauss-Jacobi
+    # rule of about 900 nodes missed the closed form by 6.8e-13 at z = 160
+    # and 6.5e-12 at z = 640
+    for z in (160.0, 640.0):
+        x = _state_at(CIR, z)
+        got = coeffs.overlap_matrix(CIR, 60, 0.0, x)
+        assert np.max(np.abs(got - _closed_overlap(CIR, 60, 0.0, x))) <= 1e-13, z
+
+
+def _mp_pair_entry(alpha, m, n, z):
+    """int_0^z psi_m psi_n of the orthonormal Laguerre functions in 40-digit
+    mpmath: P(alpha + 1, z) at m = n = 0, else the Sturm-Liouville identity
+    N_m N_n z^{alpha+1} e^{-z} (L_m L_{n-1}^(alpha+1) - L_n L_{m-1}^(alpha+1)) / (n - m)."""
+    with mpmath.workdps(40):
+        a, z = mpmath.mpf(alpha), mpmath.mpf(z)
+        if m == n == 0:
+            return float(mpmath.gammainc(a + 1, 0, z, regularized=True))
+
+        def norm(k):
+            return mpmath.sqrt(mpmath.factorial(k) / mpmath.gamma(k + a + 1))
+
+        def lower(k):  # N_k L_{k-1}^(alpha+1), zero at k = 0
+            return norm(k) * _mp_laguerre(k - 1, a + 1, z) if k > 0 else 0
+
+        pair = norm(m) * _mp_laguerre(m, a, z) * lower(n) - lower(m) * norm(n) * _mp_laguerre(n, a, z)
+        return float(z ** (a + 1) * mpmath.exp(-z) * pair / (n - m))
+
+
+def test_overlap_at_the_extremes_against_the_identity_in_mpmath():
+    # CIR b = 250 at degree 300 (a Gauss-Jacobi rule missed by 7.1e-5 there);
+    # the benchmark CIR near the origin, where psi_n taken from the
+    # order-(alpha + 1) rows does not cancel; 3/2 of order 402
+    cases = (
+        (B250, 300, 1501.0, ((0, 0), (0, 1), (150, 151), (299, 300), (100, 250))),
+        (CIR, 60, 7.5e-6, ((0, 0), (0, 1), (1, 2), (30, 60), (59, 60))),
+        (CIR, 60, 7.5e-12, ((0, 0), (0, 1), (1, 2), (30, 60), (59, 60))),
+        (TH_402, 40, 533.0, ((0, 0), (0, 40), (5, 30), (20, 21), (39, 40))),
+    )
+    for model, n, z, entries in cases:
+        x = _state_at(model, z)
+        lo, hi = (x, math.inf) if model.coordinate_reversed else (0.0, x)
+        got = coeffs.overlap_matrix(model, n, lo, hi)
+        for m, k in entries:
+            ref = _mp_pair_entry(model.laguerre_order, m, k, model.poly_coordinate(x))
+            assert abs(got[m, k] - ref) <= 1e-13, (model.kind, n, z, m, k)
 
 
 def _root_speed(model, x):
@@ -700,15 +791,6 @@ def test_integrals_beyond_the_gamma_range_against_quadrature_in_the_state(model,
         for k in (0, 4, 12):
             ref = quad(lambda x: bond(x) * phi(x)[k] * _root_speed(model, x), lo, hi)
             assert abs(got[k] - ref) <= 1e-11 * scale, (lo, hi, k)
-
-
-def test_gauss_jacobi_rules_are_cached_per_size():
-    model = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
-    for x in (0.02, 0.03, 0.05):
-        coeffs.overlap_matrix(model, 20, 0.0, x)
-    assert list(model._jacobi_rules) == [40]  # 20 + 12 + 1, rounded up to a multiple of 8
-    coeffs.overlap_matrix(model, 30, 0.0, 0.05)
-    assert sorted(model._jacobi_rules) == [40, 48]
 
 
 @pytest.mark.parametrize(

@@ -876,7 +876,7 @@ def test_walk_at_the_edges_of_the_search_interval(hint):
     (
         (CIR, NONE, _five_year_monthly([1.0] * 48)),
         (VAS, NONE, SWISS_PUT),
-        # the expansion strike leg may need a deeper node matrix than the hold
+        # the expansion strike leg may need deeper rows than the hold
         (CIR, JD, SWISS_PUT),
     ),
     ids=("cir_callable", "vasicek_call_put", "subcir_jd_call_put"),
@@ -884,10 +884,10 @@ def test_walk_at_the_edges_of_the_search_interval(hint):
 def test_one_polynomial_table_per_break_even_state_per_pass(monkeypatch, model, sub, schedule):
     from eigenbond import coeffs, pricer
 
-    # Hermite-function rows (the kernel), Laguerre node matrices (the banded
-    # solve), and the closed-form Laguerre tables, which assembly no longer builds
+    # the rows of either family (one kernel pass each), and the closed-form
+    # Laguerre tables, which assembly no longer builds
     builds = []
-    for name in ("laguerre_sequence_table", "_kernel", "_node_matrix"):
+    for name in ("laguerre_sequence_table", "_kernel"):
         build = getattr(coeffs, name)
         monkeypatch.setattr(
             coeffs, name, lambda *args, build=build: builds.append(args) or build(*args)
