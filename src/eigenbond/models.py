@@ -66,6 +66,12 @@ model; what differs between the diffusions is read from these facts:
   ``poly_coordinate``/dx and d log(prefactor)/dx, which turn the
   recurrence's slope in the coordinate into the series' slope in the
   state, read by the break-even search's Newton steps.
+
+``import eigenbond`` loads numpy, ``scipy.special`` and ``scipy.optimize``
+(the quote inversion's ``brentq``).  ``scipy.stats`` loads when a
+``stationary_distribution`` is first called, which imports it in its body:
+only the oracle's quadrature grid reads the law, and the module took about
+half of a cold ``import eigenbond``.
 """
 
 from __future__ import annotations
@@ -76,7 +82,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy import stats
 from scipy.special import gammaln
 
 from .errors import (
@@ -473,6 +478,8 @@ class CIRModel(DiffusionModel):
         return math.log(2.0 / s2) + math.lgamma(self.b) + self.b * math.log(s2 / (2.0 * self.kappa))
 
     def stationary_distribution(self):
+        from scipy import stats
+
         return stats.gamma(self.b, scale=self.sigma**2 / (2.0 * self.kappa))
 
     def affine_bond_factors(self, t: float) -> tuple[float, float]:
@@ -573,6 +580,8 @@ class VasicekModel(DiffusionModel):
         return math.log(2.0 / self.sigma) + 0.5 * math.log(math.pi / self.kappa)
 
     def stationary_distribution(self):
+        from scipy import stats
+
         return stats.norm(self.theta, self.sigma / math.sqrt(2.0 * self.kappa))
 
     def affine_bond_factors(self, t: float) -> tuple[float, float]:
@@ -684,6 +693,8 @@ class ThreeHalvesModel(DiffusionModel):
         return math.log(2.0 / self.sigma**2) + math.lgamma(two_a) - two_a * math.log(self.beta)
 
     def stationary_distribution(self):
+        from scipy import stats
+
         return stats.invgamma(2.0 * self.alpha, scale=self.beta)
 
 

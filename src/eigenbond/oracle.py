@@ -19,6 +19,11 @@ recursion, the overlap/strike tables, and the break-even search:
   model as the Levy integral of 1 - P(s, x) over the closed-form bond,
   by adaptive quadrature.  It cross-checks the eigenfunction expansion
   that ``subordinators.short_rate_map`` sums.
+
+``import eigenbond`` imports this module but neither ``scipy.integrate``
+nor ``scipy.stats``: ``short_rate_quadrature`` imports the first in its
+body, and ``build_grid`` loads the second through the model's
+``stationary_distribution``.
 """
 
 from __future__ import annotations
@@ -26,7 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from .errors import DensityTruncationError, UnsupportedModelError, ValidationError, check_integer
 from .models import CIRModel, DiffusionModel, ThreeHalvesModel, VasicekModel
@@ -220,6 +224,8 @@ def short_rate_quadrature(model: DiffusionModel, sub: SubordinatorSpec, x: float
     Needs the affine closed-form bond (CIR, Vasicek) and an exponentially
     tilted Levy density.
     """
+    from scipy import integrate
+
     model.check_state(x)
     if sub.is_trivial:
         return float(x)

@@ -563,7 +563,10 @@ class _Engine:
             h_next = sched.holding_period(i - 1)
         else:
             h_next = sched.decision_time(i)
-        n_rows = max(16, m_cols)
+        # a few rows past the incoming length: a date that needs more than
+        # it carried in rarely needs many more, and a redone pass costs a
+        # whole assembly
+        n_rows = min(max(16, m_cols + 4), POOL_CAP)
         while True:
             new = self._assemble(i, n_rows, x_call, x_put, carried)
             decay_next = self.spectrum.decay(h_next, n_rows)

@@ -379,12 +379,18 @@ def _walk_bracket(model: DiffusionModel, sub: SubordinatorSpec, rate: float):
 
 
 def _gap(model: DiffusionModel, sub: SubordinatorSpec, coefficients: np.ndarray, rate: float):
-    """state -> r_phi(state) - rate through the given coefficient vector."""
+    """state -> r_phi(state) - rate through the given coefficient vector.
+
+    Each state's value is kept, so Brent reuses the ends the caller has
+    already checked instead of evaluating them again."""
     n_max = coefficients.size - 1
+    known: dict[float, float] = {}
 
     def gap(state: float) -> float:
-        series = float(model.eigenfunctions(n_max, state) @ coefficients)
-        return sub.drift * state + series - rate
+        if state not in known:
+            series = float(model.eigenfunctions(n_max, state) @ coefficients)
+            known[state] = sub.drift * state + series - rate
+        return known[state]
 
     return gap
 

@@ -174,3 +174,44 @@ def test_each_run_past_a_bound_reports_its_largest_output_and_relative_differenc
     assert "    moved: max |diff| 1e-09, max |value| 2, relative 5e-10" in report
     assert "    moved: max |diff| 2e-07, max |state| 0.2, relative 1e-06" in report
     assert "fine:" not in report
+
+
+def test_assembly_passes_and_evaluations_per_inverted_quote_are_reported():
+    # a parent without the names reads "-"; a workload that inverts no quote
+    # prints no per-quote line
+    parent = {"a": {**_run(workload="rate_sweep"), "assemblies": None, "inverted_quotes": 2,
+                    "quote_evaluations": None},
+              "b": _run(workload="long_callable")}
+    change = {"a": {**_run(workload="rate_sweep"), "assemblies": 12, "inverted_quotes": 4,
+                    "quote_evaluations": 22},
+              "b": {**_run(workload="long_callable"), "assemblies": 3, "inverted_quotes": 0,
+                    "quote_evaluations": 0}}
+    summary = compare_outputs.compare(parent, change)
+    assert summary["assemblies"] == {"parent": {"rate_sweep": None, "long_callable": None},
+                                     "change": {"rate_sweep": 12, "long_callable": 3}}
+    assert summary["failed"] == []  # the counts are reported, not bounded
+    report = compare_outputs.report(summary)
+    assert "assembly passes, rate_sweep: - -> 12" in report
+    assert "assembly passes, long_callable: - -> 3" in report
+    assert ("eigenfunctions evaluations per inverted quote, rate_sweep: "
+            "- -> 5.500 (22 / 4)") in report
+    assert "per inverted quote, long_callable" not in report
+
+
+def test_a_priced_run_records_the_calls_it_made():
+    class Engine:
+        def _assemble(self):
+            return 1.0
+
+    calls = {}
+    compare_outputs._count_calls(calls, "assemblies", [Engine], "_assemble")
+    compare_outputs._count_calls(calls, "quote_evaluations", [Engine], "eigenfunctions")
+    engine = Engine()
+    engine._assemble()  # before the run: not the run's
+    run = compare_outputs._priced(lambda: [engine._assemble(), engine._assemble()],
+                                  {"workload": "w"}, record=compare_outputs._outputs, calls=calls)
+    assert run["values"] == [1.0, 1.0]
+    assert run["assemblies"] == 2
+    assert run["quote_evaluations"] is None  # the revision has no such name
+    failed = compare_outputs._priced(lambda: 1 / 0, {"workload": "w"})
+    assert failed == {"workload": "w", "error": "ZeroDivisionError: division by zero"}

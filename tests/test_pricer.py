@@ -949,6 +949,30 @@ def test_one_overlap_apply_per_break_even_state_per_pass(monkeypatch, model, sub
         assert all(state == (hi, None) for state in result.break_even_states)
 
 
+@pytest.mark.parametrize("model", (CIR, VAS), ids=("cir", "vasicek"))
+def test_the_first_assembly_pass_is_rarely_redone(monkeypatch, model):
+    # the monthly 30-year callable of the bench: 300 decision dates at par;
+    # sized at the incoming length the passes were redone 33 (CIR) and 39
+    # (Vasicek) times
+    from eigenbond import pricer
+
+    schedule = BondSchedule(
+        coupon=0.05 / 12,
+        coupon_times=tuple(i / 12 for i in range(1, 361)),
+        protection_index=60,
+        notice_delta=1 / 48,
+        call_prices=(1.0,) * 300,
+    )
+    passes = []
+    assemble = pricer._Engine._assemble
+    monkeypatch.setattr(
+        pricer._Engine, "_assemble",
+        lambda self, i, *args: passes.append(i) or assemble(self, i, *args),
+    )
+    result = price_bond(model, NONE, schedule, [0.05], eps=1e-7)
+    assert len(result.dates) == 300
+    assert len(passes) - len(result.dates) <= 2
+
 def _assembly_reference(engine, i, n_rows, x_call, x_put, weights):
     """The carried vector region by region: the hold overlap applied to w,
     the strike legs and the coupon term."""

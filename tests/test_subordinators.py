@@ -393,6 +393,27 @@ def test_a_kept_bracket_is_not_evaluated_outside_its_states(monkeypatch):
     assert abs(state - invert_short_rate(_fresh(TH), JD, 0.016)) <= 1e-12
 
 
+def test_a_kept_quote_evaluates_no_state_twice(monkeypatch):
+    # the kept cell's two sign checks are Brent's ends: it reads them back
+    model = _fresh(CIR)
+    state = invert_short_rate(model, JD, 0.05)
+    evaluated = []
+    eigenfunctions = CIRModel.eigenfunctions
+
+    def counted(self, n_max, x):
+        evaluated.append(float(x))
+        return eigenfunctions(self, n_max, x)
+
+    def walk(*args):
+        raise AssertionError("a quote inside a kept bracket walked")
+
+    monkeypatch.setattr(CIRModel, "eigenfunctions", counted)
+    monkeypatch.setattr(subordinators, "_walk_bracket", walk)
+    assert invert_short_rate(model, JD, 0.05) == state
+    assert len(evaluated) >= 3
+    assert len(set(evaluated)) == len(evaluated)
+
+
 def test_two_clocks_on_one_model_keep_their_own_brackets():
     model = _fresh(CIR)
     jd, pj = invert_short_rate(model, JD, 0.05), invert_short_rate(model, PJ, 0.05)

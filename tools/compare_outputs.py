@@ -35,14 +35,19 @@ quotes of a jump model), the values, the break-even states and short rates,
 the levels of every break-even evaluation (``eval_levels``), the issue-date
 levels (``value_levels``), the assembled lengths and the searches that took
 a bracketing step (``search_fallbacks``, summed over the dates; absent on
-revisions without the count), or the error raised.  The comparison prints
+revisions without the count), the assembly passes (calls of
+``_Engine._assemble``), the quotes inverted (calls of
+``eigenbond.invert_short_rate``) and the model classes' ``eigenfunctions``
+evaluations, whose one caller is the quote inversion (each absent on a
+revision without the name), or the error raised.  The comparison prints
 the largest differences (of values also in units of each run's eps), the
 name of every run past each bound (``BOUNDS``) with that run's largest
 difference, its largest |output| and their ratio (a difference past an
 absolute bound may be rounding of a large output), the mismatch counts, the
 break-even evaluations per workload (seed 5046, the job's eps) in total and
-per decision date with the workload's fallbacks, and the criterion-6
-deviation of each side.  It
+per decision date with the workload's fallbacks, its assembly passes and,
+where it inverts quotes, its ``eigenfunctions`` evaluations per inverted
+quote, and the criterion-6 deviation of each side.  It
 exits 1 when values differ by more than ``VALUE_TOL``, quote states by more
 than ``QUOTE_STATE_TOL``, break-even states or rates by more than
 ``STATE_TOL``, the None pattern, the assembled lengths, the dates, the
@@ -78,6 +83,8 @@ QUOTE_STATE_TOL = 1e-12  # Brent's xtol of the quote inversion
 CRITERION_6_BOUND = 2  # the truncation profile's +-2 of the acceptance suite
 BOUNDS = {"value": VALUE_TOL, "quote_state": QUOTE_STATE_TOL, "state": STATE_TOL,
           "rate": STATE_TOL}
+# per-run call counts, summed per workload like the fallbacks
+TALLIES = ("fallbacks", "assemblies", "inverted_quotes", "quote_evaluations")
 
 
 # ---------------------------------------------------------------------------
@@ -107,22 +114,49 @@ def _outputs(values) -> dict:
             "eval_levels": [], "value_levels": [], "assembled": []}
 
 
-def _priced(price, meta: dict, quote_states=list, record=_record) -> dict:
+def _priced(price, meta: dict, quote_states=list, record=_record, calls=None) -> dict:
+    """The run's record, with the calls counted in ``calls`` while it ran."""
+    calls = {} if calls is None else calls
+    before = dict(calls)
     try:
         out = {"quote_states": [float(x) for x in quote_states()], **record(price())}
     except Exception as exc:  # the dump records whatever the pricer raises
-        out = {"error": f"{type(exc).__name__}: {exc}"}
-    return {**meta, **out}
+        return {**meta, "error": f"{type(exc).__name__}: {exc}"}
+    made = {key: None if count is None else count - before[key] for key, count in calls.items()}
+    return {**meta, **out, **made}
+
+
+def _count_calls(calls: dict, key: str, owners, name: str) -> None:
+    """Make ``name`` on each owner add its calls to ``calls[key]``, which
+    stays None when no owner has the name."""
+    found = [owner for owner in owners if hasattr(owner, name)]
+    calls[key] = 0 if found else None
+    for owner in found:
+        def counted(*args, _original=getattr(owner, name), **kwargs):
+            calls[key] += 1
+            return _original(*args, **kwargs)
+
+        setattr(owner, name, counted)
 
 
 def dump(tree: Path) -> dict:
     """Every run of the comparison, priced by the eigenbond of ``tree``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
     import workloads
+
+    import eigenbond
     from eigenbond import BondSchedule, SubordinatorSpec, ThreeHalvesModel, benchmark, price_bond
     from eigenbond.coeffs import overlap_matrix, strike_projection
+    from eigenbond.models import DiffusionModel
     from eigenbond.pricer import zero_coupon_price
     from eigenbond.subordinators import invert_short_rate
+
+    calls: dict[str, int | None] = {}  # None where the revision lacks the name
+    _count_calls(calls, "assemblies", [getattr(eigenbond.pricer, "_Engine", None)], "_assemble")
+    # the bench jobs invert through the package's name
+    _count_calls(calls, "inverted_quotes", [eigenbond], "invert_short_rate")
+    _count_calls(calls, "quote_evaluations", DiffusionModel.__subclasses__(), "eigenfunctions")
+    priced = functools.partial(_priced, calls=calls)
 
     runs = {}
     for name in workloads.WORKLOADS:
@@ -131,14 +165,14 @@ def dump(tree: Path) -> dict:
                 for eps in (job.eps, FULL_EPS):
                     meta = {"workload": name, "seed": seed, "eps": eps, "job_eps": eps == job.eps}
                     label = f"{name} {seed} {job.label} @ {eps:g}"
-                    runs[label] = _priced(lambda: job.price(eps), meta, job.states)
+                    runs[label] = priced(lambda: job.price(eps), meta, job.states)
     for config in ("cir", "vasicek"):
         model = benchmark.benchmark_model(config)
         sub = benchmark.benchmark_subordinator(config)
         schedule = benchmark.swiss1987_schedule()
         for eps in CRITERION_6_EPS:
             meta = {"workload": "criterion_6", "config": config, "eps": eps}
-            runs[f"criterion_6 {config} @ {eps:g}"] = _priced(
+            runs[f"criterion_6 {config} @ {eps:g}"] = priced(
                 lambda: price_bond(model, sub, schedule, [0.05], eps=eps), meta
             )
             reference = benchmark.MAX_TRUNCATION[config].get(eps)
@@ -178,18 +212,18 @@ def dump(tree: Path) -> dict:
         for eps in EXTRA_EPS:
             for name, schedule in schedules:
                 meta = {"workload": name.split()[0], "eps": eps}
-                runs[f"{name} @ {eps:g}"] = _priced(
+                runs[f"{name} @ {eps:g}"] = priced(
                     lambda: price_bond(model, sub, schedule, quote_states(), eps=eps),
                     meta, quote_states,
                 )
             meta = {"workload": "zero_coupon", "eps": eps}
             for t in ZERO_COUPON_TIMES:
-                runs[f"zero_coupon {config} t={t:g} @ {eps:g}"] = _priced(
+                runs[f"zero_coupon {config} t={t:g} @ {eps:g}"] = priced(
                     lambda: [zero_coupon_price(model, sub, t, x, eps=eps) for x in quote_states()],
                     meta, quote_states, record=_outputs,
                 )
             meta = {"workload": "strike_projection", "eps": eps}
-            runs[f"strike_projection {config} @ {eps:g}"] = _priced(
+            runs[f"strike_projection {config} @ {eps:g}"] = priced(
                 lambda: strike_projection(
                     model, sub, STRIKE_DEGREES, model.state_lo,
                     quote_states()[benchmark.RATES.index(0.05)], swiss.notice_delta, eps=eps,
@@ -204,7 +238,7 @@ def dump(tree: Path) -> dict:
                     for v in overlap_matrix(model, OVERLAP_DEGREE, lo, hi).ravel()]
 
         # eps 1: the value bound reads the raw difference of the entries
-        runs[f"overlap_matrix {config}"] = _priced(
+        runs[f"overlap_matrix {config}"] = priced(
             overlaps, {"workload": "overlap_matrix", "eps": 1.0}, quote_states, record=_outputs,
         )
     return runs
@@ -243,7 +277,9 @@ def compare(parent: dict, change: dict) -> dict:
     )
     evaluations: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
     dates: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
-    fallbacks: dict[str, dict[str, int | None]] = {"parent": {}, "change": {}}
+    tallies: dict[str, dict[str, dict[str, int | None]]] = {
+        key: {"parent": {}, "change": {}} for key in TALLIES
+    }
     criterion_6 = {"parent": 0, "change": 0}
     for side, runs in (("parent", parent), ("change", change)):
         for run in runs.values():
@@ -256,8 +292,9 @@ def compare(parent: dict, change: dict) -> dict:
                 total = sum(len(levels) for levels in run["eval_levels"])
                 evaluations[side][workload] = evaluations[side].get(workload, 0) + total
                 dates[side][workload] = dates[side].get(workload, 0) + len(run["eval_levels"])
-                count, so_far = run.get("fallbacks"), fallbacks[side].get(workload, 0)
-                fallbacks[side][workload] = None if None in (count, so_far) else so_far + count
+                for key, tally in tallies.items():
+                    count, so_far = run.get(key), tally[side].get(workload, 0)
+                    tally[side][workload] = None if None in (count, so_far) else so_far + count
 
     for label in sorted(set(parent) | set(change)):
         if label not in parent or label not in change:
@@ -305,7 +342,7 @@ def compare(parent: dict, change: dict) -> dict:
         "counts": counts,
         "evaluations": evaluations,
         "dates": dates,
-        "fallbacks": fallbacks,
+        **tallies,
         "criterion_6_dev": criterion_6,
         "failed": failed,
     }
@@ -342,6 +379,18 @@ def report(summary: dict) -> str:
             f"break-even evaluations, {workload} (seed {SEEDS[0]}, job eps): {p} -> {c}, "
             f"per date {p_date} -> {c_date}; search fallbacks {p_fall} -> {c_fall}"
         )
+        assemblies = [summary["assemblies"][side].get(workload) for side in ("parent", "change")]
+        lines.append(f"assembly passes, {workload}: "
+                     + " -> ".join("-" if n is None else str(n) for n in assemblies))
+        per_quote = []
+        for side in ("parent", "change"):
+            quotes = summary["inverted_quotes"][side].get(workload)
+            evaluations = summary["quote_evaluations"][side].get(workload)
+            per_quote.append(f"{evaluations / quotes:.3f} ({evaluations} / {quotes})"
+                             if quotes and evaluations is not None else "-")
+        if per_quote != ["-", "-"]:
+            lines.append(f"eigenfunctions evaluations per inverted quote, {workload}: "
+                         + " -> ".join(per_quote))
     dev = summary["criterion_6_dev"]
     lines.append(f"criterion-6 max deviation: parent {dev['parent']}, change {dev['change']} "
                  f"(bound {CRITERION_6_BOUND})")
