@@ -67,8 +67,8 @@ model; what differs between the diffusions is read from these facts:
   recurrence's slope in the coordinate into the series' slope in the
   state, read by the break-even search's Newton steps.
 
-``import eigenbond`` loads numpy, ``scipy.special`` and ``scipy.optimize``
-(the quote inversion's ``brentq``).  ``scipy.stats`` loads when a
+``import eigenbond`` loads numpy and ``scipy.special``; no pricing entry
+point loads ``scipy.optimize``.  ``scipy.stats`` loads when a
 ``stationary_distribution`` is first called, which imports it in its body:
 only the oracle's quadrature grid reads the law, and the module took about
 half of a cold ``import eigenbond``.

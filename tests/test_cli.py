@@ -125,6 +125,14 @@ def test_price_numerical_failure_exit_code(tmp_path, capsys):
     assert "put region" in err
 
 
+def test_price_quote_below_the_lowest_short_rate_is_refused(capsys):
+    # r_phi(0) = 0.00592 under subcir_jd: no state has the quote
+    code, out, err = run_cli(capsys, "price", "--model", "subcir_jd", "--rates", "0.004")
+    assert code == 3 and out == ""
+    assert err.startswith("error: short rate 0.004 lies below r_phi")
+    assert "Traceback" not in err
+
+
 def test_price_nan_coupon_time_is_validation_error(tmp_path, capsys):
     doc = preset_config("cir")
     doc["schedule"]["coupon_times"][0] = float("nan")

@@ -1,9 +1,10 @@
 """What ``import eigenbond`` and the pricing entry points load.
 
-The pricer runs on numpy, ``scipy.special`` and ``scipy.optimize``; the
-stationary laws (``scipy.stats``) and the oracle's quadrature
-(``scipy.integrate``) load where they are first used.  The check runs in a
-fresh interpreter, since this one has loaded both long since.
+The pricer runs on numpy and ``scipy.special``; the quote inversion closes
+its quotes without ``scipy.optimize``, and the stationary laws
+(``scipy.stats``) and the oracle's quadrature (``scipy.integrate``) load
+where they are first used.  The check runs in a fresh interpreter, since
+this one has loaded all three long since.
 """
 
 import os
@@ -42,7 +43,8 @@ for model in models:
         short_rate_map(model, sub, x)
         strike_projection(model, sub, 10, model.state_lo, x, schedule.notice_delta, eps=1e-7)
 assert cli.main(["price", "--config", "docs/config_example.json"]) == 0
-loaded = [name for name in ("scipy.stats", "scipy.integrate") if name in sys.modules]
+loaded = [name for name in ("scipy.optimize", "scipy.stats", "scipy.integrate")
+          if name in sys.modules]
 assert loaded == [], loaded
 
 law = models[0].stationary_distribution()

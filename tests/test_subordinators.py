@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from eigenbond import benchmark, subordinators
-from eigenbond.errors import ValidationError
+from eigenbond.errors import BracketError, ValidationError
 from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel
 from eigenbond.oracle import short_rate_quadrature
 from eigenbond.subordinators import (
@@ -311,7 +311,8 @@ def test_cached_brackets_match_cold_inversion_in_any_order(model, sub, quoted):
         warm = _fresh(model)
         states = {i: invert_short_rate(warm, sub, quotes[i]) for i in order}
         assert states[order[0]] == cold[order[0]]  # the first quote runs the walk
-        # Brent runs in the walk's own cell: a few ulps, not its xtol of 1e-12
+        # a kept bracket's coefficients differ from the quote's own walk by
+        # their cut alone: a few ulps, not the closing tolerance of 1e-12
         assert max(abs(states[i] - cold[i]) for i in order) <= 1e-14
 
 
@@ -350,30 +351,27 @@ def test_a_sweep_resolves_one_series_per_model_and_clock(monkeypatch):
     assert sorted(calls) == sorted((id(model), sub) for model, sub in cases)
 
 
-def test_a_quote_whose_cell_check_fails_walks_as_if_nothing_were_kept(monkeypatch):
-    # Kept from 0.05, the estimate for 0.0592 lands 6e-5 above its state,
-    # which lies 1.3e-5 below a point of the quote's own first grid.
+def test_a_quote_inside_a_kept_bracket_closes_without_walking(monkeypatch):
+    # Kept from 0.05, the bracket's rates enclose 0.0592, whose state lies
+    # 1.3e-5 below a point of the grid a walk of its own would start from.
     model, sub = _fresh(benchmark.benchmark_model("subvasicek_jd")), JD
     invert_short_rate(model, sub, 0.05)
     before = {key: list(brackets) for key, brackets in model._short_rate_brackets.items()}
-    walks = []
 
-    def counted(*args, _original=subordinators._walk_bracket):
-        walks.append(args[2])
-        return _original(*args)
+    def walk(*args):
+        raise AssertionError("a quote inside a kept bracket walked")
 
-    monkeypatch.setattr(subordinators, "_walk_bracket", counted)
+    monkeypatch.setattr(subordinators, "_walk_bracket", walk)
     state = invert_short_rate(model, sub, 0.0592)
-    assert walks == [0.0592]
-    assert model._short_rate_brackets == before  # a kept bracket enclosed it already
+    assert model._short_rate_brackets == before
     monkeypatch.undo()
-    assert state == invert_short_rate(_fresh(model), sub, 0.0592)
+    assert abs(state - invert_short_rate(_fresh(model), sub, 0.0592)) <= 1e-14
 
 
 def test_a_kept_bracket_is_not_evaluated_outside_its_states(monkeypatch):
-    # Kept from 0.03 under JD, the 3/2 bracket covers the states from 0.015;
-    # the first-grid cell of 0.016 starts at 0.008, where the kept
-    # coefficients were never resolved, so 0.016 walks instead.
+    # Kept from 0.03 under JD, the 3/2 bracket covers the states from 0.015,
+    # where its coefficients were resolved; 0.016 closes in one of its cells
+    # or walks a bracket of its own, never below them.
     model = _fresh(TH)
     invert_short_rate(model, JD, 0.03)
     (kept_xs, kept_coefficients, _), = model._short_rate_brackets[JD]
@@ -394,7 +392,8 @@ def test_a_kept_bracket_is_not_evaluated_outside_its_states(monkeypatch):
 
 
 def test_a_kept_quote_evaluates_no_state_twice(monkeypatch):
-    # the kept cell's two sign checks are Brent's ends: it reads them back
+    # the cell's ends are read from the kept table, and the secant and its
+    # bisections never return to an evaluated state
     model = _fresh(CIR)
     state = invert_short_rate(model, JD, 0.05)
     evaluated = []
@@ -414,6 +413,66 @@ def test_a_kept_quote_evaluates_no_state_twice(monkeypatch):
     assert len(set(evaluated)) == len(evaluated)
 
 
+@pytest.mark.parametrize("model,sub,quoted", JUMP_CASES, ids=CASE_IDS)
+def test_the_rate_map_reads_the_kept_coefficients(monkeypatch, model, sub, quoted):
+    warm = _fresh(model)
+    for quote in _sweep_quotes(8, *quoted):
+        invert_short_rate(warm, sub, quote)
+    kept = [xs for xs, _, _ in warm._short_rate_brackets[sub]]
+    # mostly off the kept grids, their ends included
+    inside = np.concatenate([np.linspace(xs[0], xs[-1], 47) for xs in kept])
+    outside = np.array([max(xs[-1] for xs in kept) + 0.05])
+    resolved = []
+
+    def counted(model, sub, xs, _original=subordinators._resolved_series):
+        resolved.append(xs.copy())
+        return _original(model, sub, xs)
+
+    monkeypatch.setattr(subordinators, "_resolved_series", counted)
+    rates = short_rate_map(warm, sub, np.concatenate([inside, outside]))
+    assert len(resolved) == 1 and np.array_equal(resolved[0], outside)
+    monkeypatch.undo()
+    # Near the 3/2 origin the series cancels large terms: two resolutions of
+    # one state differ by the rounding those terms carry (2.6e-13 at the
+    # lowest kept 3/2 state under JD), so that rounding is allowed on top.
+    fresh = _fresh(model)
+    coefficients, expected = subordinators._resolved_series(fresh, sub, inside)
+    terms = fresh.eigenfunction_matrix(coefficients.size - 1, inside) * coefficients
+    rounding = np.finfo(float).eps * np.abs(terms).sum(axis=1)
+    assert np.all(np.abs(rates[:-1] - expected) <= 1e-13 + rounding)
+    assert rates[-1] == short_rate_map(fresh, sub, outside[0])
+
+
+def test_a_sweep_closes_each_quote_in_three_evaluations_on_the_root(monkeypatch):
+    # the bench's rate_sweep quotes at seed 5046, 40 per jump config in turn
+    from scipy.optimize import brentq
+
+    rng = np.random.default_rng(5046)
+    edges = np.linspace(0.01, 0.12, 41)
+    evaluations = [0]
+    for cls in (CIRModel, VasicekModel):
+
+        def counted(self, n_max, x, _original=cls.eigenfunctions):
+            evaluations[0] += 1
+            return _original(self, n_max, x)
+
+        monkeypatch.setattr(cls, "eigenfunctions", counted)
+    misses = []
+    for model, sub, _ in JUMP_CASES[:4]:
+        model = _fresh(model)
+        for quote in rng.uniform(edges[:-1], edges[1:]):
+            state = invert_short_rate(model, sub, quote)
+            xs, coefficients, _ = next(
+                b for b in model._short_rate_brackets[sub] if b[2][0] <= quote <= b[2][-1]
+            )
+            gap = subordinators._gap(model, sub, coefficients, quote)
+            before = evaluations[0]
+            misses.append(abs(state - brentq(gap, xs[0], xs[-1], xtol=1e-14)))
+            evaluations[0] = before
+    assert evaluations[0] / len(misses) <= 3.5
+    assert len(misses) == 160 and max(misses) <= 1e-12
+
+
 def test_two_clocks_on_one_model_keep_their_own_brackets():
     model = _fresh(CIR)
     jd, pj = invert_short_rate(model, JD, 0.05), invert_short_rate(model, PJ, 0.05)
@@ -430,11 +489,12 @@ def test_refused_quotes_leave_the_cache_as_it_was():
     with pytest.raises(ValidationError):
         invert_short_rate(model, JD, 500.0)
     # below r_phi(0) = 0.00592: no state, and the bracket stops at the boundary
-    with pytest.raises((ValueError, ValidationError)):
+    refusal = r"short rate 0\.004 lies below r_phi = 0\.00592473 at the lower boundary"
+    with pytest.raises(BracketError, match=refusal):
         invert_short_rate(model, JD, 0.004)
     assert model._short_rate_brackets == before
     fresh = _fresh(CIR)
-    with pytest.raises((ValueError, ValidationError)):
+    with pytest.raises(BracketError, match=refusal):
         invert_short_rate(fresh, JD, 0.004)
     assert fresh._short_rate_brackets == {}
     assert invert_short_rate(model, JD, 0.05) == state

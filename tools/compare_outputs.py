@@ -79,7 +79,7 @@ OVERLAP_DEGREE = 20
 OVERLAP_RATES = (0.05, 0.08)  # x and x' of the overlap intervals
 VALUE_TOL = 1e-13
 STATE_TOL = 1e-7  # the pricer's TOL_X
-QUOTE_STATE_TOL = 1e-12  # Brent's xtol of the quote inversion
+QUOTE_STATE_TOL = 1e-12  # the quote inversion's closing tolerance on the state
 CRITERION_6_BOUND = 2  # the truncation profile's +-2 of the acceptance suite
 BOUNDS = {"value": VALUE_TOL, "quote_state": QUOTE_STATE_TOL, "state": STATE_TOL,
           "rate": STATE_TOL}
