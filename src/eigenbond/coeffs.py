@@ -36,9 +36,14 @@ one of four ways:
   steps up in degree from a seed, erfc(-z) / 2 or the regularized
   incomplete gamma P(alpha + 1, z).  ``_hermite_rows`` and
   ``_laguerre_rows`` build (f, g, d) by one recurrence pass each, with no
-  factor leaving double range at any degree, and ``_pair_apply`` applies
-  the block to w as it stands, two weighted columns through one product
-  with D[m, n] = 1 / (n - m), without forming the block;
+  factor leaving double range at any degree.  Their per-degree square
+  roots are built once to degree ``POOL_CAP`` + 1, as module constants for
+  Hermite and per Laguerre order on the model (``_raised_roots``), so a
+  call costs the recurrence and a few array operations; no overlap or pair
+  table takes a degree above ``POOL_CAP``.
+  ``_pair_apply`` applies the block to w as it stands, both weighted
+  columns written side by side into one array and through one product with
+  D[m, n] = 1 / (n - m), without forming the block;
 * on a coordinate that decreases in the state (3/2, v = beta / x), the
   identity minus that block, since the states below x are the
   coordinates above z.
@@ -235,21 +240,29 @@ def _check_hermite_table(n_max: int, x: float) -> None:
         raise ValidationError("endpoint must not be NaN")
 
 
+# The per-degree factors of the Hermite rows, for every degree they are
+# built to: sqrt((n + 1) / 2) for n = 0..POOL_CAP + 1, and sqrt(2n) from n = 1
+_HERMITE_ROOTS = np.sqrt(0.5 * np.arange(1, POOL_CAP + 3, dtype=float))
+_HERMITE_STEP_ROOTS = 2.0 * _HERMITE_ROOTS
+
+
 def _hermite_rows(n_max: int, x: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(h, g, d) of the Hermite pair table at x, degrees 0..n_max: the
     functions h_n, g_n = h_{n+1} sqrt((n+1)/2), and the diagonal, which steps
     d_n = d_{n-1} - h_{n-1} h_n / sqrt(2n) up from d_0 = erfc(-x) / 2."""
     herm = _hermite_functions(n_max + 1, x)
-    root = np.sqrt(0.5 * np.arange(1, n_max + 2, dtype=float))  # sqrt((n+1)/2)
-    h, g = herm[:-1], herm[1:] * root
-    steps = h[:-1] * herm[1:-1] / (2.0 * root[:-1])
-    return h, g, 0.5 * sp.erfc(-x) - np.concatenate(([0.0], np.cumsum(steps)))
+    h, g = herm[:-1], herm[1:] * _HERMITE_ROOTS[: n_max + 1]
+    d = np.zeros(n_max + 1)
+    d[1:] = h[:-1] * herm[1:-1] / _HERMITE_STEP_ROOTS[:n_max]
+    np.add.accumulate(d, out=d)
+    return h, g, np.subtract(0.5 * math.erfc(-x), d, out=d)
 
 
 def hermite_pair_integrals(n_max: int, x: float) -> np.ndarray:
     """Table [m, n] = int_{-inf}^x h_m h_n dy, entry by entry from
     ``_hermite_rows``: (h_m g_n - g_m h_n) / (n - m) off the diagonal."""
     _check_hermite_table(n_max, x)
+    _check_degree(n_max)
     h, g, d = _hermite_rows(n_max, x)
     table = (np.outer(h, g) - np.outer(g, h)) * _gaps(n_max + 1, n_max + 1)
     table[np.diag_indices(n_max + 1)] = d
@@ -272,7 +285,7 @@ def hermite_exp_integrals(n_max: int, s: float, x: float) -> np.ndarray:
     herm = _hermite_functions(max(n_max, 1), x)
     boundary = math.exp(s * x - 0.5 * x * x)
     out = np.empty(n_max + 1)
-    out[0] = 0.5 * math.exp(0.25 * s * s) * math.pi**0.25 * sp.erfc(0.5 * s - x)
+    out[0] = 0.5 * math.exp(0.25 * s * s) * math.pi**0.25 * math.erfc(0.5 * s - x)
     for n in range(1, n_max + 1):
         out[n] = (s * out[n - 1] - boundary * herm[n - 1]) / math.sqrt(2.0 * n)
     return out
@@ -318,12 +331,15 @@ def _pair_apply(
 
     With D[m, n] = 1 / (n - m) (zero on the diagonal) the block applied to
     w is f (D (g w)) - g (D (f w)) + d w: one product of D with both
-    weighted columns.
+    weighted columns, written side by side into one array.
     """
     size = weights.shape[0]
     columns = weights.reshape(size, -1)
     k = columns.shape[1]
-    both = _gaps(n_rows + 1, size) @ np.hstack((g[:size, None] * columns, f[:size, None] * columns))
+    weighted = np.empty((size, 2 * k))
+    np.multiply(g[:size, None], columns, out=weighted[:, :k])
+    np.multiply(f[:size, None], columns, out=weighted[:, k:])
+    both = _gaps(n_rows + 1, size) @ weighted
     out = f[: n_rows + 1, None] * both[:, :k] - g[: n_rows + 1, None] * both[:, k:]
     diag = min(n_rows + 1, size)
     out[:diag] += d[:diag, None] * columns[:diag]
@@ -346,18 +362,22 @@ def _laguerre_rows(
     up from d_0 = P(alpha + 1, z).  Beyond z = 4 (2 n_max + alpha + 1) + 80
     every integrand is below 1e-26 of its total, so a larger z is cut
     there, and a coordinate that underflows is read as the least positive
-    float.
+    float.  The square roots are the model's ``_raised_roots``.
     """
     alpha = model.laguerre_order
+    root_n, root_raised, root_order = model._raised_roots
     z = min(max(z, math.ulp(0.0)), 4.0 * (2.0 * n_max + alpha + 1.0) + 80.0)
     seed = math.exp(0.5 * ((alpha + 2.0) * math.log(z) - z - math.lgamma(alpha + 2.0)))
-    chi = np.concatenate(([0.0], _kernel(model._raised_recurrence, n_max, z, seed)))
-    n = np.arange(n_max + 1, dtype=float)
-    root_n = np.sqrt(n)
-    psi = (np.sqrt(n + alpha + 1.0) * chi[1:] - root_n * chi[:-1]) / z
+    chi = np.zeros(n_max + 2)
+    _kernel(model._raised_recurrence, n_max, z, seed, chi[1:])
+    root_n = root_n[: n_max + 1]
     g = root_n * chi[:-1]
-    steps = chi[1:-1] * (psi[1:] / root_n[1:] - psi[:-1] / np.sqrt(n[1:] + alpha))
-    return psi, g, sp.gammainc(alpha + 1.0, z) + np.concatenate(([0.0], np.cumsum(steps)))
+    psi = (root_raised[: n_max + 1] * chi[1:] - g) / z
+    d = np.zeros(n_max + 1)
+    d[1:] = chi[1:-1] * (psi[1:] / root_n[1:] - psi[:-1] / root_order[1 : n_max + 1])
+    np.add.accumulate(d, out=d)
+    d += sp.gammainc(alpha + 1.0, z)
+    return psi, g, d
 
 
 def overlap_below(
@@ -367,26 +387,39 @@ def overlap_below(
     row of ``weights`` (a vector, or a matrix of columns), applied to
     ``weights``: at an interior state, the closed-form pair block at the
     state's coordinate (``_pair_apply``) on the rows of the model's family.
+    The identity copy of ``weights`` is built only where it is returned or
+    subtracted from: at ``state_hi`` and on a reversed coordinate.
     """
-    size = weights.shape[0]
-    out = np.zeros((n_rows + 1,) + weights.shape[1:])
+    shape = (n_rows + 1,) + weights.shape[1:]
     if x == model.state_lo:
-        return out
-    out[:size] = weights[: n_rows + 1]  # the identity, by orthonormality
-    if x == model.state_hi:
-        return out
-    z = model.poly_coordinate(x)
-    n_max = max(n_rows, size - 1)
-    if model.polynomial_family == "hermite":
-        rows = _hermite_rows(n_max, z)
-    else:
-        rows = _laguerre_rows(model, n_max, z)
-    block = _pair_apply(*rows, n_rows, weights)
-    return out - block if model.coordinate_reversed else block
+        return np.zeros(shape)
+    if x != model.state_hi:
+        z = model.poly_coordinate(x)
+        n_max = max(n_rows, weights.shape[0] - 1)
+        if model.polynomial_family == "hermite":
+            rows = _hermite_rows(n_max, z)
+        else:
+            rows = _laguerre_rows(model, n_max, z)
+        block = _pair_apply(*rows, n_rows, weights)
+        if not model.coordinate_reversed:
+            return block
+    out = np.zeros(shape)
+    out[: weights.shape[0]] = weights[: n_rows + 1]  # the identity, by orthonormality
+    if x != model.state_hi:
+        out -= block
+    return out
+
+
+def _check_degree(n_max: int) -> None:
+    """Refuse a degree that is not an integer in 0..``POOL_CAP``, the
+    degrees the rows of both families are built to."""
+    check_integer("degree n_max", n_max)
+    if n_max > POOL_CAP:
+        raise ValidationError(f"degree n_max must be <= POOL_CAP = {POOL_CAP}, got {n_max}")
 
 
 def _check_interval(model: DiffusionModel, n_max: int, x_lo: float, x_hi: float) -> None:
-    check_integer("degree n_max", n_max)
+    _check_degree(n_max)
     for name, x in (("x_lo", x_lo), ("x_hi", x_hi)):
         if not (model.state_lo <= x <= model.state_hi):
             raise ValidationError(f"{name}={x} outside closure of the state space")

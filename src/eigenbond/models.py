@@ -141,8 +141,9 @@ class _Recurrence:
         return lists
 
 
-def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
-    """seed N_n P_n(z) for n = 0..n_max, rows over z when z is an array.
+def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0, out=None) -> np.ndarray:
+    """seed N_n P_n(z) for n = 0..n_max, rows over z when z is an array,
+    written into ``out`` when it is given.
 
     The recurrence is linear, so the factor ``seed`` (a float, or an array
     like z) taken into degree 0 scales every degree: a factor that is tiny
@@ -150,7 +151,7 @@ def _kernel(rec: _Recurrence, n_max: int, z, seed=1.0) -> np.ndarray:
     """
     a, b, c = rec.upto(n_max)
     gap = rec.shift - z
-    rows = np.empty((n_max + 1,) + np.shape(z))
+    rows = np.empty((n_max + 1,) + np.shape(z)) if out is None else out
     prev, cur = 0.0, rec.n0 * seed
     rows[0] = cur
     for n in range(1, n_max + 1):
@@ -350,6 +351,16 @@ class DiffusionModel:
         from N_0 P_0 = 1, whose rows the Laguerre overlap block
         (``coeffs.overlap_below``) is built from."""
         return _Recurrence(1.0, *_laguerre_coefficients(self.laguerre_order + 1.0))
+
+    @cached_property
+    def _raised_roots(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """sqrt(n), sqrt(n + alpha + 1) and sqrt(n + alpha) for n = 0..POOL_CAP + 1
+        (alpha the ``laguerre_order``): the per-degree factors of the same
+        rows, for every degree they are built to."""
+        n = np.arange(POOL_CAP + 2, dtype=float)
+        alpha = self.laguerre_order
+        with np.errstate(invalid="ignore"):  # sqrt(alpha < 0) at n = 0, never read
+            return np.sqrt(n), np.sqrt(n + alpha + 1.0), np.sqrt(n + alpha)
 
     # --- per-clock caches, filled by other modules ---------------------------
 

@@ -22,7 +22,9 @@ The bond value at issue is built by one stage per decision date:
     the coupon term.  The sum telescopes to one overlap apply per finite
     break-even state (``_Engine._assemble``; the overlap block is applied
     without being formed, see ``coeffs``).  Decayed back to the date
-    before, it is that date's hold weights.
+    before, it is that date's hold weights.  What every date reads besides
+    its states (the expansion of P(delta, .), the coupon term and the
+    decay over each distinct holding period) is built once per run.
 3.  At issue the value is the same series over the last hold weights plus
     the protected coupons, one series over their summed weights.  A
     straight bond is the recursion with no decision date.
@@ -478,10 +480,11 @@ class _RootFinder:
 # ---------------------------------------------------------------------------
 
 
-def _resized(vector: np.ndarray, size: int) -> np.ndarray:
-    """A copy of ``vector`` cut or zero-padded to ``size`` entries."""
-    out = np.zeros(size)
-    out[: min(size, vector.size)] = vector[:size]
+def _jump(below: np.ndarray, above: np.ndarray) -> np.ndarray:
+    """below - above, the shorter of the two zero-padded to the longer."""
+    out = np.zeros(max(below.size, above.size))
+    out[: below.size] = below
+    out[: above.size] -= above
     return out
 
 
@@ -494,7 +497,8 @@ class _Engine:
         eps: float,
     ):
         series.check_eps(eps)
-        if schedule.protection_index < schedule.n_coupons:
+        has_dates = schedule.protection_index < schedule.n_coupons
+        if has_dates:
             tau_first = schedule.decision_time(schedule.protection_index)
             if tau_first <= 0.0:
                 raise ValidationError("first decision time must be positive")
@@ -509,6 +513,16 @@ class _Engine:
         self.dates: list[DateRecord] = []
         # break-even states of the date stepped last, the next date's hints
         self._hints: dict[str, float | None] = {"call": None, "put": None}
+        # what every date's assembly reads, built once per run and kept on
+        # the engine, not the spectrum, so nothing outlives the call: the
+        # expansion of P(delta, .), the coupon term to POOL_CAP and, on first
+        # use, the decay to POOL_CAP over each holding period (a run has few
+        # distinct ones)
+        if has_dates:
+            notice = schedule.notice_delta
+            self._strike = self.spectrum.cut(((notice, 1.0),), eps)
+            self._coupon_term = schedule.coupon * self.spectrum.unit_weights(notice, POOL_CAP)
+        self._decays: dict[float, np.ndarray] = {}
 
     # -- one decision date ---------------------------------------------------
 
@@ -558,19 +572,24 @@ class _Engine:
         # exercise kinks give the assembled value function a slower
         # coefficient decay than the function it was built from, so the
         # next date may need deeper coefficients than this date's
-        # evaluations used.
+        # evaluations used.  The decay over h_next is the run's table for
+        # that period, built at the first date that holds for it.
         if i > sched.protection_index:
             h_next = sched.holding_period(i - 1)
         else:
             h_next = sched.decision_time(i)
+        decay_next = self._decays.get(h_next)
+        if decay_next is None:
+            decay_next = self._decays[h_next] = self.spectrum.decay(h_next, POOL_CAP)
         # a few rows past the incoming length: a date that needs more than
         # it carried in rarely needs many more, and a redone pass costs a
         # whole assembly
         n_rows = min(max(16, m_cols + 4), POOL_CAP)
         while True:
             new = self._assemble(i, n_rows, x_call, x_put, carried)
-            decay_next = self.spectrum.decay(h_next, n_rows)
-            level, converged = series.stop_level(np.abs(new) * decay_next, self._eps_assembly)
+            level, converged = series.stop_level(
+                np.abs(new) * decay_next[: n_rows + 1], self._eps_assembly
+            )
             if converged:
                 new = new[: level + 3]  # keep the two look-ahead terms
                 break
@@ -580,7 +599,7 @@ class _Engine:
                 )
             n_rows = min(2 * n_rows, POOL_CAP)
 
-        if not np.all(np.isfinite(new)):
+        if not np.isfinite(new).all():
             raise ConvergenceError(f"non-finite expansion coefficients at decision index {i}")
         record.assembled = new.size - 1
         self.dates.append(record)
@@ -599,8 +618,7 @@ class _Engine:
 
             new = g_highest + sum_x A_x (g_below(x) - g_above(x)) + coupon term.
         """
-        sched, model = self.schedule, self.model
-        strike = self.spectrum.cut(((sched.notice_delta, 1.0),), self.eps)
+        sched, strike = self.schedule, self._strike
         states, payoffs = [], [hold]  # in state order
         if x_call is not None:
             states.insert(0, x_call)
@@ -608,12 +626,11 @@ class _Engine:
         if x_put is not None:
             states.append(x_put)
             payoffs.append(sched.put_price(i) * strike)
-        new = _resized(payoffs[-1], n_rows + 1)
-        new += sched.coupon * self.spectrum.unit_weights(sched.notice_delta, n_rows)
+        top = payoffs[-1]
+        new = self._coupon_term[: n_rows + 1].copy()
+        new[: top.size] += top[: n_rows + 1]
         for x, below, above in zip(states, payoffs, payoffs[1:]):
-            size = max(below.size, above.size)
-            jump = _resized(below, size) - _resized(above, size)
-            new += coeffs_mod.overlap_below(model, x, n_rows, jump)
+            new += coeffs_mod.overlap_below(self.model, x, n_rows, _jump(below, above))
         return new
 
     # -- full run --------------------------------------------------------------

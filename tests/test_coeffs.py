@@ -375,10 +375,14 @@ def test_strike_refuses_a_non_finite_notice_period(delta):
         coeffs.strike_projection(CIR, JD, 10, 0.0, 0.05, delta)
 
 
-@pytest.mark.parametrize("n_max", (-1, 2.5, 3.0, True), ids=("negative", "fraction", "float", "bool"))
+@pytest.mark.parametrize(
+    "n_max", (-1, 2.5, 3.0, True, POOL_CAP + 1),
+    ids=("negative", "fraction", "float", "bool", "above_pool_cap"),
+)
 def test_overlap_and_strike_refuse_a_bad_degree(n_max):
     # -1 raised IndexError in overlap_matrix and returned [] from
-    # strike_projection; 2.5 raised TypeError in both
+    # strike_projection; 2.5 raised TypeError in both; the rows' per-degree
+    # factors are kept to POOL_CAP + 1
     with pytest.raises(ValidationError, match="degree n_max must be"):
         coeffs.overlap_matrix(CIR, n_max, 0.0, 0.05)
     with pytest.raises(ValidationError, match="degree n_max must be"):
@@ -661,6 +665,21 @@ def test_laguerre_apply_equals_the_sliced_table(z):
     np.testing.assert_array_equal(below, coeffs._pair_apply(*rows, 40, weights))
 
 
+@pytest.mark.parametrize("family", ("hermite", "laguerre"))
+def test_pair_apply_on_a_vector_is_the_one_column_apply(family):
+    # one path for a vector and a matrix of columns
+    rng = np.random.default_rng(29)
+    for n_rows, size in ((0, 1), (5, 9), (40, 20), (20, 41), (135, 136)):
+        n_max = max(n_rows, size - 1)
+        if family == "hermite":
+            rows = coeffs._hermite_rows(n_max, 0.7)
+        else:
+            rows = coeffs._laguerre_rows(CIR, n_max, 2.5)
+        weights = rng.uniform(-1.0, 1.0, size)
+        column = coeffs._pair_apply(*rows, n_rows, weights[:, None])
+        np.testing.assert_array_equal(coeffs._pair_apply(*rows, n_rows, weights), column[:, 0])
+
+
 def _mp_laguerre(n, a, u):
     """L_n^(a)(u) by the three-term recurrence, in mpmath arithmetic."""
     prev, cur = 0, 1
@@ -798,6 +817,7 @@ def test_integrals_beyond_the_gamma_range_against_quadrature_in_the_state(model,
     (
         lambda: coeffs.hermite_pair_integrals(2.5, 0.3),
         lambda: coeffs.hermite_pair_integrals(-1, 0.3),
+        lambda: coeffs.hermite_pair_integrals(POOL_CAP + 1, 0.3),
         lambda: coeffs.hermite_pair_integrals_at_infinity(-1),
         lambda: coeffs.hermite_exp_integrals(-2, 0.5, 0.3),
         lambda: coeffs.hermite_exp_integrals_at_infinity(1.5, 0.5),
@@ -810,7 +830,8 @@ def test_integrals_beyond_the_gamma_range_against_quadrature_in_the_state(model,
         lambda: CIR.series_sum([], 0.05, 1e-7),
         lambda: CIR.eigenfunction_matrix(2.5, [0.05]),
     ),
-    ids=("hermite_pair_fraction", "hermite_pair_negative", "hermite_pair_inf_negative",
+    ids=("hermite_pair_fraction", "hermite_pair_negative", "hermite_pair_above_pool_cap",
+         "hermite_pair_inf_negative",
          "hermite_exp_negative", "hermite_exp_inf_fraction", "laguerre_pair_bool",
          "laguerre_pair_inf_negative", "laguerre_exp_negative", "laguerre_exp_inf_float",
          "eigenvalues_fraction", "eigenfunctions_fraction", "terms_negative",

@@ -375,6 +375,27 @@ def test_zero_coupon_keeps_no_weights_on_the_spectrum():
     assert all(spec._pools[key] is pool for key, pool in pools.items())
 
 
+def test_pricing_keeps_only_its_cash_flows_on_the_spectrum():
+    # the assembly's per-run tables (decays, coupon term) live on the engine:
+    # what the spectrum keeps is one pool per cash-flow set and one cut per
+    # (cash-flow set, eps), whatever the schedule
+    model = dataclasses.replace(CIR)
+    spec = spectrum(model, JD)
+    schedules = (SWISS_PUT, _thirty_year_monthly())
+    for schedule in schedules:
+        price_bond(model, JD, schedule, [0.05], eps=1e-7)
+        assert set(vars(spec)) == {"model", "sub", "lam", "philam", "p", "_pools", "_cuts"}
+    pools, cuts = set(), set()
+    for schedule in schedules:
+        held = schedule.holding_period(schedule.exercise_indices[-1])
+        redemption = ((held, 1.0 + schedule.coupon),)
+        notice = ((schedule.notice_delta, 1.0),)
+        coupons = tuple((t, schedule.coupon) for t in schedule.coupon_times[: schedule.protection_index - 1])
+        pools |= {redemption, notice, coupons}
+        cuts |= {(redemption, 1e-7), (notice, 1e-7)}
+    assert set(spec._pools) == pools and set(spec._cuts) == cuts
+
+
 def _run_outputs(result):
     return (
         result.values.tolist(),
@@ -621,6 +642,17 @@ def test_find_break_even_put_above_call():
     (call_state, put_state), = res.break_even_states
     assert call_state is not None and put_state is not None
     assert call_state < put_state
+
+
+def _thirty_year_monthly():
+    """The monthly 30-year callable of the bench: 300 decision dates at par."""
+    return BondSchedule(
+        coupon=0.05 / 12,
+        coupon_times=tuple(i / 12 for i in range(1, 361)),
+        protection_index=60,
+        notice_delta=1 / 48,
+        call_prices=(1.0,) * 300,
+    )
 
 
 def _five_year_monthly(call_prices):
@@ -956,13 +988,7 @@ def test_the_first_assembly_pass_is_rarely_redone(monkeypatch, model):
     # (Vasicek) times
     from eigenbond import pricer
 
-    schedule = BondSchedule(
-        coupon=0.05 / 12,
-        coupon_times=tuple(i / 12 for i in range(1, 361)),
-        protection_index=60,
-        notice_delta=1 / 48,
-        call_prices=(1.0,) * 300,
-    )
+    schedule = _thirty_year_monthly()
     passes = []
     assemble = pricer._Engine._assemble
     monkeypatch.setattr(
@@ -1116,6 +1142,35 @@ def test_three_halves_callable_from_the_first_coupon_is_priced_in_range(eps):
     )
     value = price_bond(model, NONE, schedule, [0.01], eps=eps).values[0]
     assert 0.0 < value <= 1.0 + schedule.coupon
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the first 3/2 search starts at search_lo, where the redemption pool is "
+    "rounding noise, so a last-bit change decides the call region (ROADMAP item 4)",
+)
+def test_three_halves_callable_survives_a_last_bit_change_of_its_payoff_coefficients(
+    monkeypatch,
+):
+    # At eps 1e-10 the first search of the Swiss callable starts cold at
+    # search_lo, x = 0.0054 (z = 178), where the redemption pool's terms
+    # reach 2.8e15 and C(x) reads 29.9 against a true value of about 1.03;
+    # the sign of D there decides whether a call region exists.  With p_n
+    # times (1 + 1e-14 u) these seeds price 0.88561199 with no call state
+    # (unperturbed 0.88494921 with 10; the grid DP 0.8849493).
+    eps = 1e-10
+    plain = price_bond(ThreeHalvesModel(2.0, 0.06, 0.5), NONE, SWISS, [0.05], eps=eps)
+    coefficients = ThreeHalvesModel.unit_payoff_coefficients
+    for seed in (2, 5, 6, 7, 11):
+
+        def perturbed(self, n_max, seed=seed):
+            u = np.random.default_rng(seed).uniform(-1.0, 1.0, n_max + 1)
+            return coefficients(self, n_max) * (1.0 + 1e-14 * u)
+
+        monkeypatch.setattr(ThreeHalvesModel, "unit_payoff_coefficients", perturbed)
+        result = price_bond(ThreeHalvesModel(2.0, 0.06, 0.5), NONE, SWISS, [0.05], eps=eps)
+        assert abs(result.values[0] - plain.values[0]) <= 10.0 * eps, seed
+        assert sum(d.call_state is not None for d in result.dates) == 10, seed
 
 
 def test_truncation_levels_monotone_in_eps():
