@@ -24,7 +24,7 @@ Hermite polynomials satisfy one step,
 N_n P_n = (a_n + (s - z) b_n) N_{n-1} P_{n-1} - c_n N_{n-2} P_{n-2}, and
 CIR and 3/2 name the Laguerre coefficients of their ``laguerre_order``,
 Vasicek the Hermite ones, each starting from N_0 =
-exp(``log_norm_constants(0)``).  Two loops step it.
+exp(``log_norm_constants(0)``).  Three loops step it.
 The kernel (``_kernel``) returns every degree at once, one row per degree,
 for a float abscissa and an array alike; ``eigenfunctions`` (one state) and
 ``eigenfunction_matrix`` (an array of states) multiply the model's
@@ -34,10 +34,15 @@ evaluates a weighted series at one state: its loop steps the recurrence and
 its x-derivative (the chain rule through ``coordinate_slope`` and
 ``prefactor_log_slope``), sums the value and the slope and applies the
 truncation rule of ``series`` inline, so it takes only the steps the rule
-reads and builds no term array.  The rule thus has two bodies, this loop
-and ``series.truncate_terms``;
+reads and builds no term array.  ``series_pair`` sums two weighted series
+at one state in one such pass, each under its own eps and its own stop
+rule, and each result is bit for bit what ``series_sum`` returns alone: the
+pricer reads a continuation with its notice bond, and an issue value with
+its protected coupons, that way on the jump clocks and on the 3/2 model.
+The rule thus has three bodies, these loops and ``series.truncate_terms``;
 ``tests/test_series.py::test_series_sum_and_truncate_terms_agree_bit_for_bit``
-pins them against each other.  The Laguerre overlap block
+and ``test_series_pair_and_two_series_sums_agree_bit_for_bit`` pin them
+against each other.  The Laguerre overlap block
 (``coeffs.overlap_below``) takes ``_kernel``'s rows of the order one above
 the model's (``_raised_recurrence``) at the coordinate of one state.
 
@@ -328,6 +333,92 @@ class DiffusionModel:
                 if abs(ahead1) <= bound and abs(ahead1 + ahead2) <= bound:
                     return total, dtotal, n - 2, True
         return total + ahead1 + ahead2, dtotal + dahead1 + dahead2, n_max, False
+
+    def series_pair(
+        self, weights: list[float], eps: float, other: list[float], other_eps: float, x: float
+    ) -> tuple[tuple[float, float, int, bool], tuple[float, float, int, bool]]:
+        """``series_sum(weights, x, eps)`` and ``series_sum(other, x,
+        other_eps)`` from one pass over the recurrence and its slope, each
+        bit for bit what ``series_sum`` returns alone and each list read up
+        to its own level + 2.  While both rules are open, one loop forms
+        phi_n = seed N_n P_n once per degree and each term as weight * phi_n,
+        ``series_sum``'s association; once one series stops (its rule fires
+        or its weights run out), the other goes on alone."""
+        n_one, n_two = len(weights) - 1, len(other) - 1
+        check_integer("degree n_max", n_one)
+        check_integer("degree n_max", n_two)
+        self.check_state(x)
+        x = float(x)
+        rec = self._recurrence
+        a, b, c = rec.upto(max(n_one, n_two))
+        seed = float(self._prefactor(x))
+        gap = rec.shift - self.poly_coordinate(x)
+        dz = seed * self.coordinate_slope(x)
+        prev, cur = 0.0, rec.n0
+        dprev, dcur = 0.0, rec.n0 * (seed * self.prefactor_log_slope(x))
+        # after degree n: each series' sums to degree n - 2 and its terms n - 1, n
+        phi, weight, weight2 = seed * cur, weights[0], other[0]
+        total, ahead1, ahead2 = 0.0, 0.0, weight * phi
+        dtotal, dahead1, dahead2 = 0.0, 0.0, weight * dcur
+        total2, ahead21, ahead22 = 0.0, 0.0, weight2 * phi
+        dtotal2, dahead21, dahead22 = 0.0, 0.0, weight2 * dcur
+        first = MIN_LEVEL + 2
+        one = two = None
+        n = 0
+        for n in range(1, min(n_one, n_two) + 1):
+            bn, cn = b[n], c[n]
+            step = a[n] + gap * bn
+            dprev, dcur = dcur, step * dcur - bn * dz * cur - cn * dprev
+            prev, cur = cur, step * cur - cn * prev
+            phi, weight, weight2 = seed * cur, weights[n], other[n]
+            total += ahead1
+            dtotal += dahead1
+            ahead1, ahead2 = ahead2, weight * phi
+            dahead1, dahead2 = dahead2, weight * dcur
+            total2 += ahead21
+            dtotal2 += dahead21
+            ahead21, ahead22 = ahead22, weight2 * phi
+            dahead21, dahead22 = dahead22, weight2 * dcur
+            if n >= first:  # the rules at level n - 2
+                bound = eps * abs(total)
+                if abs(ahead1) <= bound and abs(ahead1 + ahead2) <= bound:
+                    one = total, dtotal, n - 2, True
+                bound = other_eps * abs(total2)
+                if abs(ahead21) <= bound and abs(ahead21 + ahead22) <= bound:
+                    two = total2, dtotal2, n - 2, True
+                if one or two:
+                    break
+        if one is None and n == n_one:
+            one = total + ahead1 + ahead2, dtotal + dahead1 + dahead2, n_one, False
+        if two is None and n == n_two:
+            two = total2 + ahead21 + ahead22, dtotal2 + dahead21 + dahead22, n_two, False
+        if one and two:
+            return one, two
+        # the open series goes on alone, in series_sum's loop
+        if two is None:
+            weights, eps, n_max = other, other_eps, n_two
+            total, ahead1, ahead2 = total2, ahead21, ahead22
+            dtotal, dahead1, dahead2 = dtotal2, dahead21, dahead22
+        else:
+            n_max = n_one
+        for n in range(n + 1, n_max + 1):
+            bn, cn = b[n], c[n]
+            step = a[n] + gap * bn
+            dprev, dcur = dcur, step * dcur - bn * dz * cur - cn * dprev
+            prev, cur = cur, step * cur - cn * prev
+            weight = weights[n]
+            total += ahead1
+            dtotal += dahead1
+            ahead1, ahead2 = ahead2, weight * (seed * cur)
+            dahead1, dahead2 = dahead2, weight * dcur
+            if n >= first:  # the rule at level n - 2
+                bound = eps * abs(total)
+                if abs(ahead1) <= bound and abs(ahead1 + ahead2) <= bound:
+                    rest = total, dtotal, n - 2, True
+                    break
+        else:
+            rest = total + ahead1 + ahead2, dtotal + dahead1 + dahead2, n_max, False
+        return (one, rest) if two is None else (rest, two)
 
     def _eigenfunction_rows(self, n_max: int, x) -> np.ndarray:
         """Rows [n] = phi_n(x): one code path for a state and for an array of

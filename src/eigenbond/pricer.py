@@ -29,27 +29,33 @@ The bond value at issue is built by one stage per decision date:
     the protected coupons, one series over their summed weights.  A
     straight bond is the recursion with no decision date.
 
-Every scalar series has one evaluator, ``_series``: the truncated
-sum_n w_n phi_n(x) and its slope in x, from the model's ``series_sum``, one
-loop that steps the recurrence and its derivative until the two-term
-look-ahead rule of ``series`` fires on the value terms, with no term array
-built; the slope is summed to the same level.  That loop is the rule's
-second body besides ``series.truncate_terms``;
+Every scalar series is the truncated sum_n w_n phi_n(x) and its slope in x,
+from a loop of the model that steps the recurrence and its derivative until
+the two-term look-ahead rule of ``series`` fires on the value terms, with
+no term array built; the slope is summed to the same level.  ``_series``
+reads one series from ``series_sum``.  Where two series are read at the
+same state, the continuation with its notice-period bond at every
+break-even evaluation and the issue value with its protected coupons, one
+helper per cash-flow set (``_flow_series``) reads both.  On an affine model
+with the plain clock it takes ``series_sum`` and the bond's closed form; else
+it takes one ``series_pair`` pass, which steps the recurrence once and
+keeps both stop rules, each result bit for bit ``series_sum``'s.  Those
+loops are the rule's bodies besides ``series.truncate_terms``;
 ``tests/test_series.py::test_series_sum_and_truncate_terms_agree_bit_for_bit``
-pins the two against each other.
+and ``test_series_pair_and_two_series_sums_agree_bit_for_bit`` pin them
+against each other.
 A supply that reaches ``POOL_CAP`` (a pool) must fire the rule; a shorter
-one (a cut vector) gives all its terms when it does not.  The weights are
-float lists: a date's hold weights, or the pool
-sum_j a_j p_n e^{-phi(lambda_n) t_j} of
-cash flows ((t_j, a_j), ...) on the model's subordinate spectrum
+one (a cut vector) gives all its terms when it does not (``_supplied``,
+for each series of a pair too).  The weights are float lists: a date's
+hold weights, or the pool sum_j a_j p_n e^{-phi(lambda_n) t_j} of cash
+flows ((t_j, a_j), ...) on the model's subordinate spectrum
 (``subordinators.Spectrum``, one per model and clock, kept on the model),
 built once per cash-flow set of the recursion and never grown; a
 zero-coupon bond's weights are built per call and not kept.  The
 recursion's first search, at the last decision date, reads the
-redemption's whole pool.  ``_discount_bond`` gives x -> sum_j a_j P(t_j, x)
-and its slope for the notice-period bond of the strike comparisons and for
-all the protected coupons at once: the closed form on an affine model with
-the plain clock, else one pool series, cut at eps of the mean flow.
+redemption's whole pool.  Off the plain clock, or on the 3/2 model, a
+cash-flow set's bond sum_j a_j P(t_j, x) is its pool's series, cut at eps
+of the mean flow.
 Continuation values and break-even states are computed only inside the
 recursion (``_Engine``); the public entry points are ``price_bond`` and
 ``zero_coupon_price``.  Every break-even search closes to ``TOL_X``.
@@ -64,6 +70,7 @@ vector is its pool's ``Spectrum.cut``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -276,13 +283,20 @@ def _series(
 ) -> tuple[float, float, int]:
     """Truncated sum_n weights_n phi_n(x) in one pass: (value, slope, stop
     level), from the model's ``series_sum``.  The rule fires on the value
-    terms; the slope is sum_n weights_n phi_n'(x) to the same level.
+    terms; the slope is sum_n weights_n phi_n'(x) to the same level."""
+    return _supplied(spec.model.series_sum(weights, x, eps), weights, x)
+
+
+def _supplied(
+    result: tuple[float, float, int, bool], weights: list[float], x: float
+) -> tuple[float, float, int]:
+    """(value, slope, level) of a series ``result`` over ``weights`` at x.
 
     A supply that reaches ``POOL_CAP`` (a pool) must fire the rule; a
     shorter one (a cut vector) gives all its terms when the rule does not
     fire inside it.
     """
-    value, slope, level, converged = spec.model.series_sum(weights, x, eps)
+    value, slope, level, converged = result
     if not converged and len(weights) > POOL_CAP:
         raise ConvergenceError(f"series at x={x} not converged by n={len(weights) - 1}")
     return value, slope, level
@@ -312,26 +326,40 @@ def zero_coupon_price(
     return value
 
 
-def _discount_bond(spec: Spectrum, flows: tuple[tuple[float, float], ...], eps: float):
-    """x -> (sum_j a_j P(t_j, x), its slope in x) over the cash flows
-    ((t_j, a_j), ...): the affine closed form on the plain clock, with slope
-    -sum_j a_j B_j A_j e^{-B_j x}, else one eigenfunction series over the
-    summed weights (the spectrum's pool), cut at eps of the mean flow
-    (eps / len(flows) relative to the sum), so that the earliest flow,
-    whose slow decay sets the depth, is cut no looser than on its own."""
+def _flow_series(spec: Spectrum, flows: tuple[tuple[float, float], ...], eps: float):
+    """(weights, x) -> (C, C', level, B, B'): the truncated series C over
+    ``weights`` at x with its slope and level, as ``_series`` gives them at
+    eps, and the discount bond B = sum_j a_j P(t_j, x) of the cash flows
+    ((t_j, a_j), ...) with its slope.  On an affine model with the plain
+    clock B is the closed form, with slope -sum_j a_j B_j A_j e^{-B_j x};
+    else it is one series over the summed weights (the spectrum's pool), cut
+    at eps of the mean flow (eps / len(flows) relative to the sum), so that
+    the earliest flow, whose slow decay sets the depth, is cut no looser
+    than on its own, and both series come from one recurrence pass (the
+    model's ``series_pair``)."""
     model = spec.model
     if not (spec.sub.is_trivial and model.affine):
-        eps_mean = eps / max(len(flows), 1)
+        eps_pool = eps / max(len(flows), 1)
         pool = spec.pool(flows)
-        return lambda x: _series(spec, pool, x, eps_mean)[:2]
+        pair = model.series_pair
+
+        def joint(weights: list[float], x: float) -> tuple[float, float, int, float, float]:
+            one, two = pair(weights, eps, pool, eps_pool, x)
+            value, slope, level = _supplied(one, weights, x)
+            bond, bond_slope, _ = _supplied(two, pool, x)
+            return value, slope, level, bond, bond_slope
+
+        return joint
     legs = [(a, *model.affine_bond_factors(t)) for t, a in flows]
+    single = model.series_sum
 
-    def bond(x: float) -> tuple[float, float]:
+    def closed(weights: list[float], x: float) -> tuple[float, float, int, float, float]:
+        value, slope, level = _supplied(single(weights, x, eps), weights, x)
         values = [a * a_fac * math.exp(-b_fac * x) for a, a_fac, b_fac in legs]
-        slope = -sum(b_fac * value for (_, _, b_fac), value in zip(legs, values))
-        return sum(values), slope
+        bond_slope = -sum(b_fac * bond for (_, _, b_fac), bond in zip(legs, values))
+        return value, slope, level, sum(values), bond_slope
 
-    return bond
+    return closed
 
 
 # ---------------------------------------------------------------------------
@@ -342,9 +370,10 @@ def _discount_bond(spec: Spectrum, flows: tuple[tuple[float, float], ...], eps: 
 class _RootFinder:
     """Locates one date's break-even states against a continuation function.
 
-    ``cont(x)`` returns the continuation value, its slope and its series
-    stop level, ``discounted_strike(x)`` the notice-period bond and its
-    slope; ``interval`` is the model's ``search_interval``.  The levels of
+    ``evaluate(x)`` returns the continuation value, its slope and its series
+    stop level, and the notice-period bond and its slope (``_flow_series``
+    over the date's weights); ``interval`` is the model's
+    ``search_interval``.  The levels of
     every evaluation ``find`` makes are appended to ``levels``; the sign
     scan records none.  ``fallbacks`` counts the searches that took a
     bracketing step.
@@ -352,14 +381,12 @@ class _RootFinder:
 
     def __init__(
         self,
-        cont,
-        discounted_strike,
+        evaluate,
         interval: tuple[float, float, float],
         decision_index: int,
         levels: list[int],
     ):
-        self.cont = cont
-        self.discounted_strike = discounted_strike
+        self.evaluate = evaluate
         self.search_lo, self.bracket_start, self.search_hi = interval
         self.decision_index = decision_index
         self.levels = levels
@@ -369,10 +396,9 @@ class _RootFinder:
         """x -> (D(x), D'(x)) for D = K P(delta, .) - C."""
 
         def diff(x: float) -> tuple[float, float]:
-            value, slope, level = self.cont(x)
+            value, slope, level, bond, bond_slope = self.evaluate(x)
             if levels is not None:
                 levels.append(level)
-            bond, bond_slope = self.discounted_strike(x)
             return strike * bond - value, strike * bond_slope - slope
 
         return diff
@@ -509,7 +535,7 @@ class _Engine:
         self.eps = eps
         self._eps_assembly = ASSEMBLY_TAIL_MARGIN * eps
         self.spectrum = spectrum(model, sub)
-        self.pdelta = _discount_bond(self.spectrum, ((schedule.notice_delta, 1.0),), eps)
+        self.with_notice = _flow_series(self.spectrum, ((schedule.notice_delta, 1.0),), eps)
         self.dates: list[DateRecord] = []
         # break-even states of the date stepped last, the next date's hints
         self._hints: dict[str, float | None] = {"call": None, "put": None}
@@ -538,12 +564,9 @@ class _Engine:
         sched = self.schedule
         record = DateRecord(index=i, decision_time=sched.decision_time(i))
         m_cols = carried.size - 1
-
-        def cont(x: float) -> tuple[float, float, int]:
-            return _series(self.spectrum, search, x, self.eps)
-
         interval = self.model.search_interval(m_cols)
-        finder = _RootFinder(cont, self.pdelta, interval, i, record.eval_levels)
+        evaluate = functools.partial(self.with_notice, search)
+        finder = _RootFinder(evaluate, interval, i, record.eval_levels)
 
         states: dict[str, float | None] = {"call": None, "put": None}
         for kind, strike in (("call", sched.call_price(i)), ("put", sched.put_price(i))):
@@ -656,12 +679,12 @@ class _Engine:
         self.dates.sort(key=lambda d: d.index)
 
         flows = tuple((t, sched.coupon) for t in sched.coupon_times[: sched.protection_index - 1])
-        coupon_leg = _discount_bond(self.spectrum, flows, self.eps)  # the protected coupons
+        with_coupons = _flow_series(self.spectrum, flows, self.eps)  # the protected coupons
         values = np.empty(len(initial_states))
         value_levels: list[int] = []
         for j, x0 in enumerate(initial_states):
-            value, _, level = _series(self.spectrum, search, x0, self.eps)
-            values[j] = value + coupon_leg(x0)[0]
+            value, _, level, coupons, _ = with_coupons(search, x0)
+            values[j] = value + coupons
             value_levels.append(level)
 
         self._map_break_even_rates()
@@ -701,8 +724,9 @@ def price_bond(
     """Value a callable/putable bond at one or more initial states.
 
     The backward recursion over decision dates runs once; each initial
-    state then costs one series evaluation plus the protected-coupon leg,
-    one more series (a closed form on an affine model with the plain clock).
+    state then costs one recurrence pass for its value and the
+    protected-coupon leg together (the leg a closed form on an affine model
+    with the plain clock).
     """
     initial_states = np.atleast_1d(real_array("initial states", initial_states))
     if initial_states.ndim != 1:

@@ -9,15 +9,18 @@ small relative to everything accumulated so far:
 with S_N = sum_{n<=N} t_n.  The two-term look-ahead guards against the
 near-cancellation of consecutive terms of alternating-sign expansions.
 
-The rule has two bodies, each a loop that keeps S_N as a running sum added
-left to right.  ``truncate_terms`` applies it to a term array, and
+The rule has three bodies, each a loop that keeps S_N as a running sum
+added left to right.  ``truncate_terms`` applies it to a term array, and
 ``stop_level`` and ``weight_cutoff`` (which cuts a whole weight array by it)
 call that.  The model's ``series_sum`` (see ``models``) runs it inside the
-recurrence loop of a weighted eigenfunction series, so the pricer's scalar
-series build no term array and compute no eigenfunction beyond the
-look-ahead.
+recurrence loop of a weighted eigenfunction series, and ``series_pair``
+runs it twice in one such loop, once for each of two series at one state,
+so the pricer's scalar series build no term array and compute no
+eigenfunction beyond the look-ahead.
 ``tests/test_series.py::test_series_sum_and_truncate_terms_agree_bit_for_bit``
-pins the two bodies against each other.  ``check_eps`` refuses a tolerance
+pins the first two bodies against each other, and
+``tests/test_series.py::test_series_pair_and_two_series_sums_agree_bit_for_bit``
+the pair against two ``series_sum`` calls.  ``check_eps`` refuses a tolerance
 that is not a real number or lies outside (0, 1e-3], for every entry point
 that takes one.
 """

@@ -409,7 +409,7 @@ def _close(model: DiffusionModel, sub: SubordinatorSpec, bracket, rate: float) -
     ``_STATE_TOL`` wide.
     """
     xs, coefficients, rates = bracket
-    cell = int(np.clip(np.searchsorted(rates, rate), 1, rates.size - 1))
+    cell = min(max(int(np.searchsorted(rates, rate)), 1), rates.size - 1)
     lo, hi = float(xs[cell - 1]), float(xs[cell])
     g_lo, g_hi = float(rates[cell - 1]) - rate, float(rates[cell]) - rate
     x_prev, g_prev = (lo, g_lo) if -g_lo < g_hi else (hi, g_hi)

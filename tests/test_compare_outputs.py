@@ -215,3 +215,58 @@ def test_a_priced_run_records_the_calls_it_made():
     assert run["quote_evaluations"] is None  # the revision has no such name
     failed = compare_outputs._priced(lambda: 1 / 0, {"workload": "w"})
     assert failed == {"workload": "w", "error": "ZeroDivisionError: division by zero"}
+
+
+def test_recurrence_passes_are_counted_inside_and_outside_the_search():
+    class Finder:
+        def __init__(self, model):
+            self.model = model
+
+        def find(self):
+            return self.model.series_sum() + self.model.series_sum()
+
+        def scan_single_crossing(self):
+            return self.model.series_sum()
+
+    class Model:  # a revision without the pair
+        def series_sum(self):
+            return 1.0
+
+    calls = {}
+    compare_outputs._count_passes(calls, Model, Finder)
+    model = Model()
+    finder = Finder(model)
+    run = compare_outputs._priced(
+        lambda: [finder.find(), finder.scan_single_crossing(), model.series_sum()],
+        {"workload": "w"}, record=compare_outputs._outputs, calls=calls,
+    )
+    assert run["values"] == [2.0, 1.0, 1.0]
+    assert (run["search_series_sum"], run["issue_series_sum"]) == (3, 1)
+    assert run["search_series_pair"] is None and run["issue_series_pair"] is None
+
+
+def test_recurrence_passes_per_evaluation_and_per_issue_date_state_are_reported():
+    # the parent lacks the pair and reads "-" for it; each run has 3
+    # break-even evaluations and 2 issue-date states
+    def passes(search_sum, search_pair, issue_sum, issue_pair, workload="rate_sweep"):
+        return {**_run(workload=workload), "search_series_sum": search_sum,
+                "search_series_pair": search_pair, "issue_series_sum": issue_sum,
+                "issue_series_pair": issue_pair}
+
+    parent = {"a": passes(6, None, 4, None), "b": passes(3, None, 2, None, "long_callable")}
+    change = {"a": passes(0, 3, 0, 2), "b": passes(3, 0, 2, 0, "long_callable")}
+    summary = compare_outputs.compare(parent, change)
+    assert summary["issue_states"] == {"parent": {"rate_sweep": 2, "long_callable": 2},
+                                       "change": {"rate_sweep": 2, "long_callable": 2}}
+    assert summary["search_series_pair"] == {"parent": {"rate_sweep": None, "long_callable": None},
+                                             "change": {"rate_sweep": 3, "long_callable": 0}}
+    assert summary["failed"] == []  # the counts are reported, not bounded
+    report = compare_outputs.report(summary)
+    assert ("recurrence passes, rate_sweep: per break-even evaluation "
+            "2.000 (series_sum 6, series_pair - / 3) -> 1.000 (series_sum 0, series_pair 3 / 3); "
+            "per issue-date state "
+            "2.000 (series_sum 4, series_pair - / 2) -> 1.000 (series_sum 0, series_pair 2 / 2)"
+            ) in report
+    assert ("recurrence passes, long_callable: per break-even evaluation "
+            "1.000 (series_sum 3, series_pair - / 3) -> 1.000 (series_sum 3, series_pair 0 / 3)"
+            ) in report

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from scipy import optimize
 
 from eigenbond import benchmark, series
 from eigenbond.errors import BracketError, ConvergenceError, ValidationError
-from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel
+from eigenbond.models import POOL_CAP, CIRModel, ThreeHalvesModel, VasicekModel
 from eigenbond.pricer import (
     BondSchedule,
     price_bond,
@@ -319,21 +320,53 @@ def test_series_slope_is_the_derivative_of_its_value(model):
 
 @pytest.mark.parametrize("model", (CIR, VAS), ids=("cir", "vasicek"))
 def test_discount_bond_slopes(model):
-    # the notice-period bond of the strike comparison: the pool series on a
-    # jump clock, the closed form with slope -B P on the plain clock
+    # the notice-period bond of the strike comparison: the pool series of the
+    # pair on a jump clock, the closed form with slope -B P on the plain
+    # clock.  The pair's bond slope over the plain clock's pool is held to
+    # the closed form's, which its value is held to as well.
     from eigenbond import pricer
 
     notice = ((SWISS.notice_delta, 1.0),)
     lo, _, hi = model.search_interval(64)
     h = 1e-6 * (hi - lo)
-    series_bond = pricer._discount_bond(spectrum(model, JD), notice, 1e-13)
-    closed_bond = pricer._discount_bond(spectrum(model, NONE), notice, 1e-13)
-    _, b_fac = model.affine_bond_factors(SWISS.notice_delta)
+    weights = spectrum(model, JD).cut(((1.0, 1.0),), 1e-13).tolist()
+    with_series = pricer._flow_series(spectrum(model, JD), notice, 1e-13)
+    series_bond = lambda x: with_series(weights, x)[3:]
+    with_closed = pricer._flow_series(spectrum(model, NONE), notice, 1e-13)
+    plain_pool = spectrum(model, NONE).pool(notice)
+    a_fac, b_fac = model.affine_bond_factors(SWISS.notice_delta)
     for x in np.linspace(lo, hi, 41)[1:].tolist():
         _, slope = series_bond(x)
         assert slope == pytest.approx(_central_slope(series_bond, x, h), rel=1e-7), x
-        value, slope = closed_bond(x)
+        value, slope = with_closed(weights, x)[3:]
         assert slope == pytest.approx(-b_fac * value, rel=1e-15), x
+        _, (bond, bond_slope, _, converged) = model.series_pair(
+            weights, 1e-13, plain_pool, 1e-13, x
+        )
+        closed = a_fac * math.exp(-b_fac * x)
+        assert converged and bond == pytest.approx(closed, rel=1e-11), x
+        assert bond_slope == pytest.approx(-b_fac * closed, rel=1e-9), x
+
+
+def test_a_pool_that_does_not_fire_by_pool_cap_raises():
+    # each series of the pair keeps the supply rule: a pool must fire, a cut
+    # vector gives all its terms.  Near the 3/2 origin on a jump clock the
+    # notice bond's pool does not fire by POOL_CAP (at x = 0.002 it fires at
+    # n = 1846), as the bond's or as the continuation's weights.
+    from eigenbond import pricer
+
+    spec, x = spectrum(TH, JD), 0.001
+    notice = ((SWISS.notice_delta, 1.0),)
+    with_notice = pricer._flow_series(spec, notice, 1e-7)
+    pool = spec.pool(notice)
+    message = re.escape(f"series at x={x} not converged by n={POOL_CAP}")
+    for weights in ([1.0, 0.5, 0.25], pool):
+        with pytest.raises(ConvergenceError, match=message):
+            with_notice(weights, x)
+    # the same weights cut short of POOL_CAP give all their terms, here
+    # beside no cash flow, whose zero pool fires at once
+    value, _, level, _, _ = pricer._flow_series(spec, (), 1e-7)(pool[:100], x)
+    assert level == 99 and math.isfinite(value)
 
 
 @pytest.mark.parametrize("model", (CIR, ThreeHalvesModel(2.0, 0.06, 0.5)), ids=("cir", "th"))
@@ -459,16 +492,17 @@ def _protected_coupons(schedule):
 
 
 def test_notice_bond_and_protected_coupons_share_one_evaluator(monkeypatch):
+    # one helper per cash-flow set, read by every search and at issue
     from eigenbond import pricer
 
     built = []
-    make = pricer._discount_bond
+    make = pricer._flow_series
 
     def counted(spec, flows, eps):
         built.append(flows)
         return make(spec, flows, eps)
 
-    monkeypatch.setattr(pricer, "_discount_bond", counted)
+    monkeypatch.setattr(pricer, "_flow_series", counted)
     for sub in (NONE, JD):
         built.clear()
         price_bond(CIR, sub, SWISS, [0.03, 0.05], eps=1e-7)
@@ -494,9 +528,11 @@ def test_coupon_leg_series_matches_the_sum_of_coupon_bonds(model, sub):
 
     eps = 1e-10
     flows = _protected_coupons(SWISS)
-    leg = pricer._discount_bond(spectrum(model, sub), flows, eps)
+    spec = spectrum(model, sub)
+    weights = spec.cut(((SWISS.maturity, 1.0),), eps).tolist()
+    with_coupons = pricer._flow_series(spec, flows, eps)
     for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
-        got, _ = leg(float(x))
+        got = with_coupons(weights, float(x))[3]
         ref = sum(a * zero_coupon_price(model, sub, t, float(x), eps=eps) for t, a in flows)
         exact = sum(a * zero_coupon_price(model, sub, t, float(x), eps=1e-15) for t, a in flows)
         assert abs(got - ref) <= eps * abs(got), (x, got, ref)
@@ -508,10 +544,10 @@ def test_coupon_leg_matches_the_closed_form_on_the_plain_clock(model):
     from eigenbond import pricer
 
     flows = _protected_coupons(SWISS)
-    leg = pricer._discount_bond(spectrum(model, NONE), flows, 1e-7)
+    with_coupons = pricer._flow_series(spectrum(model, NONE), flows, 1e-7)
     for x in model.stationary_distribution().ppf([0.01, 0.25, 0.5, 0.75, 0.99]):
         ref = sum(a * float(model.closed_form_bond(t, x)) for t, a in flows)
-        assert leg(float(x))[0] == pytest.approx(ref, rel=1e-14, abs=0.0)
+        assert with_coupons([1.0], float(x))[3] == pytest.approx(ref, rel=1e-14, abs=0.0)
 
 
 def test_holding_periods_of_the_schedule():
@@ -552,15 +588,20 @@ def test_a_faked_call_region_over_the_whole_interval_fails_typed_on_three_halves
 
     # a carried vector that evaluates wrongly large everywhere makes calling
     # look cheaper than holding over the whole search interval; P(delta, .)
-    # is a series too on 3/2, and inflating it as well would hide the region
-    evaluate = pricer._series
-    notice = spectrum(TH, NONE).pool(((SWISS.notice_delta, 1.0),))
+    # is a series too on 3/2, read in the same pass, and inflating it as
+    # well would hide the region
+    make = pricer._flow_series
 
-    def inflated(spec, weights, x, eps):
-        value, slope, level = evaluate(spec, weights, x, eps)
-        return value + (0.0 if weights is notice else 10.0), slope, level
+    def inflating(spec, flows, eps):
+        evaluate = make(spec, flows, eps)
 
-    monkeypatch.setattr(pricer, "_series", inflated)
+        def inflated(weights, x):
+            value, slope, level, bond, bond_slope = evaluate(weights, x)
+            return value + 10.0, slope, level, bond, bond_slope
+
+        return inflated
+
+    monkeypatch.setattr(pricer, "_flow_series", inflating)
     with pytest.raises(BracketError, match="call region covers the whole search interval"):
         price_bond(TH, NONE, SWISS, [0.05], eps=1e-7)
 
@@ -737,13 +778,13 @@ def test_a_strike_jump_falls_back_to_the_walk(monkeypatch, model):
     searched = []  # the states each search evaluated
 
     def recorded(self, kind, strike, hint=None):
-        seen, cont = [], self.cont
+        seen, evaluate = [], self.evaluate
         searched.append(seen)
-        self.cont = lambda x: seen.append(x) or cont(x)
+        self.evaluate = lambda x: seen.append(x) or evaluate(x)
         try:
             return find(self, kind, strike, hint=hint)
         finally:
-            self.cont = cont
+            self.evaluate = evaluate
 
     monkeypatch.setattr(pricer._RootFinder, "find", recorded)
     ladder = [1.0] * 24 + [1.06] * 24
@@ -805,15 +846,20 @@ def test_newton_closes_within_half_tol_of_a_tight_brent(monkeypatch, model, sub,
 def _walk(interval, root):
     """A break-even search on diff(x) = x - root (K = 1, P(delta, x) = 1,
     C(x) = 1 - (x - root)), with the list of the states it evaluates."""
-    from eigenbond import pricer
-
     seen = []
 
     def cont(x):
         seen.append(x)
         return 1.0 - (x - root), -1.0, 0
 
-    return pricer._RootFinder(cont, lambda x: (1.0, 0.0), interval, 7, []), seen
+    return _finder(cont, interval), seen
+
+
+def _finder(cont, interval):
+    """A finder on cont(x) = (C, C', level) against P(delta, x) = 1."""
+    from eigenbond import pricer
+
+    return pricer._RootFinder(lambda x: (*cont(x), 1.0, 0.0), interval, 7, [])
 
 
 def test_newton_takes_an_iterate_only_on_a_small_error_estimate():
@@ -828,7 +874,7 @@ def test_newton_takes_an_iterate_only_on_a_small_error_estimate():
         seen.append(x)
         return 1.0 - math.expm1(100.0 * (x - root)), -100.0 * math.exp(100.0 * (x - root)), 0
 
-    finder = pricer._RootFinder(cont, lambda x: (1.0, 0.0), CIR.search_interval(40), 7, [])
+    finder = _finder(cont, CIR.search_interval(40))
     found = finder.find("call", 1.0, hint=root - 0.01)
     assert found == pytest.approx(root, abs=0.5 * pricer.TOL_X)
     assert len(seen) > 3
@@ -866,7 +912,7 @@ def test_a_wrong_slope_still_closes_within_half_tol(wrong, curve):
                     slope = 300.0 / (1.0 + (300.0 * u) ** 2) + 0.01
                 return 1.0 - value, -_WRONG_SLOPES[wrong](x, slope, len(seen), root), 0
 
-            finder = pricer._RootFinder(cont, lambda x: (1.0, 0.0), interval, 7, [])
+            finder = _finder(cont, interval)
             found = finder.find("call", 1.0, hint=hint)
             assert abs(found - root) <= 0.5 * pricer.TOL_X, (root, hint, found)
             assert len(set(seen)) == len(seen)

@@ -5,7 +5,7 @@ import pytest
 
 from eigenbond import series
 from eigenbond.errors import ValidationError
-from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel
+from eigenbond.models import POOL_CAP, CIRModel, ThreeHalvesModel, VasicekModel
 from eigenbond.subordinators import SubordinatorSpec, spectrum
 
 # Reference copy of the numpy rule that the running-sum loop replaced: one
@@ -105,9 +105,10 @@ def test_unconverged_stream_sums_every_term():
     assert series.truncate_terms(terms, 1e-8) == (0.0, 5, False)
 
 
-# The rule has two bodies: ``truncate_terms`` over a term array, and the
-# model's ``series_sum``, which runs it inside the recurrence loop.  They
-# must agree bit for bit on the terms w_n phi_n(x).
+# The rule has three bodies: ``truncate_terms`` over a term array, the
+# model's ``series_sum``, which runs it inside the recurrence loop, and its
+# ``series_pair`` (below).  The first two must agree bit for bit on the
+# terms w_n phi_n(x).
 _PIN_MODELS = (
     CIRModel(0.14294371, 0.133976855, 0.38757496),
     VasicekModel(0.44178462, 0.098397028, 0.13264223),
@@ -150,6 +151,84 @@ def test_series_sum_and_truncate_terms_agree_bit_for_bit(model):
                 ), (n_max, x, eps)
                 outcomes.add((converged, len(weights) < series.MIN_LEVEL + 3))
     assert outcomes == {(True, False), (False, False), (False, True)}
+
+
+# The pair form steps the recurrence once for two series and keeps both
+# rules: each of its results must be bit for bit what ``series_sum`` returns
+# alone, whichever series stops first and however it stops.
+
+
+def _bits(result):
+    value, slope, level, converged = result
+    return value.hex(), slope.hex(), level, converged
+
+
+def _pair_matches_two_sums(model, weights, eps, other, other_eps, x):
+    """Both results of the pair against ``series_sum``, bit for bit; the pair."""
+    one, two = model.series_pair(weights, eps, other, other_eps, x)
+    assert _bits(one) == _bits(model.series_sum(weights, x, eps)), (len(weights), x, eps)
+    assert _bits(two) == _bits(model.series_sum(other, x, other_eps)), (len(other), x, other_eps)
+    return one, two
+
+
+@pytest.mark.parametrize(
+    "model", _PIN_MODELS, ids=("cir", "vasicek", "three_halves", "cir_b250", "three_halves_402")
+)
+def test_series_pair_and_two_series_sums_agree_bit_for_bit(model):
+    rng = np.random.default_rng(2015)
+    lo, _, hi = model.search_interval(64)
+    hi = min(hi, model.theta * 4.0)
+    states = np.linspace(lo, hi, 4)[1:].tolist()
+    supplies = _pin_weights(model, rng)
+    order = set()  # (first stops before second, second before first)
+    for weights in supplies:
+        for other in supplies:
+            for x in states:
+                for eps, other_eps in ((1e-7, 1e-13), (1e-13, 1e-7)):
+                    one, two = _pair_matches_two_sums(model, weights, eps, other, other_eps, x)
+                    order.add((one[2] < two[2], two[2] < one[2]))
+    assert order == {(True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("model", _PIN_MODELS[:3], ids=("cir", "vasicek", "three_halves"))
+def test_series_pair_keeps_each_rule_and_supply(model, counted_reads):
+    spec = spectrum(model, SubordinatorSpec.inverse_gaussian(drift=0.5, mu=0.5, nu_var=1.0))
+    slow, fast = spec.pool(((0.02, 1.0),)), spec.pool(((1.0, 1.0),))
+    x = model.theta
+    assert len(slow) == len(fast) == POOL_CAP + 1
+    rng = np.random.default_rng(5046)
+    cut = (rng.choice([-1.0, 1.0], 6) * rng.uniform(0.5, 1.0, 6)).tolist()
+
+    # a cut vector runs out without firing while the pool fires later
+    one, two = _pair_matches_two_sums(model, cut, 1e-7, slow, 1e-13, x)
+    assert one[2:] == (5, False) and two[3] and two[2] > 5
+
+    # the second sum fires first, and each list is read to its level + 2
+    weights, other = counted_reads(slow), counted_reads(fast)
+    one, two = _pair_matches_two_sums(model, weights, 1e-13, other, 1e-7, x)
+    assert one[3] and two[3] and two[2] < one[2]
+    assert (weights.reads, other.reads) == (2 * (one[2] + 3), 2 * (two[2] + 3))  # pair + sum
+
+    # a zero pool (no protected coupon) fires at the first level it may
+    zero = spec.pool(())
+    for weights in (cut, slow):
+        one, two = _pair_matches_two_sums(model, weights, 1e-10, zero, 1e-10, x)
+        assert two == (0.0, 0.0, series.MIN_LEVEL, True)
+
+    # both supplies at POOL_CAP: two pools that fire, and two that do not
+    _pair_matches_two_sums(model, slow, 1e-13, fast, 1e-13, x)
+    noise = [(rng.choice([-1.0, 1.0], POOL_CAP + 1)).tolist() for _ in range(2)]
+    one, two = _pair_matches_two_sums(model, noise[0], 1e-13, noise[1], 1e-13, x)
+    assert one[2:] == two[2:] == (POOL_CAP, False)
+    one, two = _pair_matches_two_sums(model, slow, 1e-13, noise[0], 1e-13, x)
+    assert one[3] and two[2:] == (POOL_CAP, False)
+
+
+def test_series_pair_refuses_empty_weights():
+    model = _PIN_MODELS[0]
+    for weights, other in (([], [1.0] * 6), ([1.0] * 6, [])):
+        with pytest.raises(ValidationError, match="degree n_max must be >= 0"):
+            model.series_pair(weights, 1e-7, other, 1e-7, 0.05)
 
 
 @pytest.mark.parametrize("eps", (0.0, -1e-9, 2e-3, 0.5, math.nan, math.inf))

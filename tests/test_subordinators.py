@@ -354,18 +354,25 @@ def test_a_sweep_resolves_one_series_per_model_and_clock(monkeypatch):
 def test_a_quote_inside_a_kept_bracket_closes_without_walking(monkeypatch):
     # Kept from 0.05, the bracket's rates enclose 0.0592, whose state lies
     # 1.3e-5 below a point of the grid a walk of its own would start from.
+    # Its first and last tabulated rates close in its first and last cells,
+    # at the grid's end states.
     model, sub = _fresh(benchmark.benchmark_model("subvasicek_jd")), JD
     invert_short_rate(model, sub, 0.05)
     before = {key: list(brackets) for key, brackets in model._short_rate_brackets.items()}
+    (xs, _, rates), = model._short_rate_brackets[sub]
+    ends = {float(rates[0]): float(xs[0]), float(rates[-1]): float(xs[-1])}
 
     def walk(*args):
         raise AssertionError("a quote inside a kept bracket walked")
 
     monkeypatch.setattr(subordinators, "_walk_bracket", walk)
-    state = invert_short_rate(model, sub, 0.0592)
+    states = {quote: invert_short_rate(model, sub, quote) for quote in (0.0592, *ends)}
     assert model._short_rate_brackets == before
     monkeypatch.undo()
-    assert abs(state - invert_short_rate(_fresh(model), sub, 0.0592)) <= 1e-14
+    for quote, end in ends.items():
+        assert abs(states[quote] - end) <= 1e-12, (quote, end)
+    for quote, state in states.items():
+        assert abs(state - invert_short_rate(_fresh(model), sub, quote)) <= 1e-14, quote
 
 
 def test_a_kept_bracket_is_not_evaluated_outside_its_states(monkeypatch):
@@ -411,6 +418,12 @@ def test_a_kept_quote_evaluates_no_state_twice(monkeypatch):
     assert invert_short_rate(model, JD, 0.05) == state
     assert len(evaluated) >= 3
     assert len(set(evaluated)) == len(evaluated)
+    # and so do the kept bracket's first and last tabulated rates
+    (_, _, rates), = model._short_rate_brackets[JD]
+    for quote in (float(rates[0]), float(rates[-1])):
+        evaluated.clear()
+        invert_short_rate(model, JD, quote)
+        assert evaluated and len(set(evaluated)) == len(evaluated), quote
 
 
 @pytest.mark.parametrize("model,sub,quoted", JUMP_CASES, ids=CASE_IDS)

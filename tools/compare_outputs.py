@@ -37,9 +37,12 @@ levels (``value_levels``), the assembled lengths and the searches that took
 a bracketing step (``search_fallbacks``, summed over the dates; absent on
 revisions without the count), the assembly passes (calls of
 ``_Engine._assemble``), the quotes inverted (calls of
-``eigenbond.invert_short_rate``) and the model classes' ``eigenfunctions``
-evaluations, whose one caller is the quote inversion (each absent on a
-revision without the name), or the error raised.  The comparison prints
+``eigenbond.invert_short_rate``), the model classes' ``eigenfunctions``
+evaluations, whose one caller is the quote inversion, and the recurrence
+passes of ``series_sum`` and of ``series_pair``, counted apart inside a
+break-even search (``_RootFinder``'s ``find`` and sign scan) and outside
+one (the issue-date values) (each absent on a revision without the name),
+or the error raised.  The comparison prints
 the largest differences (of values also in units of each run's eps), the
 name of every run past each bound (``BOUNDS``) with that run's largest
 difference, its largest |output| and their ratio (a difference past an
@@ -47,7 +50,8 @@ absolute bound may be rounding of a large output), the mismatch counts, the
 break-even evaluations per workload (seed 5046, the job's eps) in total and
 per decision date with the workload's fallbacks, its assembly passes and,
 where it inverts quotes, its ``eigenfunctions`` evaluations per inverted
-quote, and the criterion-6 deviation of each side.  It
+quote, its recurrence passes per break-even evaluation and per issue-date
+state, and the criterion-6 deviation of each side.  It
 exits 1 when values differ by more than ``VALUE_TOL``, quote states by more
 than ``QUOTE_STATE_TOL``, break-even states or rates by more than
 ``STATE_TOL``, the None pattern, the assembled lengths, the dates, the
@@ -83,8 +87,11 @@ QUOTE_STATE_TOL = 1e-12  # the quote inversion's closing tolerance on the state
 CRITERION_6_BOUND = 2  # the truncation profile's +-2 of the acceptance suite
 BOUNDS = {"value": VALUE_TOL, "quote_state": QUOTE_STATE_TOL, "state": STATE_TOL,
           "rate": STATE_TOL}
+# the model's series evaluators, each one recurrence pass a call
+PASSES = ("series_sum", "series_pair")
 # per-run call counts, summed per workload like the fallbacks
-TALLIES = ("fallbacks", "assemblies", "inverted_quotes", "quote_evaluations")
+TALLIES = ("fallbacks", "assemblies", "inverted_quotes", "quote_evaluations",
+           *(f"{phase}_{name}" for phase in ("search", "issue") for name in PASSES))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +146,33 @@ def _count_calls(calls: dict, key: str, owners, name: str) -> None:
         setattr(owner, name, counted)
 
 
+def _count_passes(calls: dict, model_class, finder_class) -> None:
+    """Count the calls of each ``PASSES`` name on ``model_class`` in
+    ``calls["search_<name>"]`` while a ``find`` or ``scan_single_crossing``
+    of ``finder_class`` runs, else in ``calls["issue_<name>"]``; both stay
+    None when the class lacks the name."""
+    searching = [0]
+    for method in ("find", "scan_single_crossing"):
+        def scoped(*args, _original=getattr(finder_class, method), **kwargs):
+            searching[0] += 1
+            try:
+                return _original(*args, **kwargs)
+            finally:
+                searching[0] -= 1
+
+        setattr(finder_class, method, scoped)
+    for name in PASSES:
+        found = hasattr(model_class, name)
+        for phase in ("search", "issue"):
+            calls[f"{phase}_{name}"] = 0 if found else None
+        if found:
+            def counted(*args, _original=getattr(model_class, name), _name=name, **kwargs):
+                calls[f"{'search' if searching[0] else 'issue'}_{_name}"] += 1
+                return _original(*args, **kwargs)
+
+            setattr(model_class, name, counted)
+
+
 def dump(tree: Path) -> dict:
     """Every run of the comparison, priced by the eigenbond of ``tree``."""
     sys.path[:0] = [str(tree / "src"), str(tree / "bench")]
@@ -156,6 +190,7 @@ def dump(tree: Path) -> dict:
     # the bench jobs invert through the package's name
     _count_calls(calls, "inverted_quotes", [eigenbond], "invert_short_rate")
     _count_calls(calls, "quote_evaluations", DiffusionModel.__subclasses__(), "eigenfunctions")
+    _count_passes(calls, DiffusionModel, eigenbond.pricer._RootFinder)
     priced = functools.partial(_priced, calls=calls)
 
     runs = {}
@@ -277,6 +312,7 @@ def compare(parent: dict, change: dict) -> dict:
     )
     evaluations: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
     dates: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
+    issue_states: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
     tallies: dict[str, dict[str, dict[str, int | None]]] = {
         key: {"parent": {}, "change": {}} for key in TALLIES
     }
@@ -292,6 +328,8 @@ def compare(parent: dict, change: dict) -> dict:
                 total = sum(len(levels) for levels in run["eval_levels"])
                 evaluations[side][workload] = evaluations[side].get(workload, 0) + total
                 dates[side][workload] = dates[side].get(workload, 0) + len(run["eval_levels"])
+                issue_states[side][workload] = (issue_states[side].get(workload, 0)
+                                                + len(run["value_levels"]))
                 for key, tally in tallies.items():
                     count, so_far = run.get(key), tally[side].get(workload, 0)
                     tally[side][workload] = None if None in (count, so_far) else so_far + count
@@ -342,6 +380,7 @@ def compare(parent: dict, change: dict) -> dict:
         "counts": counts,
         "evaluations": evaluations,
         "dates": dates,
+        "issue_states": issue_states,
         **tallies,
         "criterion_6_dev": criterion_6,
         "failed": failed,
@@ -391,11 +430,30 @@ def report(summary: dict) -> str:
         if per_quote != ["-", "-"]:
             lines.append(f"eigenfunctions evaluations per inverted quote, {workload}: "
                          + " -> ".join(per_quote))
+        lines.append(f"recurrence passes, {workload}: per break-even evaluation "
+                     + _passes(summary, workload, "search", "evaluations")
+                     + "; per issue-date state "
+                     + _passes(summary, workload, "issue", "issue_states"))
     dev = summary["criterion_6_dev"]
     lines.append(f"criterion-6 max deviation: parent {dev['parent']}, change {dev['change']} "
                  f"(bound {CRITERION_6_BOUND})")
     lines.append("FAILED: " + ", ".join(summary["failed"]) if summary["failed"] else "OK")
     return "\n".join(lines)
+
+
+def _passes(summary: dict, workload: str, phase: str, per: str) -> str:
+    """The workload's recurrence passes in ``phase`` per count of ``per``,
+    parent -> change, each with its calls by name ("-" where the revision
+    lacks the name)."""
+    sides = []
+    for side in ("parent", "change"):
+        made = {name: summary[f"{phase}_{name}"][side].get(workload) for name in PASSES}
+        total = sum(n for n in made.values() if n is not None)
+        count = summary[per][side].get(workload)
+        ratio = f"{total / count:.3f}" if count else "-"
+        sides.append(ratio + " (" + ", ".join(
+            f"{name} {'-' if n is None else n}" for name, n in made.items()) + f" / {count})")
+    return " -> ".join(sides)
 
 
 def _dump_in(tree: Path, out: Path) -> dict:
