@@ -22,13 +22,13 @@ model.  The Levy-integral quadrature lives in ``oracle.py`` as an
 independent cross-check.
 
 ``invert_short_rate`` keeps, on the model and per clock, every bracket
-(a grid of states, the coefficients resolved over it, r_phi tabulated at
-its states) whose rates enclosed the quote it was walked for.  A quote
-inside a kept bracket resolves no series: it closes in the grid cell whose
-tabulated rates enclose it, by a bracketed secant seeded by interpolating
-the table, at about three series evaluations.  ``short_rate_map`` reads
-the states inside a kept bracket through its coefficients and resolves the
-series over the others.
+(a grid of states, the coefficients resolved over it, r_phi and dr_phi/dx
+tabulated at its states) whose rates enclosed the quote it was walked for.
+A quote inside a kept bracket resolves no series: it closes in the grid
+cell whose tabulated rates enclose it, seeded by the cell's cubic Hermite
+interpolant of the inverse, at one series evaluation in the common case.
+``short_rate_map`` reads the states inside a kept bracket through its
+coefficients and resolves the series over the others.
 
 Supported families (lowercase names used in configs):
 
@@ -269,13 +269,13 @@ _MAX_SUPPLY = 16383
 
 # Quote inversion: the bracket first reaches _BRACKET_WIDTH either side of
 # the quote and doubles its reach at most _BRACKET_STEPS times; its grid of
-# _BRACKET_GRID states spread evenly over it tabulates r_phi, and a quote
-# closes in the cell whose tabulated rates enclose it.  Over the bench's
-# 160 rate_sweep quotes 65 states take 2.98 evaluations per quote, 17 take
-# 3.64, 33 take 3.13 and 257 take 2.92.
+# _BRACKET_GRID states spread evenly over it tabulates r_phi and its slope,
+# and a quote closes in the cell whose tabulated rates enclose it.  Over the
+# bench's 160 rate_sweep quotes, with the Hermite seed, 65 states take 1.79
+# evaluations per quote, 129 take 1.14 and 257 take 1.00.
 _BRACKET_WIDTH = 0.5
 _BRACKET_STEPS = 8
-_BRACKET_GRID = 65
+_BRACKET_GRID = 257
 _STATE_TOL = 1e-12  # the closed state's sign bracket, or twice its last step
 
 
@@ -334,7 +334,7 @@ def short_rate_map(model: DiffusionModel, sub: SubordinatorSpec, x):
     flat = xs.ravel()
     rates = np.empty(flat.size)
     left = np.ones(flat.size, dtype=bool)
-    for states, coefficients, _ in model._short_rate_brackets.get(sub, ()):
+    for states, coefficients, *_ in model._short_rate_brackets.get(sub, ()):
         inside = left & (states[0] <= flat) & (flat <= states[-1])
         if inside.any():
             matrix = model.eigenfunction_matrix(coefficients.size - 1, flat[inside])
@@ -398,23 +398,66 @@ def _gap(model: DiffusionModel, sub: SubordinatorSpec, coefficients: np.ndarray,
     return gap
 
 
+# 12 h r'(x_0) and 12 h r'(x_1) from r(x_0) .. r(x_4), h the grid's step
+_END_STENCIL = np.array([[-25.0, 48.0, -36.0, 16.0, -3.0], [-3.0, -10.0, 18.0, -6.0, 1.0]])
+
+
+def _grid_slopes(xs: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """dr_phi/dx at the states of an evenly spaced grid: fourth-order central
+    differences of the tabulated rates, one-sided five-point differences at
+    the two states at each end."""
+    step = (xs[-1] - xs[0]) / (xs.size - 1)
+    slopes = np.empty_like(rates)
+    slopes[2:-2] = rates[:-4] - 8.0 * rates[1:-3] + 8.0 * rates[3:-1] - rates[4:]
+    slopes[:2] = _END_STENCIL @ rates[:5]
+    slopes[-2:] = -_END_STENCIL[::-1, ::-1] @ rates[-5:]
+    return slopes / (12.0 * step)
+
+
+def _seed(lo: float, hi: float, r_lo: float, r_hi: float, s_lo: float, s_hi: float,
+          rate: float) -> tuple[float, float]:
+    """(x, dx/dr) at ``rate`` of the cell's cubic Hermite interpolant of the
+    inverse x(r), with dx/dr = 1/slope at the cell's ends.
+
+    The chord of the cell stands in for the seed where the interpolant's
+    seed is not strictly inside the cell (or an end slope is not positive),
+    and for its dx/dr where that is not within a factor 2 of the chord's.
+    Within it, a first step that meets the stop rule lands within
+    ``_STATE_TOL``/2 of the root; a dx/dr far too small would stop the
+    loop after a step far too short."""
+    width, rise = hi - lo, r_hi - r_lo
+    chord = width / rise
+    if s_lo > 0.0 and s_hi > 0.0:
+        t = (rate - r_lo) / rise
+        m_lo, m_hi = rise / width / s_lo, rise / width / s_hi  # the ends' dx/dr over the chord's
+        x = lo + width * t * (t * (3.0 - 2.0 * t) + m_lo * (1.0 - t) ** 2 + m_hi * t * (t - 1.0))
+        if lo < x < hi:
+            ratio = (6.0 * t * (1.0 - t) + m_lo * (1.0 - t) * (1.0 - 3.0 * t)
+                     + m_hi * t * (3.0 * t - 2.0))  # its dx/dr over the chord's
+            return x, chord * ratio if 0.5 <= ratio <= 2.0 else chord
+    return lo - (r_lo - rate) * chord, chord
+
+
 def _close(model: DiffusionModel, sub: SubordinatorSpec, bracket, rate: float) -> float:
     """The state of ``rate`` in the cell of the bracket's grid whose
-    tabulated rates enclose it, by a bracketed secant on ``_gap``.
+    tabulated rates enclose it.
 
-    The seed interpolates the cell's tabulated rates linearly, at no
-    evaluation.  Each step is the secant through the last two points; a
-    step that would leave the sign bracket bisects it instead.  The loop
-    stops at a step of at most ``_STATE_TOL``/2 or a sign bracket at most
-    ``_STATE_TOL`` wide.
+    The seed is the cell's cubic Hermite interpolant of the inverse
+    (``_seed``), at no evaluation.  The first step is Newton's, with the
+    interpolant's dx/dr at the seed; each later step is the secant through
+    the last two points.  A step that would leave the sign bracket bisects
+    it instead.  The loop stops at a step of at most ``_STATE_TOL``/2 or a
+    sign bracket at most ``_STATE_TOL`` wide, most often after the first
+    evaluation.
     """
-    xs, coefficients, rates = bracket
-    cell = min(max(int(np.searchsorted(rates, rate)), 1), rates.size - 1)
-    lo, hi = float(xs[cell - 1]), float(xs[cell])
-    g_lo, g_hi = float(rates[cell - 1]) - rate, float(rates[cell]) - rate
-    x_prev, g_prev = (lo, g_lo) if -g_lo < g_hi else (hi, g_hi)
-    x = lo - g_lo * (hi - lo) / (g_hi - g_lo)
+    xs, coefficients, rates, slopes = bracket
+    cell = min(max(int(rates.searchsorted(rate)), 1), rates.size - 1)
+    lo, hi = xs[cell - 1 : cell + 1].tolist()
+    r_lo, r_hi = rates[cell - 1 : cell + 1].tolist()
+    s_lo, s_hi = slopes[cell - 1 : cell + 1].tolist()
+    x, dxdg = _seed(lo, hi, r_lo, r_hi, s_lo, s_hi, rate)
     gap = _gap(model, sub, coefficients, rate)
+    x_prev = g_prev = None
     while True:
         g = gap(x)
         if g == 0.0:
@@ -423,7 +466,9 @@ def _close(model: DiffusionModel, sub: SubordinatorSpec, bracket, rate: float) -
             lo = x
         else:
             hi = x
-        step = g * (x - x_prev) / (g_prev - g) if g != g_prev else math.inf
+        if x_prev is not None:
+            dxdg = (x - x_prev) / (g - g_prev) if g != g_prev else math.inf
+        step = -g * dxdg
         x_prev, g_prev, x = x, g, x + step
         if not lo < x < hi:
             x = 0.5 * (lo + hi)
@@ -443,14 +488,15 @@ def invert_short_rate(
     A quote closes inside a bracket: a grid of states whose series values,
     through one coefficient vector resolved over the grid, enclose it.  The
     closing step (``_close``) starts from the grid's tabulated rates and
-    evaluates the series about three times.
+    slopes and evaluates the series once in the common case.
 
-    Brackets are kept on the model per clock (read-only).  A quote inside a
-    kept bracket's rates closes in it and resolves no series; any other
-    quote walks a bracket of its own, widening it until its rates enclose
-    the quote, and keeps it.  A quote below r_phi at a lower boundary that
-    is a state has no state and is refused with ``BracketError``; a refused
-    quote keeps nothing.
+    Brackets are kept on the model per clock (read-only), each with r_phi
+    and its slope tabulated at its states once, when it is kept.  A quote
+    inside a kept bracket's rates closes in it and resolves no series; any
+    other quote walks a bracket of its own, widening it until its rates
+    enclose the quote, and keeps it.  A quote below r_phi at a lower
+    boundary that is a state has no state and is refused with
+    ``BracketError``; a refused quote keeps nothing.
     """
     check_real("short rate", rate)
     rate = float(rate)
@@ -459,15 +505,15 @@ def invert_short_rate(
     if sub.is_trivial:
         return rate
     brackets = model._short_rate_brackets.get(sub, ())
-    bracket = next((b for b in brackets if b[2][0] <= rate <= b[2][-1]), None)
+    bracket = next((b for b in brackets if b[2].item(0) <= rate <= b[2].item(-1)), None)
     if bracket is None:
-        bracket = _walk_bracket(model, sub, rate)
-        xs, _, rates = bracket
+        xs, coefficients, rates = _walk_bracket(model, sub, rate)
         if rates[0] > rate:
             raise BracketError(
                 f"short rate {rate} lies below r_phi = {rates[0]:.6g} at the lower "
                 f"boundary state {xs[0]:.6g}; no state has it"
             )
+        bracket = (xs, coefficients, rates, _grid_slopes(xs, rates))
         for array in bracket:
             array.flags.writeable = False
         model._short_rate_brackets.setdefault(sub, []).append(bracket)

@@ -203,15 +203,25 @@ def test_a_priced_run_records_the_calls_it_made():
         def _assemble(self):
             return 1.0
 
+    class Subordinators:  # a module's function, looked up by its global name
+        @staticmethod
+        def _resolved_series():
+            return 2.0
+
     calls = {}
     compare_outputs._count_calls(calls, "assemblies", [Engine], "_assemble")
     compare_outputs._count_calls(calls, "quote_evaluations", [Engine], "eigenfunctions")
+    compare_outputs._count_calls(calls, "resolutions", [Subordinators], "_resolved_series")
     engine = Engine()
     engine._assemble()  # before the run: not the run's
-    run = compare_outputs._priced(lambda: [engine._assemble(), engine._assemble()],
-                                  {"workload": "w"}, record=compare_outputs._outputs, calls=calls)
-    assert run["values"] == [1.0, 1.0]
+    Subordinators._resolved_series()
+    run = compare_outputs._priced(
+        lambda: [engine._assemble(), engine._assemble(), Subordinators._resolved_series()],
+        {"workload": "w"}, record=compare_outputs._outputs, calls=calls,
+    )
+    assert run["values"] == [1.0, 1.0, 2.0]
     assert run["assemblies"] == 2
+    assert run["resolutions"] == 1
     assert run["quote_evaluations"] is None  # the revision has no such name
     failed = compare_outputs._priced(lambda: 1 / 0, {"workload": "w"})
     assert failed == {"workload": "w", "error": "ZeroDivisionError: division by zero"}
@@ -270,3 +280,21 @@ def test_recurrence_passes_per_evaluation_and_per_issue_date_state_are_reported(
     assert ("recurrence passes, long_callable: per break-even evaluation "
             "1.000 (series_sum 3, series_pair - / 3) -> 1.000 (series_sum 3, series_pair 0 / 3)"
             ) in report
+
+
+def test_series_resolutions_are_reported_per_workload():
+    # a parent without the name reads "-"; seed 9137 and the 1e-12 runs
+    # stay out of the tally
+    def runs(sweep, other_seed, full_eps, long):
+        return {"a": {**_run(workload="rate_sweep"), "resolutions": sweep},
+                "a2": {**_run(workload="rate_sweep", seed=9137), "resolutions": other_seed},
+                "a3": {**_run(workload="rate_sweep", job_eps=False), "resolutions": full_eps},
+                "b": {**_run(workload="long_callable"), "resolutions": long}}
+
+    summary = compare_outputs.compare(runs(None, None, None, None), runs(4, 4, 1, 0))
+    assert summary["resolutions"] == {"parent": {"rate_sweep": None, "long_callable": None},
+                                      "change": {"rate_sweep": 4, "long_callable": 0}}
+    assert summary["failed"] == []  # the counts are reported, not bounded
+    report = compare_outputs.report(summary)
+    assert "short-rate series resolutions, rate_sweep: - -> 4" in report
+    assert "short-rate series resolutions, long_callable: - -> 0" in report

@@ -359,7 +359,7 @@ def test_a_quote_inside_a_kept_bracket_closes_without_walking(monkeypatch):
     model, sub = _fresh(benchmark.benchmark_model("subvasicek_jd")), JD
     invert_short_rate(model, sub, 0.05)
     before = {key: list(brackets) for key, brackets in model._short_rate_brackets.items()}
-    (xs, _, rates), = model._short_rate_brackets[sub]
+    (xs, _, rates, _), = model._short_rate_brackets[sub]
     ends = {float(rates[0]): float(xs[0]), float(rates[-1]): float(xs[-1])}
 
     def walk(*args):
@@ -381,7 +381,7 @@ def test_a_kept_bracket_is_not_evaluated_outside_its_states(monkeypatch):
     # or walks a bracket of its own, never below them.
     model = _fresh(TH)
     invert_short_rate(model, JD, 0.03)
-    (kept_xs, kept_coefficients, _), = model._short_rate_brackets[JD]
+    (kept_xs, kept_coefficients, _, _), = model._short_rate_brackets[JD]
     assert kept_xs[0] == pytest.approx(0.015, rel=1e-12)
     kept_states = []
 
@@ -399,8 +399,8 @@ def test_a_kept_bracket_is_not_evaluated_outside_its_states(monkeypatch):
 
 
 def test_a_kept_quote_evaluates_no_state_twice(monkeypatch):
-    # the cell's ends are read from the kept table, and the secant and its
-    # bisections never return to an evaluated state
+    # the cell's ends are read from the kept table, and the Newton step, the
+    # secant and its bisections never return to an evaluated state
     model = _fresh(CIR)
     state = invert_short_rate(model, JD, 0.05)
     evaluated = []
@@ -416,10 +416,10 @@ def test_a_kept_quote_evaluates_no_state_twice(monkeypatch):
     monkeypatch.setattr(CIRModel, "eigenfunctions", counted)
     monkeypatch.setattr(subordinators, "_walk_bracket", walk)
     assert invert_short_rate(model, JD, 0.05) == state
-    assert len(evaluated) >= 3
+    assert len(evaluated) >= 1
     assert len(set(evaluated)) == len(evaluated)
     # and so do the kept bracket's first and last tabulated rates
-    (_, _, rates), = model._short_rate_brackets[JD]
+    (_, _, rates, _), = model._short_rate_brackets[JD]
     for quote in (float(rates[0]), float(rates[-1])):
         evaluated.clear()
         invert_short_rate(model, JD, quote)
@@ -431,7 +431,7 @@ def test_the_rate_map_reads_the_kept_coefficients(monkeypatch, model, sub, quote
     warm = _fresh(model)
     for quote in _sweep_quotes(8, *quoted):
         invert_short_rate(warm, sub, quote)
-    kept = [xs for xs, _, _ in warm._short_rate_brackets[sub]]
+    kept = [xs for xs, *_ in warm._short_rate_brackets[sub]]
     # mostly off the kept grids, their ends included
     inside = np.concatenate([np.linspace(xs[0], xs[-1], 47) for xs in kept])
     outside = np.array([max(xs[-1] for xs in kept) + 0.05])
@@ -456,10 +456,24 @@ def test_the_rate_map_reads_the_kept_coefficients(monkeypatch, model, sub, quote
     assert rates[-1] == short_rate_map(fresh, sub, outside[0])
 
 
-def test_a_sweep_closes_each_quote_in_three_evaluations_on_the_root(monkeypatch):
-    # the bench's rate_sweep quotes at seed 5046, 40 per jump config in turn
+def _kept(model, sub, quoted):
+    """A fresh model with the one bracket kept from the middle of the quoted
+    range, and that bracket."""
+    warm = _fresh(model)
+    invert_short_rate(warm, sub, 0.5 * sum(quoted))
+    (bracket,) = warm._short_rate_brackets[sub]
+    return warm, bracket
+
+
+def _tight_root(model, sub, bracket, quote):
     from scipy.optimize import brentq
 
+    xs, coefficients, *_ = bracket
+    return brentq(subordinators._gap(model, sub, coefficients, quote), xs[0], xs[-1], xtol=1e-14)
+
+
+def test_a_sweep_closes_each_quote_in_one_evaluation_on_the_root(monkeypatch):
+    # the bench's rate_sweep quotes at seed 5046, 40 per jump config in turn
     rng = np.random.default_rng(5046)
     edges = np.linspace(0.01, 0.12, 41)
     evaluations = [0]
@@ -475,15 +489,124 @@ def test_a_sweep_closes_each_quote_in_three_evaluations_on_the_root(monkeypatch)
         model = _fresh(model)
         for quote in rng.uniform(edges[:-1], edges[1:]):
             state = invert_short_rate(model, sub, quote)
-            xs, coefficients, _ = next(
+            bracket = next(
                 b for b in model._short_rate_brackets[sub] if b[2][0] <= quote <= b[2][-1]
             )
-            gap = subordinators._gap(model, sub, coefficients, quote)
             before = evaluations[0]
-            misses.append(abs(state - brentq(gap, xs[0], xs[-1], xtol=1e-14)))
+            misses.append(abs(state - _tight_root(model, sub, bracket, quote)))
             evaluations[0] = before
-    assert evaluations[0] / len(misses) <= 3.5
+    assert evaluations[0] / len(misses) <= 1.2
     assert len(misses) == 160 and max(misses) <= 1e-12
+
+
+@pytest.mark.parametrize("model,sub,quoted", JUMP_CASES, ids=CASE_IDS)
+def test_quotes_at_the_ends_and_at_the_tabulated_rates_close_on_the_root(
+    monkeypatch, model, sub, quoted
+):
+    # The first and last two cells read one-sided differences; a tabulated
+    # rate lies on a cell's end, where the Hermite seed is that end's state.
+    # Each closes in one evaluation, but for the 3/2 model's first cells,
+    # where r_phi bends most (two).
+    warm, bracket = _kept(model, sub, quoted)
+    _, _, rates, _ = bracket
+    n = rates.size
+    cells = (1, 2, n - 2, n - 1)
+    quotes = [float(rates[k - 1] + f * (rates[k] - rates[k - 1])) for k in cells
+              for f in (0.1, 0.5, 0.9)]
+    quotes += [float(rates[k]) for k in (1, n // 4, n // 2, 3 * n // 4, n - 2)]
+    evaluations = [0]
+
+    def counted(self, n_max, x, _original=type(model).eigenfunctions):
+        evaluations[0] += 1
+        return _original(self, n_max, x)
+
+    monkeypatch.setattr(type(model), "eigenfunctions", counted)
+    for quote in quotes:
+        evaluations[0] = 0
+        state = invert_short_rate(warm, sub, quote)
+        assert evaluations[0] <= (2 if model is TH else 1), quote
+        assert abs(state - _tight_root(warm, sub, bracket, quote)) <= 1e-12, quote
+    assert warm._short_rate_brackets[sub] == [bracket]  # every quote closed in it
+
+
+def test_a_three_halves_quote_in_the_lowest_kept_cell_closes_like_a_fresh_model():
+    # Kept from 0.0154 under JD, the lowest cell's rates start at 0.01193,
+    # and a fresh model inverts its quotes from 0.012 up.  Kept from 0.012,
+    # the lowest state is 0.0090, near the excluded origin, where a fresh
+    # model refuses the cell's quotes.  There eps times the sum of the
+    # series' |terms| reaches 2.1e-12 (at 0.0092), the gap changes sign
+    # several times within 1.3e-12 of a tight Brent's root, and that
+    # rounding over the slope is allowed on top.
+    for kept_from, lowest in ((0.0154, 0.01155), (0.012, 0.009)):
+        warm = _fresh(TH)
+        invert_short_rate(warm, JD, kept_from)
+        (bracket,) = warm._short_rate_brackets[JD]
+        xs, coefficients, rates, _ = bracket
+        assert xs[0] == pytest.approx(lowest, rel=1e-12)
+        chord = (rates[1] - rates[0]) / (xs[1] - xs[0])
+        for f in (0.1, 0.5, 0.9):
+            quote = float(rates[0] + f * (rates[1] - rates[0]))
+            state = invert_short_rate(warm, JD, quote)
+            assert xs[0] < state < xs[1]
+            assert warm._short_rate_brackets[JD] == [bracket]
+            if quote >= 0.012:
+                expected, rounding = invert_short_rate(_fresh(TH), JD, quote), 0.0
+            else:
+                expected = _tight_root(warm, JD, bracket, quote)
+                terms = warm.eigenfunctions(coefficients.size - 1, state) * coefficients
+                rounding = np.finfo(float).eps * np.abs(terms).sum() / chord
+            assert abs(state - expected) <= 1e-12 + rounding, (kept_from, quote)
+
+
+def _wrong_slopes(slopes, wrong):
+    """The kept slopes scaled, or with the one at the middle state set <= 0."""
+    if wrong in ("times_3", "over_3"):
+        return slopes * (3.0 if wrong == "times_3" else 1.0 / 3.0)
+    changed = slopes.copy()
+    changed[slopes.size // 2] = 0.0 if wrong == "zero" else -slopes[slopes.size // 2]
+    return changed
+
+
+@pytest.mark.parametrize("wrong", ("times_3", "over_3", "zero", "negative"))
+@pytest.mark.parametrize("model,sub,quoted", JUMP_CASES, ids=CASE_IDS)
+def test_wrong_kept_slopes_still_close_on_the_root(monkeypatch, model, sub, quoted, wrong):
+    # the chord stands in for the seed where the Hermite seed leaves its cell
+    # or an end slope is not positive, and for the first step's dx/dr where
+    # the interpolant's is off the chord's by more than 2x (slopes over 3
+    # give it 0 at mid-cell); the secant steps take over from a step astray
+    warm, (xs, coefficients, rates, slopes) = _kept(model, sub, quoted)
+    bracket = (xs, coefficients, rates, _wrong_slopes(slopes, wrong))
+    bracket[3].flags.writeable = False
+    warm._short_rate_brackets[sub] = [bracket]
+    seeds = []
+
+    def spied(*args, _original=subordinators._seed):
+        seeds.append((args, _original(*args)))
+        return seeds[-1][1]
+
+    monkeypatch.setattr(subordinators, "_seed", spied)
+    evaluated = []
+
+    def counted(self, n_max, x, _original=type(model).eigenfunctions):
+        evaluated.append(float(x))
+        return _original(self, n_max, x)
+
+    monkeypatch.setattr(type(model), "eigenfunctions", counted)
+    middle, total = rates.size // 2, 0
+    for k in (1, middle - 1, middle, middle + 1, middle + 2, rates.size - 1):
+        for f in (0.2, 0.5, 0.8):
+            quote = float(rates[k - 1] + f * (rates[k] - rates[k - 1]))
+            evaluated.clear()
+            state = invert_short_rate(warm, sub, quote)
+            assert len(set(evaluated)) == len(evaluated) >= 1, quote
+            assert abs(state - _tight_root(warm, sub, bracket, quote)) <= 1e-12, quote
+            total += len(evaluated)
+    assert warm._short_rate_brackets[sub] == [bracket]
+    assert total > len(seeds)  # steps beyond the first were taken
+    if wrong in ("zero", "negative"):  # the chord seeds the cells beside that slope
+        chords = [lo - (r_lo - rate) * (hi - lo) / (r_hi - r_lo)
+                  for (lo, hi, r_lo, r_hi, *_, rate), _ in seeds]
+        assert [x for (_, (x, _)) in seeds[6:12]] == chords[6:12]
 
 
 def test_two_clocks_on_one_model_keep_their_own_brackets():
@@ -517,8 +640,9 @@ def test_cached_brackets_are_read_only():
     model = _fresh(VAS)
     invert_short_rate(model, PJ, 0.05)
     (brackets,) = model._short_rate_brackets.values()
-    for xs, coefficients, rates in brackets:
-        for array in (xs, coefficients, rates):
+    for bracket in brackets:
+        assert len(bracket) == 4  # states, coefficients, rates, slopes
+        for array in bracket:
             assert not array.flags.writeable
             with pytest.raises(ValueError):
                 array[0] = 0.0

@@ -38,7 +38,8 @@ a bracketing step (``search_fallbacks``, summed over the dates; absent on
 revisions without the count), the assembly passes (calls of
 ``_Engine._assemble``), the quotes inverted (calls of
 ``eigenbond.invert_short_rate``), the model classes' ``eigenfunctions``
-evaluations, whose one caller is the quote inversion, and the recurrence
+evaluations, whose one caller is the quote inversion, the short-rate series
+resolutions (calls of ``subordinators._resolved_series``), and the recurrence
 passes of ``series_sum`` and of ``series_pair``, counted apart inside a
 break-even search (``_RootFinder``'s ``find`` and sign scan) and outside
 one (the issue-date values) (each absent on a revision without the name),
@@ -50,8 +51,9 @@ absolute bound may be rounding of a large output), the mismatch counts, the
 break-even evaluations per workload (seed 5046, the job's eps) in total and
 per decision date with the workload's fallbacks, its assembly passes and,
 where it inverts quotes, its ``eigenfunctions`` evaluations per inverted
-quote, its recurrence passes per break-even evaluation and per issue-date
-state, and the criterion-6 deviation of each side.  It
+quote, its short-rate series resolutions, its recurrence passes per
+break-even evaluation and per issue-date state, and the criterion-6
+deviation of each side.  It
 exits 1 when values differ by more than ``VALUE_TOL``, quote states by more
 than ``QUOTE_STATE_TOL``, break-even states or rates by more than
 ``STATE_TOL``, the None pattern, the assembled lengths, the dates, the
@@ -90,7 +92,7 @@ BOUNDS = {"value": VALUE_TOL, "quote_state": QUOTE_STATE_TOL, "state": STATE_TOL
 # the model's series evaluators, each one recurrence pass a call
 PASSES = ("series_sum", "series_pair")
 # per-run call counts, summed per workload like the fallbacks
-TALLIES = ("fallbacks", "assemblies", "inverted_quotes", "quote_evaluations",
+TALLIES = ("fallbacks", "assemblies", "inverted_quotes", "quote_evaluations", "resolutions",
            *(f"{phase}_{name}" for phase in ("search", "issue") for name in PASSES))
 
 
@@ -190,6 +192,7 @@ def dump(tree: Path) -> dict:
     # the bench jobs invert through the package's name
     _count_calls(calls, "inverted_quotes", [eigenbond], "invert_short_rate")
     _count_calls(calls, "quote_evaluations", DiffusionModel.__subclasses__(), "eigenfunctions")
+    _count_calls(calls, "resolutions", [eigenbond.subordinators], "_resolved_series")
     _count_passes(calls, DiffusionModel, eigenbond.pricer._RootFinder)
     priced = functools.partial(_priced, calls=calls)
 
@@ -418,9 +421,7 @@ def report(summary: dict) -> str:
             f"break-even evaluations, {workload} (seed {SEEDS[0]}, job eps): {p} -> {c}, "
             f"per date {p_date} -> {c_date}; search fallbacks {p_fall} -> {c_fall}"
         )
-        assemblies = [summary["assemblies"][side].get(workload) for side in ("parent", "change")]
-        lines.append(f"assembly passes, {workload}: "
-                     + " -> ".join("-" if n is None else str(n) for n in assemblies))
+        lines.append(f"assembly passes, {workload}: " + _tally(summary, "assemblies", workload))
         per_quote = []
         for side in ("parent", "change"):
             quotes = summary["inverted_quotes"][side].get(workload)
@@ -430,6 +431,8 @@ def report(summary: dict) -> str:
         if per_quote != ["-", "-"]:
             lines.append(f"eigenfunctions evaluations per inverted quote, {workload}: "
                          + " -> ".join(per_quote))
+        lines.append(f"short-rate series resolutions, {workload}: "
+                     + _tally(summary, "resolutions", workload))
         lines.append(f"recurrence passes, {workload}: per break-even evaluation "
                      + _passes(summary, workload, "search", "evaluations")
                      + "; per issue-date state "
@@ -439,6 +442,13 @@ def report(summary: dict) -> str:
                  f"(bound {CRITERION_6_BOUND})")
     lines.append("FAILED: " + ", ".join(summary["failed"]) if summary["failed"] else "OK")
     return "\n".join(lines)
+
+
+def _tally(summary: dict, key: str, workload: str) -> str:
+    """The workload's count of ``key``, parent -> change ("-" where the
+    revision lacks the name)."""
+    counts = [summary[key][side].get(workload) for side in ("parent", "change")]
+    return " -> ".join("-" if n is None else str(n) for n in counts)
 
 
 def _passes(summary: dict, workload: str, phase: str, per: str) -> str:
