@@ -34,7 +34,10 @@ one of four ways:
   Laguerre, chi_n(u) = sqrt(u^{alpha+2} e^{-u}) M_{n-1} L_{n-1}^(alpha+1)(u),
   M_{n-1}^2 = (n-1)! / Gamma(n + alpha + 1), chi_0 = 0.  The diagonal d
   steps up in degree from a seed, erfc(-z) / 2 or the regularized
-  incomplete gamma P(alpha + 1, z).  ``_hermite_rows`` and
+  incomplete gamma P(alpha + 1, z) (``regularized_lower_gamma``, in the
+  standard library's arithmetic: DiDonato and Morris's prefix, the power
+  series, the continued fraction and, near z = a for large a, Temme's
+  uniform expansion).  ``_hermite_rows`` and
   ``_laguerre_rows`` build (f, g, d) by one recurrence pass each, with no
   factor leaving double range at any degree.  Their per-degree square
   roots are built once to degree ``POOL_CAP`` + 1, as module constants for
@@ -59,7 +62,8 @@ the same rows; the Hermite exp integrals int_-inf^x e^{s y - y^2/2} h_n dy,
 which step up from an erfc seed; and the full-line limits of both families
 (``*_at_infinity``), which the exact identity at ``state_hi`` replaces.
 The pricer takes one ``overlap_below`` per finite break-even state per
-assembly pass (see ``pricer._Engine._assemble``).
+assembly pass (see ``pricer._Engine._assemble``).  The module, reference
+tables included, runs on numpy and the standard library.
 """
 
 from __future__ import annotations
@@ -67,11 +71,10 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from . import series
 from .errors import ValidationError, check_integer
-from .models import HERMITE_FUNCTIONS, POOL_CAP, DiffusionModel, _kernel
+from .models import HERMITE_FUNCTIONS, POOL_CAP, DiffusionModel, _kernel, _lgamma
 from .specfun import laguerre_sequence_table
 from .subordinators import SubordinatorSpec, spectrum
 
@@ -88,6 +91,7 @@ __all__ = [
     "overlap_matrix",
     "strike_projection",
     "max_table_degree",
+    "regularized_lower_gamma",
 ]
 
 
@@ -98,7 +102,176 @@ def max_table_degree(model: DiffusionModel) -> int:
 
 def _lower_gamma_vec(a: np.ndarray, x: float) -> np.ndarray:
     """Non-regularized lower incomplete gamma for a vector of parameters."""
-    return sp.gammainc(a, x) * np.exp(sp.gammaln(a))
+    return np.array([regularized_lower_gamma(v, x) * math.gamma(v) for v in a.tolist()])
+
+
+# ---------------------------------------------------------------------------
+# The regularized lower incomplete gamma P(a, z)
+# ---------------------------------------------------------------------------
+
+# Stirling's series lgamma(a + 1) - (a log a - a + log(2 pi a) / 2)
+# = sum_j B_2j / (2j (2j - 1) a^(2j - 1)), j = 1..8; the first term left out
+# is below 1e-22 from a = 20
+_STIRLING = (
+    1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156, -3617 / 122400
+)
+
+# d[k][n] of Temme's uniform expansion (DLMF 8.12): c_k(eta) = sum_n d[k][n] eta^n,
+# c_0 = 1 / (lambda - 1) - 1 / eta and c_k = c_{k-1}' / eta + (-1)^k g_k / (lambda - 1),
+# with g_k the Stirling coefficients of Gamma*(a).  Rows k = 0..9, each cut where
+# its terms fall below 1e-17 at a = 20 and |eta| = 0.471 (lambda = 0.6);
+# tests/test_coeffs.py rebuilds them in exact rationals.
+_TEMME_TERMS = (
+    (-0.3333333333333333, 0.08333333333333333, -0.014814814814814815, 0.0011574074074074073,
+     0.0003527336860670194, -0.0001787551440329218, 3.919263178522438e-05,
+     -2.185448510679992e-06, -1.85406221071516e-06, 8.296711340953087e-07,
+     -1.7665952736826078e-07, 6.707853543401498e-09, 1.0261809784240309e-08,
+     -4.382036018453353e-09, 9.14769958223679e-10, -2.5514193994946248e-11,
+     -5.830772132550426e-11, 2.4361948020667415e-11),
+    (-0.001851851851851852, -0.003472222222222222, 0.0026455026455026454,
+     -0.0009902263374485596, 0.00020576131687242798, -4.018775720164609e-07,
+     -1.8098550334489977e-05, 7.64916091608111e-06, -1.6120900894563446e-06,
+     4.647127802807434e-09, 1.378633446915721e-07, -5.752545603517705e-08,
+     1.1951628599778148e-08, -1.7543241719747647e-11, -1.0091543710600413e-09,
+     4.162792991842583e-10, -8.56390702649298e-11),
+    (0.004133597883597883, -0.0026813271604938273, 0.0007716049382716049,
+     2.0093878600823047e-06, -0.0001073665322636516, 5.2923448829120125e-05,
+     -1.2760635188618728e-05, 3.423578734096138e-08, 1.3721957309062934e-06,
+     -6.298992138380055e-07, 1.4280614206064242e-07, -2.0477098421990866e-10,
+     -1.409252991086752e-08, 6.228974084922022e-09, -1.3670488396617114e-09),
+    (0.0006494341563786008, 0.00022947209362139917, -0.0004691894943952557,
+     0.00026772063206283885, -7.561801671883977e-05, -2.396505113867297e-07,
+     1.1082654115347302e-05, -5.6749528269915965e-06, 1.4230900732435883e-06,
+     -2.7861080291528143e-11, -1.6958404091930278e-07, 8.099464905388083e-08,
+     -1.9111168485973655e-08),
+    (-0.0008618882909167117, 0.0007840392217200666, -0.0002990724803031902,
+     -1.4638452578843418e-06, 6.641498215465122e-05, -3.968365047179435e-05,
+     1.1375726970678419e-05, 2.507497226237533e-10, -1.6954149536558305e-06,
+     8.907507532205309e-07, -2.292934834000805e-07, 2.956794137544049e-11,
+     2.8865829742708783e-08),
+    (-0.00033679855336635813, -6.972813758365857e-05, 0.0002772753244959392,
+     -0.00019932570516188847, 6.797780477937208e-05, 1.419062920643967e-07,
+     -1.3594048189768693e-05, 8.018470256334202e-06, -2.291481176508095e-06,
+     -3.252473551298454e-10, 3.4652846491085265e-07, -1.8447187191171344e-07),
+    (0.0005313079364639922, -0.0005921664373536939, 0.0002708782096718045,
+     7.902353232660328e-07, -8.153969367561969e-05, 5.61168275310625e-05,
+     -1.8329116582843375e-05, -3.0796134506033047e-09, 3.465155368803609e-06,
+     -2.0291327396058603e-06),
+    (0.00034436760689237765, 5.171790908260592e-05, -0.00033493161081142234,
+     0.0002812695154763237, -0.00010976582244684731, -1.2741009095484485e-07,
+     2.7744451511563645e-05, -1.8263488805711332e-05, 5.7876949497350525e-06),
+    (-0.0006526239185953094, 0.0008394987206720873, -0.000438297098541721,
+     -6.969091458420552e-07, 0.00016644846642067547, -0.00012783517679769218,
+     4.629953263691304e-05),
+    (-0.0005967612901927463, -7.204895416020011e-05, 0.0006782308837667328,
+     -0.0006401475260262758, 0.00027750107634328704),
+)
+
+_TEMME_A = 20.0  # Temme's expansion for a above this, near z = a
+_EPS = 2.0**-53
+_TINY = 1e-300  # the Lentz guard against a zero denominator
+
+
+def _log1pmx(t: float) -> float:
+    """log(1 + t) - t for t > -1, without the cancellation of log1p(t) - t
+    near 0: with y = t / (2 + t), log(1 + t) = 2 atanh y, so the difference
+    is -t^2 / (2 + t) + 2 y (y^2/3 + y^4/5 + ...), |y| <= 1/3 on [-1/2, 1]."""
+    if not -0.5 <= t <= 1.0:
+        return math.log1p(t) - t
+    y = t / (2.0 + t)
+    y2 = y * y
+    power, total, k = y2, 0.0, 3.0
+    while power > _EPS * k * total:
+        total += power / k
+        power *= y2
+        k += 2.0
+    return 2.0 * y * total - t * t / (2.0 + t)
+
+
+def _gamma_prefix(a: float, z: float) -> float:
+    """z^a e^-z / Gamma(a + 1), the factor before the series and the continued
+    fraction.  Below ``_TEMME_A`` from ``math.pow``, ``math.exp`` and
+    ``math.gamma`` (each within an ulp of its exact inputs); above it in the
+    form of DiDonato and Morris (ACM TOMS 12, 1986),
+    exp(a log1pmx((z - a) / a) - mu(a)) / sqrt(2 pi a) with mu Stirling's
+    remainder, where exp(a log z - z - lgamma(a + 1)) would lose
+    |a log z| ulps of the exponent to cancellation."""
+    if a < _TEMME_A:
+        return math.pow(z, a) * math.exp(-z) / math.gamma(a + 1.0)
+    ratio = z / a
+    if ratio == 0.0:
+        return 0.0  # (z / a)^a underflows long before
+    if ratio < 0.5:
+        exponent = math.log(ratio) + (1.0 - ratio)
+    else:
+        exponent = _log1pmx((z - a) / a)
+    inv2 = 1.0 / (a * a)
+    mu = 0.0
+    for c in reversed(_STIRLING):
+        mu = mu * inv2 + c
+    return math.exp(a * exponent - mu / a) / math.sqrt(2.0 * math.pi * a)
+
+
+def _temme_lower(a: float, t: float) -> float:
+    """P(a, a (1 + t)) by Temme's uniform expansion (1979; DLMF 8.12.3-8.12.4):
+    P = erfc(-eta sqrt(a/2)) / 2 - e^{-a eta^2/2} / sqrt(2 pi a) sum_k c_k(eta) a^-k,
+    with eta^2 / 2 = t - log(1 + t) and eta of the sign of t."""
+    half_square = -_log1pmx(t)
+    eta = math.copysign(math.sqrt(2.0 * half_square), t)
+    inv, total = 1.0 / a, 0.0
+    for row in reversed(_TEMME_TERMS):
+        c = 0.0
+        for d in reversed(row):
+            c = c * eta + d
+        total = total * inv + c
+    tail = math.exp(-a * half_square) / math.sqrt(2.0 * math.pi * a) * total
+    return 0.5 * math.erfc(-eta * math.sqrt(0.5 * a)) - tail
+
+
+def regularized_lower_gamma(a: float, z: float) -> float:
+    """P(a, z) = int_0^z e^-y y^(a-1) dy / Gamma(a) for a > 0 and z >= 0.
+
+    Temme's uniform expansion near z = a for large a (a > ``_TEMME_A`` and
+    |z - a| / a below 0.4, or below sqrt(20 / a) past a = 200, as Boost
+    chooses for doubles); elsewhere the power series
+    P = z^a e^-z / Gamma(a + 1) (1 + z / (a + 1) + z^2 / ((a + 1)(a + 2)) + ...)
+    below z = a + 1 and, above it, 1 - Q with Q = a z^a e^-z / Gamma(a + 1)
+    times Legendre's continued fraction 1 / (z + 1 - a - 1 (1 - a) / (z + 3 - a - ...)),
+    by the modified Lentz method (Press et al., *Numerical Recipes*, 6.2).
+    Against 40-digit mpmath it is within 1e-14 relative where |log P| is
+    below 20; beyond, a double exponent carries |log P| 2^-53 of rounding.
+    """
+    if z <= 0.0:
+        return 0.0
+    t = (z - a) / a
+    if a > _TEMME_A and (abs(t) < 0.4 if a <= 200.0 else t * t < 20.0 / a):
+        return _temme_lower(a, t)
+    if z < a + 1.0:
+        term = total = 1.0
+        k = a
+        while term > _EPS * total:
+            k += 1.0
+            term *= z / k
+            total += term
+        return _gamma_prefix(a, z) * total
+    if z - a * math.log(z) > 750.0:
+        return 1.0  # Q underflows
+    b = z + 1.0 - a
+    c, d = 1.0 / _TINY, 1.0 / b
+    fraction = d
+    n = 0
+    while True:
+        n += 1
+        step = -n * (n - a)
+        b += 2.0
+        d = step * d + b
+        d = 1.0 / (d if abs(d) > _TINY else _TINY)
+        c = b + step / c
+        c = c if abs(c) > _TINY else _TINY
+        ratio = d * c
+        fraction *= ratio
+        if abs(ratio - 1.0) <= _EPS:
+            return 1.0 - a * _gamma_prefix(a, z) * fraction
 
 
 def _check_laguerre_degree(n_max: int, alpha: float) -> None:
@@ -164,7 +337,7 @@ def laguerre_pair_integrals_at_infinity(n_max: int, alpha: float) -> np.ndarray:
     if not alpha > -1.0:
         raise ValidationError(f"Laguerre order must satisfy alpha > -1, got {alpha}")
     n = np.arange(n_max + 1, dtype=float)
-    return np.diag(np.exp(sp.gammaln(alpha + n + 1.0) - sp.gammaln(n + 1.0)))
+    return np.diag(np.exp(_lgamma(alpha + n + 1.0) - _lgamma(n + 1.0)))
 
 
 def laguerre_exp_integrals(n_max: int, alpha: float, s: float, x: float) -> np.ndarray:
@@ -212,8 +385,8 @@ def laguerre_exp_integrals_at_infinity(n_max: int, alpha: float, s: float) -> np
     else:
         powers = n * math.log(abs(s - 1.0))
     log_mag = (
-        sp.gammaln(alpha + n + 1.0)
-        - sp.gammaln(n + 1.0)
+        _lgamma(alpha + n + 1.0)
+        - _lgamma(n + 1.0)
         + powers
         - (alpha + n + 1.0) * math.log(s)
     )
@@ -376,7 +549,7 @@ def _laguerre_rows(
     d = np.zeros(n_max + 1)
     d[1:] = chi[1:-1] * (psi[1:] / root_n[1:] - psi[:-1] / root_order[1 : n_max + 1])
     np.add.accumulate(d, out=d)
-    d += sp.gammainc(alpha + 1.0, z)
+    d += regularized_lower_gamma(alpha + 1.0, z)
     return psi, g, d
 
 

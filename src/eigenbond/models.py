@@ -61,8 +61,12 @@ model; what differs between the diffusions is read from these facts:
   exist, which the break-even search takes for its notice-period bond on
   the plain clock, and whether a call region may cover the whole search
   interval;
-* ``search_interval(n_supply)``: the states a break-even search may probe
-  and the first upper end of its walk when no earlier state starts it;
+* ``search_interval(n_supply, weights, eps)``: the states a break-even
+  search may probe and the first upper end of its walk when no earlier
+  state starts it; the 3/2 model keeps the lower end where the searched
+  series resolves to eps, its largest term times 2^-52 at most eps times
+  its sum (near the origin its coordinate beta / x is huge and the terms
+  cancel to rounding noise);
 * ``polynomial_family`` ("laguerre" or "hermite") and
   ``coordinate_reversed`` (whether ``poly_coordinate`` decreases in the
   state), which ``coeffs.overlap_below`` alone reads, to pick the rows of
@@ -72,11 +76,12 @@ model; what differs between the diffusions is read from these facts:
   recurrence's slope in the coordinate into the series' slope in the
   state, read by the break-even search's Newton steps.
 
-``import eigenbond`` loads numpy and ``scipy.special``; no pricing entry
-point loads ``scipy.optimize``.  ``scipy.stats`` loads when a
-``stationary_distribution`` is first called, which imports it in its body:
-only the oracle's quadrature grid reads the law, and the module took about
-half of a cold ``import eigenbond``.
+``import eigenbond`` and every pricing entry point load numpy and the
+standard library, no scipy module: the log-gammas of the norm constants
+and payoff coefficients are ``math.lgamma`` per entry (``_lgamma``), once
+per spectrum.  ``scipy.stats`` loads when a ``stationary_distribution`` is
+first called, which imports it in its body: only the oracle's quadrature
+grid reads the law.
 """
 
 from __future__ import annotations
@@ -87,7 +92,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gammaln
 
 from .errors import (
     UnsupportedModelError,
@@ -111,9 +115,16 @@ __all__ = [
 # holds degrees 0..POOL_CAP, and the recurrence coefficient lists double up to it.
 POOL_CAP = 2000
 _BRACKET_CAP = 50.0  # upper search bound of the positive models, as a multiple of theta
+_FLOOR_STATES = 24  # geometric grid over which the 3/2 search floor is read
 
 
 _Coefficients = Callable[[int], tuple[float, float, float]]
+
+
+def _lgamma(values: np.ndarray) -> np.ndarray:
+    """log Gamma of each entry by ``math.lgamma``: at most ``POOL_CAP`` + 1
+    entries, once per spectrum."""
+    return np.array([math.lgamma(v) for v in values.tolist()])
 
 
 class _Recurrence:
@@ -229,9 +240,13 @@ class DiffusionModel:
                 f"[{self.state_lo}, {self.state_hi}] or not finite"
             )
 
-    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
+    def search_interval(
+        self, n_supply: int, weights=(), eps: float = 0.0
+    ) -> tuple[float, float, float]:
         """(lo, start, hi): the break-even search probes [lo, hi], where series
-        of ``n_supply`` terms resolve; a walk without a hint first ends at start."""
+        of ``n_supply`` terms resolve; a walk without a hint first ends at start.
+        A model whose series can cancel to rounding noise near an end also
+        keeps lo where the series of ``weights`` resolves to eps."""
         raise NotImplementedError
 
     def check_recursion(self) -> None:
@@ -519,7 +534,9 @@ class CIRModel(DiffusionModel):
         """2 kappa theta / sigma^2; Feller boundary parameter."""
         return 2.0 * self.kappa * self.theta / self.sigma**2
 
-    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
+    def search_interval(
+        self, n_supply: int, weights=(), eps: float = 0.0
+    ) -> tuple[float, float, float]:
         # the origin is an admissible boundary and poses no resolution problem
         return 0.0, self.theta, self.theta * _BRACKET_CAP
 
@@ -538,7 +555,7 @@ class CIRModel(DiffusionModel):
         n = np.arange(n_max + 1)
         s2 = self.sigma**2
         return 0.5 * (
-            math.log(s2) + gammaln(n + 1.0) - math.log(2.0) - gammaln(self.b + n)
+            math.log(s2) + _lgamma(n + 1.0) - math.log(2.0) - _lgamma(self.b + n)
         ) + 0.5 * self.b * math.log(2.0 * self.gamma / s2)
 
     def unit_payoff_coefficients(self, n_max: int) -> np.ndarray:
@@ -547,8 +564,8 @@ class CIRModel(DiffusionModel):
         log_p = (
             math.log(2.0 / s2)
             + self.log_norm_constants(n_max)
-            + gammaln(b + n)
-            - gammaln(n + 1.0)
+            + _lgamma(b + n)
+            - _lgamma(n + 1.0)
             + b * math.log(s2 / (g + self.kappa))
             + n * math.log((g - self.kappa) / (g + self.kappa))
         )
@@ -620,7 +637,9 @@ class VasicekModel(DiffusionModel):
                 "the carried coefficient cut of the backward recursion falls short of eps"
             )
 
-    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
+    def search_interval(
+        self, n_supply: int, weights=(), eps: float = 0.0
+    ) -> tuple[float, float, float]:
         # a symmetric band around theta, whose mapped coordinates the series resolve
         half = self.search_sigmas * self.sigma / math.sqrt(2.0 * self.kappa)
         return self.theta - half, self.theta + half, self.theta + half
@@ -641,7 +660,7 @@ class VasicekModel(DiffusionModel):
             0.5 * math.log(self.kappa / math.pi)
             + math.log(self.sigma)
             - (n + 1.0) * math.log(2.0)
-            - gammaln(n + 1.0)
+            - _lgamma(n + 1.0)
         )
 
     def unit_payoff_coefficients(self, n_max: int) -> np.ndarray:
@@ -726,11 +745,34 @@ class ThreeHalvesModel(DiffusionModel):
     def contains(self, x: float) -> bool:
         return self.state_lo < x <= self.state_hi
 
-    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
+    def search_interval(
+        self, n_supply: int, weights=(), eps: float = 0.0
+    ) -> tuple[float, float, float]:
         # the left end maps to a huge Laguerre abscissa: pull it in to keep the
         # coordinate inside the oscillatory range of the available degrees
         v_max = 4.0 * max(n_supply, 16) + 2.0 * self.laguerre_order + 2.0
-        return self.beta / v_max, self.theta, self.theta * _BRACKET_CAP
+        lo = self.beta / v_max
+        if len(weights):
+            lo = self._resolved_floor(weights, eps, lo)
+        return lo, self.theta, self.theta * _BRACKET_CAP
+
+    def _resolved_floor(self, weights, eps: float, lo: float) -> float:
+        """The lowest of ``_FLOOR_STATES`` geometric states in [lo, theta] at
+        and above which sum_n w_n phi_n(x) resolves: its largest term times
+        2^-52, the rounding its partial sums carry, at most eps times its
+        value (the test ``subordinators._resolved_series`` applies).  Near
+        the origin the coordinate beta / x is huge, the terms grow by orders
+        of magnitude and cancel, and a series read there is noise."""
+        xs = np.geomspace(lo, self.theta, _FLOOR_STATES)
+        w = np.asarray(weights, dtype=float)
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self._eigenfunction_rows(w.size - 1, xs) * w[:, None]
+        noise = np.abs(terms).max(axis=0) * 2.0**-52 > eps * np.abs(terms.sum(axis=0))
+        # NaN compares False: a row that overflows is noise too
+        noise |= ~np.isfinite(terms).all(axis=0)
+        if not noise.any():
+            return lo
+        return float(xs[min(int(np.flatnonzero(noise)[-1]) + 1, xs.size - 1)])
 
     @property
     def laguerre_order(self) -> float:
@@ -750,9 +792,9 @@ class ThreeHalvesModel(DiffusionModel):
         return 0.5 * (
             math.log(self.sigma**2)
             + (two_m + 1.0) * math.log(self.beta)
-            + gammaln(n + 1.0)
+            + _lgamma(n + 1.0)
             - math.log(2.0)
-            - gammaln(two_m + n + 1.0)
+            - _lgamma(two_m + n + 1.0)
         )
 
     def unit_payoff_coefficients(self, n_max: int) -> np.ndarray:
@@ -763,8 +805,8 @@ class ThreeHalvesModel(DiffusionModel):
             + self.log_norm_constants(n_max)
             - (al + m + 0.5) * math.log(self.beta)
             + math.lgamma(al + m + 0.5)
-            + gammaln(m + n - al + 0.5)
-            - gammaln(n + 1.0)
+            + _lgamma(m + n - al + 0.5)
+            - _lgamma(n + 1.0)
             - math.lgamma(m - al + 0.5)
         )
         return np.exp(log_p)

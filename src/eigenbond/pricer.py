@@ -564,7 +564,7 @@ class _Engine:
         sched = self.schedule
         record = DateRecord(index=i, decision_time=sched.decision_time(i))
         m_cols = carried.size - 1
-        interval = self.model.search_interval(m_cols)
+        interval = self.model.search_interval(m_cols, search, self.eps)
         evaluate = functools.partial(self.with_notice, search)
         finder = _RootFinder(evaluate, interval, i, record.eval_levels)
 

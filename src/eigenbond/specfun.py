@@ -2,10 +2,11 @@
 
 Generalized Laguerre and Hermite polynomials in raw (unnormalized) form,
 evaluated by their two-term recursions, plus the lower incomplete gamma
-function.  The closed-form Laguerre tables of ``coeffs``, the reference
-its quadrature is checked against, are built on them; the eigenfunctions
-and every table the pricer takes run on the normalized recurrences of
-``models`` instead.
+function, the regularized P(a, x) of ``coeffs`` times Gamma(a).  The
+closed-form Laguerre tables of ``coeffs``, the reference its quadrature
+is checked against, are built on them; the eigenfunctions and every table
+the pricer takes run on the normalized recurrences of ``models`` instead.
+The module runs on numpy and the standard library, like the pricer.
 
 Polynomial evaluators return the full sequence of degrees 0..n_max at a
 fixed abscissa: every caller needs all indices up to its truncation level,
@@ -17,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special as sp
 
 from .errors import ValidationError
 
@@ -100,12 +100,14 @@ def hermite_sequence(n_max: int, x: float) -> np.ndarray:
 def lower_incomplete_gamma(a: float, x: float) -> float:
     """Lower incomplete gamma gamma(a, x) = int_0^x e^{-y} y^{a-1} dy.
 
-    Non-regularized.  Backed by the regularized routine in scipy (series /
-    continued-fraction split) scaled by Gamma(a); a must stay below the
-    Gamma overflow threshold (~171).
+    Non-regularized: the regularized P(a, x) of
+    ``coeffs.regularized_lower_gamma`` scaled by Gamma(a); a must stay below
+    the Gamma overflow threshold (~171).
     """
+    from .coeffs import regularized_lower_gamma  # coeffs imports this module
+
     if not a > 0.0:
         raise ValidationError(f"gamma parameter must be positive, got a={a}")
     if x < 0.0 or not math.isfinite(x):
         raise ValidationError(f"integration endpoint must be >= 0 and finite, got {x}")
-    return float(sp.gammainc(a, x) * math.exp(math.lgamma(a)))
+    return regularized_lower_gamma(a, x) * math.gamma(a)

@@ -1,4 +1,6 @@
 import math
+import sys
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -42,6 +44,91 @@ def _hermite_norm(n: int) -> float:
     """sqrt(sqrt(pi) 2^n n!): the Hermite tables are in orthonormal form, and
     times these norms they are the integrals of the raw H_n."""
     return math.sqrt(math.sqrt(math.pi) * 2.0**n * math.factorial(n))
+
+
+# ---------------------------------------------------------------------------
+# The regularized incomplete gamma P(a, z)
+# ---------------------------------------------------------------------------
+
+# a = alpha + 1 over the orders the models reach: 0.255 (benchmark CIR,
+# alpha = -0.745), 1, 17.9 (about the 3/2 test models' order), 170, 250 (CIR
+# b = 250) and 403 (the 3/2 model at order 402)
+P_ORDERS = (0.255, 1.0, 17.9, 170.0, 250.0, 403.0)
+
+
+def _mp_regularized_lower_gamma(a, z):
+    with mpmath.workdps(40):
+        value = mpmath.gammainc(mpmath.mpf(a), 0, mpmath.mpf(z), regularized=True)
+        return float(value), (-float(mpmath.log(value)) if value > 0 else math.inf)
+
+
+@pytest.mark.parametrize("a", P_ORDERS)
+def test_regularized_lower_gamma_against_mpmath(a):
+    # z from the least positive float to the clamp of _laguerre_rows at
+    # POOL_CAP, through z = a (Temme's expansion past a = 20) and both sides
+    # of z = a + 1, where the series hands over to the continued fraction.
+    # Within 1e-14 relative; a P below e^-22 is formed as exp(y), and the
+    # double y carries |y| 2^-53 of rounding, which it may show 4 times over
+    # (scipy's gammainc misses P(403, 148) by 6e-13).
+    clamp = 4.0 * (2.0 * POOL_CAP + a) + 80.0
+    zs = [5e-324, 1e-300, 1e-30, 1e-8, *np.geomspace(1e-3, clamp, 40)]
+    zs += [*(a * (1.0 + np.linspace(-0.5, 0.5, 21))), a + 1.0, math.nextafter(a + 1.0, 0.0)]
+    for z in map(float, zs):
+        ref, log_ref = _mp_regularized_lower_gamma(a, z)
+        got = coeffs.regularized_lower_gamma(a, z)
+        if ref < sys.float_info.min:  # below the normal range
+            assert abs(got - ref) <= 1e-300, (z, got, ref)
+        else:
+            tol = max(1e-14, 4.0 * log_ref * 2.0**-53)
+            assert abs(got - ref) <= tol * ref, (z, got, ref)
+
+
+@pytest.mark.parametrize("t", (-0.9, -0.5, -0.3, -1e-4, -1e-12, 1e-12, 1e-4, 0.3, 1.0, 3.0))
+def test_log1pmx_against_mpmath(t):
+    with mpmath.workdps(40):
+        ref = float(mpmath.log1p(mpmath.mpf(t)) - mpmath.mpf(t))
+    assert coeffs._log1pmx(t) == pytest.approx(ref, rel=4e-16)
+
+
+def _series_product(a, b, size):
+    out = [Fraction(0)] * size
+    for i, x in enumerate(a[:size]):
+        for j, y in enumerate(b[: size - i]):
+            out[i + j] += x * y
+    return out
+
+
+def _temme_terms(lengths):
+    """d[k][n] of Temme's expansion in exact rationals.  lambda - 1 = mu(eta)
+    solves mu - log(1 + mu) = eta^2 / 2 by series reversion; c_0 = 1/mu - 1/eta;
+    c_k = c_{k-1}' / eta + (-1)^k g_k / mu, whose pole at eta = 0 cancels only
+    for g_k = (-1)^(k+1) d[k-1][1], so d[k][n] = (n + 2) d[k-1][n+2] + (-1)^k g_k d[0][n]."""
+    size = max(n + 2 * k for k, n in enumerate(lengths)) + 2
+    mu = [Fraction(0), Fraction(1)] + [Fraction(0)] * size
+    for p in range(2, size + 1):
+        # the coefficient of eta^(p+1) in sum_r (-1)^r mu^r / r, r >= 2, with mu_p = 0,
+        # is -mu_p: mu_p enters it through mu^2 / 2 alone
+        power, total = mu[: p + 2], Fraction(0)
+        for r in range(2, p + 2):
+            power = _series_product(power, mu[: p + 2], p + 2)
+            total += Fraction((-1) ** r, r) * power[p + 1]
+        mu[p] = -total
+    inverse = [Fraction(1)] + [Fraction(0)] * size  # eta / mu
+    for n in range(1, size + 1):
+        inverse[n] = -sum(mu[j + 1] * inverse[n - j] for j in range(1, n + 1))
+    rows = [inverse[1:]]
+    for k in range(1, len(lengths)):
+        prev, g = rows[-1], (-1) ** (k + 1) * rows[-1][1]
+        rows.append([(n + 2) * prev[n + 2] + (-1) ** k * g * rows[0][n] for n in range(len(prev) - 2)])
+    stirling = [Fraction(1, 12), Fraction(1, 288), Fraction(-139, 51840), Fraction(-571, 2488320)]
+    assert [(-1) ** (k + 1) * rows[k - 1][1] for k in range(1, 5)] == stirling
+    return [row[:n] for row, n in zip(rows, lengths)]
+
+
+def test_temme_terms_are_the_exact_coefficients_rounded():
+    lengths = [len(row) for row in coeffs._TEMME_TERMS]
+    exact = _temme_terms(lengths)
+    assert [list(row) for row in coeffs._TEMME_TERMS] == [[float(d) for d in row] for row in exact]
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """What ``import eigenbond`` and the pricing entry points load.
 
-The pricer runs on numpy and ``scipy.special``; the quote inversion closes
-its quotes without ``scipy.optimize``, and the stationary laws
+The pricer runs on numpy and the standard library: no pricing entry point
+and no CLI ``price`` loads any ``scipy`` module.  The stationary laws
 (``scipy.stats``) and the oracle's quadrature (``scipy.integrate``) load
-where they are first used.  The check runs in a fresh interpreter, since
-this one has loaded all three long since.
+where they are first used.  The checks run in fresh interpreters, since
+this one has loaded scipy long since.
 """
 
 import os
@@ -16,6 +16,11 @@ import eigenbond
 
 ROOT = Path(__file__).resolve().parents[1]
 
+SCIPY_LOADED = """
+def scipy_loaded():
+    return sorted(name for name in sys.modules if name == "scipy" or name.startswith("scipy."))
+"""
+
 SCRIPT = """
 import sys
 
@@ -23,7 +28,7 @@ from eigenbond import (
     SubordinatorSpec, ThreeHalvesModel, benchmark, cli, invert_short_rate, price_bond,
     short_rate_map, strike_projection, zero_coupon_price,
 )
-
+""" + SCIPY_LOADED + """
 models = (
     benchmark.benchmark_model("cir"),
     benchmark.benchmark_model("vasicek"),
@@ -43,22 +48,34 @@ for model in models:
         short_rate_map(model, sub, x)
         strike_projection(model, sub, 10, model.state_lo, x, schedule.notice_delta, eps=1e-7)
 assert cli.main(["price", "--config", "docs/config_example.json"]) == 0
-loaded = [name for name in ("scipy.optimize", "scipy.stats", "scipy.integrate")
-          if name in sys.modules]
-assert loaded == [], loaded
+assert scipy_loaded() == [], scipy_loaded()
 
 law = models[0].stationary_distribution()
 assert abs(law.mean() - models[0].theta) <= 1e-12 * models[0].theta, law.mean()
 print("stationary law", type(law.dist).__name__)
 """
 
+IMPORT_ONLY = "import sys\nimport eigenbond\n" + SCIPY_LOADED + "print(scipy_loaded())\n"
 
-def test_pricing_leaves_the_stationary_laws_and_the_quadrature_unloaded():
-    # the eigenbond this suite imports, wherever it was found
+
+def _fresh(script: str) -> subprocess.CompletedProcess:
+    """Run script in a fresh interpreter on the eigenbond this suite imports,
+    wherever it was found."""
     path = (str(Path(eigenbond.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH"))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
-    run = subprocess.run(
-        [sys.executable, "-c", SCRIPT], cwd=ROOT, env=env, capture_output=True, text=True
+    return subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True
     )
+
+
+def test_import_eigenbond_loads_no_scipy():
+    run = _fresh(IMPORT_ONLY)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.strip() == "[]"
+
+
+def test_pricing_leaves_the_stationary_laws_and_the_quadrature_unloaded():
+    # and every other scipy module: pricing and CLI price load none
+    run = _fresh(SCRIPT)
     assert run.returncode == 0, run.stderr
     assert run.stdout.rstrip().endswith("stationary law gamma_gen")

@@ -4,10 +4,10 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from eigenbond import specfun
+from eigenbond import models, specfun
 from eigenbond.coeffs import overlap_matrix
 from eigenbond.errors import UnsupportedModelError, ValidationError
-from eigenbond.models import CIRModel, ThreeHalvesModel, VasicekModel, make_model
+from eigenbond.models import POOL_CAP, CIRModel, ThreeHalvesModel, VasicekModel, make_model
 from eigenbond.oracle import short_rate_quadrature
 from eigenbond.subordinators import SubordinatorSpec, short_rate_map
 
@@ -317,6 +317,43 @@ def test_unit_payoff_against_quadrature():
         phi3 = lambda z: model.eigenfunctions(3, z)[3] * model.speed_density(z)
         val, _ = integrate.quad(phi3, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=400)
         assert model.unit_payoff_coefficients(3)[3] == pytest.approx(val, rel=1e-9, abs=5e-9)
+
+
+# Laguerre orders 249 and 402: log-gammas up to 1.6e4 at POOL_CAP
+LARGE_ORDERS = (CIRModel(1.0, 0.05, 0.02), ThreeHalvesModel(2.0, 0.06, 0.1))
+
+
+def test_lgamma_per_entry_matches_scipy_gammaln():
+    from scipy.special import gammaln
+
+    for shift in (1.0, 0.255, 0.5, 17.9, 250.0, 403.0):
+        x = np.arange(POOL_CAP + 1) + shift
+        ref = gammaln(x)
+        assert np.all(np.abs(models._lgamma(x) - ref) <= 4.0 * np.spacing(np.maximum(np.abs(ref), 1.0)))
+
+
+@pytest.mark.parametrize(
+    "model", ALL + LARGE_ORDERS, ids=("cir", "vasicek", "three_halves", "cir_b250", "three_halves_402")
+)
+def test_norm_constants_and_payoff_coefficients_match_scipy_gammaln(monkeypatch, model):
+    # each entry sums log-gammas up to lgamma(n + order + 1), which both
+    # routines round to within a few ulps, and logs of the parameters: the
+    # entries agree to a few ulps of that magnitude (1.8e-12 at POOL_CAP
+    # and order 402)
+    from scipy.special import gammaln
+
+    log_n = model.log_norm_constants(POOL_CAP)
+    p = model.unit_payoff_coefficients(POOL_CAP)
+    monkeypatch.setattr(models, "_lgamma", gammaln)
+    ref_log_n = model.log_norm_constants(POOL_CAP)
+    ref_p = model.unit_payoff_coefficients(POOL_CAP)
+    n = np.arange(POOL_CAP + 1)
+    ulp = np.spacing(np.abs(gammaln(n + getattr(model, "laguerre_order", 0.0) + 2.0)) + 8.0)
+    assert np.all(np.abs(log_n - ref_log_n) <= 8.0 * ulp)
+    kept = ref_p != 0.0
+    assert np.all(np.sign(p) == np.sign(ref_p)) and np.all(np.abs(p[~kept]) <= 1e-300)
+    rel = np.abs(np.log(np.abs(p[kept])) - np.log(np.abs(ref_p[kept])))
+    assert np.all(rel <= 16.0 * ulp[kept])
 
 
 def test_closed_form_bond_at_zero_maturity():

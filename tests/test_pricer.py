@@ -1157,15 +1157,13 @@ def test_prices_cauchy_in_eps():
     assert all(later <= earlier + 1e-12 for earlier, later in zip(gaps, gaps[1:]))
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the 3/2 search interval reaches down to where the series are rounding noise",
-)
 def test_three_halves_callable_is_stable_at_tight_eps():
-    # search_lo moves down as the carried vector grows; at eps 1e-11 it
-    # reaches states where the pool series of the hold value and of the
-    # discounted strike read orders of magnitude off, the walk's first end
-    # reads diff > 0 and the call region is declared empty at dates 20..13
+    # search_interval(n_supply) moves down as the carried vector grows; at
+    # eps 1e-11 it reaches states where the pool series of the hold value
+    # and of the discounted strike read orders of magnitude off.  Searched
+    # from there, the walk's first end read diff > 0 and the call region
+    # was declared empty at dates 20..13; the floor where the searched
+    # series resolves keeps the walk out of them.
     model = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.5)
     v10 = price_bond(model, NONE, SWISS, [0.05], eps=1e-10).values[0]
     v11 = price_bond(model, NONE, SWISS, [0.05], eps=1e-11).values[0]
@@ -1206,20 +1204,16 @@ def test_three_halves_value_below_the_search_interval_is_priced_in_range():
     assert all(0.0 < v <= 1.0 + SWISS.coupon * SWISS.n_coupons for v in values)
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="the first 3/2 search starts at search_lo, where the redemption pool is "
-    "rounding noise, so a last-bit change decides the call region (ROADMAP item 4)",
-)
 def test_three_halves_callable_survives_a_last_bit_change_of_its_payoff_coefficients(
     monkeypatch,
 ):
-    # At eps 1e-10 the first search of the Swiss callable starts cold at
-    # search_lo, x = 0.0054 (z = 178), where the redemption pool's terms
-    # reach 2.8e15 and C(x) reads 29.9 against a true value of about 1.03;
-    # the sign of D there decides whether a call region exists.  With p_n
-    # times (1 + 1e-14 u) these seeds price 0.88561199 with no call state
-    # (unperturbed 0.88494921 with 10; the grid DP 0.8849493).
+    # At eps 1e-10 the first search of the Swiss callable started cold at
+    # x = 0.0054 (z = 178), where the redemption pool's terms reach 2.8e15
+    # and C(x) reads 29.9 against a true value of about 1.03; the sign of D
+    # there decided whether a call region exists, and with p_n times
+    # (1 + 1e-14 u) these seeds priced 0.88561199 with no call state
+    # (unperturbed 0.88494921 with 10; the grid DP 0.8849493).  The search
+    # now starts at the floor where the pool resolves (0.0091).
     eps = 1e-10
     plain = price_bond(ThreeHalvesModel(2.0, 0.06, 0.5), NONE, SWISS, [0.05], eps=eps)
     coefficients = ThreeHalvesModel.unit_payoff_coefficients
@@ -1233,6 +1227,49 @@ def test_three_halves_callable_survives_a_last_bit_change_of_its_payoff_coeffici
         result = price_bond(ThreeHalvesModel(2.0, 0.06, 0.5), NONE, SWISS, [0.05], eps=eps)
         assert abs(result.values[0] - plain.values[0]) <= 10.0 * eps, seed
         assert sum(d.call_state is not None for d in result.dates) == 10, seed
+
+
+def _redemption_pool(model, eps):
+    """The Swiss callable's first search series (the redemption's whole pool)
+    and the length of the cut the assembly carries from it."""
+    spec = spectrum(model, NONE)
+    flows = ((SWISS.holding_period(SWISS.exercise_indices[-1]), 1.0 + SWISS.coupon),)
+    return spec.pool(flows), len(spec.cut(flows, eps)) - 1
+
+
+def _resolved(model, weights, eps, x):
+    terms = model.eigenfunctions(len(weights) - 1, x) * weights
+    return np.abs(terms).max() * 2.0**-52 <= eps * abs(terms.sum())
+
+
+@pytest.mark.parametrize("eps", (1e-7, 1e-10, 1e-11))
+def test_the_three_halves_search_starts_where_its_series_resolves(eps):
+    # at eps 1e-10 the pool's terms reach 2.8e15 at search_interval(35)'s
+    # lower end, 0.0054, and sum to 29.9; the floor is the lowest state of
+    # a 24-state geometric grid over [lo, theta] from which up the rounding
+    # of the sum stays below eps of it
+    model = ThreeHalvesModel(2.0, 0.06, 0.5)
+    pool, n_supply = _redemption_pool(model, eps)
+    lo, start, hi = model.search_interval(n_supply)
+    floor, *rest = model.search_interval(n_supply, pool, eps)
+    assert rest == [start, hi] and lo <= floor < start
+    grid = np.geomspace(lo, model.theta, 24).tolist()
+    k = grid.index(floor)
+    assert all(_resolved(model, pool, eps, x) for x in grid[k:])
+    assert k == 0 or not _resolved(model, pool, eps, grid[k - 1])
+    if eps <= 1e-10:
+        assert floor > lo  # noise at lo, as above
+
+
+def test_the_search_floor_is_a_three_halves_fact():
+    # the affine models' intervals do not read the series
+    pool, _ = _redemption_pool(CIR, 1e-10)
+    for model in (CIR, VAS):
+        assert model.search_interval(64, pool, 1e-10) == model.search_interval(64)
+    # and a 3/2 series that resolves over the whole interval leaves it as it was
+    model = ThreeHalvesModel(2.0, 0.06, 0.1)
+    pool, n_supply = _redemption_pool(model, 1e-10)
+    assert model.search_interval(n_supply, pool, 1e-10) == model.search_interval(n_supply)
 
 
 def test_truncation_levels_monotone_in_eps():
