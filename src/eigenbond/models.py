@@ -61,12 +61,13 @@ model; what differs between the diffusions is read from these facts:
   exist, which the break-even search takes for its notice-period bond on
   the plain clock, and whether a call region may cover the whole search
   interval;
-* ``search_interval(n_supply, weights, eps)``: the states a break-even
-  search may probe and the first upper end of its walk when no earlier
-  state starts it; the 3/2 model keeps the lower end where the searched
-  series resolves to eps, its largest term times 2^-52 at most eps times
-  its sum (near the origin its coordinate beta / x is huge and the terms
-  cancel to rounding noise);
+* ``search_interval(n_supply)``: the states a break-even search over
+  series of ``n_supply`` terms may probe and the first upper end of its
+  walk when no earlier state starts it;
+* ``resolved_floor(weights, eps, n_supply)``: the lowest state of that
+  interval where the series of ``weights`` resolves to eps
+  (``series.resolved``): ``state_lo`` on CIR and Vasicek, read from the
+  series near the 3/2 origin, where the coordinate beta / x is huge;
 * ``polynomial_family`` ("laguerre" or "hermite") and
   ``coordinate_reversed`` (whether ``poly_coordinate`` decreases in the
   state), which ``coeffs.overlap_below`` alone reads, to pick the rows of
@@ -100,7 +101,7 @@ from .errors import (
     check_real,
     real_array,
 )
-from .series import MIN_LEVEL
+from .series import MIN_LEVEL, resolved
 
 __all__ = [
     "DiffusionModel",
@@ -240,14 +241,24 @@ class DiffusionModel:
                 f"[{self.state_lo}, {self.state_hi}] or not finite"
             )
 
-    def search_interval(
-        self, n_supply: int, weights=(), eps: float = 0.0
-    ) -> tuple[float, float, float]:
+    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
         """(lo, start, hi): the break-even search probes [lo, hi], where series
-        of ``n_supply`` terms resolve; a walk without a hint first ends at start.
-        A model whose series can cancel to rounding noise near an end also
-        keeps lo where the series of ``weights`` resolves to eps."""
+        of ``n_supply`` terms resolve; a walk without a hint first ends at start."""
         raise NotImplementedError
+
+    def resolved_floor(self, weights, eps: float, n_supply: int) -> float:
+        """The lowest state, at or above ``search_interval(n_supply)``'s lo,
+        from which sum_n weights_n phi_n(x) resolves to eps; ``state_lo``,
+        reading nothing, where no series cancels to rounding noise."""
+        return self.state_lo
+
+    def resolves(self, weights, eps: float, x):
+        """Whether sum_n weights_n phi_n(x) resolves to eps (``series.resolved``)
+        at a state, or at each of an array of states."""
+        w = np.asarray(weights, dtype=float).reshape((-1,) + (1,) * np.ndim(x))
+        with np.errstate(over="ignore", invalid="ignore"):
+            terms = self._eigenfunction_rows(w.shape[0] - 1, x) * w
+        return resolved(terms, eps)
 
     def check_recursion(self) -> None:
         """Raise ValidationError where the backward recursion misses eps."""
@@ -534,9 +545,7 @@ class CIRModel(DiffusionModel):
         """2 kappa theta / sigma^2; Feller boundary parameter."""
         return 2.0 * self.kappa * self.theta / self.sigma**2
 
-    def search_interval(
-        self, n_supply: int, weights=(), eps: float = 0.0
-    ) -> tuple[float, float, float]:
+    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
         # the origin is an admissible boundary and poses no resolution problem
         return 0.0, self.theta, self.theta * _BRACKET_CAP
 
@@ -637,9 +646,7 @@ class VasicekModel(DiffusionModel):
                 "the carried coefficient cut of the backward recursion falls short of eps"
             )
 
-    def search_interval(
-        self, n_supply: int, weights=(), eps: float = 0.0
-    ) -> tuple[float, float, float]:
+    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
         # a symmetric band around theta, whose mapped coordinates the series resolve
         half = self.search_sigmas * self.sigma / math.sqrt(2.0 * self.kappa)
         return self.theta - half, self.theta + half, self.theta + half
@@ -745,34 +752,20 @@ class ThreeHalvesModel(DiffusionModel):
     def contains(self, x: float) -> bool:
         return self.state_lo < x <= self.state_hi
 
-    def search_interval(
-        self, n_supply: int, weights=(), eps: float = 0.0
-    ) -> tuple[float, float, float]:
+    def search_interval(self, n_supply: int) -> tuple[float, float, float]:
         # the left end maps to a huge Laguerre abscissa: pull it in to keep the
         # coordinate inside the oscillatory range of the available degrees
         v_max = 4.0 * max(n_supply, 16) + 2.0 * self.laguerre_order + 2.0
-        lo = self.beta / v_max
-        if len(weights):
-            lo = self._resolved_floor(weights, eps, lo)
-        return lo, self.theta, self.theta * _BRACKET_CAP
+        return self.beta / v_max, self.theta, self.theta * _BRACKET_CAP
 
-    def _resolved_floor(self, weights, eps: float, lo: float) -> float:
-        """The lowest of ``_FLOOR_STATES`` geometric states in [lo, theta] at
-        and above which sum_n w_n phi_n(x) resolves: its largest term times
-        2^-52, the rounding its partial sums carry, at most eps times its
-        value (the test ``subordinators._resolved_series`` applies).  Near
-        the origin the coordinate beta / x is huge, the terms grow by orders
-        of magnitude and cancel, and a series read there is noise."""
-        xs = np.geomspace(lo, self.theta, _FLOOR_STATES)
-        w = np.asarray(weights, dtype=float)
-        with np.errstate(over="ignore", invalid="ignore"):
-            terms = self._eigenfunction_rows(w.size - 1, xs) * w[:, None]
-        noise = np.abs(terms).max(axis=0) * 2.0**-52 > eps * np.abs(terms.sum(axis=0))
-        # NaN compares False: a row that overflows is noise too
-        noise |= ~np.isfinite(terms).all(axis=0)
-        if not noise.any():
-            return lo
-        return float(xs[min(int(np.flatnonzero(noise)[-1]) + 1, xs.size - 1)])
+    def resolved_floor(self, weights, eps: float, n_supply: int) -> float:
+        """The lowest of ``_FLOOR_STATES`` geometric states in [lo, theta] (lo
+        ``search_interval(n_supply)``'s) from which on the series of ``weights``
+        resolves to eps: near the origin the coordinate beta / x is huge and
+        the terms grow by orders of magnitude and cancel to noise."""
+        xs = np.geomspace(self.search_interval(n_supply)[0], self.theta, _FLOOR_STATES)
+        noise = np.flatnonzero(~self.resolves(weights, eps, xs))
+        return float(xs[min(noise[-1] + 1, xs.size - 1) if noise.size else 0])
 
     @property
     def laguerre_order(self) -> float:

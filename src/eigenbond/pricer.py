@@ -13,7 +13,9 @@ The bond value at issue is built by one stage per decision date:
     bracketed Newton loop on the difference and its slope, started at the
     previous date's state of the same kind, or without one (the first
     search, or an empty region at the previous date) at the bottom of the
-    search interval: Newton steps inside the sign bracket every evaluation
+    search interval, raised to where the series of the continuation and of
+    the notice bond resolve (``resolved_floor``, a pool's kept by
+    ``Spectrum.floor``): Newton steps inside the sign bracket every evaluation
     narrows, and a bisection, or before a sign change a walk outward,
     where a Newton step would leave the bracket or stall.  The new
     coefficient vector sums, over the regions, the overlap over the region
@@ -55,7 +57,9 @@ zero-coupon bond's weights are built per call and not kept.  The
 recursion's first search, at the last decision date, reads the
 redemption's whole pool.  Off the plain clock, or on the 3/2 model, a
 cash-flow set's bond sum_j a_j P(t_j, x) is its pool's series, cut at eps
-of the mean flow.
+of the mean flow.  ``price_bond`` refuses an initial state below the issue
+value's search interval, or where its series or the coupons' pool does not
+resolve (``series.resolved``).
 Continuation values and break-even states are computed only inside the
 recursion (``_Engine``); the public entry points are ``price_bond`` and
 ``zero_coupon_price``.  Every break-even search closes to ``TOL_X``.
@@ -372,8 +376,8 @@ class _RootFinder:
 
     ``evaluate(x)`` returns the continuation value, its slope and its series
     stop level, and the notice-period bond and its slope (``_flow_series``
-    over the date's weights); ``interval`` is the model's
-    ``search_interval``.  The levels of
+    over the date's weights); ``interval`` is the model's ``search_interval``
+    raised to where both resolve.  The levels of
     every evaluation ``find`` makes are appended to ``levels``; the sign
     scan records none.  ``fallbacks`` counts the searches that took a
     bracketing step.
@@ -543,28 +547,31 @@ class _Engine:
         # the engine, not the spectrum, so nothing outlives the call: the
         # expansion of P(delta, .), the coupon term to POOL_CAP and, on first
         # use, the decay to POOL_CAP over each holding period (a run has few
-        # distinct ones)
+        # distinct ones), and the floor of the notice bond that every search reads
         if has_dates:
             notice = schedule.notice_delta
             self._strike = self.spectrum.cut(((notice, 1.0),), eps)
+            self._notice_floor = self.spectrum.floor(((notice, 1.0),), eps)
             self._coupon_term = schedule.coupon * self.spectrum.unit_weights(notice, POOL_CAP)
         self._decays: dict[float, np.ndarray] = {}
 
     # -- one decision date ---------------------------------------------------
 
-    def _step(self, i: int, search: list[float], carried: np.ndarray) -> np.ndarray:
+    def _step(self, i: int, search: list[float], carried: np.ndarray, floor: float) -> np.ndarray:
         """Locate date i's break-even states and return the hold weights of
         the date before it, or of the issue date at the first date.
 
         ``carried`` is date i's hold weights: the vector carried from the
         stage after it, already decayed over the holding period.  The
         break-even search reads ``search``: the same weights as a list, or
-        the redemption's whole pool at the last date (see ``run``).
-        """
+        the redemption's whole pool at the last date (see ``run``), from
+        ``floor``, where that series resolves, up."""
         sched = self.schedule
         record = DateRecord(index=i, decision_time=sched.decision_time(i))
         m_cols = carried.size - 1
-        interval = self.model.search_interval(m_cols, search, self.eps)
+        lo, start, hi = self.model.search_interval(m_cols)
+        # D = K P(delta, .) - C is read only where both its series resolve
+        interval = max(lo, floor, self._notice_floor), start, hi
         evaluate = functools.partial(self.with_notice, search)
         finder = _RootFinder(evaluate, interval, i, record.eval_levels)
 
@@ -670,16 +677,31 @@ class _Engine:
         # straight bond assembles nothing, so its pool need not fire the cut
         search = self.spectrum.pool(redemption)
         weights = self.spectrum.cut(redemption, self.eps) if dates else None
+        # the first search reads the pool from its kept floor, each later one
+        # (and the issue value) its carried list from the list's own
+        floor = self.spectrum.floor(redemption, self.eps)
         for i in reversed(dates):
             try:
-                weights = self._step(i, search, weights)
+                weights = self._step(i, search, weights, floor)
             except ConvergenceError as exc:
                 raise ConvergenceError(f"at decision index {i}: {exc}") from exc
             search = weights.tolist()
+            floor = self.model.resolved_floor(search, self.eps, weights.size - 1)
         self.dates.sort(key=lambda d: d.index)
 
         flows = tuple((t, sched.coupon) for t in sched.coupon_times[: sched.protection_index - 1])
         with_coupons = _flow_series(self.spectrum, flows, self.eps)  # the protected coupons
+        eps_coupons = self.eps / max(len(flows), 1)
+        floor = max(floor, self.spectrum.floor(flows, eps_coupons))
+        # a floor is read on a grid: a state below it may still resolve
+        lo = self.model.search_interval(len(search) - 1)[0]
+        read = ((search, self.eps), (self.spectrum.pool(flows), eps_coupons))
+        for x0 in initial_states[initial_states < floor]:
+            if x0 < lo or not all(self.model.resolves(w, e, x0) for w, e in read):
+                raise ValidationError(
+                    f"initial state {x0:.6g} lies below {floor:.6g}, where the issue-date "
+                    f"series of the {self.model.kind} model resolve to eps"
+                )
         values = np.empty(len(initial_states))
         value_levels: list[int] = []
         for j, x0 in enumerate(initial_states):

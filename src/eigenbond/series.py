@@ -22,7 +22,8 @@ pins the first two bodies against each other, and
 ``tests/test_series.py::test_series_pair_and_two_series_sums_agree_bit_for_bit``
 the pair against two ``series_sum`` calls.  ``check_eps`` refuses a tolerance
 that is not a real number or lies outside (0, 1e-3], for every entry point
-that takes one.
+that takes one, and ``resolved`` holds the one test of whether a series'
+rounding stays within its bound.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ from .errors import ConvergenceError, ValidationError, check_real
 __all__ = [
     "MIN_LEVEL",
     "check_eps",
+    "resolved",
     "stop_level",
     "truncate_terms",
     "weight_cutoff",
@@ -94,3 +96,16 @@ def weight_cutoff(weights: np.ndarray, eps: float) -> int:
             f"inner-series weights did not satisfy the truncation rule by n={len(weights) - 1}"
         )
     return level
+
+
+def resolved(terms: np.ndarray, eps: float = 0.0, tol: float = 0.0) -> np.ndarray:
+    """Where the series of ``terms`` (axis 0 the degree, any others the
+    states) resolves: every term finite, and its largest magnitude times
+    2^-52, the rounding its partial sums carry, at most eps times the sum's
+    plus ``tol``.  Where eigenfunctions grow by orders of magnitude the
+    terms cancel, and a series read there is noise.  Overflowed terms are
+    read under numpy's error state, so no warning leaks."""
+    terms = np.asarray(terms, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        bound = eps * np.abs(terms.sum(axis=0)) + tol
+        return np.isfinite(terms).all(axis=0) & (np.abs(terms).max(axis=0) * 2.0**-52 <= bound)

@@ -177,9 +177,9 @@ class Spectrum:
     """The subordinate spectrum of one model under one clock: lambda_n,
     phi(lambda_n) and p_n for n = 0..``POOL_CAP``, set once and never grown.
 
-    ``pool(flows)`` and ``cut(flows, eps)`` are kept per key, each stored in
-    one assignment once built, so threads sharing a model never see a
-    partial entry.
+    ``pool(flows)``, ``cut(flows, eps)`` and ``floor(flows, eps)`` are kept
+    per key, each stored in one assignment once built, so threads sharing a
+    model never see a partial entry.
     """
 
     def __init__(self, model: DiffusionModel, sub: SubordinatorSpec):
@@ -196,6 +196,7 @@ class Spectrum:
         self.p = model.unit_payoff_coefficients(POOL_CAP)
         self._pools: dict[Flows, list[float]] = {}
         self._cuts: dict[tuple[Flows, float], np.ndarray] = {}
+        self._floors: dict[tuple[Flows, float], float] = {}
 
     def unit_weights(self, t: float, n_hi: int) -> np.ndarray:
         """p_n e^{-phi(lambda_n) t} for n = 0..n_hi."""
@@ -224,6 +225,18 @@ class Spectrum:
             weights.flags.writeable = False
             self._cuts[flows, eps] = weights
         return weights
+
+    def floor(self, flows: Flows, eps: float) -> float:
+        """The model's ``resolved_floor`` of ``pool(flows)`` at eps, over the
+        search interval of the ``cut(flows, eps)`` length (of the whole pool
+        where its weights do not fire the cut, as a straight bond's
+        redemption or protected coupons need not)."""
+        floor = self._floors.get((flows, eps))
+        if floor is None:
+            pool = self.pool(flows)
+            n_supply, _ = series.stop_level(np.abs(pool), eps)
+            floor = self._floors[flows, eps] = self.model.resolved_floor(pool, eps, n_supply)
+        return floor
 
 
 def spectrum(model: DiffusionModel, sub: SubordinatorSpec) -> Spectrum:
@@ -308,7 +321,7 @@ def _resolved_series(model: DiffusionModel, sub: SubordinatorSpec, xs: np.ndarra
                 f"[{xs.min():.6g}, {xs.max():.6g}]"
             )
         n_max = 2 * n_max + 1
-    if envelope.max() * np.finfo(float).eps > _ROUNDING_TOL:
+    if not series.resolved(envelope, tol=_ROUNDING_TOL):  # bounds every state's terms
         raise ValidationError(
             f"short-rate expansion cancels to rounding noise over states "
             f"[{xs.min():.6g}, {xs.max():.6g}]"

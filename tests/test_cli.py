@@ -133,6 +133,20 @@ def test_price_quote_below_the_lowest_short_rate_is_refused(capsys):
     assert "Traceback" not in err
 
 
+def test_price_three_halves_rate_below_the_issue_series_floor_is_refused(tmp_path, capsys):
+    # the issue-date series of the 3/2 Swiss callable resolves from 0.00786
+    # on: 0.002 read -3.28e44 before it was refused
+    doc = preset_config("cir")
+    doc["model"] = {"kind": "three_halves", "kappa": 2.0, "theta": 0.05, "sigma": 0.5}
+    doc["run"]["rates"] = [0.002]
+    path = tmp_path / "three_halves_low.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "price", "--config", str(path))
+    assert code == 2 and not out
+    assert "initial state 0.002 lies below 0.007856" in err
+    assert "Traceback" not in err
+
+
 def test_price_nan_coupon_time_is_validation_error(tmp_path, capsys):
     doc = preset_config("cir")
     doc["schedule"]["coupon_times"][0] = float("nan")

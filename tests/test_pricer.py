@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -410,15 +411,18 @@ def test_zero_coupon_keeps_no_weights_on_the_spectrum():
 
 def test_pricing_keeps_only_its_cash_flows_on_the_spectrum():
     # the assembly's per-run tables (decays, coupon term) live on the engine:
-    # what the spectrum keeps is one pool per cash-flow set and one cut per
-    # (cash-flow set, eps), whatever the schedule
+    # what the spectrum keeps is one pool per cash-flow set, one cut per
+    # (cash-flow set, eps) and one floor per pool a search or the issue
+    # value reads, at the eps it is read to, whatever the schedule
     model = dataclasses.replace(CIR)
     spec = spectrum(model, JD)
     schedules = (SWISS_PUT, _thirty_year_monthly())
     for schedule in schedules:
         price_bond(model, JD, schedule, [0.05], eps=1e-7)
-        assert set(vars(spec)) == {"model", "sub", "lam", "philam", "p", "_pools", "_cuts"}
-    pools, cuts = set(), set()
+        assert set(vars(spec)) == {
+            "model", "sub", "lam", "philam", "p", "_pools", "_cuts", "_floors"
+        }
+    pools, cuts, floors = set(), set(), set()
     for schedule in schedules:
         held = schedule.holding_period(schedule.exercise_indices[-1])
         redemption = ((held, 1.0 + schedule.coupon),)
@@ -426,7 +430,11 @@ def test_pricing_keeps_only_its_cash_flows_on_the_spectrum():
         coupons = tuple((t, schedule.coupon) for t in schedule.coupon_times[: schedule.protection_index - 1])
         pools |= {redemption, notice, coupons}
         cuts |= {(redemption, 1e-7), (notice, 1e-7)}
+        floors |= {(redemption, 1e-7), (notice, 1e-7), (coupons, 1e-7 / len(coupons))}
     assert set(spec._pools) == pools and set(spec._cuts) == cuts
+    assert set(spec._floors) == floors
+    # CIR's series resolve over its whole search interval: every floor is the origin
+    assert set(spec._floors.values()) == {model.state_lo}
 
 
 def _run_outputs(result):
@@ -1188,20 +1196,51 @@ def test_three_halves_callable_from_the_first_coupon_is_priced_in_range(eps):
     assert 0.0 < value <= 1.0 + schedule.coupon
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="an issue-date value below the 3/2 search interval takes all the terms of "
-    "a short carried vector that does not fire its rule, and no range check refuses "
-    "it (ROADMAP item 2)",
-)
-def test_three_halves_value_below_the_search_interval_is_priced_in_range():
-    # search_interval(0) starts at 0.00786; at eps 1e-7 the issue-date series
-    # over the 7 terms carried from the first date read -2.33e44, -2.53e8
-    # and -4.83 at these states, each at level 6
+@pytest.mark.parametrize("x0", (0.002, 0.00375, 0.006))
+def test_three_halves_value_below_the_issue_series_floor_is_refused(x0):
+    # at eps 1e-7 the issue-date series over the 7 terms carried from the
+    # first date read -3.28e44, +2.31e8 and -4.83 at these states, each at
+    # level 6 with all its terms.  Its largest term at 0.002 is about 1e44
+    # and the rounding test alone passes it; the refusal comes from the
+    # search interval of those 7 terms, whose lower end is 0.00786
     model = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
-    values = price_bond(model, NONE, SWISS, [0.002, 0.00375, 0.006], eps=1e-7).values
+    with pytest.raises(ValidationError, match="lies below 0.00785"):
+        price_bond(model, NONE, SWISS, [0.01, x0], eps=1e-7)
+
+
+def test_three_halves_value_above_the_issue_series_floor_is_priced_in_range():
+    model = ThreeHalvesModel(kappa=2.0, theta=0.05, sigma=0.5)
+    (value,) = price_bond(model, NONE, SWISS, [0.01], eps=1e-7).values
     # the cash flows and the 3/2 short rate are positive: no value exceeds their sum
-    assert all(0.0 < v <= 1.0 + SWISS.coupon * SWISS.n_coupons for v in values)
+    assert 0.0 < value <= 1.0 + SWISS.coupon * SWISS.n_coupons
+
+
+def test_a_three_halves_state_below_a_grid_floor_is_priced_where_its_series_resolve():
+    # the Swiss bond callable on its last date only, at eps 1e-10: the pool
+    # of its 19 protected coupons resolves from about 0.0094, but its floor
+    # is the grid state above the last noisy one, 0.01056.  0.01 is read
+    # state by state and prices as before; 0.009 lies below the search
+    # interval of the 7 terms the issue value reads (0.00943)
+    model = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.5)
+    schedule = dataclasses.replace(SWISS, protection_index=20, call_prices=(1.0,))
+    coupons = tuple((t, schedule.coupon) for t in schedule.coupon_times[:19])
+    assert spectrum(model, NONE).floor(coupons, 1e-10 / 19) > 0.0105
+    (value,) = price_bond(model, NONE, schedule, [0.01], eps=1e-10).values
+    assert 0.0 < value <= 1.0 + schedule.coupon * schedule.n_coupons
+    with pytest.raises(ValidationError, match="initial state 0.009 lies below"):
+        price_bond(model, NONE, schedule, [0.009], eps=1e-10)
+
+
+def test_three_halves_jump_clock_pricing_emits_no_runtime_warning():
+    # the floor summed terms that overflow to inf of both signs outside its
+    # numpy error state: "invalid value encountered in reduce", which
+    # -W error::RuntimeWarning turned into a failed pricing
+    model = ThreeHalvesModel(kappa=2.0, theta=0.06, sigma=0.5)
+    clock = SubordinatorSpec.inverse_gaussian(0.0, 0.5, 0.2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        (value,) = price_bond(model, clock, SWISS_PUT, [0.05], eps=1e-11).values
+    assert math.isfinite(value)
 
 
 def test_three_halves_callable_survives_a_last_bit_change_of_its_payoff_coefficients(
@@ -1247,12 +1286,14 @@ def test_the_three_halves_search_starts_where_its_series_resolves(eps):
     # at eps 1e-10 the pool's terms reach 2.8e15 at search_interval(35)'s
     # lower end, 0.0054, and sum to 29.9; the floor is the lowest state of
     # a 24-state geometric grid over [lo, theta] from which up the rounding
-    # of the sum stays below eps of it
+    # of the sum stays below eps of it, kept on the spectrum for the pool
     model = ThreeHalvesModel(2.0, 0.06, 0.5)
     pool, n_supply = _redemption_pool(model, eps)
     lo, start, hi = model.search_interval(n_supply)
-    floor, *rest = model.search_interval(n_supply, pool, eps)
-    assert rest == [start, hi] and lo <= floor < start
+    floor = model.resolved_floor(pool, eps, n_supply)
+    assert model.search_interval(n_supply) == (lo, start, hi) and lo <= floor < start
+    flows = ((SWISS.holding_period(SWISS.exercise_indices[-1]), 1.0 + SWISS.coupon),)
+    assert spectrum(model, NONE).floor(flows, eps) == floor
     grid = np.geomspace(lo, model.theta, 24).tolist()
     k = grid.index(floor)
     assert all(_resolved(model, pool, eps, x) for x in grid[k:])
@@ -1261,15 +1302,60 @@ def test_the_three_halves_search_starts_where_its_series_resolves(eps):
         assert floor > lo  # noise at lo, as above
 
 
-def test_the_search_floor_is_a_three_halves_fact():
-    # the affine models' intervals do not read the series
+def test_the_search_floor_is_a_three_halves_fact(monkeypatch):
+    # the affine models' floors are their lower ends, and read no series
     pool, _ = _redemption_pool(CIR, 1e-10)
+    for cls in (CIRModel, VasicekModel):
+        monkeypatch.setattr(cls, "_eigenfunction_rows", None)
     for model in (CIR, VAS):
-        assert model.search_interval(64, pool, 1e-10) == model.search_interval(64)
+        assert model.resolved_floor(pool, 1e-10, 64) == model.state_lo
     # and a 3/2 series that resolves over the whole interval leaves it as it was
     model = ThreeHalvesModel(2.0, 0.06, 0.1)
     pool, n_supply = _redemption_pool(model, 1e-10)
-    assert model.search_interval(n_supply, pool, 1e-10) == model.search_interval(n_supply)
+    assert model.resolved_floor(pool, 1e-10, n_supply) == model.search_interval(n_supply)[0]
+
+
+def test_a_warm_three_halves_pricing_builds_no_pool_rows(monkeypatch):
+    # each pool's floor is kept on the spectrum: the POOL_CAP-degree rows
+    # over the floor's grid are built by the first pricing only
+    model = ThreeHalvesModel(2.0, 0.06, 0.5)
+    rows = model._eigenfunction_rows
+    degrees = []
+    monkeypatch.setattr(
+        ThreeHalvesModel, "_eigenfunction_rows", lambda self, n, x: degrees.append(n) or rows(n, x)
+    )
+    for eps in (1e-7, 1e-10):
+        price_bond(model, NONE, SWISS_PUT, [0.05], eps=eps)
+        assert POOL_CAP in degrees
+        degrees.clear()
+        price_bond(model, NONE, SWISS_PUT, [0.05], eps=eps)
+        assert POOL_CAP not in degrees
+
+
+def test_every_three_halves_search_reads_the_notice_bond_where_it_resolves(monkeypatch):
+    from eigenbond import pricer
+
+    # at eps 1e-10 the notice pool ((0.1666, 1),) resolves on its floor's
+    # grid from 0.0096, above the redemption pool's 0.0091: below it the
+    # rounding of the bond K P(delta, .) in D reached 1.7 eps of its sum
+    eps = 1e-10
+    model = ThreeHalvesModel(2.0, 0.06, 0.5)
+    spec = spectrum(model, NONE)
+    notice = spec.floor(((SWISS.notice_delta, 1.0),), eps)
+    first = spec.floor(((SWISS.holding_period(SWISS.exercise_indices[-1]), 1.0 + SWISS.coupon),), eps)
+    assert 0.0095 < notice and first < notice
+    finder = pricer._RootFinder
+    lows = []
+
+    class Recorded(finder):
+        def __init__(self, evaluate, interval, *args):
+            lows.append(interval[0])
+            super().__init__(evaluate, interval, *args)
+
+    monkeypatch.setattr(pricer, "_RootFinder", Recorded)
+    result = price_bond(model, NONE, SWISS, [0.05], eps=eps)
+    assert len(lows) == len(result.dates) == 10
+    assert all(lo >= notice for lo in lows)
 
 
 def test_truncation_levels_monotone_in_eps():

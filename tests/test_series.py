@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -240,3 +241,21 @@ def test_check_eps_refuses_a_bad_tolerance(eps):
 def test_check_eps_accepts_the_whole_range():
     for eps in (1e-3, 1e-7, 1e-16, 5e-324):
         series.check_eps(eps)
+
+
+def test_resolved_reads_every_term_finite_and_its_rounding_within_the_bound():
+    # columns: a sum of 1 carrying 1e3 of terms (rounding 2.2e-13); one
+    # cancelling to 2e-3 from 1e10 (rounding 2.2e-6); one overflowed to inf
+    # of both signs, whose sum numpy reads as an invalid reduce
+    terms = np.array([[1e3, 1e10, np.inf], [-999.0, -1e10, -np.inf], [0.0, 2e-3, 1.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        # eps relative to the sum: 2.2e-13 against eps * 1, 2.2e-6 against eps * 2e-3
+        assert series.resolved(terms, 1e-13).tolist() == [False, False, False]
+        assert series.resolved(terms, 1e-12).tolist() == [True, False, False]
+        assert series.resolved(terms, 1e-3).tolist() == [True, False, False]
+        assert series.resolved(terms, 2e-3).tolist() == [True, True, False]
+        # an absolute tolerance
+        assert series.resolved(terms, tol=1e-13).tolist() == [False, False, False]
+        assert series.resolved(terms, tol=1e-12).tolist() == [True, False, False]
+        assert series.resolved(terms, tol=1e-5).tolist() == [True, True, False]

@@ -336,6 +336,28 @@ def test_a_fresh_three_halves_model_inverts_what_a_warm_one_does(sub, lowest):
     assert fresh._short_rate_brackets == {}
 
 
+def test_the_short_rate_map_refuses_rounding_noise_by_the_shared_test(monkeypatch):
+    # one rounding-noise test in the package: the short-rate map reads it
+    # with its absolute tolerance, the 3/2 search floor with eps of the sum
+    from eigenbond import models, series
+
+    assert models.resolved is series.resolved
+    calls = []
+    shared = series.resolved
+
+    def counted(terms, eps=0.0, tol=0.0):
+        calls.append((eps, tol))
+        return shared(terms, eps, tol)
+
+    monkeypatch.setattr(series, "resolved", counted)
+    short_rate_map(_fresh(TH), JD, np.linspace(0.02, 0.2, 5))
+    assert calls == [(0.0, subordinators._ROUNDING_TOL)]
+    calls.clear()
+    with pytest.raises(ValidationError, match="cancels to rounding noise"):
+        invert_short_rate(_fresh(TH), JD, 0.0115)
+    assert calls and set(calls) == {(0.0, subordinators._ROUNDING_TOL)}
+
+
 def test_a_sweep_resolves_one_series_per_model_and_clock(monkeypatch):
     calls = []
 
