@@ -5,7 +5,7 @@ CIR, Vasicek, and 3/2 short-rate diffusions and their Levy-subordinated
 jump extensions.  The pricing semigroup is expanded in its eigenfunctions;
 embedded options are handled by a backward recursion on the expansion
 coefficients with break-even boundaries located by one bracketed Newton
-loop, started at the previous date's boundary.
+loop, started where the boundaries located last predict it.
 """
 
 __version__ = "0.1.0"

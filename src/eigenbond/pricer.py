@@ -10,14 +10,18 @@ The bond value at issue is built by one stage per decision date:
     below the state x_c where the discounted call price drops under the
     hold value, the holder puts above the state x_p where the discounted
     put price rises above it.  Each break-even state is found by one
-    bracketed Newton loop on the difference and its slope, started at the
-    previous date's state of the same kind, or without one (the first
-    search, or an empty region at the previous date) at the bottom of the
-    search interval, raised to where the series of the continuation and of
-    the notice bond resolve (``resolved_floor``, a pool's kept by
-    ``Spectrum.floor``): Newton steps inside the sign bracket every evaluation
-    narrows, and a bisection, or before a sign change a walk outward,
-    where a Newton step would leave the bracket or stall.  The new
+    bracketed Newton loop on the difference and its slope.  It starts at a
+    prediction from the states of the same kind located last
+    (``_Predictor``: the last state, the line through the last two or the
+    parabola through the last three, whichever missed least at the two
+    dates before).  Without a state at the date before (the first search,
+    or an empty region there) it starts at the bottom of the search
+    interval, raised to where the series of the continuation and of the
+    notice bond resolve (``resolved_floor``, a pool's kept by
+    ``Spectrum.floor``).  Newton steps stay inside the sign bracket every
+    evaluation narrows; a bisection, or before a sign change a walk
+    outward, takes over where a Newton step would leave the bracket or
+    stall.  The new
     coefficient vector sums, over the regions, the overlap over the region
     applied to its payoff (the strike times the expansion of P(delta, .)
     over an exercise region, the hold weights over the hold region), plus
@@ -106,8 +110,8 @@ __all__ = [
 # of an evaluated sign change at most TOL_X wide.
 TOL_X = 1e-7
 
-# Before a sign change is evaluated, a bracketing step walks out from last
-# date's state of the same kind by this width, then by steps growing this
+# Before a sign change is evaluated, a bracketing step walks out from the
+# search's predicted first state by this width, then by steps growing this
 # factor at a time.
 _WARM_HALF_WIDTH = 1e-3
 _WARM_GROWTH = 4.0
@@ -416,9 +420,14 @@ class _RootFinder:
         scheme of Press et al., *Numerical Recipes*, 9.4: Newton steps inside
         a sign bracket [lo, hi] (D(lo) <= 0 < D(hi)) that every evaluation
         narrows, starting as the search interval, whose ends are not
-        evaluated.  The first state is ``hint`` (last date's break-even
-        state of the same kind, clamped into the interval); without one it
-        is ``search_lo``, and the first step walks to ``bracket_start``.
+        evaluated.  The first state is ``hint`` (the state ``_Predictor``
+        predicts from the dates located last, clamped into the interval);
+        without one it is ``search_lo``, and the first step walks to
+        ``bracket_start``.  Inside an evaluated sign change, where the Newton
+        step from the last iterate would leave it (or D' <= 0 there), the
+        step is taken instead from the other end if that end's |D| is the
+        smaller: on a D that bends one way, only the step from one end
+        overshoots.
 
         A bracketing step replaces the Newton step when the iterate would
         leave the bracket, when D' <= 0, or, once a sign change is
@@ -430,15 +439,17 @@ class _RootFinder:
         new state.
 
         An iterate is accepted when its step is at most ``TOL_X / 2``, or
-        when it lies inside an evaluated sign change and the quadratic error
-        estimate |D'' / 2 D'| step^2, D'' from the last two slopes, is at
+        when it lies inside an evaluated sign change, its step is from the
+        last iterate, and the quadratic error estimate |D'' / 2 D'| step^2,
+        D'' from the slopes at the two ends of the last step taken, is at
         most ``TOL_X / 4``; an evaluated sign change at most ``TOL_X`` wide
-        gives its midpoint.  An edge of the interval that fails to straddle
+        gives its midpoint, and a state where D is exactly 0 is itself the
+        break-even state.  An edge of the interval that fails to straddle
         decides the whole interval: a call region over all of it has its
         break-even state at ``search_hi``, and a put region over all of it
         raises, since a poorly resolved 3/2 continuation can fake one.
         """
-        diff = self._difference(strike, self.levels)
+        evaluate, levels = self.evaluate, self.levels
         edge_lo, edge_hi = self.search_lo, self.search_hi
         lo, hi = edge_lo, edge_hi
         lo_seen = hi_seen = bracketed = False  # D evaluated at lo, at hi
@@ -448,7 +459,10 @@ class _RootFinder:
             x, reach = min(max(hint, edge_lo), edge_hi), _WARM_HALF_WIDTH
         last_x = last_slope = last_step = None
         while True:
-            value, slope = diff(x)
+            # D and D' as ``_difference`` gives them, one call fewer per evaluation
+            value, slope, level, bond, bond_slope = evaluate(x)
+            levels.append(level)
+            value, slope = strike * bond - value, strike * bond_slope - slope
             if value > 0.0:
                 if x == edge_lo:
                     if kind == "call":
@@ -457,15 +471,24 @@ class _RootFinder:
                         "put region covers the whole search interval",
                         decision_index=self.decision_index,
                     )
-                hi, hi_seen = x, True
+                hi, hi_seen, hi_diff = x, True, (value, slope)
             else:
                 if x == edge_hi:
                     # a call region over the whole interval, or no put region
                     return edge_hi if kind == "call" else None
-                lo, lo_seen = x, True
+                if value == 0.0:
+                    return x  # a root, whose step of 0 would not pass lo < new
+                lo, lo_seen, lo_diff = x, True, (value, slope)
             straddled = lo_seen and hi_seen
+            base, base_slope = x, slope
             step = -value / slope if slope > 0.0 else math.nan  # nan: no Newton step
-            new = x + step
+            if straddled and not lo < x + step < hi:
+                # a D that bends one way sends the step from one end past the
+                # bracket and keeps the one from the other end inside it
+                end, (end_value, end_slope) = (lo, lo_diff) if value > 0.0 else (hi, hi_diff)
+                if abs(end_value) < abs(value) and end_slope > 0.0:
+                    base, base_slope, step = end, end_slope, -end_value / end_slope
+            new = base + step
             # a cold start walks its first step
             newton = lo < new < hi and (hint is not None or last_x is not None)
             if newton and abs(step) <= 0.5 * TOL_X:
@@ -474,20 +497,22 @@ class _RootFinder:
                 if hi - lo <= TOL_X:
                     return 0.5 * (lo + hi)
                 if newton:
+                    # D'' from the slopes at the two ends of the last step, which
+                    # ends at x: the estimate holds for a step from x only
                     curvature = (slope - last_slope) / (x - last_x)
-                    if abs(curvature / (2.0 * slope)) * step * step <= 0.25 * TOL_X:
+                    if base == x and abs(curvature / (2.0 * slope)) * step * step <= 0.25 * TOL_X:
                         return new
                     newton = abs(step) <= 0.5 * abs(last_step)
             if not newton:
                 self.fallbacks += not bracketed  # once per search
-                bracketed = True
+                bracketed, base, base_slope = True, x, slope
                 if straddled:
                     new = 0.5 * (lo + hi)
                 elif lo_seen:
                     new, reach = min(lo + reach, edge_hi), reach * _WARM_GROWTH
                 else:
                     new, reach = max(hi - reach, edge_lo), reach * _WARM_GROWTH
-            last_x, last_slope, last_step = x, slope, new - x
+            last_x, last_slope, last_step = base, base_slope, new - base
             x = new
 
     def scan_single_crossing(self, strike: float, has_root: bool) -> None:
@@ -508,6 +533,64 @@ class _RootFinder:
 # ---------------------------------------------------------------------------
 # The backward recursion
 # ---------------------------------------------------------------------------
+
+
+class _Predictor:
+    """Where the next break-even search of one kind starts.
+
+    It keeps the last three located (decision time, state) pairs, in
+    Newton's divided-difference form, and predicts the next date's state
+    three ways at that date's decision time: the last state, the line
+    through the last two and the parabola through the last three.  Each
+    prediction keeps its misses at the two dates located last, and the
+    search starts at the prediction whose two misses sum least: at the last
+    state until a line or a parabola has two.  A date without a state
+    restarts the history, so the next search starts cold.  All of it is
+    plain floats, O(1) a date.
+    """
+
+    __slots__ = ("t1", "t2", "x1", "slope", "bend", "line", "parabola", "last_miss",
+                 "last_sum", "line_miss", "line_sum", "parabola_miss", "parabola_sum")
+
+    def __init__(self):
+        self.locate(math.nan, None)
+
+    def predict(self, t: float) -> float | None:
+        """The first state of the search at decision time t, or None (cold)."""
+        x1 = self.x1
+        if x1 is None:
+            return None
+        # a guess from too few states is nan, and so is its sum of misses
+        # until it has missed twice: a nan sum is never the least
+        ahead = t - self.t1
+        line = self.line = x1 + self.slope * ahead
+        parabola = self.parabola = line + self.bend * ahead * (t - self.t2)
+        best, least = x1, self.last_sum
+        if self.line_sum < least:
+            best, least = line, self.line_sum
+        if self.parabola_sum < least:
+            best = parabola
+        return best
+
+    def locate(self, t: float, x: float | None) -> None:
+        """Record the state located at decision time t (None: no region)."""
+        x1 = self.x1 if x is not None else None
+        if x1 is None:  # a restart, or the first state after one
+            self.slope = self.bend = self.t2 = math.nan
+            self.last_miss = self.line_miss = self.parabola_miss = math.nan
+            self.last_sum = self.line_sum = self.parabola_sum = math.nan
+        else:
+            step = x - x1
+            miss = abs(step)
+            self.last_sum, self.last_miss = miss + self.last_miss, miss
+            miss = abs(x - self.line)
+            self.line_sum, self.line_miss = miss + self.line_miss, miss
+            miss = abs(x - self.parabola)
+            self.parabola_sum, self.parabola_miss = miss + self.parabola_miss, miss
+            slope = step / (t - self.t1)
+            self.bend = (slope - self.slope) / (t - self.t2)
+            self.slope, self.t2 = slope, self.t1
+        self.t1, self.x1 = t, x
 
 
 def _jump(below: np.ndarray, above: np.ndarray) -> np.ndarray:
@@ -541,8 +624,8 @@ class _Engine:
         self.spectrum = spectrum(model, sub)
         self.with_notice = _flow_series(self.spectrum, ((schedule.notice_delta, 1.0),), eps)
         self.dates: list[DateRecord] = []
-        # break-even states of the date stepped last, the next date's hints
-        self._hints: dict[str, float | None] = {"call": None, "put": None}
+        # where each kind's next break-even search starts
+        self._predictors = {"call": _Predictor(), "put": _Predictor()}
         # what every date's assembly reads, built once per run and kept on
         # the engine, not the spectrum, so nothing outlives the call: the
         # expansion of P(delta, .), the coupon term to POOL_CAP and, on first
@@ -576,16 +659,18 @@ class _Engine:
         finder = _RootFinder(evaluate, interval, i, record.eval_levels)
 
         states: dict[str, float | None] = {"call": None, "put": None}
+        t = record.decision_time
         for kind, strike in (("call", sched.call_price(i)), ("put", sched.put_price(i))):
             if strike is not None:
-                states[kind] = finder.find(kind, strike, hint=self._hints[kind])
+                predictor = self._predictors[kind]
+                states[kind] = finder.find(kind, strike, hint=predictor.predict(t))
                 if kind == "call" and states[kind] == finder.search_hi:
                     # taken on an affine model once the sign scan confirms it:
                     # on the 3/2 model a wrongly large continuation can fake one
                     if not self.model.affine:
                         raise BracketError("call region covers the whole search interval", i)
                     finder.scan_single_crossing(strike, False)
-        self._hints = states
+                predictor.locate(t, states[kind])
         record.search_fallbacks = finder.fallbacks
         x_call, x_put = states["call"], states["put"]
         if x_call is not None and x_put is not None and not x_call < x_put:

@@ -298,3 +298,70 @@ def test_series_resolutions_are_reported_per_workload():
     report = compare_outputs.report(summary)
     assert "short-rate series resolutions, rate_sweep: - -> 4" in report
     assert "short-rate series resolutions, long_callable: - -> 0" in report
+
+
+def test_the_runs_behind_each_mismatch_count_are_named():
+    # each count names its runs, with where each first differs: a date by
+    # its position in the run's dates, an initial state, or nothing for a
+    # whole-run mismatch
+    parent = {"a": _run(), "b": _run(), "c": _run(), "d": _run(), "gone": _run(),
+              "same": _run()}
+    change = {
+        "a": _run(levels=((12, 13), (14, 15))),
+        "b": _run(assembled=(40, 42), states=((0.03, None), (None, 0.2))),
+        "c": {"workload": "swiss", "seed": 5046, "eps": 1e-7, "job_eps": True,
+              "error": "BracketError: put region covers the whole search interval"},
+        "d": {**_run(levels=((11, 13), (15,))), "value_levels": [20, 22]},
+        "same": _run(),
+    }
+    summary = compare_outputs.compare(parent, change)
+    assert summary["counts"]["eval_levels"] == 3
+    assert summary["where"] == {
+        "missing": {"gone": None}, "errors": {"c": None}, "quotes": {}, "dates": {},
+        "none_pattern": {"b": "date 1"}, "assembled": {"b": "date 1"},
+        "value_levels": {"d": "state 1"}, "eval_levels": {"a": "date 1", "d": "date 0"},
+    }
+    report = compare_outputs.report(summary)
+    assert "  eval_levels in 2 run(s): a (from date 1); d (from date 0)" in report
+    assert "  errors in 1 run(s): c" in report
+    assert "  missing in 1 run(s): gone" in report
+    assert "  value_levels in 1 run(s): d (from state 1)" in report
+    assert "quotes in" not in report and "same" not in report
+
+
+def _fake_revisions(monkeypatch):
+    """Make ``main`` freeze and dump nothing: each side's tree is an empty
+    directory and its dump one run.  Returns the trees it was handed."""
+    import sys
+    import types
+
+    trees = []
+
+    def freeze(rev, dest):
+        dest.mkdir(parents=True)
+        trees.append(dest)
+        return rev
+
+    monkeypatch.setitem(sys.modules, "bench_pairs", types.SimpleNamespace(freeze=freeze))
+    monkeypatch.setattr(compare_outputs, "_dump_in", lambda tree, out: {"a": _run()})
+    return trees
+
+
+def test_the_temporary_work_directory_is_removed(monkeypatch, tmp_path, capsys):
+    import tempfile
+
+    trees = _fake_revisions(monkeypatch)
+    monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+    assert compare_outputs.main(["--parent", "HEAD", "--change", "."]) == 0
+    assert len(trees) == 2 and not any(tree.exists() for tree in trees)
+    assert list(tmp_path.iterdir()) == []
+    assert "OK" in capsys.readouterr().out
+
+
+def test_a_given_work_directory_is_kept(monkeypatch, tmp_path):
+    trees = _fake_revisions(monkeypatch)
+    workdir = tmp_path / "work"
+    assert compare_outputs.main(["--parent", "HEAD", "--change", ".",
+                                 "--workdir", str(workdir)]) == 0
+    assert trees == [workdir / "parent", workdir / "change"]
+    assert all(tree.is_dir() for tree in trees)

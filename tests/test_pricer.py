@@ -851,6 +851,112 @@ def test_newton_closes_within_half_tol_of_a_tight_brent(monkeypatch, model, sub,
         assert abs(root - reference) <= 0.5 * pricer.TOL_X, (root, reference)
 
 
+def _searches(monkeypatch):
+    """Every break-even search of a pricing, by decision index: its hint,
+    its state, its evaluations and its finder."""
+    from eigenbond import pricer
+
+    find = pricer._RootFinder.find
+    searches = {}
+
+    def recorded(self, kind, strike, hint=None):
+        before = len(self.levels)
+        state = find(self, kind, strike, hint=hint)
+        searches[self.decision_index] = hint, state, len(self.levels) - before, self
+        return state
+
+    monkeypatch.setattr(pricer._RootFinder, "find", recorded)
+    return searches
+
+
+def test_a_cold_search_whose_root_lies_just_above_search_lo_closes_in_five_evaluations(
+    monkeypatch,
+):
+    # the first date at 1.06 with a call region searches cold; its root lies
+    # 1.8e-4 above search_lo = 0, where D is concave, so each Newton step
+    # from the top of the bracket overshoots below search_lo.  Stepping
+    # from the bottom end, whose |D| is smaller, stays inside; stepping
+    # from the last iterate alone bisected 9 times (11 evaluations), where
+    # Brent took 5
+    from eigenbond import pricer
+
+    searches = _searches(monkeypatch)
+    price_bond(CIR, NONE, _five_year_monthly([1.0] * 24 + [1.06] * 24), [0.05], eps=1e-7)
+    hint, state, evaluations, finder = searches[39]
+    assert searches[40][1] is None and hint is None
+    assert finder.search_lo == 0.0 and state == pytest.approx(1.771e-4, rel=1e-3)
+    assert evaluations <= 5
+    reference = _tight_root(finder, finder._difference(1.06), state)
+    assert abs(state - reference) <= 0.5 * pricer.TOL_X
+
+
+@pytest.mark.parametrize(
+    "ladder",
+    ([1.0] * 24 + [1.06] * 24, [1.0] * 18 + [1.5] * 12 + [1.0] * 18),
+    ids=("strike_jump", "emptied_region"),
+)
+@pytest.mark.parametrize("model", (CIR, VAS), ids=lambda m: m.kind)
+def test_a_date_without_a_call_state_restarts_the_predictor(monkeypatch, model, ladder):
+    # the date after one without a call state starts cold, and the dates
+    # after it start at the last state until a line through the states
+    # located since has missed twice: nothing located before the gap is read
+    searches = _searches(monkeypatch)
+    result = price_bond(model, NONE, _five_year_monthly(ladder), [0.05], eps=1e-7)
+    states = {d.index: d.call_state for d in result.dates}
+    restarts = [i for i, x in states.items()
+                if x is not None and i + 1 in states and states[i + 1] is None]
+    assert restarts
+    for i in restarts:
+        assert searches[i][0] is None
+        for j in range(i - 1, i - 4, -1):
+            if states.get(j) is None:
+                break
+            assert searches[j][0] == states[j + 1], (i, j)
+
+
+@pytest.mark.parametrize("model,most", ((CIR, 1.6), (VAS, 1.8)), ids=("cir", "vasicek"))
+def test_the_predicted_search_start_keeps_the_long_callable_cheap(model, most):
+    # the bench's 300-date monthly callable: started at last date's state
+    # its searches took 2.03 (CIR) and 2.87 (Vasicek) evaluations a date;
+    # started at the prediction that missed least, 1.52 and 1.71
+    result = price_bond(model, NONE, _thirty_year_monthly(), [0.05], eps=1e-7)
+    assert len(result.dates) == 300
+    assert sum(len(d.eval_levels) for d in result.dates) <= most * 300
+
+
+def test_the_predicted_search_start_costs_the_swiss_runs_no_evaluations():
+    # the six benchmark configurations at eps 1e-7 and 1e-10, at most the
+    # evaluations they took started at last date's state: the callable
+    # runs 303 in all (285 predicted; the Vasicek callable alone takes 23
+    # -> 26 at each eps), the call+put runs 552 (552)
+    evaluations = {False: 0, True: 0}
+    for config in benchmark.BENCHMARK_CONFIGS:
+        model, sub = benchmark.benchmark_model(config), benchmark.benchmark_subordinator(config)
+        for include_put in (False, True):
+            schedule = benchmark.swiss1987_schedule(include_put=include_put)
+            for eps in (1e-7, 1e-10):
+                result = price_bond(model, sub, schedule, [0.05], eps=eps)
+                evaluations[include_put] += sum(len(d.eval_levels) for d in result.dates)
+    assert evaluations[False] <= 303
+    assert evaluations[True] <= 552
+
+
+@pytest.mark.parametrize(
+    "model,schedule",
+    ((CIR, SWISS_PUT), (VAS, SWISS_PUT), (ThreeHalvesModel(2.0, 0.06, 0.5), SWISS)),
+    ids=("cir", "vasicek", "three_halves"),
+)
+@pytest.mark.parametrize("sub", (NONE, JD), ids=("plain", "ig"))
+def test_break_even_states_and_rates_are_python_floats(model, sub, schedule):
+    # a numpy scalar state would carry into the next search's start and run
+    # the series and the assembly on numpy scalars
+    result = price_bond(model, sub, schedule, [0.05], eps=1e-7)
+    found = [x for d in result.dates
+             for x in (d.call_state, d.put_state, d.call_rate, d.put_rate) if x is not None]
+    assert len(found) >= 2 * len(result.dates)
+    assert all(type(x) is float for x in found), {type(x) for x in found}
+
+
 def _walk(interval, root):
     """A break-even search on diff(x) = x - root (K = 1, P(delta, x) = 1,
     C(x) = 1 - (x - root)), with the list of the states it evaluates."""
@@ -932,7 +1038,7 @@ def test_walk_clamps_a_hint_outside_the_search_interval():
     from eigenbond import pricer
 
     # the bottom of the 3/2 search interval moves with the carried length, so
-    # last date's state can lie below this date's search_lo
+    # a state predicted from earlier dates can lie below this date's search_lo
     below = TH.search_interval(400)[0]
     interval = TH.search_interval(8)
     lo, _, hi = interval
@@ -955,6 +1061,18 @@ def test_walk_at_the_edges_of_the_search_interval(hint):
     # diff <= 0 everywhere: a call region over the whole interval, and no put region
     assert _walk(interval, hi + 1.0)[0].find("call", 1.0, hint=hint) == hi
     assert _walk(interval, hi + 1.0)[0].find("put", 1.0, hint=hint) is None
+
+
+@pytest.mark.parametrize("kind", ("call", "put"))
+def test_a_state_where_the_difference_is_exactly_zero_closes_the_search(kind):
+    # its Newton step is 0, and an iterate on the bracket's end failed the
+    # strict bracket test: the search walked out and bisected back (17
+    # evaluations at one long_callable date) to a state TOL_X / 3 away
+    interval = lo, _, hi = CIR.search_interval(40)
+    root = lo + 0.25 * (hi - lo)
+    finder, seen = _walk(interval, root)
+    assert finder.find(kind, 1.0, hint=root) == root
+    assert seen == [root]
 
 
 @pytest.mark.parametrize(

@@ -47,9 +47,11 @@ or the error raised.  The comparison prints
 the largest differences (of values also in units of each run's eps), the
 name of every run past each bound (``BOUNDS``) with that run's largest
 difference, its largest |output| and their ratio (a difference past an
-absolute bound may be rounding of a large output), the mismatch counts, the
-break-even evaluations per workload (seed 5046, the job's eps) in total and
-per decision date with the workload's fallbacks, its assembly passes and,
+absolute bound may be rounding of a large output), the mismatch counts
+with the runs behind each and where each run first differs (a date by its
+position in the run's dates, or an initial state), the break-even
+evaluations per workload (seed 5046, the job's eps) in total and per
+decision date with the workload's fallbacks, its assembly passes and,
 where it inverts quotes, its ``eigenfunctions`` evaluations per inverted
 quote, its short-rate series resolutions, its recurrence passes per
 break-even evaluation and per issue-date state, and the criterion-6
@@ -58,12 +60,14 @@ exits 1 when values differ by more than ``VALUE_TOL``, quote states by more
 than ``QUOTE_STATE_TOL``, break-even states or rates by more than
 ``STATE_TOL``, the None pattern, the assembled lengths, the dates, the
 quote counts or the errors differ, or the change's criterion-6 deviation
-exceeds ``CRITERION_6_BOUND``.
+exceeds ``CRITERION_6_BOUND``.  Without ``--workdir`` the frozen copies go
+in a temporary directory that is removed when the comparison ends.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -313,6 +317,14 @@ def compare(parent: dict, change: dict) -> dict:
         ("missing", "errors", "quotes", "dates", "none_pattern", "assembled", "value_levels",
          "eval_levels"), 0
     )
+    # per count, the runs behind it, each with where it first differs (None: not by date)
+    where: dict[str, dict[str, str | None]] = {key: {} for key in counts}
+
+    def mismatch(key: str, label: str, found: int = 1, first: str | None = None) -> None:
+        counts[key] += found
+        if found:
+            where[key].setdefault(label, first)
+
     evaluations: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
     dates: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
     issue_states: dict[str, dict[str, int]] = {"parent": {}, "change": {}}
@@ -339,32 +351,32 @@ def compare(parent: dict, change: dict) -> dict:
 
     for label in sorted(set(parent) | set(change)):
         if label not in parent or label not in change:
-            counts["missing"] += 1
+            mismatch("missing", label)
             continue
         a, b = parent[label], change[label]
         if ("error" in a) or ("error" in b):
-            counts["errors"] += a.get("error") != b.get("error")
+            mismatch("errors", label, a.get("error") != b.get("error"))
             continue
         for x, y in zip(a["values"], b["values"]):
             _max_diff(worst, past, sizes, "value", x, y, label)
             _max_diff(worst, past, sizes, "value_eps", x / a["eps"], y / a["eps"], label)
         quotes_a, quotes_b = a.get("quote_states", []), b.get("quote_states", [])
-        counts["quotes"] += len(quotes_a) != len(quotes_b)
+        mismatch("quotes", label, len(quotes_a) != len(quotes_b))
         for x, y in zip(quotes_a, quotes_b):
             _max_diff(worst, past, sizes, "quote_state", x, y, label)
-        counts["value_levels"] += sum(x != y for x, y in zip(a["value_levels"], b["value_levels"]))
+        _mismatches(mismatch, "value_levels", label, "state", a["value_levels"], b["value_levels"])
         if len(a["states"]) != len(b["states"]):
-            counts["dates"] += 1
+            mismatch("dates", label)
             continue
         for key in ("states", "rates"):
-            for pair_a, pair_b in zip(a[key], b[key]):
+            for date, (pair_a, pair_b) in enumerate(zip(a[key], b[key])):
                 for x, y in zip(pair_a, pair_b):
                     if (x is None) != (y is None):
-                        counts["none_pattern"] += key == "states"
+                        mismatch("none_pattern", label, key == "states", f"date {date}")
                     elif x is not None:
                         _max_diff(worst, past, sizes, key[:-1], x, y, label)
-        counts["assembled"] += sum(x != y for x, y in zip(a["assembled"], b["assembled"]))
-        counts["eval_levels"] += sum(x != y for x, y in zip(a["eval_levels"], b["eval_levels"]))
+        _mismatches(mismatch, "assembled", label, "date", a["assembled"], b["assembled"])
+        _mismatches(mismatch, "eval_levels", label, "date", a["eval_levels"], b["eval_levels"])
 
     failed = [
         name
@@ -381,6 +393,7 @@ def compare(parent: dict, change: dict) -> dict:
         "past": past,
         "sizes": {key: {label: sizes[key][label] for label in past[key]} for key in BOUNDS},
         "counts": counts,
+        "where": where,
         "evaluations": evaluations,
         "dates": dates,
         "issue_states": issue_states,
@@ -388,6 +401,14 @@ def compare(parent: dict, change: dict) -> dict:
         "criterion_6_dev": criterion_6,
         "failed": failed,
     }
+
+
+def _mismatches(mismatch, key: str, label: str, unit: str, a: list, b: list) -> None:
+    """Count the positions where lists ``a`` and ``b`` differ, under the run
+    ``label`` with the first of them (``unit`` k: a date, or an initial state)."""
+    differ = [k for k, (x, y) in enumerate(zip(a, b)) if x != y]
+    if differ:
+        mismatch(key, label, len(differ), f"{unit} {differ[0]}")
 
 
 def report(summary: dict) -> str:
@@ -408,6 +429,11 @@ def report(summary: dict) -> str:
     lines.append(f"max |value diff| / eps = {diff:.3g} at {label}")
     counts = summary["counts"]
     lines.append("mismatches: " + ", ".join(f"{k} {v}" for k, v in counts.items()))
+    for key, runs in summary["where"].items():
+        if runs:
+            lines.append(f"  {key} in {len(runs)} run(s): " + "; ".join(
+                label if first is None else f"{label} (from {first})"
+                for label, first in sorted(runs.items())))
     for workload in sorted(set(summary["evaluations"]["parent"]) | set(summary["evaluations"]["change"])):
         per_side = {}
         for side in ("parent", "change"):
@@ -481,7 +507,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", help="commit, or . for the working tree")
     parser.add_argument("--change", help="commit, or . for the working tree")
-    parser.add_argument("--workdir", default=None, help="where the frozen copies go")
+    parser.add_argument("--workdir", default=None,
+                        help="where the frozen copies and the dumps go and are kept "
+                             "(default: a temporary directory, removed at the end)")
     parser.add_argument("--dump", help=argparse.SUPPRESS)  # run in a frozen copy
     args = parser.parse_args(argv)
 
@@ -494,13 +522,16 @@ def main(argv=None) -> int:
     sys.path.insert(0, str(TOOLS))
     from bench_pairs import freeze
 
-    workdir = Path(args.workdir or tempfile.mkdtemp(prefix="compare_outputs_"))
-    dumps = {}
-    for side in ("parent", "change"):
-        tree = workdir / side
-        name = freeze(getattr(args, side), tree)
-        print(f"{side}: {name}", flush=True)
-        dumps[side] = _dump_in(tree, workdir / f"{side}.json")
+    with contextlib.ExitStack() as stack:
+        # without --workdir the frozen copies go in a temporary directory, removed on exit
+        workdir = Path(args.workdir or stack.enter_context(
+            tempfile.TemporaryDirectory(prefix="compare_outputs_")))
+        dumps = {}
+        for side in ("parent", "change"):
+            tree = workdir / side
+            name = freeze(getattr(args, side), tree)
+            print(f"{side}: {name}", flush=True)
+            dumps[side] = _dump_in(tree, workdir / f"{side}.json")
     summary = compare(dumps["parent"], dumps["change"])
     print(report(summary))
     return 1 if summary["failed"] else 0
