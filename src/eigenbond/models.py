@@ -50,7 +50,8 @@ The coefficient lists are built on first use, cached on the model and grown
 on demand; the derived constants (``gamma``, ``b``, ``order_m``,
 ``hermite_shift``, ...) are cached too, and so is the subordinate spectrum
 of each clock (``_spectra``, see ``subordinators.Spectrum``), built whole to
-``POOL_CAP`` on first use.
+``POOL_CAP`` on first use.  It is the model's one per-clock cache: the
+clock's short-rate map is kept on its spectrum.
 Every norm constant is formed in log space, so parameter sets whose raw
 factors overflow separately still evaluate.
 
@@ -479,18 +480,12 @@ class DiffusionModel:
         with np.errstate(invalid="ignore"):  # sqrt(alpha < 0) at n = 0, never read
             return np.sqrt(n), np.sqrt(n + alpha + 1.0), np.sqrt(n + alpha)
 
-    # --- per-clock caches, filled by other modules ---------------------------
+    # --- the per-clock cache, filled by another module ---------------------
 
     @cached_property
     def _spectra(self) -> dict[object, object]:
         """The subordinate spectrum (``subordinators.Spectrum``) by clock;
         filled on demand by ``subordinators.spectrum``."""
-        return {}
-
-    @cached_property
-    def _short_rate_brackets(self) -> dict[object, list[tuple]]:
-        """Resolved quote-inversion brackets (states, coefficients, rates) by
-        clock; filled on demand by ``subordinators``, like ``_spectra``."""
         return {}
 
     # --- densities and bonds ----------------------------------------------

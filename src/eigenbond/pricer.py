@@ -61,9 +61,11 @@ zero-coupon bond's weights are built per call and not kept.  The
 recursion's first search, at the last decision date, reads the
 redemption's whole pool.  Off the plain clock, or on the 3/2 model, a
 cash-flow set's bond sum_j a_j P(t_j, x) is its pool's series, cut at eps
-of the mean flow.  ``price_bond`` refuses an initial state below the issue
-value's search interval, or where its series or the coupons' pool does not
-resolve (``series.resolved``).
+of the mean flow.  ``price_bond`` checks only the initial states below the
+issue floors (the ``resolved_floor`` of the last hold weights and of the
+coupons' pool; ``state_lo`` on CIR and Vasicek, which so refuse none): it
+refuses such a state below the issue value's search interval, or where its
+series or the coupons' pool does not resolve (``series.resolved``).
 Continuation values and break-even states are computed only inside the
 recursion (``_Engine``); the public entry points are ``price_bond`` and
 ``zero_coupon_price``.  Every break-even search closes to ``TOL_X``.
@@ -400,13 +402,11 @@ class _RootFinder:
         self.levels = levels
         self.fallbacks = 0
 
-    def _difference(self, strike: float, levels: list[int] | None = None):
+    def _difference(self, strike: float):
         """x -> (D(x), D'(x)) for D = K P(delta, .) - C."""
 
         def diff(x: float) -> tuple[float, float]:
-            value, slope, level, bond, bond_slope = self.evaluate(x)
-            if levels is not None:
-                levels.append(level)
+            value, slope, _, bond, bond_slope = self.evaluate(x)
             return strike * bond - value, strike * bond_slope - slope
 
         return diff
@@ -445,9 +445,10 @@ class _RootFinder:
         most ``TOL_X / 4``; an evaluated sign change at most ``TOL_X`` wide
         gives its midpoint, and a state where D is exactly 0 is itself the
         break-even state.  An edge of the interval that fails to straddle
-        decides the whole interval: a call region over all of it has its
-        break-even state at ``search_hi``, and a put region over all of it
-        raises, since a poorly resolved 3/2 continuation can fake one.
+        decides the whole interval: a region over all of it has its
+        break-even state at the interval's far edge, ``search_hi`` for a
+        call and ``search_lo`` for a put (``_Engine._step`` decides whether
+        to take it).
         """
         evaluate, levels = self.evaluate, self.levels
         edge_lo, edge_hi = self.search_lo, self.search_hi
@@ -465,12 +466,8 @@ class _RootFinder:
             value, slope = strike * bond - value, strike * bond_slope - slope
             if value > 0.0:
                 if x == edge_lo:
-                    if kind == "call":
-                        return None  # strike too dear even at the lowest rates
-                    raise BracketError(
-                        "put region covers the whole search interval",
-                        decision_index=self.decision_index,
-                    )
+                    # no call region, or a put region over the whole interval
+                    return None if kind == "call" else edge_lo
                 hi, hi_seen, hi_diff = x, True, (value, slope)
             else:
                 if x == edge_hi:
@@ -664,11 +661,14 @@ class _Engine:
             if strike is not None:
                 predictor = self._predictors[kind]
                 states[kind] = finder.find(kind, strike, hint=predictor.predict(t))
-                if kind == "call" and states[kind] == finder.search_hi:
-                    # taken on an affine model once the sign scan confirms it:
-                    # on the 3/2 model a wrongly large continuation can fake one
-                    if not self.model.affine:
-                        raise BracketError("call region covers the whole search interval", i)
+                edge = finder.search_hi if kind == "call" else finder.search_lo
+                if states[kind] == edge:
+                    # a region over the whole interval, taken on an affine model
+                    # once the sign scan confirms it, a put's only where the
+                    # interval starts at the state space's boundary: on the 3/2
+                    # model a wrongly large continuation can fake one
+                    if not self.model.affine or (kind == "put" and edge > self.model.state_lo):
+                        raise BracketError(f"{kind} region covers the whole search interval", i)
                     finder.scan_single_crossing(strike, False)
                 predictor.locate(t, states[kind])
         record.search_fallbacks = finder.fallbacks

@@ -21,14 +21,15 @@ only route ``short_rate_map`` and ``invert_short_rate`` take, for every
 model.  The Levy-integral quadrature lives in ``oracle.py`` as an
 independent cross-check.
 
-``invert_short_rate`` keeps, on the model and per clock, every bracket
-(a grid of states, the coefficients resolved over it, r_phi and dr_phi/dx
-tabulated at its states) whose rates enclosed the quote it was walked for.
-A quote inside a kept bracket resolves no series: it closes in the grid
-cell whose tabulated rates enclose it, seeded by the cell's cubic Hermite
-interpolant of the inverse, at one series evaluation in the common case.
-``short_rate_map`` reads the states inside a kept bracket through its
-coefficients and resolves the series over the others.
+Each clock's ``Spectrum`` keeps one map of r_phi (``rate_map``): a grid of
+states, the coefficients resolved over all of them, and r_phi and dr_phi/dx
+tabulated at its states.  ``invert_short_rate`` closes a quote inside the
+map's rates in the grid cell whose tabulated rates enclose it, seeded by
+the cell's cubic Hermite interpolant of the inverse, at one series
+evaluation in the common case and with no series resolved.
+``short_rate_map`` reads every state through the map's coefficients.  A
+quote outside the map's rates, or a state outside its states, grows the
+map (``_grow_map``) and replaces it.
 
 Supported families (lowercase names used in configs):
 
@@ -178,8 +179,10 @@ class Spectrum:
     phi(lambda_n) and p_n for n = 0..``POOL_CAP``, set once and never grown.
 
     ``pool(flows)``, ``cut(flows, eps)`` and ``floor(flows, eps)`` are kept
-    per key, each stored in one assignment once built, so threads sharing a
-    model never see a partial entry.
+    per key, and ``rate_map``, the map of r_phi (read-only states,
+    coefficients, rates and slopes; None until needed), once; each is
+    stored in one assignment, so threads sharing a model never see a
+    partial entry.
     """
 
     def __init__(self, model: DiffusionModel, sub: SubordinatorSpec):
@@ -197,6 +200,7 @@ class Spectrum:
         self._pools: dict[Flows, list[float]] = {}
         self._cuts: dict[tuple[Flows, float], np.ndarray] = {}
         self._floors: dict[tuple[Flows, float], float] = {}
+        self.rate_map: tuple[np.ndarray, ...] | None = None
 
     def unit_weights(self, t: float, n_hi: int) -> np.ndarray:
         """p_n e^{-phi(lambda_n) t} for n = 0..n_hi."""
@@ -280,12 +284,12 @@ _ROUNDING_TOL = 1e-12
 _FIRST_SUPPLY = 127
 _MAX_SUPPLY = 16383
 
-# Quote inversion: the bracket first reaches _BRACKET_WIDTH either side of
-# the quote and doubles its reach at most _BRACKET_STEPS times; its grid of
-# _BRACKET_GRID states spread evenly over it tabulates r_phi and its slope,
-# and a quote closes in the cell whose tabulated rates enclose it.  Over the
-# bench's 160 rate_sweep quotes, with the Hermite seed, 65 states take 1.79
-# evaluations per quote, 129 take 1.14 and 257 take 1.00.
+# Growing the map: a quote's grid first reaches _BRACKET_WIDTH either side
+# of it and doubles its reach at most _BRACKET_STEPS times (one for states
+# reaches _BRACKET_WIDTH above them); each grid of _BRACKET_GRID states
+# tabulates r_phi and its slope.  Over the bench's 160 rate_sweep quotes,
+# with the Hermite seed, 65 states take 1.79 evaluations per quote, 129
+# take 1.14 and 257 take 1.00.
 _BRACKET_WIDTH = 0.5
 _BRACKET_STEPS = 8
 _BRACKET_GRID = 257
@@ -333,11 +337,11 @@ def _resolved_series(model: DiffusionModel, sub: SubordinatorSpec, xs: np.ndarra
 def short_rate_map(model: DiffusionModel, sub: SubordinatorSpec, x):
     """Short rate r_phi(x) of the time-changed model at a state or an array of states.
 
-    States inside a bracket that ``invert_short_rate`` kept for the clock
-    are read through that bracket's coefficients, one ``eigenfunction_matrix``
-    product per bracket.  The other states share one coefficient vector
-    resolved over them.  A scalar state returns a float, an array of states
-    an array.
+    The states are read through the coefficients of the clock's kept map
+    (``Spectrum.rate_map``) in one ``eigenfunction_matrix`` product, once
+    states outside it have grown it by a grid from the lowest of them to
+    ``_BRACKET_WIDTH`` above the highest (``_grow_map``).  A scalar state
+    returns a float, an array of states an array.
     """
     xs = real_array("states", x)
     for state in xs.flat:
@@ -345,16 +349,11 @@ def short_rate_map(model: DiffusionModel, sub: SubordinatorSpec, x):
     if sub.is_trivial or xs.size == 0:
         return float(xs) if xs.ndim == 0 else xs.copy()
     flat = xs.ravel()
-    rates = np.empty(flat.size)
-    left = np.ones(flat.size, dtype=bool)
-    for states, coefficients, *_ in model._short_rate_brackets.get(sub, ()):
-        inside = left & (states[0] <= flat) & (flat <= states[-1])
-        if inside.any():
-            matrix = model.eigenfunction_matrix(coefficients.size - 1, flat[inside])
-            rates[inside] = sub.drift * flat[inside] + matrix @ coefficients
-            left &= ~inside
-    if left.any():
-        rates[left] = _resolved_series(model, sub, flat[left])[1]
+    spec, lo, hi = spectrum(model, sub), flat.min(), flat.max()
+    kept = spec.rate_map
+    if kept is None or not kept[0][0] <= lo <= hi <= kept[0][-1]:
+        kept = _grow_map(spec, lo, hi + _BRACKET_WIDTH)
+    rates = sub.drift * flat + model.eigenfunction_matrix(kept[1].size - 1, flat) @ kept[1]
     return float(rates[0]) if xs.ndim == 0 else rates.reshape(xs.shape)
 
 
@@ -371,19 +370,22 @@ def _step_down(model: DiffusionModel, x: float, width: float) -> float:
     return 0.5 * (x + model.state_lo)
 
 
-def _walk_bracket(model: DiffusionModel, sub: SubordinatorSpec, rate: float):
-    """(states, coefficients, rates) of the first grid whose series values
-    enclose the quote, or of the last one tried when a lower boundary that
-    is a state stops the walk below the quote.
-
-    Near an excluded lower boundary (the 3/2 origin) the series may not
-    resolve over a grid; its lower end then moves halfway back toward the
-    quote, once, before the quote is refused."""
+def _grow_map(spec: Spectrum, lo: float, hi: float, rate: float | None = None):
+    """Replace the spectrum's map by one over its states and ``_BRACKET_GRID``
+    states spread evenly over [lo, hi], resolved over them all; each state
+    keeps the slope of the grid it was first tabulated on.  For a quote the
+    grid walks until the map's rates enclose it, and near an excluded lower
+    boundary (the 3/2 origin), where the series may not resolve, its lower
+    end moves halfway back toward the quote, once.  A quote below r_phi at
+    a lower boundary that is a state is refused with ``BracketError``; a
+    refusal, or a grid that does not resolve, keeps nothing."""
+    model, sub = spec.model, spec.sub
+    kept = spec.rate_map or (np.empty(0),) * 4
     width = _BRACKET_WIDTH
-    lo, hi = _step_down(model, rate, width), rate + width
-    retry = not model.contains(model.state_lo)
+    retry = rate is not None and not model.contains(model.state_lo)
     for _ in range(_BRACKET_STEPS):
-        xs = np.linspace(lo, hi, _BRACKET_GRID)
+        grid = np.linspace(lo, hi, _BRACKET_GRID)
+        xs = np.concatenate([kept[0], grid])
         try:
             coefficients, rates = _resolved_series(model, sub, xs)
         except ValidationError:
@@ -391,14 +393,29 @@ def _walk_bracket(model: DiffusionModel, sub: SubordinatorSpec, rate: float):
                 raise
             lo, retry = 0.5 * (lo + rate), False
             continue
-        if rates[-1] < rate:
+        states, first = np.unique(xs, return_index=True)  # a kept state first
+        if rate is None:
+            break
+        if rates[first[-1]] < rate:
             hi += width
-        elif rates[0] > rate and (lower := _step_down(model, lo, width)) < lo:
+        elif rates[first[0]] <= rate:
+            break
+        elif (lower := _step_down(model, lo, width)) < lo:
             lo = lower
         else:
-            return xs, coefficients, rates
+            raise BracketError(
+                f"short rate {rate} lies below r_phi = {rates[first[0]]:.6g} at the lower "
+                f"boundary state {states[0]:.6g}; no state has it"
+            )
         width *= 2.0
-    raise ValidationError(f"cannot bracket state for short rate {rate}")
+    else:
+        raise ValidationError(f"cannot bracket state for short rate {rate}")
+    slopes = np.concatenate([kept[3], _grid_slopes(grid, rates[kept[0].size :])])
+    grown = states, coefficients, rates[first], slopes[first]
+    for array in grown:
+        array.flags.writeable = False
+    spec.rate_map = grown
+    return grown
 
 
 def _gap(model: DiffusionModel, sub: SubordinatorSpec, coefficients: np.ndarray, rate: float):
@@ -451,8 +468,8 @@ def _seed(lo: float, hi: float, r_lo: float, r_hi: float, s_lo: float, s_hi: flo
     return lo - (r_lo - rate) * chord, chord
 
 
-def _close(model: DiffusionModel, sub: SubordinatorSpec, bracket, rate: float) -> float:
-    """The state of ``rate`` in the cell of the bracket's grid whose
+def _close(model: DiffusionModel, sub: SubordinatorSpec, kept, rate: float) -> float:
+    """The state of ``rate`` in the cell of the kept map's grid whose
     tabulated rates enclose it.
 
     The seed is the cell's cubic Hermite interpolant of the inverse
@@ -463,7 +480,7 @@ def _close(model: DiffusionModel, sub: SubordinatorSpec, bracket, rate: float) -
     sign bracket at most ``_STATE_TOL`` wide, most often after the first
     evaluation.
     """
-    xs, coefficients, rates, slopes = bracket
+    xs, coefficients, rates, slopes = kept
     cell = min(max(int(rates.searchsorted(rate)), 1), rates.size - 1)
     lo, hi = xs[cell - 1 : cell + 1].tolist()
     r_lo, r_hi = rates[cell - 1 : cell + 1].tolist()
@@ -491,43 +508,24 @@ def _close(model: DiffusionModel, sub: SubordinatorSpec, bracket, rate: float) -
             return x
 
 
-def invert_short_rate(
-    model: DiffusionModel,
-    sub: SubordinatorSpec,
-    rate: float,
-) -> float:
+def invert_short_rate(model: DiffusionModel, sub: SubordinatorSpec, rate: float) -> float:
     """State x with r_phi(x) = rate; r_phi is strictly increasing in x.
 
-    A quote closes inside a bracket: a grid of states whose series values,
-    through one coefficient vector resolved over the grid, enclose it.  The
-    closing step (``_close``) starts from the grid's tabulated rates and
-    slopes and evaluates the series once in the common case.
-
-    Brackets are kept on the model per clock (read-only), each with r_phi
-    and its slope tabulated at its states once, when it is kept.  A quote
-    inside a kept bracket's rates closes in it and resolves no series; any
-    other quote walks a bracket of its own, widening it until its rates
-    enclose the quote, and keeps it.  A quote below r_phi at a lower
-    boundary that is a state has no state and is refused with
-    ``BracketError``; a refused quote keeps nothing.
+    The quote closes in the clock's kept map (``Spectrum.rate_map``,
+    ``_close``), at one series evaluation in the common case; a quote
+    outside the map's rates first grows it by a grid of its own
+    (``_grow_map``).  On the plain clock the rate is the state, and a rate
+    that is not a state is refused with ``ValidationError``.
     """
     check_real("short rate", rate)
     rate = float(rate)
     if not math.isfinite(rate):
         raise ValidationError(f"short rate must be finite, got {rate}")
     if sub.is_trivial:
+        model.check_state(rate)
         return rate
-    brackets = model._short_rate_brackets.get(sub, ())
-    bracket = next((b for b in brackets if b[2].item(0) <= rate <= b[2].item(-1)), None)
-    if bracket is None:
-        xs, coefficients, rates = _walk_bracket(model, sub, rate)
-        if rates[0] > rate:
-            raise BracketError(
-                f"short rate {rate} lies below r_phi = {rates[0]:.6g} at the lower "
-                f"boundary state {xs[0]:.6g}; no state has it"
-            )
-        bracket = (xs, coefficients, rates, _grid_slopes(xs, rates))
-        for array in bracket:
-            array.flags.writeable = False
-        model._short_rate_brackets.setdefault(sub, []).append(bracket)
-    return _close(model, sub, bracket, rate)
+    spec = spectrum(model, sub)
+    kept = spec.rate_map
+    if kept is None or not kept[2].item(0) <= rate <= kept[2].item(-1):
+        kept = _grow_map(spec, _step_down(model, rate, _BRACKET_WIDTH), rate + _BRACKET_WIDTH, rate)
+    return _close(model, sub, kept, rate)

@@ -109,7 +109,9 @@ def test_price_bad_config_path(capsys):
 
 
 def test_price_numerical_failure_exit_code(tmp_path, capsys):
-    doc = preset_config("cir")
+    # a put region over Vasicek's whole search interval, which stops short
+    # of the state space (on CIR it reaches the boundary, and prices)
+    doc = preset_config("vasicek")
     doc["schedule"] = {
         "coupon": 0.0,
         "coupon_times": [1.0, 2.0, 3.0],

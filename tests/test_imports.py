@@ -3,14 +3,16 @@
 The pricer runs on numpy and the standard library: no pricing entry point
 and no CLI ``price`` loads any ``scipy`` module.  The stationary laws
 (``scipy.stats``) and the oracle's quadrature (``scipy.integrate``) load
-where they are first used.  The checks run in fresh interpreters, since
-this one has loaded scipy long since.
+where they are first used, so scipy is an optional dependency.  The checks
+run in fresh interpreters, since this one has loaded scipy long since.
 """
 
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import eigenbond
 
@@ -79,3 +81,11 @@ def test_pricing_leaves_the_stationary_laws_and_the_quadrature_unloaded():
     run = _fresh(SCRIPT)
     assert run.returncode == 0, run.stderr
     assert run.stdout.rstrip().endswith("stationary law gamma_gen")
+
+
+def test_numpy_is_the_one_runtime_dependency():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    assert [dep.split(">")[0] for dep in project["dependencies"]] == ["numpy"]
+    extras = project["optional-dependencies"]
+    assert all(any(dep.startswith("scipy") for dep in extras[name]) for name in ("oracle", "test"))

@@ -413,15 +413,17 @@ def test_pricing_keeps_only_its_cash_flows_on_the_spectrum():
     # the assembly's per-run tables (decays, coupon term) live on the engine:
     # what the spectrum keeps is one pool per cash-flow set, one cut per
     # (cash-flow set, eps) and one floor per pool a search or the issue
-    # value reads, at the eps it is read to, whatever the schedule
+    # value reads, at the eps it is read to, whatever the schedule, and the
+    # short-rate map that the break-even states grew
     model = dataclasses.replace(CIR)
     spec = spectrum(model, JD)
     schedules = (SWISS_PUT, _thirty_year_monthly())
     for schedule in schedules:
         price_bond(model, JD, schedule, [0.05], eps=1e-7)
         assert set(vars(spec)) == {
-            "model", "sub", "lam", "philam", "p", "_pools", "_cuts", "_floors"
+            "model", "sub", "lam", "philam", "p", "_pools", "_cuts", "_floors", "rate_map"
         }
+        assert len(spec.rate_map) == 4
     pools, cuts, floors = set(), set(), set()
     for schedule in schedules:
         held = schedule.holding_period(schedule.exercise_indices[-1])
@@ -1056,8 +1058,7 @@ def test_walk_at_the_edges_of_the_search_interval(hint):
     hint = {"none": None, "inside": 0.5 * (lo + hi), "below": lo - 1.0, "above": 2.0 * hi}[hint]
     # diff > 0 everywhere: no call region, and a put region over the whole interval
     assert _walk(interval, lo - 1.0)[0].find("call", 1.0, hint=hint) is None
-    with pytest.raises(BracketError, match="put region covers the whole search interval"):
-        _walk(interval, lo - 1.0)[0].find("put", 1.0, hint=hint)
+    assert _walk(interval, lo - 1.0)[0].find("put", 1.0, hint=hint) == lo
     # diff <= 0 everywhere: a call region over the whole interval, and no put region
     assert _walk(interval, hi + 1.0)[0].find("call", 1.0, hint=hint) == hi
     assert _walk(interval, hi + 1.0)[0].find("put", 1.0, hint=hint) is None
@@ -1532,7 +1533,35 @@ def test_break_even_states_are_mapped_in_one_call(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("config", ("subcir_jd", "subcir_pj", "subvasicek_jd", "subvasicek_pj"))
+def test_a_warm_direct_state_pricing_resolves_no_series(monkeypatch, config):
+    # priced at states, with no quote inverted first: the first pricing grows
+    # the clock's short-rate map over its break-even states, and a second
+    # pricing reads them through it (each resolved the series anew before)
+    from eigenbond import subordinators
+
+    model = dataclasses.replace(benchmark.benchmark_model(config))
+    sub = benchmark.benchmark_subordinator(config)
+    resolved = []
+
+    def counted(*args, _original=subordinators._resolved_series):
+        resolved.append(args[2].size)
+        return _original(*args)
+
+    monkeypatch.setattr(subordinators, "_resolved_series", counted)
+    first = price_bond(model, sub, SWISS, [0.02, 0.05, 0.1], eps=1e-7)
+    assert len(resolved) == 1
+    warm = price_bond(model, sub, SWISS, [0.02, 0.05, 0.1], eps=1e-7)
+    assert len(resolved) == 1
+    assert warm.break_even_short_rates == first.break_even_short_rates
+
+
 def test_put_everywhere_degenerate_raises():
+    # A put region over the whole search interval.  On CIR the interval
+    # starts at the state space's boundary 0, so the region is the whole
+    # space: the holder puts at the first date wherever the rate lies, and
+    # the bond is worth the put price paid then, 5 P(1, x0).  On Vasicek the
+    # interval stops short of the state space, and the region is refused.
     sched = BondSchedule(
         coupon=0.0,
         coupon_times=(1.0, 2.0, 3.0),
@@ -1540,9 +1569,24 @@ def test_put_everywhere_degenerate_raises():
         notice_delta=0.1,
         put_prices=(5.0, 5.0),
     )
-    with pytest.raises(BracketError) as info:
-        price_bond(CIR, NONE, sched, [0.05], eps=1e-7)
+    res = price_bond(CIR, NONE, sched, [0.05], eps=1e-7)
+    assert res.break_even_states == [(None, CIR.state_lo)] * 2
+    assert res.values[0] == pytest.approx(5.0 * float(CIR.closed_form_bond(1.0, 0.05)), abs=1e-7)
+    with pytest.raises(BracketError, match="put region covers the whole search interval") as info:
+        price_bond(VAS, NONE, sched, [0.05], eps=1e-7)
     assert info.value.decision_index is not None
+
+
+def test_a_cir_put_region_over_the_whole_interval_is_priced():
+    # a 5-year 5% bond putable at 1.2 puts everywhere at its last date
+    # (decision index 4), where the pricer refused it before
+    from eigenbond.oracle import quadrature_dp_price
+
+    sched = BondSchedule(coupon=0.05, coupon_times=(1.0, 2.0, 3.0, 4.0, 5.0), protection_index=2,
+                         notice_delta=0.1, put_prices=(1.2,) * 3)
+    res = price_bond(CIR, NONE, sched, [0.05], eps=1e-10)
+    assert res.break_even_states[-1] == (None, CIR.state_lo)
+    assert res.values[0] == pytest.approx(quadrature_dp_price(CIR, NONE, sched, 0.05), abs=1e-6)
 
 
 def test_eps_domain():

@@ -15,6 +15,7 @@ from eigenbond.subordinators import (
     levy_mean,
     mean_rate,
     short_rate_map,
+    spectrum,
 )
 
 CIR = CIRModel(kappa=0.14294371, theta=0.133976855, sigma=0.38757496)
@@ -292,6 +293,12 @@ def _fresh(model):
     return dataclasses.replace(model)
 
 
+def _map(model, sub):
+    """The short-rate map kept on the model's spectrum for the clock, or None."""
+    spec = model._spectra.get(sub)
+    return None if spec is None else spec.rate_map
+
+
 def _sweep_quotes(count=40, lo=0.01, hi=0.12, seed=5046):
     """One uniform quote in each of ``count`` slices of [lo, hi]."""
     edges = np.linspace(lo, hi, count + 1)
@@ -333,7 +340,7 @@ def test_a_fresh_three_halves_model_inverts_what_a_warm_one_does(sub, lowest):
     fresh = _fresh(TH)
     with pytest.raises(ValidationError, match="cancels to rounding noise"):
         invert_short_rate(fresh, sub, 0.0115)
-    assert fresh._short_rate_brackets == {}
+    assert _map(fresh, sub) is None
 
 
 def test_the_short_rate_map_refuses_rounding_noise_by_the_shared_test(monkeypatch):
@@ -380,16 +387,16 @@ def test_a_quote_inside_a_kept_bracket_closes_without_walking(monkeypatch):
     # at the grid's end states.
     model, sub = _fresh(benchmark.benchmark_model("subvasicek_jd")), JD
     invert_short_rate(model, sub, 0.05)
-    before = {key: list(brackets) for key, brackets in model._short_rate_brackets.items()}
-    (xs, _, rates, _), = model._short_rate_brackets[sub]
+    before = _map(model, sub)
+    xs, _, rates, _ = before
     ends = {float(rates[0]): float(xs[0]), float(rates[-1]): float(xs[-1])}
 
     def walk(*args):
         raise AssertionError("a quote inside a kept bracket walked")
 
-    monkeypatch.setattr(subordinators, "_walk_bracket", walk)
+    monkeypatch.setattr(subordinators, "_grow_map", walk)
     states = {quote: invert_short_rate(model, sub, quote) for quote in (0.0592, *ends)}
-    assert model._short_rate_brackets == before
+    assert _map(model, sub) is before
     monkeypatch.undo()
     for quote, end in ends.items():
         assert abs(states[quote] - end) <= 1e-12, (quote, end)
@@ -403,7 +410,7 @@ def test_a_kept_bracket_is_not_evaluated_outside_its_states(monkeypatch):
     # or walks a bracket of its own, never below them.
     model = _fresh(TH)
     invert_short_rate(model, JD, 0.03)
-    (kept_xs, kept_coefficients, _, _), = model._short_rate_brackets[JD]
+    kept_xs, kept_coefficients, _, _ = _map(model, JD)
     assert kept_xs[0] == pytest.approx(0.015, rel=1e-12)
     kept_states = []
 
@@ -436,12 +443,12 @@ def test_a_kept_quote_evaluates_no_state_twice(monkeypatch):
         raise AssertionError("a quote inside a kept bracket walked")
 
     monkeypatch.setattr(CIRModel, "eigenfunctions", counted)
-    monkeypatch.setattr(subordinators, "_walk_bracket", walk)
+    monkeypatch.setattr(subordinators, "_grow_map", walk)
     assert invert_short_rate(model, JD, 0.05) == state
     assert len(evaluated) >= 1
     assert len(set(evaluated)) == len(evaluated)
-    # and so do the kept bracket's first and last tabulated rates
-    (_, _, rates, _), = model._short_rate_brackets[JD]
+    # and so do the kept map's first and last tabulated rates
+    _, _, rates, _ = _map(model, JD)
     for quote in (float(rates[0]), float(rates[-1])):
         evaluated.clear()
         invert_short_rate(model, JD, quote)
@@ -450,13 +457,15 @@ def test_a_kept_quote_evaluates_no_state_twice(monkeypatch):
 
 @pytest.mark.parametrize("model,sub,quoted", JUMP_CASES, ids=CASE_IDS)
 def test_the_rate_map_reads_the_kept_coefficients(monkeypatch, model, sub, quoted):
+    # States outside the kept map grow it once, by a grid from the lowest
+    # state asked to _BRACKET_WIDTH above the highest; the same states asked
+    # again are read through the grown map and resolve nothing.
     warm = _fresh(model)
     for quote in _sweep_quotes(8, *quoted):
         invert_short_rate(warm, sub, quote)
-    kept = [xs for xs, *_ in warm._short_rate_brackets[sub]]
-    # mostly off the kept grids, their ends included
-    inside = np.concatenate([np.linspace(xs[0], xs[-1], 47) for xs in kept])
-    outside = np.array([max(xs[-1] for xs in kept) + 0.05])
+    kept = _map(warm, sub)[0]
+    # mostly off the kept grid, its ends included, and one state above it
+    states = np.append(np.linspace(kept[0], kept[-1], 47), kept[-1] + 0.05)
     resolved = []
 
     def counted(model, sub, xs, _original=subordinators._resolved_series):
@@ -464,18 +473,22 @@ def test_the_rate_map_reads_the_kept_coefficients(monkeypatch, model, sub, quote
         return _original(model, sub, xs)
 
     monkeypatch.setattr(subordinators, "_resolved_series", counted)
-    rates = short_rate_map(warm, sub, np.concatenate([inside, outside]))
-    assert len(resolved) == 1 and np.array_equal(resolved[0], outside)
+    rates = short_rate_map(warm, sub, states)
+    grown = _map(warm, sub)[0]
+    assert len(resolved) == 1 and set(kept) <= set(grown)
+    assert grown[0] == kept[0] and grown[-1] == states[-1] + subordinators._BRACKET_WIDTH
+    assert np.array_equal(short_rate_map(warm, sub, states), rates)
+    assert np.array_equal(short_rate_map(warm, sub, states[::-1]), rates[::-1])
+    assert len(resolved) == 1
     monkeypatch.undo()
     # Near the 3/2 origin the series cancels large terms: two resolutions of
     # one state differ by the rounding those terms carry (2.6e-13 at the
     # lowest kept 3/2 state under JD), so that rounding is allowed on top.
     fresh = _fresh(model)
-    coefficients, expected = subordinators._resolved_series(fresh, sub, inside)
-    terms = fresh.eigenfunction_matrix(coefficients.size - 1, inside) * coefficients
+    coefficients, expected = subordinators._resolved_series(fresh, sub, states)
+    terms = fresh.eigenfunction_matrix(coefficients.size - 1, states) * coefficients
     rounding = np.finfo(float).eps * np.abs(terms).sum(axis=1)
-    assert np.all(np.abs(rates[:-1] - expected) <= 1e-13 + rounding)
-    assert rates[-1] == short_rate_map(fresh, sub, outside[0])
+    assert np.all(np.abs(rates - expected) <= 1e-13 + rounding)
 
 
 def _kept(model, sub, quoted):
@@ -483,8 +496,7 @@ def _kept(model, sub, quoted):
     range, and that bracket."""
     warm = _fresh(model)
     invert_short_rate(warm, sub, 0.5 * sum(quoted))
-    (bracket,) = warm._short_rate_brackets[sub]
-    return warm, bracket
+    return warm, _map(warm, sub)
 
 
 def _tight_root(model, sub, bracket, quote):
@@ -511,9 +523,8 @@ def test_a_sweep_closes_each_quote_in_one_evaluation_on_the_root(monkeypatch):
         model = _fresh(model)
         for quote in rng.uniform(edges[:-1], edges[1:]):
             state = invert_short_rate(model, sub, quote)
-            bracket = next(
-                b for b in model._short_rate_brackets[sub] if b[2][0] <= quote <= b[2][-1]
-            )
+            bracket = _map(model, sub)
+            assert bracket[2][0] <= quote <= bracket[2][-1]
             before = evaluations[0]
             misses.append(abs(state - _tight_root(model, sub, bracket, quote)))
             evaluations[0] = before
@@ -548,7 +559,7 @@ def test_quotes_at_the_ends_and_at_the_tabulated_rates_close_on_the_root(
         state = invert_short_rate(warm, sub, quote)
         assert evaluations[0] <= (2 if model is TH else 1), quote
         assert abs(state - _tight_root(warm, sub, bracket, quote)) <= 1e-12, quote
-    assert warm._short_rate_brackets[sub] == [bracket]  # every quote closed in it
+    assert _map(warm, sub) is bracket  # every quote closed in it
 
 
 def test_a_three_halves_quote_in_the_lowest_kept_cell_closes_like_a_fresh_model():
@@ -562,7 +573,7 @@ def test_a_three_halves_quote_in_the_lowest_kept_cell_closes_like_a_fresh_model(
     for kept_from, lowest in ((0.0154, 0.01155), (0.012, 0.009)):
         warm = _fresh(TH)
         invert_short_rate(warm, JD, kept_from)
-        (bracket,) = warm._short_rate_brackets[JD]
+        bracket = _map(warm, JD)
         xs, coefficients, rates, _ = bracket
         assert xs[0] == pytest.approx(lowest, rel=1e-12)
         chord = (rates[1] - rates[0]) / (xs[1] - xs[0])
@@ -570,7 +581,7 @@ def test_a_three_halves_quote_in_the_lowest_kept_cell_closes_like_a_fresh_model(
             quote = float(rates[0] + f * (rates[1] - rates[0]))
             state = invert_short_rate(warm, JD, quote)
             assert xs[0] < state < xs[1]
-            assert warm._short_rate_brackets[JD] == [bracket]
+            assert _map(warm, JD) is bracket
             if quote >= 0.012:
                 expected, rounding = invert_short_rate(_fresh(TH), JD, quote), 0.0
             else:
@@ -599,7 +610,7 @@ def test_wrong_kept_slopes_still_close_on_the_root(monkeypatch, model, sub, quot
     warm, (xs, coefficients, rates, slopes) = _kept(model, sub, quoted)
     bracket = (xs, coefficients, rates, _wrong_slopes(slopes, wrong))
     bracket[3].flags.writeable = False
-    warm._short_rate_brackets[sub] = [bracket]
+    spectrum(warm, sub).rate_map = bracket
     seeds = []
 
     def spied(*args, _original=subordinators._seed):
@@ -623,7 +634,7 @@ def test_wrong_kept_slopes_still_close_on_the_root(monkeypatch, model, sub, quot
             assert len(set(evaluated)) == len(evaluated) >= 1, quote
             assert abs(state - _tight_root(warm, sub, bracket, quote)) <= 1e-12, quote
             total += len(evaluated)
-    assert warm._short_rate_brackets[sub] == [bracket]
+    assert _map(warm, sub) is bracket
     assert total > len(seeds)  # steps beyond the first were taken
     if wrong in ("zero", "negative"):  # the chord seeds the cells beside that slope
         chords = [lo - (r_lo - rate) * (hi - lo) / (r_hi - r_lo)
@@ -634,7 +645,11 @@ def test_wrong_kept_slopes_still_close_on_the_root(monkeypatch, model, sub, quot
 def test_two_clocks_on_one_model_keep_their_own_brackets():
     model = _fresh(CIR)
     jd, pj = invert_short_rate(model, JD, 0.05), invert_short_rate(model, PJ, 0.05)
-    assert set(model._short_rate_brackets) == {JD, PJ}
+    kept = _map(model, PJ)
+    assert set(model._spectra) == {JD, PJ} and _map(model, JD) is not kept
+    # a state outside the JD map grows that map alone
+    short_rate_map(model, JD, 3.0)
+    assert _map(model, JD)[0][-1] == 3.5 and _map(model, PJ) is kept
     assert jd == invert_short_rate(_fresh(CIR), JD, 0.05)
     assert pj == invert_short_rate(_fresh(CIR), PJ, 0.05)
     assert jd != pj
@@ -643,28 +658,66 @@ def test_two_clocks_on_one_model_keep_their_own_brackets():
 def test_refused_quotes_leave_the_cache_as_it_was():
     model = _fresh(CIR)
     state = invert_short_rate(model, JD, 0.05)
-    before = {sub: list(brackets) for sub, brackets in model._short_rate_brackets.items()}
+    before = _map(model, JD)
     with pytest.raises(ValidationError):
         invert_short_rate(model, JD, 500.0)
     # below r_phi(0) = 0.00592: no state, and the bracket stops at the boundary
     refusal = r"short rate 0\.004 lies below r_phi = 0\.00592473 at the lower boundary"
     with pytest.raises(BracketError, match=refusal):
         invert_short_rate(model, JD, 0.004)
-    assert model._short_rate_brackets == before
+    assert _map(model, JD) is before
     fresh = _fresh(CIR)
     with pytest.raises(BracketError, match=refusal):
         invert_short_rate(fresh, JD, 0.004)
-    assert fresh._short_rate_brackets == {}
+    assert _map(fresh, JD) is None
     assert invert_short_rate(model, JD, 0.05) == state
+
+
+def test_a_failed_growth_leaves_the_map_as_it_was():
+    # near the 3/2 origin the series cancels to rounding noise: the state is
+    # refused and the map kept from 0.05 stays as it was, and so does a map
+    # that a state just above the origin would have started
+    model = _fresh(TH)
+    invert_short_rate(model, JD, 0.05)
+    before = _map(model, JD)
+    with pytest.raises(ValidationError):
+        short_rate_map(model, JD, np.array([1e-3, 0.05]))
+    assert _map(model, JD) is before
+    fresh = _fresh(TH)
+    with pytest.raises(ValidationError):
+        short_rate_map(fresh, JD, 1e-3)
+    assert _map(fresh, JD) is None
+
+
+@pytest.mark.parametrize("state", (0.0125, 0.02))
+def test_a_fresh_map_grows_upward_from_the_lowest_state(state):
+    # Grown down by _BRACKET_WIDTH as well, the grid would reach the 3/2
+    # origin, where 0.0125 is not resolved by n=16383 and 0.02 cancels to
+    # rounding noise; a state resolved alone maps through the grown map.
+    model = ThreeHalvesModel(2.0, 0.06, 0.5)
+    rate = short_rate_map(model, JD, state)
+    xs = _map(model, JD)[0]
+    assert xs[0] == state and xs[-1] == state + subordinators._BRACKET_WIDTH
+    coefficients, (alone,) = subordinators._resolved_series(_fresh(model), JD, np.array([state]))
+    terms = model.eigenfunctions(coefficients.size - 1, state) * coefficients
+    assert abs(rate - alone) <= 1e-13 + np.finfo(float).eps * np.abs(terms).sum()
+
+
+def test_a_plain_clock_refuses_a_rate_that_is_not_a_state():
+    # the rate is the state: a negative CIR rate, and the excluded 3/2 origin
+    for model, rate in ((CIR, -0.01), (TH, 0.0)):
+        with pytest.raises(ValidationError, match="outside the"):
+            invert_short_rate(model, NONE, rate)
+    assert invert_short_rate(VAS, NONE, -0.01) == -0.01
+    assert invert_short_rate(TH, NONE, 0.02) == 0.02
 
 
 def test_cached_brackets_are_read_only():
     model = _fresh(VAS)
     invert_short_rate(model, PJ, 0.05)
-    (brackets,) = model._short_rate_brackets.values()
-    for bracket in brackets:
-        assert len(bracket) == 4  # states, coefficients, rates, slopes
-        for array in bracket:
-            assert not array.flags.writeable
-            with pytest.raises(ValueError):
-                array[0] = 0.0
+    kept = _map(model, PJ)
+    assert len(kept) == 4  # states, coefficients, rates, slopes
+    for array in kept:
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 0.0
