@@ -50,8 +50,7 @@ The coefficient lists are built on first use, cached on the model and grown
 on demand; the derived constants (``gamma``, ``b``, ``order_m``,
 ``hermite_shift``, ...) are cached too, and so is the subordinate spectrum
 of each clock (``_spectra``, see ``subordinators.Spectrum``), built whole to
-``POOL_CAP`` on first use.  It is the model's one per-clock cache: the
-clock's short-rate map is kept on its spectrum.
+``POOL_CAP`` on first use; the spectrum also keeps the clock's short-rate map.
 Every norm constant is formed in log space, so parameter sets whose raw
 factors overflow separately still evaluate.
 

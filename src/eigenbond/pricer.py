@@ -662,7 +662,9 @@ class _Engine:
                 predictor = self._predictors[kind]
                 states[kind] = finder.find(kind, strike, hint=predictor.predict(t))
                 edge = finder.search_hi if kind == "call" else finder.search_lo
-                if states[kind] == edge:
+                if states[kind] == edge and (
+                    kind == "call" or finder._difference(strike)(edge)[0] > 0.0  # not a root
+                ):
                     # a region over the whole interval, taken on an affine model
                     # once the sign scan confirms it, a put's only where the
                     # interval starts at the state space's boundary: on the 3/2

@@ -21,15 +21,14 @@ only route ``short_rate_map`` and ``invert_short_rate`` take, for every
 model.  The Levy-integral quadrature lives in ``oracle.py`` as an
 independent cross-check.
 
-Each clock's ``Spectrum`` keeps one map of r_phi (``rate_map``): a grid of
-states, the coefficients resolved over all of them, and r_phi and dr_phi/dx
-tabulated at its states.  ``invert_short_rate`` closes a quote inside the
-map's rates in the grid cell whose tabulated rates enclose it, seeded by
-the cell's cubic Hermite interpolant of the inverse, at one series
-evaluation in the common case and with no series resolved.
-``short_rate_map`` reads every state through the map's coefficients.  A
-quote outside the map's rates, or a state outside its states, grows the
-map (``_grow_map``) and replaces it.
+Each clock's ``Spectrum`` keeps one map of r_phi (``rate_map``): states,
+the coefficients resolved over them all, and r_phi and dr_phi/dx at each.
+``invert_short_rate`` closes a quote inside the map's rates in the cell
+whose tabulated rates enclose it, seeded by the cell's cubic Hermite
+interpolant of the inverse: no series resolved, one evaluation in the
+common case.  ``short_rate_map`` reads every state through the map.  A
+quote outside its rates, or a state outside its states, grows it by a grid
+that joins it where their ranges meet and replaces it where they do not.
 
 Supported families (lowercase names used in configs):
 
@@ -179,10 +178,9 @@ class Spectrum:
     phi(lambda_n) and p_n for n = 0..``POOL_CAP``, set once and never grown.
 
     ``pool(flows)``, ``cut(flows, eps)`` and ``floor(flows, eps)`` are kept
-    per key, and ``rate_map``, the map of r_phi (read-only states,
-    coefficients, rates and slopes; None until needed), once; each is
-    stored in one assignment, so threads sharing a model never see a
-    partial entry.
+    per key, and ``rate_map`` (the map of r_phi: read-only states,
+    coefficients, rates and slopes; None until needed) once, each stored in
+    one assignment, so threads sharing a model never see a partial entry.
     """
 
     def __init__(self, model: DiffusionModel, sub: SubordinatorSpec):
@@ -285,11 +283,10 @@ _FIRST_SUPPLY = 127
 _MAX_SUPPLY = 16383
 
 # Growing the map: a quote's grid first reaches _BRACKET_WIDTH either side
-# of it and doubles its reach at most _BRACKET_STEPS times (one for states
-# reaches _BRACKET_WIDTH above them); each grid of _BRACKET_GRID states
-# tabulates r_phi and its slope.  Over the bench's 160 rate_sweep quotes,
-# with the Hermite seed, 65 states take 1.79 evaluations per quote, 129
-# take 1.14 and 257 take 1.00.
+# of it (a state's, above it) and doubles its reach at most _BRACKET_STEPS
+# times; a grid of _BRACKET_GRID states tabulates r_phi and its slope.  On
+# the bench's 160 rate_sweep quotes (Hermite seed), 65 states take 1.79
+# evaluations per quote, 129 take 1.14 and 257 take 1.00.
 _BRACKET_WIDTH = 0.5
 _BRACKET_STEPS = 8
 _BRACKET_GRID = 257
@@ -337,11 +334,12 @@ def _resolved_series(model: DiffusionModel, sub: SubordinatorSpec, xs: np.ndarra
 def short_rate_map(model: DiffusionModel, sub: SubordinatorSpec, x):
     """Short rate r_phi(x) of the time-changed model at a state or an array of states.
 
-    The states are read through the coefficients of the clock's kept map
-    (``Spectrum.rate_map``) in one ``eigenfunction_matrix`` product, once
-    states outside it have grown it by a grid from the lowest of them to
-    ``_BRACKET_WIDTH`` above the highest (``_grow_map``).  A scalar state
-    returns a float, an array of states an array.
+    The states are read through the clock's kept map (``Spectrum.rate_map``)
+    in one ``eigenfunction_matrix`` product, once states outside it have
+    grown it by a grid from the lowest of them to ``_BRACKET_WIDTH`` above
+    the highest; where that does not resolve, the states are read through
+    coefficients resolved over them alone, and nothing is kept.  A scalar
+    state returns a float, an array an array.
     """
     xs = real_array("states", x)
     for state in xs.flat:
@@ -352,7 +350,11 @@ def short_rate_map(model: DiffusionModel, sub: SubordinatorSpec, x):
     spec, lo, hi = spectrum(model, sub), flat.min(), flat.max()
     kept = spec.rate_map
     if kept is None or not kept[0][0] <= lo <= hi <= kept[0][-1]:
-        kept = _grow_map(spec, lo, hi + _BRACKET_WIDTH)
+        grid = np.linspace(lo, hi + _BRACKET_WIDTH, _BRACKET_GRID)
+        try:
+            kept = spec.rate_map = _resolve_map(spec, grid)
+        except ValidationError:  # the grid reaches past where the states resolve
+            kept = flat, _resolved_series(model, sub, flat)[0]  # kept nowhere
     rates = sub.drift * flat + model.eigenfunction_matrix(kept[1].size - 1, flat) @ kept[1]
     return float(rates[0]) if xs.ndim == 0 else rates.reshape(xs.shape)
 
@@ -370,52 +372,56 @@ def _step_down(model: DiffusionModel, x: float, width: float) -> float:
     return 0.5 * (x + model.state_lo)
 
 
-def _grow_map(spec: Spectrum, lo: float, hi: float, rate: float | None = None):
-    """Replace the spectrum's map by one over its states and ``_BRACKET_GRID``
-    states spread evenly over [lo, hi], resolved over them all; each state
-    keeps the slope of the grid it was first tabulated on.  For a quote the
-    grid walks until the map's rates enclose it, and near an excluded lower
-    boundary (the 3/2 origin), where the series may not resolve, its lower
-    end moves halfway back toward the quote, once.  A quote below r_phi at
-    a lower boundary that is a state is refused with ``BracketError``; a
-    refusal, or a grid that does not resolve, keeps nothing."""
-    model, sub = spec.model, spec.sub
-    kept = spec.rate_map or (np.empty(0),) * 4
-    width = _BRACKET_WIDTH
-    retry = rate is not None and not model.contains(model.state_lo)
+def _resolve_map(spec: Spectrum, grid: np.ndarray):
+    """The read-only map over an even grid and the kept map's states where
+    their ranges meet (else the kept map is dropped, so no gap opens): the
+    coefficients resolved over them all, r_phi at each state, and its slope
+    on the grid where the state was first tabulated."""
+    kept = spec.rate_map
+    if kept is None or grid[0] > kept[0][-1] or grid[-1] < kept[0][0]:
+        kept = (np.empty(0),) * 4
+    xs = np.concatenate([kept[0], grid])
+    coefficients, rates = _resolved_series(spec.model, spec.sub, xs)
+    states, first = np.unique(xs, return_index=True)  # a kept state first
+    slopes = np.concatenate([kept[3], _grid_slopes(grid, rates[kept[0].size :])])
+    resolved = states, coefficients, rates[first], slopes[first]
+    for array in resolved:
+        array.flags.writeable = False
+    return resolved
+
+
+def _walk(spec: Spectrum, rate: float):
+    """The map grown by the first grid whose rates enclose the quote.
+
+    Near an excluded lower boundary (the 3/2 origin), where the series may
+    not resolve, the grid's lower end moves halfway back toward the quote,
+    once.  A quote below r_phi at a lower boundary that is a state is
+    refused with ``BracketError``."""
+    model, width = spec.model, _BRACKET_WIDTH
+    lo, hi = _step_down(model, rate, width), rate + width
+    retry = not model.contains(model.state_lo)
     for _ in range(_BRACKET_STEPS):
-        grid = np.linspace(lo, hi, _BRACKET_GRID)
-        xs = np.concatenate([kept[0], grid])
         try:
-            coefficients, rates = _resolved_series(model, sub, xs)
+            grown = _resolve_map(spec, np.linspace(lo, hi, _BRACKET_GRID))
         except ValidationError:
             if not retry:
                 raise
             lo, retry = 0.5 * (lo + rate), False
             continue
-        states, first = np.unique(xs, return_index=True)  # a kept state first
-        if rate is None:
-            break
-        if rates[first[-1]] < rate:
+        rates = grown[2]
+        if rates[-1] < rate:
             hi += width
-        elif rates[first[0]] <= rate:
-            break
+        elif rates[0] <= rate:
+            return grown
         elif (lower := _step_down(model, lo, width)) < lo:
             lo = lower
         else:
             raise BracketError(
-                f"short rate {rate} lies below r_phi = {rates[first[0]]:.6g} at the lower "
-                f"boundary state {states[0]:.6g}; no state has it"
+                f"short rate {rate} lies below r_phi = {rates[0]:.6g} at the lower "
+                f"boundary state {grown[0][0]:.6g}; no state has it"
             )
         width *= 2.0
-    else:
-        raise ValidationError(f"cannot bracket state for short rate {rate}")
-    slopes = np.concatenate([kept[3], _grid_slopes(grid, rates[kept[0].size :])])
-    grown = states, coefficients, rates[first], slopes[first]
-    for array in grown:
-        array.flags.writeable = False
-    spec.rate_map = grown
-    return grown
+    raise ValidationError(f"cannot bracket state for short rate {rate}")
 
 
 def _gap(model: DiffusionModel, sub: SubordinatorSpec, coefficients: np.ndarray, rate: float):
@@ -513,9 +519,9 @@ def invert_short_rate(model: DiffusionModel, sub: SubordinatorSpec, rate: float)
 
     The quote closes in the clock's kept map (``Spectrum.rate_map``,
     ``_close``), at one series evaluation in the common case; a quote
-    outside the map's rates first grows it by a grid of its own
-    (``_grow_map``).  On the plain clock the rate is the state, and a rate
-    that is not a state is refused with ``ValidationError``.
+    outside the map's rates first grows it by a grid of its own (``_walk``);
+    a refused quote keeps nothing.  On the plain clock the rate is the
+    state, and a rate that is not a state is refused with ``ValidationError``.
     """
     check_real("short rate", rate)
     rate = float(rate)
@@ -527,5 +533,5 @@ def invert_short_rate(model: DiffusionModel, sub: SubordinatorSpec, rate: float)
     spec = spectrum(model, sub)
     kept = spec.rate_map
     if kept is None or not kept[2].item(0) <= rate <= kept[2].item(-1):
-        kept = _grow_map(spec, _step_down(model, rate, _BRACKET_WIDTH), rate + _BRACKET_WIDTH, rate)
+        kept = spec.rate_map = _walk(spec, rate)
     return _close(model, sub, kept, rate)

@@ -1577,6 +1577,38 @@ def test_put_everywhere_degenerate_raises():
     assert info.value.decision_index is not None
 
 
+def test_a_put_root_at_the_edge_of_the_search_interval_is_priced(monkeypatch):
+    # find returns search_lo for a put region over the whole interval (D > 0
+    # there) and for a root where D is exactly 0 there.  On Vasicek, whose
+    # interval stops short of the state space, the region is refused and
+    # the root is priced.
+    from eigenbond import pricer
+
+    sched = BondSchedule(coupon=0.0, coupon_times=(1.0, 2.0, 3.0), protection_index=1,
+                         notice_delta=0.1, put_prices=(5.0, 5.0))
+    find = pricer._RootFinder.find
+    edges = []
+
+    def at_the_edge(self, kind, strike, hint=None):
+        if kind != "put":
+            return find(self, kind, strike, hint)
+        edges.append(self.search_lo)
+        return self.search_lo
+
+    monkeypatch.setattr(pricer._RootFinder, "find", at_the_edge)
+    for d_at_edge in (0.0, 1e-3):
+        monkeypatch.setattr(pricer._RootFinder, "_difference",
+                            lambda self, strike: lambda x: (d_at_edge, 1.0))
+        edges.clear()
+        if d_at_edge > 0.0:
+            with pytest.raises(BracketError, match="put region covers the whole search interval"):
+                price_bond(VAS, NONE, sched, [0.05], eps=1e-7)
+        else:
+            res = price_bond(VAS, NONE, sched, [0.05], eps=1e-7)
+            assert [put for _, put in res.break_even_states] == edges[::-1]
+            assert math.isfinite(res.values[0])
+
+
 def test_a_cir_put_region_over_the_whole_interval_is_priced():
     # a 5-year 5% bond putable at 1.2 puts everywhere at its last date
     # (decision index 4), where the pricer refused it before

@@ -394,7 +394,7 @@ def test_a_quote_inside_a_kept_bracket_closes_without_walking(monkeypatch):
     def walk(*args):
         raise AssertionError("a quote inside a kept bracket walked")
 
-    monkeypatch.setattr(subordinators, "_grow_map", walk)
+    monkeypatch.setattr(subordinators, "_walk", walk)
     states = {quote: invert_short_rate(model, sub, quote) for quote in (0.0592, *ends)}
     assert _map(model, sub) is before
     monkeypatch.undo()
@@ -443,7 +443,7 @@ def test_a_kept_quote_evaluates_no_state_twice(monkeypatch):
         raise AssertionError("a quote inside a kept bracket walked")
 
     monkeypatch.setattr(CIRModel, "eigenfunctions", counted)
-    monkeypatch.setattr(subordinators, "_grow_map", walk)
+    monkeypatch.setattr(subordinators, "_walk", walk)
     assert invert_short_rate(model, JD, 0.05) == state
     assert len(evaluated) >= 1
     assert len(set(evaluated)) == len(evaluated)
@@ -687,6 +687,59 @@ def test_a_failed_growth_leaves_the_map_as_it_was():
     with pytest.raises(ValidationError):
         short_rate_map(fresh, JD, 1e-3)
     assert _map(fresh, JD) is None
+
+
+@pytest.mark.parametrize(
+    "model,state,rate",
+    ((TH, 3.7, 2.4332660047053483),
+     (benchmark.benchmark_model("subvasicek_jd"), 22.3, 13.268568349123681)),
+    ids=("3/2", "subvasicek"),
+)
+def test_a_state_whose_grown_grid_does_not_resolve_is_resolved_alone(model, state, rate):
+    # The grid to _BRACKET_WIDTH above the state reaches where the series
+    # stops resolving (3/2 past about 3.956, Vasicek past 22.55): the state
+    # is read through coefficients resolved over it alone, as before the map
+    # was kept (the rates are those values), and the map, fresh or kept
+    # from a quote, stays as it was.
+    for quote in (None, 0.05):
+        model = _fresh(model)
+        if quote is not None:
+            invert_short_rate(model, JD, quote)
+        before = _map(model, JD)
+        assert short_rate_map(model, JD, state) == pytest.approx(rate, abs=1e-13)
+        assert short_rate_map(model, JD, np.array([state]))[0] == pytest.approx(rate, abs=1e-13)
+        assert _map(model, JD) is before
+
+
+def test_a_growth_that_does_not_meet_the_map_replaces_it(monkeypatch):
+    # Kept from the quote 0.05, the CIR map covers [0, 0.55]; the state 3.0
+    # grows a grid over [3.0, 3.5] that does not meet it and replaces it, so
+    # the map never spans a gap that no resolution checked.  A quote and a
+    # state between them then close and map as on a fresh model.
+    model = _fresh(CIR)
+    invert_short_rate(model, JD, 0.05)
+    short_rate_map(model, JD, 3.0)
+    fresh = _fresh(CIR)
+    short_rate_map(fresh, JD, 3.0)
+    for kept, alone in zip(_map(model, JD), _map(fresh, JD)):
+        assert np.array_equal(kept, alone)
+    quote = short_rate_map(_fresh(CIR), JD, 1.5)
+    resolved = []
+
+    def counted(model, sub, xs, _original=subordinators._resolved_series):
+        resolved.append(xs.copy())
+        return _original(model, sub, xs)
+
+    monkeypatch.setattr(subordinators, "_resolved_series", counted)
+    state = invert_short_rate(model, JD, quote)
+    rate = short_rate_map(model, JD, 1.6)
+    states = _map(model, JD)[0]
+    assert len(resolved) == 1  # the quote's walk covers the state
+    assert np.diff(states).max() <= 2 * subordinators._BRACKET_WIDTH / (states.size - 1)
+    monkeypatch.undo()
+    assert abs(state - invert_short_rate(_fresh(CIR), JD, quote)) <= 1e-14
+    assert abs(state - 1.5) <= 1e-12
+    assert rate == pytest.approx(short_rate_map(_fresh(CIR), JD, 1.6), abs=1e-13)
 
 
 @pytest.mark.parametrize("state", (0.0125, 0.02))
